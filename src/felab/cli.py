@@ -141,6 +141,8 @@ class _Run:
         self.argv = argv
         self.t0 = time.perf_counter()
         self.outputs = []
+        # the quadrature settings that ran; commands with their own set it
+        self.quad = _quad(args)
         self.out_dir = Path(args.out_dir) if args.out_dir else None
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -163,10 +165,10 @@ class _Run:
                 "version": __version__,
                 "seed": self.args.seed,
                 "quadrature": {
-                    "abs_tol": _quad(self.args).abs_tol,
-                    "rel_tol": _quad(self.args).rel_tol,
-                    "max_subdivisions": _quad(self.args).max_subdivisions,
-                    "oscillatory_tail_terms": _quad(self.args).oscillatory_tail_terms,
+                    "abs_tol": self.quad.abs_tol,
+                    "rel_tol": self.quad.rel_tol,
+                    "max_subdivisions": self.quad.max_subdivisions,
+                    "oscillatory_tail_terms": self.quad.oscillatory_tail_terms,
                 },
                 "wall_time_s": time.perf_counter() - self.t0,
                 "outputs": self.outputs,
@@ -177,13 +179,13 @@ class _Run:
 def _cmd_kernel(run: _Run, args):
     from .radial_kernels import kernel_profile
     prof = kernel_profile(args.kind, args.d, args.q, r_max=args.r_max,
-                          n_samples=args.samples, cfg=_quad(args))
+                          n_samples=args.samples, cfg=run.quad)
     run.emit(prof.to_csv(), f"kernel_{args.kind}_{args.d}_{args.q}.csv")
 
 
 def _cmd_gamma(run: _Run, args):
     from .radial_kernels import gamma_qd_detailed
-    res = gamma_qd_detailed(args.d, args.q, _quad(args))
+    res = gamma_qd_detailed(args.d, args.q, run.quad)
     run.emit(f"{res.value:.6f} ± {res.error_estimate:.3g}", "gamma.txt")
     run.log(f"gamma({args.d},{args.q}) = {res.value:.17g}")
 
@@ -191,7 +193,7 @@ def _cmd_gamma(run: _Run, args):
 def _cmd_first_variation(run: _Run, args):
     from .radial_kernels import default_variation_grids, first_variation_check
     inner, outer = default_variation_grids(args.d, args.q, n=args.grid_n, r_max=args.r_max)
-    res = first_variation_check(args.d, args.q, inner, outer, _quad(args))
+    res = first_variation_check(args.d, args.q, inner, outer, run.quad)
     run.emit(_jdump({"inner_min": res.inner_min, "outer_max": res.outer_max,
                      "satisfied": res.satisfied, "margin": res.margin,
                      "error_bound": res.error_bound}), "first_variation.json")
@@ -203,13 +205,14 @@ def _cmd_phi(run: _Run, args):
     if args.oracle:
         res = phi_even_oracle(e, int(round(args.q)))
     else:
-        res = phi_q(e, args.q, _quad(args))
+        res = phi_q(e, args.q, run.quad)
     run.emit(_jdump(res.as_dict()), "phi.json")
 
 
 def _cmd_expand(run: _Run, args):
-    from .perturbation import expansion_report
-    rep = expansion_report(_load_set(args.set_file), args.q)
+    from .perturbation import _TIGHT, expansion_report
+    run.quad = _TIGHT
+    rep = expansion_report(_load_set(args.set_file), args.q, run.quad)
     run.emit(_jdump(rep.as_dict()), "expand.json")
 
 
@@ -224,7 +227,8 @@ def _family(run, spec_text: str):
 
 
 def _cmd_expand_sweep(run: _Run, args):
-    from .perturbation import expansion_report
+    from .perturbation import _TIGHT, expansion_report
+    run.quad = _TIGHT
     fam = _family(run, args.family)
     eps = [float(t) for t in args.eps.split(",") if t]
     if not eps:
@@ -232,7 +236,7 @@ def _cmd_expand_sweep(run: _Run, args):
     lines = ["eps,direct,base,term_K,term_LL,term_Lrefl,residual"]
     for t in eps:
         run.log(f"expanding eps = {t}")
-        rep = expansion_report(fam(t), args.q)
+        rep = expansion_report(fam(t), args.q, run.quad)
         lines.append(",".join(f"{v:.17g}" for v in (
             t, rep.direct, rep.base, rep.term_K, rep.term_LL, rep.term_Lrefl, rep.residual)))
     run.emit("\n".join(lines), "expand_sweep.csv")
@@ -240,7 +244,7 @@ def _cmd_expand_sweep(run: _Run, args):
 
 def _cmd_spectrum(run: _Run, args):
     from .spectral import mode_margins
-    spec = mode_margins(args.d, args.q, args.modes, _quad(args))
+    spec = mode_margins(args.d, args.q, args.modes, run.quad)
     run.emit(spec.to_csv(), "spectrum.csv")
 
 
@@ -271,6 +275,7 @@ def _cmd_search(run: _Run, args):
     family = args.family or ("intervals:4" if args.d == 1 else "star:6")
     cfg = SearchConfig(args.q, args.d, family, restarts=args.restarts,
                        rng_seed=args.seed, budget=args.budget, threads=_threads(args))
+    run.quad = cfg.quad
     res = random_probe(cfg)
     doc = res.as_dict()
     doc["trajectory"] = [[i, v] for i, v in res.trajectory]
@@ -291,6 +296,7 @@ def _cmd_q_sweep(run: _Run, args):
         raise UsageError("--q-list needs at least one exponent")
     cfg = SearchConfig(qs[0], args.d, family, restarts=args.restarts,
                        rng_seed=args.seed, budget=args.budget, threads=_threads(args))
+    run.quad = cfg.quad
     rows = q_sweep(qs, cfg)
     lines = ["q,phi_ball,best_phi,gap,dist_ellipsoids"]
     for row in rows:

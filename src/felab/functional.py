@@ -10,8 +10,16 @@ Routes
   star-shaped set reduces to a circle integral of a closed-form radial
   factor, evaluated by a trapezoid rule whose order grows with the
   frequency (spectral accuracy for the band-limited boundaries used here).
-  The radial tail bound comes from the |1_E^| <= C |xi|^{-3/2} decay with C
-  estimated on the outer band of the integration window.
+  The norm integrates over uniform GK15 panels in the radius, 16 panels to
+  a block sharing one circle rule.  Within a block the radial phase at
+  frequency rho u_phi is rho A(phi, theta) with A fixed, and every node is
+  rho = mid_j + half x_k, so the phase factors split:
+  e^{-i rho A} = e^{-i mid_j A} e^{-i half x_k A}.  A block takes 16 panel
+  and 15 offset exp tables instead of one exp per (node, phi, theta), and
+  each phase is a product of two exps, so no error accumulates.  The
+  translation and the star center only rotate the phase of 1_E^ and drop out
+  of |1_E^|.  The radial tail bound comes from the |1_E^| <= C |xi|^{-3/2}
+  decay with C estimated on a probe ring inside the integration window.
 * even q: the Fourier transform can be eliminated;
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
   For interval unions the convolution is exact piecewise-polynomial
@@ -32,7 +40,7 @@ import numpy as np
 
 from ._pwpoly import nfold_indicator_convolution
 from .errors import DomainError, InvalidSetError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS, DEFAULT_CONFIG, QuadratureConfig
 from .set_model import IntervalSet, StarSet
 
 __all__ = [
@@ -99,7 +107,42 @@ def _circle_rule_order(band: float) -> int:
     return int(max(48, band + 3.0 * band ** (1.0 / 3.0) + 12))
 
 
-def _star_hat_points(e: StarSet, pts: np.ndarray, n_theta: int | None = None) -> np.ndarray:
+def _radius_bound(e: StarSet) -> float:
+    """c0 + sum |a_n| + |b_n| >= max r(theta): scales the circle-rule band."""
+    return abs(e.c0) + float(np.sum(np.abs(e.a_coeffs)) + np.sum(np.abs(e.b_coeffs)))
+
+
+def _phase_rates(dirs: np.ndarray, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a_{jm} = 2 pi r(theta_m) (dirs_j . u(theta_m)): the radial phase rate."""
+    a = 2 * np.pi * (np.outer(dirs[:, 0], np.cos(theta)) + np.outer(dirs[:, 1], np.sin(theta)))
+    a *= r
+    return a
+
+
+def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
+    """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia}.
+
+    ``rr`` = R^2 broadcasts against ``a`` along its last axis.  The closed
+    form loses ~eps/a^2 to cancellation, so below |a| = 0.1 the Taylor series
+    R^2 sum_k (-ia)^k / (k! (k + 2)) replaces it (ten terms: < 1e-17).
+    """
+    small = np.abs(a) < 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = ph * (1.0 + 1j * a)
+        g -= 1.0
+        g *= rr / (a * a)
+    if np.any(small):
+        z = -1j * a[small]
+        term = np.ones_like(z)
+        series = 0.5 * term
+        for k in range(1, 10):
+            term *= z / k
+            series += term / (k + 2)
+        g[small] = np.broadcast_to(rr, g.shape)[small] * series
+    return g
+
+
+def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
     """Transform of a star set at an (n, 2) array of frequency points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     # affine reduction: (T E + v)^ (xi) = det T e^{-2 pi i v.xi} E^(T^t xi)
@@ -107,26 +150,12 @@ def _star_hat_points(e: StarSet, pts: np.ndarray, n_theta: int | None = None) ->
     identity_affine = (np.array_equal(e.affine.matrix, np.eye(2))
                        and not np.any(e.affine.translation))
     eta = pts if identity_affine else pts @ e.affine.matrix
-    if n_theta is None:
-        rho_max = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
-        band = 2 * np.pi * rho_max * (abs(e.c0) + float(
-            np.sum(np.abs(e.a_coeffs)) + np.sum(np.abs(e.b_coeffs))))
-        n_theta = _circle_rule_order(band)
+    rho_max = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
+    n_theta = _circle_rule_order(2 * np.pi * rho_max * _radius_bound(e))
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     r = e.radius(theta)
-    # a_{jm} = 2 pi (eta_j . u(theta_m)); inner radial integral in closed form
-    ar = 2 * np.pi * (np.outer(eta[:, 0], np.cos(theta)) + np.outer(eta[:, 1], np.sin(theta)))
-    ar *= r[None, :]
-    tiny = np.abs(ar) < 1e-6
-    if np.any(tiny):
-        ar[tiny] = 1.0  # patched below
-    ph = np.exp(-1j * ar)
-    # int_0^R e^{-i a s} s ds = R^2 (e^{-iaR}(1 + iaR) - 1)/(aR)^2
-    g = (ph * (1.0 + 1j * ar) - 1.0) / (ar * ar) * (r * r)[None, :]
-    if np.any(tiny):
-        rr = np.broadcast_to((r * r)[None, :], ar.shape)[tiny]
-        g[tiny] = 0.5 * rr
-    vals = g.mean(axis=1) * 2 * np.pi
+    a = _phase_rates(eta, theta, r)
+    vals = _radial_factor(np.exp(-1j * a), a, r * r).mean(axis=1) * 2 * np.pi
     if not identity_affine:
         shift = pts @ e.affine.translation + eta @ e.center
         vals = vals * np.exp(-2j * np.pi * shift)
@@ -152,8 +181,6 @@ def indicator_hat(e, xi):
 # ---------------------------------------------------------------------------
 
 def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
-    from .quadrature import _GK_NODES, _GK_WEIGHTS
-
     m = len(e.intervals)
     tol = max(cfg.abs_tol, 1e-12)
     cut = ((m / np.pi) ** q / ((q - 1.0) * tol)) ** (1.0 / (q - 1.0))
@@ -168,33 +195,19 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     nodes = (mid[:, None] + half[:, None] * _GK_NODES[None, :])
     vals = np.abs(_interval_hat(e, nodes.ravel())).reshape(nodes.shape) ** q
     kron = (vals @ _GK_WEIGHTS) * half
-    gauss = (vals[:, 1::2] @ _GW7) * half
+    gauss = (vals[:, 1::2] @ _G_WEIGHTS) * half
     value = 2.0 * float(np.sum(kron))
     rule_err = 2.0 * float(np.sum(np.abs(kron - gauss)))
     tail = 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
     return value, rule_err + tail
 
 
-_GW7 = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-
-
 def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
-    from .quadrature import _GK_NODES, _GK_WEIGHTS
-
     # |1_E^(-xi)| = |1_E^(xi)|, so |1_E^|^q is pi-periodic in the frequency
     # angle: half the circle carries the full angular average
     n_phi = int(max(32, 8 * e.n_modes + 16)) // 2
     phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
     uphi = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    r_scale = abs(e.c0) + float(np.sum(np.abs(e.a_coeffs)) + np.sum(np.abs(e.b_coeffs)))
     expo = 1.5 * q - 2.0
     # decay estimate |1_E^| ~ C rho^{-3/2} measured on a probe ring
     probe_rho = np.array([6.0, 9.0, 13.0])
@@ -205,26 +218,39 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
         tol = max(cfg.abs_tol, 1e-7)
         radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
         radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
-    h = 0.25
-    n_panels = int(radial_cut / h) + 1
-    edges = np.linspace(0.0, radial_cut, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    # uniform panels of width <= 0.25: node rho = mid_j + half x_k
+    n_panels = int(radial_cut / 0.25) + 1
+    half = 0.5 * radial_cut / n_panels
+    mid = (2 * np.arange(n_panels) + 1) * half
+    offsets = half * _GK_NODES
+    # frequency rho u_phi meets the base body as eta = rho u_phi M; the
+    # translation and the center only rotate the phase of 1_E^, and the
+    # modulus is all that enters the norm
+    dirs = uphi @ e.affine.matrix
+    scale = 2 * np.pi * e.affine.det
+    r_bound = _radius_bound(e)
     value = 0.0
     rule_err = 0.0
-    block = 16  # panels per batch, keeps the phase tensors small
+    block = 16  # panels per circle rule
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
-        rho_nodes = mid[lo:hi, None] + half[lo:hi, None] * _GK_NODES[None, :]
-        flat_rho = rho_nodes.ravel()
-        pts = flat_rho[:, None, None] * uphi[None, :, :]
-        n_theta = _circle_rule_order(2 * np.pi * float(edges[hi]) * r_scale)
-        vals = np.abs(_star_hat_points(e, pts.reshape(-1, 2), n_theta=n_theta))
-        vals = vals.reshape(len(flat_rho), n_phi)
-        integ = (vals**q).mean(axis=1) * 2 * np.pi * flat_rho
-        integ = integ.reshape(hi - lo, 15)
-        kron = (integ @ _GK_WEIGHTS) * half[lo:hi]
-        gauss = (integ[:, 1::2] @ _GW7) * half[lo:hi]
+        n_theta = _circle_rule_order(2 * np.pi * (2 * half * hi) * r_bound)
+        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+        r = e.radius(theta)
+        # the block's phase is a = rho A(phi, theta) with A fixed, so
+        # e^{-ia} = e^{-i mid_j A} e^{-i half x_k A}: 16 panel tables and 15
+        # offset tables replace an exp per (node, phi, theta)
+        rate = _phase_rates(dirs, theta, r)
+        panel_ph = np.exp(-1j * mid[lo:hi, None, None] * rate)
+        offset_ph = np.exp(-1j * offsets[:, None, None] * rate)
+        rho = mid[lo:hi, None] + offsets[None, :]
+        hat = np.empty((hi - lo, 15, n_phi))
+        for j in range(hi - lo):
+            g = _radial_factor(panel_ph[j] * offset_ph, rho[j, :, None, None] * rate, r * r)
+            hat[j] = np.abs(g.mean(axis=2))
+        integ = ((scale * hat) ** q).mean(axis=2) * 2 * np.pi * rho
+        kron = (integ @ _GK_WEIGHTS) * half
+        gauss = (integ[:, 1::2] @ _G_WEIGHTS) * half
         value += float(np.sum(kron))
         rule_err += float(np.sum(np.abs(kron - gauss)))
     tail = 2 * np.pi * c_est**q * radial_cut ** (-expo) / expo

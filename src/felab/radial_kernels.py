@@ -496,6 +496,11 @@ def _kernel_values_2d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
     return _kernel_values_2d_L(q, radii, cfg)
 
 
+# sines evaluated per chunk of the d = 3 kernel sum: the radial cut reaches
+# ~1e4 near q_d (millions of nodes), so the sum is swept in chunks of panels
+_SIN_CHUNK = 1 << 20
+
+
 def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureConfig):
     # value(r) = (2/r) int_0^inf g(rho) rho sin(2 pi rho r) drho; integrand
     # decays like rho^{1 - 2(q-1)} (K) / rho^{1 - 2(q-2)} (L): composite + bound
@@ -503,17 +508,24 @@ def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
     edges = np.linspace(0.0, r_cut, int(r_cut * 24) + 1)
-    nodes, weights = _composite_matrix(None, edges)
-    g = _g_radial(kind, 3, q, nodes)
-    base_w = weights * g * nodes
-    out = np.empty_like(x)
     pos = x > 1e-12
-    sin_mat = np.sin(2 * np.pi * np.outer(x[pos], nodes))
-    out[pos] = (2.0 / x[pos]) * (sin_mat @ base_w)
-    if np.any(~pos):
-        # r -> 0 limit: 4 pi int g rho^2 drho
-        out[~pos] = 4.0 * np.pi * float(np.sum(weights * g * nodes**2))
-    tail_bound = abs(2.0 * np.pi * np.max(np.abs(g[-50:])) * nodes[-1]) * 2.0
+    xp = x[pos]
+    sums = np.zeros(len(xp))
+    moment = 0.0  # int g rho^2 drho, the r -> 0 limit
+    step = max(1, _SIN_CHUNK // (15 * max(len(xp), 1)))  # panels per chunk
+    for lo in range(0, len(edges) - 1, step):
+        nodes, weights = _composite_matrix(None, edges[lo:lo + step + 1])
+        g = _g_radial(kind, 3, q, nodes)
+        sin_mat = np.outer(xp, nodes)
+        sin_mat *= 2 * np.pi
+        np.sin(sin_mat, out=sin_mat)
+        sums += sin_mat @ (weights * g * nodes)
+        moment += float(np.sum(weights * g * nodes**2))
+    out = np.empty_like(x)
+    out[pos] = (2.0 / xp) * sums
+    out[~pos] = 4.0 * np.pi * moment
+    last = _composite_matrix(None, edges[-5:])[0][-50:]
+    tail_bound = abs(2.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]) * 2.0
     errors = np.full_like(out, tail_bound + 1e-11 * np.abs(out))
     return out, errors
 

@@ -74,6 +74,9 @@ class TestStdoutCleanliness:
         for ln in lines[1:]:
             [float(t) for t in ln.split(",")]
         assert "expanding" in captured.err
+        # the expansion runs at its own tight tolerances
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["quadrature"]["abs_tol"] == 1e-12
 
     def test_quiet_silences(self, capsys, ball_file):
         dispatch(["--quiet", "dist", "--set", ball_file])
@@ -93,6 +96,9 @@ class TestManifest:
         assert any(p.endswith("search.json") for p in manifest["outputs"])
         assert any(p.endswith("trajectory.csv") for p in manifest["outputs"])
         assert manifest["wall_time_s"] > 0
+        # search runs at probe-grade tolerances, not the CLI default
+        assert manifest["quadrature"]["abs_tol"] == 3e-7
+        assert manifest["quadrature"]["rel_tol"] == 1e-8
         for p in manifest["outputs"]:
             assert (tmp_path / "run" / p.split("/")[-1]).exists()
 

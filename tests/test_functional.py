@@ -140,6 +140,67 @@ class TestPhi2D:
             assert direct.phi == pytest.approx(radial.phi, abs=1e-7)
 
 
+def seeded_star4(seed):
+    """A star:4 candidate drawn the way the search draws one, at ball measure."""
+    rng = np.random.default_rng(seed)
+    decay = 1.0 / (1.0 + np.arange(1, 5)) ** 2
+    a = rng.normal(0.0, 0.15, 4) * decay
+    b = rng.normal(0.0, 0.15, 4) * decay
+    return StarSet(1.0, a, b).with_measure(np.pi)
+
+
+def shifted_set():
+    """Non-identity linear part, translation and base center all non-trivial."""
+    base = StarSet(1.0, a_coeffs=[0.0, 0.06, 0.02], b_coeffs=[0.0, -0.03], center=(0.1, -0.05))
+    return base.apply(AffineMap(np.array([[1.2, 0.3], [-0.1, 0.8]]), np.array([0.4, -0.7])))
+
+
+class TestPinned2D:
+    """d = 2 values of the per-node evaluation (one complex exp per radial
+    node, angle and circle node), pinned to 1e-10 relative."""
+
+    @pytest.mark.parametrize("seed, probe, default", [
+        (3, 0.8232350065621941, 0.8232350067493605),
+        (11, 0.8233227145772756, 0.8233227147563373),
+    ])
+    def test_star4_candidates(self, seed, probe, default):
+        from felab.search import PROBE_QUAD
+        e = seeded_star4(seed)
+        assert phi_q(e, 4.0, PROBE_QUAD).phi == pytest.approx(probe, rel=1e-10)
+        assert phi_q(e, 4.0).phi == pytest.approx(default, rel=1e-10)
+
+    def test_affine_shift_branch(self):
+        e = shifted_set()
+        assert phi_q(e, 4.0).phi == pytest.approx(0.8232475350473768, rel=1e-10)
+        assert phi_q(e, 3.5).phi == pytest.approx(0.8297487836527969, rel=1e-10)
+
+    def test_star_mode_tight_cut(self):
+        from felab.perturbation import star_mode_family
+        res = phi_q(star_mode_family(0.015, 4), 4.0, QuadratureConfig(1e-12, 1e-11),
+                    radial_cut=45.0)
+        assert res.phi == pytest.approx(0.8233137053563916, rel=1e-10)
+        assert res.norm_q_pow_q == pytest.approx(14.246592363132624, rel=1e-10)
+
+    def test_indicator_hat(self):
+        pts = np.array([[0.0, 0.0], [0.37, -0.81], [1.9, 0.4], [-3.1, 2.2], [7.5, -0.3]])
+        expected = {
+            "shifted": [3.1177966600351774 + 0j,
+                        -0.07773197904903263 - 0.3869451336160123j,
+                        -0.02411252550225904 + 0.055885826843582606j,
+                        -0.006723796546437523 + 0.031532245255951837j,
+                        -0.0009853068481745872 + 0.00352949755972263j],
+            "star4": [3.141592653589793 + 0j,
+                      -0.3309886441975021 + 0.07033534012112194j,
+                      -0.092396878245312 + 0.08489031297714116j,
+                      0.014866974476479153 - 0.03323593005160813j,
+                      -0.0028984532709489205 + 0.00458775780595583j],
+        }
+        for name, e in (("shifted", shifted_set()), ("star4", seeded_star4(3))):
+            vals = indicator_hat(e, pts)
+            ref = np.array(expected[name])
+            assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
+
+
 class TestContinuityProbe:
     def test_same_exponent_rejected(self):
         with pytest.raises(DomainError):

@@ -135,6 +135,31 @@ class TestKernel2D:
         assert abs(vals[0]) < 1e-8
 
 
+class TestKernel3D:
+    def test_l_kernel_memory_bounded(self):
+        # L-kind at q = 3.6 cuts the radial integral at 1e8^(1/2.2) ~ 4.3e3:
+        # ~1.56e6 mesh nodes, so a one-piece sine matrix would take
+        # 16 x 1.56e6 doubles (~200 MB)
+        import tracemalloc
+
+        from felab.radial_kernels import _composite_matrix, _g_radial
+        q = 3.6
+        r = np.linspace(0.05, 3.0, 16)
+        tracemalloc.start()
+        try:
+            vals, _ = kernel_values("L", 3, q, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r_cut = 1e8 ** (1.0 / (2.0 * (q - 2.0) - 1.0))
+        nodes, weights = _composite_matrix(None, np.linspace(0.0, r_cut, int(r_cut * 24) + 1))
+        assert peak < 0.25 * len(r) * len(nodes) * 8
+        # direct reference, one radius at a time
+        base_w = weights * _g_radial("L", 3, q, nodes) * nodes
+        ref = np.array([(2.0 / x) * (np.sin(2 * np.pi * (x * nodes)) @ base_w) for x in r])
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
+
+
 class TestThresholds:
     def test_l_kernel_refuses_at_qd(self):
         with pytest.raises(ThresholdError) as exc:

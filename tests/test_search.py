@@ -30,10 +30,11 @@ class TestDeterminism:
         assert r1.best_set.intervals == r2.best_set.intervals
 
     def test_threading_invariance(self):
-        base = SearchConfig(4.0, 1, "intervals:2", restarts=10, rng_seed=5, budget=10)
-        threaded = SearchConfig(4.0, 1, "intervals:2", restarts=10, rng_seed=5,
-                                budget=10, threads=3)
-        assert random_probe(base).best_phi == random_probe(threaded).best_phi
+        for d, family, restarts in ((1, "intervals:2", 10), (2, "star:4", 6)):
+            base = SearchConfig(4.0, d, family, restarts=restarts, rng_seed=5, budget=restarts)
+            threaded = SearchConfig(4.0, d, family, restarts=restarts, rng_seed=5,
+                                    budget=restarts, threads=3)
+            assert random_probe(base).best_phi == random_probe(threaded).best_phi
 
 
 class TestTrajectories:
