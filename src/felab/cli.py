@@ -32,7 +32,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="felab", description="numerical laboratory for the "
                 "set-indicator Fourier extremization problem")
-    p.add_argument("--tol", type=float, default=None, help="absolute quadrature tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="absolute quadrature tolerance for kernel, gamma, first-variation, "
+                   "phi and spectrum; the other commands run their own settings and "
+                   "refuse it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="thread budget (FELAB_THREADS as fallback)")
@@ -105,11 +108,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+# the commands that take their quadrature settings from --tol
+_TOL_COMMANDS = ("kernel", "gamma", "first-variation", "phi", "spectrum")
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("FELAB_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise UsageError(f"FELAB_THREADS must be an integer, got {env!r}") from None
 
 
 def _quad(args) -> QuadratureConfig:
@@ -306,10 +318,18 @@ def _cmd_q_sweep(run: _Run, args):
 
 
 def _cmd_verify(run: _Run, args) -> int:
-    from .acceptance import run as run_acceptance
+    from .acceptance import CRITERIA, run as run_acceptance
     numbers = None
     if args.criteria:
-        numbers = [int(t) for t in args.criteria.split(",") if t]
+        try:
+            numbers = [int(t) for t in args.criteria.split(",") if t]
+        except ValueError:
+            raise UsageError(f"--criteria takes comma-separated numbers, got "
+                             f"{args.criteria!r}") from None
+        unknown = sorted(set(numbers) - set(CRITERIA))
+        if unknown:
+            raise UsageError(f"unknown criteria {unknown}; they are numbered "
+                             f"{min(CRITERIA)}-{max(CRITERIA)}")
     results = run_acceptance(numbers, threads=_threads(args), log=run.log)
     lines = ["criterion,name,passed,seconds"]
     for r in results:
@@ -340,6 +360,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("missing subcommand")
+        if args.tol is not None and args.command not in _TOL_COMMANDS:
+            raise UsageError(f"--tol has no effect on {args.command}; it applies to "
+                             + ", ".join(_TOL_COMMANDS))
         run = _Run(args, list(argv))
         code = _COMMANDS[args.command](run, args)
         run.finish()

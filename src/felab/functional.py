@@ -2,10 +2,18 @@
 
 Routes
 ------
-* d = 1: the transform of an interval union is an exact finite sum, and
-  ||1_E^||_q^q is integrated by a vectorized composite rule out to a cutoff
-  chosen from the rigorous envelope |1_E^(xi)| <= m/(pi xi) (m = number of
-  intervals), with the cutoff tail added to the error estimate.
+* d = 1: the transform of an interval union is an exact finite sum,
+  1_E^(xi) = P(xi)/(2 pi i xi) with P(xi) = sum_e s_e e^{-2 pi i xi e} over
+  the endpoints (s = +1 left, -1 right).  ||1_E^||_q^q is integrated on
+  uniform GK15 panels out to a cutoff chosen from the rigorous envelope
+  |1_E^(xi)| <= m/(pi xi) (m = number of intervals), with the cutoff tail
+  added to the error estimate.  The panels are grouped in blocks of 64, and
+  a node is xi = base_b + loc_ik (block start plus offset in the block), so
+  P is one small matrix product per chunk of blocks: U[b, e] =
+  e^{-2 pi i base_b e} times W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.  That
+  is 2m exps per block and per offset instead of 2m per node, and each
+  phase is a product of two exps, so no error accumulates.  The endpoints
+  are centered first: a translation only rotates the phase of 1_E^.
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
   star-shaped set reduces to a circle integral of a closed-form radial
   factor, evaluated by a trapezoid rule whose order grows with the
@@ -180,6 +188,39 @@ def indicator_hat(e, xi):
 # Phi_q
 # ---------------------------------------------------------------------------
 
+# the d = 1 mesh is swept in chunks of blocks of panels
+_MESH_BLOCK = 64   # panels per block: one row of the phase product
+_MESH_CHUNK = 128  # blocks per chunk: ~120k nodes, a few MB
+
+
+def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
+    """P(xi) = sum_e s_e e^{-2 pi i xi e} on the uniform GK15 mesh of [0, cut].
+
+    The panels have width <= h.  Returns ``(half, chunks)``: the panel
+    half-width, and an iterator over ``(xi, P)`` arrays of shape (panels, 15)
+    that walks the panels in order.  Block b of B panels starts at
+    base_b = 2 half B b, so node (i, k) of the block is xi = base_b + loc_ik
+    with loc_ik = (2i + 1 + x_k) half, and P = U @ W with
+    U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.
+    Each phase is a product of two exps, so no error accumulates.
+    """
+    n_panels = int(cut / h) + 1
+    half = 0.5 * cut / n_panels
+    loc = ((2 * np.arange(_MESH_BLOCK) + 1)[:, None] + _GK_NODES) * half
+    w = signs[:, None] * np.exp(-2j * np.pi * np.outer(ends, loc))
+    n_blocks = -(-n_panels // _MESH_BLOCK)
+
+    def chunks():
+        for b0 in range(0, n_blocks, _MESH_CHUNK):
+            base = 2 * half * _MESH_BLOCK * np.arange(b0, min(b0 + _MESH_CHUNK, n_blocks))
+            n = min(len(base) * _MESH_BLOCK, n_panels - b0 * _MESH_BLOCK)
+            p = (np.exp(-2j * np.pi * np.outer(base, ends)) @ w).reshape(-1, 15)
+            xi = (base[:, None, None] + loc).reshape(-1, 15)
+            yield xi[:n], p[:n]
+
+    return half, chunks()
+
+
 def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     m = len(e.intervals)
     tol = max(cfg.abs_tol, 1e-12)
@@ -188,18 +229,23 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     # panel size keyed to the fastest beat frequency (set diameter)
     diam = e.intervals[-1][1] - e.intervals[0][0]
     h = min(0.05, 0.5 / max(diam, 1.0))
-    n_panels = int(cut / h) + 1
-    edges = np.linspace(0.0, cut, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GK_NODES[None, :])
-    vals = np.abs(_interval_hat(e, nodes.ravel())).reshape(nodes.shape) ** q
-    kron = (vals @ _GK_WEIGHTS) * half
-    gauss = (vals[:, 1::2] @ _G_WEIGHTS) * half
-    value = 2.0 * float(np.sum(kron))
-    rule_err = 2.0 * float(np.sum(np.abs(kron - gauss)))
+    # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints;
+    # the translation only rotates its phase, so center the endpoints
+    ends = e.endpoints()
+    ends = ends - 0.5 * (ends[0] + ends[-1])
+    half, chunks = _signed_exp_mesh(ends, np.resize([1.0, -1.0], 2 * m), cut, h)
+    value = 0.0
+    rule_err = 0.0
+    for xi, p in chunks:
+        vals = np.abs(p)
+        vals /= 2 * np.pi * xi
+        vals **= q
+        kron = vals @ _GK_WEIGHTS
+        gauss = vals[:, 1::2] @ _G_WEIGHTS
+        value += float(np.sum(kron))
+        rule_err += float(np.sum(np.abs(kron - gauss)))
     tail = 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
-    return value, rule_err + tail
+    return 2.0 * half * value, 2.0 * half * rule_err + tail
 
 
 def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):

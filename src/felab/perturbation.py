@@ -145,29 +145,29 @@ def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
     Needed at q = 3 where L_3 is singular in x-space (log spikes); also a
     cross-check of the interval-algebra route for q > 3.
     """
-    from .functional import _interval_hat
-    from .quadrature import _GK_NODES, _GK_WEIGHTS
+    from .functional import _signed_exp_mesh
+    from .quadrature import _GK_WEIGHTS
     from .radial_kernels import ball_hat
 
-    ball = IntervalSet([(-1.0, 1.0)])
     m = len(e.intervals) + 1
     tol = 1e-9  # the terms enter residuals of order |E triangle B|^2 >> this
     cut = float(np.clip(((m / np.pi) ** 2 * np.pi ** (2.0 - q) / ((q - 1.0) * tol))
                         ** (1.0 / (q - 1.0)), 100.0, 2.0e4))
     diam = max(e.intervals[-1][1], 1.0) - min(e.intervals[0][0], -1.0)
     h = min(0.05, 0.5 / max(diam, 1.0))
-    edges = np.linspace(0.0, cut, int(cut / h) + 2)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GK_NODES[None, :])
-    flat = nodes.ravel()
-    fhat = _interval_hat(e, flat) - _interval_hat(ball, flat)
-    weight = np.abs(ball_hat(1, flat)) ** (q - 2.0)
-    ll_vals = (np.abs(fhat) ** 2 * weight).reshape(nodes.shape)
-    lr_vals = ((fhat**2).real * weight).reshape(nodes.shape)
-    ll = 2.0 * float(np.sum((ll_vals @ _GK_WEIGHTS) * half))
-    lr = 2.0 * float(np.sum((lr_vals @ _GK_WEIGHTS) * half))
-    return {"LL": ll, "Lrefl": lr}
+    # f^ = P / (2 pi i xi) with E's endpoints and the ball's in one signed sum;
+    # no centering, since the phase of f^ enters Lrefl
+    ends = np.concatenate([e.endpoints(), [-1.0, 1.0]])
+    signs = np.concatenate([np.resize([1.0, -1.0], 2 * m - 2), [-1.0, 1.0]])
+    half, chunks = _signed_exp_mesh(ends, signs, cut, h)
+    ll = 0.0
+    lr = 0.0
+    for xi, p in chunks:
+        # |f^|^2 = |P|^2 / (2 pi xi)^2 and Re (f^)^2 = -Re P^2 / (2 pi xi)^2
+        weight = np.abs(ball_hat(1, xi)) ** (q - 2.0) / (2 * np.pi * xi) ** 2
+        ll += float(np.sum(((p.real**2 + p.imag**2) * weight) @ _GK_WEIGHTS))
+        lr -= float(np.sum(((p * p).real * weight) @ _GK_WEIGHTS))
+    return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 
 def quadratic_terms(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,6 +122,11 @@ def _set_to_params(e, cfg: SearchConfig) -> np.ndarray:
     return np.concatenate([a, b])
 
 
+def _normalized(params: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """The parameters of the candidate set that ``params`` describe."""
+    return _set_to_params(_params_to_set(params, cfg), cfg).astype(float)
+
+
 def _evaluate(params: np.ndarray, cfg: SearchConfig) -> float:
     try:
         e = _params_to_set(params, cfg)
@@ -130,21 +135,23 @@ def _evaluate(params: np.ndarray, cfg: SearchConfig) -> float:
         return -math.inf
 
 
-def local_ascent(start, cfg: SearchConfig) -> SearchResult:
-    """Coordinate-wise trial steps with halving; volume fixed by dilation."""
-    params = _set_to_params(start, cfg).astype(float)
-    phi_b = phi_ball(cfg.dimension, cfg.exponent, cfg.quad).phi
+def _ascend(params: np.ndarray, cfg: SearchConfig, budget: int):
+    """Coordinate-wise trial steps with halving, at most ``budget`` evaluations.
+
+    Returns (params, best, trajectory, evals); the trajectory holds one
+    (evaluation, best so far) pair per evaluation.
+    """
     best = _evaluate(params, cfg)
     evals = 1
     trajectory = [(1, best)]
     step = cfg.step_initial
-    while evals < cfg.budget and step >= 1e-6:
+    while evals < budget and step >= 1e-6:
         improved = False
         for k in range(len(params)):
-            if evals >= cfg.budget:
+            if evals >= budget:
                 break
             for sign in (1.0, -1.0):
-                if evals >= cfg.budget:
+                if evals >= budget:
                     break
                 trial = params.copy()
                 trial[k] += sign * step
@@ -157,6 +164,14 @@ def local_ascent(start, cfg: SearchConfig) -> SearchResult:
                 trajectory.append((evals, best))
         if not improved:
             step *= cfg.step_decay
+    return params, best, trajectory, evals
+
+
+def local_ascent(start, cfg: SearchConfig) -> SearchResult:
+    """Coordinate-wise trial steps with halving; volume fixed by dilation."""
+    phi_b = phi_ball(cfg.dimension, cfg.exponent, cfg.quad).phi
+    params, best, trajectory, evals = _ascend(
+        _set_to_params(start, cfg).astype(float), cfg, cfg.budget)
     final = _params_to_set(params, cfg)
     fit = dist_to_ellipsoids(final)
     return SearchResult(final, best, phi_b, phi_b - best, fit.distance,
@@ -196,22 +211,18 @@ def random_probe(cfg: SearchConfig) -> SearchResult:
     # short ascent from the top few probes
     remaining = cfg.budget - evals
     tops = [i for i in order[:3] if values[i] > -math.inf]
-    for rank, idx in enumerate(tops):
+    for idx in tops:
         share = remaining // max(1, len(tops))
         if share < 4:
             break
-        sub = SearchConfig(cfg.exponent, cfg.dimension, cfg.family,
-                           restarts=1, rng_seed=cfg.rng_seed,
-                           step_initial=cfg.step_initial, step_decay=cfg.step_decay,
-                           budget=share, threads=1, quad=cfg.quad)
-        res = local_ascent(_params_to_set(probes[idx], cfg), sub)
-        for j, v in res.trajectory:
+        sub_params, sub_best, sub_traj, _ = _ascend(_normalized(probes[idx], cfg), cfg, share)
+        for _, v in sub_traj:
             evals += 1
             running = max(running, v)
             trajectory.append((evals, running))
-        if res.best_phi > best:
-            best = res.best_phi
-            params = _set_to_params(res.best_set, cfg)
+        if sub_best > best:
+            best = sub_best
+            params = _normalized(sub_params, cfg)
     final = _params_to_set(params, cfg)
     fit = dist_to_ellipsoids(final)
     return SearchResult(final, best, phi_b, phi_b - best, fit.distance,
@@ -222,10 +233,7 @@ def q_sweep(q_list, cfg: SearchConfig) -> list:
     """Per-exponent ball value, best probed value, and gap."""
     rows = []
     for q in q_list:
-        sub = SearchConfig(float(q), cfg.dimension, cfg.family, cfg.restarts,
-                           cfg.rng_seed, cfg.step_initial, cfg.step_decay,
-                           cfg.budget, cfg.threads, cfg.quad)
-        res = random_probe(sub)
+        res = random_probe(replace(cfg, exponent=float(q)))
         rows.append({"q": float(q), "phi_ball": res.phi_ball,
                      "best_phi": res.best_phi, "gap": res.gap,
                      "dist_ellipsoids": res.dist_ellipsoids})

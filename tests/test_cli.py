@@ -132,3 +132,42 @@ class TestVerifySubset:
         assert lines[1].startswith("6,")
         assert ",true," in lines[1]
         assert "criterion  6" in captured.err or "criterion 6" in captured.err
+
+
+class TestMalformedInput:
+    """Bad input exits 3 with a usage message, never through a traceback."""
+
+    @staticmethod
+    def assert_usage_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "usage error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("criteria", ["99", "a", "1,x"])
+    def test_bad_criteria(self, capsys, criteria):
+        self.assert_usage_error(dispatch(["verify", "--criteria", criteria]), capsys)
+
+    def test_bad_thread_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FELAB_THREADS", "abc")
+        code = dispatch(["--quiet", "search", "--d", "1", "--q", "4",
+                         "--family", "intervals:2", "--restarts", "4", "--budget", "8"])
+        self.assert_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--d", "1", "--q", "4"],
+        ["q-sweep", "--d", "1", "--q-list", "4"],
+        ["expand", "--set", "SET", "--q", "4"],
+        ["expand-sweep", "--family", "sliver", "--q", "4", "--eps", "0.05"],
+        ["verify", "--criteria", "6"],
+    ])
+    def test_tol_refused_where_ignored(self, capsys, ball_file, argv):
+        argv = [ball_file if a == "SET" else a for a in argv]
+        code = dispatch(["--tol", "1e-3"] + argv)
+        self.assert_usage_error(code, capsys)
+
+    def test_tol_accepted_where_used(self, capsys, ball_file):
+        code = dispatch(["--quiet", "--tol", "1e-9", "phi", "--set", ball_file, "--q", "4"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["phi"] == pytest.approx((2 / 3) ** 0.25,
+                                                                          abs=1e-7)

@@ -201,6 +201,139 @@ class TestPinned2D:
             assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
 
 
+PIECES_1D = {
+    "one": [(-0.7, 1.3)],
+    "two": [(-1.1, 0.2), (0.5, 1.2)],
+    "three": [(-1.3, -0.6), (-0.2, 0.5), (0.9, 1.5)],
+}
+
+
+class TestPinned1D:
+    """d = 1 values of the per-node evaluation (two complex exps per node and
+    endpoint on the whole mesh), pinned to 1e-12 relative."""
+
+    @staticmethod
+    def configs():
+        from felab.perturbation import _TIGHT
+        from felab.quadrature import DEFAULT_CONFIG
+        from felab.search import PROBE_QUAD
+        return {"default": DEFAULT_CONFIG, "probe": PROBE_QUAD, "tight": _TIGHT}
+
+    @pytest.mark.parametrize("name, q, pinned", [
+        ("one", 3.0, {
+            "default": (0.9162955470136529, 3.0772779101739376),
+            "probe": (0.916295521767744, 3.0772776558171113),
+            "tight": (0.9162955470186812, 3.0772779102245997),
+        }),
+        ("one", 3.5, {
+            "default": (0.9072579306308582, 4.023765802936376),
+            "probe": (0.9072579152733671, 4.02376556454517),
+            "tight": (0.9072579306359275, 4.023765803015066),
+        }),
+        ("one", 4.0, {
+            "default": (0.9036020036066651, 5.33333333325826),
+            "probe": (0.903602002740219, 5.333333312802149),
+            "tight": (0.903602003609813, 5.333333333332583),
+        }),
+        ("one", 6.0, {
+            "default": (0.9051636706146792, 17.599999999999582),
+            "probe": (0.9051636706146792, 17.599999999999582),
+            "tight": (0.9051636706146792, 17.599999999999582),
+        }),
+        ("two", 3.0, {
+            "default": (0.8768196467131626, 2.6964402949761004),
+            "probe": (0.8768196365092625, 2.6964402008374466),
+            "tight": (0.8768196467131626, 2.6964402949761004),
+        }),
+        ("two", 3.5, {
+            "default": (0.8667586330794422, 3.4294036454931955),
+            "probe": (0.8667586274812593, 3.4294035679693065),
+            "tight": (0.8667586330812881, 3.4294036455187573),
+        }),
+        ("two", 4.0, {
+            "default": (0.8648361809171264, 4.475333333311461),
+            "probe": (0.8648361777472219, 4.4753332676972795),
+            "tight": (0.8648361809181725, 4.475333333333114),
+        }),
+        ("two", 6.0, {
+            "default": (0.8765178495514847, 14.511575499994462),
+            "probe": (0.8765178495514847, 14.511575499994462),
+            "tight": (0.8765178495515392, 14.511575499999875),
+        }),
+        ("three", 3.0, {
+            "default": (0.8532404860390087, 2.484702257715981),
+            "probe": (0.8532404793074612, 2.4847021989076215),
+            "tight": (0.8532404860390087, 2.484702257715981),
+        }),
+        ("three", 3.5, {
+            "default": (0.8382785038869986, 3.050943343634709),
+            "probe": (0.8382785001493716, 3.0509432960234317),
+            "tight": (0.8382785038881778, 3.050943343649728),
+        }),
+        ("three", 4.0, {
+            "default": (0.8337636665484957, 3.8659999999867374),
+            "probe": (0.833763664376491, 3.8659999597020827),
+            "tight": (0.8337636665492036, 3.8659999999998678),
+        }),
+        ("three", 6.0, {
+            "default": (0.8461838927135088, 11.74731199999171),
+            "probe": (0.8461838927131655, 11.747311999963125),
+            "tight": (0.8461838927136075, 11.747311999999933),
+        }),
+    ])
+    def test_unions(self, name, q, pinned):
+        e = IntervalSet(PIECES_1D[name])
+        for cfg_name, cfg in self.configs().items():
+            res = phi_q(e, q, cfg)
+            phi, norm = pinned[cfg_name]
+            assert res.phi == pytest.approx(phi, rel=1e-12)
+            assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
+
+    def test_wide_set(self):
+        # diameter 12.2: the panel width drops to 0.5 / diam
+        e = IntervalSet([(0.0, 0.8), (11.0, 12.2)])
+        for q, phi, norm in ((3.5, 0.8429731190063073, 3.1111648958467786),
+                             (4.0, 0.834660824609258, 3.8826666666448078)):
+            res = phi_q(e, q)
+            assert res.phi == pytest.approx(phi, rel=1e-12)
+            assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
+
+    def test_translated_set(self):
+        e = IntervalSet(PIECES_1D["three"]).translate(1e3)
+        for q, phi, norm in ((3.0, 0.8532404860390121, 2.484702257716011),
+                             (3.5, 0.8382785038869937, 3.050943343634644)):
+            res = phi_q(e, q)
+            assert res.phi == pytest.approx(phi, rel=1e-12)
+            assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("family, q, ll, lrefl", [
+        ("sliver", 3.0, 0.002809669436273198, 0.0009369320485188625),
+        ("sliver", 2.5, 0.015031769836694027, 0.0030066101486236965),
+        ("translated", 3.0, 0.013601066681909938, -0.009854465550224612),
+        ("translated", 2.5, 0.028898740640099233, -0.010860360654781511),
+    ])
+    def test_quadratic_terms_frequency_route(self, family, q, ll, lrefl):
+        from felab.perturbation import _quadratic_terms_freq_1d, sliver_family_1d, translated_ball
+        e = sliver_family_1d(0.05) if family == "sliver" else translated_ball(0.05, 1)
+        terms = _quadratic_terms_freq_1d(e, q)
+        assert terms["LL"] == pytest.approx(ll, rel=1e-12)
+        assert terms["Lrefl"] == pytest.approx(lrefl, rel=1e-12)
+
+    def test_mesh_memory_bounded(self):
+        # three pieces at q = 3 and the default tolerance cut the mesh at
+        # 2e4 with panels of 0.05: 6e6 nodes, whose node array alone took 48 MB
+        import tracemalloc
+        e = IntervalSet(PIECES_1D["three"])
+        tracemalloc.start()
+        try:
+            phi_q(e, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_nodes = (int(2.0e4 / 0.05) + 1) * 15
+        assert peak < 0.25 * n_nodes * 8
+
+
 class TestContinuityProbe:
     def test_same_exponent_rejected(self):
         with pytest.raises(DomainError):
