@@ -8,7 +8,7 @@ extremizers.
 
 Modules
 -------
-quadrature      special functions + integration engines (everything runs on these)
+quadrature      the GK15 panel rule + integration engines (everything runs on these)
 radial_kernels  the ball transform, the kernels K_q / L_q, gamma, rho_d
 set_model       interval unions, star-shaped planar sets, balancing, distances
 functional      Phi_q evaluation, the even-exponent convolution oracle

@@ -141,15 +141,6 @@ class PiecewisePoly:
             polys.append(_trim(acc))
         return breaks, polys
 
-    def integrate(self):
-        """Integral over the whole line (support is compact)."""
-        breaks, polys = self.to_breaks()
-        total = 0
-        for i in range(len(breaks) - 1):
-            anti = _poly_antideriv(polys[i])
-            total += _poly_eval(anti, breaks[i + 1]) - _poly_eval(anti, breaks[i])
-        return total
-
     def integrate_square(self):
         """Integral of f^2 over the whole line."""
         breaks, polys = self.to_breaks()

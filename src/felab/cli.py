@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FelabError, NonConvergenceError, UsageError
+from .errors import DomainError, FelabError, NonConvergenceError, UsageError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = ["dispatch", "main"]
@@ -132,7 +132,23 @@ def _quad(args) -> QuadratureConfig:
 
 def _load_set(path: str):
     from .set_model import set_from_json
-    return set_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read set file {path!r}: {exc}") from None
+    return set_from_json(text)
+
+
+def _search_config(args, q: float):
+    """The search settings of the command line; settings SearchConfig refuses
+    (family, restarts, budget) are usage errors."""
+    from .search import SearchConfig
+    family = args.family or ("intervals:4" if args.d == 1 else "star:6")
+    try:
+        return SearchConfig(q, args.d, family, restarts=args.restarts, rng_seed=args.seed,
+                            budget=args.budget, threads=_threads(args))
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _jdump(obj) -> str:
@@ -228,20 +244,20 @@ def _cmd_expand(run: _Run, args):
     run.emit(_jdump(rep.as_dict()), "expand.json")
 
 
-def _family(run, spec_text: str):
+def _family(spec_text: str):
     from .perturbation import sliver_family_1d, star_mode_family
     if spec_text == "sliver":
         return sliver_family_1d
-    if spec_text.startswith("star"):
-        _, _, n = spec_text.partition(":")
-        return lambda t: star_mode_family(t, int(n or 4))
-    raise UsageError(f"unknown family {spec_text!r}")
+    kind, _, n = spec_text.partition(":")
+    if kind != "star" or not (n == "" or n.isdecimal()):
+        raise UsageError(f"unknown family {spec_text!r}; expected sliver or star[:N]")
+    return lambda t: star_mode_family(t, int(n or 4))
 
 
 def _cmd_expand_sweep(run: _Run, args):
     from .perturbation import _TIGHT, expansion_report
     run.quad = _TIGHT
-    fam = _family(run, args.family)
+    fam = _family(args.family)
     eps = [float(t) for t in args.eps.split(",") if t]
     if not eps:
         raise UsageError("--eps needs at least one value")
@@ -283,10 +299,8 @@ def _cmd_dist(run: _Run, args):
 
 
 def _cmd_search(run: _Run, args):
-    from .search import SearchConfig, random_probe
-    family = args.family or ("intervals:4" if args.d == 1 else "star:6")
-    cfg = SearchConfig(args.q, args.d, family, restarts=args.restarts,
-                       rng_seed=args.seed, budget=args.budget, threads=_threads(args))
+    from .search import random_probe
+    cfg = _search_config(args, args.q)
     run.quad = cfg.quad
     res = random_probe(cfg)
     doc = res.as_dict()
@@ -301,13 +315,11 @@ def _cmd_search(run: _Run, args):
 
 
 def _cmd_q_sweep(run: _Run, args):
-    from .search import SearchConfig, q_sweep
-    family = args.family or ("intervals:4" if args.d == 1 else "star:6")
+    from .search import q_sweep
     qs = [float(t) for t in args.q_list.split(",") if t]
     if not qs:
         raise UsageError("--q-list needs at least one exponent")
-    cfg = SearchConfig(qs[0], args.d, family, restarts=args.restarts,
-                       rng_seed=args.seed, budget=args.budget, threads=_threads(args))
+    cfg = _search_config(args, qs[0])
     run.quad = cfg.quad
     rows = q_sweep(qs, cfg)
     lines = ["q,phi_ball,best_phi,gap,dist_ellipsoids"]

@@ -48,7 +48,7 @@ import numpy as np
 
 from ._pwpoly import nfold_indicator_convolution
 from .errors import DomainError, InvalidSetError
-from .quadrature import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS, DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, gk15_panels, gk15_sums
 from .set_model import IntervalSet, StarSet
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "phi_q",
     "phi_even_oracle",
     "phi_ball",
-    "q_continuity_probe",
 ]
 
 
@@ -206,7 +205,7 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     """
     n_panels = int(cut / h) + 1
     half = 0.5 * cut / n_panels
-    loc = ((2 * np.arange(_MESH_BLOCK) + 1)[:, None] + _GK_NODES) * half
+    loc = gk15_panels(2 * np.arange(_MESH_BLOCK) + 1.0, 1.0)[0] * half
     w = signs[:, None] * np.exp(-2j * np.pi * np.outer(ends, loc))
     n_blocks = -(-n_panels // _MESH_BLOCK)
 
@@ -240,10 +239,9 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
         vals = np.abs(p)
         vals /= 2 * np.pi * xi
         vals **= q
-        kron = vals @ _GK_WEIGHTS
-        gauss = vals[:, 1::2] @ _G_WEIGHTS
+        kron, err = gk15_sums(vals, 1.0)
         value += float(np.sum(kron))
-        rule_err += float(np.sum(np.abs(kron - gauss)))
+        rule_err += float(np.sum(err))
     tail = 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
     return 2.0 * half * value, 2.0 * half * rule_err + tail
 
@@ -264,11 +262,12 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
         tol = max(cfg.abs_tol, 1e-7)
         radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
         radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
-    # uniform panels of width <= 0.25: node rho = mid_j + half x_k
+    # uniform panels of width <= 0.25: node rho = mid_j + half x_k, the
+    # offsets half x_k being the nodes of a panel centred at 0
     n_panels = int(radial_cut / 0.25) + 1
     half = 0.5 * radial_cut / n_panels
     mid = (2 * np.arange(n_panels) + 1) * half
-    offsets = half * _GK_NODES
+    offsets = gk15_panels(0.0, half)[0]
     # frequency rho u_phi meets the base body as eta = rho u_phi M; the
     # translation and the center only rotate the phase of 1_E^, and the
     # modulus is all that enters the norm
@@ -295,10 +294,9 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
             g = _radial_factor(panel_ph[j] * offset_ph, rho[j, :, None, None] * rate, r * r)
             hat[j] = np.abs(g.mean(axis=2))
         integ = ((scale * hat) ** q).mean(axis=2) * 2 * np.pi * rho
-        kron = (integ @ _GK_WEIGHTS) * half
-        gauss = (integ[:, 1::2] @ _G_WEIGHTS) * half
+        kron, err = gk15_sums(integ, half)
         value += float(np.sum(kron))
-        rule_err += float(np.sum(np.abs(kron - gauss)))
+        rule_err += float(np.sum(err))
     tail = 2 * np.pi * c_est**q * radial_cut ** (-expo) / expo
     return value, rule_err + tail
 
@@ -389,19 +387,3 @@ def phi_ball(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PhiRes
     phi = res.value ** (1.0 / q) / w ** ((q - 1.0) / q)
     return PhiResult(phi, res.value, w, res.error_estimate / max(res.value, 1e-300) * phi / q,
                      "radial_ball_norm", res.converged)
-
-
-def q_continuity_probe(e, q: float, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """|  ||1_E^||_q - ||1_E^||_r | / |q - r|^{1/2} after measure normalization."""
-    if q == r:
-        raise DomainError("q and r must differ")
-    if min(q, r) <= 2:
-        raise DomainError("exponents must exceed 2")
-    if e.dimension == 1:
-        e = e.dilate(1.0 / e.measure)
-    else:
-        e = e.with_measure(1.0)
-    nq = phi_q(e, q, cfg)
-    nr = phi_q(e, r, cfg)
-    # measure one: Phi = norm itself
-    return abs(nq.norm_q_pow_q ** (1.0 / q) - nr.norm_q_pow_q ** (1.0 / r)) / math.sqrt(abs(q - r))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .functional import phi_q
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .radial_kernels import kernel_profile, kernel_values, omega
+from .radial_kernels import kernel_profile
 from .set_model import IntervalSet, StarSet, boundary_profile, symdiff_measure
 from .spectral import funk_hecke_eigenvalue
 
@@ -146,7 +146,7 @@ def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
     cross-check of the interval-algebra route for q > 3.
     """
     from .functional import _signed_exp_mesh
-    from .quadrature import _GK_WEIGHTS
+    from .quadrature import gk15_sums
     from .radial_kernels import ball_hat
 
     m = len(e.intervals) + 1
@@ -165,8 +165,8 @@ def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
     for xi, p in chunks:
         # |f^|^2 = |P|^2 / (2 pi xi)^2 and Re (f^)^2 = -Re P^2 / (2 pi xi)^2
         weight = np.abs(ball_hat(1, xi)) ** (q - 2.0) / (2 * np.pi * xi) ** 2
-        ll += float(np.sum(((p.real**2 + p.imag**2) * weight) @ _GK_WEIGHTS))
-        lr -= float(np.sum(((p * p).real * weight) @ _GK_WEIGHTS))
+        ll += float(np.sum(gk15_sums((p.real**2 + p.imag**2) * weight, 1.0)[0]))
+        lr -= float(np.sum(gk15_sums((p * p).real * weight, 1.0)[0]))
     return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 

@@ -1,13 +1,16 @@
-"""Numerical backbone: special functions and integration engines.
+"""Numerical backbone: the GK15 panel rule and the integration engines.
 
 Everything downstream (radial kernels, the functional, the sphere spectrum)
-runs on the three engines in this module:
+runs on this module:
 
-* ``integrate_adaptive``    -- deterministic adaptive bisection with a
-  Gauss-Kronrod 15(7) panel rule.  Identical inputs and config produce
-  bit-identical results: intervals are processed worst-error-first with
-  insertion order as the tie-break, and sums are accumulated in a fixed
-  order.
+* ``gk15_panels`` / ``gk15_sums`` -- the Gauss-Kronrod 15(7) panel rule
+  (QUADPACK's qk15): the nodes and Kronrod weights of a batch of panels,
+  and the Kronrod sums with the |K - G| rule error of values sampled on
+  them.  Every GK15 mesh in the package, adaptive or fixed, is built here.
+* ``integrate_adaptive``    -- deterministic adaptive bisection with the
+  panel rule.  Identical inputs and config produce bit-identical results:
+  intervals are processed worst-error-first with insertion order as the
+  tie-break, and sums are accumulated in a fixed order.
 * ``integrate_oscillatory_tail`` -- sums inter-zero segment integrals of a
   slowly decaying oscillatory integrand and accelerates the segment series
   (iterated Aitken for alternating sums, Richardson for one-signed
@@ -17,6 +20,9 @@ runs on the three engines in this module:
   Bessel-power tail in this package reduces to.  Integrating over exact
   periods removes the oscillation to leading order; Richardson
   extrapolation in the number of periods removes the algebraic remainder.
+* ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
+  ball norms, Funk-Hecke eigenvalues): an adaptive head on [0, u0], then a
+  tail of period 1/2.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
@@ -32,21 +38,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import ArityError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "DEFAULT_CONFIG",
-    "bessel_j",
-    "bessel_zeros",
-    "gegenbauer",
     "integrate_adaptive",
-    "integrate_composite",
     "integrate_oscillatory_tail",
     "tail_power_periodic",
+    "radial_head_tail",
 ]
 
 
@@ -90,90 +92,6 @@ class IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# special functions
-# ---------------------------------------------------------------------------
-
-def bessel_j(order: float, x):
-    """Bessel function J_order for half-integer or integer order >= 0.
-
-    Half-integer orders go through the closed trigonometric (spherical
-    Bessel) forms; integer orders are delegated to the library evaluator,
-    which switches between series and asymptotics internally.
-    """
-    twice = round(2 * order)
-    if not np.isclose(2 * order, twice) or twice < 0:
-        raise DomainError(f"order must be a nonnegative half-integer, got {order}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("bessel_j requires finite x")
-    if np.any(arr < 0):
-        raise DomainError("bessel_j requires x >= 0")
-    if twice % 2 == 0:
-        out = special.jv(int(order), arr)
-    else:
-        n = (twice - 1) // 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sqrt(2.0 * arr / np.pi) * special.spherical_jn(n, arr)
-        out = np.where(arr == 0.0, 0.0, out)
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
-def bessel_zeros(order: float, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_order (order half-integer or integer)."""
-    if count < 1:
-        raise ArityError("count must be >= 1")
-    twice = round(2 * order)
-    if twice % 2 == 0:
-        return special.jn_zeros(int(order), count)
-    if np.isclose(order, 0.5):
-        return np.pi * np.arange(1, count + 1)
-    # bracket the zeros around their asymptotic positions (k + order/2 - 1/4) pi
-    from scipy.optimize import brentq
-
-    zeros = []
-    k = 1
-    guard = 0
-    while len(zeros) < count and guard < 10 * count + 100:
-        guard += 1
-        approx = (k + order / 2.0 - 0.25) * np.pi
-        a, b = approx - 0.45 * np.pi, approx + 0.45 * np.pi
-        a = max(a, order + 1e-6)
-        fa, fb = bessel_j(order, a), bessel_j(order, b)
-        if fa * fb < 0:
-            zeros.append(brentq(lambda t: bessel_j(order, t), a, b, xtol=1e-13))
-        k += 1
-    if len(zeros) < count:
-        raise DomainError(f"failed to bracket {count} zeros of J_{order}")
-    return np.array(zeros)
-
-
-def gegenbauer(k: int, lam: float, t: float) -> float:
-    """Gegenbauer polynomial C_k^lam(t) by the three-term recurrence.
-
-    For lam = 0 (the circle case) returns the Chebyshev normalization
-    cos(k arccos t), which is the correct Funk-Hecke weight on S^1.
-    """
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    if lam <= -0.5:
-        raise DomainError("lam must exceed -1/2")
-    if abs(t) > 1 + 1e-14:
-        raise DomainError("t must lie in [-1, 1]")
-    t = min(1.0, max(-1.0, t))
-    if lam == 0.0:
-        return math.cos(k * math.acos(t))
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return 2.0 * lam * t
-    c_prev, c_cur = 1.0, 2.0 * lam * t
-    for m in range(2, k + 1):
-        c_next = (2.0 * (m + lam - 1.0) * t * c_cur - (m + 2.0 * lam - 2.0) * c_prev) / m
-        c_prev, c_cur = c_cur, c_next
-    return c_cur
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Kronrod 15(7) panel rule
 # ---------------------------------------------------------------------------
 
@@ -213,7 +131,6 @@ _GK_WEIGHTS = np.array([
     0.022935322010529224963732008058970,
 ])
 
-# the 7-point Gauss rule lives on the odd-indexed Kronrod nodes
 _G_WEIGHTS = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
@@ -233,15 +150,37 @@ def _eval_clean(f, x: np.ndarray) -> np.ndarray:
     return np.nan_to_num(y, nan=0.0, posinf=0.0, neginf=0.0)
 
 
+def gk15_panels(mid, half):
+    """GK15 nodes and Kronrod weights of the panels mid +- half.
+
+    ``mid`` and ``half`` are scalars or arrays; each result takes their
+    (broadcast) shape with a trailing axis of length 15 added, the weights
+    that of ``half`` alone.
+    """
+    half = np.asarray(half)[..., None]
+    return np.asarray(mid)[..., None] + half * _GK_NODES, half * _GK_WEIGHTS
+
+
+def gk15_sums(y, half):
+    """Kronrod sums and |K - G| rule errors of node values y (panels, 15).
+
+    ``half`` is the panels' half-width, a scalar or one value per panel.
+    The 7-point Gauss rule lives on the odd-indexed Kronrod nodes.  The
+    sums are scaled in place: no temporaries beyond the two sums.
+    """
+    kron = y @ _GK_WEIGHTS
+    kron *= half
+    gauss = y[:, 1::2] @ _G_WEIGHTS
+    gauss *= half
+    gauss -= kron
+    return kron, np.abs(gauss, out=gauss)
+
+
 def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
     """Kronrod value and |K - G| error for a batch of panels (vectorized)."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = _eval_clean(f, x)
-    kron = half * (y @ _GK_WEIGHTS)
-    gauss = half * (y[:, 1::2] @ _G_WEIGHTS)
-    return kron, np.abs(kron - gauss)
+    x, _ = gk15_panels(0.5 * (a + b), half)
+    return gk15_sums(_eval_clean(f, x), half)
 
 
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
@@ -267,27 +206,17 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
             break
         im = 0.5 * (ia + ib)
         kron2, err2 = _gk15_batch(f, np.array([ia, im]), np.array([im, ib]))
-        total_val += float(kron2[0] + kron2[1]) - ival
-        total_err += float(err2[0] + err2[1]) - ierr
+        (k0, k1), (e0, e1) = kron2.tolist(), err2.tolist()
+        total_val += (k0 + k1) - ival
+        total_err += (e0 + e1) - ierr
         counter += 1
-        heapq.heappush(heap, (-float(err2[0]), counter, ia, im, float(kron2[0]), float(err2[0])))
+        heapq.heappush(heap, (-e0, counter, ia, im, k0, e0))
         counter += 1
-        heapq.heappush(heap, (-float(err2[1]), counter, im, ib, float(kron2[1]), float(err2[1])))
+        heapq.heappush(heap, (-e1, counter, im, ib, k1, e1))
         n_splits += 1
     value = math.fsum(item[4] for item in heap)
     error = math.fsum(item[5] for item in heap)
     return IntegralResult(value, error, converged=error <= cfg.tolerance(value))
-
-
-def integrate_composite(f, a: float, b: float, n_panels: int) -> IntegralResult:
-    """Non-adaptive composite GK15 over equal panels, one vectorized call."""
-    if not (a < b):
-        raise DomainError(f"require a < b, got [{a}, {b}]")
-    edges = np.linspace(a, b, n_panels + 1)
-    kron, err = _gk15_batch(f, edges[:-1], edges[1:])
-    value = float(np.sum(kron))
-    error = float(np.sum(err))
-    return IntegralResult(value, error, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -434,3 +363,20 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float,
         prev_val = value
         n *= 2
     return IntegralResult(float(value), acc_err + quad_err, converged=False)
+
+
+def radial_head_tail(f, u0: float, p_tail: float, tol: float,
+                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+    """Integrate f over [0, infinity): adaptive head on [0, u0], periodic tail.
+
+    The tail beyond ``u0`` must be an envelope decaying like x^-p_tail times
+    an oscillation of period 1/2 (every radial Bessel- or sine-power
+    integrand here).  The head runs at (abs, rel) = (tol, 10 tol), the tail
+    at ten times that; ``cfg`` supplies the subdivision and period budgets.
+    """
+    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol, cfg.max_subdivisions))
+    tail = tail_power_periodic(f, u0, 0.5, p_tail,
+                               QuadratureConfig(10 * tol, 100 * tol, cfg.max_subdivisions,
+                                                cfg.oscillatory_tail_terms))
+    return IntegralResult(head.value + tail.value, head.error_estimate + tail.error_estimate,
+                          head.converged and tail.converged)

@@ -59,16 +59,16 @@ from .quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
     QuadratureConfig,
+    gk15_panels,
     integrate_adaptive,
-    integrate_composite,
     integrate_oscillatory_tail,
+    radial_head_tail,
     tail_power_periodic,
 )
 
 __all__ = [
     "omega",
     "q_threshold",
-    "BallTransform",
     "ball_hat",
     "RadialKernel",
     "kernel_profile",
@@ -82,8 +82,6 @@ __all__ = [
     "FirstVariationResult",
     "first_variation_check",
     "default_variation_grids",
-    "gamma_asymptotic_fit",
-    "empirical_holder_exponent",
 ]
 
 
@@ -145,20 +143,6 @@ def ball_hat(d: int, r):
         xl = x[~small]
         out[~small] = (np.sin(xl) - xl * np.cos(xl)) * 4.0 * np.pi / xl**3
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class BallTransform:
-    """The radial profile r -> B^(r) for the unit ball in dimension d."""
-
-    dimension: int
-
-    def __call__(self, r):
-        return ball_hat(self.dimension, r)
-
-    @property
-    def volume(self) -> float:
-        return omega(self.dimension)
 
 
 def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
@@ -277,7 +261,7 @@ _EXACT_COS_COEFFS = {
 
 def _periodic_mesh() -> tuple:
     edges = _graded_edges(0.0, np.pi, (0.0, np.pi), base=np.pi / 2048)
-    return _composite_matrix(None, edges)
+    return _gk15_mesh(edges)
 
 
 @lru_cache(maxsize=64)
@@ -327,15 +311,10 @@ def _graded_edges(a: float, b: float, singular: tuple, base: float, levels: int 
     return np.array(sorted(edges))
 
 
-def _composite_matrix(f_of_xi, edges: np.ndarray):
-    """GK15 nodes/weights on the panel mesh, for integrands evaluated per node."""
-    from .quadrature import _GK_NODES, _GK_WEIGHTS  # panel rule internals
-
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GK_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GK_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _gk15_mesh(edges: np.ndarray):
+    """Flat GK15 nodes and weights on the panels between consecutive edges."""
+    nodes, weights = gk15_panels(0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]))
+    return nodes.ravel(), weights.ravel()
 
 
 def _kernel_values_1d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureConfig):
@@ -345,7 +324,7 @@ def _kernel_values_1d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
 
     # head: the full integrand on [0, 1], graded toward the sin zeros
     edges = _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48)
-    nodes, weights = _composite_matrix(None, edges)
+    nodes, weights = _gk15_mesh(edges)
     sin_part = np.sin(2 * np.pi * nodes)
     if kind == "K":
         periodic = sin_part * np.abs(sin_part) ** (q - 2.0)
@@ -387,7 +366,7 @@ def _kernel_values_2d_K(q: float, radii: np.ndarray, cfg: QuadratureConfig):
     x = np.asarray(radii, dtype=float)
     r0 = 40.0
     edges = np.linspace(0.0, r0, int(r0 * 24) + 1)
-    nodes, weights = _composite_matrix(None, edges)
+    nodes, weights = _gk15_mesh(edges)
     base_w = 2.0 * np.pi * weights * _g_radial("K", 2, q, nodes) * nodes
     values = np.empty_like(x)
     errors = np.empty_like(x)
@@ -395,8 +374,7 @@ def _kernel_values_2d_K(q: float, radii: np.ndarray, cfg: QuadratureConfig):
         xi = x[lo:lo + 256]
         values[lo:lo + 256] = special.j0(2 * np.pi * np.outer(xi, nodes)) @ base_w
     n_seg = max(96, cfg.oscillatory_tail_terms)
-    tail_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-12), cfg.rel_tol,
-                                cfg.max_subdivisions, n_seg)
+    tail_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-12), cfg.rel_tol, cfg.max_subdivisions)
     for i, r in enumerate(x):
         f = (lambda rho, rr=r: 2.0 * np.pi * _g_radial("K", 2, q, rho) * rho
              * special.j0(2 * np.pi * rho * rr))
@@ -430,13 +408,13 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray, cfg: QuadratureConfig):
 
     # head: full integrand on [0, rho0]
     edges = np.linspace(0.0, rho0, 65)
-    h_nodes, h_weights = _composite_matrix(None, edges)
+    h_nodes, h_weights = _gk15_mesh(edges)
     head_w = 2.0 * np.pi * h_weights * _g_radial("L", 2, q, h_nodes) * h_nodes
     values = special.j0(2 * np.pi * np.outer(x, h_nodes)) @ head_w
 
     # oscillatory harmonics on [rho0, z_cut], shared mesh for all radii
     edges = np.linspace(rho0, z_cut, int((z_cut - rho0) * 12) + 1)
-    nodes, weights = _composite_matrix(None, edges)
+    nodes, weights = _gk15_mesh(edges)
     xx = 2.0 * np.pi * nodes
     amp = np.hypot(special.j1(xx), special.y1(xx))
     phi = np.unwrap(np.arctan2(special.y1(xx), special.j1(xx)))
@@ -490,12 +468,6 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray, cfg: QuadratureConfig):
     return values, errors
 
 
-def _kernel_values_2d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureConfig):
-    if kind == "K":
-        return _kernel_values_2d_K(q, radii, cfg)
-    return _kernel_values_2d_L(q, radii, cfg)
-
-
 # sines evaluated per chunk of the d = 3 kernel sum: the radial cut reaches
 # ~1e4 near q_d (millions of nodes), so the sum is swept in chunks of panels
 _SIN_CHUNK = 1 << 20
@@ -514,7 +486,7 @@ def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
     moment = 0.0  # int g rho^2 drho, the r -> 0 limit
     step = max(1, _SIN_CHUNK // (15 * max(len(xp), 1)))  # panels per chunk
     for lo in range(0, len(edges) - 1, step):
-        nodes, weights = _composite_matrix(None, edges[lo:lo + step + 1])
+        nodes, weights = _gk15_mesh(edges[lo:lo + step + 1])
         g = _g_radial(kind, 3, q, nodes)
         sin_mat = np.outer(xp, nodes)
         sin_mat *= 2 * np.pi
@@ -524,7 +496,7 @@ def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
     out = np.empty_like(x)
     out[pos] = (2.0 / xp) * sums
     out[~pos] = 4.0 * np.pi * moment
-    last = _composite_matrix(None, edges[-5:])[0][-50:]
+    last = _gk15_mesh(edges[-5:])[0][-50:]
     tail_bound = abs(2.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]) * 2.0
     errors = np.full_like(out, tail_bound + 1e-11 * np.abs(out))
     return out, errors
@@ -539,7 +511,9 @@ def kernel_values(kind: str, d: int, q: float, radii, cfg: QuadratureConfig = DE
     if d == 1:
         return _kernel_values_1d(kind, q, radii, cfg)
     if d == 2:
-        return _kernel_values_2d(kind, q, radii, cfg)
+        if kind == "K":
+            return _kernel_values_2d_K(q, radii, cfg)
+        return _kernel_values_2d_L(q, radii, cfg)
     if d == 3:
         return _kernel_values_3d(kind, q, radii, cfg)
     raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
@@ -624,14 +598,9 @@ def gamma_qd_detailed(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
             jj = special.jv(order, 2 * np.pi * rho)
         return np.where(rho > 0, rho**expo, 0.0) * np.abs(jj) ** q
 
-    u0 = 20.0
-    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(1e-14, 1e-13, cfg.max_subdivisions))
-    p_tail = d * (q - 2.0) / 2.0 + q / 2.0 - 1.0
-    tail = tail_power_periodic(f, u0, 0.5, p_tail,
-                               QuadratureConfig(1e-13, 1e-12, cfg.max_subdivisions,
-                                                cfg.oscillatory_tail_terms))
-    value = 4.0 * np.pi**2 * (head.value + tail.value)
-    err = 4.0 * np.pi**2 * (head.error_estimate + tail.error_estimate)
+    res = radial_head_tail(f, 20.0, d * (q - 2.0) / 2.0 + q / 2.0 - 1.0, 1e-14, cfg)
+    value = 4.0 * np.pi**2 * res.value
+    err = 4.0 * np.pi**2 * res.error_estimate
     return IntegralResult(value, err, converged=err <= cfg.tolerance(value))
 
 
@@ -647,11 +616,7 @@ def gamma_1d_closed_form(q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
     def f(xi):
         return np.where(xi > 0, xi ** (2.0 - q), 0.0) * np.abs(np.sin(2 * np.pi * xi)) ** q
 
-    head = integrate_adaptive(f, 0.0, 10.0, QuadratureConfig(1e-14, 1e-13, cfg.max_subdivisions))
-    tail = tail_power_periodic(f, 10.0, 0.5, q - 2.0,
-                               QuadratureConfig(1e-13, 1e-12, cfg.max_subdivisions,
-                                                cfg.oscillatory_tail_terms))
-    return 4.0 * np.pi ** (2.0 - q) * (head.value + tail.value)
+    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, 10.0, q - 2.0, 1e-14, cfg).value
 
 
 def rho_d(d: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -675,15 +640,10 @@ def ball_norm_q(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Int
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q
 
-    u0 = 20.0
-    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(1e-15, 1e-14, cfg.max_subdivisions))
-    p_tail = q * (d + 1.0) / 2.0 - (d - 1.0)
-    tail = tail_power_periodic(f, u0, 0.5, p_tail,
-                               QuadratureConfig(1e-14, 1e-13, cfg.max_subdivisions,
-                                                cfg.oscillatory_tail_terms))
+    res = radial_head_tail(f, 20.0, q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15, cfg)
     scale = d * omega(d)
-    value = scale * (head.value + tail.value)
-    err = scale * (head.error_estimate + tail.error_estimate)
+    value = scale * res.value
+    err = scale * res.error_estimate
     return IntegralResult(value, err, converged=err <= cfg.tolerance(value))
 
 
@@ -721,34 +681,3 @@ def first_variation_check(d: int, q: float, inner_grid, outer_grid,
     err = float(ei[i_min] + eo[i_max])
     margin = inner_min - outer_max
     return FirstVariationResult(inner_min, outer_max, margin >= -err, margin, err)
-
-
-def gamma_asymptotic_fit(d: int, q_list, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Fit log gamma - q log omega_d against log q; slope -> -(d+2)/2."""
-    q_arr = np.asarray(sorted(q_list), dtype=float)
-    if len(q_arr) < 4:
-        raise ArityError("need at least 4 exponents for the asymptotic fit")
-    log_w = math.log(omega(d))
-    ys = []
-    for q in q_arr:
-        g = gamma_qd(d, float(q), cfg)
-        ys.append(math.log(g) - q * log_w)
-    slope, intercept = np.polyfit(np.log(q_arr), ys, 1)
-    return {"slope": float(slope), "kappa_estimate": float(math.exp(intercept))}
-
-
-def empirical_holder_exponent(kernel: RadialKernel) -> float:
-    """Fitted modulus-of-continuity exponent of a sampled profile (report only)."""
-    v = kernel.values
-    hs, mods = [], []
-    step = 1
-    for _ in range(6):
-        diffs = np.abs(v[step:] - v[:-step])
-        hs.append(step * (kernel.radii[1] - kernel.radii[0]))
-        mods.append(float(np.max(diffs)))
-        step *= 2
-    hs, mods = np.array(hs), np.array(mods)
-    keep = mods > 0
-    if np.count_nonzero(keep) < 2:
-        return 1.0
-    return float(np.polyfit(np.log(hs[keep]), np.log(mods[keep]), 1)[0])

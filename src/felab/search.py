@@ -17,7 +17,6 @@ probes, not proofs.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSetError
 from .functional import phi_ball, phi_q
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .set_model import IntervalSet, StarSet, dist_to_ellipsoids
 
 __all__ = ["SearchConfig", "SearchResult", "local_ascent", "random_probe", "q_sweep"]
@@ -52,9 +51,9 @@ class SearchConfig:
         if self.budget < self.restarts:
             raise DomainError("budget must cover at least one evaluation per restart")
         kind, _, arg = self.family.partition(":")
-        if kind not in ("intervals", "star"):
-            raise DomainError(f"unknown family {self.family!r}")
-        n = int(arg or (4 if kind == "intervals" else 6))
+        if kind not in ("intervals", "star") or not (arg == "" or arg.isdecimal()):
+            raise DomainError(f"unknown family {self.family!r}; expected intervals[:N] or star[:N]")
+        n = self.family_size
         cap = 6 if kind == "intervals" else 12
         if not (1 <= n <= cap):
             raise DomainError(f"family size must lie in [1, {cap}]")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +80,6 @@ class AffineMap:
     @property
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
-
-    @property
-    def is_measure_preserving(self) -> bool:
-        return abs(abs(self.det) - 1.0) < 1e-12
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -665,13 +661,28 @@ def set_to_json(e) -> str:
 
 
 def set_from_json(text: str):
-    doc = json.loads(text)
-    if doc.get("kind") == "intervals" or doc.get("dimension") == 1:
-        return IntervalSet([tuple(iv) for iv in doc["intervals"]])
-    if doc.get("kind") != "star":
-        raise DomainError(f"unknown set kind {doc.get('kind')!r}")
-    four = doc["fourier"]
-    aff = doc.get("affine")
-    phi = AffineMap(np.array(aff["matrix"]), np.array(aff["translation"])) if aff else None
-    return StarSet(four["c0"], four.get("a", ()), four.get("b", ()),
-                   center=doc.get("center", (0.0, 0.0)), affine=phi)
+    """The set of a document written by ``set_to_json``.
+
+    Text that is not a JSON object describing an interval union or a star
+    set raises InvalidSetError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InvalidSetError(f"set document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSetError(f"set document must be a JSON object, got {type(doc).__name__}")
+    try:
+        if doc.get("kind") == "intervals" or doc.get("dimension") == 1:
+            return IntervalSet([tuple(iv) for iv in doc["intervals"]])
+        if doc.get("kind") != "star":
+            raise InvalidSetError(f"unknown set kind {doc.get('kind')!r}")
+        four = doc["fourier"]
+        aff = doc.get("affine")
+        phi = AffineMap(np.array(aff["matrix"]), np.array(aff["translation"])) if aff else None
+        return StarSet(four["c0"], four.get("a", ()), four.get("b", ()),
+                       center=doc.get("center", (0.0, 0.0)), affine=phi)
+    except KeyError as exc:
+        raise InvalidSetError(f"set document lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidSetError(f"malformed set document: {exc}") from None

@@ -35,21 +35,14 @@ at d = 2, q = 4 it equals 8/(5 pi).
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, ThresholdError
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    integrate_adaptive,
-    tail_power_periodic,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, radial_head_tail
 from .radial_kernels import (
-    RadialKernel,
     ball_hat,
     gamma_qd,
     kernel_values,
@@ -59,10 +52,8 @@ from .radial_kernels import (
 from .set_model import SphereProfile
 
 __all__ = [
-    "CircleProfile",
     "ModeSpectrum",
     "circle_coeff",
-    "circle_coeff_from_profile",
     "funk_hecke_eigenvalue",
     "mode_margins",
     "sphere_reduced_prediction",
@@ -84,12 +75,7 @@ def _lambda_radial(d: int, q: float, order: float, cfg: QuadratureConfig) -> flo
         return np.where(rho > 0, g * rho, 0.0) * jj**2
 
     u0 = max(25.0, 0.3 * order + 10.0)
-    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(1e-15, 1e-14, cfg.max_subdivisions))
-    p_tail = (d + 1.0) * (q - 2.0) / 2.0
-    tail = tail_power_periodic(f, u0, 0.5, p_tail,
-                               QuadratureConfig(1e-14, 1e-13, cfg.max_subdivisions,
-                                                max(cfg.oscillatory_tail_terms, 64)))
-    return 4.0 * np.pi**2 * (head.value + tail.value)
+    return 4.0 * np.pi**2 * radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15, cfg).value
 
 
 def circle_coeff(q: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -111,41 +97,6 @@ def funk_hecke_eigenvalue(d: int, q: float, k: int,
     if d < 1:
         raise DomainError("d must be >= 1")
     return _lambda_radial(d, q, k + (d - 2.0) / 2.0, cfg)
-
-
-def circle_coeff_from_profile(kernel: RadialKernel, n: int,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Oracle route: (2 pi)^{-1} int Ltheta(t) cos(nt) dt against a sampled profile."""
-    if kernel.dimension != 2 or kernel.kind != "L":
-        raise DomainError("profile route needs a d=2 L-kind kernel")
-
-    def f(theta):
-        r = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.cos(theta)))
-        return kernel(r) * np.cos(n * theta)
-
-    res = integrate_adaptive(f, 0.0, 2 * np.pi, QuadratureConfig(1e-12, 1e-11,
-                                                                 cfg.max_subdivisions))
-    return res.value / (2 * np.pi)
-
-
-@dataclass(frozen=True)
-class CircleProfile:
-    """theta -> L_q at chord distance |x| = sqrt(2 - 2 cos theta) (d = 2)."""
-
-    kernel: RadialKernel
-
-    def __post_init__(self):
-        if self.kernel.dimension != 2 or self.kernel.kind != "L":
-            raise DomainError("CircleProfile wraps a d=2 L-kind kernel")
-
-    @property
-    def exponent(self) -> float:
-        return self.kernel.exponent
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.cos(theta)))
-        return self.kernel(r)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,40 @@ class TestMalformedInput:
         code = dispatch(["--tol", "1e-3"] + argv)
         self.assert_usage_error(code, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--d", "1", "--q", "4", "--family", "intervals:x"],
+        ["q-sweep", "--d", "2", "--q-list", "4", "--family", "disc"],
+        ["expand-sweep", "--family", "star:x", "--q", "4", "--eps", "0.05"],
+    ])
+    def test_bad_family(self, capsys, argv):
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "usage error: unknown family" in err
+        assert "Traceback" not in err
+
+    def test_missing_set_file(self, capsys, tmp_path):
+        code = dispatch(["phi", "--set", str(tmp_path / "missing.json"), "--q", "4"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "usage error: cannot read set file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("intervals: [-1, 1]", "not JSON"),
+        ("[[-1, 1]]", "must be a JSON object"),
+        ('{"kind": "star"}', "lacks the key 'fourier'"),
+        ('{"kind": "intervals", "intervals": [[-1]]}', "malformed set document"),
+    ])
+    def test_malformed_set_document(self, capsys, tmp_path, text, message):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        code = dispatch(["phi", "--set", str(path), "--q", "4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_tol_accepted_where_used(self, capsys, ball_file):
         code = dispatch(["--quiet", "--tol", "1e-9", "phi", "--set", ball_file, "--q", "4"])
         assert code == 0

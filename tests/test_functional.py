@@ -12,11 +12,11 @@ from felab.functional import (
     phi_ball,
     phi_even_oracle,
     phi_q,
-    q_continuity_probe,
 )
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
+from oracles import q_continuity_probe
 
 
 def random_union(rng, max_pieces=3):

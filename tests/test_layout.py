@@ -1,0 +1,44 @@
+"""Source layout: one GK15 panel rule, one radial head-plus-tail integral,
+and no test-only routine inside the package."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "felab"
+MODULES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+# routines that only the tests use; they live in tests/oracles.py
+TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
+             "circle_coeff_from_profile", "CircleProfile", "gamma_asymptotic_fit",
+             "empirical_holder_exponent", "q_continuity_probe"}
+
+
+def test_gk15_tables_stay_in_quadrature():
+    for name, text in MODULES.items():
+        for table in ("_GK_NODES", "_GK_WEIGHTS", "_G_WEIGHTS"):
+            assert name == "quadrature.py" or table not in text, (name, table)
+
+
+def _callers(text: str, callee: str) -> set:
+    """Names of the top-level functions of a module that call ``callee``."""
+    found = set()
+    for top in ast.parse(text).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == callee):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_periodic_tail_called_from_two_places():
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "tail_power_periodic")}
+    assert {name for name, _ in callers} <= {"quadrature.py", "radial_kernels.py"}
+    assert {fn for name, fn in callers if name == "radial_kernels.py"} == {"_kernel_values_2d_L"}
+
+
+def test_no_test_only_routines_in_package():
+    for name, text in MODULES.items():
+        defined = {node.name for node in ast.parse(text).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & TEST_ONLY, (name, defined & TEST_ONLY)

@@ -8,14 +8,13 @@ from felab.quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
     QuadratureConfig,
-    bessel_j,
-    bessel_zeros,
-    gegenbauer,
+    gk15_panels,
+    gk15_sums,
     integrate_adaptive,
-    integrate_composite,
     integrate_oscillatory_tail,
     tail_power_periodic,
 )
+from oracles import bessel_j, bessel_zeros, gegenbauer, integrate_composite
 
 CFG = QuadratureConfig()
 
@@ -76,6 +75,39 @@ class TestGegenbauer:
     def test_domain(self):
         with pytest.raises(DomainError):
             gegenbauer(2, 0.5, 1.5)
+
+
+class TestPanelRule:
+    """GK15 on uneven panels: Kronrod exact to degree 22, Gauss to 13."""
+
+    EDGES = np.array([-2.0, -0.5, 0.5, 2.5])
+
+    def monomial(self, p):
+        a, b = self.EDGES[:-1], self.EDGES[1:]
+        nodes, weights = gk15_panels(0.5 * (a + b), 0.5 * (b - a))
+        kron, err = gk15_sums(nodes**p, 0.5 * (b - a))
+        exact = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        scale = (np.abs(b) ** (p + 1) + np.abs(a) ** (p + 1)) / (p + 1)
+        return kron, err, (nodes**p * weights).sum(axis=1), exact, scale
+
+    @pytest.mark.parametrize("p", range(23))
+    def test_kronrod_exact(self, p):
+        kron, _, weighted, exact, scale = self.monomial(p)
+        assert np.all(np.abs(kron - exact) <= 1e-14 * scale)
+        assert np.all(np.abs(weighted - exact) <= 1e-14 * scale)
+
+    def test_rule_error_marks_gauss_degree(self):
+        for p in range(14):
+            _, err, _, _, scale = self.monomial(p)
+            assert np.all(err <= 1e-14 * scale)
+        _, err, _, _, scale = self.monomial(14)
+        assert np.all(err >= 1e-9 * scale)
+
+    def test_scalar_panel(self):
+        nodes, weights = gk15_panels(0.0, 0.5)
+        assert nodes.shape == weights.shape == (15,)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestAdaptive:

@@ -9,11 +9,9 @@ from felab.radial_kernels import (
     ball_hat,
     ball_norm_q,
     default_variation_grids,
-    empirical_holder_exponent,
     exact_kernel_1d,
     first_variation_check,
     gamma_1d_closed_form,
-    gamma_asymptotic_fit,
     gamma_qd,
     gamma_qd_detailed,
     kernel_profile,
@@ -22,6 +20,7 @@ from felab.radial_kernels import (
     q_threshold,
     rho_d,
 )
+from oracles import empirical_holder_exponent, gamma_asymptotic_fit, integrate_composite
 
 
 def lens_area(r):
@@ -94,7 +93,6 @@ class TestKernel1D:
 
     def test_noneven_q_against_brute(self):
         # independent check of the series/tail split at q = 3.2
-        from felab.quadrature import integrate_composite
         q = 3.2
         xs = np.array([0.0, 0.7, 1.3])
         vals, _ = kernel_values("K", 1, q, xs)
@@ -142,7 +140,7 @@ class TestKernel3D:
         # 16 x 1.56e6 doubles (~200 MB)
         import tracemalloc
 
-        from felab.radial_kernels import _composite_matrix, _g_radial
+        from felab.radial_kernels import _g_radial, _gk15_mesh
         q = 3.6
         r = np.linspace(0.05, 3.0, 16)
         tracemalloc.start()
@@ -152,7 +150,7 @@ class TestKernel3D:
         finally:
             tracemalloc.stop()
         r_cut = 1e8 ** (1.0 / (2.0 * (q - 2.0) - 1.0))
-        nodes, weights = _composite_matrix(None, np.linspace(0.0, r_cut, int(r_cut * 24) + 1))
+        nodes, weights = _gk15_mesh(np.linspace(0.0, r_cut, int(r_cut * 24) + 1))
         assert peak < 0.25 * len(r) * len(nodes) * 8
         # direct reference, one radius at a time
         base_w = weights * _g_radial("L", 3, q, nodes) * nodes
@@ -297,3 +295,32 @@ class TestBallNorm:
             lambda s: lens_area(s) ** 2 * s, 0.0, 2.0, cfg).value
         res = ball_norm_q(2, 4.0)
         assert res.value == pytest.approx(oracle, abs=1e-8)
+
+
+class TestPinnedHeadTail:
+    """Head-plus-periodic-tail integrals at exponents the closed-form tests
+    miss: value, error estimate and converged flag pinned to 1e-13."""
+
+    @pytest.mark.parametrize("d, q, value, err, converged", [
+        (1, 3.5, 2.2301291935585006, 5.65878611602569e-07, False),
+        (2, 5.3, 10.29776245978743, 3.311945372022284e-11, True),
+        (3, 4.4, 8.559328546146801, 2.353791490824201e-10, True),
+    ])
+    def test_gamma(self, d, q, value, err, converged):
+        res = gamma_qd_detailed(d, q)
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.error_estimate == pytest.approx(err, rel=1e-13)
+        assert res.converged is converged
+
+    def test_gamma_1d_closed_form(self):
+        assert gamma_1d_closed_form(3.5) == pytest.approx(2.2301291949465063, rel=1e-13)
+
+    @pytest.mark.parametrize("d, q, value, err", [
+        (1, 3.0, 3.077277910258819, 4.0373440997826836e-11),
+        (3, 3.3, 11.37347148437444, 1.3596269386735383e-09),
+    ])
+    def test_ball_norm(self, d, q, value, err):
+        res = ball_norm_q(d, q)
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.error_estimate == pytest.approx(err, rel=1e-13)
+        assert res.converged

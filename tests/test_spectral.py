@@ -8,13 +8,12 @@ from felab.quadrature import QuadratureConfig, integrate_adaptive
 from felab.radial_kernels import gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
 from felab.spectral import (
-    CircleProfile,
     circle_coeff,
-    circle_coeff_from_profile,
     funk_hecke_eigenvalue,
     mode_margins,
     sphere_reduced_prediction,
 )
+from oracles import CircleProfile, circle_coeff_from_profile
 
 
 def closed_form(n):
@@ -69,6 +68,14 @@ class TestFunkHecke:
         lv, _ = kernel_values("L", 3, 4.0, 2 * np.sin(us / 2))
         oracle = 2 * np.pi * np.trapezoid(lv * np.sin(us), us)
         assert lam == pytest.approx(oracle, rel=2e-4)
+
+    @pytest.mark.parametrize("d, q, k, value", [
+        (2, 5.7, 7, 0.0046786187983800555),
+        (3, 4.2, 2, 2.2345686580000295),
+    ])
+    def test_pinned(self, d, q, k, value):
+        # head-plus-periodic-tail eigenvalues off the closed-form exponents
+        assert funk_hecke_eigenvalue(d, q, k) == pytest.approx(value, rel=1e-13)
 
     def test_eigenvalues_real_positive_small_k(self):
         for d, q in ((2, 3.6), (2, 4.0), (3, 4.0)):
