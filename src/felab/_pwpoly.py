@@ -70,7 +70,7 @@ def _poly_compose_affine(p, alpha, beta):
     return acc
 
 
-def _trim(p, tol=0.0):
+def _trim(p):
     n = len(p)
     while n > 1 and p[n - 1] == 0:
         n -= 1
@@ -90,12 +90,6 @@ class PiecewisePoly:
                 merged[e] = list(p)
         self.events = sorted((e, _trim(p)) for e, p in merged.items())
 
-    @property
-    def support(self):
-        if not self.events:
-            return (0.0, 0.0)
-        return (self.events[0][0], self.events[-1][0])
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -104,22 +98,6 @@ class PiecewisePoly:
             if np.any(mask):
                 out[mask] += _poly_eval([float(c) for c in p], x[mask])
         return out
-
-    def value(self, x: float):
-        """Exact-arithmetic evaluation at a scalar point."""
-        acc = 0
-        for e, p in self.events:
-            if x >= e:
-                acc += _poly_eval(p, x)
-        return acc
-
-    def derivative_at(self, x: float):
-        acc = 0
-        for e, p in self.events:
-            if x >= e and len(p) > 1:
-                dp = [c * i for i, c in enumerate(p)][1:]
-                acc += _poly_eval(dp, x)
-        return acc
 
     def convolve(self, other: "PiecewisePoly") -> "PiecewisePoly":
         events = []
@@ -149,18 +127,6 @@ class PiecewisePoly:
             anti = _poly_antideriv(_poly_mul(polys[i], polys[i]))
             total += _poly_eval(anti, breaks[i + 1]) - _poly_eval(anti, breaks[i])
         return total
-
-    def cumulative(self):
-        """Antiderivative F(x) = int_-inf^x f, as (breaks, polys) pieces plus final constant."""
-        breaks, polys = self.to_breaks()
-        pieces = []
-        acc = 0
-        for i in range(len(breaks) - 1):
-            anti = _poly_antideriv(polys[i])
-            offset = acc - _poly_eval(anti, breaks[i])
-            pieces.append((breaks[i], breaks[i + 1], _poly_add(anti, [offset])))
-            acc = offset + _poly_eval(anti, breaks[i + 1])
-        return pieces, acc
 
 
 def _convolve_events(a, r, b, s):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,9 +34,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="felab", description="numerical laboratory for the "
                 "set-indicator Fourier extremization problem")
     p.add_argument("--tol", type=float, default=None,
-                   help="absolute quadrature tolerance for kernel, gamma, first-variation, "
-                   "phi and spectrum; the other commands run their own settings and "
-                   "refuse it")
+                   help="absolute quadrature tolerance for phi; the other commands run "
+                   "fixed settings and refuse it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="thread budget (FELAB_THREADS as fallback)")
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
 
 
 # the commands that take their quadrature settings from --tol
-_TOL_COMMANDS = ("kernel", "gamma", "first-variation", "phi", "spectrum")
+_TOL_COMMANDS = ("phi",)
 
 
 def _threads(args) -> int:
@@ -124,10 +124,11 @@ def _threads(args) -> int:
         raise UsageError(f"FELAB_THREADS must be an integer, got {env!r}") from None
 
 
-def _quad(args) -> QuadratureConfig:
-    if args.tol is None:
-        return DEFAULT_CONFIG
-    return QuadratureConfig(abs_tol=args.tol, rel_tol=max(args.tol, 1e-12))
+def _floats(text: str, flag: str) -> list:
+    try:
+        return [float(t) for t in text.split(",") if t]
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _load_set(path: str):
@@ -169,8 +170,9 @@ class _Run:
         self.argv = argv
         self.t0 = time.perf_counter()
         self.outputs = []
-        # the quadrature settings that ran; commands with their own set it
-        self.quad = _quad(args)
+        # the quadrature settings that ran, set by the commands that choose
+        # one; the others run fixed settings and record none
+        self.quad = None
         self.out_dir = Path(args.out_dir) if args.out_dir else None
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,11 +194,10 @@ class _Run:
                 "command_line": "felab " + " ".join(self.argv),
                 "version": __version__,
                 "seed": self.args.seed,
-                "quadrature": {
+                "quadrature": None if self.quad is None else {
                     "abs_tol": self.quad.abs_tol,
                     "rel_tol": self.quad.rel_tol,
                     "max_subdivisions": self.quad.max_subdivisions,
-                    "oscillatory_tail_terms": self.quad.oscillatory_tail_terms,
                 },
                 "wall_time_s": time.perf_counter() - self.t0,
                 "outputs": self.outputs,
@@ -206,14 +207,13 @@ class _Run:
 
 def _cmd_kernel(run: _Run, args):
     from .radial_kernels import kernel_profile
-    prof = kernel_profile(args.kind, args.d, args.q, r_max=args.r_max,
-                          n_samples=args.samples, cfg=run.quad)
+    prof = kernel_profile(args.kind, args.d, args.q, r_max=args.r_max, n_samples=args.samples)
     run.emit(prof.to_csv(), f"kernel_{args.kind}_{args.d}_{args.q}.csv")
 
 
 def _cmd_gamma(run: _Run, args):
     from .radial_kernels import gamma_qd_detailed
-    res = gamma_qd_detailed(args.d, args.q, run.quad)
+    res = gamma_qd_detailed(args.d, args.q)
     run.emit(f"{res.value:.6f} ± {res.error_estimate:.3g}", "gamma.txt")
     run.log(f"gamma({args.d},{args.q}) = {res.value:.17g}")
 
@@ -221,7 +221,7 @@ def _cmd_gamma(run: _Run, args):
 def _cmd_first_variation(run: _Run, args):
     from .radial_kernels import default_variation_grids, first_variation_check
     inner, outer = default_variation_grids(args.d, args.q, n=args.grid_n, r_max=args.r_max)
-    res = first_variation_check(args.d, args.q, inner, outer, run.quad)
+    res = first_variation_check(args.d, args.q, inner, outer)
     run.emit(_jdump({"inner_min": res.inner_min, "outer_max": res.outer_max,
                      "satisfied": res.satisfied, "margin": res.margin,
                      "error_bound": res.error_bound}), "first_variation.json")
@@ -231,8 +231,12 @@ def _cmd_phi(run: _Run, args):
     from .functional import phi_even_oracle, phi_q
     e = _load_set(args.set_file)
     if args.oracle:
+        if not math.isfinite(args.q):
+            raise DomainError("q must be a finite exponent")
         res = phi_even_oracle(e, int(round(args.q)))
     else:
+        run.quad = DEFAULT_CONFIG if args.tol is None else QuadratureConfig(
+            abs_tol=args.tol, rel_tol=max(args.tol, 1e-12))
         res = phi_q(e, args.q, run.quad)
     run.emit(_jdump(res.as_dict()), "phi.json")
 
@@ -258,7 +262,7 @@ def _cmd_expand_sweep(run: _Run, args):
     from .perturbation import _TIGHT, expansion_report
     run.quad = _TIGHT
     fam = _family(args.family)
-    eps = [float(t) for t in args.eps.split(",") if t]
+    eps = _floats(args.eps, "--eps")
     if not eps:
         raise UsageError("--eps needs at least one value")
     lines = ["eps,direct,base,term_K,term_LL,term_Lrefl,residual"]
@@ -272,7 +276,7 @@ def _cmd_expand_sweep(run: _Run, args):
 
 def _cmd_spectrum(run: _Run, args):
     from .spectral import mode_margins
-    spec = mode_margins(args.d, args.q, args.modes, run.quad)
+    spec = mode_margins(args.d, args.q, args.modes)
     run.emit(spec.to_csv(), "spectrum.csv")
 
 
@@ -299,9 +303,9 @@ def _cmd_dist(run: _Run, args):
 
 
 def _cmd_search(run: _Run, args):
-    from .search import random_probe
+    from .search import PROBE_QUAD, random_probe
     cfg = _search_config(args, args.q)
-    run.quad = cfg.quad
+    run.quad = PROBE_QUAD
     res = random_probe(cfg)
     doc = res.as_dict()
     doc["trajectory"] = [[i, v] for i, v in res.trajectory]
@@ -315,12 +319,12 @@ def _cmd_search(run: _Run, args):
 
 
 def _cmd_q_sweep(run: _Run, args):
-    from .search import q_sweep
-    qs = [float(t) for t in args.q_list.split(",") if t]
+    from .search import PROBE_QUAD, q_sweep
+    qs = _floats(args.q_list, "--q-list")
     if not qs:
         raise UsageError("--q-list needs at least one exponent")
     cfg = _search_config(args, qs[0])
-    run.quad = cfg.quad
+    run.quad = PROBE_QUAD
     rows = q_sweep(qs, cfg)
     lines = ["q,phi_ball,best_phi,gap,dist_ellipsoids"]
     for row in rows:

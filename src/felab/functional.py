@@ -378,11 +378,11 @@ def _grid_fft_norm(e: StarSet, q: int, n: int):
     return value, err
 
 
-def phi_ball(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PhiResult:
+def phi_ball(d: int, q: float) -> PhiResult:
     """Phi_q of the unit ball through the radial norm integral."""
     from .radial_kernels import ball_norm_q, omega
 
-    res = ball_norm_q(d, q, cfg)
+    res = ball_norm_q(d, q)
     w = omega(d)
     phi = res.value ** (1.0 / q) / w ** ((q - 1.0) / q)
     return PhiResult(phi, res.value, w, res.error_estimate / max(res.value, 1e-300) * phi / q,

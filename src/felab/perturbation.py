@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .functional import phi_q
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .radial_kernels import kernel_profile
 from .set_model import IntervalSet, StarSet, boundary_profile, symdiff_measure
 from .spectral import funk_hecke_eigenvalue
@@ -106,15 +106,15 @@ def _signed_pieces_1d(e: IntervalSet):
 @lru_cache(maxsize=16)
 def _profile_1d(kind: str, q: float):
     r_max = max(q + 2.0, 6.0)
-    return kernel_profile(kind, 1, q, r_max=r_max, n_samples=3072, cfg=_TIGHT)
+    return kernel_profile(kind, 1, q, r_max=r_max, n_samples=3072)
 
 
 @lru_cache(maxsize=16)
 def _profile_2d_K(q: float):
-    return kernel_profile("K", 2, q, r_max=max(q, 4.0), n_samples=2048, cfg=_TIGHT)
+    return kernel_profile("K", 2, q, r_max=max(q, 4.0), n_samples=2048)
 
 
-def inner_K(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def inner_K(e, q: float) -> float:
     """<K_q, f> = int_{E\\B} K_q - int_{B\\E} K_q."""
     if e.dimension == 1:
         prof = _profile_1d("K", q)
@@ -170,7 +170,7 @@ def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
     return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 
-def quadratic_terms(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+def quadratic_terms(e, q: float) -> dict:
     """<f*L_q, f> and <f*L_q, f~>."""
     if e.dimension == 1:
         if q <= 3.0:
@@ -204,7 +204,7 @@ def quadratic_terms(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict
     ll = 0.0
     llr = 0.0
     for n in range(profile.n_modes + 1):
-        lam_n = funk_hecke_eigenvalue(2, q, n, cfg)
+        lam_n = funk_hecke_eigenvalue(2, q, n)
         weight = (1.0 if n == 0 else 2.0) * 2 * np.pi * abs(profile.fourier_coeff(n)) ** 2
         ll += weight * lam_n
         llr += weight * lam_n * (-1.0) ** n
@@ -240,9 +240,9 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
             raise DomainError("the first-order expansion for 2 < q < 3 is d = 1 only")
         order = "q-1"
     direct, base, err = _direct_norms(e, q, cfg)
-    t_k = q * inner_K(e, q, cfg)
+    t_k = q * inner_K(e, q)
     if q >= 3.0:
-        quads = quadratic_terms(e, q, cfg)
+        quads = quadratic_terms(e, q)
         t_ll = q**2 / 4.0 * quads["LL"]
         t_lr = q * (q - 2.0) / 4.0 * quads["Lrefl"]
     else:

@@ -22,7 +22,8 @@ runs on this module:
   extrapolation in the number of periods removes the algebraic remainder.
 * ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
   ball norms, Funk-Hecke eigenvalues): an adaptive head on [0, u0], then a
-  tail of period 1/2.
+  tail of period 1/2.  It takes no config: its head and tail tolerances
+  follow from the one ``tol`` its caller fixes.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
@@ -54,24 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by all integration routines.
-
-    ``oscillatory_tail_terms`` is the number of inter-zero (or per-period)
-    segments summed before series acceleration kicks in.
-    """
+    """Tolerances and the subdivision budget of the integration engines."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 4000
-    oscillatory_tail_terms: int = 64
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
+        # written so that a NaN tolerance fails the check
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0 and self.abs_tol + self.rel_tol > 0):
             raise DomainError("require abs_tol, rel_tol >= 0 and abs_tol + rel_tol > 0")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.oscillatory_tail_terms < 1:
-            raise DomainError("oscillatory_tail_terms must be >= 1")
 
     def tolerance(self, scale: float = 1.0) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))
@@ -327,29 +322,28 @@ def _estimate_decay(mags: np.ndarray, abscissae: np.ndarray) -> float:
     return snapped if abs(snapped - p) < 0.03 and snapped > 1.0 else p
 
 
-def tail_power_periodic(f, start: float, period: float, decay_power: float,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG,
-                        max_doublings: int = 6) -> IntegralResult:
+def tail_power_periodic(f, start: float, period: float, decay_power: float, n_periods: int,
+                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integrate f over [start, infinity) for f = envelope x periodic factor.
 
     ``decay_power`` is the algebraic decay exponent p of the integrand
     envelope (|f| ~ rho^-p up to the oscillation).  Segment integrals over
     exact periods form a smooth k^-p sequence regardless of phase, so the
     partial sums admit Richardson extrapolation with remainder exponent
-    p - 1.  Doubles the segment count until two successive extrapolations
-    agree within tolerance.
+    p - 1.  Starts with ``n_periods`` periods and doubles their count, at
+    most six times, until two successive extrapolations agree within
+    tolerance.
     """
     if period <= 0:
         raise DomainError("period must be positive")
     if decay_power <= 1.0:
         raise DomainError("decay_power must exceed 1 for a convergent tail")
-    n = max(16, cfg.oscillatory_tail_terms)
     kron = np.empty(0)
     quad_err = 0.0
     prev_val = None
-    for _ in range(max_doublings + 1):
+    for _ in range(7):
         k0 = len(kron)
-        edges = start + period * np.arange(k0, n + 1)
+        edges = start + period * np.arange(k0, n_periods + 1)
         new_kron, new_err = _gk15_batch(f, edges[:-1], edges[1:])
         kron = np.concatenate([kron, new_kron])
         quad_err += float(np.sum(new_err))
@@ -361,22 +355,19 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float,
         if total <= cfg.tolerance(value):
             return IntegralResult(float(value), total, converged=True)
         prev_val = value
-        n *= 2
+        n_periods *= 2
     return IntegralResult(float(value), acc_err + quad_err, converged=False)
 
 
-def radial_head_tail(f, u0: float, p_tail: float, tol: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
     """Integrate f over [0, infinity): adaptive head on [0, u0], periodic tail.
 
     The tail beyond ``u0`` must be an envelope decaying like x^-p_tail times
     an oscillation of period 1/2 (every radial Bessel- or sine-power
     integrand here).  The head runs at (abs, rel) = (tol, 10 tol), the tail
-    at ten times that; ``cfg`` supplies the subdivision and period budgets.
+    at ten times that, starting from 64 periods.
     """
-    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol, cfg.max_subdivisions))
-    tail = tail_power_periodic(f, u0, 0.5, p_tail,
-                               QuadratureConfig(10 * tol, 100 * tol, cfg.max_subdivisions,
-                                                cfg.oscillatory_tail_terms))
+    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol))
+    tail = tail_power_periodic(f, u0, 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
     return IntegralResult(head.value + tail.value, head.error_estimate + tail.error_estimate,
                           head.converged and tail.converged)

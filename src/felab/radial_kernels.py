@@ -103,6 +103,8 @@ def q_threshold(kind: str, d: int) -> float:
 
 def _check_exponent(kind: str, d: int, q: float) -> None:
     thr = q_threshold(kind, d)
+    if q == math.inf:
+        raise DomainError("the kernels need a finite exponent q")
     if not (q > thr):
         raise ThresholdError(
             f"{kind}-kind kernel needs q > {thr:.6g} in d={d} "
@@ -170,20 +172,21 @@ class _PowerTail:
     """
 
     C_LO = 2.0
+    N_NODES = 160
 
-    def __init__(self, s: float, c_max: float, n_nodes: int = 160):
+    def __init__(self, s: float, c_max: float):
         if s <= 1.0:
             raise DomainError("power tail needs decay exponent s > 1")
         self.s = s
         self.c_max = max(c_max, 10.0)
         self.lo = math.log(self.C_LO)
         self.hi = math.log(self.c_max * 1.05)
-        k = np.arange(n_nodes)
-        w = np.cos(np.pi * (k + 0.5) / n_nodes)  # Chebyshev points in (-1, 1)
+        k = np.arange(self.N_NODES)
+        w = np.cos(np.pi * (k + 0.5) / self.N_NODES)  # Chebyshev points in (-1, 1)
         logc = 0.5 * (self.hi + self.lo) + 0.5 * (self.hi - self.lo) * w
         vals = np.array([self._m_direct(math.exp(lc)) for lc in logc])
-        self._cheb_re = np.polynomial.chebyshev.chebfit(w, vals.real, n_nodes - 1)
-        self._cheb_im = np.polynomial.chebyshev.chebfit(w, vals.imag, n_nodes - 1)
+        self._cheb_re = np.polynomial.chebyshev.chebfit(w, vals.real, self.N_NODES - 1)
+        self._cheb_im = np.polynomial.chebyshev.chebfit(w, vals.imag, self.N_NODES - 1)
         self._small_cache: dict[float, complex] = {}
 
     def _m_direct(self, c: float) -> complex:
@@ -295,15 +298,15 @@ def _cos_coeffs(q: float) -> tuple:
     return (a0, tuple(zip(ms[keep].tolist(), coeffs[keep].tolist())), tail_bound)
 
 
-def _graded_edges(a: float, b: float, singular: tuple, base: float, levels: int = 42) -> np.ndarray:
-    """Panel edges on [a, b], dyadically refined toward each singular point."""
+def _graded_edges(a: float, b: float, singular: tuple, base: float) -> np.ndarray:
+    """Panel edges on [a, b], refined toward each singular point over 42 halvings."""
     edges = set(np.arange(a, b, base))
     edges.add(b)
     for s in singular:
         if not (a <= s <= b):
             continue
         h = base
-        for _ in range(levels):
+        for _ in range(42):
             h *= 0.5
             for e in (s - h, s + h):
                 if a < e < b:
@@ -317,7 +320,7 @@ def _gk15_mesh(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-def _kernel_values_1d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureConfig):
+def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
     s = q - 1.0 if kind == "K" else q - 2.0
     pref = 2.0 * np.pi ** (1.0 - q) if kind == "K" else 2.0 * np.pi ** (2.0 - q)
     x = np.asarray(radii, dtype=float)
@@ -360,7 +363,7 @@ def _j0_zero_segments(r: float, start: float, count: int) -> np.ndarray:
     return (np.arange(first, first + count + 1) - 0.25) / (2.0 * r)
 
 
-def _kernel_values_2d_K(q: float, radii: np.ndarray, cfg: QuadratureConfig):
+def _kernel_values_2d_K(q: float, radii: np.ndarray):
     # K-kind integrand decays like rho^{(3-3q)/2} <= rho^{-4} for q > 11/3:
     # composite head plus a short zero-segmented tail is plenty
     x = np.asarray(radii, dtype=float)
@@ -373,19 +376,18 @@ def _kernel_values_2d_K(q: float, radii: np.ndarray, cfg: QuadratureConfig):
     for lo in range(0, len(x), 256):
         xi = x[lo:lo + 256]
         values[lo:lo + 256] = special.j0(2 * np.pi * np.outer(xi, nodes)) @ base_w
-    n_seg = max(96, cfg.oscillatory_tail_terms)
-    tail_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-12), cfg.rel_tol, cfg.max_subdivisions)
+    n_seg = 96
     for i, r in enumerate(x):
         f = (lambda rho, rr=r: 2.0 * np.pi * _g_radial("K", 2, q, rho) * rho
              * special.j0(2 * np.pi * rho * rr))
         segs = r0 + 0.5 * np.arange(n_seg + 1) if r < 0.75 else _j0_zero_segments(r, r0, n_seg)
-        res = integrate_oscillatory_tail(f, segs, tail_cfg)
+        res = integrate_oscillatory_tail(f, segs)
         values[i] += res.value
         errors[i] = res.error_estimate + 1e-11 * (1.0 + abs(values[i]))
     return values, errors
 
 
-def _kernel_values_2d_L(q: float, radii: np.ndarray, cfg: QuadratureConfig):
+def _kernel_values_2d_L(q: float, radii: np.ndarray):
     """L-kind via the exact amplitude-phase split of the Bessel factor.
 
     With J_1 = A cos(phi), Y_1 = A sin(phi) (A, phi exact; A^2 = J_1^2+Y_1^2),
@@ -447,22 +449,20 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray, cfg: QuadratureConfig):
 
     # smooth a0 part on [rho0, inf): alternating between J_0 zeros
     errors = np.empty_like(x)
-    n_seg = max(128, 2 * cfg.oscillatory_tail_terms)
-    tail_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-12), cfg.rel_tol,
-                                cfg.max_subdivisions, n_seg)
+    n_seg = 128
     p_smooth = q / 2.0 - 2.0 + (q - 2.0)  # envelope decay exponent of E0
     for i, r in enumerate(x):
         f0 = (lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr))
         if r < 1e-9:
             res = tail_power_periodic(lambda rho: a0 * envelope(rho), rho0, 0.5,
-                                      max(1.2, p_smooth), tail_cfg)
+                                      max(1.2, p_smooth), n_seg)
         else:
             segs = _j0_zero_segments(r, rho0, n_seg)
             if segs[0] > rho0:
                 res_head = integrate_adaptive(f0, rho0, segs[0],
                                               QuadratureConfig(1e-13, 1e-12, 2000))
                 values[i] += res_head.value
-            res = integrate_oscillatory_tail(f0, segs, tail_cfg)
+            res = integrate_oscillatory_tail(f0, segs)
         values[i] += res.value
         errors[i] = res.error_estimate + osc_bound[i] + 1e-11 * (1.0 + abs(values[i]))
     return values, errors
@@ -473,7 +473,7 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray, cfg: QuadratureConfig):
 _SIN_CHUNK = 1 << 20
 
 
-def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureConfig):
+def _kernel_values_3d(kind: str, q: float, radii: np.ndarray):
     # value(r) = (2/r) int_0^inf g(rho) rho sin(2 pi rho r) drho; integrand
     # decays like rho^{1 - 2(q-1)} (K) / rho^{1 - 2(q-2)} (L): composite + bound
     x = np.asarray(radii, dtype=float)
@@ -502,20 +502,20 @@ def _kernel_values_3d(kind: str, q: float, radii: np.ndarray, cfg: QuadratureCon
     return out, errors
 
 
-def kernel_values(kind: str, d: int, q: float, radii, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def kernel_values(kind: str, d: int, q: float, radii):
     """Kernel values at arbitrary radii (the engine behind kernel_profile)."""
     _check_exponent(kind, d, q)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
-        raise DomainError("radii must be >= 0")
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
+        raise DomainError("radii must be finite and >= 0")
     if d == 1:
-        return _kernel_values_1d(kind, q, radii, cfg)
+        return _kernel_values_1d(kind, q, radii)
     if d == 2:
         if kind == "K":
-            return _kernel_values_2d_K(q, radii, cfg)
-        return _kernel_values_2d_L(q, radii, cfg)
+            return _kernel_values_2d_K(q, radii)
+        return _kernel_values_2d_L(q, radii)
     if d == 3:
-        return _kernel_values_3d(kind, q, radii, cfg)
+        return _kernel_values_3d(kind, q, radii)
     raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
 
 
@@ -529,7 +529,6 @@ class RadialKernel:
     radii: np.ndarray
     values: np.ndarray
     errors: np.ndarray
-    interpolation_order: int = 3
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -544,9 +543,6 @@ class RadialKernel:
     def r_max(self) -> float:
         return float(self.radii[-1])
 
-    def error_bound(self) -> float:
-        return float(np.max(self.errors))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("radius,value,error\n")
@@ -556,7 +552,7 @@ class RadialKernel:
 
 
 def kernel_profile(kind: str, d: int, q: float, r_max: float | None = None,
-                   n_samples: int = 2048, cfg: QuadratureConfig = DEFAULT_CONFIG) -> RadialKernel:
+                   n_samples: int = 2048) -> RadialKernel:
     """Sample the K- or L-kind kernel on a uniform radius grid [0, r_max]."""
     _check_exponent(kind, d, q)
     if r_max is None:
@@ -564,7 +560,7 @@ def kernel_profile(kind: str, d: int, q: float, r_max: float | None = None,
     if r_max <= 0 or n_samples < 8:
         raise DomainError("need r_max > 0 and n_samples >= 8")
     radii = np.linspace(0.0, r_max, n_samples)
-    values, errors = kernel_values(kind, d, q, radii, cfg)
+    values, errors = kernel_values(kind, d, q, radii)
     return RadialKernel(kind, d, q, radii, values, errors)
 
 
@@ -580,7 +576,7 @@ def exact_kernel_1d(kind: str, q: int):
 # gamma, rho, and the first-variation condition
 # ---------------------------------------------------------------------------
 
-def gamma_qd_detailed(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     """-dK_q/dr at r = 1, by differentiation under the integral sign.
 
     Inserting the ring factor turns the derivative into
@@ -598,17 +594,17 @@ def gamma_qd_detailed(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
             jj = special.jv(order, 2 * np.pi * rho)
         return np.where(rho > 0, rho**expo, 0.0) * np.abs(jj) ** q
 
-    res = radial_head_tail(f, 20.0, d * (q - 2.0) / 2.0 + q / 2.0 - 1.0, 1e-14, cfg)
+    res = radial_head_tail(f, 20.0, d * (q - 2.0) / 2.0 + q / 2.0 - 1.0, 1e-14)
     value = 4.0 * np.pi**2 * res.value
     err = 4.0 * np.pi**2 * res.error_estimate
-    return IntegralResult(value, err, converged=err <= cfg.tolerance(value))
+    return IntegralResult(value, err, converged=err <= DEFAULT_CONFIG.tolerance(value))
 
 
-def gamma_qd(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    return gamma_qd_detailed(d, q, cfg).value
+def gamma_qd(d: int, q: float) -> float:
+    return gamma_qd_detailed(d, q).value
 
 
-def gamma_1d_closed_form(q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def gamma_1d_closed_form(q: float) -> float:
     """2 pi^{2-q} int_R |xi|^{2-q} |sin(2 pi xi)|^q dxi (d = 1 closed form)."""
     if not (q > 3.0):
         raise ThresholdError(f"the closed-form integral converges only for q > 3; got {q}", 3.0)
@@ -616,10 +612,10 @@ def gamma_1d_closed_form(q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
     def f(xi):
         return np.where(xi > 0, xi ** (2.0 - q), 0.0) * np.abs(np.sin(2 * np.pi * xi)) ** q
 
-    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, 10.0, q - 2.0, 1e-14, cfg).value
+    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, 10.0, q - 2.0, 1e-14).value
 
 
-def rho_d(d: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def rho_d(d: int) -> float:
     """2 pi omega_{d-1} / omega_d times int_-1^1 s^2 (1-s^2)^{(d-1)/2} ds."""
     if d < 1:
         raise DomainError("d must be >= 1")
@@ -627,12 +623,11 @@ def rho_d(d: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     def f(t):  # s = sin t removes the endpoint singularity
         return np.sin(t) ** 2 * np.cos(t) ** d
 
-    integral = integrate_adaptive(f, -np.pi / 2, np.pi / 2,
-                                  QuadratureConfig(1e-14, 1e-13, cfg.max_subdivisions)).value
+    integral = integrate_adaptive(f, -np.pi / 2, np.pi / 2, QuadratureConfig(1e-14, 1e-13)).value
     return 2.0 * np.pi * omega(d - 1) / omega(d) * integral
 
 
-def ball_norm_q(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+def ball_norm_q(d: int, q: float) -> IntegralResult:
     """||B^||_q^q = d omega_d int_0^inf rho^{d-1} |B^(rho)|^q drho."""
     if q <= 2.0:
         raise DomainError("q must exceed 2")
@@ -640,11 +635,11 @@ def ball_norm_q(d: int, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Int
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q
 
-    res = radial_head_tail(f, 20.0, q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15, cfg)
+    res = radial_head_tail(f, 20.0, q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
     scale = d * omega(d)
     value = scale * res.value
     err = scale * res.error_estimate
-    return IntegralResult(value, err, converged=err <= cfg.tolerance(value))
+    return IntegralResult(value, err, converged=err <= DEFAULT_CONFIG.tolerance(value))
 
 
 @dataclass(frozen=True)
@@ -658,6 +653,8 @@ class FirstVariationResult:
 
 def default_variation_grids(d: int, q: float, n: int = 256, r_max: float | None = None):
     """Grids straddling r = 1 with a one-step gap (K is continuous at 1)."""
+    if n < 1:
+        raise DomainError("grids need n >= 1 points")
     if r_max is None:
         r_max = max(q, 4.0)
     inner = np.linspace(0.0, 1.0, n + 1)[:n]
@@ -665,15 +662,14 @@ def default_variation_grids(d: int, q: float, n: int = 256, r_max: float | None 
     return inner, outer
 
 
-def first_variation_check(d: int, q: float, inner_grid, outer_grid,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> FirstVariationResult:
+def first_variation_check(d: int, q: float, inner_grid, outer_grid) -> FirstVariationResult:
     """Check min K over the inside grid >= max K over the outside grid."""
     inner = np.asarray(inner_grid, dtype=float)
     outer = np.asarray(outer_grid, dtype=float)
     if len(inner) == 0 or len(outer) == 0:
         raise ArityError("grids must be nonempty")
-    vi, ei = kernel_values("K", d, q, inner, cfg)
-    vo, eo = kernel_values("K", d, q, outer, cfg)
+    vi, ei = kernel_values("K", d, q, inner)
+    vo, eo = kernel_values("K", d, q, outer)
     i_min = int(np.argmin(vi))
     i_max = int(np.argmax(vo))
     inner_min = float(vi[i_min])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .functional import phi_ball, phi_q
 from .quadrature import QuadratureConfig
 from .set_model import IntervalSet, StarSet, dist_to_ellipsoids
 
-__all__ = ["SearchConfig", "SearchResult", "local_ascent", "random_probe", "q_sweep"]
+__all__ = ["SearchConfig", "SearchResult", "random_probe", "q_sweep"]
 
 
 # probe-grade tolerances: bias << the 1e-6 comparison scale of the null tests
@@ -45,9 +45,10 @@ class SearchConfig:
     step_decay: float = 0.5
     budget: int = 400
     threads: int = 1
-    quad: QuadratureConfig = field(default_factory=lambda: PROBE_QUAD)
 
     def __post_init__(self):
+        if self.restarts < 1 or self.rng_seed < 0:
+            raise DomainError("need restarts >= 1 and rng_seed >= 0")
         if self.budget < self.restarts:
             raise DomainError("budget must cover at least one evaluation per restart")
         kind, _, arg = self.family.partition(":")
@@ -129,7 +130,7 @@ def _normalized(params: np.ndarray, cfg: SearchConfig) -> np.ndarray:
 def _evaluate(params: np.ndarray, cfg: SearchConfig) -> float:
     try:
         e = _params_to_set(params, cfg)
-        return phi_q(e, cfg.exponent, cfg.quad).phi
+        return phi_q(e, cfg.exponent, PROBE_QUAD).phi
     except InvalidSetError:
         return -math.inf
 
@@ -166,17 +167,6 @@ def _ascend(params: np.ndarray, cfg: SearchConfig, budget: int):
     return params, best, trajectory, evals
 
 
-def local_ascent(start, cfg: SearchConfig) -> SearchResult:
-    """Coordinate-wise trial steps with halving; volume fixed by dilation."""
-    phi_b = phi_ball(cfg.dimension, cfg.exponent, cfg.quad).phi
-    params, best, trajectory, evals = _ascend(
-        _set_to_params(start, cfg).astype(float), cfg, cfg.budget)
-    final = _params_to_set(params, cfg)
-    fit = dist_to_ellipsoids(final)
-    return SearchResult(final, best, phi_b, phi_b - best, fit.distance,
-                        tuple(trajectory), evals)
-
-
 def _random_params(rng: np.random.Generator, cfg: SearchConfig) -> np.ndarray:
     if cfg.family_kind == "intervals":
         return rng.uniform(-2.5, 2.5, 2 * cfg.family_size)
@@ -196,7 +186,7 @@ def random_probe(cfg: SearchConfig) -> SearchResult:
             values = list(pool.map(lambda p: _evaluate(p, cfg), probes))
     else:
         values = [_evaluate(p, cfg) for p in probes]
-    phi_b = phi_ball(cfg.dimension, cfg.exponent, cfg.quad).phi
+    phi_b = phi_ball(cfg.dimension, cfg.exponent).phi
     evals = len(probes)
     order = sorted(range(len(probes)), key=lambda i: -values[i])
     best_idx = order[0]

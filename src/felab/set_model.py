@@ -104,10 +104,6 @@ class AffineMap:
     def identity(d: int) -> "AffineMap":
         return AffineMap(np.eye(d), np.zeros(d))
 
-    def deviation_from_identity(self) -> float:
-        return float(np.linalg.norm(self.matrix - np.eye(self.dimension))
-                     + np.linalg.norm(self.translation))
-
 
 # ---------------------------------------------------------------------------
 # interval unions (d = 1)
@@ -122,6 +118,8 @@ class IntervalSet:
         ivs = sorted((float(l), float(r)) for l, r in intervals)
         merged = []
         for l, r in ivs:
+            if not (math.isfinite(l) and math.isfinite(r)):
+                raise InvalidSetError(f"interval endpoints must be finite, got ({l}, {r})")
             if r <= l:
                 raise InvalidSetError(f"empty or reversed interval ({l}, {r})")
             if merged and l <= merged[-1][1]:
@@ -131,6 +129,8 @@ class IntervalSet:
         if not merged:
             raise InvalidSetError("interval set must have positive measure")
         self.intervals = tuple(merged)
+        if not math.isfinite(self.measure):
+            raise InvalidSetError("interval set must have finite measure")
 
     @property
     def measure(self) -> float:
@@ -142,9 +142,6 @@ class IntervalSet:
         a = phi.matrix[0, 0]
         b = phi.translation[0]
         return IntervalSet([tuple(sorted((a * l + b, a * r + b))) for l, r in self.intervals])
-
-    def translate(self, t: float) -> "IntervalSet":
-        return IntervalSet([(l + t, r + t) for l, r in self.intervals])
 
     def dilate(self, s: float) -> "IntervalSet":
         if s <= 0:
@@ -204,11 +201,25 @@ class StarSet:
         self.b_coeffs = np.asarray(b_coeffs, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.affine = affine if affine is not None else AffineMap.identity(2)
+        if (self.a_coeffs.ndim != 1 or self.b_coeffs.ndim != 1 or self.center.shape != (2,)
+                or self.affine.dimension != 2):
+            raise InvalidSetError("star set needs 1-D coefficient lists, a center of "
+                                  "length 2 and a 2-D affine part")
+        numbers = np.concatenate([[self.c0], self.a_coeffs, self.b_coeffs, self.center,
+                                  self.affine.matrix.ravel(), self.affine.translation])
+        if not np.all(np.isfinite(numbers)):
+            raise InvalidSetError("star-set parameters must be finite")
         if self.affine.det <= 0:
             raise InvalidSetError("star-set affine part must have positive determinant")
         theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
         if np.min(self.radius(theta)) <= 0:
             raise InvalidSetError("radius function must be positive")
+        try:
+            measure = self.measure
+        except OverflowError:  # c0**2 beyond the float range
+            measure = math.inf
+        if not 0 < measure < math.inf:
+            raise InvalidSetError("star set must have a positive, finite measure")
 
     def radius(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -363,7 +374,7 @@ class EllipsoidFit:
     converged: bool
 
 
-def dist_to_ellipsoids(e, n_theta: int = 1024, restarts: int | None = None) -> EllipsoidFit:
+def dist_to_ellipsoids(e, n_theta: int = 1024) -> EllipsoidFit:
     """Normalized distance inf |E triangle Ell| / |E| over equal-measure ellipsoids."""
     if e.measure <= 0:
         raise InvalidSetError("set must have positive measure")
@@ -388,15 +399,18 @@ def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
     return EllipsoidFit(float(dist), window, True)
 
 
-def _ellipse_ray_overlap(origin, r_set, theta, u, params, area):
-    """|E cap ellipse| for an area-``area`` ellipse given by (cx, cy, psi, phi)."""
+def _ellipse_ray_overlap(r_set, u, params, area):
+    """|E cap ellipse| for an area-``area`` ellipse given by (cx, cy, psi, phi).
+
+    The rays leave the origin in the directions ``u`` and leave E at ``r_set``.
+    """
     cx, cy, psi, phi = params
     ab = math.sqrt(area / np.pi)
     alpha, beta = ab * math.exp(psi / 2.0), ab * math.exp(-psi / 2.0)
     c, s = math.cos(phi), math.sin(phi)
     rot = np.array([[c, -s], [s, c]])
     qdiag = np.array([1.0 / alpha**2, 1.0 / beta**2])
-    w = -np.array([cx, cy]) + origin  # ray origin relative to ellipse center
+    w = -np.array([cx, cy])  # ray origin relative to ellipse center
     wq = rot.T @ w
     uq = u @ rot
     aa = (uq**2 * qdiag).sum(axis=1)
@@ -427,7 +441,7 @@ def _dist_star(e: StarSet, n_theta: int) -> EllipsoidFit:
     centroid = e.centroid() - origin
 
     def objective(params):
-        overlap = _ellipse_ray_overlap(np.zeros(2), r_set, theta, u, params, area)
+        overlap = _ellipse_ray_overlap(r_set, u, params, area)
         return 2.0 * (area - overlap)
 
     best = None
@@ -479,17 +493,6 @@ class SphereProfile:
             return 0.0
         c = self.f_hat[abs(n)]
         return c if n >= 0 else np.conj(c)
-
-    def integral_a2_b2(self) -> float:
-        """int (a^2 + b^2) dsigma."""
-        if self.dimension == 1:
-            return float(np.sum(self.a_vals**2 + self.b_vals**2))
-        return float(np.mean(self.a_vals**2 + self.b_vals**2) * 2 * np.pi)
-
-    def integral_f(self) -> float:
-        if self.dimension == 1:
-            return float(np.sum(self.f_vals))
-        return float(np.mean(self.f_vals) * 2 * np.pi)
 
 
 def boundary_profile(e, n_grid: int = 2048, n_modes: int = 32) -> SphereProfile:
@@ -684,5 +687,5 @@ def set_from_json(text: str):
                        center=doc.get("center", (0.0, 0.0)), affine=phi)
     except KeyError as exc:
         raise InvalidSetError(f"set document lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSetError(f"malformed set document: {exc}") from None

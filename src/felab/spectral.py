@@ -41,7 +41,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ThresholdError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, radial_head_tail
+from .quadrature import radial_head_tail
 from .radial_kernels import (
     ball_hat,
     gamma_qd,
@@ -49,18 +49,16 @@ from .radial_kernels import (
     omega,
     q_threshold,
 )
-from .set_model import SphereProfile
 
 __all__ = [
     "ModeSpectrum",
     "circle_coeff",
     "funk_hecke_eigenvalue",
     "mode_margins",
-    "sphere_reduced_prediction",
 ]
 
 
-def _lambda_radial(d: int, q: float, order: float, cfg: QuadratureConfig) -> float:
+def _lambda_radial(d: int, q: float, order: float) -> float:
     """4 pi^2 int g(rho) rho J_order(2 pi rho)^2 drho with g = |B^_d|^{q-2}."""
     thr = q_threshold("L", d)
     if not (q > thr):
@@ -75,28 +73,27 @@ def _lambda_radial(d: int, q: float, order: float, cfg: QuadratureConfig) -> flo
         return np.where(rho > 0, g * rho, 0.0) * jj**2
 
     u0 = max(25.0, 0.3 * order + 10.0)
-    return 4.0 * np.pi**2 * radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15, cfg).value
+    return 4.0 * np.pi**2 * radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15).value
 
 
-def circle_coeff(q: float, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def circle_coeff(q: float, n: int) -> float:
     """Fourier coefficient Lhat(n) of the circle profile of L_q (d = 2)."""
     if n < 0:
         n = -n
-    return _lambda_radial(2, q, float(n), cfg) / (2.0 * np.pi)
+    return _lambda_radial(2, q, float(n)) / (2.0 * np.pi)
 
 
-def funk_hecke_eigenvalue(d: int, q: float, k: int,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def funk_hecke_eigenvalue(d: int, q: float, k: int) -> float:
     """Eigenvalue of F -> integral of L_q(. - beta) F(beta) on degree-k harmonics."""
     if k < 0:
         raise DomainError("k must be >= 0")
     if d == 1:
         # S^0 = {+-1}: eigenvalues L(0) +- L(2) on the even/odd functions
-        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]), cfg)
+        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]))
         return float(vals[0] + vals[1]) if k % 2 == 0 else float(vals[0] - vals[1])
     if d < 1:
         raise DomainError("d must be >= 1")
-    return _lambda_radial(d, q, k + (d - 2.0) / 2.0, cfg)
+    return _lambda_radial(d, q, k + (d - 2.0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,15 @@ class ModeSpectrum:
         return buf.getvalue()
 
 
-def mode_margins(d: int, q: float, n_max: int,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> ModeSpectrum:
+def mode_margins(d: int, q: float, n_max: int) -> ModeSpectrum:
     """Per-harmonic margins of the sphere-reduced second variation."""
     if n_max < 3:
         raise DomainError("n_max must be >= 3 to see the non-affine modes")
-    gamma = gamma_qd(d, q, cfg)
+    gamma = gamma_qd(d, q)
     budget = 0.5 * q * gamma
     modes = []
     for n in range(n_max + 1):
-        lam = funk_hecke_eigenvalue(d, q, n, cfg)
+        lam = funk_hecke_eigenvalue(d, q, n)
         combined = (q**2 / 4.0 + q * (q - 2.0) / 4.0 * (-1.0) ** n) * lam
         modes.append(ModeMargin(n, lam, lam / (2 * np.pi) if d == 2 else float("nan"),
                                 combined, budget - combined))
@@ -149,33 +145,3 @@ def mode_margins(d: int, q: float, n_max: int,
     return ModeSpectrum(d, q, gamma, tuple(modes), float(stability),
                         neutral, worst.margin, worst.n)
 
-
-def sphere_reduced_prediction(profile: SphereProfile, d: int, q: float,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Predicted second-order change of ||1_E^||_q^q from the boundary profile.
-
-    -(q/2) gamma int(a^2+b^2) dsigma + (q^2/4) Q(F,F) + (q(q-2)/4) Q(F,F~).
-    """
-    if profile.dimension != d:
-        raise DomainError("profile dimension mismatch")
-    gamma = gamma_qd(d, q, cfg)
-    lead = -0.5 * q * gamma * profile.integral_a2_b2()
-    if d == 1:
-        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]), cfg)
-        l0, l2 = float(vals[0]), float(vals[1])
-        fp, fm = float(profile.f_vals[0]), float(profile.f_vals[1])
-        qff = l0 * (fp * fp + fm * fm) + 2.0 * l2 * fp * fm
-        qffr = 2.0 * l0 * fp * fm + l2 * (fp * fp + fm * fm)
-        return lead + q**2 / 4.0 * qff + q * (q - 2.0) / 4.0 * qffr
-    if d != 2:
-        raise DomainError("profiles are supported in d = 1 and d = 2")
-    total_ff = 0.0
-    total_ffr = 0.0
-    for n in range(profile.n_modes + 1):
-        lam = funk_hecke_eigenvalue(2, q, n, cfg)
-        weight = 1.0 if n == 0 else 2.0
-        c2 = abs(profile.fourier_coeff(n)) ** 2
-        # ||F_n||^2 in L^2(sigma) = 2 pi (|F^(n)|^2 + |F^(-n)|^2)
-        total_ff += weight * 2 * np.pi * c2 * lam
-        total_ffr += weight * 2 * np.pi * c2 * lam * (-1.0) ** n
-    return lead + q**2 / 4.0 * total_ff + q * (q - 2.0) / 4.0 * total_ffr

@@ -2,8 +2,10 @@
 
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the circle-profile route to
-the circle coefficients) and report-only fits and probes.  None of them is
-called by the package, its command line or its acceptance criteria.
+the circle coefficients, the sphere-reduced second variation), report-only
+fits and probes, a local ascent from a given start, and views of package
+objects that only the tests read.  None of them is called by the package,
+its command line or its acceptance criteria.
 """
 
 import math
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
-from felab.functional import phi_q
+from felab.functional import phi_ball, phi_q
 from felab.quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
@@ -22,7 +25,10 @@ from felab.quadrature import (
     gk15_sums,
     integrate_adaptive,
 )
-from felab.radial_kernels import RadialKernel, gamma_qd, omega
+from felab.radial_kernels import RadialKernel, gamma_qd, kernel_values, omega
+from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
+from felab.set_model import AffineMap, IntervalSet, SphereProfile, dist_to_ellipsoids
+from felab.spectral import funk_hecke_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,7 @@ class CircleProfile:
 # report-only fits and probes
 # ---------------------------------------------------------------------------
 
-def gamma_asymptotic_fit(d: int, q_list, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def gamma_asymptotic_fit(d: int, q_list):
     """Fit log gamma - q log omega_d against log q; slope -> -(d+2)/2."""
     q_arr = np.asarray(sorted(q_list), dtype=float)
     if len(q_arr) < 4:
@@ -173,7 +179,7 @@ def gamma_asymptotic_fit(d: int, q_list, cfg: QuadratureConfig = DEFAULT_CONFIG)
     log_w = math.log(omega(d))
     ys = []
     for q in q_arr:
-        g = gamma_qd(d, float(q), cfg)
+        g = gamma_qd(d, float(q))
         ys.append(math.log(g) - q * log_w)
     slope, intercept = np.polyfit(np.log(q_arr), ys, 1)
     return {"slope": float(slope), "kappa_estimate": float(math.exp(intercept))}
@@ -210,3 +216,98 @@ def q_continuity_probe(e, q: float, r: float, cfg: QuadratureConfig = DEFAULT_CO
     nr = phi_q(e, r, cfg)
     # measure one: Phi = norm itself
     return abs(nq.norm_q_pow_q ** (1.0 / q) - nr.norm_q_pow_q ** (1.0 / r)) / math.sqrt(abs(q - r))
+
+
+def local_ascent(start, cfg: SearchConfig) -> SearchResult:
+    """Coordinate-wise trial steps with halving from ``start``; volume fixed by dilation."""
+    phi_b = phi_ball(cfg.dimension, cfg.exponent).phi
+    params, best, trajectory, evals = _ascend(
+        _set_to_params(start, cfg).astype(float), cfg, cfg.budget)
+    final = _params_to_set(params, cfg)
+    fit = dist_to_ellipsoids(final)
+    return SearchResult(final, best, phi_b, phi_b - best, fit.distance,
+                        tuple(trajectory), evals)
+
+
+# ---------------------------------------------------------------------------
+# the sphere-reduced second variation
+# ---------------------------------------------------------------------------
+
+def integral_a2_b2(profile: SphereProfile) -> float:
+    """int (a^2 + b^2) dsigma."""
+    if profile.dimension == 1:
+        return float(np.sum(profile.a_vals**2 + profile.b_vals**2))
+    return float(np.mean(profile.a_vals**2 + profile.b_vals**2) * 2 * np.pi)
+
+
+def integral_f(profile: SphereProfile) -> float:
+    """int F dsigma."""
+    if profile.dimension == 1:
+        return float(np.sum(profile.f_vals))
+    return float(np.mean(profile.f_vals) * 2 * np.pi)
+
+
+def sphere_reduced_prediction(profile: SphereProfile, d: int, q: float) -> float:
+    """Predicted second-order change of ||1_E^||_q^q from the boundary profile.
+
+    -(q/2) gamma int(a^2+b^2) dsigma + (q^2/4) Q(F,F) + (q(q-2)/4) Q(F,F~).
+    """
+    if profile.dimension != d:
+        raise DomainError("profile dimension mismatch")
+    gamma = gamma_qd(d, q)
+    lead = -0.5 * q * gamma * integral_a2_b2(profile)
+    if d == 1:
+        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]))
+        l0, l2 = float(vals[0]), float(vals[1])
+        fp, fm = float(profile.f_vals[0]), float(profile.f_vals[1])
+        qff = l0 * (fp * fp + fm * fm) + 2.0 * l2 * fp * fm
+        qffr = 2.0 * l0 * fp * fm + l2 * (fp * fp + fm * fm)
+        return lead + q**2 / 4.0 * qff + q * (q - 2.0) / 4.0 * qffr
+    if d != 2:
+        raise DomainError("profiles are supported in d = 1 and d = 2")
+    total_ff = 0.0
+    total_ffr = 0.0
+    for n in range(profile.n_modes + 1):
+        lam = funk_hecke_eigenvalue(2, q, n)
+        weight = 1.0 if n == 0 else 2.0
+        c2 = abs(profile.fourier_coeff(n)) ** 2
+        # ||F_n||^2 in L^2(sigma) = 2 pi (|F^(n)|^2 + |F^(-n)|^2)
+        total_ff += weight * 2 * np.pi * c2 * lam
+        total_ffr += weight * 2 * np.pi * c2 * lam * (-1.0) ** n
+    return lead + q**2 / 4.0 * total_ff + q * (q - 2.0) / 4.0 * total_ffr
+
+
+# ---------------------------------------------------------------------------
+# views of package objects that only the tests read
+# ---------------------------------------------------------------------------
+
+def derivative_at(f: PiecewisePoly, x: float):
+    """f'(x), in the arithmetic of the coefficients."""
+    acc = 0
+    for e, p in f.events:
+        if x >= e and len(p) > 1:
+            dp = [c * i for i, c in enumerate(p)][1:]
+            acc += _poly_eval(dp, x)
+    return acc
+
+
+def cumulative(f: PiecewisePoly):
+    """Antiderivative F(x) = int_-inf^x f, as (breaks, polys) pieces plus final constant."""
+    breaks, polys = f.to_breaks()
+    pieces = []
+    acc = 0
+    for i in range(len(breaks) - 1):
+        anti = _poly_antideriv(polys[i])
+        offset = acc - _poly_eval(anti, breaks[i])
+        pieces.append((breaks[i], breaks[i + 1], _poly_add(anti, [offset])))
+        acc = offset + _poly_eval(anti, breaks[i + 1])
+    return pieces, acc
+
+
+def deviation_from_identity(m: AffineMap) -> float:
+    return float(np.linalg.norm(m.matrix - np.eye(m.dimension))
+                 + np.linalg.norm(m.translation))
+
+
+def translate(e: IntervalSet, t: float) -> IntervalSet:
+    return IntervalSet([(l + t, r + t) for l, r in e.intervals])

@@ -1,9 +1,16 @@
 """Command-line surface: exit codes, output channels, manifests."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felab.cli import dispatch
 from felab.set_model import IntervalSet, set_to_json
@@ -160,6 +167,10 @@ class TestMalformedInput:
         ["expand", "--set", "SET", "--q", "4"],
         ["expand-sweep", "--family", "sliver", "--q", "4", "--eps", "0.05"],
         ["verify", "--criteria", "6"],
+        ["kernel", "--kind", "K", "--d", "1", "--q", "4"],
+        ["gamma", "--d", "2", "--q", "4"],
+        ["first-variation", "--d", "1", "--q", "4"],
+        ["spectrum", "--d", "2", "--q", "4", "--modes", "4"],
     ])
     def test_tol_refused_where_ignored(self, capsys, ball_file, argv):
         argv = [ball_file if a == "SET" else a for a in argv]
@@ -190,6 +201,13 @@ class TestMalformedInput:
         ("[[-1, 1]]", "must be a JSON object"),
         ('{"kind": "star"}', "lacks the key 'fourier'"),
         ('{"kind": "intervals", "intervals": [[-1]]}', "malformed set document"),
+        ('{"kind": "intervals", "intervals": [[0, 1e400]]}', "must be finite"),
+        ('{"kind": "intervals", "intervals": [[0, NaN]]}', "must be finite"),
+        ('{"kind": "intervals", "intervals": [[NaN, 1]]}', "must be finite"),
+        ('{"kind": "star", "fourier": {"c0": NaN}}', "must be finite"),
+        ('{"kind": "star", "fourier": {"c0": 1e300}}', "finite measure"),
+        ('{"kind": "star", "fourier": {"c0": 1, "a": [[0.1]]}}', "1-D coefficient lists"),
+        ('{"kind": "star", "fourier": {"c0": 1}, "center": [0]}', "center of length 2"),
     ])
     def test_malformed_set_document(self, capsys, tmp_path, text, message):
         path = tmp_path / "set.json"
@@ -205,3 +223,118 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["phi"] == pytest.approx((2 / 3) ** 0.25,
                                                                           abs=1e-7)
+
+
+# --- fuzzing: any command line and any set document keeps the exit contract
+
+# finite numbers stay in [-10, 10]: a finite interval of length 1e200 is
+# valid input, but Phi of it runs for minutes (the panel width is 0.5/diam)
+NUMBERS = st.one_of(st.integers(-10, 10), st.floats(-10, 10),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+NUMBER_LISTS = st.lists(NUMBERS, max_size=3)
+SET_DOCS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("intervals"),
+                           "intervals": st.lists(NUMBER_LISTS, max_size=3)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("star"),
+         "fourier": st.fixed_dictionaries(
+             {"c0": NUMBERS},
+             optional={"a": NUMBER_LISTS | NUMBERS | st.lists(NUMBER_LISTS, max_size=2),
+                       "b": NUMBER_LISTS})},
+        optional={"center": NUMBER_LISTS,
+                  "affine": st.fixed_dictionaries({"matrix": st.lists(NUMBER_LISTS, max_size=3),
+                                                   "translation": NUMBER_LISTS})}),
+    st.none() | NUMBERS | NUMBER_LISTS | st.text(max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "dimension", "intervals", "fourier"]),
+                      NUMBERS | st.text(max_size=4) | NUMBER_LISTS, max_size=3),
+)
+SET_TEXTS = SET_DOCS.map(json.dumps) | st.text(max_size=12)
+
+# each command with its required and its optional flags; a draw gives values
+# to the required ones and adds up to two optional ones
+FLAGS = {
+    "kernel": (["--kind", "--d", "--q"], ["--r-max", "--samples"]),
+    "gamma": (["--d", "--q"], []),
+    "first-variation": (["--d", "--q"], ["--grid-n", "--r-max"]),
+    "phi": (["--set", "--q"], ["--oracle"]),
+    "expand": (["--set", "--q"], []),
+    "expand-sweep": (["--family", "--q", "--eps"], []),
+    "spectrum": (["--d", "--q", "--modes"], []),
+    "balance": (["--set"], ["--max-iter", "--bal-tol"]),
+    "dist": (["--set"], []),
+    "search": (["--d", "--q"], ["--family", "--restarts", "--budget"]),
+    "q-sweep": (["--d", "--q-list"], ["--family", "--restarts", "--budget"]),
+    "verify": ([], ["--criteria"]),
+    "frobnicate": ([], []),
+}
+# defaults that would run for seconds to minutes, put ahead of the drawn flags
+# (the last occurrence of a flag wins, and drawn counts are at most 10)
+CAPS = {
+    "kernel": ["--samples", "8"],
+    "first-variation": ["--grid-n", "8"],
+    "search": ["--restarts", "1", "--budget", "2"],
+    "q-sweep": ["--restarts", "1", "--budget", "2"],
+    "verify": ["--criteria", "99"],
+}
+COUNTS = st.integers(-10, 10).map(str)
+REALS = NUMBERS.map(str)
+# expansions build kernel profiles for seconds per exponent, and criteria
+# other than 6 run for seconds to minutes: those flags draw from safe values
+VALUES = {
+    "--tol": REALS, "--seed": COUNTS, "--threads": COUNTS,
+    "--set": st.just("SET"),
+    "--kind": st.sampled_from(["K", "L"]),
+    "--d": st.integers(0, 4).map(str),
+    "--q": REALS, "--r-max": REALS, "--bal-tol": REALS,
+    "--samples": COUNTS, "--grid-n": COUNTS, "--modes": COUNTS, "--max-iter": COUNTS,
+    "--restarts": COUNTS, "--budget": COUNTS,
+    "--family": st.sampled_from(["sliver", "star", "star:3", "star:x", "intervals",
+                                 "intervals:2", "disc"]),
+    "--eps": st.lists(NUMBERS, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
+    "--q-list": st.lists(NUMBERS, min_size=1, max_size=2).map(
+        lambda v: ",".join(map(str, v))),
+    "--criteria": st.sampled_from(["6", "99", "0", "a", "1,x", "-3"]),
+}
+EXPAND_Q = st.sampled_from(["x", "nan", "inf", "-1", "2"])
+# what a garbled argument turns into: a bad value, an unknown flag, or a
+# flag that takes the next argument as its value
+TOKENS = REALS | st.sampled_from(["K", "x", "", "1,x", "--bogus", "--q"])
+
+
+@st.composite
+def command_lines(draw):
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(["--quiet", "--tol", "--seed", "--threads"]),
+                              max_size=2, unique=True)):
+        argv += [flag] if flag == "--quiet" else [flag, draw(VALUES[flag])]
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[command]
+    argv += [command] + CAPS.get(command, [])
+    extra = draw(st.lists(st.sampled_from(optional), max_size=2)) if optional else []
+    for flag in required + extra:
+        if flag == "--oracle":
+            argv.append(flag)
+        else:
+            expand_q = command.startswith("expand") and flag == "--q"
+            argv += [flag, draw(EXPAND_Q if expand_q else VALUES[flag])]
+    # one argument garbled or dropped; not for verify, whose criteria
+    # would then run in full
+    if command != "verify" and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(argv) - 1))
+        argv[k:k + 1] = draw(st.lists(TOKENS, max_size=1))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(argv=command_lines(), set_text=SET_TEXTS)
+def test_fuzz_exit_contract(argv, set_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "set.json")
+        with open(path, "w") as fh:
+            fh.write(set_text)
+        argv = [path if a == "SET" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    assert code in (0, 1, 2, 3), (argv, set_text)
+    assert "Traceback" not in err.getvalue(), (argv, set_text)

@@ -16,7 +16,7 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import q_continuity_probe
+from oracles import q_continuity_probe, translate
 
 
 def random_union(rng, max_pieces=3):
@@ -299,7 +299,7 @@ class TestPinned1D:
             assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
 
     def test_translated_set(self):
-        e = IntervalSet(PIECES_1D["three"]).translate(1e3)
+        e = translate(IntervalSet(PIECES_1D["three"]), 1e3)
         for q, phi, norm in ((3.0, 0.8532404860390121, 2.484702257716011),
                              (3.5, 0.8382785038869937, 3.050943343634644)):
             res = phi_q(e, q)

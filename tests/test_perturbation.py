@@ -16,6 +16,7 @@ from felab.perturbation import (
 )
 from felab.radial_kernels import exact_kernel_1d, gamma_qd
 from felab.set_model import IntervalSet
+from oracles import cumulative
 
 
 class TestInnerK:
@@ -28,7 +29,7 @@ class TestInnerK:
         e = sliver_family_1d(d)
         val = inner_K(e, 4.0)
         k4 = exact_kernel_1d("K", 4)
-        pieces, _ = k4.cumulative()
+        pieces, _ = cumulative(k4)
         # exact integral of the piecewise-cubic oracle over [1-d, 1+d] bands
         def integral(a, b):
             total = 0.0

@@ -191,14 +191,14 @@ class TestPowerPeriodicTail:
         # int_10^inf sin^2(2 pi x)/x^2 dx = (1/2) int_10^inf x^-2 (1 - cos 4 pi x);
         # brute truncation at R needs its mean tail 1/(2R) restored
         f = lambda x: np.sin(2 * np.pi * x) ** 2 / x**2
-        res = tail_power_periodic(f, 10.0, 0.5, 2.0, CFG)
+        res = tail_power_periodic(f, 10.0, 0.5, 2.0, 64, CFG)
         big_r = 2e5
         ref = integrate_composite(f, 10.0, big_r, 800_000).value + 1.0 / (2 * big_r)
         assert res.value == pytest.approx(ref, abs=1e-9)
 
     def test_rejects_divergent(self):
         with pytest.raises(DomainError):
-            tail_power_periodic(lambda x: 1 / x, 1.0, 0.5, 1.0, CFG)
+            tail_power_periodic(lambda x: 1 / x, 1.0, 0.5, 1.0, 64, CFG)
 
 
 class TestConfig:

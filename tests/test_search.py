@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from felab.errors import DomainError
-from felab.search import SearchConfig, local_ascent, q_sweep, random_probe
+from felab.search import SearchConfig, q_sweep, random_probe
 from felab.set_model import IntervalSet, StarSet
+from oracles import local_ascent
 
 
 class TestConfig:

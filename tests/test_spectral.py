@@ -7,13 +7,8 @@ from felab.errors import DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive
 from felab.radial_kernels import gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
-from felab.spectral import (
-    circle_coeff,
-    funk_hecke_eigenvalue,
-    mode_margins,
-    sphere_reduced_prediction,
-)
-from oracles import CircleProfile, circle_coeff_from_profile
+from felab.spectral import circle_coeff, funk_hecke_eigenvalue, mode_margins
+from oracles import CircleProfile, circle_coeff_from_profile, sphere_reduced_prediction
 
 
 def closed_form(n):
