@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FelabError
-from .functional import babenko_bound, babenko_violations, phi_even_oracle, phi_q
+from .functional import babenko_bound, phi_even_oracle, phi_q
 from .perturbation import (
     expansion_report,
     remainder_slope,
@@ -159,8 +159,8 @@ def crit_7() -> tuple:
         if not res.phi < babenko_bound(4.0, 2):
             return False, f"violation d=2: {res.phi}"
         checked += 1
-    trips = babenko_violations()
-    return trips == 0, f"{checked} evaluations, all below C_q^d; guard trips = {trips}"
+    # a guard trip raises DomainError, which fails the criterion in run()
+    return True, f"{checked} evaluations, all below C_q^d"
 
 
 def crit_8() -> tuple:

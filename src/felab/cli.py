@@ -231,6 +231,9 @@ def _cmd_phi(run: _Run, args):
     from .functional import phi_even_oracle, phi_q
     e = _load_set(args.set_file)
     if args.oracle:
+        if args.tol is not None:
+            raise UsageError("--tol has no effect on phi --oracle; the convolution oracle "
+                             "takes no tolerance")
         if not math.isfinite(args.q):
             raise DomainError("q must be a finite exponent")
         res = phi_even_oracle(e, int(round(args.q)))

@@ -323,19 +323,9 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return res
 
 
-_BABENKO_TRIPS = 0
-
-
-def babenko_violations() -> int:
-    """Number of guard trips since import (must stay zero)."""
-    return _BABENKO_TRIPS
-
-
 def _babenko_guard(res: PhiResult, q: float, d: int) -> None:
-    global _BABENKO_TRIPS
     bound = babenko_bound(q, d)
     if res.phi >= bound + 10 * res.error_estimate:
-        _BABENKO_TRIPS += 1
         raise DomainError(
             f"computed Phi = {res.phi} violates the sharp Hausdorff-Young bound {bound}")
 

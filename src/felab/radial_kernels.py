@@ -29,12 +29,16 @@ literally 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q dxi.
 
 Profile evaluation
 ------------------
-d = 1: the periodic factor of the integrand is expanded in its Fourier
-series (exact and finite for even q), turning the tail into single
-frequencies against int_1^inf xi^{-s} sin(c xi) dxi, which is evaluated to
-near machine precision through a Laplace-type contour integral
-interpolated by Chebyshev polynomials in log c.  d = 2: graded composite
-head plus zero-segmented accelerated tail.  d = 3: the transform
+d = 1: g(xi) = pi^{-s} xi^{-s} P(2 pi xi) with s = q-1 (K) or q-2 (L) and
+P the periodic factor sin(u)|sin u|^{q-2} or |sin u|^{q-2}.  One path
+serves both kinds: a graded head on [0, 1], then one table of P's Fourier
+series (finite for q = 4, 6, 8) against the power tails
+int_1^inf xi^{-s} e^{ic xi} dxi, summed as one coefficients x tails
+product over all (frequency, radius) pairs.  The power tail comes from a
+Laplace-type contour integral interpolated by one complex Chebyshev series
+in log c; its interpolation range moves it by ~1e-11 relative.  d = 2:
+graded composite head plus zero-segmented accelerated tail, the same
+table feeding the L kernel's harmonics.  d = 3: the transform
 (2/r) int g(rho) rho sin(2 pi rho r) drho decays fast enough for composite
 quadrature with an analytic tail bound.
 
@@ -159,16 +163,13 @@ def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _PowerTail:
-    """T(c) = int_1^inf xi^{-s} sin(c xi) dxi and the cosine companion U(c).
+    """E(c) = int_1^inf xi^{-s} e^{ic xi} dxi, the single-frequency power tail.
 
-    Both come from M(c) = int_0^inf (1+iu)^{-s} e^{-cu} du via a contour
-    rotation: int_1^inf xi^{-s} e^{ic xi} dxi = i e^{ic} M(c), so
-
-        U(c) = -sin(c) Re M - cos(c) Im M
-        T(c) =  cos(c) Re M - sin(c) Im M.
-
-    M is analytic in Re c > 0; it is interpolated by Chebyshev polynomials
-    in log c on [log 2, log c_max] and integrated directly for c < 2.
+    The contour rotation xi = 1 + iu gives E(c) = i e^{ic} M(c) with
+    M(c) = int_0^inf (1+iu)^{-s} e^{-cu} du.  M is analytic in Re c > 0; it
+    is interpolated by one complex Chebyshev series in log c on
+    [log 2, log c_max] and integrated directly for c < 2.  The interpolant
+    depends on its range: moving c_max moves M by ~1e-11 relative.
     """
 
     C_LO = 2.0
@@ -185,8 +186,8 @@ class _PowerTail:
         w = np.cos(np.pi * (k + 0.5) / self.N_NODES)  # Chebyshev points in (-1, 1)
         logc = 0.5 * (self.hi + self.lo) + 0.5 * (self.hi - self.lo) * w
         vals = np.array([self._m_direct(math.exp(lc)) for lc in logc])
-        self._cheb_re = np.polynomial.chebyshev.chebfit(w, vals.real, self.N_NODES - 1)
-        self._cheb_im = np.polynomial.chebyshev.chebfit(w, vals.imag, self.N_NODES - 1)
+        fit = np.polynomial.chebyshev.chebfit
+        self._cheb = fit(w, vals.real, self.N_NODES - 1) + 1j * fit(w, vals.imag, self.N_NODES - 1)
         self._small_cache: dict[float, complex] = {}
 
     def _m_direct(self, c: float) -> complex:
@@ -210,10 +211,8 @@ class _PowerTail:
     def _m(self, c: np.ndarray) -> np.ndarray:
         out = np.empty(len(c), dtype=complex)
         big = c >= self.C_LO
-        if np.any(big):
-            w = (2.0 * np.log(c[big]) - (self.hi + self.lo)) / (self.hi - self.lo)
-            out[big] = (np.polynomial.chebyshev.chebval(w, self._cheb_re)
-                        + 1j * np.polynomial.chebyshev.chebval(w, self._cheb_im))
+        w = (2.0 * np.log(c[big]) - (self.hi + self.lo)) / (self.hi - self.lo)
+        out[big] = np.polynomial.chebyshev.chebval(w, self._cheb)
         for idx in np.nonzero(~big)[0]:
             key = float(c[idx])
             if key not in self._small_cache:
@@ -221,25 +220,15 @@ class _PowerTail:
             out[idx] = self._small_cache[key]
         return out
 
-    def sin_tail(self, c) -> np.ndarray:
-        """T(c) with the odd extension T(-c) = -T(c); T(0) = 0."""
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        sign = np.sign(c)
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """E(c) = U(c) + i T(c): U even with U(0) = 1/(s-1), T odd."""
         ca = np.abs(c)
-        out = np.zeros_like(ca)
+        out = np.full(ca.shape, 1.0 / (self.s - 1.0), dtype=complex)
         nz = ca > 0
         m = self._m(ca[nz])
-        out[nz] = np.cos(ca[nz]) * m.real - np.sin(ca[nz]) * m.imag
-        return sign * out
-
-    def cos_tail(self, c) -> np.ndarray:
-        """U(c) with the even extension; U(0) = 1/(s-1)."""
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        ca = np.abs(c)
-        out = np.full_like(ca, 1.0 / (self.s - 1.0))
-        nz = ca > 0
-        m = self._m(ca[nz])
-        out[nz] = -np.sin(ca[nz]) * m.real - np.cos(ca[nz]) * m.imag
+        cos, sin = np.cos(ca[nz]), np.sin(ca[nz])
+        out.real[nz] = -sin * m.real - cos * m.imag
+        out.imag[nz] = np.sign(c[nz]) * (cos * m.real - sin * m.imag)
         return out
 
 
@@ -248,54 +237,43 @@ def _power_tail(s: float, c_max: float) -> _PowerTail:
     return _PowerTail(s, c_max)
 
 
-# Fourier expansions of the periodic factors.  K-kind: sin(u)|sin u|^{q-2}
-# = sum over odd j of b_j sin(ju); L-kind: |sin u|^{q-2} = a_0 + sum a_m cos(2mu).
-_EXACT_SIN_COEFFS = {
-    4.0: {1: 0.75, 3: -0.25},
-    6.0: {1: 0.625, 3: -0.3125, 5: 0.0625},
-    8.0: {1: 35 / 64, 3: -21 / 64, 5: 7 / 64, 7: -1 / 64},
-}
-_EXACT_COS_COEFFS = {
-    4.0: (0.5, {1: -0.5}),
-    6.0: (0.375, {1: -0.5, 2: 0.125}),
-    8.0: (0.3125, {1: -15 / 32, 2: 3 / 16, 3: -1 / 32}),
-}
-
-
-def _periodic_mesh() -> tuple:
-    edges = _graded_edges(0.0, np.pi, (0.0, np.pi), base=np.pi / 2048)
-    return _gk15_mesh(edges)
-
-
 @lru_cache(maxsize=64)
-def _sin_coeffs(q: float) -> tuple:
-    """((j, b_j), ..., tail_bound) for sin(u)|sin u|^{q-2} = sum b_j sin(ju), j odd."""
-    if q in _EXACT_SIN_COEFFS:
-        return (tuple(sorted(_EXACT_SIN_COEFFS[q].items())), 0.0)
-    nodes, weights = _periodic_mesh()
-    f = np.sin(nodes) * np.abs(np.sin(nodes)) ** (q - 2.0) * weights
-    js = np.arange(1, 802, 2)
-    coeffs = (2.0 / np.pi) * (np.sin(np.outer(js, nodes)) @ f)
-    keep = np.abs(coeffs) > 1e-15
-    # series truncated where |b_j| ~ j^-q falls below this bound's reach
-    tail_bound = float(np.abs(coeffs[-1])) * js[-1] / max(q - 1.0, 0.5)
-    return (tuple(zip(js[keep].tolist(), coeffs[keep].tolist())), tail_bound)
+def _series(kind: str, q: float) -> tuple:
+    """(frequencies, coefficients, truncation bound) of the periodic factor.
 
-
-@lru_cache(maxsize=64)
-def _cos_coeffs(q: float) -> tuple:
-    """(a_0, ((m, a_m), ...), tail_bound) for |sin u|^{q-2} = a_0 + sum a_m cos(2mu)."""
-    if q in _EXACT_COS_COEFFS:
-        a0, rest = _EXACT_COS_COEFFS[q]
-        return (a0, tuple(sorted(rest.items())), 0.0)
-    nodes, weights = _periodic_mesh()
-    f = np.abs(np.sin(nodes)) ** (q - 2.0) * weights
-    a0 = float(np.sum(f)) / np.pi
-    ms = np.arange(1, 401)
-    coeffs = (2.0 / np.pi) * (np.cos(2.0 * np.outer(ms, nodes)) @ f)
-    keep = np.abs(coeffs) > 1e-15
-    tail_bound = float(np.abs(coeffs[-1])) * ms[-1] / max(q - 2.0, 0.5)
-    return (a0, tuple(zip(ms[keep].tolist(), coeffs[keep].tolist())), tail_bound)
+    K-kind: sin(u)|sin u|^{q-2} = sum b_j sin(ju), frequencies j odd;
+    L-kind: |sin u|^{q-2} = a_0 + sum a_m cos(2mu), frequencies 0 and 2m.
+    At q = 4, 6, 8 the factor is sin^n u, n = q-1 (K) or q-2 (L), a finite
+    binomial sum; otherwise the series is cut at frequency ~800 and the
+    rest bounded from the last coefficient.
+    """
+    if q in (4.0, 6.0, 8.0):
+        n = int(q) - 1 if kind == "K" else int(q) - 2
+        k = np.arange(n // 2, -1, -1)
+        freqs = n - 2 * k
+        coeffs = 2.0 ** (1 - n) * (-1.0) ** (n // 2 - k) * special.comb(n, k)
+        if n % 2 == 0:
+            coeffs[0] /= 2.0  # the constant term a_0
+        trunc = 0.0
+    else:
+        nodes, weights = _gk15_mesh(_graded_edges(0.0, np.pi, (0.0, np.pi), base=np.pi / 2048))
+        sin_part = np.sin(nodes)
+        mag = np.abs(sin_part) ** (q - 2.0)
+        if kind == "K":
+            freqs = np.arange(1, 802, 2)
+            coeffs = (2.0 / np.pi) * (np.sin(np.outer(freqs, nodes)) @ (sin_part * mag * weights))
+            last, s = freqs[-1], q - 1.0
+        else:
+            freqs = np.arange(0, 801, 2)
+            f = mag * weights
+            coeffs = np.concatenate([[np.sum(f) / np.pi],
+                                     (2.0 / np.pi) * (np.cos(np.outer(freqs[1:], nodes)) @ f)])
+            last, s = freqs[-1] // 2, q - 2.0
+        trunc = float(np.abs(coeffs[-1])) * last / max(s, 0.5)
+        keep = np.abs(coeffs) > 1e-15
+        freqs, coeffs = freqs[keep], coeffs[keep]
+    freqs.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
+    return freqs, coeffs, trunc
 
 
 def _graded_edges(a: float, b: float, singular: tuple, base: float) -> np.ndarray:
@@ -320,47 +298,46 @@ def _gk15_mesh(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
+# (frequency, radius) pairs per block of the d = 1 tail product: its working
+# arrays stay near 10 MB at any number of radii
+_PAIR_CHUNK = 1 << 16
+
+
 def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
+    # value(x) = 2 int_0^inf g(xi) cos(2 pi x xi) dxi: a graded head on
+    # [0, 1], then each series term against the power tails at 2 pi (f +- x),
+    # their real parts for the cosine series (L), imaginary for the sine (K)
     s = q - 1.0 if kind == "K" else q - 2.0
-    pref = 2.0 * np.pi ** (1.0 - q) if kind == "K" else 2.0 * np.pi ** (2.0 - q)
+    pref = 2.0 * np.pi ** -s
     x = np.asarray(radii, dtype=float)
+    nodes, weights = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
+    head = np.cos(2 * np.pi * np.outer(x, nodes)) @ (2.0 * weights * _g_radial(kind, 1, q, nodes))
 
-    # head: the full integrand on [0, 1], graded toward the sin zeros
-    edges = _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48)
-    nodes, weights = _gk15_mesh(edges)
-    sin_part = np.sin(2 * np.pi * nodes)
-    if kind == "K":
-        periodic = sin_part * np.abs(sin_part) ** (q - 2.0)
-        envelope = nodes ** (1.0 - q)
-    else:
-        periodic = np.abs(sin_part) ** (q - 2.0)
-        envelope = nodes ** (2.0 - q)
-    base_w = weights * periodic * np.where(nodes > 0, envelope, 0.0)
-    # the xi -> 0 limit of the integrand is finite; the first node is interior anyway
-    head = np.cos(2 * np.pi * np.outer(x, nodes)) @ base_w
-
-    # tail: exact frequency decomposition against power-law integrals
-    c_abs_max = 2 * np.pi * (820 + float(np.max(x)) + 2)
-    pt = _power_tail(s, c_abs_max)
-    tail = np.zeros_like(x)
-    if kind == "K":
-        coeffs, trunc = _sin_coeffs(q)
-        for j, bj in coeffs:
-            tail += bj * 0.5 * (pt.sin_tail(2 * np.pi * (j + x)) + pt.sin_tail(2 * np.pi * (j - x)))
-    else:
-        a0, coeffs, trunc = _cos_coeffs(q)
-        tail += a0 * pt.cos_tail(2 * np.pi * x)
-        for m, am in coeffs:
-            tail += am * 0.5 * (pt.cos_tail(2 * np.pi * (2 * m + x)) + pt.cos_tail(2 * np.pi * (2 * m - x)))
-    values = pref * (head + tail)
+    freqs, coeffs, trunc = _series(kind, q)
+    pt = _power_tail(s, 2 * np.pi * (820 + float(np.max(x, initial=0.0)) + 2))
+    part = np.imag if kind == "K" else np.real
+    tail = np.empty_like(x)
+    step = max(1, _PAIR_CHUNK // len(freqs))
+    for lo in range(0, len(x), step):
+        xc = x[lo:lo + step]
+        both = pt(2 * np.pi * (freqs[:, None] + xc)) + pt(2 * np.pi * (freqs[:, None] - xc))
+        tail[lo:lo + step] = coeffs @ (0.5 * part(both))
+    values = head + pref * tail
     errors = np.full_like(values, pref * trunc + 1e-11 * (1.0 + np.abs(values)))
     return values, errors
 
 
-def _j0_zero_segments(r: float, start: float, count: int) -> np.ndarray:
-    """Segment edges at the zeros of J_0(2 pi rho r), starting past ``start``."""
-    first = math.ceil(2.0 * r * start + 0.75)
-    return (np.arange(first, first + count + 1) - 0.25) / (2.0 * r)
+def _j0_tail(f, r: float, rho0: float, n_seg: int) -> IntegralResult:
+    """int_rho0^inf f for an integrand carrying J_0(2 pi rho r), r > 0:
+    adaptive up to the first zero past rho0, then zero segments, accelerated.
+
+    The error is the segment tail's: the bridge runs at 1e-13 absolute,
+    inside the 1e-11 slack both callers add."""
+    first = math.ceil(2.0 * r * rho0 + 0.75)
+    segs = (np.arange(first, first + n_seg + 1) - 0.25) / (2.0 * r)
+    bridge = integrate_adaptive(f, rho0, segs[0], QuadratureConfig(1e-13, 1e-12, 2000))
+    res = integrate_oscillatory_tail(f, segs)
+    return IntegralResult(bridge.value + res.value, res.error_estimate, res.converged)
 
 
 def _kernel_values_2d_K(q: float, radii: np.ndarray):
@@ -380,8 +357,10 @@ def _kernel_values_2d_K(q: float, radii: np.ndarray):
     for i, r in enumerate(x):
         f = (lambda rho, rr=r: 2.0 * np.pi * _g_radial("K", 2, q, rho) * rho
              * special.j0(2 * np.pi * rho * rr))
-        segs = r0 + 0.5 * np.arange(n_seg + 1) if r < 0.75 else _j0_zero_segments(r, r0, n_seg)
-        res = integrate_oscillatory_tail(f, segs)
+        if r < 0.75:
+            res = integrate_oscillatory_tail(f, r0 + 0.5 * np.arange(n_seg + 1))
+        else:
+            res = _j0_tail(f, r, r0, n_seg)
         values[i] += res.value
         errors[i] = res.error_estimate + 1e-11 * (1.0 + abs(values[i]))
     return values, errors
@@ -401,7 +380,8 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
     """
     x = np.asarray(radii, dtype=float)
     rho0, z_cut = 1.0, 160.0
-    a0, coeffs, coeff_trunc = _cos_coeffs(q)
+    freqs, coeffs, coeff_trunc = _series("L", q)
+    a0, freqs, coeffs = coeffs[0], freqs[1:], coeffs[1:]
 
     def envelope(rho):
         xx = 2.0 * np.pi * rho
@@ -420,13 +400,11 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
     xx = 2.0 * np.pi * nodes
     amp = np.hypot(special.j1(xx), special.y1(xx))
     phi = np.unwrap(np.arctan2(special.y1(xx), special.j1(xx)))
-    # stored coefficients expand |sin u|^{q-2}; here the argument is cos phi,
-    # and |cos u| = |sin(u + pi/2)| flips odd harmonics: a_m -> (-1)^m a_m
+    # the series expands |sin u|^{q-2}; here the argument is cos phi, and
+    # |cos u| = |sin(u + pi/2)| flips odd harmonics: a_m -> (-1)^m a_m
     osc = np.zeros_like(nodes)
-    sum_am = 0.0
-    for m, am in coeffs:
-        osc += am * (-1.0) ** m * np.cos(2.0 * m * phi)
-        sum_am += abs(am)
+    for f, am in zip(freqs, coeffs * (-1.0) ** (freqs // 2)):
+        osc += am * np.cos(f * phi)
     osc_w = weights * 2.0 * np.pi * nodes ** (3.0 - q) * amp ** (q - 2.0) * osc
     for lo in range(0, len(x), 256):
         xi = x[lo:lo + 256]
@@ -436,33 +414,25 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
     # >= 2 pi per unit rho for every m >= 1), plus the truncated-series slack
     env_z = envelope(z_cut)
     damp = np.minimum(1.0, 1.0 / np.sqrt(np.pi**2 * z_cut * np.maximum(x, 1e-12)))
-    osc_bound = sum_am * env_z * damp / np.pi + coeff_trunc * env_z
+    osc_bound = np.sum(np.abs(coeffs)) * env_z * damp / np.pi + coeff_trunc * env_z
     # near r = 2m the difference chirp of the m-th harmonic against J_0 goes
     # stationary (the lens-kink radius for q = 4); bound that piece by its
     # un-cancelled envelope integral
     beta = (3.0 * q - 7.0) / 2.0
-    for m, am in coeffs:
-        res_mask = np.abs(x - 2.0 * m) < 0.5
-        if np.any(res_mask):
-            osc_bound = osc_bound + np.where(
-                res_mask, abs(am) * env_z * damp * z_cut / max(beta - 1.0, 0.5), 0.0)
+    near = np.abs(x[:, None] - freqs) < 0.5
+    osc_bound = osc_bound + (near @ np.abs(coeffs)) * env_z * damp * z_cut / max(beta - 1.0, 0.5)
 
     # smooth a0 part on [rho0, inf): alternating between J_0 zeros
     errors = np.empty_like(x)
     n_seg = 128
     p_smooth = q / 2.0 - 2.0 + (q - 2.0)  # envelope decay exponent of E0
     for i, r in enumerate(x):
-        f0 = (lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr))
         if r < 1e-9:
             res = tail_power_periodic(lambda rho: a0 * envelope(rho), rho0, 0.5,
                                       max(1.2, p_smooth), n_seg)
         else:
-            segs = _j0_zero_segments(r, rho0, n_seg)
-            if segs[0] > rho0:
-                res_head = integrate_adaptive(f0, rho0, segs[0],
-                                              QuadratureConfig(1e-13, 1e-12, 2000))
-                values[i] += res_head.value
-            res = integrate_oscillatory_tail(f0, segs)
+            res = _j0_tail(lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr),
+                           r, rho0, n_seg)
         values[i] += res.value
         errors[i] = res.error_estimate + osc_bound[i] + 1e-11 * (1.0 + abs(values[i]))
     return values, errors

@@ -42,7 +42,6 @@ class SearchConfig:
     restarts: int = 50
     rng_seed: int = 0
     step_initial: float = 0.15
-    step_decay: float = 0.5
     budget: int = 400
     threads: int = 1
 
@@ -163,7 +162,7 @@ def _ascend(params: np.ndarray, cfg: SearchConfig, budget: int):
                     improved = True
                 trajectory.append((evals, best))
         if not improved:
-            step *= cfg.step_decay
+            step *= 0.5
     return params, best, trajectory, evals
 
 

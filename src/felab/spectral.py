@@ -127,6 +127,9 @@ class ModeSpectrum:
 
 def mode_margins(d: int, q: float, n_max: int) -> ModeSpectrum:
     """Per-harmonic margins of the sphere-reduced second variation."""
+    if d < 2:
+        raise DomainError("S^0 carries only modes 0 and 1, and the measure constraint "
+                          "and translation neutralise both; the spectrum needs d >= 2")
     if n_max < 3:
         raise DomainError("n_max must be >= 3 to see the non-affine modes")
     gamma = gamma_qd(d, q)
@@ -140,8 +143,7 @@ def mode_margins(d: int, q: float, n_max: int) -> ModeSpectrum:
     neutral = tuple(m.n for m in modes if 1 <= m.n <= 2)
     tail_modes = [m for m in modes if m.n >= 3]
     worst = min(tail_modes, key=lambda m: m.margin)
-    sphere_area = 2.0 if d == 1 else d * omega(d)
-    stability = worst.margin / (2.0 * sphere_area) if d > 1 else budget / (2.0 * sphere_area)
+    stability = worst.margin / (2.0 * d * omega(d))
     return ModeSpectrum(d, q, gamma, tuple(modes), float(stability),
                         neutral, worst.margin, worst.n)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
@@ -130,6 +130,32 @@ def integrate_composite(f, a: float, b: float, n_panels: int) -> IntegralResult:
     value = float(np.sum(kron))
     error = float(np.sum(err))
     return IntegralResult(value, error, converged=True)
+
+
+def lens_area(r):
+    """Area of the intersection of two unit discs at center distance r (= L_4 in d = 2)."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    m = r < 2
+    out[m] = 2.0 * (np.arccos(r[m] / 2) - (r[m] / 2) * np.sqrt(1 - r[m] ** 2 / 4))
+    return out
+
+
+def disc_k4(r: float) -> float:
+    """K_4(r) in d = 2, the triple self-convolution of the unit disc, r > 0.
+
+    K_4(r) = int_0^{1+r} lens(s) s theta_r(s) ds, where theta_r(s) is the
+    angle of the circle of radius s about (r, 0) that lies inside the unit
+    disc.  theta_r has kinks at |1 - r| and 1 + r: the integral splits at the
+    first and ends at the second (or at 2, where the lens vanishes).
+    """
+    def f(s):
+        cos_edge = (r * r + s * s - 1.0) / (2.0 * r * s)
+        return float(lens_area(s)) * s * 2.0 * math.acos(min(1.0, max(-1.0, cos_edge)))
+
+    cut = abs(1.0 - r)
+    return sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+               for a, b in ((0.0, cut), (cut, min(1.0 + r, 2.0))) if b > a)
 
 
 def circle_coeff_from_profile(kernel: RadialKernel, n: int,

@@ -44,6 +44,16 @@ def test_criterion_07_babenko_guard():
     assert _run(7).passed
 
 
+def test_criterion_07_ignores_an_earlier_trip():
+    # a trip raises where it happens; it leaves nothing behind that a later
+    # run of the criterion could count
+    from felab.errors import DomainError
+    from felab.functional import PhiResult, _babenko_guard
+    with pytest.raises(DomainError):
+        _babenko_guard(PhiResult(1.0, 1.0, 2.0, 0.0, "test"), 4.0, 1)
+    assert acceptance.crit_7()[0]
+
+
 @pytest.mark.slow
 def test_criterion_08_affine_invariance():
     assert _run(8).passed

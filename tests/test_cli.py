@@ -37,6 +37,14 @@ class TestExitCodes:
         assert code == 1
         assert "3.33" in err  # names the q_d threshold
 
+    def test_spectrum_d1_exit_1(self, capsys):
+        # S^0 has only modes 0 and 1, and both are neutral
+        code = dispatch(["--quiet", "spectrum", "--d", "1", "--q", "4", "--modes", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "d >= 2" in captured.err
+
     def test_unknown_subcommand_exit_3(self, capsys):
         assert dispatch(["frobnicate"]) == 3
 
@@ -171,6 +179,7 @@ class TestMalformedInput:
         ["gamma", "--d", "2", "--q", "4"],
         ["first-variation", "--d", "1", "--q", "4"],
         ["spectrum", "--d", "2", "--q", "4", "--modes", "4"],
+        ["phi", "--set", "SET", "--q", "4", "--oracle"],
     ])
     def test_tol_refused_where_ignored(self, capsys, ball_file, argv):
         argv = [ball_file if a == "SET" else a for a in argv]

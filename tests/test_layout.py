@@ -1,6 +1,6 @@
 """Source layout: one GK15 panel rule, one radial head-plus-tail integral,
-a quadrature config only where a tolerance runs, and no test-only routine
-inside the package."""
+a quadrature config only where a tolerance runs, no test-only routine
+inside the package, and no global statement."""
 
 import ast
 import dataclasses
@@ -82,3 +82,8 @@ def test_quadrature_config_only_where_a_tolerance_runs():
 def test_quadrature_config_fields():
     assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
         "abs_tol", "rel_tol", "max_subdivisions"]
+
+
+def test_no_global_statements():
+    for name, text in MODULES.items():
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(text))), name

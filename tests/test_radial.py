@@ -22,19 +22,12 @@ from felab.radial_kernels import (
 )
 from oracles import (
     derivative_at,
+    disc_k4,
     empirical_holder_exponent,
     gamma_asymptotic_fit,
     integrate_composite,
+    lens_area,
 )
-
-
-def lens_area(r):
-    """Area of the intersection of two unit discs at center distance r."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    m = r < 2
-    out[m] = 2.0 * (np.arccos(r[m] / 2) - (r[m] / 2) * np.sqrt(1 - r[m] ** 2 / 4))
-    return out
 
 
 class TestBallHat:
@@ -111,6 +104,10 @@ class TestKernel1D:
             b2 = integrate_composite(f, 1e-14, 2000.0 + 0.25 / max(x, 0.125), 600_000).value
             assert v == pytest.approx(np.pi ** (1 - q) * (b1 + b2), abs=5e-8)
 
+    def test_no_radii(self):
+        vals, errs = kernel_values("K", 1, 4.0, np.array([]))
+        assert vals.shape == errs.shape == (0,)
+
     def test_plancherel_l4_mass(self):
         # int L_4 over the support = 4 (triangle area), d = 1
         prof = kernel_profile("L", 1, 4.0, r_max=2.5, n_samples=2001)
@@ -132,6 +129,13 @@ class TestKernel2D:
         oracle = 2 * np.pi * integrate_adaptive(lambda s: lens_area(s) * s, 0, 1, cfg).value
         vals, _ = kernel_values("K", 2, 4.0, np.array([0.0]))
         assert vals[0] == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [0.75, 0.8, 1.0])
+    def test_k4_covers_the_gap_before_the_first_zero(self, r):
+        # for r >= 0.75 the J_0 zero segments start past the head's end at
+        # rho = 40; the piece between them must be integrated too
+        vals, errs = kernel_values("K", 2, 4.0, np.array([r]))
+        assert abs(vals[0] - disc_k4(r)) <= 10 * errs[0]
 
     def test_k4_outside_support(self):
         vals, _ = kernel_values("K", 2, 4.0, np.array([3.5]))
@@ -329,3 +333,21 @@ class TestPinnedHeadTail:
         assert res.value == pytest.approx(value, rel=1e-13)
         assert res.error_estimate == pytest.approx(err, rel=1e-13)
         assert res.converged
+
+
+class TestPinnedKernels:
+    """Kernel values and error estimates off the even-q oracles, where the
+    series is numerical: pinned to 1e-13 relative."""
+
+    @pytest.mark.parametrize("kind, d, q, values, errors", [
+        ("K", 1, 3.81, [2.699107519702967, 2.4722838278288086, 1.2402187996714658],
+         [3.8871109321267137e-10, 3.864428562939298e-10, 3.7412220601235636e-10]),
+        ("L", 1, 4.5, [2.4122915942606893, 2.020507018450928, 1.031862853059689],
+         [3.813650224635489e-09, 3.809732378877391e-09, 3.799845937223479e-09]),
+        ("L", 2, 4.2, [3.402054947229826, 2.549141822302449, 0.9324180762048548],
+         [7.248379361793862e-07, 2.58248123902105e-08, 1.6013271173579212e-08]),
+    ])
+    def test_values(self, kind, d, q, values, errors):
+        vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
+        assert vals == pytest.approx(values, rel=1e-13)
+        assert errs == pytest.approx(errors, rel=1e-13)
