@@ -190,6 +190,7 @@ def indicator_hat(e, xi):
 # the d = 1 mesh is swept in chunks of blocks of panels
 _MESH_BLOCK = 64   # panels per block: one row of the phase product
 _MESH_CHUNK = 128  # blocks per chunk: ~120k nodes, a few MB
+_MESH_NODES = 2e8  # ~3 s; diam/measure <= 167 at the 2e4 cut, 4x any criterion's union
 
 
 def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
@@ -221,18 +222,25 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
 
 
 def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
+    """||1_E'^||_q^q and its error for E' = (E - c) / s of measure 2, s = |E| / 2.
+
+    ||1_E^||_q^q = s^{q-1} ||1_E'^||_q^q.  The node count grows with
+    diam/measure, and a set that needs more than _MESH_NODES is refused.
+    """
     m = len(e.intervals)
     tol = max(cfg.abs_tol, 1e-12)
     cut = ((m / np.pi) ** q / ((q - 1.0) * tol)) ** (1.0 / (q - 1.0))
     cut = float(np.clip(cut, 50.0, 2.0e4))
-    # panel size keyed to the fastest beat frequency (set diameter)
-    diam = e.intervals[-1][1] - e.intervals[0][0]
-    h = min(0.05, 0.5 / max(diam, 1.0))
-    # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints;
-    # the translation only rotates its phase, so center the endpoints
+    # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints
     ends = e.endpoints()
-    ends = ends - 0.5 * (ends[0] + ends[-1])
-    half, chunks = _signed_exp_mesh(ends, np.resize([1.0, -1.0], 2 * m), cut, h)
+    ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
+    # panels per unit xi, keyed to the fastest beat frequency (the diameter):
+    # width 0.5 / diam, at most 0.05
+    rate = max(20.0, 2.0 * (ends[-1] - ends[0]))
+    if not 15.0 * cut * rate <= _MESH_NODES:
+        raise DomainError(f"Phi_q needs ~{15.0 * cut * rate:.3g} > {_MESH_NODES:.0e} mesh nodes "
+                          f"here: diam/measure is {0.5 * (ends[-1] - ends[0]):.3g}")
+    half, chunks = _signed_exp_mesh(ends, np.resize([1.0, -1.0], 2 * m), cut, 1.0 / rate)
     value = 0.0
     rule_err = 0.0
     for xi, p in chunks:
@@ -310,14 +318,20 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if measure <= 0:
         raise InvalidSetError("set must have positive measure")
     if e.dimension == 1:
+        scale = 0.5 * measure  # value and err are of (E - c) / scale
         value, err = _norm_q_1d(e, q, cfg)
         method = "closed_form_1d"
     else:
+        scale = 1.0
         value, err = _norm_q_2d(e, q, cfg, radial_cut)
         method = "polar_quadrature_2d"
-    phi = value ** (1.0 / q) / measure ** ((q - 1.0) / q)
+    phi = value ** (1.0 / q) / (measure / scale) ** ((q - 1.0) / q)
     phi_err = err / max(value, 1e-300) * phi / q
-    res = PhiResult(phi, value, measure, phi_err, method,
+    try:
+        norm = value * scale ** (q - 1.0)
+    except OverflowError:  # beyond the float range; Phi is scale-free
+        norm = math.inf
+    res = PhiResult(phi, norm, measure, phi_err, method,
                     converged=err <= max(cfg.abs_tol * 10, cfg.rel_tol * value))
     _babenko_guard(res, q, e.dimension)
     return res

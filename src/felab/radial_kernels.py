@@ -298,8 +298,8 @@ def _gk15_mesh(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-# (frequency, radius) pairs per block of the d = 1 tail product: its working
-# arrays stay near 10 MB at any number of radii
+# (frequency or node, radius) pairs per block of the d = 1 tail and head
+# products: their working arrays stay near 10 MB at any number of radii
 _PAIR_CHUNK = 1 << 16
 
 
@@ -311,7 +311,11 @@ def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
     pref = 2.0 * np.pi ** -s
     x = np.asarray(radii, dtype=float)
     nodes, weights = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
-    head = np.cos(2 * np.pi * np.outer(x, nodes)) @ (2.0 * weights * _g_radial(kind, 1, q, nodes))
+    w = 2.0 * weights * _g_radial(kind, 1, q, nodes)
+    head = np.empty_like(x)
+    rows = max(1, _PAIR_CHUNK // len(nodes))
+    for lo in range(0, len(x), rows):
+        head[lo:lo + rows] = np.cos(2 * np.pi * np.outer(x[lo:lo + rows], nodes)) @ w
 
     freqs, coeffs, trunc = _series(kind, q)
     pt = _power_tail(s, 2 * np.pi * (820 + float(np.max(x, initial=0.0)) + 2))
@@ -554,6 +558,8 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     integrand).  Requires q > 3: below that the defining integral diverges
     and K_q is no longer differentiable at the boundary.
     """
+    if q == math.inf:
+        raise DomainError("gamma needs a finite exponent q")
     if not (q > 3.0):
         raise ThresholdError(f"gamma requires q > 3 (K differentiability); got q = {q}", 3.0)
     order = d / 2.0
@@ -599,8 +605,8 @@ def rho_d(d: int) -> float:
 
 def ball_norm_q(d: int, q: float) -> IntegralResult:
     """||B^||_q^q = d omega_d int_0^inf rho^{d-1} |B^(rho)|^q drho."""
-    if q <= 2.0:
-        raise DomainError("q must exceed 2")
+    if not 2.0 < q < math.inf:
+        raise DomainError("q must be a finite exponent > 2")
 
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q

@@ -275,11 +275,29 @@ class StarSet:
         ang = np.arctan2(y[:, 1], y[:, 0])
         return rho <= self.radius(ang)
 
+    def _radius_and_slope(self, theta: np.ndarray):
+        """r(theta) and r'(theta) from the Fourier coefficients."""
+        r = np.full_like(theta, self.c0)
+        dr = np.zeros_like(theta)
+        a = np.pad(self.a_coeffs, (0, self.n_modes - len(self.a_coeffs)))
+        b = np.pad(self.b_coeffs, (0, self.n_modes - len(self.b_coeffs)))
+        for n, (an, bn) in enumerate(zip(a, b), start=1):
+            if an or bn:
+                c, s = np.cos(n * theta), np.sin(n * theta)
+                r += an * c + bn * s
+                dr += n * (bn * c - an * s)
+        return r, dr
+
     def radius_about_origin(self, theta) -> np.ndarray:
         """Radial function about the origin (requires the origin in the kernel).
 
-        Solved by bisection on t -> |A^{-1}(t u - v) - c| - r(angle), which
-        has a single sign change for sets star-shaped about the origin.
+        The boundary radius t along u(theta) is the zero of the gap
+        g(t) = |y| - r(angle y), y = A^{-1}(t u - v) - c, which has a single
+        sign change on [0, t_hi] for sets star-shaped about the origin.
+        Safeguarded Newton: g'(t) = (y.p)/|y| - r'(angle y) (y x p)/|y|^2
+        with p = A^{-1} u, and a bisection step of the bracket wherever a
+        Newton step would leave it; a ray is done when its step is at most
+        four ulp of t (two to five steps from the star-center estimate).
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -288,27 +306,38 @@ class StarSet:
         # y(t) = inv(t u) - center = t p + (inv.translation - center)
         off = inv.translation - self.center
 
-        def gap(t):
-            y = t[:, None] * p + off
+        def newton(t, pp):
+            """The gap at t and the Newton iterate from t (not finite where g' = 0)."""
+            y = t[:, None] * pp + off
             rho = np.hypot(y[:, 0], y[:, 1])
-            ang = np.arctan2(y[:, 1], y[:, 0])
-            return rho - self.radius(ang)
+            r, dr = self._radius_and_slope(np.arctan2(y[:, 1], y[:, 0]))
+            g = rho - r
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (y[:, 0] * pp[:, 1] - y[:, 1] * pp[:, 0]) / rho
+                return g, t - g * rho / ((y * pp).sum(axis=1) - dr * cross)
 
         norm_p = np.linalg.norm(p, axis=1)
         r_hi = (np.max(np.abs(self.radius(np.linspace(0, 2 * np.pi, 256)))) + np.linalg.norm(off))
         hi = np.full(len(theta), 2.0 * r_hi / np.min(norm_p) + 1.0)
         lo = np.zeros(len(theta))
-        if np.any(gap(lo) >= 0):
+        if np.any(newton(lo, p)[0] >= 0):
             raise InvalidSetError("origin is not interior to the set")
-        if np.any(gap(hi) <= 0):
+        if np.any(newton(hi, p)[0] <= 0):
             raise InvalidSetError("failed to bracket the boundary radius")
+        # the root when the origin is the star center: r(angle p) / |p|
+        t = np.clip(self.radius(np.arctan2(p[:, 1], p[:, 0])) / norm_p, lo, hi)
+        active = np.arange(len(theta))
         for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            g = gap(mid)
-            take = g < 0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return 0.5 * (lo + hi)
+            ta = t[active]
+            g, step = newton(ta, p[active])
+            la = np.where(g < 0, ta, lo[active])
+            ha = np.where(g < 0, hi[active], ta)
+            step = np.where((step >= la) & (step <= ha), step, 0.5 * (la + ha))
+            t[active], lo[active], hi[active] = step, la, ha
+            active = active[np.abs(step - ta) > 4 * np.spacing(ta)]
+            if not active.size:
+                break
+        return t
 
     @staticmethod
     def unit_disc() -> "StarSet":
@@ -399,59 +428,89 @@ def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
     return EllipsoidFit(float(dist), window, True)
 
 
-def _ellipse_ray_overlap(r_set, u, params, area):
+def _ellipse_ray_overlap(r_set, cos_t, sin_t, params, area):
     """|E cap ellipse| for an area-``area`` ellipse given by (cx, cy, psi, phi).
 
-    The rays leave the origin in the directions ``u`` and leave E at ``r_set``.
+    The rays leave the origin in the directions (cos_t, sin_t) and leave E at
+    ``r_set``.  The ellipse has semi-axes sqrt(area/pi) e^{+-psi/2}, the first
+    at angle phi, so in its frame a ray has the direction (cos, sin)(theta -
+    phi) and meets the boundary where aa t^2 + 2 bb t + cc = 0.
     """
     cx, cy, psi, phi = params
-    ab = math.sqrt(area / np.pi)
-    alpha, beta = ab * math.exp(psi / 2.0), ab * math.exp(-psi / 2.0)
+    qa = math.exp(-psi) * np.pi / area  # 1 / semi-axis^2
+    qb = math.exp(psi) * np.pi / area
     c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
-    qdiag = np.array([1.0 / alpha**2, 1.0 / beta**2])
-    w = -np.array([cx, cy])  # ray origin relative to ellipse center
-    wq = rot.T @ w
-    uq = u @ rot
-    aa = (uq**2 * qdiag).sum(axis=1)
-    bb = (uq * wq * qdiag).sum(axis=1)
-    cc = float((wq**2 * qdiag).sum() - 1.0)
-    disc = bb * bb - aa * cc
-    valid = disc > 0
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t_lo = (-bb - sq) / aa
-    t_hi = (-bb + sq) / aa
-    lower = np.clip(t_lo, 0.0, None)
-    upper = np.minimum(t_hi, r_set)
-    seg = np.maximum(upper, lower)
-    contrib = np.where(valid, seg**2 - lower**2, 0.0)
-    return float(0.5 * np.mean(contrib) * 2 * np.pi)
+    w0, w1 = -(c * cx + s * cy), s * cx - c * cy  # ray origin in the ellipse frame
+    cc = qa * w0 * w0 + qb * w1 * w1 - 1.0
+    uc = cos_t * c + sin_t * s  # cos(theta - phi)
+    us = sin_t * c - cos_t * s  # sin(theta - phi)
+    aa = qa + (qb - qa) * (us * us)
+    bb = (qa * w0) * uc + (qb * w1) * us
+    # a ray that misses the ellipse gets disc = 0, hence t_lo = t_hi and no
+    # overlap: the root needs no mask
+    sq = np.sqrt(np.maximum(bb * bb - aa * cc, 0.0))
+    lower = np.maximum((-bb - sq) / aa, 0.0)
+    upper = np.maximum(np.minimum((sq - bb) / aa, r_set), lower)
+    return float(np.pi * np.mean(upper * upper - lower * lower))
+
+
+def _moment_ellipse(r_set, cos_t, sin_t) -> np.ndarray:
+    """(cx, cy, psi, phi) of the ellipse with E's centroid and second moments.
+
+    int_E f = int dtheta int_0^r f(t u) t dt; an ellipse's covariance has
+    eigenvalues alpha^2/4 >= beta^2/4, so psi = log(alpha/beta) = log(l1/l2)/2.
+    """
+    r2 = r_set * r_set
+    m0 = 0.5 * r2.mean()
+    r3 = r2 * r_set / (3.0 * m0)
+    cx, cy = (r3 * cos_t).mean(), (r3 * sin_t).mean()
+    r4 = r2 * r2 / (4.0 * m0)
+    sxx = (r4 * cos_t * cos_t).mean() - cx * cx
+    syy = (r4 * sin_t * sin_t).mean() - cy * cy
+    sxy = (r4 * cos_t * sin_t).mean() - cx * cy
+    mean, dev = 0.5 * (sxx + syy), math.hypot(0.5 * (sxx - syy), sxy)
+    return np.array([cx, cy, 0.5 * math.log((mean + dev) / (mean - dev)),
+                     0.5 * math.atan2(2.0 * sxy, sxx - syy)])
+
+
+# Nelder-Mead passes of the ellipse fit: a pass stalls on the kinks the
+# tangent rays put into the overlap, and a fresh simplex at its result moves on
+_FIT_NM = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
+_FIT_MAX_PASSES = 20
 
 
 def _dist_star(e: StarSet, n_theta: int) -> EllipsoidFit:
+    """Equal-area ellipse fit by ray overlap, from the moment ellipse.
+
+    The overlap |E cap ellipse| is a mean over ``n_theta`` rays from E's
+    star origin, where E ends at ``radius_about_origin``.  Nelder-Mead
+    starts at the moment ellipse (E's centroid and second-moment matrix,
+    scaled to E's area) and is restarted from its own result until a pass
+    gains no more than its ``fatol``.  ``converged`` says that the kept pass
+    met its tolerances and the restarts stalled within _FIT_MAX_PASSES.
+    """
     from scipy.optimize import minimize
 
     area = e.measure
     origin = e.star_origin()
-    shift = AffineMap(np.eye(2), -origin)
-    centered = e.apply(shift)
+    centered = e.apply(AffineMap(np.eye(2), -origin))
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     r_set = centered.radius_about_origin(theta)
-    centroid = e.centroid() - origin
 
     def objective(params):
-        overlap = _ellipse_ray_overlap(r_set, u, params, area)
-        return 2.0 * (area - overlap)
+        return 2.0 * (area - _ellipse_ray_overlap(r_set, cos_t, sin_t, params, area))
 
-    best = None
-    for psi0 in (0.0, 0.25, -0.25):
-        for phi0 in (0.0, np.pi / 4):
-            x0 = np.array([centroid[0], centroid[1], psi0, phi0])
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-            if best is None or res.fun < best.fun:
-                best = res
+    best = minimize(objective, _moment_ellipse(r_set, cos_t, sin_t),
+                    method="Nelder-Mead", options=_FIT_NM)
+    stalled = False
+    for _ in range(_FIT_MAX_PASSES - 1):
+        res = minimize(objective, best.x, method="Nelder-Mead", options=_FIT_NM)
+        stalled = res.fun >= best.fun - _FIT_NM["fatol"]
+        if res.fun < best.fun:
+            best = res
+        if stalled:
+            break
     cx, cy, psi, phi = best.x
     ab = math.sqrt(area / np.pi)
     alpha, beta = ab * math.exp(psi / 2.0), ab * math.exp(-psi / 2.0)
@@ -459,7 +518,7 @@ def _dist_star(e: StarSet, n_theta: int) -> EllipsoidFit:
     ell = AffineMap(np.array([[c, -s], [s, c]]) @ np.diag([alpha, beta]),
                     np.array([cx, cy]) + origin)
     dist = max(0.0, best.fun) / area
-    return EllipsoidFit(float(dist), ell, bool(best.success))
+    return EllipsoidFit(float(dist), ell, bool(best.success and stalled))
 
 
 # ---------------------------------------------------------------------------

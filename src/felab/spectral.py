@@ -61,6 +61,8 @@ __all__ = [
 def _lambda_radial(d: int, q: float, order: float) -> float:
     """4 pi^2 int g(rho) rho J_order(2 pi rho)^2 drho with g = |B^_d|^{q-2}."""
     thr = q_threshold("L", d)
+    if q == np.inf:
+        raise DomainError("the sphere spectrum needs a finite exponent q")
     if not (q > thr):
         raise ThresholdError(
             f"the sphere spectrum needs q > q_d = {thr:.6g} in d={d}; got q = {q}", thr)

@@ -2,9 +2,9 @@
 
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the circle-profile route to
-the circle coefficients, the sphere-reduced second variation), report-only
-fits and probes, a local ascent from a given start, and views of package
-objects that only the tests read.  None of them is called by the package,
+the circle coefficients, the sphere-reduced second variation, the boundary
+radius by bisection), report-only fits and probes, a local ascent from a
+given start, and views of package objects that only the tests read.  None of them is called by the package,
 its command line or its acceptance criteria.
 """
 
@@ -27,7 +27,7 @@ from felab.quadrature import (
 )
 from felab.radial_kernels import RadialKernel, gamma_qd, kernel_values, omega
 from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
-from felab.set_model import AffineMap, IntervalSet, SphereProfile, dist_to_ellipsoids
+from felab.set_model import AffineMap, IntervalSet, SphereProfile, StarSet, dist_to_ellipsoids
 from felab.spectral import funk_hecke_eigenvalue
 
 
@@ -301,6 +301,34 @@ def sphere_reduced_prediction(profile: SphereProfile, d: int, q: float) -> float
         total_ff += weight * 2 * np.pi * c2 * lam
         total_ffr += weight * 2 * np.pi * c2 * lam * (-1.0) ** n
     return lead + q**2 / 4.0 * total_ff + q * (q - 2.0) / 4.0 * total_ffr
+
+
+# ---------------------------------------------------------------------------
+# the boundary radius by bisection
+# ---------------------------------------------------------------------------
+
+def radius_about_origin_bisection(e: StarSet, theta) -> np.ndarray:
+    """``StarSet.radius_about_origin`` by 64 bisection steps on its gap
+    t -> |A^{-1}(t u - v) - c| - r(angle) over the same bracket."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    inv = e.affine.inverse()
+    p = u @ inv.matrix.T
+    off = inv.translation - e.center
+
+    def gap(t):
+        y = t[:, None] * p + off
+        return np.hypot(y[:, 0], y[:, 1]) - e.radius(np.arctan2(y[:, 1], y[:, 0]))
+
+    r_hi = np.max(np.abs(e.radius(np.linspace(0, 2 * np.pi, 256)))) + np.linalg.norm(off)
+    hi = np.full(len(theta), 2.0 * r_hi / np.min(np.linalg.norm(p, axis=1)) + 1.0)
+    lo = np.zeros(len(theta))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = gap(mid) < 0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ class TestMalformedInput:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--d", "1", "--q", "inf"], "finite exponent"),
+        (["gamma", "--d", "2", "--q", "inf"], "finite exponent"),
+        (["phi", "--set", "SET", "--q", "4"], "diam/measure"),
+    ])
+    def test_domain_error_exit_1(self, capsys, tmp_path, argv, message):
+        # the set is [0, 1] and [1e9, 1e9 + 1]: refused for its mesh size, not run
+        path = tmp_path / "far.json"
+        path.write_text(set_to_json(IntervalSet([(0.0, 1.0), (1e9, 1e9 + 1.0)])))
+        start = time.perf_counter()
+        code = dispatch([str(path) if a == "SET" else a for a in argv])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_tol_accepted_where_used(self, capsys, ball_file):
         code = dispatch(["--quiet", "--tol", "1e-9", "phi", "--set", ball_file, "--q", "4"])
         assert code == 0
@@ -334,6 +352,8 @@ def command_lines(draw):
     return argv
 
 
+# a NaN or an overflow reaching an engine fails the test, not only a bad exit
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(argv=command_lines(), set_text=SET_TEXTS)
 def test_fuzz_exit_contract(argv, set_text):

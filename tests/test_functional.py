@@ -1,6 +1,7 @@
 """Phi_q evaluation, the convolution oracle, and the Babenko guard."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ class TestPhi1D:
             a = math.exp(rng.uniform(-1, 1)) * (-1 if rng.uniform() < 0.3 else 1)
             img = e.apply(AffineMap(np.array([[a]]), np.array([rng.uniform(-1, 1)])))
             assert phi_q(img, 3.5).phi == pytest.approx(base, abs=1e-8)
+
+    def test_dilation_scales_the_norm(self):
+        res = phi_q(IntervalSet([(0.0, 4.0)]), 4.0)
+        assert res.phi == pytest.approx((2 / 3) ** 0.25, abs=1e-8)
+        assert res.norm_q_pow_q == pytest.approx(2.0**3 * 16 / 3, abs=1e-8)
+
+    def test_huge_diameter(self):
+        # the mesh sees the set dilated to measure 2: [0, 1e200] costs what [-1, 1] does
+        start = time.perf_counter()
+        res = phi_q(IntervalSet([(0.0, 1e200)]), 4.0)
+        assert time.perf_counter() - start < 1.0
+        assert res.phi == pytest.approx(phi_q(IntervalSet([(-1.0, 1.0)]), 4.0).phi, rel=1e-12)
+        assert res.norm_q_pow_q == math.inf  # 16/3 (5e199)^3 is beyond the float range
+
+    def test_node_budget(self):
+        # diam/measure = 5e8 would need ~1e15 mesh nodes
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="diam/measure is 5e[+]08"):
+            phi_q(IntervalSet([(0.0, 1.0), (1e9, 1e9 + 1.0)]), 4.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_babenko_strict(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,11 @@
 """Radial kernels: ball transform, K/L profiles, gamma, rho, first variation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from felab.errors import ArityError, CapabilityError, ThresholdError
+from felab.errors import ArityError, CapabilityError, DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive
 from felab.radial_kernels import (
     ball_hat,
@@ -20,6 +22,7 @@ from felab.radial_kernels import (
     q_threshold,
     rho_d,
 )
+from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
     derivative_at,
     disc_k4,
@@ -115,6 +118,28 @@ class TestKernel1D:
         assert total == pytest.approx(4.0, abs=1e-5)
 
 
+    def test_head_memory_bounded(self):
+        # the head's cos(2 pi outer(radii, nodes)) in one piece would take
+        # 2048 x 2610 doubles (43 MB); swept in row blocks it stays small
+        import tracemalloc
+
+        from felab.radial_kernels import _gk15_mesh, _graded_edges
+        r = np.linspace(0.0, 6.0, 2048)
+        kernel_values("K", 1, 4.0, r[:4])  # build the cached tables first
+        tracemalloc.start()
+        try:
+            vals, _ = kernel_values("K", 1, 4.0, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nodes, _ = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
+        assert peak < 0.25 * len(r) * len(nodes) * 8
+        assert np.max(np.abs(vals - exact_kernel_1d("K", 4)(r))) < 1e-13
+        # a radius's value does not depend on the block it falls in
+        sub, _ = kernel_values("K", 1, 4.0, r[::97])
+        assert np.max(np.abs(sub - vals[::97])) <= 1e-15 * np.max(np.abs(vals))
+
+
 class TestKernel2D:
     def test_l4_matches_lens(self):
         r = np.linspace(0.0, 4.0, 257)
@@ -182,6 +207,13 @@ class TestThresholds:
     def test_gamma_needs_q_above_3(self):
         with pytest.raises(ThresholdError):
             gamma_qd(1, 2.9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_infinite_exponent_refused(self, d):
+        for compute in (gamma_qd_detailed, ball_norm_q,
+                        lambda d, q: funk_hecke_eigenvalue(d, q, 3)):
+            with pytest.raises(DomainError, match="finite exponent"):
+                compute(d, math.inf)
 
 
 class TestGamma:

@@ -19,7 +19,7 @@ from felab.set_model import (
     symdiff_measure,
     vanishing_check,
 )
-from oracles import deviation_from_identity, integral_f
+from oracles import deviation_from_identity, integral_f, radius_about_origin_bisection
 
 
 class TestIntervalSet:
@@ -105,6 +105,92 @@ class TestDistance:
         e = StarSet(1.0, a_coeffs=[0, 0, 0.05]).with_measure(np.pi)
         fit = dist_to_ellipsoids(e)
         assert 0.01 < fit.distance < 0.2
+
+
+def star_candidates(seed: int, count: int):
+    """star:4 candidates of measure pi, drawn the way ``search`` draws them."""
+    rng = np.random.default_rng(seed)
+    decay = 1.0 / (1.0 + np.arange(1, 5)) ** 2
+    for _ in range(count):
+        a = rng.normal(0.0, 0.15, 4) * decay
+        b = rng.normal(0.0, 0.15, 4) * decay
+        yield StarSet(1.0, a, b).with_measure(np.pi)
+
+
+class TestEllipseFit:
+    """The moment-ellipse fit is no worse than the six-start Nelder-Mead
+    search it replaced; these are that search's distances."""
+
+    SIX_START = [
+        0.01593526766308897, 0.008175118377294184, 0.017689105157582062, 0.005102017872171579,
+        0.017150322327249407, 0.03361560873372891, 0.018422435668412646, 0.011060099028909968,
+        0.013916263895937014, 0.009775164541409379, 0.007118884488441707, 0.01692138932988052,
+        0.028736454719279665, 0.03150966313546142, 0.0031168154140654553, 0.023476073281680724,
+        0.011261270715229664, 0.02387877781848049, 0.017976450674267463, 0.008961846818672927,
+        0.019628010284425308, 0.014500722075210743, 0.026016713316010708, 0.023375297632801585,
+        0.015053319165163942, 0.0073126488799154, 0.028394672371980022, 0.015794762639263184,
+        0.01126434514683182, 0.014974458134056805, 0.016675801949261902, 0.015402808424555468,
+        0.013713013754672293, 0.0023068317237783997, 0.04345075696009294, 0.019413723449249697,
+        0.00834461347949685, 0.016096444048777317, 0.008120288946962305, 0.008661052377521461,
+    ]
+
+    def test_star_candidates_no_worse(self):
+        for e, pinned in zip(star_candidates(2024, 40), self.SIX_START):
+            fit = dist_to_ellipsoids(e)
+            assert fit.converged
+            assert fit.distance <= pinned + 1e-9
+
+    def test_criterion_8_base_set_no_worse(self):
+        e2 = StarSet(1.0, a_coeffs=[0.0, 0.05, 0.03]).with_measure(np.pi)
+        fit = dist_to_ellipsoids(e2, n_theta=512)
+        assert fit.converged
+        assert fit.distance <= 0.03790978523946587 + 1e-9
+
+    def test_best_map_is_the_fitted_ellipse(self):
+        e = next(star_candidates(7, 1))
+        fit = dist_to_ellipsoids(e)
+        ell = StarSet.unit_disc().apply(fit.best)
+        assert ell.measure == pytest.approx(e.measure, rel=1e-12)
+        assert symdiff_measure(e, ell) / e.measure == pytest.approx(fit.distance, abs=1e-6)
+
+
+class TestRadiusAboutOrigin:
+    THETA = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+
+    def assert_matches_bisection(self, e):
+        r = e.radius_about_origin(self.THETA)
+        ref = radius_about_origin_bisection(e, self.THETA)
+        assert np.max(np.abs(r - ref) / ref) <= 1e-14
+
+    def test_star_candidates(self):
+        for e in star_candidates(31, 10):
+            self.assert_matches_bisection(e)
+
+    def test_balanced_sets(self):
+        # balance shears, dilates and translates: the origin leaves the star center
+        for e in star_candidates(32, 4):
+            self.assert_matches_bisection(balance(e).balanced_set)
+
+    def test_translated_sets(self):
+        rng = np.random.default_rng(33)
+        for e in star_candidates(34, 10):
+            self.assert_matches_bisection(e.apply(AffineMap(np.eye(2), rng.uniform(-0.4, 0.4, 2))))
+
+    def test_origin_outside(self):
+        far = StarSet(0.5, affine=AffineMap(np.eye(2), np.array([3.0, 0.0])))
+        with pytest.raises(InvalidSetError, match="not interior"):
+            far.radius_about_origin(self.THETA)
+
+    def test_peak_between_bracket_samples(self):
+        # r = 0.01 + Fejer kernel F_600 peaked at pi/255, midway between two
+        # of the 256 samples that bound the bracket: the peak (~601) lies
+        # beyond twice the sampled maximum (~45)
+        n, peak = 600, np.pi / 255
+        k = np.arange(1, n + 1)
+        weight = 2.0 * (1.0 - k / (n + 1.0))
+        e = StarSet(1.01, weight * np.cos(k * peak), weight * np.sin(k * peak))
+        with pytest.raises(InvalidSetError, match="bracket"):
+            e.radius_about_origin([peak])
 
 
 class TestBoundaryProfile:
