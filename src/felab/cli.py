@@ -159,7 +159,7 @@ def _jdump(obj) -> str:
         if isinstance(o, np.ndarray):
             return o.tolist()
         raise TypeError(type(o))
-    return json.dumps(obj, indent=2, default=default)
+    return json.dumps(obj, indent=2, default=default, allow_nan=False)
 
 
 class _Run:

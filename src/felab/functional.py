@@ -15,19 +15,21 @@ Routes
   phase is a product of two exps, so no error accumulates.  The endpoints
   are centered first: a translation only rotates the phase of 1_E^.
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
-  star-shaped set reduces to a circle integral of a closed-form radial
-  factor, evaluated by a trapezoid rule whose order grows with the
-  frequency (spectral accuracy for the band-limited boundaries used here).
-  The norm integrates over uniform GK15 panels in the radius, 16 panels to
-  a block sharing one circle rule.  Within a block the radial phase at
-  frequency rho u_phi is rho A(phi, theta) with A fixed, and every node is
-  rho = mid_j + half x_k, so the phase factors split:
-  e^{-i rho A} = e^{-i mid_j A} e^{-i half x_k A}.  A block takes 16 panel
-  and 15 offset exp tables instead of one exp per (node, phi, theta), and
-  each phase is a product of two exps, so no error accumulates.  The
-  translation and the star center only rotate the phase of 1_E^ and drop out
-  of |1_E^|.  The radial tail bound comes from the |1_E^| <= C |xi|^{-3/2}
-  decay with C estimated on a probe ring inside the integration window.
+  star-shaped set is a circle sum of the closed-form radial factor
+  R^2 F(rho A), F(a) = (e^{-ia}(1 + ia) - 1)/a^2, by a trapezoid rule whose
+  order grows with the frequency (spectral accuracy for the band-limited
+  boundaries used here).  The norm integrates over uniform GK15 panels in
+  the radius, 16 to a block sharing one circle rule.  In a block A(phi,
+  theta) is fixed and a node is rho = mid_j + half x_k, so e^{-i rho A} =
+  P_j O_k, a product of panel and offset exp tables; no error accumulates.
+  As F(rho A) = e^{-i rho A} (rho^-2 A^-2 + i rho^-1 A^-1) - rho^-2 A^-2,
+  a block's circle sums are one batched matmul, rows P_j R^2/A^2 and
+  P_j R^2/A against columns O_k over theta, less one sum of R^2/A^2.  The
+  split cancels where |rho A| is small: a panel's pairs (phi, theta) with
+  |A| rho_min < 0.1 leave the matmul and go node by node (closed form or
+  Taylor series).  The translation and the star center only rotate the
+  phase of 1_E^ and drop out of |1_E^|.  The radial tail bound comes from
+  the |1_E^| <= C |xi|^{-3/2} decay, C estimated on a probe ring.
 * even q: the Fourier transform can be eliminated;
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
   For interval unions the convolution is exact piecewise-polynomial
@@ -73,7 +75,7 @@ class PhiResult:
     def as_dict(self) -> dict:
         return {
             "phi": self.phi,
-            "norm_q_pow_q": self.norm_q_pow_q,
+            "norm_q_pow_q": self.norm_q_pow_q if math.isfinite(self.norm_q_pow_q) else None,
             "measure": self.measure,
             "error": self.error_estimate,
             "method": self.method,
@@ -129,7 +131,7 @@ def _phase_rates(dirs: np.ndarray, theta: np.ndarray, r: np.ndarray) -> np.ndarr
 def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
     """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia}.
 
-    ``rr`` = R^2 broadcasts against ``a`` along its last axis.  The closed
+    ``rr`` = R^2 broadcasts against ``a``.  The closed
     form loses ~eps/a^2 to cancellation, so below |a| = 0.1 the Taylor series
     R^2 sum_k (-ia)^k / (k! (k + 2)) replaces it (ten terms: < 1e-17).
     """
@@ -154,33 +156,24 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     # affine reduction: (T E + v)^ (xi) = det T e^{-2 pi i v.xi} E^(T^t xi)
     det = e.affine.det
-    identity_affine = (np.array_equal(e.affine.matrix, np.eye(2))
-                       and not np.any(e.affine.translation))
-    eta = pts if identity_affine else pts @ e.affine.matrix
+    eta = pts @ e.affine.matrix
     rho_max = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
     n_theta = _circle_rule_order(2 * np.pi * rho_max * _radius_bound(e))
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     r = e.radius(theta)
     a = _phase_rates(eta, theta, r)
     vals = _radial_factor(np.exp(-1j * a), a, r * r).mean(axis=1) * 2 * np.pi
-    if not identity_affine:
-        shift = pts @ e.affine.translation + eta @ e.center
+    shift = pts @ e.affine.translation + eta @ e.center
+    if np.any(shift):
         vals = vals * np.exp(-2j * np.pi * shift)
-    elif np.any(e.center):
-        vals = vals * np.exp(-2j * np.pi * (eta @ e.center))
     return det * vals
 
 
 def indicator_hat(e, xi):
     """Fourier transform of the indicator of E at frequency xi."""
-    if e.dimension == 1:
-        arr = np.asarray(xi, dtype=float)
-        out = _interval_hat(e, np.atleast_1d(arr))
-        return complex(out[0]) if arr.ndim == 0 else out
-    pts = np.asarray(xi, dtype=float)
-    single = pts.ndim == 1
-    out = _star_hat_points(e, pts)
-    return complex(out[0]) if single else out
+    arr = np.asarray(xi, dtype=float)
+    out = _interval_hat(e, np.atleast_1d(arr)) if e.dimension == 1 else _star_hat_points(e, arr)
+    return complex(out[0]) if arr.ndim == e.dimension - 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +280,34 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
     block = 16  # panels per circle rule
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
+        nb = hi - lo
         n_theta = _circle_rule_order(2 * np.pi * (2 * half * hi) * r_bound)
         theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
         r = e.radius(theta)
-        # the block's phase is a = rho A(phi, theta) with A fixed, so
-        # e^{-ia} = e^{-i mid_j A} e^{-i half x_k A}: 16 panel tables and 15
-        # offset tables replace an exp per (node, phi, theta)
+        # e^{-i rho A} = P_j O_k, P_j = e^{-i mid_j A} built as e^{-i mid_4a A}
+        # e^{-2i half b A} (j = 4a + b), O_k = e^{-i half x_k A} = conj O_{14-k}
         rate = _phase_rates(dirs, theta, r)
-        panel_ph = np.exp(-1j * mid[lo:hi, None, None] * rate)
-        offset_ph = np.exp(-1j * offsets[:, None, None] * rate)
-        rho = mid[lo:hi, None] + offsets[None, :]
-        hat = np.empty((hi - lo, 15, n_phi))
-        for j in range(hi - lo):
-            g = _radial_factor(panel_ph[j] * offset_ph, rho[j, :, None, None] * rate, r * r)
-            hat[j] = np.abs(g.mean(axis=2))
-        integ = ((scale * hat) ** q).mean(axis=2) * 2 * np.pi * rho
+        base = np.exp(-1j * mid[lo:hi:4, None] * rate[:, None, :])
+        step = np.exp(-2j * half * np.arange(4)[:, None] * rate[:, None, :])
+        panel_ph = (base[:, :, None] * step[:, None]).reshape(n_phi, -1, n_theta)[:, :nb]
+        offset_ph = np.exp(-1j * rate[:, :, None] * offsets[7:])
+        offset_ph = np.concatenate([offset_ph[..., :0:-1].conj(), offset_ph], axis=2)
+        rho = mid[lo:hi, None] + offsets
+        # far pairs, |rho A| >= 0.1 all over panel j: one matmul for all (j, k).
+        # Divide only on the last panel's far pairs, which hold every panel's
+        far = np.abs(rate)[:, None, :] >= 0.1 / rho[:, :1]
+        w1 = np.divide(r * r, rate, out=np.zeros_like(rate), where=far[:, -1])
+        w2 = np.divide(w1, rate, out=np.zeros_like(rate), where=far[:, -1])
+        w = np.stack([w2, w1], axis=1)[:, :, None, :]
+        m = ((panel_ph * far)[:, None] * w).reshape(n_phi, 2 * nb, n_theta) @ offset_ph
+        s = (m[:, :nb] - far @ w2[:, :, None]) / rho**2 + 1j * m[:, nb:] / rho
+        # near pairs, node by node through the closed form or its series
+        p, j, t = np.nonzero(~far)
+        g = _radial_factor(panel_ph[p, j, t][:, None] * offset_ph[p, t],
+                           rate[p, t][:, None] * rho[j], r[t, None] ** 2)
+        first = np.flatnonzero(np.diff(p * nb + j, prepend=-1))  # (phi, j) runs
+        s[p[first], j[first]] += np.add.reduceat(g, first, axis=0)
+        integ = ((scale / n_theta * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho
         kron, err = gk15_sums(integ, half)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))
@@ -318,6 +324,8 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if measure <= 0:
         raise InvalidSetError("set must have positive measure")
     if e.dimension == 1:
+        if radial_cut is not None:
+            raise DomainError("radial_cut applies to planar sets only")
         scale = 0.5 * measure  # value and err are of (E - c) / scale
         value, err = _norm_q_1d(e, q, cfg)
         method = "closed_form_1d"

@@ -3,9 +3,10 @@
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the circle-profile route to
 the circle coefficients, the sphere-reduced second variation, the boundary
-radius by bisection), report-only fits and probes, a local ascent from a
-given start, and views of package objects that only the tests read.  None of them is called by the package,
-its command line or its acceptance criteria.
+radius by bisection, the planar norm one radial panel at a time),
+report-only fits and probes, a local ascent from a given start, and views
+of package objects that only the tests read.  None of them is called by the
+package, its command line or its acceptance criteria.
 """
 
 import math
@@ -16,7 +17,15 @@ from scipy import integrate, special
 
 from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
-from felab.functional import phi_ball, phi_q
+from felab.functional import (
+    _circle_rule_order,
+    _phase_rates,
+    _radial_factor,
+    _radius_bound,
+    _star_hat_points,
+    phi_ball,
+    phi_q,
+)
 from felab.quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
@@ -242,6 +251,61 @@ def q_continuity_probe(e, q: float, r: float, cfg: QuadratureConfig = DEFAULT_CO
     nr = phi_q(e, r, cfg)
     # measure one: Phi = norm itself
     return abs(nq.norm_q_pow_q ** (1.0 / q) - nr.norm_q_pow_q ** (1.0 / r)) / math.sqrt(abs(q - r))
+
+
+# ---------------------------------------------------------------------------
+# the planar norm, one radial panel at a time
+# ---------------------------------------------------------------------------
+
+def norm_q_2d_per_panel(e: StarSet, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                        radial_cut: float | None = None):
+    """||1_E^||_q^q and its error on the same mesh as ``functional._norm_q_2d``.
+
+    The circle sum is taken panel by panel: a (15, n_phi, n_theta) array of
+    radial factors per panel, averaged over theta, with no split of the
+    closed form and no near-pair rule.
+    """
+    n_phi = int(max(32, 8 * e.n_modes + 16)) // 2
+    phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
+    uphi = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    expo = 1.5 * q - 2.0
+    probe_rho = np.array([6.0, 9.0, 13.0])
+    pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)
+    c_est = float(np.max(np.abs(_star_hat_points(e, pts)).reshape(3, -1)
+                         * probe_rho[:, None] ** 1.5)) * 1.5
+    if radial_cut is None:
+        tol = max(cfg.abs_tol, 1e-7)
+        radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
+        radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
+    n_panels = int(radial_cut / 0.25) + 1
+    half = 0.5 * radial_cut / n_panels
+    mid = (2 * np.arange(n_panels) + 1) * half
+    offsets = gk15_panels(0.0, half)[0]
+    dirs = uphi @ e.affine.matrix
+    scale = 2 * np.pi * e.affine.det
+    r_bound = _radius_bound(e)
+    value = 0.0
+    rule_err = 0.0
+    block = 16
+    for lo in range(0, n_panels, block):
+        hi = min(lo + block, n_panels)
+        n_theta = _circle_rule_order(2 * np.pi * (2 * half * hi) * r_bound)
+        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+        r = e.radius(theta)
+        rate = _phase_rates(dirs, theta, r)
+        panel_ph = np.exp(-1j * mid[lo:hi, None, None] * rate)
+        offset_ph = np.exp(-1j * offsets[:, None, None] * rate)
+        rho = mid[lo:hi, None] + offsets[None, :]
+        hat = np.empty((hi - lo, 15, n_phi))
+        for j in range(hi - lo):
+            g = _radial_factor(panel_ph[j] * offset_ph, rho[j, :, None, None] * rate, r * r)
+            hat[j] = np.abs(g.mean(axis=2))
+        integ = ((scale * hat) ** q).mean(axis=2) * 2 * np.pi * rho
+        kron, err = gk15_sums(integ, half)
+        value += float(np.sum(kron))
+        rule_err += float(np.sum(err))
+    tail = 2 * np.pi * c_est**q * radial_cut ** (-expo) / expo
+    return value, rule_err + tail
 
 
 def local_ascent(start, cfg: SearchConfig) -> SearchResult:

@@ -77,6 +77,19 @@ class TestPhi:
         assert doc["method"] == "convolution_oracle"
         assert doc["norm_q_pow_q"] == pytest.approx(16 / 3, abs=1e-10)
 
+    def test_strict_json_when_the_norm_overflows(self, capsys, tmp_path):
+        # ||1_E^||_4^4 of [0, 1e200] is 16/3 (5e199)^3, beyond the float range
+        path = tmp_path / "huge.json"
+        path.write_text(set_to_json(IntervalSet([(0.0, 1e200)])))
+        code = dispatch(["--quiet", "phi", "--set", str(path), "--q", "4"])
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 0
+        assert doc["norm_q_pow_q"] is None
+        assert doc["phi"] == pytest.approx((2 / 3) ** 0.25, abs=1e-7)
+
 
 class TestStdoutCleanliness:
     def test_diagnostics_on_stderr(self, capsys, tmp_path):

@@ -17,7 +17,7 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import q_continuity_probe, translate
+from oracles import norm_q_2d_per_panel, q_continuity_probe, translate
 
 
 def random_union(rng, max_pieces=3):
@@ -86,6 +86,10 @@ class TestPhi1D:
         assert time.perf_counter() - start < 1.0
         assert res.phi == pytest.approx(phi_q(IntervalSet([(-1.0, 1.0)]), 4.0).phi, rel=1e-12)
         assert res.norm_q_pow_q == math.inf  # 16/3 (5e199)^3 is beyond the float range
+
+    def test_radial_cut_refused(self):
+        with pytest.raises(DomainError, match="radial_cut"):
+            phi_q(IntervalSet([(-1.0, 1.0)]), 4.0, radial_cut=45.0)
 
     def test_node_budget(self):
         # diam/measure = 5e8 would need ~1e15 mesh nodes
@@ -220,6 +224,33 @@ class TestPinned2D:
             vals = indicator_hat(e, pts)
             ref = np.array(expected[name])
             assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
+
+
+class TestPerPanelOracle:
+    """The batched circle sum of the planar norm against the per-panel loop
+    it replaced (``oracles.norm_q_2d_per_panel``), to 1e-12 relative."""
+
+    @staticmethod
+    def sets():
+        from felab.perturbation import star_mode_family
+        quarter_turn = AffineMap(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2))
+        for seed in range(40):
+            yield seeded_star4(seed), None
+        yield shifted_set(), None
+        # phi = 0 meets theta = 0 at a phase rate of exactly zero
+        yield seeded_star4(3).apply(quarter_turn), None
+        yield star_mode_family(0.015, 4), 45.0
+
+    @pytest.mark.parametrize("q", [3.5, 4.0, 6.0])
+    def test_matches_per_panel_loop(self, q):
+        from felab.functional import _norm_q_2d
+        from felab.quadrature import DEFAULT_CONFIG
+        from felab.search import PROBE_QUAD
+        for e, cut in self.sets():
+            for cfg in (PROBE_QUAD, DEFAULT_CONFIG):
+                value, _ = _norm_q_2d(e, q, cfg, cut)
+                ref, _ = norm_q_2d_per_panel(e, q, cfg, cut)
+                assert value == pytest.approx(ref, rel=1e-12), (e, cfg)
 
 
 PIECES_1D = {

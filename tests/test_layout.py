@@ -17,7 +17,7 @@ MODULES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
              "circle_coeff_from_profile", "CircleProfile", "gamma_asymptotic_fit",
              "empirical_holder_exponent", "q_continuity_probe",
-             "sphere_reduced_prediction", "local_ascent"}
+             "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel"}
 # methods that only the tests used; free functions in tests/oracles.py now
 TEST_ONLY_METHODS = {"integral_a2_b2", "integral_f", "derivative_at", "cumulative",
                      "deviation_from_identity", "translate"}

@@ -1,5 +1,7 @@
 """Search drives: determinism, monotonicity, null results at small scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,20 @@ class TestDeterminism:
         assert r1.best_set.intervals == r2.best_set.intervals
 
     def test_threading_invariance(self):
+        # budget > restarts: the ascent runs after the threaded probes
         for d, family, restarts in ((1, "intervals:2", 10), (2, "star:4", 6)):
-            base = SearchConfig(4.0, d, family, restarts=restarts, rng_seed=5, budget=restarts)
-            threaded = SearchConfig(4.0, d, family, restarts=restarts, rng_seed=5,
-                                    budget=restarts, threads=3)
-            assert random_probe(base).best_phi == random_probe(threaded).best_phi
+            base = SearchConfig(4.0, d, family, restarts=restarts, rng_seed=5,
+                                budget=3 * restarts)
+            r1 = random_probe(base)
+            r3 = random_probe(replace(base, threads=3))
+            assert r1.best_phi == r3.best_phi
+            assert r1.trajectory == r3.trajectory
+            assert len(r1.trajectory) > restarts
+            if d == 1:
+                assert r1.best_set.intervals == r3.best_set.intervals
+            else:
+                assert np.array_equal(r1.best_set.a_coeffs, r3.best_set.a_coeffs)
+                assert np.array_equal(r1.best_set.b_coeffs, r3.best_set.b_coeffs)
 
 
 class TestTrajectories:
