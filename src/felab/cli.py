@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -234,9 +233,7 @@ def _cmd_phi(run: _Run, args):
         if args.tol is not None:
             raise UsageError("--tol has no effect on phi --oracle; the convolution oracle "
                              "takes no tolerance")
-        if not math.isfinite(args.q):
-            raise DomainError("q must be a finite exponent")
-        res = phi_even_oracle(e, int(round(args.q)))
+        res = phi_even_oracle(e, args.q)
     else:
         run.quad = DEFAULT_CONFIG if args.tol is None else QuadratureConfig(
             abs_tol=args.tol, rel_tol=max(args.tol, 1e-12))

@@ -352,10 +352,11 @@ def _babenko_guard(res: PhiResult, q: float, d: int) -> None:
             f"computed Phi = {res.phi} violates the sharp Hausdorff-Young bound {bound}")
 
 
-def phi_even_oracle(e, q: int, grid_resolution: int = 2048) -> PhiResult:
+def phi_even_oracle(e, q: float, grid_resolution: int = 2048) -> PhiResult:
     """||1_E^||_q^q via the convolution identity (q/2 factors), even q >= 4."""
     if q % 2 or q < 4:
-        raise DomainError("the convolution identity needs an even integer q >= 4")
+        raise DomainError(f"the convolution identity needs an even integer q >= 4; got q = {q}")
+    q = int(q)
     measure = e.measure
     if e.dimension == 1:
         h = nfold_indicator_convolution(e.intervals, q // 2)

@@ -96,10 +96,6 @@ def _signed_pieces_1d(e: IntervalSet):
             pieces.append((lo, hi, 1.0))
         elif in_b and not in_e:
             pieces.append((lo, hi, -1.0))
-    # pieces outside the hull of E and B
-    lo_all = min(e.intervals[0][0], -1.0)
-    hi_all = max(e.intervals[-1][1], 1.0)
-    assert lo_all == pts[0] and hi_all == pts[-1]
     return pieces
 
 

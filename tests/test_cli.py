@@ -245,6 +245,10 @@ class TestMalformedInput:
         (["gamma", "--d", "1", "--q", "inf"], "finite exponent"),
         (["gamma", "--d", "2", "--q", "inf"], "finite exponent"),
         (["phi", "--set", "SET", "--q", "4"], "diam/measure"),
+        (["phi", "--set", "SET", "--q", "4.5", "--oracle"], "even integer"),
+        (["phi", "--set", "SET", "--q", "4.4", "--oracle"], "even integer"),
+        (["kernel", "--kind", "K", "--d", "1", "--q", "1e300"], "float range"),
+        (["first-variation", "--d", "1", "--q", "1e300"], "float range"),
     ])
     def test_domain_error_exit_1(self, capsys, tmp_path, argv, message):
         # the set is [0, 1] and [1e9, 1e9 + 1]: refused for its mesh size, not run
@@ -267,8 +271,9 @@ class TestMalformedInput:
 
 # --- fuzzing: any command line and any set document keeps the exit contract
 
-# finite numbers stay in [-10, 10]: a finite interval of length 1e200 is
-# valid input, but Phi of it runs for minutes (the panel width is 0.5/diam)
+# finite numbers stay in [-10, 10]: larger exponents still reach engines that
+# overflow (`gamma --d 2 --q 700` dies with an OverflowError at
+# 2.0 ** (p_tail + i) in quadrature._richardson_partial_sums)
 NUMBERS = st.one_of(st.integers(-10, 10), st.floats(-10, 10),
                     st.sampled_from([math.nan, math.inf, -math.inf]))
 NUMBER_LISTS = st.lists(NUMBERS, max_size=3)

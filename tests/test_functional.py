@@ -125,6 +125,13 @@ class TestPhi1D:
         with pytest.raises(DomainError):
             phi_even_oracle(IntervalSet([(-1, 1)]), 3)
 
+    def test_oracle_takes_an_integral_float(self):
+        e = IntervalSet([(-1, 1), (2, 2.5)])
+        assert phi_even_oracle(e, 4.0).phi == phi_even_oracle(e, 4).phi
+        for q in (4.4, 4.5):
+            with pytest.raises(DomainError, match="even integer"):
+                phi_even_oracle(e, q)
+
     def test_oracle_triangle_value(self):
         res = phi_even_oracle(IntervalSet([(-1, 1)]), 4)
         assert res.norm_q_pow_q == pytest.approx(16 / 3, abs=1e-12)

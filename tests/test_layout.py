@@ -1,6 +1,6 @@
 """Source layout: one GK15 panel rule, one radial head-plus-tail integral,
 a quadrature config only where a tolerance runs, no test-only routine
-inside the package, and no global statement."""
+inside the package, no global statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -87,3 +87,22 @@ def test_quadrature_config_fields():
 def test_no_global_statements():
     for name, text in MODULES.items():
         assert not any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(text))), name
+
+
+# the module-level caches, each global state that must earn its place: the
+# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel)
+# and the two kernel profiles that every perturbation call at one q shares
+CACHED = {"_series", "_profile_1d", "_profile_2d_K"}
+
+
+def test_module_caches_are_pinned():
+    cached = set()
+    for text in MODULES.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("lru_cache", "cache"):
+                        cached.add(node.name)
+    assert cached == CACHED

@@ -1,10 +1,12 @@
 """Radial kernels: ball transform, K/L profiles, gamma, rho, first variation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from felab import radial_kernels
 from felab.errors import ArityError, CapabilityError, DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive
 from felab.radial_kernels import (
@@ -22,6 +24,7 @@ from felab.radial_kernels import (
     q_threshold,
     rho_d,
 )
+from felab.radial_kernels import _power_tail
 from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
     derivative_at,
@@ -82,6 +85,13 @@ class TestKernel1D:
             oracle = exact_kernel_1d("K", q)(r)
             assert np.max(np.abs(vals - oracle)) < 1e-6
 
+    def test_exact_kernel_takes_an_integral_float(self):
+        r = np.linspace(0.0, 5.0, 11)
+        assert np.array_equal(exact_kernel_1d("K", 4.0)(r), exact_kernel_1d("K", 4)(r))
+        for q in (4.4, 4.5, 5.0):
+            with pytest.raises(DomainError, match="even integer"):
+                exact_kernel_1d("L", q)
+
     def test_triangle_profile(self):
         prof = kernel_profile("L", 1, 4.0, r_max=3.0, n_samples=301)
         tri = np.maximum(0.0, 2.0 - np.abs(prof.radii))
@@ -138,6 +148,34 @@ class TestKernel1D:
         # a radius's value does not depend on the block it falls in
         sub, _ = kernel_values("K", 1, 4.0, r[::97])
         assert np.max(np.abs(sub - vals[::97])) <= 1e-15 * np.max(np.abs(vals))
+
+
+class TestPowerTail:
+    """E(c) = int_1^inf xi^{-s} e^{ic xi} dxi is E_s(-ic): mpmath is the oracle."""
+
+    @pytest.mark.parametrize("s", [1.0001, 1.05, 1.5, 2.0, 2.81, 3.0, 4.4, 7.0, 20.0, 59.0])
+    def test_against_expint(self, s):
+        # small c at large s is where the cap T <= e^{40/(s-1)} matters:
+        # without it the head's rule errs by 1e-8 at s = 59, c = 1e-3
+        mpmath = pytest.importorskip("mpmath")
+        c = np.concatenate([[0.0], np.logspace(-6, 4, 50), -np.logspace(-6, 4, 50),
+                            [1.999, -1.999, 2.001, -2.001]])
+        ref = np.array([complex(mpmath.expint(s, -1j * x)) for x in c])
+        assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1.0 + 1e-12, 1.0001, 2.0, 59.0, 1000.0])
+    def test_extreme_frequencies(self, s):
+        # |c| = 5e-324 puts T at e^745: near s = 1 the head's rule still
+        # spans only the last 40 in log xi
+        mpmath = pytest.importorskip("mpmath")
+        c = np.array([5e-324, -1e-300, 1e-40, 1e-20, 1e300, -1e300])
+        ref = np.array([complex(mpmath.expint(s, -1j * x)) for x in c])
+        assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(radial_kernels, "_CF_TERMS", 4)
+        with pytest.raises(DomainError, match="continued fraction"):
+            _power_tail(2.5, np.array([3.0]))
 
 
 class TestKernel2D:
@@ -207,6 +245,17 @@ class TestThresholds:
     def test_gamma_needs_q_above_3(self):
         with pytest.raises(ThresholdError):
             gamma_qd(1, 2.9)
+
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_peak_beyond_float_range_refused(self, kind, d):
+        with pytest.raises(DomainError, match="float range"):
+            kernel_values(kind, d, 1e300, np.array([0.0, 1.0]))
+        # just below the bound (q ~ 1025, 621, 497) the values stay finite
+        q = (1.0 + math.log(sys.float_info.max) / math.log(omega(d))) * (1.0 - 1e-12)
+        vals, errs = kernel_values(kind, d, q, np.linspace(0.0, 4.0, 9))
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
+        assert vals[0] > 1e300
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_infinite_exponent_refused(self, d):
