@@ -93,8 +93,10 @@ class PiecewisePoly:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
+        # zero from the last event on: summing the events there only cancels
+        inside = x < float(self.events[-1][0])
         for e, p in self.events:
-            mask = x >= float(e)
+            mask = inside & (x >= float(e))
             if np.any(mask):
                 out[mask] += _poly_eval([float(c) for c in p], x[mask])
         return out

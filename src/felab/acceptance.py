@@ -88,11 +88,11 @@ def crit_1() -> tuple:
 
 
 def crit_2() -> tuple:
-    from .spectral import circle_coeff
-    worst = 0.0
-    for n in range(1, 21):
-        closed = 2.0 / (np.pi * n * n) if n % 2 else 2.0 / (np.pi * (n * n - 1))
-        worst = max(worst, abs(circle_coeff(4.0, n) - closed))
+    from .spectral import funk_hecke_eigenvalues
+    n = np.arange(1, 21)
+    closed = 2.0 / (np.pi * (n * n - 1 + n % 2))  # 2/(pi n^2) odd, 2/(pi (n^2-1)) even
+    ell_hat = funk_hecke_eigenvalues(2, 4.0, 20)[1:] / (2.0 * np.pi)
+    worst = float(np.max(np.abs(ell_hat - closed)))
     return worst <= 1e-8, f"max |Lhat(n) - closed form|, n<=20: {worst:.2e} (tol 1e-8)"
 
 

@@ -34,7 +34,7 @@ from .functional import phi_q
 from .quadrature import QuadratureConfig
 from .radial_kernels import kernel_profile
 from .set_model import IntervalSet, StarSet, boundary_profile, symdiff_measure
-from .spectral import funk_hecke_eigenvalue
+from .spectral import funk_hecke_eigenvalues
 
 __all__ = [
     "ExpansionReport",
@@ -199,22 +199,29 @@ def quadratic_terms(e, q: float) -> dict:
     profile = boundary_profile(e, n_grid=2048, n_modes=max(24, 4 * e.n_modes + 8))
     ll = 0.0
     llr = 0.0
-    for n in range(profile.n_modes + 1):
-        lam_n = funk_hecke_eigenvalue(2, q, n)
+    for n, lam_n in enumerate(funk_hecke_eigenvalues(2, q, profile.n_modes).tolist()):
         weight = (1.0 if n == 0 else 2.0) * 2 * np.pi * abs(profile.fourier_coeff(n)) ** 2
         ll += weight * lam_n
         llr += weight * lam_n * (-1.0) ** n
     return {"LL": float(ll), "Lrefl": float(llr)}
 
 
+@lru_cache(maxsize=16)
+def _ball_phi(d: int, q: float, cfg: QuadratureConfig):
+    """Phi_q of the unit ball through the pipeline of ``_direct_norms``; it
+    depends on (d, q, cfg) alone, so the reports of a family share it."""
+    if d == 1:
+        return phi_q(IntervalSet([(-1.0, 1.0)]), q, cfg)
+    return phi_q(StarSet.unit_disc(), q, cfg, radial_cut=_D2_CUT)
+
+
 def _direct_norms(e, q: float, cfg: QuadratureConfig):
     """(direct, base, err) through one pipeline so the bias cancels."""
     if e.dimension == 1:
         direct = phi_q(e, q, cfg)
-        base = phi_q(IntervalSet([(-1.0, 1.0)]), q, cfg)
     else:
         direct = phi_q(e, q, cfg, radial_cut=_D2_CUT)
-        base = phi_q(StarSet.unit_disc(), q, cfg, radial_cut=_D2_CUT)
+    base = _ball_phi(e.dimension, q, cfg)
     err = (direct.error_estimate * direct.phi ** (q - 1) * q
            + base.error_estimate * base.phi ** (q - 1) * q)
     return direct.norm_q_pow_q, base.norm_q_pow_q, err

@@ -29,6 +29,16 @@ Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
 refinement.
 
+Vector integrands.  ``integrate_adaptive``, ``tail_power_periodic`` and
+``radial_head_tail`` also take an integrand with values of shape
+(K,) + x.shape: K integrals on one mesh (the Funk-Hecke eigenvalues of all
+modes, which share the kinks of |B^|^{q-2}), each held to its own
+max(abs_tol, rel_tol |value_k|), and a result of arrays of length K.  The
+adaptive loop bisects by the largest component error; the periodic tail
+doubles until every component has converged, and a component keeps the
+result of its first converged doubling.  K identical components reproduce
+the scalar result bit for bit.
+
 All functions here are pure; there is no shared mutable state.
 """
 
@@ -77,13 +87,30 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """Floats for a scalar integrand; arrays, one entry per component, for a
+    vector one."""
+
     value: float
     error_estimate: float
     converged: bool
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        err = self.error_estimate
+        if np.any(err < 0) if getattr(err, "ndim", 0) else err < 0:
             raise DomainError("error_estimate must be >= 0")
+
+
+def _within(err, value, cfg: QuadratureConfig):
+    """err <= max(abs_tol, rel_tol |value|), one bool per component for arrays."""
+    if isinstance(err, float):
+        return err <= cfg.tolerance(value)
+    return err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+
+
+def _result(value, error, converged) -> IntegralResult:
+    if getattr(value, "ndim", 0):
+        return IntegralResult(value, error, converged)
+    return IntegralResult(float(value), float(error), bool(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +165,13 @@ _G_WEIGHTS = np.array([
 
 
 def _eval_clean(f, x: np.ndarray) -> np.ndarray:
+    """f at x, shape x.shape or (K,) + x.shape, with non-finite values zeroed."""
     with np.errstate(all="ignore"):
         y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+    if y.shape[-x.ndim:] != x.shape:  # a constant
         y = np.broadcast_to(y, x.shape).astype(float)
-    return np.nan_to_num(y, nan=0.0, posinf=0.0, neginf=0.0)
+    bad = ~np.isfinite(y)
+    return np.where(bad, 0.0, y) if bad.any() else y
 
 
 def gk15_panels(mid, half):
@@ -157,7 +186,7 @@ def gk15_panels(mid, half):
 
 
 def gk15_sums(y, half):
-    """Kronrod sums and |K - G| rule errors of node values y (panels, 15).
+    """Kronrod sums and |K - G| rule errors of node values y (..., panels, 15).
 
     ``half`` is the panels' half-width, a scalar or one value per panel.
     The 7-point Gauss rule lives on the odd-indexed Kronrod nodes.  The
@@ -165,14 +194,15 @@ def gk15_sums(y, half):
     """
     kron = y @ _GK_WEIGHTS
     kron *= half
-    gauss = y[:, 1::2] @ _G_WEIGHTS
+    gauss = y[..., 1::2] @ _G_WEIGHTS
     gauss *= half
     gauss -= kron
     return kron, np.abs(gauss, out=gauss)
 
 
 def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
-    """Kronrod value and |K - G| error for a batch of panels (vectorized)."""
+    """Kronrod values and |K - G| errors of the panels [a, b], shape
+    (panels,) or (K, panels)."""
     half = 0.5 * (b - a)
     x, _ = gk15_panels(0.5 * (a + b), half)
     return gk15_sums(_eval_clean(f, x), half)
@@ -181,37 +211,44 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Adaptive bisection with the GK15 rule on [a, b].
 
-    Deterministic: the worst interval (by error estimate, ties broken by
-    creation order) is bisected until the summed error meets the tolerance
-    or the subdivision budget is exhausted.
+    Deterministic: the worst interval (by error estimate, its largest
+    component's for a vector integrand; ties broken by creation order) is
+    bisected until every component's summed error meets its tolerance or
+    the subdivision budget is exhausted.
     """
     if not (a < b):
         raise DomainError(f"require a < b, got [{a}, {b}]")
     kron, err = _gk15_batch(f, np.array([a]), np.array([b]))
+    # a panel's values: a Python float for a scalar integrand (no numpy call
+    # per split), a (K,) array for a vector one; fsum gives correctly rounded
+    # totals, one per component
+    if kron.ndim == 1:
+        panels, worst, every, fsum = np.ndarray.tolist, float, bool, math.fsum
+    else:
+        panels, worst, every = (lambda a: list(a.T)), np.max, np.all
+        fsum = lambda parts: np.array([math.fsum(c) for c in np.array(parts).T])
+    (total_val,), (total_err,) = panels(kron), panels(err)
     counter = 0
-    # heap entries: (-error, insertion counter, a, b, value, error)
-    heap = [(-float(err[0]), counter, a, b, float(kron[0]), float(err[0]))]
-    total_val = float(kron[0])
-    total_err = float(err[0])
+    # heap entries: (-largest error, insertion counter, a, b, value, error)
+    heap = [(-worst(total_err), counter, a, b, total_val, total_err)]
     n_splits = 0
-    while n_splits < cfg.max_subdivisions and total_err > cfg.tolerance(total_val):
+    while n_splits < cfg.max_subdivisions and not every(_within(total_err, total_val, cfg)):
         neg_err, cnt, ia, ib, ival, ierr = heapq.heappop(heap)
-        if ierr == 0.0 or ib - ia < 1e-14 * max(1.0, abs(ia), abs(ib)):
+        if neg_err == 0.0 or ib - ia < 1e-14 * max(1.0, abs(ia), abs(ib)):
             heapq.heappush(heap, (neg_err, cnt, ia, ib, ival, ierr))
             break
         im = 0.5 * (ia + ib)
         kron2, err2 = _gk15_batch(f, np.array([ia, im]), np.array([im, ib]))
-        (k0, k1), (e0, e1) = kron2.tolist(), err2.tolist()
-        total_val += (k0 + k1) - ival
-        total_err += (e0 + e1) - ierr
+        (k0, k1), (e0, e1) = panels(kron2), panels(err2)
+        total_val = total_val + ((k0 + k1) - ival)
+        total_err = total_err + ((e0 + e1) - ierr)
         counter += 1
-        heapq.heappush(heap, (-e0, counter, ia, im, k0, e0))
+        heapq.heappush(heap, (-worst(e0), counter, ia, im, k0, e0))
         counter += 1
-        heapq.heappush(heap, (-e1, counter, im, ib, k1, e1))
+        heapq.heappush(heap, (-worst(e1), counter, im, ib, k1, e1))
         n_splits += 1
-    value = math.fsum(item[4] for item in heap)
-    error = math.fsum(item[5] for item in heap)
-    return IntegralResult(value, error, converged=error <= cfg.tolerance(value))
+    value, error = fsum([item[4] for item in heap]), fsum([item[5] for item in heap])
+    return _result(value, error, _within(error, value, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +282,29 @@ def _richardson_partial_sums(partial: np.ndarray, p_tail: float):
 
     Uses the partial sums at K, K/2, K/4, ... and the exponent ladder
     p_tail, p_tail+1, ... (the standard form of the Euler-Maclaurin
-    remainder for algebraically decaying one-signed segment sums).
+    remainder for algebraically decaying one-signed segment sums).  The
+    partial sums run along the last axis; leading axes are components.
     """
-    n = len(partial)
+    n = partial.shape[-1]
     if n < 8:
-        return float(partial[-1]), abs(float(partial[-1] - partial[-2])) if n > 1 else abs(float(partial[-1]))
+        last = partial[..., -1]
+        return last, abs(last - partial[..., -2]) if n > 1 else abs(last)
     # exact powers of two so the ladder factors 2^e are correct
     m_hi = int(math.floor(math.log2(n)))
     ks = [2 ** m for m in range(m_hi, 2, -1)]
-    vals = [partial[k - 1] for k in ks]  # vals[j] is S at K = 2^(m_hi - j)
-    table = [np.array(vals, dtype=float)]
-    for i in range(len(vals) - 1):
+    table = [partial[..., np.array(ks) - 1]]  # [..., j] is S at K = 2^(m_hi - j)
+    for i in range(len(ks) - 1):
         prev = table[-1]
+        if p_tail + i > 1000.0:
+            # (fac S_K - S_K/2) / (fac - 1) moves S_K by (S_K - S_K/2) / (fac - 1),
+            # below rounding long before fac = 2^1000 (and fac overflows at 2^1024)
+            table.append(prev[..., :-1])
+            continue
         fac = 2.0 ** (p_tail + i)
-        nxt = (fac * prev[:-1] - prev[1:]) / (fac - 1.0)
+        nxt = (fac * prev[..., :-1] - prev[..., 1:]) / (fac - 1.0)
         table.append(nxt)
-    best = float(table[-1][0])
-    prev_best = float(table[-2][0])
-    return best, abs(best - prev_best)
+    best = table[-1][..., 0]
+    return best, abs(best - table[-2][..., 0])
 
 
 def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
@@ -300,7 +342,7 @@ def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG)
         value = float(partial[-1])
         acc_err = float(np.abs(kron[-1]))
     total_err = acc_err + quad_err
-    return IntegralResult(float(value), total_err, converged=total_err <= cfg.tolerance(value))
+    return _result(value, total_err, _within(total_err, value, cfg))
 
 
 def _estimate_decay(mags: np.ndarray, abscissae: np.ndarray) -> float:
@@ -322,6 +364,11 @@ def _estimate_decay(mags: np.ndarray, abscissae: np.ndarray) -> float:
     return snapped if abs(snapped - p) < 0.03 and snapped > 1.0 else p
 
 
+# component values per integrand call of the periodic tail's sweep: a vector
+# integrand's new periods are evaluated in chunks of at most this many
+_SWEEP_VALUES = 1 << 19
+
+
 def tail_power_periodic(f, start: float, period: float, decay_power: float, n_periods: int,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integrate f over [start, infinity) for f = envelope x periodic factor.
@@ -332,31 +379,36 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float, n_pe
     partial sums admit Richardson extrapolation with remainder exponent
     p - 1.  Starts with ``n_periods`` periods and doubles their count, at
     most six times, until two successive extrapolations agree within
-    tolerance.
+    tolerance: for a vector integrand, until every component has, each
+    keeping the value of its first converged doubling.
     """
     if period <= 0:
         raise DomainError("period must be positive")
     if decay_power <= 1.0:
         raise DomainError("decay_power must exceed 1 for a convergent tail")
-    kron = np.empty(0)
-    quad_err = 0.0
-    prev_val = None
+    krons, quad_err, k0, prev_val = [], 0.0, 0, None
+    out_val = out_err = 0.0
+    done = False
+    step = n_periods  # panels per integrand call, until the component count is known
     for _ in range(7):
-        k0 = len(kron)
         edges = start + period * np.arange(k0, n_periods + 1)
-        new_kron, new_err = _gk15_batch(f, edges[:-1], edges[1:])
-        kron = np.concatenate([kron, new_kron])
-        quad_err += float(np.sum(new_err))
-        partial = np.cumsum(kron)
+        windows = (edges[lo:lo + step + 1] for lo in range(0, n_periods - k0, step))
+        sweep = [_gk15_batch(f, e[:-1], e[1:]) for e in windows]
+        krons.append(np.concatenate([part[0] for part in sweep], axis=-1))
+        step = max(1, _SWEEP_VALUES // (15 * krons[0][..., 0].size))
+        quad_err = quad_err + np.sum(np.concatenate([part[1] for part in sweep], axis=-1), axis=-1)
+        partial = np.cumsum(np.concatenate(krons, axis=-1), axis=-1)
         value, acc_err = _richardson_partial_sums(partial, decay_power - 1.0)
         if prev_val is not None:
-            acc_err = max(acc_err, abs(value - prev_val) * 0.5)
+            acc_err = np.maximum(acc_err, abs(value - prev_val) * 0.5)
         total = acc_err + quad_err
-        if total <= cfg.tolerance(value):
-            return IntegralResult(float(value), total, converged=True)
-        prev_val = value
+        out_val, out_err = np.where(done, out_val, value), np.where(done, out_err, total)
+        done = done | _within(total, value, cfg)
+        if np.all(done):
+            break
+        prev_val, k0 = value, n_periods
         n_periods *= 2
-    return IntegralResult(float(value), acc_err + quad_err, converged=False)
+    return _result(out_val, out_err, done)
 
 
 def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
@@ -365,9 +417,10 @@ def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
     The tail beyond ``u0`` must be an envelope decaying like x^-p_tail times
     an oscillation of period 1/2 (every radial Bessel- or sine-power
     integrand here).  The head runs at (abs, rel) = (tol, 10 tol), the tail
-    at ten times that, starting from 64 periods.
+    at ten times that, starting from 64 periods.  ``f`` may be a vector
+    integrand (see the module docstring).
     """
     head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol))
     tail = tail_power_periodic(f, u0, 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
-    return IntegralResult(head.value + tail.value, head.error_estimate + tail.error_estimate,
-                          head.converged and tail.converged)
+    return _result(head.value + tail.value, head.error_estimate + tail.error_estimate,
+                   np.logical_and(head.converged, tail.converged))

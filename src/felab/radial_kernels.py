@@ -114,8 +114,14 @@ def _check_exponent(kind: str, d: int, q: float) -> None:
             f"(continuity threshold q_d = 4 - 2/(d+1)); got q = {q}",
             thr,
         )
+    _check_peak(d, q)
+
+
+def _check_peak(d: int, q: float) -> None:
+    """Refuse q whose peak omega_d^(q-1) = |B^(0)|^(q-1) leaves the float range
+    (q = inf among them): the kernels, gamma and the sphere spectrum."""
     if not (q - 1.0) * math.log(omega(d)) < math.log(np.finfo(float).max):
-        raise DomainError(f"the kernels need a finite exponent q whose peak omega_{d}^(q-1) "
+        raise DomainError(f"need a finite exponent q whose peak omega_{d}^(q-1) "
                           f"= |B^(0)|^(q-1) stays in the float range; got q = {q}")
 
 
@@ -291,6 +297,14 @@ def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
     pref = 2.0 * np.pi ** -s
     x = np.asarray(radii, dtype=float)
     nodes, weights = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
+    # the head resolves cos(2 pi x xi) while a period 1/x spans four of its
+    # widest node gaps (0.2078 of a half-panel 1/96): x <= 115.5, where its
+    # error stays below 3e-13.  Near x = 144 (6 pi of phase a panel) the
+    # panels' errors add up to 1e-9 against the 1e-11 reported
+    x_max = 0.25 / np.max(np.diff(nodes))
+    if np.any(x > x_max):
+        raise DomainError(f"the d = 1 kernels resolve radii up to {x_max:.4g}, where the head "
+                          f"mesh keeps four nodes a period; got r = {np.max(x):.6g}")
     w = 2.0 * weights * _g_radial(kind, 1, q, nodes)
     head = np.empty_like(x)
     rows = max(1, _PAIR_CHUNK // len(nodes))
@@ -538,10 +552,9 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     integrand).  Requires q > 3: below that the defining integral diverges
     and K_q is no longer differentiable at the boundary.
     """
-    if q == math.inf:
-        raise DomainError("gamma needs a finite exponent q")
     if not (q > 3.0):
         raise ThresholdError(f"gamma requires q > 3 (K differentiability); got q = {q}", 3.0)
+    _check_peak(d, q)
     order = d / 2.0
     expo = 1.0 - d * (q - 2.0) / 2.0
 
@@ -553,7 +566,7 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     res = radial_head_tail(f, 20.0, d * (q - 2.0) / 2.0 + q / 2.0 - 1.0, 1e-14)
     value = 4.0 * np.pi**2 * res.value
     err = 4.0 * np.pi**2 * res.error_estimate
-    return IntegralResult(value, err, converged=err <= DEFAULT_CONFIG.tolerance(value))
+    return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
 
 
 def gamma_qd(d: int, q: float) -> float:
@@ -595,7 +608,7 @@ def ball_norm_q(d: int, q: float) -> IntegralResult:
     scale = d * omega(d)
     value = scale * res.value
     err = scale * res.error_estimate
-    return IntegralResult(value, err, converged=err <= DEFAULT_CONFIG.tolerance(value))
+    return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,18 @@ harmonics collapses to a single nonnegative-integrand radial integral
     lambda_k = 4 pi^2 int_0^inf g(rho) rho J_{k+(d-2)/2}(2 pi rho)^2 drho,
 
 which this module evaluates to near machine precision (the periodic-tail
-engine handles the rho^{-3(q-2)/2} envelope).  For d = 2 this equals
+engine handles the rho^{-(d+1)(q-2)/2} envelope).  For d = 2 this equals
 2 pi Lhat(k), the Fourier coefficient of the circle profile
 Ltheta(t) = L_q(x), |x| = sqrt(2 - 2 cos t).
+
+One pass.  Every mode shares g, whose kinks at the zeros of B^ set the
+adaptive mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n as
+one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
+J_nu(x) of every order from the forward recurrence (DLMF 10.6.1, stable
+for x > nu) where x > nu_max + 20, from scipy's jv below that.  The head
+ends at u0 = max(25, 0.3 nu_max + 10), so the whole tail runs on the
+recurrence.  ``funk_hecke_eigenvalue`` and ``circle_coeff`` run the same
+pass on one mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
 ||1_E^||_q^q for balanced corona perturbations by
@@ -43,6 +52,7 @@ from scipy import special
 from .errors import DomainError, ThresholdError
 from .quadrature import radial_head_tail
 from .radial_kernels import (
+    _check_peak,
     ball_hat,
     gamma_qd,
     kernel_values,
@@ -54,48 +64,90 @@ __all__ = [
     "ModeSpectrum",
     "circle_coeff",
     "funk_hecke_eigenvalue",
+    "funk_hecke_eigenvalues",
     "mode_margins",
 ]
 
 
-def _lambda_radial(d: int, q: float, order: float) -> float:
-    """4 pi^2 int g(rho) rho J_order(2 pi rho)^2 drho with g = |B^_d|^{q-2}."""
+def _bessel_rows(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{k+(d-2)/2}(x) for the consecutive modes ks, shape (len(ks),) + x.shape:
+    by the forward recurrence where x > nu_max + 20, by jv below that."""
+    flat = x.ravel()
+    out = np.empty((len(ks), flat.size))
+    far = flat > (d - 2.0) / 2.0 + ks[-1] + 20.0
+    out[:, ~far] = special.jv((d - 2.0) / 2.0 + ks[:, None], flat[~far])
+    if far.any():
+        out[:, far] = _bessel_recurrence(d, ks, flat[far])
+    return out.reshape((len(ks),) + x.shape)
+
+
+def _bessel_recurrence(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{nu+1} = (2 nu / x) J_nu - J_{nu-1} from nu0 = (d-2)/2, seeded by j0,
+    j1 (d = 2) or the closed forms of J_{1/2}, J_{3/2} (d = 3); stable for
+    x > nu (Gautschi 1967)."""
+    nu0 = (d - 2.0) / 2.0
+    if d == 2:
+        lo, hi = special.j0(x), special.j1(x)
+    else:
+        lo = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+        hi = lo / x - np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
+    two_over_x = 2.0 / x
+    rows = np.empty((len(ks), x.size))
+    for k in range(ks[-1] + 1):  # lo = J_{nu0+k}, hi = J_{nu0+k+1}
+        if k >= ks[0]:
+            rows[k - ks[0]] = lo
+        lo, hi = hi, (nu0 + k + 1.0) * two_over_x * hi - lo
+    return rows
+
+
+def _lambda_radial(d: int, q: float, ks: np.ndarray) -> np.ndarray:
+    """4 pi^2 int g(rho) rho J_{k+(d-2)/2}(2 pi rho)^2 drho, g = |B^_d|^{q-2},
+    for the consecutive modes ks in one pass: g rho is evaluated once per node."""
     thr = q_threshold("L", d)
-    if q == np.inf:
-        raise DomainError("the sphere spectrum needs a finite exponent q")
     if not (q > thr):
         raise ThresholdError(
             f"the sphere spectrum needs q > q_d = {thr:.6g} in d={d}; got q = {q}", thr)
+    _check_peak(d, q)
 
     def f(rho):
-        rho = np.asarray(rho, dtype=float)
         g = np.abs(ball_hat(d, rho)) ** (q - 2.0)
-        with np.errstate(invalid="ignore"):
-            jj = special.jv(order, 2 * np.pi * rho)
-        return np.where(rho > 0, g * rho, 0.0) * jj**2
+        jj = _bessel_rows(d, ks, 2 * np.pi * rho)
+        jj *= jj
+        jj *= np.where(rho > 0, g * rho, 0.0)
+        return jj
 
-    u0 = max(25.0, 0.3 * order + 10.0)
+    # 2 pi u0 >= 1.88 nu_max + 63: the whole tail runs on the recurrence
+    u0 = max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0)
     return 4.0 * np.pi**2 * radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15).value
+
+
+def _eigenvalues(d: int, q: float, ks: np.ndarray) -> np.ndarray:
+    if d == 1:
+        # S^0 = {+-1}: eigenvalues L(0) +- L(2) on the even/odd functions
+        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]))
+        return np.where(ks % 2 == 0, vals[0] + vals[1], vals[0] - vals[1])
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    return _lambda_radial(d, q, ks)
 
 
 def circle_coeff(q: float, n: int) -> float:
     """Fourier coefficient Lhat(n) of the circle profile of L_q (d = 2)."""
-    if n < 0:
-        n = -n
-    return _lambda_radial(2, q, float(n)) / (2.0 * np.pi)
+    return float(_lambda_radial(2, q, np.array([abs(n)]))[0]) / (2.0 * np.pi)
 
 
 def funk_hecke_eigenvalue(d: int, q: float, k: int) -> float:
     """Eigenvalue of F -> integral of L_q(. - beta) F(beta) on degree-k harmonics."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    if d == 1:
-        # S^0 = {+-1}: eigenvalues L(0) +- L(2) on the even/odd functions
-        vals, _ = kernel_values("L", 1, q, np.array([0.0, 2.0]))
-        return float(vals[0] + vals[1]) if k % 2 == 0 else float(vals[0] - vals[1])
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    return _lambda_radial(d, q, k + (d - 2.0) / 2.0)
+    return float(_eigenvalues(d, q, np.array([k]))[0])
+
+
+def funk_hecke_eigenvalues(d: int, q: float, n_max: int) -> np.ndarray:
+    """The eigenvalues of degrees 0..n_max in one radial pass."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    return _eigenvalues(d, q, np.arange(n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -137,8 +189,7 @@ def mode_margins(d: int, q: float, n_max: int) -> ModeSpectrum:
     gamma = gamma_qd(d, q)
     budget = 0.5 * q * gamma
     modes = []
-    for n in range(n_max + 1):
-        lam = funk_hecke_eigenvalue(d, q, n)
+    for n, lam in enumerate(funk_hecke_eigenvalues(d, q, n_max).tolist()):
         combined = (q**2 / 4.0 + q * (q - 2.0) / 4.0 * (-1.0) ** n) * lam
         modes.append(ModeMargin(n, lam, lam / (2 * np.pi) if d == 2 else float("nan"),
                                 combined, budget - combined))

@@ -37,7 +37,7 @@ from felab.quadrature import (
 from felab.radial_kernels import RadialKernel, gamma_qd, kernel_values, omega
 from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
 from felab.set_model import AffineMap, IntervalSet, SphereProfile, StarSet, dist_to_ellipsoids
-from felab.spectral import funk_hecke_eigenvalue
+from felab.spectral import funk_hecke_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +357,7 @@ def sphere_reduced_prediction(profile: SphereProfile, d: int, q: float) -> float
         raise DomainError("profiles are supported in d = 1 and d = 2")
     total_ff = 0.0
     total_ffr = 0.0
-    for n in range(profile.n_modes + 1):
-        lam = funk_hecke_eigenvalue(2, q, n)
+    for n, lam in enumerate(funk_hecke_eigenvalues(2, q, profile.n_modes)):
         weight = 1.0 if n == 0 else 2.0
         c2 = abs(profile.fourier_coeff(n)) ** 2
         # ||F_n||^2 in L^2(sigma) = 2 pi (|F^(n)|^2 + |F^(-n)|^2)

@@ -249,6 +249,12 @@ class TestMalformedInput:
         (["phi", "--set", "SET", "--q", "4.4", "--oracle"], "even integer"),
         (["kernel", "--kind", "K", "--d", "1", "--q", "1e300"], "float range"),
         (["first-variation", "--d", "1", "--q", "1e300"], "float range"),
+        (["gamma", "--d", "2", "--q", "700"], "float range"),
+        (["gamma", "--d", "1", "--q", "1e300"], "float range"),
+        (["spectrum", "--d", "2", "--q", "700", "--modes", "4"], "float range"),
+        (["spectrum", "--d", "3", "--q", "1e300", "--modes", "3"], "float range"),
+        (["kernel", "--kind", "K", "--d", "1", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
+         "resolve radii up to 115.5"),
     ])
     def test_domain_error_exit_1(self, capsys, tmp_path, argv, message):
         # the set is [0, 1] and [1e9, 1e9 + 1]: refused for its mesh size, not run
@@ -271,9 +277,9 @@ class TestMalformedInput:
 
 # --- fuzzing: any command line and any set document keeps the exit contract
 
-# finite numbers stay in [-10, 10]: larger exponents still reach engines that
-# overflow (`gamma --d 2 --q 700` dies with an OverflowError at
-# 2.0 ** (p_tail + i) in quadrature._richardson_partial_sums)
+# finite numbers stay in [-10, 10]; the exponents past the float range that
+# once overflowed (`gamma --d 2 --q 700`) are refused and pinned in
+# test_domain_error_exit_1 above
 NUMBERS = st.one_of(st.integers(-10, 10), st.floats(-10, 10),
                     st.sampled_from([math.nan, math.inf, -math.inf]))
 NUMBER_LISTS = st.lists(NUMBERS, max_size=3)

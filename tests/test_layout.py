@@ -1,6 +1,7 @@
-"""Source layout: one GK15 panel rule, one radial head-plus-tail integral,
-a quadrature config only where a tolerance runs, no test-only routine
-inside the package, no global statement, and only the pinned module caches."""
+"""Source layout: one GK15 panel rule, one adaptive loop, one radial
+head-plus-tail integral, no per-mode loop over the Funk-Hecke eigenvalues, a
+quadrature config only where a tolerance runs, no test-only routine inside
+the package, no global statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -31,6 +32,30 @@ def test_gk15_tables_stay_in_quadrature():
     for name, text in MODULES.items():
         for table in ("_GK_NODES", "_GK_WEIGHTS", "_G_WEIGHTS"):
             assert name == "quadrature.py" or table not in text, (name, table)
+
+
+def test_one_adaptive_loop():
+    # the worst-first heap lives in integrate_adaptive alone
+    for name, text in MODULES.items():
+        modules = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        assert ("heapq" in modules) == (name == "quadrature.py"), name
+
+
+def test_no_per_mode_eigenvalue_loop():
+    # all modes of one (d, q) come from one funk_hecke_eigenvalues pass
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    for name, text in MODULES.items():
+        for loop in (n for n in ast.walk(ast.parse(text)) if isinstance(n, loops)):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert callee != "funk_hecke_eigenvalue", (name, node.lineno)
 
 
 def _callers(text: str, callee: str) -> set:
@@ -90,9 +115,10 @@ def test_no_global_statements():
 
 
 # the module-level caches, each global state that must earn its place: the
-# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel)
-# and the two kernel profiles that every perturbation call at one q shares
-CACHED = {"_series", "_profile_1d", "_profile_2d_K"}
+# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel),
+# the two kernel profiles that every perturbation call at one q shares, and
+# the ball's Phi_q that every expansion report at one (d, q, cfg) shares
+CACHED = {"_series", "_profile_1d", "_profile_2d_K", "_ball_phi"}
 
 
 def test_module_caches_are_pinned():

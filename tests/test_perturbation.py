@@ -105,6 +105,18 @@ class TestExpansionReport:
         assert rep.term_K == rep.term_LL == rep.term_Lrefl == 0.0
         assert rep.residual == 0.0
 
+    def test_ball_norm_computed_once_per_exponent(self, monkeypatch):
+        # the reports of a family share the ball's Phi_q: one set each, one ball
+        import felab.perturbation as pert
+        from felab.functional import phi_q
+        calls = []
+        monkeypatch.setattr(pert, "phi_q", lambda e, *a, **k: calls.append(e) or phi_q(e, *a, **k))
+        pert._ball_phi.cache_clear()
+        reps = [expansion_report(sliver_family_1d(eps), 3.7) for eps in (0.02, 0.05)]
+        assert len(calls) == 3
+        ball = phi_q(IntervalSet([(-1.0, 1.0)]), 3.7, pert._TIGHT).norm_q_pow_q
+        assert reps[0].base == reps[1].base == ball
+
     def test_translation_neutrality(self):
         rep = expansion_report(translated_ball(0.05, 1), 4.0)
         assert abs(rep.direct - rep.base) < 1e-9

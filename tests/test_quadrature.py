@@ -153,6 +153,20 @@ class TestAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 1.0, 0.0, CFG)
 
+    def test_vector_components_meet_their_own_tolerance(self):
+        # one mesh, two scales: each component is held to max(abs, rel |value_k|)
+        def f(x):
+            return np.stack([np.sin(17.0 * x) / (1.0 + x * x), 1e-6 * np.exp(-x * x)])
+
+        res = integrate_adaptive(f, 0.0, 30.0, CFG)
+        assert res.value.shape == res.error_estimate.shape == res.converged.shape == (2,)
+        assert np.all(res.converged)
+        assert np.all(res.error_estimate <= np.maximum(CFG.abs_tol, CFG.rel_tol * np.abs(res.value)))
+        for k in range(2):
+            alone = integrate_adaptive(lambda x, k=k: f(x)[k], 0.0, 30.0, CFG)
+            assert res.value[k] == pytest.approx(alone.value, abs=1e-10)
+        assert res.value[1] == pytest.approx(1e-6 * np.sqrt(np.pi) / 2, rel=1e-12)
+
     def test_budget_exhaustion_flag(self):
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
         res = integrate_adaptive(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300), 0.0, 1.0, cfg)
@@ -199,6 +213,25 @@ class TestPowerPeriodicTail:
     def test_rejects_divergent(self):
         with pytest.raises(DomainError):
             tail_power_periodic(lambda x: 1 / x, 1.0, 0.5, 1.0, 64, CFG)
+
+    def test_vector_keeps_first_converged_doubling(self):
+        # the small component converges after four doublings fewer than the
+        # large one, which ends unconverged; each keeps its own result
+        f = lambda x: np.sin(2 * np.pi * x) ** 2 / x**1.5
+        small = tail_power_periodic(lambda x: 1e-6 * f(x), 10.0, 0.5, 1.5, 64, CFG)
+        large = tail_power_periodic(f, 10.0, 0.5, 1.5, 64, CFG)
+        both = tail_power_periodic(lambda x: np.stack([1e-6 * f(x), f(x)]), 10.0, 0.5, 1.5, 64,
+                                   CFG)
+        assert small.converged and not large.converged
+        assert list(both.converged) == [True, False]
+        assert list(both.value) == [small.value, large.value]
+        assert list(both.error_estimate) == [small.error_estimate, large.error_estimate]
+
+    @pytest.mark.parametrize("p", [1023.5, 1e300])
+    def test_ladder_takes_any_finite_power(self, p):
+        # 2^(p + i) overflows a float from p = 1024 on; the ladder must not
+        res = tail_power_periodic(lambda x: (10.0 / x) ** 60, 10.0, 0.5, p, 64, CFG)
+        assert np.isfinite(res.value) and np.isfinite(res.error_estimate)
 
 
 class TestConfig:

@@ -85,6 +85,23 @@ class TestKernel1D:
             oracle = exact_kernel_1d("K", q)(r)
             assert np.max(np.abs(vals - oracle)) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_every_accepted_radius_within_its_error(self, kind, q):
+        # the head keeps four GK15 nodes a period of cos(2 pi r xi) up to
+        # r = 96 / (4 x 0.2078) = 115.5, with the resonance at r = 96 inside
+        # (two periods a panel); past that it is refused
+        r = np.concatenate([np.linspace(0.0, 115.5, 2001), np.linspace(95.5, 96.5, 101)])
+        vals, errs = kernel_values(kind, 1, q, r)
+        assert np.all(np.abs(vals - exact_kernel_1d(kind, q)(r)) <= errs)
+        for far in (115.51, 144.0, 1e300):
+            with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+                kernel_values(kind, 1, q, np.array([0.0, far]))
+
+    def test_exact_kernel_vanishes_past_its_support(self):
+        # summing the truncated-power events there used to leave -1.4e-9 at r = 100
+        assert np.all(exact_kernel_1d("K", 6)(np.array([5.0, 20.0, 100.0, 1e9])) == 0.0)
+
     def test_exact_kernel_takes_an_integral_float(self):
         r = np.linspace(0.0, 5.0, 11)
         assert np.array_equal(exact_kernel_1d("K", 4.0)(r), exact_kernel_1d("K", 4)(r))
@@ -256,6 +273,15 @@ class TestThresholds:
         vals, errs = kernel_values(kind, d, q, np.linspace(0.0, 4.0, 9))
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
         assert vals[0] > 1e300
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gamma_and_spectrum_peak_beyond_float_range_refused(self, d):
+        # just above the bound (q ~ 1025, 621, 497)
+        q = (1.0 + math.log(sys.float_info.max) / math.log(omega(d))) * (1.0 + 1e-12)
+        with pytest.raises(DomainError, match="float range"):
+            gamma_qd_detailed(d, q)
+        with pytest.raises(DomainError, match="float range"):
+            funk_hecke_eigenvalue(d, q, 3)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_infinite_exponent_refused(self, d):

@@ -1,13 +1,26 @@
 """Circle spectrum, Funk-Hecke eigenvalues, mode margins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import special
 
 from felab.errors import DomainError, ThresholdError
-from felab.quadrature import QuadratureConfig, integrate_adaptive
-from felab.radial_kernels import gamma_qd, kernel_profile, kernel_values
+from felab.quadrature import (
+    QuadratureConfig,
+    integrate_adaptive,
+    radial_head_tail,
+    tail_power_periodic,
+)
+from felab.radial_kernels import ball_hat, gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
-from felab.spectral import circle_coeff, funk_hecke_eigenvalue, mode_margins
+from felab.spectral import (
+    circle_coeff,
+    funk_hecke_eigenvalue,
+    funk_hecke_eigenvalues,
+    mode_margins,
+)
 from oracles import CircleProfile, circle_coeff_from_profile, sphere_reduced_prediction
 
 
@@ -77,6 +90,75 @@ class TestFunkHecke:
             for k in (0, 1, 2):
                 lam = funk_hecke_eigenvalue(d, q, k)
                 assert np.isfinite(lam) and lam > 0
+
+
+def _lambda_integrand(d, q, orders):
+    """g(rho) rho J_nu(2 pi rho)^2 for each order, through scipy's jv."""
+    def f(rho):
+        g = np.abs(ball_hat(d, rho)) ** (q - 2.0)
+        jj = special.jv(np.reshape(orders, (-1,) + (1,) * np.ndim(rho)), 2 * np.pi * rho)
+        return np.where(rho > 0, g * rho, 0.0) * jj**2
+    return f
+
+
+class TestBatch:
+    @pytest.mark.parametrize("d, q, n", [(2, 4.0, 28), (2, 5.7, 12), (3, 4.2, 10)])
+    def test_matches_single_mode(self, d, q, n):
+        lams = funk_hecke_eigenvalues(d, q, n)
+        assert lams.shape == (n + 1,)
+        single = [funk_hecke_eigenvalue(d, q, k) for k in range(n + 1)]
+        assert np.max(np.abs(lams - single)) <= 2e-13
+
+    def test_near_threshold_against_kink_split_head(self):
+        # at q = 3.6 the single-mode head misses lambda_9 by 4.4e-13 (ten
+        # times its estimate, at the |t|^1.6 kinks of g); the one-pass values
+        # stay within 2e-13 of a head split at every zero of B^, integrated
+        # with jv, plus the same periodic tail
+        q, n = 3.6, 24
+        f = _lambda_integrand(2, q, np.arange(n + 1))
+        zeros = special.jn_zeros(1, 80) / (2 * np.pi)
+        edges = np.concatenate([[0.0], zeros[zeros < 25.0], [25.0]])
+        head = sum(integrate_adaptive(f, a, b, QuadratureConfig(1e-17, 1e-15, 20000)).value
+                   for a, b in zip(edges[:-1], edges[1:]))
+        tail = tail_power_periodic(f, 25.0, 0.5, 1.5 * (q - 2.0), 64,
+                                   QuadratureConfig(1e-14, 1e-13)).value
+        reference = 4 * np.pi**2 * (head + tail)
+        assert np.max(np.abs(funk_hecke_eigenvalues(2, q, n) - reference)) <= 2e-13
+
+    def test_identical_columns_reproduce_scalar_bits(self):
+        # 40 columns: the periodic tail sweeps its last doublings in chunks
+        q = 3.7
+        scalar = _lambda_integrand(2, q, 3.0)
+        res = radial_head_tail(lambda rho: scalar(rho)[0], 25.0, 1.5 * (q - 2.0), 1e-15)
+        batch = radial_head_tail(lambda rho: np.repeat(scalar(rho), 40, axis=0),
+                                 25.0, 1.5 * (q - 2.0), 1e-15)
+        assert isinstance(res.value, float) and batch.value.shape == (40,)
+        assert np.all(batch.value == res.value)
+        assert np.all(batch.error_estimate == res.error_estimate)
+        assert np.all(batch.converged == res.converged)
+
+    def test_memory_flat_in_mode_count(self):
+        tracemalloc.start()
+        try:
+            spec = mode_margins(2, 4.0, 160)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert spec.worst_mode == 4 and len(spec.modes) == 161
+
+    def test_d1_alternates(self):
+        lams = funk_hecke_eigenvalues(1, 4.0, 3)
+        assert lams[0] == lams[2] == funk_hecke_eigenvalue(1, 4.0, 0)
+        assert lams[1] == lams[3] == funk_hecke_eigenvalue(1, 4.0, 1)
+
+    def test_refusals(self):
+        with pytest.raises(DomainError):
+            funk_hecke_eigenvalues(2, 4.0, -1)
+        with pytest.raises(ThresholdError):
+            funk_hecke_eigenvalues(2, 3.2, 4)
+        with pytest.raises(DomainError, match="float range"):
+            funk_hecke_eigenvalues(2, 700.0, 4)
 
 
 class TestModeMargins:
