@@ -213,6 +213,9 @@ def _cmd_kernel(run: _Run, args):
 def _cmd_gamma(run: _Run, args):
     from .radial_kernels import gamma_qd_detailed
     res = gamma_qd_detailed(args.d, args.q)
+    if not res.converged:
+        raise NonConvergenceError(f"gamma({args.d},{args.q}) = {res.value:.17g} has an error "
+                                  f"estimate above its tolerance", res.error_estimate)
     run.emit(f"{res.value:.6f} ± {res.error_estimate:.3g}", "gamma.txt")
     run.log(f"gamma({args.d},{args.q}) = {res.value:.17g}")
 

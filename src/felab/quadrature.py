@@ -18,12 +18,14 @@ runs on this module:
 * ``tail_power_periodic``   -- tail integrator for integrands of the form
   (algebraic envelope) x (fixed-period oscillation), the shape every
   Bessel-power tail in this package reduces to.  Integrating over exact
-  periods removes the oscillation to leading order; Richardson
-  extrapolation in the number of periods removes the algebraic remainder.
+  periods removes the oscillation to leading order; an exact solve in the
+  abscissa removes the algebraic remainder, and a rule error measured on
+  the first periods is removed and kept in the estimate.
 * ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
   ball norms, Funk-Hecke eigenvalues): an adaptive head on [0, u0], then a
-  tail of period 1/2.  It takes no config: its head and tail tolerances
-  follow from the one ``tol`` its caller fixes.
+  tail of period 1/2, which its callers start at a zero of B^.  It takes no
+  config: its head and tail tolerances follow from the one ``tol`` its
+  caller fixes.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
@@ -35,8 +37,8 @@ Vector integrands.  ``integrate_adaptive``, ``tail_power_periodic`` and
 modes, which share the kinks of |B^|^{q-2}), each held to its own
 max(abs_tol, rel_tol |value_k|), and a result of arrays of length K.  The
 adaptive loop bisects by the largest component error; the periodic tail
-doubles until every component has converged, and a component keeps the
-result of its first converged doubling.  K identical components reproduce
+doubles until every component has stopped, and a component keeps the
+result of its first stopping doubling.  K identical components reproduce
 the scalar result bit for bit.
 
 All functions here are pure; there is no shared mutable state.
@@ -277,34 +279,33 @@ def _aitken_accelerate(partial: np.ndarray):
     return float(best), float(err)
 
 
-def _richardson_partial_sums(partial: np.ndarray, p_tail: float):
-    """Richardson extrapolation of S_K -> S_inf for S_inf - S_K ~ C K^(-p_tail).
+def _richardson_partial_sums(partial: np.ndarray, p_tail: float, ends: np.ndarray):
+    """Extrapolate the partial sums S_K (last axis; leading axes are
+    components) for S_inf - S_K = sum_i c_i X_K^-(p_tail + i), X_K = ends[K-1].
 
-    Uses the partial sums at K, K/2, K/4, ... and the exponent ladder
-    p_tail, p_tail+1, ... (the standard form of the Euler-Maclaurin
-    remainder for algebraically decaying one-signed segment sums).  The
-    partial sums run along the last axis; leading axes are components.
+    The model is solved exactly over the levels K = 2^m >= 8 present, at most
+    six: the divided difference in t = 1/X of X^p_tail (S_inf - S_K) over
+    them vanishes, so S_inf = sum_j w_j S_j with weights from the X_j alone,
+    applied level by level so that each component is summed alike.  The
+    error is the spread against the solve without the lowest level.
     """
     n = partial.shape[-1]
-    if n < 8:
+    levels = [2 ** m for m in range(3, int(math.log2(n)) + 1)][-6:]
+    if len(levels) < 2:
         last = partial[..., -1]
         return last, abs(last - partial[..., -2]) if n > 1 else abs(last)
-    # exact powers of two so the ladder factors 2^e are correct
-    m_hi = int(math.floor(math.log2(n)))
-    ks = [2 ** m for m in range(m_hi, 2, -1)]
-    table = [partial[..., np.array(ks) - 1]]  # [..., j] is S at K = 2^(m_hi - j)
-    for i in range(len(ks) - 1):
-        prev = table[-1]
-        if p_tail + i > 1000.0:
-            # (fac S_K - S_K/2) / (fac - 1) moves S_K by (S_K - S_K/2) / (fac - 1),
-            # below rounding long before fac = 2^1000 (and fac overflows at 2^1024)
-            table.append(prev[..., :-1])
-            continue
-        fac = 2.0 ** (p_tail + i)
-        nxt = (fac * prev[..., :-1] - prev[..., 1:]) / (fac - 1.0)
-        table.append(nxt)
-    best = table[-1][..., 0]
-    return best, abs(best - table[-2][..., 0])
+
+    def solve(ks):
+        x = [float(ends[k - 1]) for k in ks]
+        # (X_j / X_top)^p <= 1: no exponent overflows, and past p ~ 1000 the
+        # top level takes all the weight, as a remainder below rounding should
+        u = [(xj / x[-1]) ** p_tail / math.prod(1.0 / xj - 1.0 / xk for xk in x if xk != xj)
+             for xj in x]
+        total = math.fsum(u)
+        return sum((uj / total) * partial[..., k - 1] for uj, k in zip(u, ks))
+
+    best = solve(levels)
+    return best, abs(best - solve(levels[1:]))
 
 
 def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
@@ -334,7 +335,7 @@ def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG)
         value, acc_err = _aitken_accelerate(partial)
     elif one_signed and len(sums) >= 8:
         p = _estimate_decay(np.abs(kron), 0.5 * (z[:-1] + z[1:]))
-        value, acc_err = _richardson_partial_sums(partial, max(0.5, p - 1.0))
+        value, acc_err = _richardson_partial_sums(partial, max(0.5, p - 1.0), z[1:])
         # a fitted decay exponent leaks linearly into the extrapolation;
         # widen the estimate by a slice of the removed remainder
         acc_err = max(acc_err, 0.05 * abs(value - float(partial[-1])))
@@ -375,40 +376,51 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float, n_pe
 
     ``decay_power`` is the algebraic decay exponent p of the integrand
     envelope (|f| ~ rho^-p up to the oscillation).  Segment integrals over
-    exact periods form a smooth k^-p sequence regardless of phase, so the
-    partial sums admit Richardson extrapolation with remainder exponent
-    p - 1.  Starts with ``n_periods`` periods and doubles their count, at
-    most six times, until two successive extrapolations agree within
-    tolerance: for a vector integrand, until every component has, each
-    keeping the value of its first converged doubling.
+    exact periods, one GK15 panel each, form a smooth sequence regardless of
+    phase, extrapolated in the abscissa.  The first ``n_periods`` periods
+    are also integrated with two panels a period; the difference, as a
+    share of their mass, times the mass of the whole tail is the rule term
+    (|K - G| overstates it by orders of magnitude).  It is removed from the
+    value and added to the extrapolation's spread in the estimate.  The
+    rule errs least with the oscillation's kinks on period edges, so
+    ``start`` should sit at one.  The count of periods doubles, at most six
+    times, until the estimate meets the tolerance (``converged``) or the
+    spread has fallen to the rule term, which more periods cannot shrink.
+    Each component of a vector integrand keeps the result of the doubling
+    at which it stopped.
     """
     if period <= 0:
         raise DomainError("period must be positive")
     if decay_power <= 1.0:
         raise DomainError("decay_power must exceed 1 for a convergent tail")
-    krons, quad_err, k0, prev_val = [], 0.0, 0, None
-    out_val = out_err = 0.0
-    done = False
-    step = n_periods  # panels per integrand call, until the component count is known
-    for _ in range(7):
-        edges = start + period * np.arange(k0, n_periods + 1)
-        windows = (edges[lo:lo + step + 1] for lo in range(0, n_periods - k0, step))
-        sweep = [_gk15_batch(f, e[:-1], e[1:]) for e in windows]
-        krons.append(np.concatenate([part[0] for part in sweep], axis=-1))
-        step = max(1, _SWEEP_VALUES // (15 * krons[0][..., 0].size))
-        quad_err = quad_err + np.sum(np.concatenate([part[1] for part in sweep], axis=-1), axis=-1)
+    half = start + 0.5 * period * np.arange(2 * n_periods + 1)
+    kron, _ = _gk15_batch(f, np.r_[half[:-1:2], half[:-1]], np.r_[half[2::2], half[1:]])
+    krons, two = [kron[..., :n_periods]], kron[..., n_periods::2] + kron[..., n_periods + 1::2]
+    mass, two_mass = np.sum(np.abs(krons[0]), axis=-1), np.sum(np.abs(two), axis=-1)
+    ratio = (np.sum(krons[0], axis=-1) - np.sum(two, axis=-1)) / np.where(two_mass, two_mass, 1.0)
+    step = max(1, _SWEEP_VALUES // (15 * krons[0][..., 0].size))  # panels per integrand call
+    prev_val, last = None, n_periods << 6
+    out_val, out_err, done, converged = 0.0, 0.0, False, False
+    while True:
         partial = np.cumsum(np.concatenate(krons, axis=-1), axis=-1)
-        value, acc_err = _richardson_partial_sums(partial, decay_power - 1.0)
+        value, spread = _richardson_partial_sums(
+            partial, decay_power - 1.0, start + period * np.arange(1, n_periods + 1))
         if prev_val is not None:
-            acc_err = np.maximum(acc_err, abs(value - prev_val) * 0.5)
-        total = acc_err + quad_err
-        out_val, out_err = np.where(done, out_val, value), np.where(done, out_err, total)
-        done = done | _within(total, value, cfg)
-        if np.all(done):
+            spread = np.maximum(spread, abs(value - prev_val) * 0.5)
+        prev_val, rule = value, ratio * (mass + abs(value - partial[..., -1]))
+        out_val = np.where(done, out_val, value - rule)
+        out_err = np.where(done, out_err, spread + abs(rule))
+        converged = np.where(done, converged, _within(out_err, out_val, cfg))
+        done = done | converged | (spread <= abs(rule))
+        if np.all(done) or n_periods == last:
             break
-        prev_val, k0 = value, n_periods
-        n_periods *= 2
-    return _result(out_val, out_err, done)
+        k0, n_periods = n_periods, 2 * n_periods
+        edges = start + period * np.arange(k0, n_periods + 1)
+        sweep = [_gk15_batch(f, edges[:-1][lo:lo + step], edges[1:][lo:lo + step])[0]
+                 for lo in range(0, n_periods - k0, step)]
+        krons.append(np.concatenate(sweep, axis=-1))
+        mass = mass + np.sum(np.abs(krons[-1]), axis=-1)
+    return _result(out_val, out_err, converged)
 
 
 def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
@@ -416,9 +428,10 @@ def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
 
     The tail beyond ``u0`` must be an envelope decaying like x^-p_tail times
     an oscillation of period 1/2 (every radial Bessel- or sine-power
-    integrand here).  The head runs at (abs, rel) = (tol, 10 tol), the tail
-    at ten times that, starting from 64 periods.  ``f`` may be a vector
-    integrand (see the module docstring).
+    integrand here), and starts best at a kink of the oscillation.  The head
+    runs at (abs, rel) = (tol, 10 tol), the tail at ten times that, starting
+    from 64 periods.  ``f`` may be a vector integrand (see the module
+    docstring).
     """
     head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol))
     tail = tail_power_periodic(f, u0, 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))

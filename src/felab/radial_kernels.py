@@ -21,11 +21,13 @@ The boundary derivative gamma = -dK/dr at r = 1 is evaluated spectrally
 (differentiating under the integral), which collapses to the nonnegative
 integrand
 
-    gamma(q, d) = 4 pi^2 int_0^inf rho^{1 - d(q-2)/2} |J_{d/2}(2 pi rho)|^q drho,
+    gamma(q, d) = 4 pi^2 int_0^inf rho^{1+d} |B^(rho)|^q drho
+                = 4 pi^2 int_0^inf rho^{1 - d(q-2)/2} |J_{d/2}(2 pi rho)|^q drho,
 
-a power envelope times a pi-periodic oscillation in u = 2 pi rho; such
-tails are handled exactly by ``tail_power_periodic``.  For d = 1 this is
-literally 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q dxi.
+a power envelope times an oscillation of period 1/2; the first form cannot
+overflow (|B^| <= omega_d).  Its periodic tail, like the ball norms', starts
+at a zero of B^, so the kinks of |B^|^q fall on period edges.  For d = 1
+this is literally 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q dxi.
 
 Profile evaluation
 ------------------
@@ -159,6 +161,21 @@ def ball_hat(d: int, r):
     return float(out[0]) if scalar else out
 
 
+def _ball_hat_zero(d: int, rho: float) -> float:
+    """The last zero of B^ below about rho (past a few units): k/2 for d = 1,
+    else j_{d/2,s} / 2 pi by McMahon's expansion and Newton (DLMF 10.21(vii))."""
+    if d == 1:
+        return math.floor(2.0 * rho) / 2.0
+    nu = d / 2.0
+    mu = 4.0 * nu * nu
+    beta = (math.floor(2.0 * rho - 0.5 * nu + 0.25) + 0.5 * nu - 0.25) * math.pi
+    x = beta - (mu - 1.0) / (8.0 * beta) - (mu - 1.0) * (7.0 * mu - 31.0) / (384.0 * beta**3)
+    for _ in range(3):
+        jj = special.jv(nu, x)
+        x -= jj / (special.jv(nu - 1.0, x) - nu / x * jj)
+    return float(x) / (2.0 * math.pi)
+
+
 def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
     """The kernel's Fourier-side profile g(rho) = B^ |B^|^{q-2} or |B^|^{q-2}."""
     bh = ball_hat(d, rho)
@@ -227,37 +244,33 @@ def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
 def _series(kind: str, q: float) -> tuple:
     """(frequencies, coefficients, truncation bound) of the periodic factor.
 
-    K-kind: sin(u)|sin u|^{q-2} = sum b_j sin(ju), frequencies j odd;
-    L-kind: |sin u|^{q-2} = a_0 + sum a_m cos(2mu), frequencies 0 and 2m.
-    At q = 4, 6, 8 the factor is sin^n u, n = q-1 (K) or q-2 (L), a finite
-    binomial sum; otherwise the series is cut at frequency ~800 and the
-    rest bounded from the last coefficient.
+    K-kind: sin(u)|sin u|^{q-2} = sum b_j sin(ju), frequencies j odd, with
+    mu = q-1: b_1 = 2 Gamma(mu+1) / (2^mu Gamma((mu+3)/2) Gamma((mu+1)/2)),
+    b_{j+2} = -b_j (mu-j) / (mu+j+2).
+    L-kind: |sin u|^{q-2} = a_0 + sum a_m cos(2mu), frequencies 0 and 2m,
+    with nu = q-2: c_0 = Gamma(nu+1) / (2^nu Gamma(nu/2+1)^2),
+    c_m = c_{m-1} (m-1-nu/2) / (m+nu/2), a_0 = c_0, a_m = 2 c_m.
+    At even q the recurrences end (sin^n u is a finite sum); otherwise the
+    series is cut at frequency ~800 and the rest bounded from the last
+    coefficient.
     """
-    if q in (4.0, 6.0, 8.0):
-        n = int(q) - 1 if kind == "K" else int(q) - 2
-        k = np.arange(n // 2, -1, -1)
-        freqs = n - 2 * k
-        coeffs = 2.0 ** (1 - n) * (-1.0) ** (n // 2 - k) * special.comb(n, k)
-        if n % 2 == 0:
-            coeffs[0] /= 2.0  # the constant term a_0
-        trunc = 0.0
+    s = q - 1.0 if kind == "K" else q - 2.0
+    lead = math.lgamma(s + 1.0) - s * math.log(2.0)
+    if kind == "K":
+        freqs = np.arange(1, 802, 2)
+        lead += math.log(2.0) - math.lgamma((s + 3.0) / 2.0) - math.lgamma((s + 1.0) / 2.0)
+        steps = -(s - freqs[:-1]) / (s + freqs[:-1] + 2.0)
+        last = freqs[-1]
     else:
-        nodes, weights = _gk15_mesh(_graded_edges(0.0, np.pi, (0.0, np.pi), base=np.pi / 2048))
-        sin_part = np.sin(nodes)
-        mag = np.abs(sin_part) ** (q - 2.0)
-        if kind == "K":
-            freqs = np.arange(1, 802, 2)
-            coeffs = (2.0 / np.pi) * (np.sin(np.outer(freqs, nodes)) @ (sin_part * mag * weights))
-            last, s = freqs[-1], q - 1.0
-        else:
-            freqs = np.arange(0, 801, 2)
-            f = mag * weights
-            coeffs = np.concatenate([[np.sum(f) / np.pi],
-                                     (2.0 / np.pi) * (np.cos(np.outer(freqs[1:], nodes)) @ f)])
-            last, s = freqs[-1] // 2, q - 2.0
-        trunc = float(np.abs(coeffs[-1])) * last / max(s, 0.5)
-        keep = np.abs(coeffs) > 1e-15
-        freqs, coeffs = freqs[keep], coeffs[keep]
+        freqs = np.arange(0, 801, 2)
+        lead -= 2.0 * math.lgamma(s / 2.0 + 1.0)
+        m = freqs[1:] // 2
+        steps = (m - 1.0 - s / 2.0) / (m + s / 2.0) * np.where(m == 1, 2.0, 1.0)  # a_m = 2 c_m
+        last = freqs[-1] // 2
+    coeffs = math.exp(lead) * np.cumprod(np.concatenate([[1.0], steps]))
+    trunc = float(np.abs(coeffs[-1])) * last / max(s, 0.5)
+    keep = np.abs(coeffs) > 1e-15
+    freqs, coeffs = freqs[keep], coeffs[keep]
     freqs.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
     return freqs, coeffs, trunc
 
@@ -427,7 +440,7 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
     for i, r in enumerate(x):
         if r < 1e-9:
             res = tail_power_periodic(lambda rho: a0 * envelope(rho), rho0, 0.5,
-                                      max(1.2, p_smooth), n_seg)
+                                      max(1.2, p_smooth), n_seg, QuadratureConfig(1e-14, 1e-13))
         else:
             res = _j0_tail(lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr),
                            r, rho0, n_seg)
@@ -548,22 +561,19 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     """-dK_q/dr at r = 1, by differentiation under the integral sign.
 
     Inserting the ring factor turns the derivative into
-    4 pi^2 int rho^{1-d(q-2)/2} |J_{d/2}(2 pi rho)|^q drho (nonnegative
-    integrand).  Requires q > 3: below that the defining integral diverges
-    and K_q is no longer differentiable at the boundary.
+    4 pi^2 int rho^{1+d} |B^(rho)|^q drho (nonnegative integrand).  Requires
+    q > 3: below that the defining integral diverges and K_q is no longer
+    differentiable at the boundary.
     """
     if not (q > 3.0):
         raise ThresholdError(f"gamma requires q > 3 (K differentiability); got q = {q}", 3.0)
     _check_peak(d, q)
-    order = d / 2.0
-    expo = 1.0 - d * (q - 2.0) / 2.0
 
-    def f(rho):
-        with np.errstate(invalid="ignore"):
-            jj = special.jv(order, 2 * np.pi * rho)
-        return np.where(rho > 0, rho**expo, 0.0) * np.abs(jj) ** q
+    def f(rho):  # rho^{1+d} |B^|^q, any d: |B^| <= omega_d, so no factor overflows
+        bh = special.jv(d / 2.0, 2 * np.pi * rho) / rho ** (d / 2.0)
+        return rho ** (1.0 + d) * np.abs(bh) ** q
 
-    res = radial_head_tail(f, 20.0, d * (q - 2.0) / 2.0 + q / 2.0 - 1.0, 1e-14)
+    res = radial_head_tail(f, _ball_hat_zero(d, 20.0), q * (d + 1.0) / 2.0 - d - 1.0, 1e-14)
     value = 4.0 * np.pi**2 * res.value
     err = 4.0 * np.pi**2 * res.error_estimate
     return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
@@ -604,7 +614,7 @@ def ball_norm_q(d: int, q: float) -> IntegralResult:
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q
 
-    res = radial_head_tail(f, 20.0, q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
+    res = radial_head_tail(f, _ball_hat_zero(d, 20.0), q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
     scale = d * omega(d)
     value = scale * res.value
     err = scale * res.error_estimate

@@ -19,9 +19,10 @@ adaptive mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n as
 one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
 J_nu(x) of every order from the forward recurrence (DLMF 10.6.1, stable
 for x > nu) where x > nu_max + 20, from scipy's jv below that.  The head
-ends at u0 = max(25, 0.3 nu_max + 10), so the whole tail runs on the
-recurrence.  ``funk_hecke_eigenvalue`` and ``circle_coeff`` run the same
-pass on one mode.
+ends at the last zero of B^ below max(25, 0.3 nu_max + 10): the periodic
+tail then starts on a kink of g, and runs wholly on the recurrence.
+``funk_hecke_eigenvalue`` and ``circle_coeff`` run the same pass on one
+mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
 ||1_E^||_q^q for balanced corona perturbations by
@@ -50,8 +51,9 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, ThresholdError
-from .quadrature import radial_head_tail
+from .quadrature import IntegralResult, radial_head_tail
 from .radial_kernels import (
+    _ball_hat_zero,
     _check_peak,
     ball_hat,
     gamma_qd,
@@ -100,7 +102,7 @@ def _bessel_recurrence(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _lambda_radial(d: int, q: float, ks: np.ndarray) -> np.ndarray:
+def _lambda_radial(d: int, q: float, ks: np.ndarray) -> IntegralResult:
     """4 pi^2 int g(rho) rho J_{k+(d-2)/2}(2 pi rho)^2 drho, g = |B^_d|^{q-2},
     for the consecutive modes ks in one pass: g rho is evaluated once per node."""
     thr = q_threshold("L", d)
@@ -116,9 +118,10 @@ def _lambda_radial(d: int, q: float, ks: np.ndarray) -> np.ndarray:
         jj *= np.where(rho > 0, g * rho, 0.0)
         return jj
 
-    # 2 pi u0 >= 1.88 nu_max + 63: the whole tail runs on the recurrence
-    u0 = max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0)
-    return 4.0 * np.pi**2 * radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15).value
+    # tail from a zero of B^ (a kink of g); 2 pi u0 >= 1.88 nu_max + 59 keeps it on the recurrence
+    u0 = _ball_hat_zero(d, max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0))
+    out = radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15)
+    return IntegralResult(4 * np.pi**2 * out.value, 4 * np.pi**2 * out.error_estimate, out.converged)
 
 
 def _eigenvalues(d: int, q: float, ks: np.ndarray) -> np.ndarray:
@@ -128,12 +131,12 @@ def _eigenvalues(d: int, q: float, ks: np.ndarray) -> np.ndarray:
         return np.where(ks % 2 == 0, vals[0] + vals[1], vals[0] - vals[1])
     if d < 1:
         raise DomainError("d must be >= 1")
-    return _lambda_radial(d, q, ks)
+    return _lambda_radial(d, q, ks).value
 
 
 def circle_coeff(q: float, n: int) -> float:
     """Fourier coefficient Lhat(n) of the circle profile of L_q (d = 2)."""
-    return float(_lambda_radial(2, q, np.array([abs(n)]))[0]) / (2.0 * np.pi)
+    return float(_lambda_radial(2, q, np.array([abs(n)])).value[0]) / (2.0 * np.pi)
 
 
 def funk_hecke_eigenvalue(d: int, q: float, k: int) -> float:

@@ -61,6 +61,24 @@ class TestGamma:
         assert "4.000000" in out
         assert "±" in out
 
+    def test_converged_error_printed(self, capsys):
+        code = dispatch(["--quiet", "gamma", "--d", "1", "--q", "3.5"])
+        value, error = capsys.readouterr().out.split("±")
+        assert code == 0
+        assert float(value) == pytest.approx(2.230129, abs=1e-6)
+        assert float(error) <= 1e-9
+
+    def test_unconverged_exit_2(self, capsys, monkeypatch):
+        from felab import radial_kernels
+        from felab.quadrature import IntegralResult
+        monkeypatch.setattr(radial_kernels, "gamma_qd_detailed",
+                            lambda d, q: IntegralResult(2.0, 1e-3, False))
+        code = dispatch(["gamma", "--d", "1", "--q", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("non-convergence: ") and "Traceback" not in captured.err
+
 
 class TestPhi:
     def test_json_output(self, capsys, ball_file):

@@ -8,6 +8,7 @@ from felab.quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
     QuadratureConfig,
+    _richardson_partial_sums,
     gk15_panels,
     gk15_sums,
     integrate_adaptive,
@@ -210,17 +211,28 @@ class TestPowerPeriodicTail:
         ref = integrate_composite(f, 10.0, big_r, 800_000).value + 1.0 / (2 * big_r)
         assert res.value == pytest.approx(ref, abs=1e-9)
 
+    def test_abscissa_ladder_solves_its_model(self):
+        # S_inf - S_K = sum_i c_i X_K^-(p + i) at X_K = 7 + K/2, the abscissa
+        # the partial sum ends at, is solved exactly; in the period count K
+        # the same remainder, (K/2)^-p (1 + 14/K)^-p ..., never ends
+        x = 7.0 + 0.5 * np.arange(1, 257)
+        partial = 1.0 - 0.3 * x**-0.7 + 2.0 * x**-1.7 - 5.0 * x**-2.7
+        value, spread = _richardson_partial_sums(partial, 0.7, x)
+        assert abs(value - 1.0) <= 1e-14 and spread <= 1e-14
+
     def test_rejects_divergent(self):
         with pytest.raises(DomainError):
             tail_power_periodic(lambda x: 1 / x, 1.0, 0.5, 1.0, 64, CFG)
 
     def test_vector_keeps_first_converged_doubling(self):
-        # the small component converges after four doublings fewer than the
-        # large one, which ends unconverged; each keeps its own result
-        f = lambda x: np.sin(2 * np.pi * x) ** 2 / x**1.5
-        small = tail_power_periodic(lambda x: 1e-6 * f(x), 10.0, 0.5, 1.5, 64, CFG)
+        # log(x) leaves a remainder no power ladder removes: the large
+        # component runs all six doublings and ends unconverged, while the
+        # small one meets the absolute tolerance after one; each keeps its
+        # own result
+        f = lambda x: np.sin(2 * np.pi * x) ** 2 * np.log(x) / x**1.5
+        small = tail_power_periodic(lambda x: 3e-9 * f(x), 10.0, 0.5, 1.5, 64, CFG)
         large = tail_power_periodic(f, 10.0, 0.5, 1.5, 64, CFG)
-        both = tail_power_periodic(lambda x: np.stack([1e-6 * f(x), f(x)]), 10.0, 0.5, 1.5, 64,
+        both = tail_power_periodic(lambda x: np.stack([3e-9 * f(x), f(x)]), 10.0, 0.5, 1.5, 64,
                                    CFG)
         assert small.converged and not large.converged
         assert list(both.converged) == [True, False]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from felab import radial_kernels
+from felab import quadrature, radial_kernels, spectral
 from felab.errors import ArityError, CapabilityError, DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive
 from felab.radial_kernels import (
@@ -24,7 +24,7 @@ from felab.radial_kernels import (
     q_threshold,
     rho_d,
 )
-from felab.radial_kernels import _power_tail
+from felab.radial_kernels import _power_tail, _series
 from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
     derivative_at,
@@ -133,6 +133,29 @@ class TestKernel1D:
             b1 = integrate_composite(f, 1e-14, 2000.0, 600_000).value
             b2 = integrate_composite(f, 1e-14, 2000.0 + 0.25 / max(x, 0.125), 600_000).value
             assert v == pytest.approx(np.pi ** (1 - q) * (b1 + b2), abs=5e-8)
+
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    @pytest.mark.parametrize("q", [3.6, 3.81, 4.5, 5.37])
+    def test_series_against_gamma_formula(self, kind, q):
+        # (2/pi) int_0^pi sin^mu u sin(ju) du = 2 sin(j pi/2) Gamma(mu+1)
+        #   / (2^mu Gamma((mu+j)/2+1) Gamma((mu-j)/2+1)),  mu = q-1 (K);
+        # (2/pi) int_0^pi sin^nu u cos(2mu) du = 2 (-1)^m Gamma(nu+1)
+        #   / (2^nu Gamma(nu/2+m+1) Gamma(nu/2-m+1)),  nu = q-2 (L; half at m = 0)
+        mpmath = pytest.importorskip("mpmath")
+        freqs, coeffs, _ = _series(kind, q)
+        with mpmath.workdps(30):
+            s = mpmath.mpf(q - 1.0 if kind == "K" else q - 2.0)
+            pref = 2 * mpmath.gamma(s + 1) / mpmath.mpf(2) ** s
+            if kind == "K":
+                ref = [pref * mpmath.sinpi(mpmath.mpf(j) / 2) * mpmath.rgamma((s + j) / 2 + 1)
+                       * mpmath.rgamma((s - j) / 2 + 1) for j in freqs.tolist()]
+            else:
+                ref = [pref * (-1) ** (f // 2) * mpmath.rgamma(s / 2 + f // 2 + 1)
+                       * mpmath.rgamma(s / 2 - f // 2 + 1) / (2 if f == 0 else 1)
+                       for f in freqs.tolist()]
+            ref = np.array([float(r) for r in ref])
+        # 400 recurrence steps round to 2e-14 relative here
+        assert np.all(np.abs(coeffs - ref) <= 1e-13 * np.abs(ref))
 
     def test_no_radii(self):
         vals, errs = kernel_values("K", 1, 4.0, np.array([]))
@@ -324,8 +347,67 @@ class TestGamma:
         assert gs[2] == pytest.approx(4.0, abs=1e-8)
 
     def test_positivity(self):
-        for d, q in [(1, 3.5), (1, 4.0), (2, 3.6), (2, 4.0), (3, 4.0)]:
+        for d, q in [(1, 3.5), (1, 4.0), (2, 3.6), (2, 4.0), (3, 4.0), (4, 4.0)]:
             assert gamma_qd(d, q) > 0
+
+    @pytest.mark.parametrize("q", [150.0, 300.0])
+    def test_large_q_against_mpmath(self, q):
+        # rho^{1-d(q-2)/2} |J|^q once overflowed to inf x 0 near rho = 0 here;
+        # past the first zero of J_1, |B^| / pi < 0.14, so three lobes carry
+        # all but a 0.14^q part of 4 pi^2 int rho^3 |B^|^q
+        mpmath = pytest.importorskip("mpmath")
+        zeros = [0] + [mpmath.besseljzero(1, k) / (2 * mpmath.pi) for k in (1, 2, 3)]
+        ref = 4 * mpmath.pi**2 * mpmath.quad(
+            lambda r: r**3 * abs(mpmath.besselj(1, 2 * mpmath.pi * r) / r) ** q, zeros)
+        res = gamma_qd_detailed(2, q)
+        assert res.converged
+        assert abs(res.value - ref) <= 1e-8 * ref
+
+
+class TestCalibration:
+    """Error estimates against exact values: actual <= estimate <= 10^3 x
+    max(actual, 1e-15 |value|), and a periodic tail that stops early."""
+
+    @staticmethod
+    def check(value, estimate, exact):
+        actual = abs(value - exact)
+        assert actual <= estimate <= 1e3 * max(actual, 1e-15 * abs(exact))
+
+    @pytest.mark.parametrize("d, exact", [(1, 2.0), (2, 4.0)])
+    def test_gamma_at_4(self, d, exact):
+        res = gamma_qd_detailed(d, 4.0)
+        self.check(res.value, res.error_estimate, exact)
+
+    @pytest.mark.parametrize("q", [3.7, 4.234, 5.3])
+    def test_gamma_1d_against_closed_form(self, q):
+        res = gamma_qd_detailed(1, q)
+        self.check(res.value, res.error_estimate, gamma_1d_closed_form(q))
+
+    def test_eigenvalues_at_4(self):
+        res = spectral._lambda_radial(2, 4.0, np.array([3, 4]))
+        for value, estimate, exact in zip(res.value, res.error_estimate, (4 / 9, 4 / 15)):
+            self.check(value, estimate, exact)
+
+    def test_ball_norm_d1_q4(self):
+        res = ball_norm_q(1, 4.0)
+        self.check(res.value, res.error_estimate, 16.0 / 3.0)
+
+    @pytest.mark.parametrize("d, q", [(1, 4.0), (2, 4.0), (1, 4.234), (2, 5.013), (3, 3.8)])
+    def test_gamma_tail_periods(self, d, q, monkeypatch):
+        # a counting integrand: the farthest node the periodic tail asks for
+        reach = []
+        inner = quadrature.tail_power_periodic
+
+        def counting(f, start, period, *args):
+            def g(x):
+                reach.append((float(np.max(x)) - start) / period)
+                return f(x)
+            return inner(g, start, period, *args)
+
+        monkeypatch.setattr(quadrature, "tail_power_periodic", counting)
+        res = gamma_qd_detailed(d, q)
+        assert res.converged
+        assert 0 < max(reach) <= 256
 
 
 class TestFirstVariation:
@@ -415,12 +497,16 @@ class TestBallNorm:
 
 class TestPinnedHeadTail:
     """Head-plus-periodic-tail integrals at exponents the closed-form tests
-    miss: value, error estimate and converged flag pinned to 1e-13."""
+    miss: value, error estimate and converged flag pinned to 1e-13.  The
+    references (mpmath for d = 1 gamma, a tail over the zero segments of B^
+    at 8 panels each and 2^15 segments otherwise) are gamma 2.2301291946851,
+    10.297762459787297, 8.559328546150358; ball norms 3.0772779102588195,
+    11.373471484316497."""
 
     @pytest.mark.parametrize("d, q, value, err, converged", [
-        (1, 3.5, 2.2301291935585006, 5.65878611602569e-07, False),
-        (2, 5.3, 10.29776245978743, 3.311945372022284e-11, True),
-        (3, 4.4, 8.559328546146801, 2.353791490824201e-10, True),
+        pytest.param(1, 3.5, 2.230129194693799, 2.082635367834613e-10, True, id="d1-q3.5"),
+        pytest.param(2, 5.3, 10.297762459787286, 1.0201033823093599e-12, True, id="d2-q5.3"),
+        pytest.param(3, 4.4, 8.559328546150406, 8.338910674792542e-13, True, id="d3-q4.4"),
     ])
     def test_gamma(self, d, q, value, err, converged):
         res = gamma_qd_detailed(d, q)
@@ -429,11 +515,11 @@ class TestPinnedHeadTail:
         assert res.converged is converged
 
     def test_gamma_1d_closed_form(self):
-        assert gamma_1d_closed_form(3.5) == pytest.approx(2.2301291949465063, rel=1e-13)
+        assert gamma_1d_closed_form(3.5) == pytest.approx(2.2301291946973087, rel=1e-13)
 
     @pytest.mark.parametrize("d, q, value, err", [
-        (1, 3.0, 3.077277910258819, 4.0373440997826836e-11),
-        (3, 3.3, 11.37347148437444, 1.3596269386735383e-09),
+        pytest.param(1, 3.0, 3.077277910258819, 3.1930566354329316e-14, id="d1-q3.0"),
+        pytest.param(3, 3.3, 11.373471484316497, 1.5092897560822477e-13, id="d3-q3.3"),
     ])
     def test_ball_norm(self, d, q, value, err):
         res = ball_norm_q(d, q)
@@ -448,11 +534,11 @@ class TestPinnedKernels:
 
     @pytest.mark.parametrize("kind, d, q, values, errors", [
         ("K", 1, 3.81, [2.699107519702967, 2.4722838278288086, 1.2402187996714658],
-         [3.8871109321267137e-10, 3.864428562939298e-10, 3.7412220601235636e-10]),
+         [3.887257745387579e-10, 3.8645753762001633e-10, 3.741368873384429e-10]),
         ("L", 1, 4.5, [2.4122915942606893, 2.020507018450928, 1.031862853059689],
-         [3.813650224635489e-09, 3.809732378877391e-09, 3.799845937223479e-09]),
-        ("L", 2, 4.2, [3.402054947229826, 2.549141822302449, 0.9324180762048548],
-         [7.248379361793862e-07, 2.58248123902105e-08, 1.6013271173579212e-08]),
+         [3.813638362111681e-09, 3.809720516353583e-09, 3.799834074699671e-09]),
+        ("L", 2, 4.2, [3.4020549472308113, 2.549141822302449, 0.9324180762048548],
+         [7.246917135534454e-07, 2.5824812388861207e-08, 1.6013271175535448e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))

@@ -7,12 +7,7 @@ import pytest
 from scipy import special
 
 from felab.errors import DomainError, ThresholdError
-from felab.quadrature import (
-    QuadratureConfig,
-    integrate_adaptive,
-    radial_head_tail,
-    tail_power_periodic,
-)
+from felab.quadrature import QuadratureConfig, integrate_adaptive, radial_head_tail
 from felab.radial_kernels import ball_hat, gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
 from felab.spectral import (
@@ -79,7 +74,7 @@ class TestFunkHecke:
 
     @pytest.mark.parametrize("d, q, k, value", [
         (2, 5.7, 7, 0.0046786187983800555),
-        (3, 4.2, 2, 2.2345686580000295),
+        (3, 4.2, 2, 2.2345686578443207),
     ])
     def test_pinned(self, d, q, k, value):
         # head-plus-periodic-tail eigenvalues off the closed-form exponents
@@ -109,21 +104,36 @@ class TestBatch:
         single = [funk_hecke_eigenvalue(d, q, k) for k in range(n + 1)]
         assert np.max(np.abs(lams - single)) <= 2e-13
 
+    # int g(rho) rho J_k(2 pi rho)^2 over [z, inf), q = 3.6, k = 0..24, from
+    # z = 24.6246..., the last zero of J_1(2 pi rho) below 25: segments between
+    # consecutive zeros, 8 GK15 panels each (the kinks of g on panel edges),
+    # 2^15 segments and the abscissa extrapolation, which moves by < 2e-16
+    # from 2^13 segments on; 16 panels a segment move it by < 2e-12 / 4 pi^2
+    TAIL_3_6 = [
+        1.973560346846332e-05, 5.130849040307201e-05, 1.973403471066714e-05,
+        5.130999882401478e-05, 1.9755399092353738e-05, 5.126089698922311e-05,
+        1.987774060192762e-05, 5.10576669268511e-05, 2.02290418849708e-05,
+        5.054987537782416e-05, 2.0978813963194516e-05, 4.9554273364259824e-05,
+        2.2316362429680324e-05, 4.78861220343347e-05, 2.4408152365035316e-05,
+        4.5414264184145123e-05, 2.7330212588320128e-05, 4.213976172353457e-05,
+        3.098207984577543e-05, 3.8283078550642146e-05, 3.500781111722455e-05,
+        3.434248987916785e-05, 3.877309920056931e-05, 3.106516345856563e-05,
+        4.146148180292442e-05]
+
     def test_near_threshold_against_kink_split_head(self):
-        # at q = 3.6 the single-mode head misses lambda_9 by 4.4e-13 (ten
-        # times its estimate, at the |t|^1.6 kinks of g); the one-pass values
-        # stay within 2e-13 of a head split at every zero of B^, integrated
-        # with jv, plus the same periodic tail
+        # lambda_0..24 at q = 3.6 against a reference split at every zero of
+        # B^: the head adaptive with jv between consecutive zeros up to z, the
+        # tail above.  A tail started off the zeros (at rho = 25) misses it by
+        # 1.6e-6; one GK15 panel a period against the |t|^1.6 kinks of g, with
+        # the measured rule error removed, leaves under 2e-10
         q, n = 3.6, 24
         f = _lambda_integrand(2, q, np.arange(n + 1))
         zeros = special.jn_zeros(1, 80) / (2 * np.pi)
-        edges = np.concatenate([[0.0], zeros[zeros < 25.0], [25.0]])
+        edges = np.concatenate([[0.0], zeros[zeros < 25.0]])
         head = sum(integrate_adaptive(f, a, b, QuadratureConfig(1e-17, 1e-15, 20000)).value
                    for a, b in zip(edges[:-1], edges[1:]))
-        tail = tail_power_periodic(f, 25.0, 0.5, 1.5 * (q - 2.0), 64,
-                                   QuadratureConfig(1e-14, 1e-13)).value
-        reference = 4 * np.pi**2 * (head + tail)
-        assert np.max(np.abs(funk_hecke_eigenvalues(2, q, n) - reference)) <= 2e-13
+        reference = 4 * np.pi**2 * (head + np.array(self.TAIL_3_6))
+        assert np.max(np.abs(funk_hecke_eigenvalues(2, q, n) - reference)) <= 5e-10
 
     def test_identical_columns_reproduce_scalar_bits(self):
         # 40 columns: the periodic tail sweeps its last doublings in chunks
