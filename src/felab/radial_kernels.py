@@ -31,19 +31,21 @@ this is literally 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q dxi.
 
 Profile evaluation
 ------------------
-d = 1: g(xi) = pi^{-s} xi^{-s} P(2 pi xi) with s = q-1 (K) or q-2 (L) and
-P the periodic factor sin(u)|sin u|^{q-2} or |sin u|^{q-2}.  One path
-serves both kinds: a graded head on [0, 1], then one table of P's Fourier
-series (finite for q = 4, 6, 8) against the power tails
-int_1^inf xi^{-s} e^{ic xi} dxi, summed as one coefficients x tails
-product over all (frequency, radius) pairs.  The power tail is the
-generalised exponential integral E_s(-ic): a Gauss-Legendre head in log xi
-up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19) by modified
-Lentz, both with fixed sizes; it matches mpmath to ~1e-13 relative.  d = 2:
-graded composite head plus zero-segmented accelerated tail, the same
-table feeding the L kernel's harmonics.  d = 3: the transform
-(2/r) int g(rho) rho sin(2 pi rho r) drho decays fast enough for composite
-quadrature with an analytic tail bound.
+Every kernel mesh is one sum, |S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho)
+drho on fixed GK15 panels, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y, which
+refuses a radius whose period spans fewer than four node gaps.  d = 1: the
+mesh is a graded head on [0, 1]; past it g(xi) = pi^{-s} xi^{-s} P(2 pi xi),
+s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or |sin u|^{q-2}, and one
+table of P's Fourier series (finite for q = 4, 6, 8) meets the power tails
+int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients x tails product over
+all (frequency, radius) pairs.  The power tail is E_s(-ic): a Gauss-Legendre
+head in log xi up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19)
+by modified Lentz, both of fixed size; it matches mpmath to ~1e-13
+relative.  d = 2: the mesh reaches 40 (K) or 160 (L), then a zero-segmented
+accelerated tail per radius, for L on the a_0 part of the same table.
+d = 3: the mesh reaches a cut where g has decayed, plus a tail bound.  At
+r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g from the
+head-plus-periodic-tail integral.
 
 Convention: omega_0 = 1, so the d = 1 instances of the slicing formulas
 match the closed forms.
@@ -70,7 +72,6 @@ from .quadrature import (
     integrate_adaptive,
     integrate_oscillatory_tail,
     radial_head_tail,
-    tail_power_periodic,
 )
 
 __all__ = [
@@ -297,33 +298,50 @@ def _gk15_mesh(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-# (frequency or node, radius) pairs per block of the d = 1 tail and head
-# products: their working arrays stay near 10 MB at any number of radii
+# (radius, node) or (frequency, radius) pairs per block of the kernel meshes
+# and of the d = 1 tail product: their working arrays stay near 0.5 MB at any
+# number of radii and nodes
 _PAIR_CHUNK = 1 << 16
 
+# |S^{d-1}| (exact: omega(1) is 2 less an ulp) and the radial wave w_d of the
+# inverse transform of a radial profile
+_SPHERE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+_WAVE = {1: np.cos, 2: special.j0, 3: lambda y: np.sin(y) / y}
 
-def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
+
+def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """|S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho) drho on the GK15 panels
+    between ``edges``, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0).
+
+    The mesh is swept in blocks of at most _PAIR_CHUNK pairs: runs of
+    _PAIR_CHUNK nodes, each against as many radii as fit.  A radius whose
+    period 1/r spans fewer than four of the widest node gaps is refused.  On
+    the d = 1 head (bound 115.5) the error stays below 3e-13 up to the bound;
+    at r = 144, 6 pi of phase a panel, it reaches 1e-9 against the 1e-11
+    reported.
+    """
+    gap = np.max(np.diff(gk15_panels(0.0, 0.5 * np.max(np.diff(edges)))[0]))
+    if np.any(radii > 0.25 / gap):
+        raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {0.25 / gap:.4g}, "
+                          f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
+    out = np.zeros_like(radii)
+    step = _PAIR_CHUNK // 15  # panels per run
+    for lo in range(0, len(edges) - 1, step):
+        nodes, weights = _gk15_mesh(edges[lo:lo + step + 1])
+        w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
+        rows = max(1, _PAIR_CHUNK // len(nodes))
+        for r0 in range(0, len(radii), rows):
+            out[r0:r0 + rows] += _WAVE[d](2 * np.pi * np.outer(radii[r0:r0 + rows], nodes)) @ w
+    return out
+
+
+def _kernel_values_1d(kind: str, q: float, x: np.ndarray):
     # value(x) = 2 int_0^inf g(xi) cos(2 pi x xi) dxi: a graded head on
     # [0, 1], then each series term against the power tails at 2 pi (f +- x),
     # their real parts for the cosine series (L), imaginary for the sine (K)
     s = q - 1.0 if kind == "K" else q - 2.0
     pref = 2.0 * np.pi ** -s
-    x = np.asarray(radii, dtype=float)
-    nodes, weights = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
-    # the head resolves cos(2 pi x xi) while a period 1/x spans four of its
-    # widest node gaps (0.2078 of a half-panel 1/96): x <= 115.5, where its
-    # error stays below 3e-13.  Near x = 144 (6 pi of phase a panel) the
-    # panels' errors add up to 1e-9 against the 1e-11 reported
-    x_max = 0.25 / np.max(np.diff(nodes))
-    if np.any(x > x_max):
-        raise DomainError(f"the d = 1 kernels resolve radii up to {x_max:.4g}, where the head "
-                          f"mesh keeps four nodes a period; got r = {np.max(x):.6g}")
-    w = 2.0 * weights * _g_radial(kind, 1, q, nodes)
-    head = np.empty_like(x)
-    rows = max(1, _PAIR_CHUNK // len(nodes))
-    for lo in range(0, len(x), rows):
-        head[lo:lo + rows] = np.cos(2 * np.pi * np.outer(x[lo:lo + rows], nodes)) @ w
-
+    head = _radial_sum(kind, 1, q, x, _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
     freqs, coeffs, trunc = _series(kind, q)
     part = np.imag if kind == "K" else np.real
     tail = np.empty_like(x)
@@ -336,6 +354,20 @@ def _kernel_values_1d(kind: str, q: float, radii: np.ndarray):
     values = head + pref * tail
     errors = np.full_like(values, pref * trunc + 1e-11 * (1.0 + np.abs(values)))
     return values, errors
+
+
+def _moment(kind: str, d: int, q: float):
+    """The kernel at r = 0, |S^{d-1}| int_0^inf rho^{d-1} g(rho) drho, and its error.
+
+    The envelope decays like rho^{-p}, p = (d+1)(q-2+s)/2 - (d-1) with s = 1
+    (K) or 0 (L): p > 1 exactly above q_threshold.  The tail starts at a
+    zero of B^; a K tail alternates by half period, but the ladder reads
+    only even period counts.  The tolerance sits below the 1e-11 slack."""
+    p = (d + 1.0) * (q - 1.0 if kind == "K" else q - 2.0) / 2.0 - (d - 1.0)
+    res = radial_head_tail(lambda rho: rho ** (d - 1) * _g_radial(kind, d, q, rho),
+                           _ball_hat_zero(d, 20.0), p, 1e-12)
+    value = _SPHERE[d] * res.value
+    return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
 
 
 def _j0_tail(f, r: float, rho0: float, n_seg: int) -> IntegralResult:
@@ -351,19 +383,12 @@ def _j0_tail(f, r: float, rho0: float, n_seg: int) -> IntegralResult:
     return IntegralResult(bridge.value + res.value, res.error_estimate, res.converged)
 
 
-def _kernel_values_2d_K(q: float, radii: np.ndarray):
+def _kernel_values_2d_K(q: float, x: np.ndarray):
     # K-kind integrand decays like rho^{(3-3q)/2} <= rho^{-4} for q > 11/3:
     # composite head plus a short zero-segmented tail is plenty
-    x = np.asarray(radii, dtype=float)
     r0 = 40.0
-    edges = np.linspace(0.0, r0, int(r0 * 24) + 1)
-    nodes, weights = _gk15_mesh(edges)
-    base_w = 2.0 * np.pi * weights * _g_radial("K", 2, q, nodes) * nodes
-    values = np.empty_like(x)
+    values = _radial_sum("K", 2, q, x, np.linspace(0.0, r0, int(r0 * 24) + 1))
     errors = np.empty_like(x)
-    for lo in range(0, len(x), 256):
-        xi = x[lo:lo + 256]
-        values[lo:lo + 256] = special.j0(2 * np.pi * np.outer(xi, nodes)) @ base_w
     n_seg = 96
     for i, r in enumerate(x):
         f = (lambda rho, rr=r: 2.0 * np.pi * _g_radial("K", 2, q, rho) * rho
@@ -377,20 +402,22 @@ def _kernel_values_2d_K(q: float, radii: np.ndarray):
     return values, errors
 
 
-def _kernel_values_2d_L(q: float, radii: np.ndarray):
-    """L-kind via the exact amplitude-phase split of the Bessel factor.
+def _kernel_values_2d_L(q: float, x: np.ndarray):
+    """L-kind: the full integrand on [0, 160], then the amplitude-phase split
+    of the Bessel factor beyond.
 
     With J_1 = A cos(phi), Y_1 = A sin(phi) (A, phi exact; A^2 = J_1^2+Y_1^2),
 
         |B^|^{q-2} rho = rho^{3-q} A(2 pi rho)^{q-2} |cos phi|^{q-2},
 
-    and |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi).  The a_0 part has a
-    smooth positive envelope and alternates exactly between J_0 zeros
-    (Aitken-accelerated); the oscillatory remainder is integrated on a
-    fixed mesh and its tail bounded by a van der Corput estimate.
+    and |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi).  Past 160 the a_0 part
+    has a smooth positive envelope and alternates exactly between J_0 zeros
+    (Aitken-accelerated); the harmonics there are bounded by a van der
+    Corput estimate.
     """
-    x = np.asarray(radii, dtype=float)
-    rho0, z_cut = 1.0, 160.0
+    z_cut = 160.0
+    values = _radial_sum("L", 2, q, x, np.r_[np.linspace(0.0, 1.0, 65)[:-1],
+                                              np.linspace(1.0, z_cut, int((z_cut - 1.0) * 12) + 1)])
     freqs, coeffs, coeff_trunc = _series("L", q)
     a0, freqs, coeffs = coeffs[0], freqs[1:], coeffs[1:]
 
@@ -399,32 +426,10 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
         amp = np.hypot(special.j1(xx), special.y1(xx))
         return 2.0 * np.pi * rho ** (3.0 - q) * amp ** (q - 2.0)
 
-    # head: full integrand on [0, rho0]
-    edges = np.linspace(0.0, rho0, 65)
-    h_nodes, h_weights = _gk15_mesh(edges)
-    head_w = 2.0 * np.pi * h_weights * _g_radial("L", 2, q, h_nodes) * h_nodes
-    values = special.j0(2 * np.pi * np.outer(x, h_nodes)) @ head_w
-
-    # oscillatory harmonics on [rho0, z_cut], shared mesh for all radii
-    edges = np.linspace(rho0, z_cut, int((z_cut - rho0) * 12) + 1)
-    nodes, weights = _gk15_mesh(edges)
-    xx = 2.0 * np.pi * nodes
-    amp = np.hypot(special.j1(xx), special.y1(xx))
-    phi = np.unwrap(np.arctan2(special.y1(xx), special.j1(xx)))
-    # the series expands |sin u|^{q-2}; here the argument is cos phi, and
-    # |cos u| = |sin(u + pi/2)| flips odd harmonics: a_m -> (-1)^m a_m
-    osc = np.zeros_like(nodes)
-    for f, am in zip(freqs, coeffs * (-1.0) ** (freqs // 2)):
-        osc += am * np.cos(f * phi)
-    osc_w = weights * 2.0 * np.pi * nodes ** (3.0 - q) * amp ** (q - 2.0) * osc
-    for lo in range(0, len(x), 256):
-        xi = x[lo:lo + 256]
-        values[lo:lo + 256] += special.j0(2 * np.pi * np.outer(xi, nodes)) @ osc_w
-
     # van der Corput tail bound for the harmonics beyond z_cut (phase rate
     # >= 2 pi per unit rho for every m >= 1), plus the truncated-series slack
     env_z = envelope(z_cut)
-    damp = np.minimum(1.0, 1.0 / np.sqrt(np.pi**2 * z_cut * np.maximum(x, 1e-12)))
+    damp = np.minimum(1.0, 1.0 / np.sqrt(np.pi**2 * z_cut * x))
     osc_bound = np.sum(np.abs(coeffs)) * env_z * damp / np.pi + coeff_trunc * env_z
     # near r = 2m the difference chirp of the m-th harmonic against J_0 goes
     # stationary (the lens-kink radius for q = 4); bound that piece by its
@@ -433,50 +438,22 @@ def _kernel_values_2d_L(q: float, radii: np.ndarray):
     near = np.abs(x[:, None] - freqs) < 0.5
     osc_bound = osc_bound + (near @ np.abs(coeffs)) * env_z * damp * z_cut / max(beta - 1.0, 0.5)
 
-    # smooth a0 part on [rho0, inf): alternating between J_0 zeros
     errors = np.empty_like(x)
-    n_seg = 128
-    p_smooth = q / 2.0 - 2.0 + (q - 2.0)  # envelope decay exponent of E0
     for i, r in enumerate(x):
-        if r < 1e-9:
-            res = tail_power_periodic(lambda rho: a0 * envelope(rho), rho0, 0.5,
-                                      max(1.2, p_smooth), n_seg, QuadratureConfig(1e-14, 1e-13))
-        else:
-            res = _j0_tail(lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr),
-                           r, rho0, n_seg)
+        res = _j0_tail(lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr),
+                       r, z_cut, 128)
         values[i] += res.value
         errors[i] = res.error_estimate + osc_bound[i] + 1e-11 * (1.0 + abs(values[i]))
     return values, errors
 
 
-# sines evaluated per chunk of the d = 3 kernel sum: the radial cut reaches
-# ~1e4 near q_d (millions of nodes), so the sum is swept in chunks of panels
-_SIN_CHUNK = 1 << 20
-
-
-def _kernel_values_3d(kind: str, q: float, radii: np.ndarray):
-    # value(r) = (2/r) int_0^inf g(rho) rho sin(2 pi rho r) drho; integrand
-    # decays like rho^{1 - 2(q-1)} (K) / rho^{1 - 2(q-2)} (L): composite + bound
-    x = np.asarray(radii, dtype=float)
+def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
+    # the integrand decays like rho^{1 - 2(q-1)} (K) / rho^{1 - 2(q-2)} (L):
+    # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
     edges = np.linspace(0.0, r_cut, int(r_cut * 24) + 1)
-    pos = x > 1e-12
-    xp = x[pos]
-    sums = np.zeros(len(xp))
-    moment = 0.0  # int g rho^2 drho, the r -> 0 limit
-    step = max(1, _SIN_CHUNK // (15 * max(len(xp), 1)))  # panels per chunk
-    for lo in range(0, len(edges) - 1, step):
-        nodes, weights = _gk15_mesh(edges[lo:lo + step + 1])
-        g = _g_radial(kind, 3, q, nodes)
-        sin_mat = np.outer(xp, nodes)
-        sin_mat *= 2 * np.pi
-        np.sin(sin_mat, out=sin_mat)
-        sums += sin_mat @ (weights * g * nodes)
-        moment += float(np.sum(weights * g * nodes**2))
-    out = np.empty_like(x)
-    out[pos] = (2.0 / xp) * sums
-    out[~pos] = 4.0 * np.pi * moment
+    out = _radial_sum(kind, 3, q, x, edges)
     last = _gk15_mesh(edges[-5:])[0][-50:]
     tail_bound = abs(2.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]) * 2.0
     errors = np.full_like(out, tail_bound + 1e-11 * np.abs(out))
@@ -491,13 +468,21 @@ def kernel_values(kind: str, d: int, q: float, radii):
         raise DomainError("radii must be finite and >= 0")
     if d == 1:
         return _kernel_values_1d(kind, q, radii)
-    if d == 2:
-        if kind == "K":
-            return _kernel_values_2d_K(q, radii)
-        return _kernel_values_2d_L(q, radii)
-    if d == 3:
-        return _kernel_values_3d(kind, q, radii)
-    raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
+    if d not in (2, 3):
+        raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
+    # r = 0 takes the moment; no mesh sum or per-radius tail runs there
+    values, errors = np.empty_like(radii), np.empty_like(radii)
+    pos = radii > 0
+    if np.any(pos):
+        if d == 3:
+            values[pos], errors[pos] = _kernel_values_3d(kind, q, radii[pos])
+        elif kind == "K":
+            values[pos], errors[pos] = _kernel_values_2d_K(q, radii[pos])
+        else:
+            values[pos], errors[pos] = _kernel_values_2d_L(q, radii[pos])
+    if not np.all(pos):
+        values[~pos], errors[~pos] = _moment(kind, d, q)
+    return values, errors
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,14 @@ class TestMalformedInput:
         (["spectrum", "--d", "3", "--q", "1e300", "--modes", "3"], "float range"),
         (["kernel", "--kind", "K", "--d", "1", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
          "resolve radii up to 115.5"),
+        (["kernel", "--kind", "K", "--d", "2", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
+         "resolve radii up to 57.75"),
+        (["kernel", "--kind", "L", "--d", "2", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
+         "resolve radii up to 28.88"),
+        (["kernel", "--kind", "K", "--d", "3", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
+         "resolve radii up to 57.75"),
+        (["kernel", "--kind", "L", "--d", "3", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
+         "resolve radii up to 57.75"),
     ])
     def test_domain_error_exit_1(self, capsys, tmp_path, argv, message):
         # the set is [0, 1] and [1e9, 1e9 + 1]: refused for its mesh size, not run

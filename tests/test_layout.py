@@ -1,7 +1,8 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
-head-plus-tail integral, no per-mode loop over the Funk-Hecke eigenvalues, a
-quadrature config only where a tolerance runs, no test-only routine inside
-the package, no global statement, and only the pinned module caches."""
+head-plus-tail integral, one kernel mesh sum, no per-mode loop over the
+Funk-Hecke eigenvalues, a quadrature config only where a tolerance runs, no
+test-only routine inside the package, no global statement, and only the
+pinned module caches."""
 
 import ast
 import dataclasses
@@ -73,7 +74,14 @@ def test_periodic_tail_called_from_two_places():
     callers = {(name, fn) for name, text in MODULES.items()
                for fn in _callers(text, "tail_power_periodic")}
     assert {name for name, _ in callers} <= {"quadrature.py", "radial_kernels.py"}
-    assert {fn for name, fn in callers if name == "radial_kernels.py"} == {"_kernel_values_2d_L"}
+    assert {fn for name, fn in callers if name == "radial_kernels.py"} == set()
+
+
+def test_one_kernel_mesh_sum():
+    # every kernel mesh is swept by _radial_sum; the d = 3 tail bound reads
+    # the nodes of the last panels
+    assert _callers(MODULES["radial_kernels.py"], "_gk15_mesh") == {"_radial_sum",
+                                                                    "_kernel_values_3d"}
 
 
 def test_no_test_only_routines_in_package():

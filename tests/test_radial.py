@@ -392,6 +392,25 @@ class TestCalibration:
         res = ball_norm_q(1, 4.0)
         self.check(res.value, res.error_estimate, 16.0 / 3.0)
 
+    @pytest.mark.parametrize("kind, d, exact", [
+        ("L", 2, np.pi), ("L", 3, 4.0 * np.pi / 3.0), ("K", 3, 5.0 * np.pi**2 / 6.0)])
+    def test_kernel_at_zero_at_4(self, kind, d, exact):
+        # L_4(0) = |B| and K_4(0) = int_B |B cap (B + x)| dx
+        vals, errs = kernel_values(kind, d, 4.0, np.array([0.0]))
+        self.check(vals[0], errs[0], exact)
+
+    @pytest.mark.parametrize("d, q, exact, tol", [
+        (2, 4.2, 3.40205474564131, 1e-11), (3, 3.6, 8.27414621936, 5e-6),
+        (2, 3.4, 9.32343658296, 5e-6)])
+    def test_l_kernel_at_zero(self, d, q, exact, tol):
+        # L_q(0) = ||B^||_{q-2}^{q-2}.  References: Gauss-Legendre on panels
+        # between the zeros of B^, graded toward each zero (the kinks of
+        # |B^|^{q-2}), out to X = 2^13 periods, plus the closed-form leading
+        # tail C^a (2 pi)^{-a(d+1)/2} <|cos|^a> X^{1-p} / (p-1), a = q - 2,
+        # C = (2 pi)^{d/2} sqrt(2/pi); 2^13 and 2^16 periods agree to 1.2e-11
+        vals, _ = kernel_values("L", d, q, np.array([0.0]))
+        assert abs(vals[0] - exact) <= tol
+
     @pytest.mark.parametrize("d, q", [(1, 4.0), (2, 4.0), (1, 4.234), (2, 5.013), (3, 3.8)])
     def test_gamma_tail_periods(self, d, q, monkeypatch):
         # a counting integrand: the farthest node the periodic tail asks for
@@ -537,8 +556,12 @@ class TestPinnedKernels:
          [3.887257745387579e-10, 3.8645753762001633e-10, 3.741368873384429e-10]),
         ("L", 1, 4.5, [2.4122915942606893, 2.020507018450928, 1.031862853059689],
          [3.813638362111681e-09, 3.809720516353583e-09, 3.799834074699671e-09]),
-        ("L", 2, 4.2, [3.4020549472308113, 2.549141822302449, 0.9324180762048548],
-         [7.246917135534454e-07, 2.5824812388861207e-08, 1.6013271175535448e-08]),
+        # references: 3.40205474564131 (see TestCalibration), and 2.54914183817,
+        # 0.93241807853 from Gauss-Legendre on the panels between the zeros of
+        # J_1 out to rho = 1e4; the errors, 3.3e-12, 1.6e-8 and 2.3e-9, are
+        # inside the estimates
+        ("L", 2, 4.2, [3.4020547456379857, 2.5491418222972095, 0.9324180762013135],
+         [8.685161303724648e-11, 2.5824715805145047e-08, 1.6013267981697244e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
