@@ -8,9 +8,9 @@ runs on this module:
   and the Kronrod sums with the |K - G| rule error of values sampled on
   them.  Every GK15 mesh in the package, adaptive or fixed, is built here.
 * ``integrate_adaptive``    -- deterministic adaptive bisection with the
-  panel rule.  Identical inputs and config produce bit-identical results:
-  intervals are processed worst-error-first with insertion order as the
-  tie-break, and sums are accumulated in a fixed order.
+  panel rule from panels cut at known kinks, a round of splits per call.
+  Identical inputs and config give bit-identical results: worst error
+  first, insertion order as the tie-break, sums in a fixed order.
 * ``integrate_oscillatory_tail`` -- sums inter-zero segment integrals of a
   slowly decaying oscillatory integrand and accelerates the segment series
   (iterated Aitken for alternating sums, Richardson for one-signed
@@ -22,10 +22,10 @@ runs on this module:
   abscissa removes the algebraic remainder, and a rule error measured on
   the first periods is removed and kept in the estimate.
 * ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
-  ball norms, Funk-Hecke eigenvalues): an adaptive head on [0, u0], then a
-  tail of period 1/2, which its callers start at a zero of B^.  It takes no
-  config: its head and tail tolerances follow from the one ``tol`` its
-  caller fixes.
+  ball norms, Funk-Hecke eigenvalues): an adaptive head cut at the zeros of
+  B^ its callers pass, then a tail of period 1/2 from the last of them.  It
+  takes no config: its head and tail tolerances follow from the one ``tol``
+  its caller fixes.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
@@ -210,45 +210,57 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
     return gk15_sums(_eval_clean(f, x), half)
 
 
-def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Adaptive bisection with the GK15 rule on [a, b].
+def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                       points=()) -> IntegralResult:
+    """Adaptive bisection with the GK15 rule on [a, b] cut at ``points`` (QAGP).
 
-    Deterministic: the worst interval (by error estimate, its largest
-    component's for a vector integrand; ties broken by creation order) is
-    bisected until every component's summed error meets its tolerance or
-    the subdivision budget is exhausted.
-    """
+    Each round takes the worst panels (by error estimate, the largest
+    component's for a vector integrand; ties broken by creation order)
+    until the error left meets half the tolerance and bisects them in one
+    integrand call, until every component's summed error meets its
+    tolerance or the subdivision budget is exhausted."""
     if not (a < b):
         raise DomainError(f"require a < b, got [{a}, {b}]")
-    kron, err = _gk15_batch(f, np.array([a]), np.array([b]))
-    # a panel's values: a Python float for a scalar integrand (no numpy call
-    # per split), a (K,) array for a vector one; fsum gives correctly rounded
+    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
+    kron, err = _gk15_batch(f, np.array(edges[:-1]), np.array(edges[1:]))
+    # a panel's values: Python floats for a scalar integrand (no numpy call
+    # per panel), (K,) arrays for a vector one; fsum gives correctly rounded
     # totals, one per component
     if kron.ndim == 1:
         panels, worst, every, fsum = np.ndarray.tolist, float, bool, math.fsum
     else:
         panels, worst, every = (lambda a: list(a.T)), np.max, np.all
         fsum = lambda parts: np.array([math.fsum(c) for c in np.array(parts).T])
-    (total_val,), (total_err,) = panels(kron), panels(err)
-    counter = 0
+    vals, errs = panels(kron), panels(err)
+    total_val, total_err = sum(vals), sum(errs)
     # heap entries: (-largest error, insertion counter, a, b, value, error)
-    heap = [(-worst(total_err), counter, a, b, total_val, total_err)]
-    n_splits = 0
+    heap = sorted((-worst(e), i, lo, hi, v, e)  # a sorted list is a heap
+                  for i, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], vals, errs)))
+    counter, n_splits = len(heap), 0
     while n_splits < cfg.max_subdivisions and not every(_within(total_err, total_val, cfg)):
-        neg_err, cnt, ia, ib, ival, ierr = heapq.heappop(heap)
-        if neg_err == 0.0 or ib - ia < 1e-14 * max(1.0, abs(ia), abs(ib)):
-            heapq.heappush(heap, (neg_err, cnt, ia, ib, ival, ierr))
+        # pop worst first until the error left on the heap meets half the tolerance
+        left, popped = total_err, []
+        half_tol = 0.5 * np.maximum(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        while heap and n_splits + len(popped) < cfg.max_subdivisions and not every(left <= half_tol):
+            neg_err, _, ia, ib, _, ierr = heap[0]
+            if neg_err == 0.0 or ib - ia < 1e-14 * max(1.0, abs(ia), abs(ib)):
+                break
+            popped.append(heapq.heappop(heap))
+            left = left - ierr
+        if not popped:
             break
-        im = 0.5 * (ia + ib)
-        kron2, err2 = _gk15_batch(f, np.array([ia, im]), np.array([im, ib]))
-        (k0, k1), (e0, e1) = panels(kron2), panels(err2)
-        total_val = total_val + ((k0 + k1) - ival)
-        total_err = total_err + ((e0 + e1) - ierr)
-        counter += 1
-        heapq.heappush(heap, (-worst(e0), counter, ia, im, k0, e0))
-        counter += 1
-        heapq.heappush(heap, (-worst(e1), counter, im, ib, k1, e1))
-        n_splits += 1
+        lo, hi = [item[2] for item in popped], [item[3] for item in popped]
+        mid, n = [0.5 * (x + y) for x, y in zip(lo, hi)], len(popped)
+        kron, err = _gk15_batch(f, np.array(lo + mid), np.array(mid + hi))
+        vals, errs = panels(kron), panels(err)
+        for (_, _, ia, ib, ival, ierr), im, k0, k1, e0, e1 in zip(
+                popped, mid, vals, vals[n:], errs, errs[n:]):
+            total_val = total_val + ((k0 + k1) - ival)
+            total_err = total_err + ((e0 + e1) - ierr)
+            heapq.heappush(heap, (-worst(e0), counter, ia, im, k0, e0))
+            heapq.heappush(heap, (-worst(e1), counter + 1, im, ib, k1, e1))
+            counter += 2
+        n_splits += n
     value, error = fsum([item[4] for item in heap]), fsum([item[5] for item in heap])
     return _result(value, error, _within(error, value, cfg))
 
@@ -423,17 +435,17 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float, n_pe
     return _result(out_val, out_err, converged)
 
 
-def radial_head_tail(f, u0: float, p_tail: float, tol: float) -> IntegralResult:
-    """Integrate f over [0, infinity): adaptive head on [0, u0], periodic tail.
+def radial_head_tail(f, zeros, p_tail: float, tol: float) -> IntegralResult:
+    """Integrate f over [0, infinity): adaptive head on [0, zeros[-1]], periodic tail.
 
-    The tail beyond ``u0`` must be an envelope decaying like x^-p_tail times
-    an oscillation of period 1/2 (every radial Bessel- or sine-power
-    integrand here), and starts best at a kink of the oscillation.  The head
-    runs at (abs, rel) = (tol, 10 tol), the tail at ten times that, starting
-    from 64 periods.  ``f`` may be a vector integrand (see the module
-    docstring).
+    ``zeros`` are increasing kinks of f (the zeros of B^ here): the head's
+    first panels run between them, the tail from the last.  The tail must be
+    an envelope decaying like x^-p_tail times an oscillation of period 1/2
+    (every radial Bessel- or sine-power integrand here).  The head runs at
+    (abs, rel) = (tol, 10 tol), the tail at ten times that, from 64
+    periods.  ``f`` may be a vector integrand (see the module docstring).
     """
-    head = integrate_adaptive(f, 0.0, u0, QuadratureConfig(tol, 10 * tol))
-    tail = tail_power_periodic(f, u0, 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
+    head = integrate_adaptive(f, 0.0, zeros[-1], QuadratureConfig(tol, 10 * tol), points=zeros)
+    tail = tail_power_periodic(f, zeros[-1], 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
     return _result(head.value + tail.value, head.error_estimate + tail.error_estimate,
                    np.logical_and(head.converged, tail.converged))

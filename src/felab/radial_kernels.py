@@ -25,9 +25,10 @@ integrand
                 = 4 pi^2 int_0^inf rho^{1 - d(q-2)/2} |J_{d/2}(2 pi rho)|^q drho,
 
 a power envelope times an oscillation of period 1/2; the first form cannot
-overflow (|B^| <= omega_d).  Its periodic tail, like the ball norms', starts
-at a zero of B^, so the kinks of |B^|^q fall on period edges.  For d = 1
-this is literally 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q dxi.
+overflow (|B^| <= omega_d) and runs on ball_hat's closed forms for d <= 3.
+Like the ball norms', its adaptive head is cut at the zeros of B^ and its
+periodic tail starts at the last, so the kinks of |B^|^q fall on panel and
+period edges.  For d = 1 this is 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
 
 Profile evaluation
 ------------------
@@ -162,19 +163,20 @@ def ball_hat(d: int, r):
     return float(out[0]) if scalar else out
 
 
-def _ball_hat_zero(d: int, rho: float) -> float:
-    """The last zero of B^ below about rho (past a few units): k/2 for d = 1,
-    else j_{d/2,s} / 2 pi by McMahon's expansion and Newton (DLMF 10.21(vii))."""
+def _ball_hat_zeros(d: int, rho: float) -> np.ndarray:
+    """Every zero of B^ in (0, rho]: k/2 for d = 1, else j_{d/2,s} / 2 pi by
+    McMahon's expansion and Newton (DLMF 10.21(vii)), all s at once."""
     if d == 1:
-        return math.floor(2.0 * rho) / 2.0
+        return np.arange(1, math.floor(2.0 * rho) + 1) / 2.0
     nu = d / 2.0
     mu = 4.0 * nu * nu
-    beta = (math.floor(2.0 * rho - 0.5 * nu + 0.25) + 0.5 * nu - 0.25) * math.pi
+    # zero s lies near (s + nu/2 - 1/4)/2; one candidate past that count covers the error
+    beta = (np.arange(1, math.floor(2.0 * rho - 0.5 * nu + 0.25) + 2) + 0.5 * nu - 0.25) * math.pi
     x = beta - (mu - 1.0) / (8.0 * beta) - (mu - 1.0) * (7.0 * mu - 31.0) / (384.0 * beta**3)
     for _ in range(3):
         jj = special.jv(nu, x)
         x -= jj / (special.jv(nu - 1.0, x) - nu / x * jj)
-    return float(x) / (2.0 * math.pi)
+    return x[x <= 2.0 * math.pi * rho] / (2.0 * math.pi)
 
 
 def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
@@ -365,7 +367,7 @@ def _moment(kind: str, d: int, q: float):
     only even period counts.  The tolerance sits below the 1e-11 slack."""
     p = (d + 1.0) * (q - 1.0 if kind == "K" else q - 2.0) / 2.0 - (d - 1.0)
     res = radial_head_tail(lambda rho: rho ** (d - 1) * _g_radial(kind, d, q, rho),
-                           _ball_hat_zero(d, 20.0), p, 1e-12)
+                           _ball_hat_zeros(d, 20.0), p, 1e-12)
     value = _SPHERE[d] * res.value
     return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
 
@@ -456,7 +458,7 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     out = _radial_sum(kind, 3, q, x, edges)
     last = _gk15_mesh(edges[-5:])[0][-50:]
     tail_bound = abs(2.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]) * 2.0
-    errors = np.full_like(out, tail_bound + 1e-11 * np.abs(out))
+    errors = tail_bound + 1e-11 * (1.0 + np.abs(out))
     return out, errors
 
 
@@ -555,10 +557,10 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
     _check_peak(d, q)
 
     def f(rho):  # rho^{1+d} |B^|^q, any d: |B^| <= omega_d, so no factor overflows
-        bh = special.jv(d / 2.0, 2 * np.pi * rho) / rho ** (d / 2.0)
+        bh = ball_hat(d, rho) if d <= 3 else special.jv(d / 2.0, 2 * np.pi * rho) / rho ** (d / 2.0)
         return rho ** (1.0 + d) * np.abs(bh) ** q
 
-    res = radial_head_tail(f, _ball_hat_zero(d, 20.0), q * (d + 1.0) / 2.0 - d - 1.0, 1e-14)
+    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - d - 1.0, 1e-14)
     value = 4.0 * np.pi**2 * res.value
     err = 4.0 * np.pi**2 * res.error_estimate
     return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
@@ -576,7 +578,7 @@ def gamma_1d_closed_form(q: float) -> float:
     def f(xi):
         return np.where(xi > 0, xi ** (2.0 - q), 0.0) * np.abs(np.sin(2 * np.pi * xi)) ** q
 
-    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, 10.0, q - 2.0, 1e-14).value
+    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, _ball_hat_zeros(1, 10.0), q - 2.0, 1e-14).value
 
 
 def rho_d(d: int) -> float:
@@ -599,7 +601,7 @@ def ball_norm_q(d: int, q: float) -> IntegralResult:
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q
 
-    res = radial_head_tail(f, _ball_hat_zero(d, 20.0), q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
+    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
     scale = d * omega(d)
     value = scale * res.value
     err = scale * res.error_estimate

@@ -19,7 +19,7 @@ adaptive mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n as
 one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
 J_nu(x) of every order from the forward recurrence (DLMF 10.6.1, stable
 for x > nu) where x > nu_max + 20, from scipy's jv below that.  The head
-ends at the last zero of B^ below max(25, 0.3 nu_max + 10): the periodic
+is cut at the zeros of B^ up to max(25, 0.3 nu_max + 10): the periodic
 tail then starts on a kink of g, and runs wholly on the recurrence.
 ``funk_hecke_eigenvalue`` and ``circle_coeff`` run the same pass on one
 mode.
@@ -53,7 +53,7 @@ from scipy import special
 from .errors import DomainError, ThresholdError
 from .quadrature import IntegralResult, radial_head_tail
 from .radial_kernels import (
-    _ball_hat_zero,
+    _ball_hat_zeros,
     _check_peak,
     ball_hat,
     gamma_qd,
@@ -118,9 +118,10 @@ def _lambda_radial(d: int, q: float, ks: np.ndarray) -> IntegralResult:
         jj *= np.where(rho > 0, g * rho, 0.0)
         return jj
 
-    # tail from a zero of B^ (a kink of g); 2 pi u0 >= 1.88 nu_max + 59 keeps it on the recurrence
-    u0 = _ball_hat_zero(d, max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0))
-    out = radial_head_tail(f, u0, (d + 1.0) * (q - 2.0) / 2.0, 1e-15)
+    # head panels between the zeros of B^ (the kinks of g), tail from the last;
+    # 2 pi zeros[-1] >= 1.88 nu_max + 59 keeps the tail on the recurrence
+    zeros = _ball_hat_zeros(d, max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0))
+    out = radial_head_tail(f, zeros, (d + 1.0) * (q - 2.0) / 2.0, 1e-15)
     return IntegralResult(4 * np.pi**2 * out.value, 4 * np.pi**2 * out.error_estimate, out.converged)
 
 

@@ -173,6 +173,22 @@ class TestAdaptive:
         res = integrate_adaptive(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300), 0.0, 1.0, cfg)
         assert not res.converged
 
+    def test_points_at_kinks(self):
+        # |sin 2 pi x|^1.6 on [0, 5] has kinks at k/2; the integral is
+        # 10 int_0^{1/2} = (5/pi) sqrt(pi) Gamma(1.3) / Gamma(1.8)
+        from scipy.special import gamma
+        exact = 5.0 / np.pi * np.sqrt(np.pi) * gamma(1.3) / gamma(1.8)
+        cfg = QuadratureConfig(1e-13, 1e-12)
+        calls = {}
+        for name, points in (("plain", ()), ("kinks", np.arange(1, 10) / 2.0)):
+            def f(x):
+                calls[name] = calls.get(name, 0) + 1
+                return np.abs(np.sin(2 * np.pi * x)) ** 1.6
+            res = integrate_adaptive(f, 0.0, 5.0, cfg, points=points)
+            assert res.converged
+            assert abs(res.value - exact) <= res.error_estimate
+        assert calls["kinks"] < calls["plain"]
+
 
 class TestOscillatoryTail:
     def test_sin_over_x2(self):

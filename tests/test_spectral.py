@@ -139,9 +139,9 @@ class TestBatch:
         # 40 columns: the periodic tail sweeps its last doublings in chunks
         q = 3.7
         scalar = _lambda_integrand(2, q, 3.0)
-        res = radial_head_tail(lambda rho: scalar(rho)[0], 25.0, 1.5 * (q - 2.0), 1e-15)
+        res = radial_head_tail(lambda rho: scalar(rho)[0], [25.0], 1.5 * (q - 2.0), 1e-15)
         batch = radial_head_tail(lambda rho: np.repeat(scalar(rho), 40, axis=0),
-                                 25.0, 1.5 * (q - 2.0), 1e-15)
+                                 [25.0], 1.5 * (q - 2.0), 1e-15)
         assert isinstance(res.value, float) and batch.value.shape == (40,)
         assert np.all(batch.value == res.value)
         assert np.all(batch.error_estimate == res.error_estimate)
