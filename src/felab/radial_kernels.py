@@ -39,10 +39,13 @@ mesh is a graded head on [0, 1]; past it g(xi) = pi^{-s} xi^{-s} P(2 pi xi),
 s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or |sin u|^{q-2}, and one
 table of P's Fourier series (finite for q = 4, 6, 8) meets the power tails
 int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients x tails product over
-all (frequency, radius) pairs.  The power tail is E_s(-ic): a Gauss-Legendre
-head in log xi up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19)
-by modified Lentz, both of fixed size; it matches mpmath to ~1e-13
-relative.  d = 2: the mesh reaches 40 (K) or 160 (L), then a zero-segmented
+the (frequency, radius) pairs, cut where |E(c)| <= min(2/|c|, 1/(s-1))
+bounds all it drops by 1e-13, the reported truncation term.  At c = 2 pi
+(f +- x), e^{ic} = e^{+-2 pi ix} is one exp per radius, so the power tail is
+e^{-ic} E_s(-ic): a Gauss-Legendre head in log xi up to |c| xi = 2, then E_s's
+continued fraction (DLMF 8.19) by modified Lentz on the pairs sorted by |c|,
+shedding each converged leading run; it matches mpmath to ~1e-13 relative.
+d = 2: the mesh reaches 40 (K) or 160 (L), then a zero-segmented
 accelerated tail per radius, for L on the a_0 part of the same table.
 d = 3: the mesh reaches a cut where g has decayed, plus a tail bound.  At
 r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g from the
@@ -197,50 +200,56 @@ _CF_TERMS = 200  # the fraction needs ~90 at most once |c| T >= 2, any s > 1
 
 
 def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
-    """E(c) = int_1^inf xi^{-s} e^{ic xi} dxi (s > 1), elementwise; E(-c) = conj E(c).
+    """e^{-ic} E(c), E(c) = int_1^inf xi^{-s} e^{ic xi} dxi (s > 1), elementwise;
+    its value at -c is the conjugate.
 
     E = int_1^T + T^{1-s} E_s(-i|c|T), T = max(1, min(2/|c|, e^{40/(s-1)})):
     Gauss-Legendre in log xi over the last 40 of log T (below it the phase
     |c| xi < 1e-17 is dropped), then E_s's continued fraction, dropped past
-    the cap on T, where it is below e^{-40}/(s-1)."""
+    the cap on T, where it is below e^{-40}/(s-1).  Where |c| >= 2, T = 1 and
+    e^{-ic} E is the fraction alone, with no exp taken.  Lentz runs on the
+    entries sorted by |c|, largest (quickest) first, and sheds the leading
+    converged run each step; the ones behind a live entry iterate on."""
     c = np.asarray(c, dtype=float)
-    out = np.full(c.shape, 1.0 / (s - 1.0), dtype=complex)
-    nz = np.nonzero(c)
-    ca = np.abs(c[nz])
-    log_c = np.log(ca)
-    log_t = np.maximum(0.0, math.log(_TAIL_SPLIT) - log_c)
-    far = log_t <= _LOG_NEGLIGIBLE / (s - 1.0)
-    log_t = np.minimum(log_t, _LOG_NEGLIGIBLE / (s - 1.0))
-
-    e = np.zeros(ca.shape, dtype=complex)
-    h = log_t > 0
-    lo = np.maximum(0.0, log_t[h] - _LOG_NEGLIGIBLE)
-    half = 0.5 * (log_t[h] - lo)
-    u = lo[:, None] + half[:, None] * (1.0 + _HEAD_RULE[0])
-    head = np.exp((1.0 - s) * u + 1j * np.exp(u + log_c[h, None])) @ _HEAD_RULE[1]
-    e[h] = head * half - np.expm1((1.0 - s) * lo) / (s - 1.0)
-
+    ca = np.abs(c).ravel()
     # E_s(z) = e^{-z} / (z + s - s / (z + s + 2 - 2 (s+1) / (z + s + 4 - ...)))
-    # at z = -i max(|c|, 2), by modified Lentz on the entries not yet converged
-    z = -1j * np.maximum(ca[far], _TAIL_SPLIT)
-    b, lentz_c = z + s, np.full_like(z, np.inf)  # c_0 = inf makes c_1 = b_1
-    d = frac = 1.0 / b
-    act, cf = np.arange(len(z)), np.empty_like(z)
+    # at z = -i max(|c|, 2), by modified Lentz (c_0 = inf makes c_1 = b_1)
+    order = np.argsort(ca)[::-1]
+    b = s - 1j * np.maximum(ca[order], _TAIL_SPLIT)
+    frac = 1.0 / b
+    d, lentz_c, e, shed = frac.copy(), np.inf, np.empty_like(b), 0
     for i in range(1, _CF_TERMS + 1):
-        a, b = -i * (s - 1.0 + i), b + 2.0
-        d, lentz_c = 1.0 / (a * d + b), b + a / lentz_c
+        a = -i * (s - 1.0 + i)
+        b += 2.0
+        np.reciprocal(np.add(np.multiply(d, a, out=d), b, out=d), out=d)  # 1 / (a d + b)
+        lentz_c = b + a / lentz_c
         delta = lentz_c * d
-        frac = frac * delta
+        frac *= delta
         done = np.abs(delta - 1.0) < 1e-15
-        cf[act[done]] = frac[done]
-        act, b, d, lentz_c, frac = (v[~done] for v in (act, b, d, lentz_c, frac))
-        if not len(act):
+        run = len(done) if done.all() else int(np.argmin(done))
+        e[order[shed:shed + run]] = frac[:run]
+        shed += run
+        b, d, lentz_c, frac = b[run:], d[run:], lentz_c[run:], frac[run:]
+        if shed == len(e):
             break
     else:
         raise DomainError(f"the power-tail continued fraction did not converge (s = {s})")
-    e[far] += np.exp((1.0 - s) * log_t[far] - z) * cf
-    out[nz] = np.where(c[nz] > 0, e, np.conj(e))
-    return out
+
+    # |c| < 2: the head (at c = 0, log c = -inf leaves int_1^T xi^{-s}), and the
+    # fraction at |c| T = 2 times T^{1-s} e^{i|c|(T-1)}
+    h = np.nonzero(ca < _TAIL_SPLIT)[0]
+    ch = ca[h]
+    log_c = np.log(ch, out=np.full_like(ch, -np.inf), where=ch > 0)
+    far = log_c >= math.log(_TAIL_SPLIT) - _LOG_NEGLIGIBLE / (s - 1.0)
+    log_t = np.minimum(math.log(_TAIL_SPLIT) - log_c, _LOG_NEGLIGIBLE / (s - 1.0))
+    lo = np.maximum(0.0, log_t - _LOG_NEGLIGIBLE)
+    half = 0.5 * (log_t - lo)
+    u = lo[:, None] + half[:, None] * (1.0 + _HEAD_RULE[0])
+    head = np.exp((1.0 - s) * u + 1j * np.exp(u + log_c[:, None])) @ _HEAD_RULE[1]
+    e[h] = (np.exp(-1j * ch) * (head * half - np.expm1((1.0 - s) * lo) / (s - 1.0))
+            + np.where(far, np.exp((1.0 - s) * log_t + 1j * (_TAIL_SPLIT - ch)) * e[h], 0.0))
+    e.imag *= np.sign(c.ravel())
+    return e.reshape(c.shape)
 
 
 @lru_cache(maxsize=64)
@@ -254,8 +263,9 @@ def _series(kind: str, q: float) -> tuple:
     with nu = q-2: c_0 = Gamma(nu+1) / (2^nu Gamma(nu/2+1)^2),
     c_m = c_{m-1} (m-1-nu/2) / (m+nu/2), a_0 = c_0, a_m = 2 c_m.
     At even q the recurrences end (sin^n u is a finite sum); otherwise the
-    series is cut at frequency ~800 and the rest bounded from the last
-    coefficient.
+    table stops at frequency ~800, and the truncation bound is on the sum of
+    |coefficients| past it.  Every coefficient is kept, however small: the
+    d = 1 kernel cuts the table where its own bound says so.
     """
     s = q - 1.0 if kind == "K" else q - 2.0
     lead = math.lgamma(s + 1.0) - s * math.log(2.0)
@@ -272,8 +282,6 @@ def _series(kind: str, q: float) -> tuple:
         last = freqs[-1] // 2
     coeffs = math.exp(lead) * np.cumprod(np.concatenate([[1.0], steps]))
     trunc = float(np.abs(coeffs[-1])) * last / max(s, 0.5)
-    keep = np.abs(coeffs) > 1e-15
-    freqs, coeffs = freqs[keep], coeffs[keep]
     freqs.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
     return freqs, coeffs, trunc
 
@@ -345,17 +353,24 @@ def _kernel_values_1d(kind: str, q: float, x: np.ndarray):
     pref = 2.0 * np.pi ** -s
     head = _radial_sum(kind, 1, q, x, _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
     freqs, coeffs, trunc = _series(kind, q)
+    # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(s-1)) >= |E(2 pi t)|,
+    # and falls with f: keep the fewest leading terms whose rest, table tail too, is <= 1e-13
+    f = np.append(freqs, freqs[-1] + 2.0)
+    w = (0.5 / np.maximum(np.pi * f, s - 1.0)
+         + 0.5 / np.maximum(np.pi * (f - x.max(initial=0.0)), s - 1.0))
+    dropped = pref * np.cumsum((np.append(np.abs(coeffs), trunc) * w)[::-1])[::-1]
+    n = np.count_nonzero(dropped[:-1] > 1e-13)
     part = np.imag if kind == "K" else np.real
     tail = np.empty_like(x)
-    step = max(1, _PAIR_CHUNK // len(freqs))
+    step = max(1, _PAIR_CHUNK // max(2 * n, 1))
     for lo in range(0, len(x), step):
         xc = x[lo:lo + step]
-        both = (_power_tail(s, 2 * np.pi * (freqs[:, None] + xc))
-                + _power_tail(s, 2 * np.pi * (freqs[:, None] - xc)))
-        tail[lo:lo + step] = coeffs @ (0.5 * part(both))
+        c = 2 * np.pi * (freqs[:n, None] + np.stack([xc, -xc])[:, None])
+        plus, minus = coeffs[:n] @ _power_tail(s, c)
+        phase = np.exp(2j * np.pi * (xc - np.round(xc)))  # e^{ic} at c = 2 pi (f + x), f an integer
+        tail[lo:lo + step] = 0.5 * part(phase * plus + np.conj(phase) * minus)
     values = head + pref * tail
-    errors = np.full_like(values, pref * trunc + 1e-11 * (1.0 + np.abs(values)))
-    return values, errors
+    return values, dropped[n] + 1e-11 * (1.0 + np.abs(values))
 
 
 def _moment(kind: str, d: int, q: float):

@@ -224,7 +224,8 @@ class TestKernel1D:
 
 
 class TestPowerTail:
-    """E(c) = int_1^inf xi^{-s} e^{ic xi} dxi is E_s(-ic): mpmath is the oracle."""
+    """E(c) = int_1^inf xi^{-s} e^{ic xi} dxi is E_s(-ic), returned as e^{-ic} E(c):
+    mpmath is the oracle."""
 
     @pytest.mark.parametrize("s", [1.0001, 1.05, 1.5, 2.0, 2.81, 3.0, 4.4, 7.0, 20.0, 59.0])
     def test_against_expint(self, s):
@@ -233,7 +234,7 @@ class TestPowerTail:
         mpmath = pytest.importorskip("mpmath")
         c = np.concatenate([[0.0], np.logspace(-6, 4, 50), -np.logspace(-6, 4, 50),
                             [1.999, -1.999, 2.001, -2.001]])
-        ref = np.array([complex(mpmath.expint(s, -1j * x)) for x in c])
+        ref = np.array([complex(mpmath.exp(-1j * x) * mpmath.expint(s, -1j * x)) for x in c])
         assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
 
     @pytest.mark.parametrize("s", [1.0 + 1e-12, 1.0001, 2.0, 59.0, 1000.0])
@@ -242,13 +243,76 @@ class TestPowerTail:
         # spans only the last 40 in log xi
         mpmath = pytest.importorskip("mpmath")
         c = np.array([5e-324, -1e-300, 1e-40, 1e-20, 1e300, -1e300])
-        ref = np.array([complex(mpmath.expint(s, -1j * x)) for x in c])
+        ref = np.array([complex(mpmath.exp(-1j * x) * mpmath.expint(s, -1j * x)) for x in c])
         assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
 
     def test_unconverged_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(radial_kernels, "_CF_TERMS", 4)
         with pytest.raises(DomainError, match="continued fraction"):
             _power_tail(2.5, np.array([3.0]))
+
+    @pytest.mark.parametrize("s", [2.81, 2.5])
+    def test_kernel_lattice(self, s):
+        # the d = 1 kernels' c = 2 pi (j +- x), j <= 801, x up to the 115.5
+        # bound, zeros included (j = x), at the K exponent of q = 3.81 and the
+        # L exponent of q = 4.5
+        mpmath = pytest.importorskip("mpmath")
+        j = np.array([0, 1, 2, 3, 7, 96, 115, 116, 400, 801])
+        x = np.array([0.0, 0.3, 1.0, 4.7, 95.99, 115.5])
+        c = (2 * np.pi * (j[:, None, None] + np.array([1, -1])[:, None] * x)).ravel()
+        ref = np.array([complex(mpmath.exp(-1j * v) * mpmath.expint(s, -1j * v)) for v in c])
+        assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
+
+
+class TestSeriesCut:
+    """The d = 1 kernels keep the fewest series terms whose dropped rest, the
+    part past the table included, is bounded by 1e-13, and report that bound."""
+
+    @staticmethod
+    def tail_shapes(monkeypatch):
+        shapes = []
+        inner = radial_kernels._power_tail
+
+        def spy(s, c):
+            shapes.append(np.shape(c))
+            return inner(s, c)
+
+        monkeypatch.setattr(radial_kernels, "_power_tail", spy)
+        return shapes
+
+    @staticmethod
+    def extended_series(kind, q, top):
+        # the table's recurrence carried on to frequency `top`
+        freqs, coeffs, _ = _series(kind, q)
+        s = q - 1.0 if kind == "K" else q - 2.0
+        f = np.arange(freqs[-1] + 2, top + 1, 2)
+        ratio = -(s + 2.0 - f) / (s + f) if kind == "K" else (f / 2 - 1.0 - s / 2) / (f / 2 + s / 2)
+        return np.concatenate([freqs, f]), np.concatenate([coeffs, coeffs[-1] * np.cumprod(ratio)])
+
+    @pytest.mark.parametrize("kind", ["K", "L"])
+    @pytest.mark.parametrize("q", [3.62, 3.81, 4.7, 6.5])
+    def test_bound_covers_the_dropped_terms(self, kind, q, monkeypatch):
+        shapes = self.tail_shapes(monkeypatch)
+        radii = np.linspace(0.0, 115.5, 12)
+        vals, errs = kernel_values(kind, 1, q, radii)
+        bound = errs - 1e-11 * (1.0 + np.abs(vals))
+        assert np.all(bound <= 1e-13) or shapes[0][-2] == len(_series(kind, q)[0])
+        s = q - 1.0 if kind == "K" else q - 2.0
+        pref, part, top = 2.0 * np.pi ** -s, (np.imag if kind == "K" else np.real), 20001
+        f, b = self.extended_series(kind, q, top)
+        f, b = f[shapes[0][-2]:], b[shapes[0][-2]:]  # the terms the kernel did not sum
+        for x, most in zip(radii, bound):
+            c = 2 * np.pi * np.stack([f + x, f - x])
+            dropped = pref * abs(b @ (0.5 * part(np.exp(1j * c) * _power_tail(s, c)).sum(0)))
+            # past `top`: sum |b_f| <= |b_top| top / s, each |E| <= 1 / (pi (f - x))
+            rest = pref * abs(b[-1]) * top / s / (np.pi * (top - x))
+            assert dropped + rest <= most
+
+    def test_pairs_sent_to_the_tail(self, monkeypatch):
+        # the whole table would send 2 x 401 x 256 = 205,312 (frequency, radius) pairs
+        shapes = self.tail_shapes(monkeypatch)
+        kernel_values("K", 1, 4.7, np.linspace(1.0, 4.7, 256))
+        assert 0 < sum(math.prod(shape) for shape in shapes) <= 0.4 * 205_312
 
 
 class TestKernel2D:
@@ -524,6 +588,18 @@ class TestFirstVariation:
         with pytest.raises(ArityError):
             first_variation_check(1, 4.0, [], [1.5])
 
+    @pytest.mark.parametrize("q, inner_min, outer_max", [
+        (3.81, 1.772685807626704, 1.7417056391962147),
+        (4.71, 3.188313663761608, 3.1447758969866824),
+        (5.51, 5.352725026977056, 5.283172689373282),
+        (6.51, 10.222666356438099, 10.093034245887072),
+    ])
+    def test_pinned_d1(self, q, inner_min, outer_max):
+        # computed with the whole 401-term table and one complex exp per pair
+        res = first_variation_check(1, q, *default_variation_grids(1, q))
+        assert res.inner_min == pytest.approx(inner_min, rel=1e-13, abs=0)
+        assert res.outer_max == pytest.approx(outer_max, rel=1e-13, abs=0)
+
 
 class TestAsymptoticFit:
     @pytest.mark.slow
@@ -623,10 +699,12 @@ class TestPinnedKernels:
     series is numerical: pinned to 1e-13 relative."""
 
     @pytest.mark.parametrize("kind, d, q, values, errors", [
+        # d = 1: the errors are the 1e-11 (1 + |v|) slack plus the bound on the
+        # series terms cut or past the table, 1.40e-13 (K) and 1.50e-12 (L)
         ("K", 1, 3.81, [2.699107519702967, 2.4722838278288086, 1.2402187996714658],
-         [3.887257745387579e-10, 3.8645753762001633e-10, 3.741368873384429e-10]),
+         [3.713061617739183e-11, 3.4862379258650246e-11, 2.254172897707683e-11]),
         ("L", 1, 4.5, [2.4122915942606893, 2.020507018450928, 1.031862853059689],
-         [3.813638362111681e-09, 3.809720516353583e-09, 3.799834074699671e-09]),
+         [3.5624204921246046e-11, 3.170635916314845e-11, 2.1819917509236053e-11]),
         # references: 3.40205474564131 (see TestCalibration), and 2.54914183817,
         # 0.93241807853 from Gauss-Legendre on the panels between the zeros of
         # J_1 out to rho = 1e4; the errors, 2.0e-12, 1.6e-8 and 2.3e-9, are

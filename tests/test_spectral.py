@@ -73,12 +73,13 @@ class TestFunkHecke:
         assert lam == pytest.approx(oracle, rel=2e-4)
 
     @pytest.mark.parametrize("d, q, k, value", [
-        (2, 5.7, 7, 0.0046786187983800555),
+        (2, 5.7, 7, 0.004678618798379378),
         (3, 4.2, 2, 2.2345686578443207),
     ])
     def test_pinned(self, d, q, k, value):
-        # head-plus-periodic-tail eigenvalues off the closed-form exponents
-        assert funk_hecke_eigenvalue(d, q, k) == pytest.approx(value, rel=1e-13)
+        # head-plus-periodic-tail eigenvalues off the closed-form exponents;
+        # abs=0, or pytest's default abs = 1e-12 would be 2e-10 relative at 4.7e-3
+        assert funk_hecke_eigenvalue(d, q, k) == pytest.approx(value, rel=1e-13, abs=0)
 
     def test_eigenvalues_real_positive_small_k(self):
         for d, q in ((2, 3.6), (2, 4.0), (3, 4.0)):
