@@ -45,9 +45,10 @@ bounds all it drops by 1e-13, the reported truncation term.  At c = 2 pi
 e^{-ic} E_s(-ic): a Gauss-Legendre head in log xi up to |c| xi = 2, then E_s's
 continued fraction (DLMF 8.19) by modified Lentz on the pairs sorted by |c|,
 shedding each converged leading run; it matches mpmath to ~1e-13 relative.
-d = 2: the mesh reaches 40 (K) or 160 (L), then a zero-segmented
-accelerated tail per radius, for L on the a_0 part of the same table.
-d = 3: the mesh reaches a cut where g has decayed, plus a tail bound.  At
+d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
+the largest radius grows, reach 40 (K) or 160 (L) in d = 2, then a
+zero-segmented accelerated tail per radius, for L on the a_0 part of the
+same table; in d = 3 a cut where g has decayed, plus a tail bound.  At
 r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g from the
 head-plus-periodic-tail integral.
 
@@ -263,9 +264,10 @@ def _series(kind: str, q: float) -> tuple:
     with nu = q-2: c_0 = Gamma(nu+1) / (2^nu Gamma(nu/2+1)^2),
     c_m = c_{m-1} (m-1-nu/2) / (m+nu/2), a_0 = c_0, a_m = 2 c_m.
     At even q the recurrences end (sin^n u is a finite sum); otherwise the
-    table stops at frequency ~800, and the truncation bound is on the sum of
-    |coefficients| past it.  Every coefficient is kept, however small: the
-    d = 1 kernel cuts the table where its own bound says so.
+    table stops at frequency ~800, and the truncation term bounds the sum of
+    |coefficients| past it; for K at mu < 801 the |b_j| telescope and it is
+    that sum, |b_801| (801 - mu) / (2 mu).  Every coefficient is kept, however
+    small: the d = 1 kernel cuts the table where its own bound says so.
     """
     s = q - 1.0 if kind == "K" else q - 2.0
     lead = math.lgamma(s + 1.0) - s * math.log(2.0)
@@ -273,39 +275,52 @@ def _series(kind: str, q: float) -> tuple:
         freqs = np.arange(1, 802, 2)
         lead += math.log(2.0) - math.lgamma((s + 3.0) / 2.0) - math.lgamma((s + 1.0) / 2.0)
         steps = -(s - freqs[:-1]) / (s + freqs[:-1] + 2.0)
-        last = freqs[-1]
+        rest = (801.0 - s) / (2.0 * s) if s < 801.0 else 801.0 / s
     else:
         freqs = np.arange(0, 801, 2)
         lead -= 2.0 * math.lgamma(s / 2.0 + 1.0)
         m = freqs[1:] // 2
         steps = (m - 1.0 - s / 2.0) / (m + s / 2.0) * np.where(m == 1, 2.0, 1.0)  # a_m = 2 c_m
-        last = freqs[-1] // 2
+        rest = 400.0 / max(s, 0.5)
     coeffs = math.exp(lead) * np.cumprod(np.concatenate([[1.0], steps]))
-    trunc = float(np.abs(coeffs[-1])) * last / max(s, 0.5)
+    trunc = float(np.abs(coeffs[-1])) * rest
     freqs.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
     return freqs, coeffs, trunc
 
 
 def _graded_edges(a: float, b: float, singular: tuple, base: float) -> np.ndarray:
     """Panel edges on [a, b], refined toward each singular point over 42 halvings."""
-    edges = set(np.arange(a, b, base))
-    edges.add(b)
-    for s in singular:
-        if not (a <= s <= b):
-            continue
-        h = base
-        for _ in range(42):
-            h *= 0.5
-            for e in (s - h, s + h):
-                if a < e < b:
-                    edges.add(e)
-    return np.array(sorted(edges))
+    h = base * 0.5 ** np.arange(1, 43)
+    near = np.array([(s - h, s + h) for s in singular if a <= s <= b]).ravel()
+    return np.unique(np.r_[np.arange(a, b, base), b, near[(a < near) & (near < b)]])
 
 
 def _gk15_mesh(edges: np.ndarray):
     """Flat GK15 nodes and weights on the panels between consecutive edges."""
     nodes, weights = gk15_panels(0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]))
     return nodes.ravel(), weights.ravel()
+
+
+def _check_resolved(kind: str, d: int, radii: np.ndarray, width: float) -> None:
+    """Refuse radii whose period spans fewer than four node gaps of ``width``-wide panels."""
+    bound = 0.25 / np.max(np.diff(gk15_panels(0.0, 0.5 * width)[0]))
+    if np.any(radii > bound):
+        raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {bound:.4g}, "
+                          f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
+
+
+def _zero_edges(kind: str, d: int, end: float, radii: np.ndarray, width: float) -> np.ndarray:
+    """Panel edges on [0, end] cut at the zeros of B^, the kinks of g at non-even q:
+    a panel 1/24 of a zero segment wide at either end of it (a |t|^{q-2} kink's rule
+    error stays near 1e-10 down to q near q_d) and m >= 2 equal panels between, each
+    holding at most two periods of w_d at the largest radius (GK15 errs by ~4e-14
+    there).  Radii past the four-node bound of ``width``-wide panels are refused."""
+    _check_resolved(kind, d, radii, width)
+    cuts = np.unique(np.r_[0.0, _ball_hat_zeros(d, end), end])
+    lens = np.diff(cuts)
+    m = max(2, math.ceil(22.0 / 24.0 * lens.max() * radii.max(initial=0.0) / 2.0))
+    rel = np.r_[0.0, (1.0 + 22.0 * np.arange(m) / m) / 24.0, 23.0 / 24.0]
+    return np.r_[(cuts[:-1, None] + lens[:, None] * rel).ravel(), end]
 
 
 # (radius, node) or (frequency, radius) pairs per block of the kernel meshes
@@ -330,10 +345,7 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarra
     at r = 144, 6 pi of phase a panel, it reaches 1e-9 against the 1e-11
     reported.
     """
-    gap = np.max(np.diff(gk15_panels(0.0, 0.5 * np.max(np.diff(edges)))[0]))
-    if np.any(radii > 0.25 / gap):
-        raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {0.25 / gap:.4g}, "
-                          f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
+    _check_resolved(kind, d, radii, np.max(np.diff(edges)))
     out = np.zeros_like(radii)
     step = _PAIR_CHUNK // 15  # panels per run
     for lo in range(0, len(edges) - 1, step):
@@ -404,7 +416,7 @@ def _kernel_values_2d_K(q: float, x: np.ndarray):
     # K-kind integrand decays like rho^{(3-3q)/2} <= rho^{-4} for q > 11/3:
     # composite head plus a short zero-segmented tail is plenty
     r0 = 40.0
-    values = _radial_sum("K", 2, q, x, np.linspace(0.0, r0, int(r0 * 24) + 1))
+    values = _radial_sum("K", 2, q, x, _zero_edges("K", 2, r0, x, 1.0 / 24))
     errors = np.empty_like(x)
     n_seg = 96
     for i, r in enumerate(x):
@@ -433,8 +445,7 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
     Corput estimate.
     """
     z_cut = 160.0
-    values = _radial_sum("L", 2, q, x, np.r_[np.linspace(0.0, 1.0, 65)[:-1],
-                                              np.linspace(1.0, z_cut, int((z_cut - 1.0) * 12) + 1)])
+    values = _radial_sum("L", 2, q, x, _zero_edges("L", 2, z_cut, x, 1.0 / 12))
     freqs, coeffs, coeff_trunc = _series("L", q)
     a0, freqs, coeffs = coeffs[0], freqs[1:], coeffs[1:]
 
@@ -469,12 +480,11 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
-    edges = np.linspace(0.0, r_cut, int(r_cut * 24) + 1)
+    edges = _zero_edges(kind, 3, r_cut, x, 1.0 / 24)
     out = _radial_sum(kind, 3, q, x, edges)
-    last = _gk15_mesh(edges[-5:])[0][-50:]
-    tail_bound = abs(2.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]) * 2.0
-    errors = tail_bound + 1e-11 * (1.0 + np.abs(out))
-    return out, errors
+    last = _gk15_mesh(edges[edges >= r_cut - 1.0])[0]  # the last unit: two zero segments
+    tail_bound = 4.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]
+    return out, tail_bound + 1e-11 * (1.0 + np.abs(out))
 
 
 def kernel_values(kind: str, d: int, q: float, radii):

@@ -308,6 +308,18 @@ class TestSeriesCut:
             rest = pref * abs(b[-1]) * top / s / (np.pi * (top - x))
             assert dropped + rest <= most
 
+    def test_k_table_rest_is_exact(self, monkeypatch):
+        # past j = 801 the |b_j| telescope: their sum is |b_801| (801 - mu) / (2 mu),
+        # mu = q - 1, which the recurrence carried to j = 2e6 matches; at
+        # K(1, 3.81) that lets the cut keep 355 of the 401 frequencies
+        q = 3.81
+        freqs, _, trunc = _series("K", q)
+        _, b = self.extended_series("K", q, 2_000_001)
+        assert trunc == pytest.approx(np.sum(np.abs(b[len(freqs):])), rel=1e-9, abs=0)
+        shapes = self.tail_shapes(monkeypatch)
+        kernel_values("K", 1, q, np.array([0.0, 0.5, 1.3]))
+        assert shapes[0][-2] == 355
+
     def test_pairs_sent_to_the_tail(self, monkeypatch):
         # the whole table would send 2 x 401 x 256 = 205,312 (frequency, radius) pairs
         shapes = self.tail_shapes(monkeypatch)
@@ -342,14 +354,39 @@ class TestKernel2D:
         assert abs(vals[0]) < 1e-8
 
 
+class TestKernelHeads:
+    """The d = 2 and d = 3 kernel meshes are cut at the zeros of B^, the
+    |t|^{q-2} kinks of g: at non-even q each head matches a mesh of 32 equal
+    panels a zero segment on the same [0, end]."""
+
+    @pytest.mark.parametrize("kind, d, q", [
+        ("K", 2, 3.5), ("K", 2, 3.7), ("L", 2, 4.2), ("K", 3, 3.7), ("L", 3, 6.6)])
+    def test_against_fine_zero_segments(self, kind, d, q, monkeypatch):
+        heads = []
+        inner = radial_kernels._radial_sum
+
+        def spy(*args):
+            out = inner(*args)
+            heads.append((args, out.copy()))  # the d = 2 kernels add their tails in place
+            return out
+
+        monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
+        kernel_values(kind, d, q, np.linspace(0.3, 4.0, 38))
+        [((_, _, _, radii, edges), head)] = heads
+        end = edges[-1]
+        cuts = np.unique(np.r_[0.0, radial_kernels._ball_hat_zeros(d, end), end])
+        fine = np.r_[(cuts[:-1, None] + np.diff(cuts)[:, None] * np.arange(32) / 32).ravel(), end]
+        assert np.max(np.abs(head - inner(kind, d, q, radii, fine))) <= 1e-10
+
+
 class TestKernel3D:
     def test_l_kernel_memory_bounded(self):
         # L-kind at q = 3.6 cuts the radial integral at 1e8^(1/2.2) ~ 4.3e3:
-        # ~1.56e6 mesh nodes, so a one-piece sine matrix would take
-        # 16 x 1.56e6 doubles (~200 MB)
+        # four panels on each of ~8,700 zero segments, ~5.2e5 mesh nodes, so a
+        # one-piece sine matrix would take 16 x 5.2e5 doubles (~66 MB)
         import tracemalloc
 
-        from felab.radial_kernels import _g_radial, _gk15_mesh
+        from felab.radial_kernels import _g_radial, _gk15_mesh, _zero_edges
         q = 3.6
         r = np.linspace(0.05, 3.0, 16)
         tracemalloc.start()
@@ -359,12 +396,18 @@ class TestKernel3D:
         finally:
             tracemalloc.stop()
         r_cut = 1e8 ** (1.0 / (2.0 * (q - 2.0) - 1.0))
-        nodes, weights = _gk15_mesh(np.linspace(0.0, r_cut, int(r_cut * 24) + 1))
+        nodes, weights = _gk15_mesh(_zero_edges("L", 3, r_cut, r, 1.0 / 24))
         assert peak < 0.25 * len(r) * len(nodes) * 8
-        # direct reference, one radius at a time
+        # direct reference on the kernel's own edges, one radius at a time
         base_w = weights * _g_radial("L", 3, q, nodes) * nodes
         ref = np.array([(2.0 / x) * (np.sin(2 * np.pi * (x * nodes)) @ base_w) for x in r])
         assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 1.5, 1.9])
+    def test_l4_matches_lens_volume(self, r):
+        # L_4 = |B cap (B + x)| = pi (4 + r) (2 - r)^2 / 12 for r <= 2
+        vals, errs = kernel_values("L", 3, 4.0, np.array([r]))
+        assert abs(vals[0] - np.pi * (4.0 + r) * (2.0 - r) ** 2 / 12.0) <= errs[0]
 
     def test_small_values_keep_absolute_slack(self):
         # where |L| ~ 1e-6 the mesh sum still rounds at the scale of L(0) = 46
@@ -700,17 +743,20 @@ class TestPinnedKernels:
 
     @pytest.mark.parametrize("kind, d, q, values, errors", [
         # d = 1: the errors are the 1e-11 (1 + |v|) slack plus the bound on the
-        # series terms cut or past the table, 1.40e-13 (K) and 1.50e-12 (L)
+        # series terms cut or past the table, 9.99e-14 (K) and 1.50e-12 (L).
+        # For K, mu = 2.81: past j = 801 the |b_j| telescope to
+        # |b_801| (801 - mu) / (2 mu), which weighs in at 6.95e-14; the cut
+        # drops the 46 terms from j = 711 on, bounded by 3.04e-14
         ("K", 1, 3.81, [2.699107519702967, 2.4722838278288086, 1.2402187996714658],
-         [3.713061617739183e-11, 3.4862379258650246e-11, 2.254172897707683e-11]),
+         [3.709093418234384e-11, 3.482269726360195e-11, 2.2502046982028644e-11]),
         ("L", 1, 4.5, [2.4122915942606893, 2.020507018450928, 1.031862853059689],
          [3.5624204921246046e-11, 3.170635916314845e-11, 2.1819917509236053e-11]),
         # references: 3.40205474564131 (see TestCalibration), and 2.54914183817,
         # 0.93241807853 from Gauss-Legendre on the panels between the zeros of
-        # J_1 out to rho = 1e4; the errors, 2.0e-12, 1.6e-8 and 2.3e-9, are
+        # J_1 out to rho = 1e4; the errors, 2.0e-12, 4.7e-9 and 4.7e-9, are
         # inside the estimates
-        ("L", 2, 4.2, [3.402054745643273, 2.5491418222972095, 0.9324180762013135],
-         [8.235069751150931e-11, 2.5824715805145047e-08, 1.6013267981697244e-08]),
+        ("L", 2, 4.2, [3.402054745643273, 2.549141842827555, 0.9324180832174773],
+         [8.235069751150931e-11, 2.582471580535035e-08, 1.601326798176741e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
