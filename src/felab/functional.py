@@ -56,7 +56,6 @@ from .set_model import IntervalSet, StarSet
 __all__ = [
     "PhiResult",
     "babenko_bound",
-    "indicator_hat",
     "phi_q",
     "phi_even_oracle",
     "phi_ball",
@@ -94,22 +93,6 @@ def babenko_bound(q: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 # indicator transforms
 # ---------------------------------------------------------------------------
-
-def _interval_hat(e: IntervalSet, xi: np.ndarray) -> np.ndarray:
-    """Exact sum over intervals of (e^{-2 pi i xi l} - e^{-2 pi i xi r})/(2 pi i xi)."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape, dtype=complex)
-    small = np.abs(xi) < 1e-10
-    denom = np.where(small, 1.0, 2j * np.pi * xi)
-    for l, r in e.intervals:
-        out += (np.exp(-2j * np.pi * xi * l) - np.exp(-2j * np.pi * xi * r)) / denom
-    if np.any(small):
-        # analytic xi -> 0 limit: measure - i pi xi (r^2 - l^2) + O(xi^2)
-        lim = sum((r - l) for l, r in e.intervals)
-        slope = sum((r**2 - l**2) for l, r in e.intervals)
-        out = np.where(small, lim - 1j * np.pi * xi * slope, out)
-    return out
-
 
 def _circle_rule_order(band: float) -> int:
     """Trapezoid order for e^{i z cos}-type integrands: Nyquist + Airy margin."""
@@ -167,13 +150,6 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
     if np.any(shift):
         vals = vals * np.exp(-2j * np.pi * shift)
     return det * vals
-
-
-def indicator_hat(e, xi):
-    """Fourier transform of the indicator of E at frequency xi."""
-    arr = np.asarray(xi, dtype=float)
-    out = _interval_hat(e, np.atleast_1d(arr)) if e.dimension == 1 else _star_hat_points(e, arr)
-    return complex(out[0]) if arr.ndim == e.dimension - 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +225,18 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     return 2.0 * half * value, 2.0 * half * rule_err + tail
 
 
-def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
-    # |1_E^(-xi)| = |1_E^(xi)|, so |1_E^|^q is pi-periodic in the frequency
-    # angle: half the circle carries the full angular average
-    n_phi = int(max(32, 8 * e.n_modes + 16)) // 2
-    phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
-    uphi = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    expo = 1.5 * q - 2.0
-    # decay estimate |1_E^| ~ C rho^{-3/2} measured on a probe ring
-    probe_rho = np.array([6.0, 9.0, 13.0])
-    pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)
-    c_est = float(np.max(np.abs(_star_hat_points(e, pts)).reshape(3, -1)
-                         * probe_rho[:, None] ** 1.5)) * 1.5
-    if radial_cut is None:
-        tol = max(cfg.abs_tol, 1e-7)
-        radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
-        radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
+def _half_circle(e: StarSet) -> np.ndarray:
+    """u_phi on [0, pi): |1_E^(-xi)| = |1_E^(xi)|, so half the circle carries the angular means."""
+    phi = np.linspace(0.0, np.pi, int(max(32, 8 * e.n_modes + 16)) // 2, endpoint=False)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=1)
+
+
+def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
+    """Yields ``(rho, half, norm, s)`` for each block of the polar GK15 mesh of
+    [0, radial_cut]: nodes (panels, 15), half-width, and circle sums s (angles,
+    panels, 15), 1_E^(rho u_phi) = norm s e^{-2 pi i rho u_phi.(t + M c)} for
+    the translation t, the matrix M and the star center c."""
+    n_phi = len(uphi)
     # uniform panels of width <= 0.25: node rho = mid_j + half x_k, the
     # offsets half x_k being the nodes of a panel centred at 0
     n_panels = int(radial_cut / 0.25) + 1
@@ -272,13 +244,10 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
     mid = (2 * np.arange(n_panels) + 1) * half
     offsets = gk15_panels(0.0, half)[0]
     # frequency rho u_phi meets the base body as eta = rho u_phi M; the
-    # translation and the center only rotate the phase of 1_E^, and the
-    # modulus is all that enters the norm
+    # translation and the center only rotate the phase of 1_E^
     dirs = uphi @ e.affine.matrix
     scale = 2 * np.pi * e.affine.det
     r_bound = _radius_bound(e)
-    value = 0.0
-    rule_err = 0.0
     block = 16  # panels per circle rule
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
@@ -309,7 +278,25 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
                            rate[p, t][:, None] * rho[j], r[t, None] ** 2)
         first = np.flatnonzero(np.diff(p * nb + j, prepend=-1))  # (phi, j) runs
         s[p[first], j[first]] += np.add.reduceat(g, first, axis=0)
-        integ = ((scale / n_theta * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho
+        yield rho, half, scale / n_theta, s
+
+
+def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
+    uphi = _half_circle(e)
+    expo = 1.5 * q - 2.0
+    # decay estimate |1_E^| ~ C rho^{-3/2} measured on a probe ring
+    probe_rho = np.array([6.0, 9.0, 13.0])
+    pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)
+    c_est = float(np.max(np.abs(_star_hat_points(e, pts)).reshape(3, -1)
+                         * probe_rho[:, None] ** 1.5)) * 1.5
+    if radial_cut is None:
+        tol = max(cfg.abs_tol, 1e-7)
+        radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
+        radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
+    value = rule_err = 0.0
+    # the modulus is all that enters the norm
+    for rho, half, norm, s in _polar_blocks(e, uphi, radial_cut):
+        integ = ((norm * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho
         kron, err = gk15_sums(integ, half)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))

@@ -15,10 +15,13 @@ base value, so discretization bias cancels in the difference), and the
 residual; ``remainder_slope`` fits the residual decay order on a shrinking
 family of sets.
 
-Inner products: the K-term integrates the sampled kernel profile exactly
-(antiderivatives of the interpolating spline); the quadratic terms use
-exact interval algebra in d = 1 and the angular-mode reduction (valid for
-corona-localized sets to the same order as the expansion itself) in d = 2.
+Inner products: in d = 1 the K-term integrates the sampled kernel profile
+exactly (antiderivatives of the interpolating spline) and the quadratic
+terms use exact interval algebra (q > 3) or the frequency mesh (q <= 3).
+In d = 2 all three come from one pass over the polar mesh of Phi_q: with
+b = B^ and h = 1_E^ - b they are the frequency integrals of b|b|^{q-2} Re h,
+|b|^{q-2}|h|^2 and |b|^{q-2} Re h^2, and the report's error adds the pass's
+rule terms and a bound on the remainder dropped past the cut.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .functional import phi_q
-from .quadrature import QuadratureConfig
-from .radial_kernels import kernel_profile
-from .set_model import IntervalSet, StarSet, boundary_profile, symdiff_measure
-from .spectral import funk_hecke_eigenvalues
+from .errors import DomainError, ThresholdError
+from .functional import _half_circle, _polar_blocks, _signed_exp_mesh, phi_q
+from .quadrature import QuadratureConfig, gk15_sums
+from .radial_kernels import ball_hat, kernel_profile, q_threshold
+from .set_model import AffineMap, IntervalSet, StarSet, symdiff_measure
 
 __all__ = [
     "ExpansionReport",
@@ -105,33 +107,50 @@ def _profile_1d(kind: str, q: float):
     return kernel_profile(kind, 1, q, r_max=r_max, n_samples=3072)
 
 
-@lru_cache(maxsize=16)
-def _profile_2d_K(q: float):
-    return kernel_profile("K", 2, q, r_max=max(q, 4.0), n_samples=2048)
-
-
 def inner_K(e, q: float) -> float:
     """<K_q, f> = int_{E\\B} K_q - int_{B\\E} K_q."""
-    if e.dimension == 1:
-        prof = _profile_1d("K", q)
-        anti = prof._spline.antiderivative()
+    if e.dimension == 2:
+        return float(_planar_terms(e, q)[0][0])
+    prof = _profile_1d("K", q)
+    anti = prof._spline.antiderivative()
 
-        def integral(a, b):
-            # K is even; antiderivative of the even extension
-            def cum(x):
-                return math.copysign(1.0, x) * float(anti(min(abs(x), prof.r_max)))
-            return cum(b) - cum(a)
+    def integral(a, b):
+        # K is even; antiderivative of the even extension
+        def cum(x):
+            return math.copysign(1.0, x) * float(anti(min(abs(x), prof.r_max)))
+        return cum(b) - cum(a)
 
-        return float(sum(s * integral(a, b) for a, b, s in _signed_pieces_1d(e)))
-    prof = _profile_2d_K(q)
-    # G(R) = int_1^R K(rho) rho drho, then <K, f> = int G(R(theta)) dtheta
-    from scipy.interpolate import CubicSpline
-    ss = CubicSpline(prof.radii, prof.values * prof.radii)
-    anti = ss.antiderivative()
-    theta = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-    rr = np.clip(e.radius_about_origin(theta), 0.0, prof.r_max)
-    vals = anti(rr) - anti(1.0)
-    return float(np.mean(vals) * 2 * np.pi)
+    return float(sum(s * integral(a, b) for a, b, s in _signed_pieces_1d(e)))
+
+
+def _planar_terms(e: StarSet, q: float):
+    """(<K, f>, <f*L, f>, <f*L, f~>), their GK15 rule terms, and a bound on the
+    report's remainder past the cut, from one pass over Phi_q's polar mesh.
+
+    b = B^ and h = 1_E^ - b, with the phase of 1_E^ that the norm drops put
+    back; the integrands b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and |b|^{q-2} Re h^2
+    are even in xi, so the half circle carries them.
+    """
+    uphi = _half_circle(e)
+    shift = uphi @ e.affine.translation + (uphi @ e.affine.matrix) @ e.center
+    terms, rule = np.zeros(3), np.zeros(3)
+    for rho, half, norm, s in _polar_blocks(e, uphi, _D2_CUT):
+        b = ball_hat(2, rho)
+        hat = norm * s * np.exp(-2j * np.pi * rho * shift[:, None, None])
+        h = hat - b
+        w = np.abs(b) ** (q - 2.0)
+        parts = np.stack([b * w * h.real, w * (h.real**2 + h.imag**2), w * (h * h).real], axis=1)
+        kron, err = gk15_sums(parts.mean(axis=0) * 2 * np.pi * rho, half)
+        terms += kron.sum(axis=-1)
+        rule += err.sum(axis=-1)
+    # past the cut |1_E^| <= c_e rho^{-3/2} and |b| <= c_b rho^{-3/2}, the
+    # largest on the last block, |h| <= |1_E^| + |b|, and the remainder is at
+    # most |1_E^|^q + |b|^q + q|b|^{q-1}|h| + q(q-1)/2 |b|^{q-2}|h|^2
+    c_e, c_b = (float(np.max(np.abs(v) * rho**1.5)) for v in (hat, b))
+    bound = (c_e**q + c_b**q + q * c_b ** (q - 1.0) * (c_e + c_b)
+             + 0.5 * q * (q - 1.0) * c_b ** (q - 2.0) * (c_e + c_b) ** 2)
+    expo = 1.5 * q - 2.0
+    return terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
 
 
 def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
@@ -141,10 +160,6 @@ def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
     Needed at q = 3 where L_3 is singular in x-space (log spikes); also a
     cross-check of the interval-algebra route for q > 3.
     """
-    from .functional import _signed_exp_mesh
-    from .quadrature import gk15_sums
-    from .radial_kernels import ball_hat
-
     m = len(e.intervals) + 1
     tol = 1e-9  # the terms enter residuals of order |E triangle B|^2 >> this
     cut = float(np.clip(((m / np.pi) ** 2 * np.pi ** (2.0 - q) / ((q - 1.0) * tol))
@@ -194,16 +209,16 @@ def quadratic_terms(e, q: float) -> dict:
 
         reflected = [(-b, -a, s) for (a, b, s) in pieces]
         return {"LL": pair_sum(pieces, pieces), "Lrefl": pair_sum(pieces, reflected)}
-    # d = 2: angular-mode reduction, valid for corona-localized sets to the
-    # same order as the expansion remainder
-    profile = boundary_profile(e, n_grid=2048, n_modes=max(24, 4 * e.n_modes + 8))
-    ll = 0.0
-    llr = 0.0
-    for n, lam_n in enumerate(funk_hecke_eigenvalues(2, q, profile.n_modes).tolist()):
-        weight = (1.0 if n == 0 else 2.0) * 2 * np.pi * abs(profile.fourier_coeff(n)) ** 2
-        ll += weight * lam_n
-        llr += weight * lam_n * (-1.0) ** n
-    return {"LL": float(ll), "Lrefl": float(llr)}
+    _check_planar_exponent(q)
+    _, ll, lr = _planar_terms(e, q)[0].tolist()
+    return {"LL": ll, "Lrefl": lr}
+
+
+def _check_planar_exponent(q: float) -> None:
+    """The d = 2 quadratic terms need L_q continuous: q > q_2 = 10/3."""
+    thr = q_threshold("L", 2)
+    if not q > thr:
+        raise ThresholdError(f"the d = 2 quadratic terms need q > {thr:.6g}; got q = {q}", thr)
 
 
 @lru_cache(maxsize=16)
@@ -242,15 +257,21 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
         if d != 1:
             raise DomainError("the first-order expansion for 2 < q < 3 is d = 1 only")
         order = "q-1"
+    if d == 2:
+        _check_planar_exponent(q)
     direct, base, err = _direct_norms(e, q, cfg)
-    t_k = q * inner_K(e, q)
-    if q >= 3.0:
-        quads = quadratic_terms(e, q)
-        t_ll = q**2 / 4.0 * quads["LL"]
-        t_lr = q * (q - 2.0) / 4.0 * quads["Lrefl"]
+    if d == 2:
+        terms, rule, tail = _planar_terms(e, q)
+        weights = np.array([q, q * q / 4.0, q * (q - 2.0) / 4.0])
+        t_k, t_ll, t_lr = (weights * terms).tolist()
+        err += float(weights @ rule) + tail
     else:
-        t_ll = 0.0
-        t_lr = 0.0
+        t_k = q * inner_K(e, q)
+        t_ll = t_lr = 0.0
+        if q >= 3.0:
+            quads = quadratic_terms(e, q)
+            t_ll = q**2 / 4.0 * quads["LL"]
+            t_lr = q * (q - 2.0) / 4.0 * quads["Lrefl"]
     residual = direct - base - t_k - t_ll - t_lr
     return ExpansionReport(q, d, direct, base, t_k, t_ll, t_lr, residual,
                            delta, order, err)
@@ -292,12 +313,7 @@ def sliver_family_1d(eps: float) -> IntervalSet:
 def translated_ball(t: float, d: int = 1):
     if d == 1:
         return IntervalSet([(-1.0 + t, 1.0 + t)])
-    return StarSet(1.0, affine=_shift_map(t))
-
-
-def _shift_map(t: float):
-    from .set_model import AffineMap
-    return AffineMap(np.eye(2), np.array([t, 0.0]))
+    return StarSet(1.0, affine=AffineMap(np.eye(2), np.array([t, 0.0])))
 
 
 def star_mode_family(eps: float, n_mode: int = 4) -> StarSet:

@@ -312,15 +312,18 @@ def _check_resolved(kind: str, d: int, radii: np.ndarray, width: float) -> None:
 def _zero_edges(kind: str, d: int, end: float, radii: np.ndarray, width: float) -> np.ndarray:
     """Panel edges on [0, end] cut at the zeros of B^, the kinks of g at non-even q:
     a panel 1/24 of a zero segment wide at either end of it (a |t|^{q-2} kink's rule
-    error stays near 1e-10 down to q near q_d) and m >= 2 equal panels between, each
-    holding at most two periods of w_d at the largest radius (GK15 errs by ~4e-14
-    there).  Radii past the four-node bound of ``width``-wide panels are refused."""
+    error stays near 1e-10 down to q near q_d) and m >= 2 equal panels between, as
+    many as hold at most two periods of w_d at the largest radius each (GK15 errs by
+    ~4e-14 there).  Radii past the four-node bound of ``width``-wide panels are refused."""
     _check_resolved(kind, d, radii, width)
     cuts = np.unique(np.r_[0.0, _ball_hat_zeros(d, end), end])
     lens = np.diff(cuts)
-    m = max(2, math.ceil(22.0 / 24.0 * lens.max() * radii.max(initial=0.0) / 2.0))
-    rel = np.r_[0.0, (1.0 + 22.0 * np.arange(m) / m) / 24.0, 23.0 / 24.0]
-    return np.r_[(cuts[:-1, None] + lens[:, None] * rel).ravel(), end]
+    # segment i holds m_i + 2 edges: its start, then (1 + 22 k / m_i) / 24 of it, k <= m_i
+    m = np.maximum(2, np.ceil(22.0 / 24.0 * lens * radii.max(initial=0.0) / 2.0)).astype(int)
+    seg = np.repeat(np.arange(len(lens)), m + 2)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(m + 2) - (m + 2), m + 2)
+    rel = np.where(k == 0, 0.0, (1.0 + 22.0 * (k - 1) / m[seg]) / 24.0)
+    return np.r_[cuts[seg] + lens[seg] * rel, end]
 
 
 # (radius, node) or (frequency, radius) pairs per block of the kernel meshes

@@ -21,8 +21,7 @@ J_nu(x) of every order from the forward recurrence (DLMF 10.6.1, stable
 for x > nu) where x > nu_max + 20, from scipy's jv below that.  The head
 is cut at the zeros of B^ up to max(25, 0.3 nu_max + 10): the periodic
 tail then starts on a kink of g, and runs wholly on the recurrence.
-``funk_hecke_eigenvalue`` and ``circle_coeff`` run the same pass on one
-mode.
+``funk_hecke_eigenvalue`` runs the same pass on one mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
 ||1_E^||_q^q for balanced corona perturbations by
@@ -64,7 +63,6 @@ from .radial_kernels import (
 
 __all__ = [
     "ModeSpectrum",
-    "circle_coeff",
     "funk_hecke_eigenvalue",
     "funk_hecke_eigenvalues",
     "mode_margins",
@@ -133,11 +131,6 @@ def _eigenvalues(d: int, q: float, ks: np.ndarray) -> np.ndarray:
     if d < 1:
         raise DomainError("d must be >= 1")
     return _lambda_radial(d, q, ks).value
-
-
-def circle_coeff(q: float, n: int) -> float:
-    """Fourier coefficient Lhat(n) of the circle profile of L_q (d = 2)."""
-    return float(_lambda_radial(2, q, np.array([abs(n)])).value[0]) / (2.0 * np.pi)
 
 
 def funk_hecke_eigenvalue(d: int, q: float, k: int) -> float:

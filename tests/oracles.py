@@ -1,9 +1,11 @@
 """Reference routines that only the tests use.
 
 Independent routes the tests check felab against (Bessel and Gegenbauer
-evaluators, a brute-force composite GK15 sum, the circle-profile route to
-the circle coefficients, the sphere-reduced second variation, the boundary
-radius by bisection, the planar norm one radial panel at a time),
+evaluators, a brute-force composite GK15 sum, the indicator transforms,
+radial J_0 integrals for the translated disc's expansion terms, the
+circle-profile route to the circle coefficients, the sphere-reduced second
+variation, the boundary radius by bisection, the planar norm one radial
+panel at a time),
 report-only fits and probes, a local ascent from a given start, and views
 of package objects that only the tests read.  None of them is called by the
 package, its command line or its acceptance criteria.
@@ -37,7 +39,7 @@ from felab.quadrature import (
 from felab.radial_kernels import RadialKernel, gamma_qd, kernel_values, omega
 from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
 from felab.set_model import AffineMap, IntervalSet, SphereProfile, StarSet, dist_to_ellipsoids
-from felab.spectral import funk_hecke_eigenvalues
+from felab.spectral import funk_hecke_eigenvalue, funk_hecke_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,34 @@ def integrate_composite(f, a: float, b: float, n_panels: int) -> IntegralResult:
     return IntegralResult(value, error, converged=True)
 
 
+def _interval_hat(e: IntervalSet, xi: np.ndarray) -> np.ndarray:
+    """Exact sum over intervals of (e^{-2 pi i xi l} - e^{-2 pi i xi r})/(2 pi i xi)."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(xi.shape, dtype=complex)
+    small = np.abs(xi) < 1e-10
+    denom = np.where(small, 1.0, 2j * np.pi * xi)
+    for l, r in e.intervals:
+        out += (np.exp(-2j * np.pi * xi * l) - np.exp(-2j * np.pi * xi * r)) / denom
+    if np.any(small):
+        # analytic xi -> 0 limit: measure - i pi xi (r^2 - l^2) + O(xi^2)
+        lim = sum((r - l) for l, r in e.intervals)
+        slope = sum((r**2 - l**2) for l, r in e.intervals)
+        out = np.where(small, lim - 1j * np.pi * xi * slope, out)
+    return out
+
+
+def indicator_hat(e, xi):
+    """Fourier transform of the indicator of E at frequency xi."""
+    arr = np.asarray(xi, dtype=float)
+    out = _interval_hat(e, np.atleast_1d(arr)) if e.dimension == 1 else _star_hat_points(e, arr)
+    return complex(out[0]) if arr.ndim == e.dimension - 1 else out
+
+
+def circle_coeff(q: float, n: int) -> float:
+    """Fourier coefficient Lhat(n) of the circle profile of L_q (d = 2): lambda_|n| / 2 pi."""
+    return funk_hecke_eigenvalue(2, q, abs(n)) / (2.0 * np.pi)
+
+
 def lens_area(r):
     """Area of the intersection of two unit discs at center distance r (= L_4 in d = 2)."""
     r = np.asarray(r, dtype=float)
@@ -165,6 +195,28 @@ def disc_k4(r: float) -> float:
     cut = abs(1.0 - r)
     return sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
                for a, b in ((0.0, cut), (cut, min(1.0 + r, 2.0))) if b > a)
+
+
+def translated_disc_terms(q: float, t: float, rho_max: float = 400.0) -> dict:
+    """<K, f>, <f*L, f> and <f*L, f~> for the unit disc translated by t, f = 1_E - 1_B.
+
+    With b = J_1(2 pi rho) / rho and f^ = b (e^{-2 pi i rho u.t} - 1), the
+    angular means are J_0 integrals:
+    <K, f> = 2 pi int rho |b|^q (J_0(2 pi rho t) - 1),
+    <f*L, f> = 2 pi int rho |b|^q 2 (1 - J_0(2 pi rho t)),
+    <f*L, f~> = 2 pi int rho |b|^q (J_0(4 pi rho t) - 2 J_0(2 pi rho t) + 1),
+    each by 40-point Gauss-Legendre between the zeros of J_1 up to rho_max.
+    """
+    zeros = special.jn_zeros(1, int(2 * rho_max) + 2) / (2 * np.pi)
+    cuts = np.r_[0.0, zeros[zeros < rho_max], rho_max]
+    x, w = np.polynomial.legendre.leggauss(40)
+    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+    rho = (mid[:, None] + half[:, None] * x).ravel()
+    b = special.j1(2 * np.pi * rho) / rho
+    base = 2 * np.pi * (half[:, None] * w).ravel() * rho * np.abs(b) ** q
+    once, twice = special.j0(2 * np.pi * rho * t), special.j0(4 * np.pi * rho * t)
+    return {"K": float(base @ (once - 1.0)), "LL": float(base @ (2.0 - 2.0 * once)),
+            "Lrefl": float(base @ (twice - 2.0 * once + 1.0))}
 
 
 def circle_coeff_from_profile(kernel: RadialKernel, n: int,

@@ -9,7 +9,6 @@ import pytest
 from felab.errors import DomainError
 from felab.functional import (
     babenko_bound,
-    indicator_hat,
     phi_ball,
     phi_even_oracle,
     phi_q,
@@ -17,7 +16,7 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import norm_q_2d_per_panel, q_continuity_probe, translate
+from oracles import indicator_hat, norm_q_2d_per_panel, q_continuity_probe, translate
 
 
 def random_union(rng, max_pieces=3):

@@ -1,8 +1,8 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
 head-plus-tail integral, one kernel mesh sum, no per-mode loop over the
-Funk-Hecke eigenvalues, a quadrature config only where a tolerance runs, no
-test-only routine inside the package, no global statement, and only the
-pinned module caches."""
+Funk-Hecke eigenvalues, expansion terms without the spectrum, a quadrature
+config only where a tolerance runs, no test-only routine inside the
+package, no global statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -19,7 +19,8 @@ MODULES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
              "circle_coeff_from_profile", "CircleProfile", "gamma_asymptotic_fit",
              "empirical_holder_exponent", "q_continuity_probe",
-             "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel"}
+             "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel",
+             "circle_coeff", "indicator_hat", "_interval_hat"}
 # methods that only the tests used; free functions in tests/oracles.py now
 TEST_ONLY_METHODS = {"integral_a2_b2", "integral_f", "derivative_at", "cumulative",
                      "deviation_from_identity", "translate"}
@@ -77,6 +78,18 @@ def test_periodic_tail_called_from_two_places():
     assert {fn for name, fn in callers if name == "radial_kernels.py"} == set()
 
 
+def test_perturbation_reads_no_spectrum_or_boundary_profile():
+    # the d = 2 expansion terms come from the polar mesh of Phi_q, not from
+    # the Funk-Hecke eigenvalues of a boundary profile
+    for node in ast.walk(ast.parse(MODULES["perturbation.py"])):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert node.module not in ("spectral", "felab.spectral"), node.lineno
+            assert not names & {"spectral", "boundary_profile"}, node.lineno
+        elif isinstance(node, ast.Import):
+            assert not any("spectral" in alias.name for alias in node.names), node.lineno
+
+
 def test_one_kernel_mesh_sum():
     # every kernel mesh is swept by _radial_sum; the d = 3 tail bound reads
     # the nodes of the last panels
@@ -124,9 +137,9 @@ def test_no_global_statements():
 
 # the module-level caches, each global state that must earn its place: the
 # periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel),
-# the two kernel profiles that every perturbation call at one q shares, and
+# the d = 1 kernel profiles that every perturbation call at one q shares, and
 # the ball's Phi_q that every expansion report at one (d, q, cfg) shares
-CACHED = {"_series", "_profile_1d", "_profile_2d_K", "_ball_phi"}
+CACHED = {"_series", "_profile_1d", "_ball_phi"}
 
 
 def test_module_caches_are_pinned():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from felab.errors import DomainError
+from felab.errors import DomainError, ThresholdError
 from felab.perturbation import (
     _quadratic_terms_freq_1d,
     expansion_report,
@@ -16,7 +16,7 @@ from felab.perturbation import (
 )
 from felab.radial_kernels import exact_kernel_1d, gamma_qd
 from felab.set_model import IntervalSet
-from oracles import cumulative
+from oracles import cumulative, translated_disc_terms
 
 
 class TestInnerK:
@@ -86,16 +86,51 @@ class TestQuadraticTerms:
         ll = block(xs, xs) - 2 * block(xs, ys) + block(ys, ys)
         assert out["LL"] == pytest.approx(ll, abs=1e-6)
 
-    def test_d2_single_mode_matches_eigenvalue(self):
-        eps = 0.02
-        e = star_mode_family(eps, 4)
-        out = quadratic_terms(e, 4.0)
+    def test_d2_mode_reduction_is_leading_order(self):
+        # the single-mode reduction 2 * 2 pi |F^_4|^2 lambda_4 agrees with the
+        # exact LL to leading order only: its relative gap falls >= 3x each
+        # time eps halves (3.4%, 1.1%, 0.32%, 0.09% at eps = 0.08 ... 0.01)
         from felab.set_model import boundary_profile
         from felab.spectral import funk_hecke_eigenvalue
-        prof = boundary_profile(e, n_grid=1024, n_modes=12)
         lam = funk_hecke_eigenvalue(2, 4.0, 4)
-        expect = 2 * 2 * np.pi * abs(prof.fourier_coeff(4)) ** 2 * lam
-        assert out["LL"] == pytest.approx(expect, rel=1e-3)
+        gaps = []
+        for eps in (0.08, 0.04, 0.02, 0.01):
+            e = star_mode_family(eps, 4)
+            ll = quadratic_terms(e, 4.0)["LL"]
+            prof = boundary_profile(e, n_grid=1024, n_modes=12)
+            gaps.append(abs(ll - 2 * 2 * np.pi * abs(prof.fourier_coeff(4)) ** 2 * lam) / ll)
+        assert all(a >= 3.0 * b for a, b in zip(gaps, gaps[1:])), gaps
+
+    def test_d2_refused_at_or_below_q2(self):
+        with pytest.raises(ThresholdError):
+            quadratic_terms(star_mode_family(0.02, 4), 10.0 / 3.0)
+        with pytest.raises(ThresholdError):
+            expansion_report(translated_ball(0.02, 2), 3.0)
+
+
+class TestTranslatedDisc:
+    """The d = 2 terms and residual against radial J_0 integrals to rho = 400
+    (``oracles.translated_disc_terms``); the exact residual is minus the exact
+    term sum, since a translation leaves ||1_E^||_q^q unchanged."""
+
+    @pytest.mark.parametrize("q, t", [(4.0, 0.01), (4.0, 0.04), (3.5, 0.04)])
+    def test_terms_and_residual_within_error(self, q, t):
+        rep = expansion_report(translated_ball(t, 2), q)
+        ref = translated_disc_terms(q, t)
+        exact = (q * ref["K"], q * q / 4.0 * ref["LL"], q * (q - 2.0) / 4.0 * ref["Lrefl"])
+        for got, want in zip((rep.term_K, rep.term_LL, rep.term_Lrefl), exact):
+            assert abs(got - want) <= rep.error_estimate, (got, want, rep.error_estimate)
+        assert abs(rep.residual + sum(exact)) <= rep.error_estimate
+        # the bound is not pessimistic by orders of magnitude
+        assert rep.error_estimate <= 100 * abs(rep.residual + sum(exact))
+
+    def test_inner_products_read_the_same_pass(self):
+        e = translated_ball(0.03, 2)
+        rep = expansion_report(e, 4.0)
+        quads = quadratic_terms(e, 4.0)
+        assert rep.term_K == 4.0 * inner_K(e, 4.0)
+        assert rep.term_LL == 4.0 * quads["LL"]
+        assert rep.term_Lrefl == 2.0 * quads["Lrefl"]
 
 
 class TestExpansionReport:

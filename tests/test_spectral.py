@@ -11,12 +11,16 @@ from felab.quadrature import QuadratureConfig, integrate_adaptive, radial_head_t
 from felab.radial_kernels import ball_hat, gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
 from felab.spectral import (
-    circle_coeff,
     funk_hecke_eigenvalue,
     funk_hecke_eigenvalues,
     mode_margins,
 )
-from oracles import CircleProfile, circle_coeff_from_profile, sphere_reduced_prediction
+from oracles import (
+    CircleProfile,
+    circle_coeff,
+    circle_coeff_from_profile,
+    sphere_reduced_prediction,
+)
 
 
 def closed_form(n):
