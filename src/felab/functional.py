@@ -281,26 +281,32 @@ def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
         yield rho, half, scale / n_theta, s
 
 
-def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
-    uphi = _half_circle(e)
+def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cut: float | None):
+    """(cut, tail): ``cut`` or one chosen for ``cfg``, and the bound on
+    ||1_E^||_q^q past it from |1_E^| <= C rho^{-3/2}, C measured on a probe ring."""
     expo = 1.5 * q - 2.0
-    # decay estimate |1_E^| ~ C rho^{-3/2} measured on a probe ring
     probe_rho = np.array([6.0, 9.0, 13.0])
     pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)
     c_est = float(np.max(np.abs(_star_hat_points(e, pts)).reshape(3, -1)
                          * probe_rho[:, None] ** 1.5)) * 1.5
-    if radial_cut is None:
+    if cut is None:
         tol = max(cfg.abs_tol, 1e-7)
-        radial_cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
-        radial_cut = float(np.clip(radial_cut, 15.0, 45.0))
-    value = rule_err = 0.0
-    # the modulus is all that enters the norm
-    for rho, half, norm, s in _polar_blocks(e, uphi, radial_cut):
-        integ = ((norm * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho
-        kron, err = gk15_sums(integ, half)
-        value += float(np.sum(kron))
-        rule_err += float(np.sum(err))
-    tail = 2 * np.pi * c_est**q * radial_cut ** (-expo) / expo
+        cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
+        cut = float(np.clip(cut, 15.0, 45.0))
+    return cut, 2 * np.pi * c_est**q * cut ** (-expo) / expo
+
+
+def _block_norm_q(rho: np.ndarray, half: float, norm: float, s: np.ndarray, q: float):
+    """[value, rule error] of a ``_polar_blocks`` block of ||1_E^||_q^q; only the
+    modulus enters."""
+    kron, err = gk15_sums(((norm * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho, half)
+    return np.array([np.sum(kron), np.sum(err)])
+
+
+def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
+    uphi = _half_circle(e)
+    radial_cut, tail = _ring_tail(e, uphi, q, cfg, radial_cut)
+    value, rule_err = sum(_block_norm_q(*b, q) for b in _polar_blocks(e, uphi, radial_cut)).tolist()
     return value, rule_err + tail
 
 
@@ -315,22 +321,25 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if e.dimension == 1:
         if radial_cut is not None:
             raise DomainError("radial_cut applies to planar sets only")
-        scale = 0.5 * measure  # value and err are of (E - c) / scale
-        value, err = _norm_q_1d(e, q, cfg)
-        method = "closed_form_1d"
-    else:
-        scale = 1.0
-        value, err = _norm_q_2d(e, q, cfg, radial_cut)
-        method = "polar_quadrature_2d"
+        return _phi_result(*_norm_q_1d(e, q, cfg), measure, q, 1, cfg)
+    return _phi_result(*_norm_q_2d(e, q, cfg, radial_cut), measure, q, 2, cfg)
+
+
+def _phi_result(value: float, err: float, measure: float, q: float, d: int,
+                cfg: QuadratureConfig) -> PhiResult:
+    """Phi_q from ||1_E'^||_q^q = value +- err, checked against the Babenko
+    bound; E' = E in d = 2 and (E - c) / s of measure 2 in d = 1."""
+    scale = 0.5 * measure if d == 1 else 1.0
     phi = value ** (1.0 / q) / (measure / scale) ** ((q - 1.0) / q)
     phi_err = err / max(value, 1e-300) * phi / q
     try:
         norm = value * scale ** (q - 1.0)
     except OverflowError:  # beyond the float range; Phi is scale-free
         norm = math.inf
-    res = PhiResult(phi, norm, measure, phi_err, method,
+    res = PhiResult(phi, norm, measure, phi_err,
+                    "closed_form_1d" if d == 1 else "polar_quadrature_2d",
                     converged=err <= max(cfg.abs_tol * 10, cfg.rel_tol * value))
-    _babenko_guard(res, q, e.dimension)
+    _babenko_guard(res, q, d)
     return res
 
 

@@ -11,17 +11,18 @@ with remainder O(|E triangle B|^{2+rho}) for q > 3, O(|E triangle B|^2) at
 q = 3, and (d = 1, 2 < q < 3) a first-order form with only the K-term and
 remainder O(|E triangle B|^{q-1}).  This module assembles the terms, the
 directly evaluated left side (through the same frequency pipeline as the
-base value, so discretization bias cancels in the difference), and the
-residual; ``remainder_slope`` fits the residual decay order on a shrinking
-family of sets.
+base value, so discretization bias cancels in the difference; in d = 2 from
+the sweep that gives the terms), and the residual; ``remainder_slope`` fits
+the residual decay order on a shrinking family of sets.
 
 Inner products: in d = 1 the K-term integrates the sampled kernel profile
 exactly (antiderivatives of the interpolating spline) and the quadratic
 terms use exact interval algebra (q > 3) or the frequency mesh (q <= 3).
-In d = 2 all three come from one pass over the polar mesh of Phi_q: with
-b = B^ and h = 1_E^ - b they are the frequency integrals of b|b|^{q-2} Re h,
-|b|^{q-2}|h|^2 and |b|^{q-2} Re h^2, and the report's error adds the pass's
-rule terms and a bound on the remainder dropped past the cut.
+In d = 2 one sweep of E's polar mesh gives ||1_E^||_q^q bit for bit as
+``phi_q`` at the same cut and, with b = B^ and h = 1_E^ - b, all three as
+the frequency integrals of b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and
+|b|^{q-2} Re h^2; the report's error adds their rule errors and a bound on
+the remainder dropped past the cut.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ThresholdError
-from .functional import _half_circle, _polar_blocks, _signed_exp_mesh, phi_q
+from .functional import (_block_norm_q, _half_circle, _phi_result, _polar_blocks, _ring_tail,
+                         _signed_exp_mesh, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
 from .radial_kernels import ball_hat, kernel_profile, q_threshold
 from .set_model import AffineMap, IntervalSet, StarSet, symdiff_measure
@@ -110,7 +112,7 @@ def _profile_1d(kind: str, q: float):
 def inner_K(e, q: float) -> float:
     """<K_q, f> = int_{E\\B} K_q - int_{B\\E} K_q."""
     if e.dimension == 2:
-        return float(_planar_terms(e, q)[0][0])
+        return float(_planar_pass(e, q, _TIGHT)[1][0])
     prof = _profile_1d("K", q)
     anti = prof._spline.antiderivative()
 
@@ -123,20 +125,26 @@ def inner_K(e, q: float) -> float:
     return float(sum(s * integral(a, b) for a, b, s in _signed_pieces_1d(e)))
 
 
-def _planar_terms(e: StarSet, q: float):
-    """(<K, f>, <f*L, f>, <f*L, f~>), their GK15 rule terms, and a bound on the
-    report's remainder past the cut, from one pass over Phi_q's polar mesh.
+def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
+    """One sweep of E's polar mesh at the report's cut.  Returns ||1_E^||_q^q
+    and its error as ``phi_q(e, q, cfg, radial_cut=_D2_CUT)`` forms them; the
+    terms (<K, f>, <f*L, f>, <f*L, f~>) and their GK15 rule terms; and a bound
+    on the report's remainder past the cut.
 
     b = B^ and h = 1_E^ - b, with the phase of 1_E^ that the norm drops put
-    back; the integrands b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and |b|^{q-2} Re h^2
-    are even in xi, so the half circle carries them.
+    back where it is not 1; the integrands b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and
+    |b|^{q-2} Re h^2 are even in xi, so the half circle carries them.
     """
     uphi = _half_circle(e)
+    _, norm_tail = _ring_tail(e, uphi, q, cfg, _D2_CUT)
     shift = uphi @ e.affine.translation + (uphi @ e.affine.matrix) @ e.center
-    terms, rule = np.zeros(3), np.zeros(3)
+    norm_q, terms, rule = np.zeros(2), np.zeros(3), np.zeros(3)
     for rho, half, norm, s in _polar_blocks(e, uphi, _D2_CUT):
+        norm_q += _block_norm_q(rho, half, norm, s, q)
         b = ball_hat(2, rho)
-        hat = norm * s * np.exp(-2j * np.pi * rho * shift[:, None, None])
+        hat = norm * s
+        if np.any(shift):
+            hat = hat * np.exp(-2j * np.pi * rho * shift[:, None, None])
         h = hat - b
         w = np.abs(b) ** (q - 2.0)
         parts = np.stack([b * w * h.real, w * (h.real**2 + h.imag**2), w * (h * h).real], axis=1)
@@ -150,7 +158,8 @@ def _planar_terms(e: StarSet, q: float):
     bound = (c_e**q + c_b**q + q * c_b ** (q - 1.0) * (c_e + c_b)
              + 0.5 * q * (q - 1.0) * c_b ** (q - 2.0) * (c_e + c_b) ** 2)
     expo = 1.5 * q - 2.0
-    return terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
+    norm_q[1] += norm_tail
+    return norm_q.tolist(), terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
 
 
 def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
@@ -210,7 +219,7 @@ def quadratic_terms(e, q: float) -> dict:
         reflected = [(-b, -a, s) for (a, b, s) in pieces]
         return {"LL": pair_sum(pieces, pieces), "Lrefl": pair_sum(pieces, reflected)}
     _check_planar_exponent(q)
-    _, ll, lr = _planar_terms(e, q)[0].tolist()
+    _, ll, lr = _planar_pass(e, q, _TIGHT)[1].tolist()
     return {"LL": ll, "Lrefl": lr}
 
 
@@ -223,23 +232,11 @@ def _check_planar_exponent(q: float) -> None:
 
 @lru_cache(maxsize=16)
 def _ball_phi(d: int, q: float, cfg: QuadratureConfig):
-    """Phi_q of the unit ball through the pipeline of ``_direct_norms``; it
+    """Phi_q of the unit ball through the pipeline of the direct value; it
     depends on (d, q, cfg) alone, so the reports of a family share it."""
     if d == 1:
         return phi_q(IntervalSet([(-1.0, 1.0)]), q, cfg)
     return phi_q(StarSet.unit_disc(), q, cfg, radial_cut=_D2_CUT)
-
-
-def _direct_norms(e, q: float, cfg: QuadratureConfig):
-    """(direct, base, err) through one pipeline so the bias cancels."""
-    if e.dimension == 1:
-        direct = phi_q(e, q, cfg)
-    else:
-        direct = phi_q(e, q, cfg, radial_cut=_D2_CUT)
-    base = _ball_phi(e.dimension, q, cfg)
-    err = (direct.error_estimate * direct.phi ** (q - 1) * q
-           + base.error_estimate * base.phi ** (q - 1) * q)
-    return direct.norm_q_pow_q, base.norm_q_pow_q, err
 
 
 def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionReport:
@@ -259,22 +256,26 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
         order = "q-1"
     if d == 2:
         _check_planar_exponent(q)
-    direct, base, err = _direct_norms(e, q, cfg)
-    if d == 2:
-        terms, rule, tail = _planar_terms(e, q)
+        norm, terms, rule, tail = _planar_pass(e, q, cfg)
+        # phi_q's result, and its Babenko guard, from the pass's norm
+        direct = _phi_result(*norm, e.measure, q, 2, cfg)
         weights = np.array([q, q * q / 4.0, q * (q - 2.0) / 4.0])
         t_k, t_ll, t_lr = (weights * terms).tolist()
-        err += float(weights @ rule) + tail
+        err = float(weights @ rule) + tail
     else:
+        direct, err = phi_q(e, q, cfg), 0.0
         t_k = q * inner_K(e, q)
         t_ll = t_lr = 0.0
         if q >= 3.0:
             quads = quadratic_terms(e, q)
             t_ll = q**2 / 4.0 * quads["LL"]
             t_lr = q * (q - 2.0) / 4.0 * quads["Lrefl"]
-    residual = direct - base - t_k - t_ll - t_lr
-    return ExpansionReport(q, d, direct, base, t_k, t_ll, t_lr, residual,
-                           delta, order, err)
+    base = _ball_phi(d, q, cfg)
+    # the errors of the norms ||1_E^||_q^q = Phi^q |E|^{q-1}, not of Phi
+    err += sum(q * r.error_estimate * r.norm_q_pow_q / r.phi for r in (direct, base))
+    residual = direct.norm_q_pow_q - base.norm_q_pow_q - t_k - t_ll - t_lr
+    return ExpansionReport(q, d, direct.norm_q_pow_q, base.norm_q_pow_q, t_k, t_ll, t_lr,
+                           residual, delta, order, err)
 
 
 def remainder_slope(family, q: float, eps_list,

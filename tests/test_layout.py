@@ -1,8 +1,9 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
-head-plus-tail integral, one kernel mesh sum, no per-mode loop over the
-Funk-Hecke eigenvalues, expansion terms without the spectrum, a quadrature
-config only where a tolerance runs, no test-only routine inside the
-package, no global statement, and only the pinned module caches."""
+head-plus-tail integral, one kernel mesh sum, one planar norm integrand, no
+per-mode loop over the Funk-Hecke eigenvalues, expansion terms without the
+spectrum, a quadrature config only where a tolerance runs, no test-only
+routine inside the package, no global statement, and only the pinned module
+caches."""
 
 import ast
 import dataclasses
@@ -95,6 +96,13 @@ def test_one_kernel_mesh_sum():
     # the nodes of the last panels
     assert _callers(MODULES["radial_kernels.py"], "_gk15_mesh") == {"_radial_sum",
                                                                     "_kernel_values_3d"}
+
+
+def test_one_planar_norm_integrand():
+    # phi_q and the d = 2 expansion report sum |1_E^|^q on a polar block
+    # through one helper
+    counts = {name: text.count("(norm * np.abs(s)) ** q") for name, text in MODULES.items()}
+    assert {name: n for name, n in counts.items() if n} == {"functional.py": 1}
 
 
 def test_no_test_only_routines_in_package():

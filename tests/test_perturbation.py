@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from felab.errors import DomainError, ThresholdError
+from felab.functional import phi_q
 from felab.perturbation import (
+    _TIGHT,
     _quadratic_terms_freq_1d,
     expansion_report,
     inner_K,
@@ -15,7 +17,7 @@ from felab.perturbation import (
     translated_ball,
 )
 from felab.radial_kernels import exact_kernel_1d, gamma_qd
-from felab.set_model import IntervalSet
+from felab.set_model import IntervalSet, StarSet
 from oracles import cumulative, translated_disc_terms
 
 
@@ -151,6 +153,50 @@ class TestExpansionReport:
         assert len(calls) == 3
         ball = phi_q(IntervalSet([(-1.0, 1.0)]), 3.7, pert._TIGHT).norm_q_pow_q
         assert reps[0].base == reps[1].base == ball
+
+    @pytest.mark.parametrize("e, q", [
+        (star_mode_family(0.015, 3), 4.0), (star_mode_family(0.015, 4), 4.0),
+        (star_mode_family(0.015, 5), 4.0), (translated_ball(0.04, 2), 3.5),
+        (translated_ball(0.04, 2), 4.0)])
+    def test_d2_direct_is_phi_q(self, e, q):
+        # the terms' sweep gives phi_q's norm at the report's cut bit for bit
+        rep = expansion_report(e, q)
+        assert rep.direct == phi_q(e, q, _TIGHT, radial_cut=45.0).norm_q_pow_q
+
+    def test_d2_disc_direct_is_base(self):
+        rep = expansion_report(StarSet.unit_disc(), 4.0)
+        assert rep.direct == rep.base
+
+    def test_d2_sweeps_the_set_once(self, monkeypatch):
+        import felab.functional as functional
+        import felab.perturbation as pert
+        pert._ball_phi(2, 4.0, _TIGHT)
+        sweeps = []
+        polar_blocks = functional._polar_blocks
+
+        def counted(e, *args):
+            sweeps.append(e)
+            return polar_blocks(e, *args)
+
+        monkeypatch.setattr(pert, "_polar_blocks", counted)
+        monkeypatch.setattr(functional, "_polar_blocks", counted)
+        e = star_mode_family(0.015, 4)
+        expansion_report(e, 4.0)
+        assert len(sweeps) == 1 and sweeps[0] is e
+
+    @pytest.mark.parametrize("e", [star_mode_family(0.02, 4), sliver_family_1d(0.02)])
+    def test_error_covers_both_norm_errors(self, e):
+        # ||1_E^||_q^q = Phi^q |E|^{q-1}: an error dPhi is q Phi^{q-1} |E|^{q-1} dPhi
+        q = 4.0
+        if e.dimension == 1:
+            ball = IntervalSet([(-1.0, 1.0)])
+            direct, base = phi_q(e, q, _TIGHT), phi_q(ball, q, _TIGHT)
+        else:
+            direct = phi_q(e, q, _TIGHT, radial_cut=45.0)
+            base = phi_q(StarSet.unit_disc(), q, _TIGHT, radial_cut=45.0)
+        floor = sum(q * (r.phi * r.measure) ** (q - 1.0) * r.error_estimate
+                    for r in (direct, base))
+        assert expansion_report(e, q).error_estimate >= floor * (1.0 - 1e-12)
 
     def test_translation_neutrality(self):
         rep = expansion_report(translated_ball(0.05, 1), 4.0)
