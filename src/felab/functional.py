@@ -13,7 +13,12 @@ Routes
   e^{-2 pi i base_b e} times W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.  That
   is 2m exps per block and per offset instead of 2m per node, and each
   phase is a product of two exps, so no error accumulates.  The endpoints
-  are centered first: a translation only rotates the phase of 1_E^.
+  are centered first: a translation only rotates the phase of 1_E^.  At
+  even q = 2n, |P|^q = |P^n|^2 is a finite exponential sum, so where the
+  cutoff passes _EVEN_CUT the mesh stops there and the rest is exact: a sum
+  over pairs of n-multisets of the endpoints of the power tails
+  int_1^inf t^{-q} e^{ict} dt (``quadrature._power_tail``).  The mesh's
+  error is floored at a rounding bound of its sum.
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
   star-shaped set is a circle sum of the closed-form radial factor
   R^2 F(rho A), F(a) = (e^{-ia}(1 + ia) - 1)/a^2, by a trapezoid rule whose
@@ -44,13 +49,15 @@ bound (p^{1/2p} q^{-1/2q})^d, which no indicator function can attain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from ._pwpoly import nfold_indicator_convolution
 from .errors import DomainError, InvalidSetError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, gk15_panels, gk15_sums
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _power_tail, gk15_panels, gk15_sums
 from .set_model import IntervalSet, StarSet
 
 __all__ = [
@@ -162,6 +169,11 @@ _MESH_BLOCK = 64   # panels per block: one row of the phase product
 # heap (0 minor faults a call; 1,300-3,200 at 128 blocks, ~2 MB arrays)
 _MESH_CHUNK = 16
 _MESH_NODES = 2e8  # ~3 s; diam/measure <= 167 at the 2e4 cut, 4x any criterion's union
+# even q: the mesh stops here and the exponential-sum tail takes the rest.  Above
+# 245, the PROBE_QUAD cut of six intervals at q = 4, so search evaluations keep it
+_EVEN_CUT = 400.0
+_EVEN_PAIRS = 1 << 16  # entries of that table at most: ~12 MB of working arrays
+_EPS = float(np.finfo(float).eps)
 
 
 def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
@@ -192,11 +204,38 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     return half, chunks()
 
 
+def _even_tail(ends: np.ndarray, signs: np.ndarray, q: float, x: float):
+    """||1_E'^||_q^q over |xi| > x at even q = 2n, and its error.
+
+    P^n = sum_a w_a e^{-2 pi i xi sigma_a} over the n-multisets a of the
+    endpoints (sigma_a their sum, w_a the multinomial times the sign
+    product), so |P|^q = |P^n|^2 is a finite exponential sum and the tail is
+    2 (2 pi)^{-q} x^{1-q} Re sum_{a<=b} w_ab E(c_ab), w_ab = w_a w_b doubled
+    off the diagonal, c_ab = -2 pi x (sigma_a - sigma_b) and
+    E(c) = int_1^inf t^{-q} e^{ict} dt = e^{ic} _power_tail(q, c).  The error
+    is _power_tail's tested accuracy, 1e-12 relative, on every term; it
+    exceeds the rounding of the sum."""
+    n = int(q) // 2
+    sets = list(combinations_with_replacement(range(len(ends)), n))
+    idx = np.array(sets)
+    sigma = ends[idx].sum(axis=1)
+    w = np.prod(signs[idx], axis=1) * [
+        math.factorial(n) / math.prod(map(math.factorial, Counter(a).values())) for a in sets]
+    a, b = np.triu_indices(len(sets))
+    z = np.exp(-2j * np.pi * x * sigma)  # e^{ic_ab} = z_a conj(z_b)
+    terms = (np.where(a == b, 1.0, 2.0) * w[a] * w[b] * z[a] * z[b].conj()
+             * _power_tail(q, -2 * np.pi * x * (sigma[a] - sigma[b])))
+    scale = 2.0 * (2 * np.pi) ** -q * x ** (1.0 - q)
+    return scale * float(np.sum(terms.real)), scale * 1e-12 * float(np.sum(np.abs(terms)))
+
+
 def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     """||1_E'^||_q^q and its error for E' = (E - c) / s of measure 2, s = |E| / 2.
 
     ||1_E^||_q^q = s^{q-1} ||1_E'^||_q^q.  The node count grows with
     diam/measure, and a set that needs more than _MESH_NODES is refused.
+    At even q the mesh stops at _EVEN_CUT and ``_even_tail`` adds the rest,
+    where its table has at most _EVEN_PAIRS entries.
     """
     m = len(e.intervals)
     tol = max(cfg.abs_tol, 1e-12)
@@ -205,15 +244,21 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints
     ends = e.endpoints()
     ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
+    signs = np.resize([1.0, -1.0], 2 * m)
     # panels per unit xi, keyed to the fastest beat frequency (the diameter):
     # width 0.5 / diam, at most 0.05
     rate = max(20.0, 2.0 * (ends[-1] - ends[0]))
+    n_sets = math.comb(2 * m + int(q) // 2 - 1, 2 * m - 1)  # (q/2)-multisets of the endpoints
+    pairs = n_sets * (n_sets + 1) // 2
+    even = q % 2 == 0 and cut > _EVEN_CUT and pairs <= _EVEN_PAIRS
+    if even:
+        cut = _EVEN_CUT
     if not 15.0 * cut * rate <= _MESH_NODES:
         raise DomainError(f"Phi_q needs ~{15.0 * cut * rate:.3g} > {_MESH_NODES:.0e} mesh nodes "
                           f"here: diam/measure is {0.5 * (ends[-1] - ends[0]):.3g}")
-    half, chunks = _signed_exp_mesh(ends, np.resize([1.0, -1.0], 2 * m), cut, 1.0 / rate)
-    value = 0.0
-    rule_err = 0.0
+    half, chunks = _signed_exp_mesh(ends, signs, cut, 1.0 / rate)
+    value = rule_err = 0.0
+    n_chunks = 0
     for xi, p in chunks:
         vals = np.abs(p)
         vals /= 2 * np.pi * xi
@@ -221,8 +266,16 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
         kron, err = gk15_sums(vals, 1.0)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))
-    tail = 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
-    return 2.0 * half * value, 2.0 * half * rule_err + tail
+        n_chunks += 1
+    # every term is >= 0, so the sums round by at most (a 15-node dot per
+    # panel, numpy's pairwise sum in a chunk, the chunk sums in turn) ulps of it
+    rounding = (15.0 + math.log2(15.0 * cut * rate) + n_chunks) * _EPS
+    value *= 2.0 * half
+    rule_err = max(2.0 * half * rule_err, rounding * value)
+    if even:
+        tail, tail_err = _even_tail(ends, signs, q, cut)
+        return value + tail, rule_err + tail_err
+    return value, rule_err + 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
 
 
 def _half_circle(e: StarSet) -> np.ndarray:

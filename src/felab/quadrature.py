@@ -26,6 +26,9 @@ runs on this module:
   B^ its callers pass, then a tail of period 1/2 from the last of them.  It
   takes no config: its head and tail tolerances follow from the one ``tol``
   its caller fixes.
+* ``_power_tail``           -- E(c) = int_1^inf xi^{-s} e^{ic xi} dxi, a
+  generalized exponential integral (DLMF 8.19), for an array of c at once:
+  the algebraic tails of the d = 1 kernels and of the d = 1 norm at even q.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero and left to the adaptive
@@ -449,3 +452,69 @@ def radial_head_tail(f, zeros, p_tail: float, tol: float) -> IntegralResult:
     tail = tail_power_periodic(f, zeros[-1], 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
     return _result(head.value + tail.value, head.error_estimate + tail.error_estimate,
                    np.logical_and(head.converged, tail.converged))
+
+
+# ---------------------------------------------------------------------------
+# single-frequency algebraic tails (the d = 1 kernels and the even-q d = 1 norm)
+# ---------------------------------------------------------------------------
+
+_HEAD_RULE = np.polynomial.legendre.leggauss(48)
+_TAIL_SPLIT = 2.0  # the head covers |c| xi <= 2
+_LOG_NEGLIGIBLE = 40.0  # e^{-40} ~ 4e-18 is below rounding
+_CF_TERMS = 200  # the fraction needs ~90 at most once |c| T >= 2, any s > 1
+
+
+def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
+    """e^{-ic} E(c), E(c) = int_1^inf xi^{-s} e^{ic xi} dxi (s > 1), elementwise;
+    its value at -c is the conjugate.
+
+    E = int_1^T + T^{1-s} E_s(-i|c|T), T = max(1, min(2/|c|, e^{40/(s-1)})):
+    Gauss-Legendre in log xi over the last 40 of log T (below it the phase
+    |c| xi < 1e-17 is dropped), then E_s's continued fraction, dropped past
+    the cap on T, where it is below e^{-40}/(s-1).  Where |c| >= 2, T = 1 and
+    e^{-ic} E is the fraction alone, with no exp taken.  Lentz runs on the
+    entries sorted by |c|, largest (quickest) first, and sheds the leading
+    converged run each step; the ones behind a live entry iterate on.  It
+    skips c = 0 and the |c| < 2 entries whose T = 2/|c| passes the cap, which
+    take the head alone; they sort last, so no other value depends on them."""
+    c = np.asarray(c, dtype=float)
+    ca = np.abs(c).ravel()
+    # |c| < 2: the head (at c = 0, log c = -inf leaves int_1^T xi^{-s}), and the
+    # fraction at |c| T = 2 times T^{1-s} e^{i|c|(T-1)} where T is under its cap
+    h = np.nonzero(ca < _TAIL_SPLIT)[0]
+    ch = ca[h]
+    log_c = np.log(ch, out=np.full_like(ch, -np.inf), where=ch > 0)
+    far = log_c >= math.log(_TAIL_SPLIT) - _LOG_NEGLIGIBLE / (s - 1.0)
+    # E_s(z) = e^{-z} / (z + s - s / (z + s + 2 - 2 (s+1) / (z + s + 4 - ...)))
+    # at z = -i max(|c|, 2), by modified Lentz (c_0 = inf makes c_1 = b_1), on
+    # the entries that use it: |c| >= 2 and the far ones, which lead in |c|
+    order = np.argsort(ca)[::-1][:len(ca) - np.count_nonzero(~far)]
+    b = s - 1j * np.maximum(ca[order], _TAIL_SPLIT)
+    frac = 1.0 / b
+    d, lentz_c, e, shed = frac.copy(), np.inf, np.zeros(len(ca), complex), 0
+    for i in range(1, _CF_TERMS + 1):
+        a = -i * (s - 1.0 + i)
+        b += 2.0
+        np.reciprocal(np.add(np.multiply(d, a, out=d), b, out=d), out=d)  # 1 / (a d + b)
+        lentz_c = b + a / lentz_c
+        delta = lentz_c * d
+        frac *= delta
+        done = np.abs(delta - 1.0) < 1e-15
+        run = len(done) if done.all() else int(np.argmin(done))
+        e[order[shed:shed + run]] = frac[:run]
+        shed += run
+        b, d, lentz_c, frac = b[run:], d[run:], lentz_c[run:], frac[run:]
+        if shed == len(order):
+            break
+    else:
+        raise DomainError(f"the power-tail continued fraction did not converge (s = {s})")
+
+    log_t = np.minimum(math.log(_TAIL_SPLIT) - log_c, _LOG_NEGLIGIBLE / (s - 1.0))
+    lo = np.maximum(0.0, log_t - _LOG_NEGLIGIBLE)
+    half = 0.5 * (log_t - lo)
+    u = lo[:, None] + half[:, None] * (1.0 + _HEAD_RULE[0])
+    head = np.exp((1.0 - s) * u + 1j * np.exp(u + log_c[:, None])) @ _HEAD_RULE[1]
+    e[h] = (np.exp(-1j * ch) * (head * half - np.expm1((1.0 - s) * lo) / (s - 1.0))
+            + np.exp((1.0 - s) * log_t + 1j * (_TAIL_SPLIT - ch)) * e[h])  # e is 0 unless far
+    e.imag *= np.sign(c.ravel())
+    return e.reshape(c.shape)

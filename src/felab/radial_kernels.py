@@ -42,9 +42,10 @@ int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients x tails product over
 the (frequency, radius) pairs, cut where |E(c)| <= min(2/|c|, 1/(s-1))
 bounds all it drops by 1e-13, the reported truncation term.  At c = 2 pi
 (f +- x), e^{ic} = e^{+-2 pi ix} is one exp per radius, so the power tail is
-e^{-ic} E_s(-ic): a Gauss-Legendre head in log xi up to |c| xi = 2, then E_s's
-continued fraction (DLMF 8.19) by modified Lentz on the pairs sorted by |c|,
-shedding each converged leading run; it matches mpmath to ~1e-13 relative.
+e^{-ic} E_s(-ic) (``quadrature._power_tail``): a Gauss-Legendre head in log
+xi up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19) by modified
+Lentz on the pairs sorted by |c|, shedding each converged leading run; it
+matches mpmath to ~1e-13 relative.
 d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
 the largest radius grows, reach 40 (K) or 160 (L) in d = 2, then a
 zero-segmented accelerated tail per radius, for L on the a_0 part of the
@@ -73,6 +74,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
     QuadratureConfig,
+    _power_tail,
     gk15_panels,
     integrate_adaptive,
     integrate_oscillatory_tail,
@@ -188,69 +190,6 @@ def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
     bh = ball_hat(d, rho)
     mag = np.abs(bh) ** (q - 2.0)
     return bh * mag if kind == "K" else mag
-
-
-# ---------------------------------------------------------------------------
-# single-frequency algebraic tails (d = 1 engine)
-# ---------------------------------------------------------------------------
-
-_HEAD_RULE = np.polynomial.legendre.leggauss(48)
-_TAIL_SPLIT = 2.0  # the head covers |c| xi <= 2
-_LOG_NEGLIGIBLE = 40.0  # e^{-40} ~ 4e-18 is below rounding
-_CF_TERMS = 200  # the fraction needs ~90 at most once |c| T >= 2, any s > 1
-
-
-def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
-    """e^{-ic} E(c), E(c) = int_1^inf xi^{-s} e^{ic xi} dxi (s > 1), elementwise;
-    its value at -c is the conjugate.
-
-    E = int_1^T + T^{1-s} E_s(-i|c|T), T = max(1, min(2/|c|, e^{40/(s-1)})):
-    Gauss-Legendre in log xi over the last 40 of log T (below it the phase
-    |c| xi < 1e-17 is dropped), then E_s's continued fraction, dropped past
-    the cap on T, where it is below e^{-40}/(s-1).  Where |c| >= 2, T = 1 and
-    e^{-ic} E is the fraction alone, with no exp taken.  Lentz runs on the
-    entries sorted by |c|, largest (quickest) first, and sheds the leading
-    converged run each step; the ones behind a live entry iterate on."""
-    c = np.asarray(c, dtype=float)
-    ca = np.abs(c).ravel()
-    # E_s(z) = e^{-z} / (z + s - s / (z + s + 2 - 2 (s+1) / (z + s + 4 - ...)))
-    # at z = -i max(|c|, 2), by modified Lentz (c_0 = inf makes c_1 = b_1)
-    order = np.argsort(ca)[::-1]
-    b = s - 1j * np.maximum(ca[order], _TAIL_SPLIT)
-    frac = 1.0 / b
-    d, lentz_c, e, shed = frac.copy(), np.inf, np.empty_like(b), 0
-    for i in range(1, _CF_TERMS + 1):
-        a = -i * (s - 1.0 + i)
-        b += 2.0
-        np.reciprocal(np.add(np.multiply(d, a, out=d), b, out=d), out=d)  # 1 / (a d + b)
-        lentz_c = b + a / lentz_c
-        delta = lentz_c * d
-        frac *= delta
-        done = np.abs(delta - 1.0) < 1e-15
-        run = len(done) if done.all() else int(np.argmin(done))
-        e[order[shed:shed + run]] = frac[:run]
-        shed += run
-        b, d, lentz_c, frac = b[run:], d[run:], lentz_c[run:], frac[run:]
-        if shed == len(e):
-            break
-    else:
-        raise DomainError(f"the power-tail continued fraction did not converge (s = {s})")
-
-    # |c| < 2: the head (at c = 0, log c = -inf leaves int_1^T xi^{-s}), and the
-    # fraction at |c| T = 2 times T^{1-s} e^{i|c|(T-1)}
-    h = np.nonzero(ca < _TAIL_SPLIT)[0]
-    ch = ca[h]
-    log_c = np.log(ch, out=np.full_like(ch, -np.inf), where=ch > 0)
-    far = log_c >= math.log(_TAIL_SPLIT) - _LOG_NEGLIGIBLE / (s - 1.0)
-    log_t = np.minimum(math.log(_TAIL_SPLIT) - log_c, _LOG_NEGLIGIBLE / (s - 1.0))
-    lo = np.maximum(0.0, log_t - _LOG_NEGLIGIBLE)
-    half = 0.5 * (log_t - lo)
-    u = lo[:, None] + half[:, None] * (1.0 + _HEAD_RULE[0])
-    head = np.exp((1.0 - s) * u + 1j * np.exp(u + log_c[:, None])) @ _HEAD_RULE[1]
-    e[h] = (np.exp(-1j * ch) * (head * half - np.expm1((1.0 - s) * lo) / (s - 1.0))
-            + np.where(far, np.exp((1.0 - s) * log_t + 1j * (_TAIL_SPLIT - ch)) * e[h], 0.0))
-    e.imag *= np.sign(c.ravel())
-    return e.reshape(c.shape)
 
 
 @lru_cache(maxsize=64)

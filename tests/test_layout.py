@@ -79,6 +79,16 @@ def test_periodic_tail_called_from_two_places():
     assert {fn for name, fn in callers if name == "radial_kernels.py"} == set()
 
 
+def test_power_tail_called_from_two_places():
+    # E(c) = int_1^inf t^{-s} e^{ict} dt lives in the quadrature layer; the
+    # d = 1 kernels and the even-q d = 1 norm call it
+    defined = {name for name, text in MODULES.items() for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_power_tail"}
+    assert defined == {"quadrature.py"}
+    callers = {name for name, text in MODULES.items() if _callers(text, "_power_tail")}
+    assert callers == {"radial_kernels.py", "functional.py"}
+
+
 def test_perturbation_reads_no_spectrum_or_boundary_profile():
     # the d = 2 expansion terms come from the polar mesh of Phi_q, not from
     # the Funk-Hecke eigenvalues of a boundary profile

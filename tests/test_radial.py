@@ -247,9 +247,20 @@ class TestPowerTail:
         assert np.max(np.abs(_power_tail(s, c) - ref) / np.abs(ref)) <= 1e-12
 
     def test_unconverged_fraction_raises(self, monkeypatch):
-        monkeypatch.setattr(radial_kernels, "_CF_TERMS", 4)
+        monkeypatch.setattr(quadrature, "_CF_TERMS", 4)
         with pytest.raises(DomainError, match="continued fraction"):
             _power_tail(2.5, np.array([3.0]))
+
+    @pytest.mark.parametrize("s", [1.5, 2.81, 4.0, 6.0])
+    def test_small_entries_leave_the_rest_alone(self, s):
+        # c = 0 and the |c| < 2 entries sort last, so the |c| >= 2 entries are
+        # bit-identical whether or not they share the call
+        big = np.concatenate([2 * np.pi * np.linspace(0.4, 900.0, 500), [2.0, -2.0, 1e300]])
+        small = np.array([0.0, 1e-300, -1e-30, 1e-13, 0.3, -1.999])
+        alone = _power_tail(s, big)
+        mixed = _power_tail(s, np.concatenate([small, big, small]))
+        assert np.array_equal(mixed[len(small):-len(small)], alone)
+        assert np.array_equal(mixed[:len(small)], mixed[-len(small):])
 
     @pytest.mark.parametrize("s", [2.81, 2.5])
     def test_kernel_lattice(self, s):
