@@ -242,6 +242,11 @@ def _cmd_phi(run: _Run, args):
             abs_tol=args.tol, rel_tol=max(args.tol, 1e-12))
         res = phi_q(e, args.q, run.quad)
     run.emit(_jdump(res.as_dict()), "phi.json")
+    if not res.converged:
+        # the value stays printed, flagged "converged": false
+        print(f"non-convergence: Phi_q = {res.phi:.17g} has an error estimate "
+              f"{res.error_estimate:.3g} above its tolerance", file=sys.stderr)
+        return 2
 
 
 def _cmd_expand(run: _Run, args):

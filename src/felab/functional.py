@@ -22,8 +22,9 @@ Routes
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
   star-shaped set is a circle sum of the closed-form radial factor
   R^2 F(rho A), F(a) = (e^{-ia}(1 + ia) - 1)/a^2, by a trapezoid rule whose
-  order grows with the frequency (spectral accuracy for the band-limited
-  boundaries used here).  The norm integrates over uniform GK15 panels in
+  order grows with the frequency the base body meets, |rho u M| for the
+  affine matrix M (spectral accuracy for the band-limited boundaries used
+  here).  The norm integrates over uniform GK15 panels in
   the radius, 16 to a block sharing one circle rule.  In a block A(phi,
   theta) is fixed and a node is rho = mid_j + half x_k, so e^{-i rho A} =
   P_j O_k, a product of panel and offset exp tables; no error accumulates.
@@ -33,8 +34,15 @@ Routes
   split cancels where |rho A| is small: a panel's pairs (phi, theta) with
   |A| rho_min < 0.1 leave the matmul and go node by node (closed form or
   Taylor series).  The translation and the star center only rotate the
-  phase of 1_E^ and drop out of |1_E^|.  The radial tail bound comes from
-  the |1_E^| <= C |xi|^{-3/2} decay, C estimated on a probe ring.
+  phase of 1_E^ and drop out of |1_E^|.  Past the cut, where the boundary's
+  curvature is positive (and not near 0), the leading stationary-phase term
+  (Herz 1962) gives the rest: |1_E^(rho u)|^q is rho^{-3q/2} times a
+  periodic function of rho, whose Fourier harmonics each integrate by
+  ``quadrature._power_tail``; its error is the first omitted order, and the
+  cut is the first from 15 to 45 where that meets the tolerance.  Elsewhere
+  the mesh runs to a cut chosen from a bound |1_E^| <= C |xi|^{-3/2}, C
+  estimated on a probe ring, and that bound's tail is the error term.
+  ``PhiResult.method`` names the route.
 * even q: the Fourier transform can be eliminated;
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
   For interval unions the convolution is exact piecewise-polynomial
@@ -174,6 +182,13 @@ _MESH_NODES = 2e8  # ~3 s; diam/measure <= 167 at the 2e4 cut, 4x any criterion'
 _EVEN_CUT = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of that table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
+# d = 2: the polar mesh stops at a cut in _SP_CUT and the stationary-phase tail
+# takes the rest
+_SP_CUT = (15.0, 45.0)
+_SP_TABLE = 2048  # boundary points of the curvature table
+_SP_SAMPLES = 256  # samples of the periodic factor f per direction
+_SP_HARMONICS = 64  # coefficients of f kept at non-even q
+_SP_FLAT = 0.1  # the largest first omitted order, relative, at the cut
 
 
 def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
@@ -300,7 +315,8 @@ def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
     # translation and the center only rotate the phase of 1_E^
     dirs = uphi @ e.affine.matrix
     scale = 2 * np.pi * e.affine.det
-    r_bound = _radius_bound(e)
+    # the phase rate is 2 pi rho r (u_phi M).u(theta): |u_phi M| stretches the band
+    r_bound = _radius_bound(e) * float(np.max(np.hypot(dirs[:, 0], dirs[:, 1])))
     block = 16  # panels per circle rule
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
@@ -335,8 +351,9 @@ def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
 
 
 def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cut: float | None):
-    """(cut, tail): ``cut`` or one chosen for ``cfg``, and the bound on
-    ||1_E^||_q^q past it from |1_E^| <= C rho^{-3/2}, C measured on a probe ring."""
+    """(cut, tail, error, route) of the ring route: ``cut`` or one chosen for
+    ``cfg``; no tail is added, and the error is the bound on ||1_E^||_q^q past
+    the cut from |1_E^| <= C rho^{-3/2}, C measured on a probe ring."""
     expo = 1.5 * q - 2.0
     probe_rho = np.array([6.0, 9.0, 13.0])
     pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)
@@ -346,7 +363,111 @@ def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cu
         tol = max(cfg.abs_tol, 1e-7)
         cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
         cut = float(np.clip(cut, 15.0, 45.0))
-    return cut, 2 * np.pi * c_est**q * cut ** (-expo) / expo
+    return cut, 0.0, 2 * np.pi * c_est**q * cut ** (-expo) / expo, "polar_quadrature_2d"
+
+
+def _curvature_table(e: StarSet):
+    """At _SP_TABLE boundary points of the base star (about its center): the
+    outer-normal angle alpha, the radius of curvature R, the support value h
+    and g = |3 - R''/R + (4/3)(R'/R)^2| / (8R), R' = dR/dalpha; or None where
+    the curvature is not positive.  At frequency rho along the normal, the
+    boundary point's stationary-phase term has a first omitted order of
+    g / (2 pi rho) relative to it."""
+    theta = np.linspace(0.0, 2 * np.pi, _SP_TABLE, endpoint=False)
+    r, r1, r2 = e.radius_derivatives(theta)
+    s2 = r * r + r1 * r1
+    den = s2 + r1 * r1 - r * r2  # curvature times |x'|^3
+    if not np.min(den) > 0:
+        return None
+    rate = den / s2  # dalpha/dtheta
+
+    def d_alpha(v):  # periodic central differences in theta
+        return (np.roll(v, -1) - np.roll(v, 1)) * (_SP_TABLE / (4 * np.pi)) / rate
+
+    big_r = s2**1.5 / den
+    r_1 = d_alpha(big_r)
+    g = np.abs(3.0 - d_alpha(r_1) / big_r + (4.0 / 3.0) * (r_1 / big_r) ** 2) / (8.0 * big_r)
+    return theta - np.arctan(r1 / r), big_r, r * r / np.sqrt(s2), g
+
+
+def _stationary_phase_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig,
+                           cut: float | None):
+    """(cut, tail, error, route) past the cut from the leading stationary-phase
+    term, or None where it does not hold: a curvature not positive, or a first
+    omitted order above _SP_FLAT of the leading one at the cut.
+
+    Frequency rho u meets the base body as rho lam v, lam v = u M.  With
+    R+- = R(+-v), w = h(v) + h(-v) and t = 2 pi rho lam w - 3 pi / 2, the
+    leading term is 1_E^ ~ det (2 pi)^{-1} (rho lam)^{-3/2} S, |S| = |a + b e^{it}|,
+    a, b = sqrt(R+-), so |1_E^|^q = det^q (2 pi)^{-q} (rho lam)^{-3q/2} f(t),
+    f = |S|^q.  Its coefficients c_k (even in k) come from an FFT of
+    _SP_SAMPLES samples, exact at even q; else _SP_HARMONICS are kept, and
+    aliasing and truncation are bounded by |c_k| <= C / k^2,
+    C = p (|p - 1| + 1/2) (a + b)^q, p = q/2, the bound on |f''|.  Each
+    harmonic integrates past the cut X as X^{1-s} e^{-3 pi i k/2} e^{ic}
+    _power_tail(s, c), c = 2 pi k lam w X, s = 3q/2 - 1, and
+    |int_1^inf x^{-s} e^{icx} dx| <= 2/c.
+
+    The first omitted order of 1_E^ adds i (a k+ e^{-iA} - b k- e^{iB})
+    / (2 pi rho lam) to S, |k+-| <= g(+-v) (``_curvature_table``).  In |S|^q
+    it is q |S|^{q-2} a b (k+ + k-) sin t / (2 pi rho lam), of mean zero in t,
+    so past X it is at most its harmonics' 2/c bound (Cauchy-Schwarz on
+    them); the next order is taken as q^2 |S|^{q-2} (a g+ + b g-)^2
+    / (2 pi rho lam)^2.  The cut is the first multiple of 0.25 from 15 to 45
+    where the error meets cfg.abs_tol."""
+    table = _curvature_table(e)
+    if table is None:
+        return None
+    eta = uphi @ e.affine.matrix
+    lam = np.hypot(eta[:, 0], eta[:, 1])
+    ang = np.arctan2(eta[:, 1], eta[:, 0])
+    big_r, h, g = (np.interp(np.concatenate([ang, ang + np.pi]), table[0], col,
+                             period=2 * np.pi).reshape(2, -1) for col in table[1:])
+    a, b = np.sqrt(big_r)
+    amp = (a * g[0] + b * g[1]) / (2 * np.pi * lam)  # |first omitted order| rho
+    lo = _SP_CUT[0] if cut is None else cut
+    if np.max(amp / (a + b)) / lo > _SP_FLAT:
+        return None
+    s, p = 1.5 * q - 1.0, 0.5 * q
+    t = np.arange(_SP_SAMPLES) * (2 * np.pi / _SP_SAMPLES)
+    mod2 = ((a - b) ** 2)[:, None] + (2 * a * b)[:, None] * (1.0 + np.cos(t))  # |S|^2 >= 0
+    even = q % 2 == 0 and q < _SP_SAMPLES
+    n_harm = int(p) if even else _SP_HARMONICS
+    coef = np.fft.rfft(mod2**p, axis=1).real[:, :n_harm + 1] / _SP_SAMPLES
+    k = np.arange(n_harm + 1)
+    beat = 2 * np.pi * lam * h.sum(axis=0)  # c = k beat X
+    # per direction, in units of det^q (2 pi)^{-q} lam^{-3q/2} X^{1-s}, the
+    # error is err[0] + err[1] / X + err[2] / X^2
+    err = np.zeros((3, len(lam)))
+    wq = mod2 ** (0.5 * q - 1.0)  # |S|^{q-2}
+    first = np.sqrt(np.mean(wq * wq * np.sin(t) ** 2, axis=1)) * (2 * np.pi / math.sqrt(3.0))
+    err[2] = q * (a * b * (g[0] + g[1]) / (2 * np.pi * lam) * first / beat
+                  + q * np.mean(wq, axis=1) * amp**2 / (s + 1.0))
+    if not even:
+        big_c = p * (abs(p - 1.0) + 0.5) * (a + b) ** q
+        alias = big_c * np.pi**2 / (3.0 * (_SP_SAMPLES - n_harm) ** 2)
+        err[0] = alias / (s - 1.0)
+        err[1] = (4.0 * alias * np.sum(1.0 / k[1:]) + 2.0 * big_c / n_harm**2) / beat
+    norm = 2 * np.pi * e.affine.det**q * (2 * np.pi) ** -q * lam ** (-1.5 * q)
+    err = np.mean(norm * err, axis=1)[::-1]  # np.polyval order, in 1/X
+    if cut is None:
+        grid = np.arange(_SP_CUT[0], _SP_CUT[1] + 0.125, 0.25)
+        ok = grid ** (1.0 - s) * np.polyval(err, 1.0 / grid) <= cfg.abs_tol
+        cut = float(grid[np.argmax(ok)] if ok.any() else grid[-1])
+    c = k * (beat[:, None] * cut)
+    terms = np.where(k == 0, 1.0, 2.0) * coef * (
+        np.exp(1j * (c - 1.5 * np.pi * k)) * _power_tail(s, c)).real
+    tail = float(np.mean(norm * terms.sum(axis=1))) * cut ** (1.0 - s)
+    return cut, tail, cut ** (1.0 - s) * float(np.polyval(err, 1.0 / cut)), \
+        "polar_stationary_phase_2d"
+
+
+def _planar_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig,
+                 cut: float | None):
+    """(cut, tail, error, route): the stationary-phase tail where it holds,
+    else the ring route."""
+    return (_stationary_phase_tail(e, uphi, q, cfg, cut)
+            or _ring_tail(e, uphi, q, cfg, cut))
 
 
 def _block_norm_q(rho: np.ndarray, half: float, norm: float, s: np.ndarray, q: float):
@@ -357,10 +478,12 @@ def _block_norm_q(rho: np.ndarray, half: float, norm: float, s: np.ndarray, q: f
 
 
 def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | None):
+    """||1_E^||_q^q, its error and the route: the polar mesh to the cut plus
+    ``_planar_tail``."""
     uphi = _half_circle(e)
-    radial_cut, tail = _ring_tail(e, uphi, q, cfg, radial_cut)
+    radial_cut, tail, tail_err, route = _planar_tail(e, uphi, q, cfg, radial_cut)
     value, rule_err = sum(_block_norm_q(*b, q) for b in _polar_blocks(e, uphi, radial_cut)).tolist()
-    return value, rule_err + tail
+    return value + tail, rule_err + tail_err, route
 
 
 def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -374,11 +497,11 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if e.dimension == 1:
         if radial_cut is not None:
             raise DomainError("radial_cut applies to planar sets only")
-        return _phi_result(*_norm_q_1d(e, q, cfg), measure, q, 1, cfg)
+        return _phi_result(*_norm_q_1d(e, q, cfg), "closed_form_1d", measure, q, 1, cfg)
     return _phi_result(*_norm_q_2d(e, q, cfg, radial_cut), measure, q, 2, cfg)
 
 
-def _phi_result(value: float, err: float, measure: float, q: float, d: int,
+def _phi_result(value: float, err: float, method: str, measure: float, q: float, d: int,
                 cfg: QuadratureConfig) -> PhiResult:
     """Phi_q from ||1_E'^||_q^q = value +- err, checked against the Babenko
     bound; E' = E in d = 2 and (E - c) / s of measure 2 in d = 1."""
@@ -389,8 +512,7 @@ def _phi_result(value: float, err: float, measure: float, q: float, d: int,
         norm = value * scale ** (q - 1.0)
     except OverflowError:  # beyond the float range; Phi is scale-free
         norm = math.inf
-    res = PhiResult(phi, norm, measure, phi_err,
-                    "closed_form_1d" if d == 1 else "polar_quadrature_2d",
+    res = PhiResult(phi, norm, measure, phi_err, method,
                     converged=err <= max(cfg.abs_tol * 10, cfg.rel_tol * value))
     _babenko_guard(res, q, d)
     return res

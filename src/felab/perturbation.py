@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ThresholdError
-from .functional import (_block_norm_q, _half_circle, _phi_result, _polar_blocks, _ring_tail,
+from .functional import (_block_norm_q, _half_circle, _phi_result, _planar_tail, _polar_blocks,
                          _signed_exp_mesh, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
 from .radial_kernels import ball_hat, kernel_profile, q_threshold
@@ -126,17 +126,18 @@ def inner_K(e, q: float) -> float:
 
 
 def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
-    """One sweep of E's polar mesh at the report's cut.  Returns ||1_E^||_q^q
-    and its error as ``phi_q(e, q, cfg, radial_cut=_D2_CUT)`` forms them; the
-    terms (<K, f>, <f*L, f>, <f*L, f~>) and their GK15 rule terms; and a bound
-    on the report's remainder past the cut.
+    """One sweep of E's polar mesh at the report's cut.  Returns ||1_E^||_q^q,
+    its error and its route as ``phi_q(e, q, cfg, radial_cut=_D2_CUT)`` forms
+    them (the mesh plus ``_planar_tail``); the terms (<K, f>, <f*L, f>,
+    <f*L, f~>) and their GK15 rule terms; and a bound on the report's
+    remainder past the cut.
 
     b = B^ and h = 1_E^ - b, with the phase of 1_E^ that the norm drops put
     back where it is not 1; the integrands b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and
     |b|^{q-2} Re h^2 are even in xi, so the half circle carries them.
     """
     uphi = _half_circle(e)
-    _, norm_tail = _ring_tail(e, uphi, q, cfg, _D2_CUT)
+    _, tail, tail_err, route = _planar_tail(e, uphi, q, cfg, _D2_CUT)
     shift = uphi @ e.affine.translation + (uphi @ e.affine.matrix) @ e.center
     norm_q, terms, rule = np.zeros(2), np.zeros(3), np.zeros(3)
     for rho, half, norm, s in _polar_blocks(e, uphi, _D2_CUT):
@@ -158,8 +159,8 @@ def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
     bound = (c_e**q + c_b**q + q * c_b ** (q - 1.0) * (c_e + c_b)
              + 0.5 * q * (q - 1.0) * c_b ** (q - 2.0) * (c_e + c_b) ** 2)
     expo = 1.5 * q - 2.0
-    norm_q[1] += norm_tail
-    return norm_q.tolist(), terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
+    norm_q += (tail, tail_err)
+    return (*norm_q.tolist(), route), terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
 
 
 def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:

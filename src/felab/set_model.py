@@ -275,18 +275,21 @@ class StarSet:
         ang = np.arctan2(y[:, 1], y[:, 0])
         return rho <= self.radius(ang)
 
-    def _radius_and_slope(self, theta: np.ndarray):
-        """r(theta) and r'(theta) from the Fourier coefficients."""
+    def radius_derivatives(self, theta: np.ndarray):
+        """r(theta), r'(theta) and r''(theta) from the Fourier coefficients."""
         r = np.full_like(theta, self.c0)
         dr = np.zeros_like(theta)
+        ddr = np.zeros_like(theta)
         a = np.pad(self.a_coeffs, (0, self.n_modes - len(self.a_coeffs)))
         b = np.pad(self.b_coeffs, (0, self.n_modes - len(self.b_coeffs)))
         for n, (an, bn) in enumerate(zip(a, b), start=1):
             if an or bn:
                 c, s = np.cos(n * theta), np.sin(n * theta)
-                r += an * c + bn * s
+                mode = an * c + bn * s
+                r += mode
                 dr += n * (bn * c - an * s)
-        return r, dr
+                ddr -= n * n * mode
+        return r, dr, ddr
 
     def radius_about_origin(self, theta) -> np.ndarray:
         """Radial function about the origin (requires the origin in the kernel).
@@ -310,7 +313,7 @@ class StarSet:
             """The gap at t and the Newton iterate from t (not finite where g' = 0)."""
             y = t[:, None] * pp + off
             rho = np.hypot(y[:, 0], y[:, 1])
-            r, dr = self._radius_and_slope(np.arctan2(y[:, 1], y[:, 0]))
+            r, dr, _ = self.radius_derivatives(np.arctan2(y[:, 1], y[:, 0]))
             g = rho - r
             with np.errstate(divide="ignore", invalid="ignore"):
                 cross = (y[:, 0] * pp[:, 1] - y[:, 1] * pp[:, 0]) / rho

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from felab.cli import dispatch
-from felab.set_model import IntervalSet, set_to_json
+from felab.set_model import IntervalSet, StarSet, set_to_json
 
 
 @pytest.fixture
@@ -94,6 +94,21 @@ class TestPhi:
         assert code == 0
         assert doc["method"] == "convolution_oracle"
         assert doc["norm_q_pow_q"] == pytest.approx(16 / 3, abs=1e-10)
+
+    def test_unconverged_exit_2(self, capsys, tmp_path):
+        # a near-disc star at q = 3.5 and the default tolerance: the planar
+        # head's rule term stays above it.  The JSON is printed, flagged, and
+        # recorded in the manifest; the exit code says non-convergence
+        path = tmp_path / "star.json"
+        path.write_text(set_to_json(StarSet(1.0, a_coeffs=[0.0, 0.0, 0.01])))
+        code = dispatch(["--out-dir", str(tmp_path / "run"), "phi", "--set", str(path),
+                         "--q", "3.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["converged"] is False
+        assert captured.err.startswith("non-convergence: ") and "Traceback" not in captured.err
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / "run" / "phi.json")]
 
     def test_strict_json_when_the_norm_overflows(self, capsys, tmp_path):
         # ||1_E^||_4^4 of [0, 1e200] is 16/3 (5e199)^3, beyond the float range

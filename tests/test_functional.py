@@ -16,7 +16,8 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import indicator_hat, norm_q_2d_per_panel, q_continuity_probe, translate
+from oracles import (indicator_hat, norm_q_2d_per_panel, q_continuity_probe, seeded_star4,
+                     shifted_set, translate)
 
 
 def random_union(rng, max_pieces=3):
@@ -170,29 +171,44 @@ class TestPhi2D:
             radial = phi_ball(2, q)
             assert direct.phi == pytest.approx(radial.phi, abs=1e-7)
 
+    def test_sheared_images_agree(self):
+        # criterion 8's sheared images of its planar set: the circle rule
+        # follows the stretch |u M| of the frequency, so the images keep Phi_4
+        # to 1e-8 (3e-6 when the rule ignored it); criterion 8 gates at 1e-3
+        rng = np.random.default_rng(8)
+        e = StarSet(1.0, a_coeffs=[0.0, 0.05, 0.03]).with_measure(np.pi)
+        base = phi_q(e, 4.0).phi
+        for _ in range(10):
+            ang = rng.uniform(0, 2 * np.pi)
+            shear = rng.uniform(-0.4, 0.4)
+            sc = math.exp(rng.uniform(-0.25, 0.25))
+            rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+            tm = AffineMap(rot @ np.array([[sc, shear], [0.0, 1.0 / sc]]),
+                           rng.uniform(-0.3, 0.3, 2)).normalized_measure_preserving()
+            assert phi_q(e.apply(tm), 4.0).phi == pytest.approx(base, abs=1e-8)
 
-def seeded_star4(seed):
-    """A star:4 candidate drawn the way the search draws one, at ball measure."""
-    rng = np.random.default_rng(seed)
-    decay = 1.0 / (1.0 + np.arange(1, 5)) ** 2
-    a = rng.normal(0.0, 0.15, 4) * decay
-    b = rng.normal(0.0, 0.15, 4) * decay
-    return StarSet(1.0, a, b).with_measure(np.pi)
-
-
-def shifted_set():
-    """Non-identity linear part, translation and base center all non-trivial."""
-    base = StarSet(1.0, a_coeffs=[0.0, 0.06, 0.02], b_coeffs=[0.0, -0.03], center=(0.1, -0.05))
-    return base.apply(AffineMap(np.array([[1.2, 0.3], [-0.1, 0.8]]), np.array([0.4, -0.7])))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_star4_within_estimate(self, seed):
+        # against the cut-45 mesh plus tail at tight tolerance
+        from felab.perturbation import _TIGHT
+        from felab.quadrature import DEFAULT_CONFIG
+        from felab.search import PROBE_QUAD
+        e = seeded_star4(seed)
+        ref = phi_q(e, 4.0, _TIGHT, radial_cut=45.0).phi
+        for cfg in (PROBE_QUAD, DEFAULT_CONFIG):
+            res = phi_q(e, 4.0, cfg)
+            assert res.method == "polar_stationary_phase_2d" and res.converged
+            assert abs(res.phi - ref) <= res.error_estimate
 
 
 class TestPinned2D:
     """d = 2 values of the per-node evaluation (one complex exp per radial
-    node, angle and circle node), pinned to 1e-10 relative."""
+    node, angle and circle node) plus the stationary-phase tail, pinned to
+    1e-10 relative."""
 
     @pytest.mark.parametrize("seed, probe, default", [
-        (3, 0.8232350065621941, 0.8232350067493605),
-        (11, 0.8233227145772756, 0.8233227147563373),
+        (3, 0.8232350068433744, 0.8232350068433785),
+        (11, 0.8233227148457152, 0.8233227148458603),
     ])
     def test_star4_candidates(self, seed, probe, default):
         from felab.search import PROBE_QUAD
@@ -202,15 +218,24 @@ class TestPinned2D:
 
     def test_affine_shift_branch(self):
         e = shifted_set()
-        assert phi_q(e, 4.0).phi == pytest.approx(0.8232475350473768, rel=1e-10)
-        assert phi_q(e, 3.5).phi == pytest.approx(0.8297487836527969, rel=1e-10)
+        assert phi_q(e, 4.0).phi == pytest.approx(0.8232475248471657, rel=1e-10)
+        assert phi_q(e, 3.5).phi == pytest.approx(0.8297483777512882, rel=1e-10)
 
     def test_star_mode_tight_cut(self):
         from felab.perturbation import star_mode_family
         res = phi_q(star_mode_family(0.015, 4), 4.0, QuadratureConfig(1e-12, 1e-11),
                     radial_cut=45.0)
-        assert res.phi == pytest.approx(0.8233137053563916, rel=1e-10)
-        assert res.norm_q_pow_q == pytest.approx(14.246592363132624, rel=1e-10)
+        assert res.phi == pytest.approx(0.8233137053782935, rel=1e-10)
+        assert res.norm_q_pow_q == pytest.approx(14.246592364648588, rel=1e-10)
+
+    @pytest.mark.parametrize("q, phi", [(4.0, 0.8191908399305519), (6.0, 0.8214211541402285)])
+    def test_non_convex_ring_route(self, q, phi):
+        # curvature of both signs: no stationary-phase tail, the probe-ring
+        # route as before, bit for bit
+        from felab.search import PROBE_QUAD
+        res = phi_q(StarSet(1.0, a_coeffs=[0.0, 0.0, 0.0, 0.12]), q, PROBE_QUAD)
+        assert res.method == "polar_quadrature_2d"
+        assert res.phi == phi
 
     def test_indicator_hat(self):
         pts = np.array([[0.0, 0.0], [0.37, -0.81], [1.9, 0.4], [-3.1, 2.2], [7.5, -0.3]])
@@ -234,7 +259,8 @@ class TestPinned2D:
 
 class TestPerPanelOracle:
     """The batched circle sum of the planar norm against the per-panel loop
-    it replaced (``oracles.norm_q_2d_per_panel``), to 1e-12 relative."""
+    it replaced (``oracles.norm_q_2d_per_panel``), to 1e-12 relative, at the
+    cut and with the tail that production chose."""
 
     @staticmethod
     def sets():
@@ -246,17 +272,20 @@ class TestPerPanelOracle:
         # phi = 0 meets theta = 0 at a phase rate of exactly zero
         yield seeded_star4(3).apply(quarter_turn), None
         yield star_mode_family(0.015, 4), 45.0
+        # the stretched circle band, far out
+        yield shifted_set(), 45.0
 
     @pytest.mark.parametrize("q", [3.5, 4.0, 6.0])
     def test_matches_per_panel_loop(self, q):
-        from felab.functional import _norm_q_2d
+        from felab.functional import _half_circle, _norm_q_2d, _planar_tail
         from felab.quadrature import DEFAULT_CONFIG
         from felab.search import PROBE_QUAD
         for e, cut in self.sets():
             for cfg in (PROBE_QUAD, DEFAULT_CONFIG):
-                value, _ = _norm_q_2d(e, q, cfg, cut)
-                ref, _ = norm_q_2d_per_panel(e, q, cfg, cut)
-                assert value == pytest.approx(ref, rel=1e-12), (e, cfg)
+                value, _, _ = _norm_q_2d(e, q, cfg, cut)
+                used, tail, _, _ = _planar_tail(e, _half_circle(e), q, cfg, cut)
+                head = norm_q_2d_per_panel(e, q, used)
+                assert value == pytest.approx(head + tail, rel=1e-12), (e, cfg)
 
 
 PIECES_1D = {

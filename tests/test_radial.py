@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from felab import quadrature, radial_kernels, spectral
+from felab import functional, quadrature, radial_kernels, spectral
 from felab.errors import ArityError, CapabilityError, DomainError, ThresholdError
-from felab.quadrature import QuadratureConfig, integrate_adaptive
+from felab.quadrature import DEFAULT_CONFIG, QuadratureConfig, gk15_sums, integrate_adaptive
 from felab.radial_kernels import (
     ball_hat,
     ball_norm_q,
@@ -26,14 +26,18 @@ from felab.radial_kernels import (
     rho_d,
 )
 from felab.radial_kernels import _power_tail, _series
+from felab.set_model import StarSet
 from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
     derivative_at,
     disc_k4,
+    disc_norm_band,
     empirical_holder_exponent,
     gamma_asymptotic_fit,
     integrate_composite,
     lens_area,
+    seeded_star4,
+    shifted_set,
 )
 
 
@@ -569,6 +573,41 @@ class TestCalibration:
         # C = (2 pi)^{d/2} sqrt(2/pi); 2^13 and 2^16 periods agree to 1.2e-11
         vals, _ = kernel_values("L", d, q, np.array([0.0]))
         assert abs(vals[0] - exact) <= tol
+
+    @pytest.mark.parametrize("q", [3.0, 3.5, 4.0, 5.0])
+    def test_planar_tail_disc(self, q):
+        # the stationary-phase tail of the disc on [15, 45] against radial J_1 integrals
+        e = StarSet.unit_disc()
+        uphi = functional._half_circle(e)
+        (_, t15, e15, route), (_, t45, e45, _) = (
+            functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, cut) for cut in (15.0, 45.0))
+        assert route == "polar_stationary_phase_2d"
+        self.check(t15 - t45, e15 + e45, disc_norm_band(q, 15.0, 45.0))
+
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_planar_tail_stars(self, q):
+        # against the cut-45 polar mesh, summed panel by panel past each of its
+        # panel edges X in [15, 16), about two periods of the tail's beat: each
+        # estimate covers its miss, and none passes 10^3 times the largest miss
+        # (a single X can sit at a zero of the miss)
+        for e in [seeded_star4(seed) for seed in range(8)] + [shifted_set()]:
+            uphi = functional._half_circle(e)
+            edges, masses = [], []
+            for rho, half, norm, s in functional._polar_blocks(e, uphi, 45.0):
+                kron, _ = gk15_sums(((norm * np.abs(s)) ** q).mean(axis=0) * 2 * np.pi * rho, half)
+                edges.append(rho[:, 7] - half)
+                masses.append(kron)
+            edges, past = np.concatenate(edges), np.cumsum(np.concatenate(masses)[::-1])[::-1]
+            _, t45, e45, _ = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, 45.0)
+            misses, estimates = [], []
+            for x, mass in zip(edges, past):
+                if 15.0 <= x < 16.0:
+                    _, tail, err, route = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, x)
+                    assert route == "polar_stationary_phase_2d"
+                    misses.append(abs(tail - t45 - mass))
+                    estimates.append(err + e45)
+            assert np.all(np.array(misses) <= estimates)
+            assert max(estimates) <= 1e3 * max(max(misses), 1e-15 * past[0])
 
     @pytest.mark.parametrize("d, q", [(1, 4.0), (2, 4.0), (1, 4.234), (2, 5.013), (3, 3.8)])
     def test_gamma_tail_periods(self, d, q, monkeypatch):
