@@ -274,10 +274,11 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     half, chunks = _signed_exp_mesh(ends, signs, cut, 1.0 / rate)
     value = rule_err = 0.0
     n_chunks = 0
+    k = 2 if q % 2 == 0 else 1  # at even q, |P|^q = (|P|^2)^{q/2}: no sqrt, an integral power
     for xi, p in chunks:
-        vals = np.abs(p)
-        vals /= 2 * np.pi * xi
-        vals **= q
+        vals = p.real**2 + p.imag**2 if k == 2 else np.abs(p)
+        vals /= (2 * np.pi * xi) ** k
+        vals **= q / k
         kron, err = gk15_sums(vals, 1.0)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))

@@ -15,11 +15,12 @@ base value, so discretization bias cancels in the difference; in d = 2 from
 the sweep that gives the terms), and the residual; ``remainder_slope`` fits
 the residual decay order on a shrinking family of sets.
 
-Inner products: in d = 1 the K-term integrates the sampled kernel profile
-exactly (antiderivatives of the interpolating spline) and the quadratic
-terms use exact interval algebra (q > 3) or the frequency mesh (q <= 3).
-In d = 2 one sweep of E's polar mesh gives ||1_E^||_q^q bit for bit as
-``phi_q`` at the same cut and, with b = B^ and h = 1_E^ - b, all three as
+Inner products: in d = 1 all three are exact sums, over the signed pieces of
+f, of the kernel antiderivatives int_0^x K and int_0^t int_0^u L, which
+exist for every q > 2 (no L is needed below q = 3); the report's error adds
+their errors and the rounding of the cancelling sums.  In d = 2
+one sweep of E's polar mesh gives ||1_E^||_q^q bit for bit as ``phi_q`` at
+the same cut and, with b = B^ and h = 1_E^ - b, all three as
 the frequency integrals of b|b|^{q-2} Re h, |b|^{q-2}|h|^2 and
 |b|^{q-2} Re h^2; the report's error adds their rule errors and a bound on
 the remainder dropped past the cut.
@@ -27,17 +28,16 @@ the remainder dropped past the cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ThresholdError
-from .functional import (_block_norm_q, _half_circle, _phi_result, _planar_tail, _polar_blocks,
-                         _signed_exp_mesh, phi_q)
+from .functional import (_EPS, _block_norm_q, _half_circle, _phi_result, _planar_tail,
+                         _polar_blocks, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
-from .radial_kernels import ball_hat, kernel_profile, q_threshold
+from .radial_kernels import _kernel_values_1d, ball_hat, q_threshold
 from .set_model import AffineMap, IntervalSet, StarSet, symdiff_measure
 
 __all__ = [
@@ -85,44 +85,55 @@ class ExpansionReport:
 
 
 # ---------------------------------------------------------------------------
-# signed pieces of f = 1_E - 1_B
+# d = 1 terms from the signed pieces of f = 1_E - 1_B
 # ---------------------------------------------------------------------------
 
 def _signed_pieces_1d(e: IntervalSet):
-    """(left, right, sign) covering E \\ B (+1) and B \\ E (-1)."""
+    """(left, right, sign) arrays of the pieces of E \\ B (+1) and B \\ E (-1);
+    a midpoint lies in E where an odd count of E's sorted endpoints is <= it."""
     pts = np.unique(np.concatenate([e.endpoints(), [-1.0, 1.0]]))
-    pieces = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        in_e = any(l <= mid < r for l, r in e.intervals)
-        in_b = -1.0 <= mid < 1.0
-        if in_e and not in_b:
-            pieces.append((lo, hi, 1.0))
-        elif in_b and not in_e:
-            pieces.append((lo, hi, -1.0))
-    return pieces
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    sign = np.searchsorted(e.endpoints(), mid, side="right") % 2 - ((-1.0 <= mid) & (mid < 1.0))
+    return pts[:-1][sign != 0], pts[1:][sign != 0], sign[sign != 0].astype(float)
 
 
-@lru_cache(maxsize=16)
-def _profile_1d(kind: str, q: float):
-    r_max = max(q + 2.0, 6.0)
-    return kernel_profile(kind, 1, q, r_max=r_max, n_samples=3072)
+def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
+    """(<K, f>, <f*L, f>, <f*L, f~>) and their errors from the antiderivatives
+    Kbar(x) = int_0^x K and Lam(t) = int_0^t int_0^u L at the unique |x| the
+    sums need: <K, f> = sum s (Kbar(b) - Kbar(a)) over the signed pieces of f,
+    <f*L, f> = sum s s' (Lam(b - c) - Lam(a - c) - Lam(b - d) + Lam(a - d))
+    over pairs, the second piece reflected for <f*L, f~>.  A difference errs
+    by the series cut at its ends and the kernel's slack 1e-11 (1 + |K|), |K|
+    its mean, times the width (L's times the widths' product; below q = 3,
+    where L has no values, the corners' own errors), plus rounding."""
+    a, b, sgn = _signed_pieces_1d(e)
+    n, ends = len(a), np.concatenate([a, b])
+    xs, at_x = np.unique(np.abs(ends), return_inverse=True)
+    # corners b - c, a - c, b - d, a - d of each pair of pieces, the second (c, d)
+    # reflected to (-d, -c) for Lrefl; Lam is even, and 0 at 0
+    near, far = np.stack([b, a, b, a], -1), np.stack([a, a, b, b], -1)
+    corners = np.stack([near[:, None] - far, near[:, None] + far[..., ::-1]])
+    ts, at_t = np.unique(np.abs(corners), return_inverse=True)
+    (kbar, k_cut), *lam = _kernel_values_1d(q, ("K", 1, xs), *[("L", 2, ts[ts > 0])] * quadratic)
+    kb = np.sign(ends) * kbar[at_x]  # Kbar is odd
+    diff = kb[n:] - kb[:n]
+    terms, errs = np.array([sgn @ diff, 0.0, 0.0]), np.zeros(3)
+    errs[0] = 2 * n * (k_cut + _EPS * np.sum(np.abs(kb))) + 1e-11 * np.sum(b - a + np.abs(diff))
+    if quadratic:
+        [(lam, l_cut)] = lam
+        lam = np.r_[np.zeros(len(ts) - len(lam)), lam][at_t.reshape(corners.shape)]
+        pair = lam @ np.array([1.0, -1.0, -1.0, 1.0])
+        terms[1:] = np.sum(sgn[:, None] * sgn * pair, axis=(1, 2))
+        slack = (np.sum(np.outer(b - a, b - a) + np.abs(pair), axis=(1, 2)) if q > 3.0
+                 else np.sum(1.0 + np.abs(lam), axis=(1, 2, 3)))
+        errs[1:] = 4 * n * n * (l_cut + _EPS * np.sum(np.abs(lam), axis=(1, 2, 3))) + 1e-11 * slack
+    return terms, errs
 
 
 def inner_K(e, q: float) -> float:
     """<K_q, f> = int_{E\\B} K_q - int_{B\\E} K_q."""
-    if e.dimension == 2:
-        return float(_planar_pass(e, q, _TIGHT)[1][0])
-    prof = _profile_1d("K", q)
-    anti = prof._spline.antiderivative()
-
-    def integral(a, b):
-        # K is even; antiderivative of the even extension
-        def cum(x):
-            return math.copysign(1.0, x) * float(anti(min(abs(x), prof.r_max)))
-        return cum(b) - cum(a)
-
-    return float(sum(s * integral(a, b) for a, b, s in _signed_pieces_1d(e)))
+    return float((_planar_pass(e, q, _TIGHT)[1] if e.dimension == 2
+                  else _terms_1d(e, q, quadratic=False)[0])[0])
 
 
 def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
@@ -163,64 +174,11 @@ def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
     return (*norm_q.tolist(), route), terms, rule, 2 * np.pi * bound * _D2_CUT ** (-expo) / expo
 
 
-def _quadratic_terms_freq_1d(e: IntervalSet, q: float) -> dict:
-    """Frequency route: <f*L,f> = int |f^|^2 |B^|^{q-2},
-    <f*L,f~> = Re int (f^)^2 |B^|^{q-2}.
-
-    Needed at q = 3 where L_3 is singular in x-space (log spikes); also a
-    cross-check of the interval-algebra route for q > 3.
-    """
-    m = len(e.intervals) + 1
-    tol = 1e-9  # the terms enter residuals of order |E triangle B|^2 >> this
-    cut = float(np.clip(((m / np.pi) ** 2 * np.pi ** (2.0 - q) / ((q - 1.0) * tol))
-                        ** (1.0 / (q - 1.0)), 100.0, 2.0e4))
-    diam = max(e.intervals[-1][1], 1.0) - min(e.intervals[0][0], -1.0)
-    h = min(0.05, 0.5 / max(diam, 1.0))
-    # f^ = P / (2 pi i xi) with E's endpoints and the ball's in one signed sum;
-    # no centering, since the phase of f^ enters Lrefl
-    ends = np.concatenate([e.endpoints(), [-1.0, 1.0]])
-    signs = np.concatenate([np.resize([1.0, -1.0], 2 * m - 2), [-1.0, 1.0]])
-    half, chunks = _signed_exp_mesh(ends, signs, cut, h)
-    ll = 0.0
-    lr = 0.0
-    for xi, p in chunks:
-        # |f^|^2 = |P|^2 / (2 pi xi)^2 and Re (f^)^2 = -Re P^2 / (2 pi xi)^2
-        weight = np.abs(ball_hat(1, xi)) ** (q - 2.0) / (2 * np.pi * xi) ** 2
-        ll += float(np.sum(gk15_sums((p.real**2 + p.imag**2) * weight, 1.0)[0]))
-        lr -= float(np.sum(gk15_sums((p * p).real * weight, 1.0)[0]))
-    return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
-
-
 def quadratic_terms(e, q: float) -> dict:
     """<f*L_q, f> and <f*L_q, f~>."""
-    if e.dimension == 1:
-        if q <= 3.0:
-            return _quadratic_terms_freq_1d(e, q)
-        prof = _profile_1d("L", q)
-        a1 = prof._spline.antiderivative()
-        a2 = a1.antiderivative()
-        r_max = prof.r_max
-
-        def lam(t):
-            # double antiderivative of the even extension of L
-            t = abs(t)
-            if t <= r_max:
-                return float(a2(t))
-            return float(a2(r_max)) + (t - r_max) * float(a1(r_max))
-
-        pieces = _signed_pieces_1d(e)
-
-        def pair_sum(ps1, ps2):
-            total = 0.0
-            for (a, b, s1) in ps1:
-                for (c, d, s2) in ps2:
-                    total += s1 * s2 * (lam(b - c) - lam(a - c) - lam(b - d) + lam(a - d))
-            return total
-
-        reflected = [(-b, -a, s) for (a, b, s) in pieces]
-        return {"LL": pair_sum(pieces, pieces), "Lrefl": pair_sum(pieces, reflected)}
-    _check_planar_exponent(q)
-    _, ll, lr = _planar_pass(e, q, _TIGHT)[1].tolist()
+    if e.dimension == 2:
+        _check_planar_exponent(q)
+    _, ll, lr = (_planar_pass(e, q, _TIGHT)[1] if e.dimension == 2 else _terms_1d(e, q)[0]).tolist()
     return {"LL": ll, "Lrefl": lr}
 
 
@@ -255,22 +213,18 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
         if d != 1:
             raise DomainError("the first-order expansion for 2 < q < 3 is d = 1 only")
         order = "q-1"
+    # below q = 3 the quadratic terms drop out of the first-order form
+    weights = np.array([q, q * q / 4.0, q * (q - 2.0) / 4.0]) * [1.0, q >= 3.0, q >= 3.0]
     if d == 2:
         _check_planar_exponent(q)
         norm, terms, rule, tail = _planar_pass(e, q, cfg)
         # phi_q's result, and its Babenko guard, from the pass's norm
         direct = _phi_result(*norm, e.measure, q, 2, cfg)
-        weights = np.array([q, q * q / 4.0, q * (q - 2.0) / 4.0])
-        t_k, t_ll, t_lr = (weights * terms).tolist()
         err = float(weights @ rule) + tail
     else:
-        direct, err = phi_q(e, q, cfg), 0.0
-        t_k = q * inner_K(e, q)
-        t_ll = t_lr = 0.0
-        if q >= 3.0:
-            quads = quadratic_terms(e, q)
-            t_ll = q**2 / 4.0 * quads["LL"]
-            t_lr = q * (q - 2.0) / 4.0 * quads["Lrefl"]
+        terms, rule = _terms_1d(e, q, quadratic=q >= 3.0)
+        direct, err = phi_q(e, q, cfg), float(weights @ rule)
+    t_k, t_ll, t_lr = (weights * terms).tolist()
     base = _ball_phi(d, q, cfg)
     # the errors of the norms ||1_E^||_q^q = Phi^q |E|^{q-1}, not of Phi
     err += sum(q * r.error_estimate * r.norm_q_pow_q / r.phi for r in (direct, base))

@@ -464,6 +464,19 @@ _LOG_NEGLIGIBLE = 40.0  # e^{-40} ~ 4e-18 is below rounding
 _CF_TERMS = 200  # the fraction needs ~90 at most once |c| T >= 2, any s > 1
 
 
+def _lentz_at_2(s: float) -> complex:
+    """_power_tail's continued fraction at z = -2i, in scalar arithmetic."""
+    b = complex(s, -_TAIL_SPLIT)
+    frac, d, lentz_c = 1.0 / b, 1.0 / b, math.inf
+    for i in range(1, _CF_TERMS + 1):
+        a, b = -i * (s - 1.0 + i), b + 2.0
+        d, lentz_c = 1.0 / (a * d + b), b + a / lentz_c
+        frac *= lentz_c * d
+        if abs(lentz_c * d - 1.0) < 1e-15:
+            return frac
+    raise DomainError(f"the power-tail continued fraction did not converge (s = {s})")
+
+
 def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
     """e^{-ic} E(c), E(c) = int_1^inf xi^{-s} e^{ic xi} dxi (s > 1), elementwise;
     its value at -c is the conjugate.
@@ -473,10 +486,11 @@ def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
     |c| xi < 1e-17 is dropped), then E_s's continued fraction, dropped past
     the cap on T, where it is below e^{-40}/(s-1).  Where |c| >= 2, T = 1 and
     e^{-ic} E is the fraction alone, with no exp taken.  Lentz runs on the
-    entries sorted by |c|, largest (quickest) first, and sheds the leading
-    converged run each step; the ones behind a live entry iterate on.  It
-    skips c = 0 and the |c| < 2 entries whose T = 2/|c| passes the cap, which
-    take the head alone; they sort last, so no other value depends on them."""
+    |c| >= 2 entries sorted by |c|, largest (quickest) first, and sheds the
+    leading converged run each step; the ones behind a live entry iterate on.
+    Every |c| < 2 entry under the cap shares the one fraction at |c| T = 2,
+    the slowest to converge, evaluated once in scalar arithmetic; c = 0 and
+    the entries past the cap take the head alone."""
     c = np.asarray(c, dtype=float)
     ca = np.abs(c).ravel()
     # |c| < 2: the head (at c = 0, log c = -inf leaves int_1^T xi^{-s}), and the
@@ -486,26 +500,28 @@ def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
     log_c = np.log(ch, out=np.full_like(ch, -np.inf), where=ch > 0)
     far = log_c >= math.log(_TAIL_SPLIT) - _LOG_NEGLIGIBLE / (s - 1.0)
     # E_s(z) = e^{-z} / (z + s - s / (z + s + 2 - 2 (s+1) / (z + s + 4 - ...)))
-    # at z = -i max(|c|, 2), by modified Lentz (c_0 = inf makes c_1 = b_1), on
-    # the entries that use it: |c| >= 2 and the far ones, which lead in |c|
-    order = np.argsort(ca)[::-1][:len(ca) - np.count_nonzero(~far)]
-    b = s - 1j * np.maximum(ca[order], _TAIL_SPLIT)
+    # at z = -i max(|c|, 2) by modified Lentz (c_0 = inf makes c_1 = b_1)
+    order = np.argsort(ca)[::-1][:len(ca) - len(h)]
+    b = s - 1j * ca[order]
     frac = 1.0 / b
     d, lentz_c, e, shed = frac.copy(), np.inf, np.zeros(len(ca), complex), 0
-    for i in range(1, _CF_TERMS + 1):
+    shared = _lentz_at_2(s) if np.any(far) else 0.0
+    for i in range(1, _CF_TERMS + 2):
+        if shed == len(order):
+            break
         a = -i * (s - 1.0 + i)
         b += 2.0
         np.reciprocal(np.add(np.multiply(d, a, out=d), b, out=d), out=d)  # 1 / (a d + b)
         lentz_c = b + a / lentz_c
         delta = lentz_c * d
         frac *= delta
+        if not abs(delta[0] - 1.0) < 1e-15:  # the leading entry is live: none sheds
+            continue
         done = np.abs(delta - 1.0) < 1e-15
         run = len(done) if done.all() else int(np.argmin(done))
         e[order[shed:shed + run]] = frac[:run]
         shed += run
         b, d, lentz_c, frac = b[run:], d[run:], lentz_c[run:], frac[run:]
-        if shed == len(order):
-            break
     else:
         raise DomainError(f"the power-tail continued fraction did not converge (s = {s})")
 
@@ -515,6 +531,6 @@ def _power_tail(s: float, c: np.ndarray) -> np.ndarray:
     u = lo[:, None] + half[:, None] * (1.0 + _HEAD_RULE[0])
     head = np.exp((1.0 - s) * u + 1j * np.exp(u + log_c[:, None])) @ _HEAD_RULE[1]
     e[h] = (np.exp(-1j * ch) * (head * half - np.expm1((1.0 - s) * lo) / (s - 1.0))
-            + np.exp((1.0 - s) * log_t + 1j * (_TAIL_SPLIT - ch)) * e[h])  # e is 0 unless far
+            + np.exp((1.0 - s) * log_t + 1j * (_TAIL_SPLIT - ch)) * np.where(far, shared, 0.0))
     e.imag *= np.sign(c.ravel())
     return e.reshape(c.shape)

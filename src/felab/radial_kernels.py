@@ -45,7 +45,8 @@ bounds all it drops by 1e-13, the reported truncation term.  At c = 2 pi
 e^{-ic} E_s(-ic) (``quadrature._power_tail``): a Gauss-Legendre head in log
 xi up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19) by modified
 Lentz on the pairs sorted by |c|, shedding each converged leading run; it
-matches mpmath to ~1e-13 relative.
+matches mpmath to ~1e-13 relative.  The same engine gives the d = 1
+expansion terms' antiderivatives int_0^x K and int_0^t int_0^u L.
 d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
 the largest radius grows, reach 40 (K) or 160 (L) in d = 2, then a
 zero-segmented accelerated tail per radius, for L on the a_0 part of the
@@ -270,15 +271,20 @@ def _zero_edges(kind: str, d: int, end: float, radii: np.ndarray, width: float) 
 # number of radii and nodes
 _PAIR_CHUNK = 1 << 16
 
-# |S^{d-1}| (exact: omega(1) is 2 less an ulp) and the radial wave w_d of the
-# inverse transform of a radial profile
+# |S^{d-1}| (exact: omega(1) is 2 less an ulp), the radial wave w_d of the
+# inverse transform of a radial profile and, on the line, the waves of its
+# antiderivatives (1 - cos y as 2 sin^2(y/2), exact at small y); the d = 1 head
 _SPHERE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-_WAVE = {1: np.cos, 2: special.j0, 3: lambda y: np.sin(y) / y}
+_WAVE = {(1, 0): np.cos, (2, 0): special.j0, (3, 0): lambda y: np.sin(y) / y,
+         (1, 1): np.sin, (1, 2): lambda y: 2.0 * np.sin(0.5 * y) ** 2}
+_HEAD_EDGES_1D = _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48)
 
 
-def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarray,
+                order: int = 0) -> np.ndarray:
     """|S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho) drho on the GK15 panels
-    between ``edges``, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0).
+    between ``edges``, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0), or in
+    d = 1 its ``order``-th antiderivative in r, w(y) / (2 pi rho)^order.
 
     The mesh is swept in blocks of at most _PAIR_CHUNK pairs: runs of
     _PAIR_CHUNK nodes, each against as many radii as fit.  A radius whose
@@ -293,38 +299,59 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarra
     for lo in range(0, len(edges) - 1, step):
         nodes, weights = _gk15_mesh(edges[lo:lo + step + 1])
         w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
+        w /= (2 * np.pi * nodes) ** order
         rows = max(1, _PAIR_CHUNK // len(nodes))
         for r0 in range(0, len(radii), rows):
-            out[r0:r0 + rows] += _WAVE[d](2 * np.pi * np.outer(radii[r0:r0 + rows], nodes)) @ w
+            out[r0:r0 + rows] += _WAVE[d, order](2 * np.pi * np.outer(radii[r0:r0 + rows], nodes)) @ w
     return out
 
 
-def _kernel_values_1d(kind: str, q: float, x: np.ndarray):
-    # value(x) = 2 int_0^inf g(xi) cos(2 pi x xi) dxi: a graded head on
-    # [0, 1], then each series term against the power tails at 2 pi (f +- x),
-    # their real parts for the cosine series (L), imaginary for the sine (K)
-    s = q - 1.0 if kind == "K" else q - 2.0
-    pref = 2.0 * np.pi ** -s
-    head = _radial_sum(kind, 1, q, x, _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
-    freqs, coeffs, trunc = _series(kind, q)
-    # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(s-1)) >= |E(2 pi t)|,
-    # and falls with f: keep the fewest leading terms whose rest, table tail too, is <= 1e-13
-    f = np.append(freqs, freqs[-1] + 2.0)
-    w = (0.5 / np.maximum(np.pi * f, s - 1.0)
-         + 0.5 / np.maximum(np.pi * (f - x.max(initial=0.0)), s - 1.0))
-    dropped = pref * np.cumsum((np.append(np.abs(coeffs), trunc) * w)[::-1])[::-1]
-    n = np.count_nonzero(dropped[:-1] > 1e-13)
-    part = np.imag if kind == "K" else np.real
-    tail = np.empty_like(x)
-    step = max(1, _PAIR_CHUNK // max(2 * n, 1))
-    for lo in range(0, len(x), step):
-        xc = x[lo:lo + step]
-        c = 2 * np.pi * (freqs[:n, None] + np.stack([xc, -xc])[:, None])
-        plus, minus = coeffs[:n] @ _power_tail(s, c)
-        phase = np.exp(2j * np.pi * (xc - np.round(xc)))  # e^{ic} at c = 2 pi (f + x), f an integer
-        tail[lo:lo + step] = 0.5 * part(phase * plus + np.conj(phase) * minus)
-    values = head + pref * tail
-    return values, dropped[n] + 1e-11 * (1.0 + np.abs(values))
+def _kernel_values_1d(q: float, *parts):
+    """Per part (kind, order, x), the d = 1 kernel or its first or second
+    antiderivative in r at radii x >= 0, 2 int_0^inf g(xi) W dxi with W = cos y,
+    sin y / (2 pi xi) or 2 sin^2(y/2) / (2 pi xi)^2, y = 2 pi x xi, and the
+    bound on the series terms cut (``kernel_values`` adds the 1e-11 (1 + |v|)
+    slack): a graded head on [0, 1] (plain past order 0 at even q, where g has
+    no kinks), then each series term against the power tails at 2 pi (f +- x)
+    at the exponent s + order, q for K at order 1 and L at order 2, for every
+    q > 2.  At order 1 the phase turns by -i; at order 2 the tail is
+    T(0) - T(x), T the order-0 sum.  The parts share that exponent (K at
+    order 1 with L at order 2, or one part), and one call when they fit."""
+    blocks, out = [], []
+    for kind, order, x in parts:
+        s = q - 1.0 if kind == "K" else q - 2.0
+        p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
+        edges = _HEAD_EDGES_1D if q % 2 or not order else np.linspace(0.0, 1.0, 49)
+        freqs, coeffs, trunc = _series(kind, q)
+        # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
+        # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
+        # fewest leading terms whose rest, table tail too, is <= 1e-13
+        f = np.append(freqs, freqs[-1] + 2.0)
+        w = ((0.5 + (order == 2)) / np.maximum(np.pi * f, p - 1.0)
+             + 0.5 / np.maximum(np.pi * (f - x.max(initial=0.0)), p - 1.0))
+        dropped = pref * np.cumsum((np.append(np.abs(coeffs), trunc) * w)[::-1])[::-1]
+        n = np.count_nonzero(dropped[:-1] > 1e-13)
+        xt = np.append(x, 0.0) if order == 2 else x
+        head = _radial_sum(kind, 1, q, x, edges, order)
+        out.append((head, pref, np.empty_like(xt), float(dropped[n])))
+        step = max(1, _PAIR_CHUNK // max(2 * n, 1))
+        for lo in range(0, len(xt), step):
+            xc = xt[lo:lo + step]
+            c = 2 * np.pi * (freqs[:n, None] + np.stack([xc, -xc])[:, None])
+            blocks.append((out[-1][2][lo:lo + step], kind, order, coeffs[:n], xc, c))
+    ends = np.cumsum([b[-1].size for b in blocks])
+    if len(blocks) > 1 and ends[-1] <= _PAIR_CHUNK:
+        flat = _power_tail(p, np.concatenate([b[-1].ravel() for b in blocks]))
+        tables = [flat[e - b[-1].size:e].reshape(b[-1].shape) for e, b in zip(ends, blocks)]
+    else:
+        tables = [_power_tail(p, b[-1]) for b in blocks]
+    for (tail, kind, order, coeffs, xc, _), table in zip(blocks, tables):
+        plus, minus = coeffs @ table
+        # e^{ic} at c = 2 pi (f + x), f an integer, turned by -i at order 1 (cos to sin)
+        phase = np.exp(2j * np.pi * (xc - np.round(xc))) * (1, -1j, 1)[order]
+        tail[:] = 0.5 * (np.imag if kind == "K" else np.real)(phase * plus + np.conj(phase) * minus)
+    return [(head + pref * (tail[-1] - tail[:-1] if order == 2 else tail), cut)
+            for (_, order, _), (head, pref, tail, cut) in zip(parts, out)]
 
 
 def _moment(kind: str, d: int, q: float):
@@ -436,7 +463,8 @@ def kernel_values(kind: str, d: int, q: float, radii):
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
         raise DomainError("radii must be finite and >= 0")
     if d == 1:
-        return _kernel_values_1d(kind, q, radii)
+        [(values, cut)] = _kernel_values_1d(q, (kind, 0, radii))
+        return values, cut + 1e-11 * (1.0 + np.abs(values))
     if d not in (2, 3):
         raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
     # r = 0 takes the moment; no mesh sum or per-radius tail runs there

@@ -5,7 +5,8 @@ evaluators, a brute-force composite GK15 sum, the indicator transforms,
 radial J_0 and J_1 integrals for the translated disc's expansion terms and
 the disc's norm, the circle-profile route to the circle coefficients, the
 sphere-reduced second variation, the boundary radius by bisection, the
-planar norm one radial panel at a time), the planar sets several test
+planar norm one radial panel at a time, the d = 1 quadratic expansion
+terms on the frequency side), the planar sets several test
 modules share, report-only fits and probes, a local ascent from a given
 start, and views of package objects that only the tests read.  None of them is called by the
 package, its command line or its acceptance criteria.
@@ -24,6 +25,7 @@ from felab.functional import (
     _phase_rates,
     _radial_factor,
     _radius_bound,
+    _signed_exp_mesh,
     _star_hat_points,
     phi_ball,
     phi_q,
@@ -36,7 +38,7 @@ from felab.quadrature import (
     gk15_sums,
     integrate_adaptive,
 )
-from felab.radial_kernels import RadialKernel, gamma_qd, kernel_values, omega
+from felab.radial_kernels import RadialKernel, ball_hat, gamma_qd, kernel_values, omega
 from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
 from felab.set_model import AffineMap, IntervalSet, SphereProfile, StarSet, dist_to_ellipsoids
 from felab.spectral import funk_hecke_eigenvalue, funk_hecke_eigenvalues
@@ -229,6 +231,35 @@ def translated_disc_terms(q: float, t: float, rho_max: float = 400.0) -> dict:
     once, twice = special.j0(2 * np.pi * rho * t), special.j0(4 * np.pi * rho * t)
     return {"K": float(base @ (once - 1.0)), "LL": float(base @ (2.0 - 2.0 * once)),
             "Lrefl": float(base @ (twice - 2.0 * once + 1.0))}
+
+
+def quadratic_terms_freq_1d(e: IntervalSet, q: float, refine: int = 1, cut: float | None = None) -> dict:
+    """The d = 1 quadratic terms on the frequency side:
+    <f*L, f> = int |f^|^2 |B^|^{q-2} and <f*L, f~> = Re int (f^)^2 |B^|^{q-2},
+    f = 1_E - 1_B, on the uniform GK15 mesh of ``functional._signed_exp_mesh``
+    to a cut sized for 1e-9, with panels of width min(0.05, 0.5 / diam)
+    divided by ``refine``; ``cut`` overrides the cut.  The panels straddle the
+    kinks of |B^|^{q-2} at the half integers, and the xi^{-q} tail past the
+    cut is dropped.
+    """
+    m = len(e.intervals) + 1
+    if cut is None:
+        cut = float(np.clip(((m / np.pi) ** 2 * np.pi ** (2.0 - q) / ((q - 1.0) * 1e-9))
+                            ** (1.0 / (q - 1.0)), 100.0, 2.0e4))
+    diam = max(e.intervals[-1][1], 1.0) - min(e.intervals[0][0], -1.0)
+    h = min(0.05, 0.5 / max(diam, 1.0)) / refine
+    # f^ = P / (2 pi i xi) with E's endpoints and the ball's in one signed sum;
+    # no centering, since the phase of f^ enters Lrefl
+    ends = np.concatenate([e.endpoints(), [-1.0, 1.0]])
+    signs = np.concatenate([np.resize([1.0, -1.0], 2 * m - 2), [-1.0, 1.0]])
+    half, chunks = _signed_exp_mesh(ends, signs, cut, h)
+    ll = lr = 0.0
+    for xi, p in chunks:
+        # |f^|^2 = |P|^2 / (2 pi xi)^2 and Re (f^)^2 = -Re P^2 / (2 pi xi)^2
+        weight = np.abs(ball_hat(1, xi)) ** (q - 2.0) / (2 * np.pi * xi) ** 2
+        ll += float(np.sum(gk15_sums((p.real**2 + p.imag**2) * weight, 1.0)[0]))
+        lr -= float(np.sum(gk15_sums((p * p).real * weight, 1.0)[0]))
+    return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 
 def circle_coeff_from_profile(kernel: RadialKernel, n: int,

@@ -442,15 +442,17 @@ class TestPinned1D:
             assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
 
     @pytest.mark.parametrize("family, q, ll, lrefl", [
-        ("sliver", 3.0, 0.002809669436273198, 0.0009369320485188625),
-        ("sliver", 2.5, 0.015031769836694027, 0.0030066101486236965),
-        ("translated", 3.0, 0.013601066681909938, -0.009854465550224612),
-        ("translated", 2.5, 0.028898740640099233, -0.010860360654781511),
+        pytest.param("sliver", 3.0, 0.0028096696749181534, 0.0009369320930086023, id="sliver-3.0"),
+        pytest.param("sliver", 2.5, 0.015031777192278592, 0.003006639791179433, id="sliver-2.5"),
+        pytest.param("translated", 3.0, 0.013601067106166955, -0.0098544653382402,
+                     id="translated-3.0"),
+        pytest.param("translated", 2.5, 0.028898765305557447, -0.010860348322099422,
+                     id="translated-2.5"),
     ])
-    def test_quadratic_terms_frequency_route(self, family, q, ll, lrefl):
-        from felab.perturbation import _quadratic_terms_freq_1d, sliver_family_1d, translated_ball
+    def test_quadratic_terms_pinned(self, family, q, ll, lrefl):
+        from felab.perturbation import quadratic_terms, sliver_family_1d, translated_ball
         e = sliver_family_1d(0.05) if family == "sliver" else translated_ball(0.05, 1)
-        terms = _quadratic_terms_freq_1d(e, q)
+        terms = quadratic_terms(e, q)
         assert terms["LL"] == pytest.approx(ll, rel=1e-12)
         assert terms["Lrefl"] == pytest.approx(lrefl, rel=1e-12)
 

@@ -101,6 +101,18 @@ def test_perturbation_reads_no_spectrum_or_boundary_profile():
             assert not any("spectral" in alias.name for alias in node.names), node.lineno
 
 
+def test_perturbation_reads_no_kernel_profile():
+    # the d = 1 expansion terms are exact kernel antiderivatives, not integrals
+    # of a sampled, interpolated profile
+    for node in ast.walk(ast.parse(MODULES["perturbation.py"])):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("scipy.interpolate"), node.lineno
+            assert "kernel_profile" not in {alias.name for alias in node.names}, node.lineno
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("scipy.interpolate")
+                           for alias in node.names), node.lineno
+
+
 def test_one_kernel_mesh_sum():
     # every kernel mesh is swept by _radial_sum; the d = 3 tail bound reads
     # the nodes of the last panels
@@ -154,10 +166,9 @@ def test_no_global_statements():
 
 
 # the module-level caches, each global state that must earn its place: the
-# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel),
-# the d = 1 kernel profiles that every perturbation call at one q shares, and
-# the ball's Phi_q that every expansion report at one (d, q, cfg) shares
-CACHED = {"_series", "_profile_1d", "_ball_phi"}
+# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel)
+# and the ball's Phi_q that every expansion report at one (d, q, cfg) shares
+CACHED = {"_series", "_ball_phi"}
 
 
 def test_module_caches_are_pinned():

@@ -7,7 +7,7 @@ from felab.errors import DomainError, ThresholdError
 from felab.functional import phi_q
 from felab.perturbation import (
     _TIGHT,
-    _quadratic_terms_freq_1d,
+    _signed_pieces_1d,
     expansion_report,
     inner_K,
     quadratic_terms,
@@ -18,7 +18,7 @@ from felab.perturbation import (
 )
 from felab.radial_kernels import exact_kernel_1d, gamma_qd
 from felab.set_model import IntervalSet, StarSet
-from oracles import cumulative, translated_disc_terms
+from oracles import cumulative, quadratic_terms_freq_1d, translated_disc_terms
 
 
 class TestInnerK:
@@ -69,7 +69,7 @@ class TestQuadraticTerms:
     def test_route_agreement_q4(self):
         e = translated_ball(0.05, 1)
         a = quadratic_terms(e, 4.0)
-        b = _quadratic_terms_freq_1d(e, 4.0)
+        b = quadratic_terms_freq_1d(e, 4.0)
         assert a["LL"] == pytest.approx(b["LL"], abs=1e-7)
         assert a["Lrefl"] == pytest.approx(b["Lrefl"], abs=1e-7)
 
@@ -108,6 +108,68 @@ class TestQuadraticTerms:
             quadratic_terms(star_mode_family(0.02, 4), 10.0 / 3.0)
         with pytest.raises(ThresholdError):
             expansion_report(translated_ball(0.02, 2), 3.0)
+
+
+def lam4_pair_sums(e):
+    """<f*L_4, f> and <f*L_4, f~> from Lam_4(t) = int_0^t int_0^u (2 - |v|)_+,
+    t^2 - |t|^3/6 on [0, 2] and linear past it, in exact piecewise cubics."""
+    def lam(t):
+        t = abs(t)
+        return t * t - t**3 / 6.0 if t <= 2.0 else 8.0 / 3.0 + 2.0 * (t - 2.0)
+    pieces = list(zip(*_signed_pieces_1d(e)))
+    ll = lr = 0.0
+    for a, b, s in pieces:
+        for c, d, s2 in pieces:
+            ll += s * s2 * (lam(b - c) - lam(a - c) - lam(b - d) + lam(a - d))
+            lr += s * s2 * (lam(b + d) - lam(a + d) - lam(b + c) + lam(a + c))
+    return ll, lr
+
+
+class TestExactTerms1D:
+    """The d = 1 terms are exact integrals of the kernels' antiderivatives."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.005, 0.00125])
+    def test_q4_sliver_terms(self, eps):
+        # K_4 jumps in its second derivative at r = 1: <K, f> = -2 eps^2 + eps^3 / 2
+        e = sliver_family_1d(eps)
+        rep = expansion_report(e, 4.0)
+        assert abs(rep.term_K - (-8.0 * eps**2 + 2.0 * eps**3)) <= 1e-13
+        quads = quadratic_terms(e, 4.0)
+        ll, lr = lam4_pair_sums(e)
+        assert abs(quads["LL"] - ll) <= 1e-13 and abs(quads["Lrefl"] - lr) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.02, 0.005, 0.00125])
+    def test_q4_sliver_residual_within_its_error(self, eps):
+        # ||1_E^||_4^4 - ||1_B^||_4^4 - terms = -(4/3) eps^3 exactly on the sliver family;
+        # the estimate covers the miss and is not pessimistic by more than 10^3
+        rep = expansion_report(sliver_family_1d(eps), 4.0)
+        miss = abs(rep.residual + 4.0 / 3.0 * eps**3)
+        assert miss <= rep.error_estimate <= 1e3 * max(miss, 1e-15 * rep.direct)
+
+    @pytest.mark.parametrize("q", [3.0, 3.5, 3.7])
+    @pytest.mark.parametrize("e", [sliver_family_1d(0.02), sliver_family_1d(0.005),
+                                   translated_ball(0.05, 1)])
+    def test_against_the_frequency_side(self, e, q):
+        quads, ref = quadratic_terms(e, q), quadratic_terms_freq_1d(e, q)
+        assert abs(quads["LL"] - ref["LL"]) <= 1e-8
+        assert abs(quads["Lrefl"] - ref["Lrefl"]) <= 1e-8
+
+    def test_far_piece_against_the_refined_frequency_side(self):
+        # the coarse mesh's panels straddle the kinks of |B^|^{q-2}: at q = 3.5 it
+        # misses Lrefl by 3.4e-8 here; 16 times finer and cut at 5000, by 8e-11
+        e = IntervalSet([(-1.0, 0.85), (10.0, 10.15)])
+        quads = quadratic_terms(e, 3.5)
+        ref = quadratic_terms_freq_1d(e, 3.5, refine=16, cut=5000.0)
+        assert abs(quads["LL"] - ref["LL"]) <= 1e-9
+        assert abs(quads["Lrefl"] - ref["Lrefl"]) <= 1e-9
+
+    def test_far_pair_refused(self):
+        # pair differences past the kernels' 115.5 radius bound are not extrapolated
+        e = IntervalSet([(-1.0, 0.9), (120.0, 120.1)])
+        with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+            inner_K(e, 4.0)
+        with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+            expansion_report(e, 4.0)
 
 
 class TestTranslatedDisc:

@@ -194,6 +194,23 @@ class TestKernel1D:
         # 400 recurrence steps round to 2e-14 relative here
         assert np.all(np.abs(coeffs - ref) <= 1e-13 * np.abs(ref))
 
+    @pytest.mark.parametrize("q", [3.5, 4.5])
+    def test_antiderivative_against_gauss_legendre(self, q):
+        # Kbar(x) = int_0^x K: 40-point Gauss-Legendre on the kernel values,
+        # panels of at most 1/8, graded toward the odd integers, where K has
+        # its |r - k|^{q-2} kinks
+        x = np.array([0.3, 0.999, 1.0, 1.001, 2.5, 3.0, 4.2])
+        [(kbar, cut)] = radial_kernels._kernel_values_1d(q, ("K", 1, x))
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        graded = (np.array([1.0, 3.0, 5.0])[:, None]
+                  + np.r_[0.0, 0.125 * 0.5 ** np.arange(1, 40), -0.125 * 0.5 ** np.arange(1, 40)])
+        for xx, got in zip(x, kbar):
+            edges = np.unique(np.r_[np.arange(0.0, xx, 0.125), graded[graded < xx], xx])
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            u = (mid[:, None] + half[:, None] * nodes).ravel()
+            ref = np.repeat(half, 40) * np.tile(weights, len(half)) @ kernel_values("K", 1, q, u)[0]
+            assert abs(got - ref) <= 3e-13 + cut
+
     def test_no_radii(self):
         vals, errs = kernel_values("K", 1, 4.0, np.array([]))
         assert vals.shape == errs.shape == (0,)
