@@ -12,9 +12,9 @@ runs on this module:
   Identical inputs and config give bit-identical results: worst error
   first, insertion order as the tie-break, sums in a fixed order.
 * ``integrate_oscillatory_tail`` -- sums inter-zero segment integrals of a
-  slowly decaying oscillatory integrand and accelerates the segment series
-  (iterated Aitken for alternating sums, Richardson for one-signed
-  algebraically decaying sums, plain truncation as the fallback).
+  slowly decaying oscillatory integrand and accelerates the alternating
+  segment series with iterated Aitken (plain truncation, reported
+  unconverged, as the fallback).
 * ``tail_power_periodic``   -- tail integrator for integrands of the form
   (algebraic envelope) x (fixed-period oscillation), the shape every
   Bessel-power tail in this package reduces to.  Integrating over exact
@@ -326,11 +326,10 @@ def _richardson_partial_sums(partial: np.ndarray, p_tail: float, ends: np.ndarra
 def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integrate f over [zeros[0], infinity) by inter-zero segments.
 
-    ``zeros`` must be an increasing sequence of segmentation points (sign
-    changes of f, or period boundaries).  Alternating segment sums are
-    accelerated with iterated Aitken; one-signed decaying sums with
-    Richardson extrapolation; anything else falls back to plain truncation
-    with the last segment as the tail bound, reflected in ``converged``.
+    ``zeros`` must be an increasing sequence of sign changes of f.  The
+    segment sums alternate there, and their partial sums are accelerated with
+    iterated Aitken; a series that does not alternate is summed as it stands,
+    with the last segment as its tail, and reported unconverged.
     """
     z = np.asarray(zeros, dtype=float)
     if len(z) < 3:
@@ -340,44 +339,13 @@ def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG)
     kron, err = _gk15_batch(f, z[:-1], z[1:])
     quad_err = float(np.sum(err))
     partial = np.cumsum(kron)
-    sums = kron[np.abs(kron) > 0]
-    if len(sums) == 0:
+    signs = np.sign(kron[np.abs(kron) > 0])
+    if len(signs) == 0:
         return IntegralResult(0.0, quad_err, converged=True)
-    signs = np.sign(sums)
-    alternating = len(sums) > 4 and np.all(signs[1:] * signs[:-1] < 0)
-    one_signed = np.all(signs == signs[0])
-    if alternating:
+    if len(signs) > 4 and np.all(signs[1:] * signs[:-1] < 0):
         value, acc_err = _aitken_accelerate(partial)
-    elif one_signed and len(sums) >= 8:
-        p = _estimate_decay(np.abs(kron), 0.5 * (z[:-1] + z[1:]))
-        value, acc_err = _richardson_partial_sums(partial, max(0.5, p - 1.0), z[1:])
-        # a fitted decay exponent leaks linearly into the extrapolation;
-        # widen the estimate by a slice of the removed remainder
-        acc_err = max(acc_err, 0.05 * abs(value - float(partial[-1])))
-    else:
-        value = float(partial[-1])
-        acc_err = float(np.abs(kron[-1]))
-    total_err = acc_err + quad_err
-    return _result(value, total_err, _within(total_err, value, cfg))
-
-
-def _estimate_decay(mags: np.ndarray, abscissae: np.ndarray) -> float:
-    """Fit |s_k| ~ x_k^-p on the trailing half of the segment sums.
-
-    Snaps to the nearest quarter-integer when the fit lands close to one;
-    the exact exponents of this package's integrands are all of that form.
-    """
-    n = len(mags)
-    lo = n // 2
-    m = mags[lo:]
-    xx = abscissae[lo:]
-    keep = m > 0
-    if np.count_nonzero(keep) < 3:
-        return 2.0
-    slope = np.polyfit(np.log(xx[keep]), np.log(m[keep]), 1)[0]
-    p = float(max(1.1, -slope))
-    snapped = round(4.0 * p) / 4.0
-    return snapped if abs(snapped - p) < 0.03 and snapped > 1.0 else p
+        return _result(value, acc_err + quad_err, _within(acc_err + quad_err, value, cfg))
+    return _result(partial[-1], abs(kron[-1]) + quad_err, False)
 
 
 # component values per integrand call of the periodic tail's sweep: a vector

@@ -35,11 +35,12 @@ Profile evaluation
 Every kernel mesh is one sum, |S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho)
 drho on fixed GK15 panels, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y, which
 refuses a radius whose period spans fewer than four node gaps.  d = 1: the
-mesh is a graded head on [0, 1]; past it g(xi) = pi^{-s} xi^{-s} P(2 pi xi),
-s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or |sin u|^{q-2}, and one
-table of P's Fourier series (finite for q = 4, 6, 8) meets the power tails
-int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients x tails product over
-the (frequency, radius) pairs, cut where |E(c)| <= min(2/|c|, 1/(s-1))
+mesh is a head on [0, 1], graded toward the kinks of g at 1/2 and 1 (48
+plain panels at even q, where g has none); past it g(xi) = pi^{-s} xi^{-s}
+P(2 pi xi), s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or
+|sin u|^{q-2}, and one table of P's Fourier series (finite for q = 4, 6, 8)
+meets the power tails int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients
+x tails product over the (frequency, radius) pairs, cut where |E(c)| <= min(2/|c|, 1/(s-1))
 bounds all it drops by 1e-13, the reported truncation term.  At c = 2 pi
 (f +- x), e^{ic} = e^{+-2 pi ix} is one exp per radius, so the power tail is
 e^{-ic} E_s(-ic) (``quadrature._power_tail``): a Gauss-Legendre head in log
@@ -48,11 +49,14 @@ Lentz on the pairs sorted by |c|, shedding each converged leading run; it
 matches mpmath to ~1e-13 relative.  The same engine gives the d = 1
 expansion terms' antiderivatives int_0^x K and int_0^t int_0^u L.
 d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
-the largest radius grows, reach 40 (K) or 160 (L) in d = 2, then a
-zero-segmented accelerated tail per radius, for L on the a_0 part of the
-same table; in d = 3 a cut where g has decayed, plus a tail bound.  At
-r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g from the
-head-plus-periodic-tail integral.
+the largest radius grows.  In d = 2 K runs on them to rho = 40, then on
+plain panels between the zeros to 120, plus a bound on the rest: the
+harmonics of the K table beating against J_0.  L runs on them to 160, then
+takes a zero-segmented, Aitken-accelerated tail per radius on the a_0 part
+of the L table, and a bound on the other harmonics.  In d = 3 they run to a
+cut where g has decayed, plus a tail bound.  At r = 0, d = 2 and 3 take
+the moment |S^{d-1}| int rho^{d-1} g from the head-plus-periodic-tail
+integral.
 
 Convention: omega_0 = 1, so the d = 1 instances of the slicing formulas
 match the closed forms.
@@ -62,12 +66,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicSpline
 
 from ._pwpoly import nfold_indicator_convolution
 from .errors import ArityError, CapabilityError, DomainError, ThresholdError
@@ -311,7 +314,7 @@ def _kernel_values_1d(q: float, *parts):
     antiderivative in r at radii x >= 0, 2 int_0^inf g(xi) W dxi with W = cos y,
     sin y / (2 pi xi) or 2 sin^2(y/2) / (2 pi xi)^2, y = 2 pi x xi, and the
     bound on the series terms cut (``kernel_values`` adds the 1e-11 (1 + |v|)
-    slack): a graded head on [0, 1] (plain past order 0 at even q, where g has
+    slack): a graded head on [0, 1] (48 plain panels at even q, where g has
     no kinks), then each series term against the power tails at 2 pi (f +- x)
     at the exponent s + order, q for K at order 1 and L at order 2, for every
     q > 2.  At order 1 the phase turns by -i; at order 2 the tail is
@@ -321,7 +324,7 @@ def _kernel_values_1d(q: float, *parts):
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
-        edges = _HEAD_EDGES_1D if q % 2 or not order else np.linspace(0.0, 1.0, 49)
+        edges = _HEAD_EDGES_1D if q % 2 else np.linspace(0.0, 1.0, 49)
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -368,36 +371,42 @@ def _moment(kind: str, d: int, q: float):
     return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
 
 
-def _j0_tail(f, r: float, rho0: float, n_seg: int) -> IntegralResult:
-    """int_rho0^inf f for an integrand carrying J_0(2 pi rho r), r > 0:
-    adaptive up to the first zero past rho0, then zero segments, accelerated.
-
-    The error is the segment tail's: the bridge runs at 1e-13 absolute,
-    inside the 1e-11 slack both callers add."""
-    first = math.ceil(2.0 * r * rho0 + 0.75)
-    segs = (np.arange(first, first + n_seg + 1) - 0.25) / (2.0 * r)
-    bridge = integrate_adaptive(f, rho0, segs[0], QuadratureConfig(1e-13, 1e-12, 2000))
-    res = integrate_oscillatory_tail(f, segs)
-    return IntegralResult(bridge.value + res.value, res.error_estimate, res.converged)
-
-
 def _kernel_values_2d_K(q: float, x: np.ndarray):
-    # K-kind integrand decays like rho^{(3-3q)/2} <= rho^{-4} for q > 11/3:
-    # composite head plus a short zero-segmented tail is plenty
-    r0 = 40.0
-    values = _radial_sum("K", 2, q, x, _zero_edges("K", 2, r0, x, 1.0 / 24))
-    errors = np.empty_like(x)
-    n_seg = 96
-    for i, r in enumerate(x):
-        f = (lambda rho, rr=r: 2.0 * np.pi * _g_radial("K", 2, q, rho) * rho
-             * special.j0(2 * np.pi * rho * rr))
-        if r < 0.75:
-            res = integrate_oscillatory_tail(f, r0 + 0.5 * np.arange(n_seg + 1))
-        else:
-            res = _j0_tail(f, r, r0, n_seg)
-        values[i] += res.value
-        errors[i] = res.error_estimate + 1e-11 * (1.0 + abs(values[i]))
-    return values, errors
+    """K-kind: one mesh cut at the zeros of B^ up to Z, the last zero below
+    rho = 120: ``_zero_edges`` panels up to the last zero below 40, then
+    ceil(length x max r) equal panels a zero segment (a |t|^{q-1} kink is
+    milder than L's |t|^{q-2}), and a bound on the rest.
+
+    Past Z the integrand is env(rho) M_0 cos(phi_0) sum_j b_j cos(j phi + c_j),
+    with J_1 = M_1 cos(phi) and J_0 = M_0 cos(phi_0) at 2 pi rho and 2 pi r rho,
+    env = 2 pi rho^{2-q} M_1^{q-1}, and b the K table of ``_series``.  env M_0
+    decreases, asymptotically like rho^{-s}, s = 3q/2 - 2, so by the second
+    mean value theorem each harmonic, beating at nu = |j +- r| (the phase
+    rates' limits), leaves a tail of at most env(Z) M_0(Z) |b_j| / 2 times
+    min(1 / (pi nu), Z / (s - 1)), the latter where the beat goes stationary
+    (r near an odd j).  The 1e-11 slack is added.
+    """
+    zeros = _ball_hat_zeros(2, 120.0)
+    z40 = zeros[zeros <= 40.0][-1]
+    head = _zero_edges("K", 2, z40, x, 1.0 / 24)  # refuses unresolved radii first
+    cuts = zeros[zeros >= z40]
+    lens = np.diff(cuts)
+    n = np.ceil(lens * x.max()).astype(int)
+    # segment i holds n_i equal panels: its start, then k / n_i of it, k < n_i
+    seg = np.repeat(np.arange(len(lens)), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    z = cuts[-1]
+    values = _radial_sum("K", 2, q, x, np.r_[head[:-1], cuts[seg] + lens[seg] * k / n[seg], z])
+
+    freqs, coeffs, trunc = _series("K", q)
+    s = 1.5 * q - 2.0
+    env = 2.0 * np.pi * z ** (2.0 - q) * np.hypot(special.j1(2 * np.pi * z),
+                                                   special.y1(2 * np.pi * z)) ** (q - 1.0)
+    amp0 = np.hypot(special.j0(2 * np.pi * x * z), special.y0(2 * np.pi * x * z))
+    tails = sum(np.abs(coeffs) @ (1.0 / np.maximum(np.pi * np.abs(freqs[:, None] + sx),
+                                                   (s - 1.0) / z)) for sx in (x, -x))
+    bound = env * amp0 * (0.5 * tails + trunc * z / (s - 1.0))
+    return values, bound + 1e-11 * (1.0 + np.abs(values))
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
@@ -435,11 +444,18 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
     near = np.abs(x[:, None] - freqs) < 0.5
     osc_bound = osc_bound + (near @ np.abs(coeffs)) * env_z * damp * z_cut / max(beta - 1.0, 0.5)
 
+    # per radius: adaptive up to the first zero of J_0(2 pi rho r) past z_cut
+    # (at 1e-13 absolute, inside the slack), then 128 zero segments, accelerated
     errors = np.empty_like(x)
     for i, r in enumerate(x):
-        res = _j0_tail(lambda rho, rr=r: a0 * envelope(rho) * special.j0(2 * np.pi * rho * rr),
-                       r, z_cut, 128)
-        values[i] += res.value
+        def f(rho, r=r):
+            return a0 * envelope(rho) * special.j0(2 * np.pi * rho * r)
+
+        first = math.ceil(2.0 * r * z_cut + 0.75)
+        segs = (np.arange(first, first + 129) - 0.25) / (2.0 * r)
+        bridge = integrate_adaptive(f, z_cut, segs[0], QuadratureConfig(1e-13, 1e-12, 2000))
+        res = integrate_oscillatory_tail(f, segs)
+        values[i] += bridge.value + res.value
         errors[i] = res.error_estimate + osc_bound[i] + 1e-11 * (1.0 + abs(values[i]))
     return values, errors
 
@@ -484,7 +500,7 @@ def kernel_values(kind: str, d: int, q: float, radii):
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Sampled radial kernel profile with cubic interpolation."""
+    """A kernel profile sampled on a radius grid, with the error of each sample."""
 
     kind: str
     dimension: int
@@ -492,19 +508,6 @@ class RadialKernel:
     radii: np.ndarray
     values: np.ndarray
     errors: np.ndarray
-    _spline: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_spline", CubicSpline(self.radii, self.values))
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._spline(np.clip(r, self.radii[0], self.radii[-1]))
-        return np.where(r > self.radii[-1], 0.0, out)
-
-    @property
-    def r_max(self) -> float:
-        return float(self.radii[-1])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -577,15 +580,11 @@ def gamma_1d_closed_form(q: float) -> float:
 
 
 def rho_d(d: int) -> float:
-    """2 pi omega_{d-1} / omega_d times int_-1^1 s^2 (1-s^2)^{(d-1)/2} ds."""
+    """2 pi omega_{d-1} / omega_d times int_-1^1 s^2 (1-s^2)^{(d-1)/2} ds, which is
+    2 pi / (d + 2): 2 pi times the ball's second moment int_B x_1^2 / omega_d."""
     if d < 1:
         raise DomainError("d must be >= 1")
-
-    def f(t):  # s = sin t removes the endpoint singularity
-        return np.sin(t) ** 2 * np.cos(t) ** d
-
-    integral = integrate_adaptive(f, -np.pi / 2, np.pi / 2, QuadratureConfig(1e-14, 1e-13)).value
-    return 2.0 * np.pi * omega(d - 1) / omega(d) * integral
+    return 2.0 * np.pi / (d + 2)
 
 
 def ball_norm_q(d: int, q: float) -> IntegralResult:

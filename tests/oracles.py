@@ -2,8 +2,9 @@
 
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the indicator transforms,
-radial J_0 and J_1 integrals for the translated disc's expansion terms and
-the disc's norm, the circle-profile route to the circle coefficients, the
+radial J_0 and J_1 integrals for the translated disc's expansion terms,
+the disc's norm and its K kernel, the circle-profile route to the circle
+coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time, the d = 1 quadratic expansion
 terms on the frequency side), the planar sets several test
@@ -13,10 +14,11 @@ package, its command line or its acceptance criteria.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, special
+from scipy.interpolate import CubicSpline
 
 from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
@@ -209,6 +211,17 @@ def _j1_gauss_nodes(lo: float, hi: float):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+def disc_kernel_k(q: float, r, rho_max: float) -> np.ndarray:
+    """K_q(r) in d = 2 cut at rho_max: 2 pi int_0^rho_max rho b |b|^{q-2}
+    J_0(2 pi r rho) drho, b = J_1(2 pi rho) / rho, by 40-point Gauss-Legendre
+    between the zeros of J_1, the kinks of b |b|^{q-2}."""
+    rho, wts = _j1_gauss_nodes(0.0, rho_max)
+    b = special.j1(2 * np.pi * rho) / rho
+    base = 2 * np.pi * wts * rho * b * np.abs(b) ** (q - 2.0)
+    r = np.asarray(r, dtype=float)
+    return np.array([special.j0(2 * np.pi * x * rho) @ base for x in r])
+
+
 def disc_norm_band(q: float, lo: float, hi: float) -> float:
     """int over lo <= |xi| <= hi of |1_B^|^q for the unit disc, 1_B^ = J_1(2 pi rho) / rho."""
     rho, wts = _j1_gauss_nodes(lo, hi)
@@ -262,15 +275,34 @@ def quadratic_terms_freq_1d(e: IntervalSet, q: float, refine: int = 1, cut: floa
     return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 
+@dataclass(frozen=True)
+class SplineKernel:
+    """A sampled kernel profile read between its radii by a cubic spline,
+    0 past r_max, the last radius."""
+
+    kernel: RadialKernel
+    _spline: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_spline", CubicSpline(self.kernel.radii, self.kernel.values))
+
+    @property
+    def r_max(self) -> float:
+        return float(self.kernel.radii[-1])
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        out = self._spline(np.clip(r, self.kernel.radii[0], self.r_max))
+        return np.where(r > self.r_max, 0.0, out)
+
+
 def circle_coeff_from_profile(kernel: RadialKernel, n: int,
                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Oracle route: (2 pi)^{-1} int Ltheta(t) cos(nt) dt against a sampled profile."""
-    if kernel.dimension != 2 or kernel.kind != "L":
-        raise DomainError("profile route needs a d=2 L-kind kernel")
+    profile = CircleProfile(kernel)
 
     def f(theta):
-        r = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.cos(theta)))
-        return kernel(r) * np.cos(n * theta)
+        return profile(theta) * np.cos(n * theta)
 
     res = integrate_adaptive(f, 0.0, 2 * np.pi, QuadratureConfig(1e-12, 1e-11,
                                                                  cfg.max_subdivisions))
@@ -282,10 +314,12 @@ class CircleProfile:
     """theta -> L_q at chord distance |x| = sqrt(2 - 2 cos theta) (d = 2)."""
 
     kernel: RadialKernel
+    _spline: SplineKernel = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel.dimension != 2 or self.kernel.kind != "L":
             raise DomainError("CircleProfile wraps a d=2 L-kind kernel")
+        object.__setattr__(self, "_spline", SplineKernel(self.kernel))
 
     @property
     def exponent(self) -> float:
@@ -294,7 +328,7 @@ class CircleProfile:
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
         r = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.cos(theta)))
-        return self.kernel(r)
+        return self._spline(r)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ MODULES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 # routines that only the tests use; they live in tests/oracles.py
 TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
-             "circle_coeff_from_profile", "CircleProfile", "gamma_asymptotic_fit",
+             "circle_coeff_from_profile", "CircleProfile", "SplineKernel",
+             "gamma_asymptotic_fit",
              "empirical_holder_exponent", "q_continuity_probe",
              "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel",
              "circle_coeff", "indicator_hat", "_interval_hat"}
@@ -79,6 +80,14 @@ def test_periodic_tail_called_from_two_places():
     assert {fn for name, fn in callers if name == "radial_kernels.py"} == set()
 
 
+def test_oscillatory_tail_called_from_one_place():
+    # the Aitken segment tail serves only the a_0 part of the d = 2 L tail;
+    # the d = 2 K kernel bounds its tail instead
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "integrate_oscillatory_tail")}
+    assert callers == {("radial_kernels.py", "_kernel_values_2d_L")}
+
+
 def test_power_tail_called_from_two_places():
     # E(c) = int_1^inf t^{-s} e^{ict} dt lives in the quadrature layer; the
     # d = 1 kernels and the even-q d = 1 norm call it
@@ -103,14 +112,22 @@ def test_perturbation_reads_no_spectrum_or_boundary_profile():
 
 def test_perturbation_reads_no_kernel_profile():
     # the d = 1 expansion terms are exact kernel antiderivatives, not integrals
-    # of a sampled, interpolated profile
+    # of a sampled profile (and no module interpolates one, see below)
     for node in ast.walk(ast.parse(MODULES["perturbation.py"])):
         if isinstance(node, ast.ImportFrom):
-            assert not (node.module or "").startswith("scipy.interpolate"), node.lineno
             assert "kernel_profile" not in {alias.name for alias in node.names}, node.lineno
-        elif isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("scipy.interpolate")
-                           for alias in node.names), node.lineno
+
+
+def test_no_interpolated_profiles_in_package():
+    # kernels are evaluated where they are needed; the spline over a sampled
+    # profile is a test oracle
+    for name, text in MODULES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("scipy.interpolate"), (name, node.lineno)
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("scipy.interpolate")
+                               for alias in node.names), (name, node.lineno)
 
 
 def test_one_kernel_mesh_sum():

@@ -29,8 +29,10 @@ from felab.radial_kernels import _power_tail, _series
 from felab.set_model import StarSet
 from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
+    SplineKernel,
     derivative_at,
     disc_k4,
+    disc_kernel_k,
     disc_norm_band,
     empirical_holder_exponent,
     gamma_asymptotic_fit,
@@ -222,12 +224,20 @@ class TestKernel1D:
         assert total == pytest.approx(4.0, abs=1e-5)
 
 
-    def test_head_memory_bounded(self):
+    def test_head_memory_bounded(self, monkeypatch):
         # the head's cos(2 pi outer(radii, nodes)) in one piece would take
-        # 2048 x 2610 doubles (43 MB); swept in row blocks it stays small
+        # 2048 x 720 doubles (12 MB) on the 48 even-q panels; swept in row
+        # blocks it stays small
         import tracemalloc
 
-        from felab.radial_kernels import _gk15_mesh, _graded_edges
+        swept = []
+        inner = radial_kernels._radial_sum
+
+        def spy(kind, d, q, radii, edges, order=0):
+            swept.append(len(edges) - 1)
+            return inner(kind, d, q, radii, edges, order)
+
+        monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
         r = np.linspace(0.0, 6.0, 2048)
         kernel_values("K", 1, 4.0, r[:4])  # build the cached tables first
         tracemalloc.start()
@@ -236,8 +246,8 @@ class TestKernel1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        nodes, _ = _gk15_mesh(_graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48))
-        assert peak < 0.25 * len(r) * len(nodes) * 8
+        assert swept == [48, 48]
+        assert peak < 0.25 * len(r) * 15 * swept[-1] * 8
         assert np.max(np.abs(vals - exact_kernel_1d("K", 4)(r))) < 1e-13
         # a radius's value does not depend on the block it falls in
         sub, _ = kernel_values("K", 1, 4.0, r[::97])
@@ -376,10 +386,37 @@ class TestKernel2D:
 
     @pytest.mark.parametrize("r", [0.75, 0.8, 1.0])
     def test_k4_covers_the_gap_before_the_first_zero(self, r):
-        # for r >= 0.75 the J_0 zero segments start past the head's end at
-        # rho = 40; the piece between them must be integrated too
+        # near r = 1, where the first harmonic of g beats slowly against J_0
+        # and the tail past the mesh is largest
         vals, errs = kernel_values("K", 2, 4.0, np.array([r]))
         assert abs(vals[0] - disc_k4(r)) <= 10 * errs[0]
+
+    def test_k4_within_its_error(self):
+        # every radius lies within its estimate of the triple self-convolution
+        # of the disc, and the estimates are not pessimistic (the largest is
+        # 5.6 x the largest miss): 256 radii k / 64, ROADMAP item 2's three,
+        # and radii off that grid, near the beats at r = 1 and 3 and near 0
+        r = np.r_[np.linspace(0.0, 4.0, 257)[1:], 0.95, 1.004, 2.9,
+                  np.linspace(0.0, 4.0, 200)[1::13], 1.0 + 1e-4, 3.0 - 1e-3, 1e-5]
+        vals, errs = kernel_values("K", 2, 4.0, r)
+        miss = np.abs(vals - np.array([disc_k4(x) for x in r]))
+        assert np.all(miss <= errs)
+        assert np.max(miss[:259]) <= 2e-9
+        assert np.max(errs) <= 1e3 * np.max(miss)
+
+    @pytest.mark.parametrize("q", [3.5, 3.8])
+    def test_non_even_q_within_its_error(self, q):
+        # against Gauss-Legendre between the zeros of J_1 to rho = 800, whose
+        # own cut error is taken as its move from 400; on radii k / 32, and on a
+        # grid off them with points near the beats at r = 1 and 3
+        r = np.r_[np.linspace(0.0, 4.0, 129)[1:], np.linspace(0.0, 4.0, 200)[1:],
+                  1.0 + 1e-4, 3.0 - 1e-3, 1e-5]
+        ref = disc_kernel_k(q, r, 800.0)
+        spread = np.abs(ref - disc_kernel_k(q, r, 400.0))
+        vals, errs = kernel_values("K", 2, q, r)
+        miss = np.abs(vals - ref)
+        assert np.all(miss <= errs + spread)
+        assert np.max(errs) <= 1e3 * np.max(miss)
 
     def test_k4_outside_support(self):
         vals, _ = kernel_values("K", 2, 4.0, np.array([3.5]))
@@ -742,12 +779,13 @@ class TestProfileObject:
         prof4 = kernel_profile("L", 1, 4.0, r_max=4.0, n_samples=128)
         assert abs(prof4.values[-1]) <= 10 * max(prof4.errors[-1], 1e-12)
         prof = kernel_profile("L", 1, 4.5, r_max=6.0, n_samples=256)
-        envelope = 4.0 * abs(prof.values[0]) * (1 + prof.r_max) ** (-(prof.exponent - 1))
+        r_max = SplineKernel(prof).r_max
+        envelope = 4.0 * abs(prof.values[0]) * (1 + r_max) ** (-(prof.exponent - 1))
         assert abs(prof.values[-1]) <= max(10 * prof.errors[-1], envelope)
 
     def test_interpolation(self):
-        prof = kernel_profile("L", 1, 4.0, r_max=3.0, n_samples=601)
-        r = np.array([0.33, 1.77])
+        prof = SplineKernel(kernel_profile("L", 1, 4.0, r_max=3.0, n_samples=601))
+        r = np.array([0.33, 1.77, 3.5])
         assert np.allclose(prof(r), np.maximum(0.0, 2.0 - r), atol=1e-6)
 
     def test_holder_report(self):
