@@ -295,8 +295,13 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
 
 
 def _half_circle(e: StarSet) -> np.ndarray:
-    """u_phi on [0, pi): |1_E^(-xi)| = |1_E^(xi)|, so half the circle carries the angular means."""
-    phi = np.linspace(0.0, np.pi, int(max(32, 8 * e.n_modes + 16)) // 2, endpoint=False)
+    """u_phi on [0, pi): |1_E^(-xi)| = |1_E^(xi)|, so half the circle carries the angular
+    means.  The linear part squeezes the angular features of 1_E^ by up to its stretch
+    sigma_max / sigma_min, so the count grows by as much; a conformal part, whose stretch
+    is 1 to rounding, keeps 4 n_modes + 8 (at least 16) exactly."""
+    sigma = np.linalg.svd(e.affine.matrix, compute_uv=False)
+    n = math.ceil(max(16, 4 * e.n_modes + 8) * sigma[0] / sigma[-1] - 1e-9)
+    phi = np.linspace(0.0, np.pi, n, endpoint=False)
     return np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 

@@ -50,13 +50,12 @@ matches mpmath to ~1e-13 relative.  The same engine gives the d = 1
 expansion terms' antiderivatives int_0^x K and int_0^t int_0^u L.
 d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
 the largest radius grows.  In d = 2 K runs on them to rho = 40, then on
-plain panels between the zeros to 120, plus a bound on the rest: the
-harmonics of the K table beating against J_0.  L runs on them to 160, then
-takes a zero-segmented, Aitken-accelerated tail per radius on the a_0 part
-of the L table, and a bound on the other harmonics.  In d = 3 they run to a
-cut where g has decayed, plus a tail bound.  At r = 0, d = 2 and 3 take
-the moment |S^{d-1}| int rho^{d-1} g from the head-plus-periodic-tail
-integral.
+plain panels between the zeros to 120; L runs on them to 160, then sums
+the a_0 part of the L table per radius between the zeros of J_0.  Past the
+last zero of B^ each bounds the harmonics of its table beating against J_0
+in one routine.  In d = 3 they run to a cut where g has decayed, plus a
+tail bound.  At r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g
+from the head-plus-periodic-tail integral.
 
 Convention: omega_0 = 1, so the d = 1 instances of the slicing formulas
 match the closed forms.
@@ -77,10 +76,8 @@ from .errors import ArityError, CapabilityError, DomainError, ThresholdError
 from .quadrature import (
     DEFAULT_CONFIG,
     IntegralResult,
-    QuadratureConfig,
     _power_tail,
     gk15_panels,
-    integrate_adaptive,
     integrate_oscillatory_tail,
     radial_head_tail,
 )
@@ -371,20 +368,39 @@ def _moment(kind: str, d: int, q: float):
     return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
 
 
+def _envelope(p: float, rho):
+    """env = 2 pi rho^{1-p} M_1(2 pi rho)^p, M_1 = |J_1 + i Y_1|, the amplitude of the
+    d = 2 integrand 2 pi rho g(rho), p = q - 1 (K) or q - 2 (L)."""
+    return 2.0 * np.pi * rho ** (1.0 - p) * np.hypot(special.j1(2 * np.pi * rho),
+                                                     special.y1(2 * np.pi * rho)) ** p
+
+
+def _harmonic_tail_bound(kind: str, q: float, x: np.ndarray, z: float) -> np.ndarray:
+    """A bound on the d = 2 kernel integral past z, a zero of B^ (for L, of all
+    but its a_0 part).  There the integrand is, with env and p of ``_envelope``,
+    env(rho) M_0 cos(phi_0) sum_j c_j cos(j phi + e_j), J_1 = M_1 cos(phi) and
+    J_0 = M_0 cos(phi_0) at 2 pi rho and 2 pi r rho, and c the ``_series``
+    table.  env M_0 decreases, asymptotically like rho^{-s}, s = 3p/2 - 1/2, so
+    by the second mean value theorem each harmonic, beating at nu = |j +- r|
+    (the phase rates' limits), leaves at most env(z) M_0(z) |c_j| / 2 times
+    min(1 / (pi nu), z / (s - 1)), the latter where the beat goes stationary
+    (r near j), as the table's truncation term does."""
+    freqs, coeffs, trunc = _series(kind, q)
+    p, s = (q - 1.0, 1.5 * q - 2.0) if kind == "K" else (q - 2.0, 1.5 * q - 3.5)
+    if kind == "L":
+        freqs, coeffs = freqs[1:], coeffs[1:]
+    amp0 = np.hypot(special.j0(2 * np.pi * x * z), special.y0(2 * np.pi * x * z))
+    tails = sum(np.abs(coeffs) @ (1.0 / np.maximum(np.pi * np.abs(freqs[:, None] + sx),
+                                                   (s - 1.0) / z)) for sx in (x, -x))
+    return _envelope(p, z) * amp0 * (0.5 * tails + trunc * z / (s - 1.0))
+
+
 def _kernel_values_2d_K(q: float, x: np.ndarray):
     """K-kind: one mesh cut at the zeros of B^ up to Z, the last zero below
     rho = 120: ``_zero_edges`` panels up to the last zero below 40, then
     ceil(length x max r) equal panels a zero segment (a |t|^{q-1} kink is
-    milder than L's |t|^{q-2}), and a bound on the rest.
-
-    Past Z the integrand is env(rho) M_0 cos(phi_0) sum_j b_j cos(j phi + c_j),
-    with J_1 = M_1 cos(phi) and J_0 = M_0 cos(phi_0) at 2 pi rho and 2 pi r rho,
-    env = 2 pi rho^{2-q} M_1^{q-1}, and b the K table of ``_series``.  env M_0
-    decreases, asymptotically like rho^{-s}, s = 3q/2 - 2, so by the second
-    mean value theorem each harmonic, beating at nu = |j +- r| (the phase
-    rates' limits), leaves a tail of at most env(Z) M_0(Z) |b_j| / 2 times
-    min(1 / (pi nu), Z / (s - 1)), the latter where the beat goes stationary
-    (r near an odd j).  The 1e-11 slack is added.
+    milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the rest.
+    The 1e-11 slack is added.
     """
     zeros = _ball_hat_zeros(2, 120.0)
     z40 = zeros[zeros <= 40.0][-1]
@@ -397,67 +413,30 @@ def _kernel_values_2d_K(q: float, x: np.ndarray):
     k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
     z = cuts[-1]
     values = _radial_sum("K", 2, q, x, np.r_[head[:-1], cuts[seg] + lens[seg] * k / n[seg], z])
-
-    freqs, coeffs, trunc = _series("K", q)
-    s = 1.5 * q - 2.0
-    env = 2.0 * np.pi * z ** (2.0 - q) * np.hypot(special.j1(2 * np.pi * z),
-                                                   special.y1(2 * np.pi * z)) ** (q - 1.0)
-    amp0 = np.hypot(special.j0(2 * np.pi * x * z), special.y0(2 * np.pi * x * z))
-    tails = sum(np.abs(coeffs) @ (1.0 / np.maximum(np.pi * np.abs(freqs[:, None] + sx),
-                                                   (s - 1.0) / z)) for sx in (x, -x))
-    bound = env * amp0 * (0.5 * tails + trunc * z / (s - 1.0))
-    return values, bound + 1e-11 * (1.0 + np.abs(values))
+    return values, _harmonic_tail_bound("K", q, x, z) + 1e-11 * (1.0 + np.abs(values))
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
-    """L-kind: the full integrand on [0, 160], then the amplitude-phase split
-    of the Bessel factor beyond.
-
-    With J_1 = A cos(phi), Y_1 = A sin(phi) (A, phi exact; A^2 = J_1^2+Y_1^2),
-
-        |B^|^{q-2} rho = rho^{3-q} A(2 pi rho)^{q-2} |cos phi|^{q-2},
-
-    and |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi).  Past 160 the a_0 part
-    has a smooth positive envelope and alternates exactly between J_0 zeros
-    (Aitken-accelerated); the harmonics there are bounded by a van der
-    Corput estimate.
-    """
-    z_cut = 160.0
-    values = _radial_sum("L", 2, q, x, _zero_edges("L", 2, z_cut, x, 1.0 / 12))
-    freqs, coeffs, coeff_trunc = _series("L", q)
-    a0, freqs, coeffs = coeffs[0], freqs[1:], coeffs[1:]
-
-    def envelope(rho):
-        xx = 2.0 * np.pi * rho
-        amp = np.hypot(special.j1(xx), special.y1(xx))
-        return 2.0 * np.pi * rho ** (3.0 - q) * amp ** (q - 2.0)
-
-    # van der Corput tail bound for the harmonics beyond z_cut (phase rate
-    # >= 2 pi per unit rho for every m >= 1), plus the truncated-series slack
-    env_z = envelope(z_cut)
-    damp = np.minimum(1.0, 1.0 / np.sqrt(np.pi**2 * z_cut * x))
-    osc_bound = np.sum(np.abs(coeffs)) * env_z * damp / np.pi + coeff_trunc * env_z
-    # near r = 2m the difference chirp of the m-th harmonic against J_0 goes
-    # stationary (the lens-kink radius for q = 4); bound that piece by its
-    # un-cancelled envelope integral
-    beta = (3.0 * q - 7.0) / 2.0
-    near = np.abs(x[:, None] - freqs) < 0.5
-    osc_bound = osc_bound + (near @ np.abs(coeffs)) * env_z * damp * z_cut / max(beta - 1.0, 0.5)
-
-    # per radius: adaptive up to the first zero of J_0(2 pi rho r) past z_cut
-    # (at 1e-13 absolute, inside the slack), then 128 zero segments, accelerated
-    errors = np.empty_like(x)
+    """L-kind: ``_zero_edges`` panels up to Z, the last zero of B^ below 160.
+    Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), the a_0 part
+    a_0 env(rho) J_0(2 pi r rho) alternates between the zeros of J_0: per radius,
+    from Z to the first leading-order zero (k - 1/4) / 2r past it and 127 more
+    segments, Aitken-accelerated; ``_harmonic_tail_bound`` covers the other
+    harmonics.  The 1e-11 slack is added."""
+    z = _ball_hat_zeros(2, 160.0)[-1]
+    values = _radial_sum("L", 2, q, x, _zero_edges("L", 2, z, x, 1.0 / 12))
+    a0 = _series("L", q)[1][0]
+    errors = _harmonic_tail_bound("L", q, x, z)
     for i, r in enumerate(x):
         def f(rho, r=r):
-            return a0 * envelope(rho) * special.j0(2 * np.pi * rho * r)
+            return a0 * _envelope(q - 2.0, rho) * special.j0(2 * np.pi * rho * r)
 
-        first = math.ceil(2.0 * r * z_cut + 0.75)
-        segs = (np.arange(first, first + 129) - 0.25) / (2.0 * r)
-        bridge = integrate_adaptive(f, z_cut, segs[0], QuadratureConfig(1e-13, 1e-12, 2000))
-        res = integrate_oscillatory_tail(f, segs)
-        values[i] += bridge.value + res.value
-        errors[i] = res.error_estimate + osc_bound[i] + 1e-11 * (1.0 + abs(values[i]))
-    return values, errors
+        first = math.floor(2.0 * r * z + 0.25) + 1
+        zeros = (np.arange(first, first + 128) - 0.25) / (2.0 * r)  # of J_0, to leading order
+        res = integrate_oscillatory_tail(f, np.r_[z, zeros])
+        values[i] += res.value
+        errors[i] += res.error_estimate
+    return values, errors + 1e-11 * (1.0 + np.abs(values))
 
 
 def _kernel_values_3d(kind: str, q: float, x: np.ndarray):

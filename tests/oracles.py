@@ -3,7 +3,7 @@
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the indicator transforms,
 radial J_0 and J_1 integrals for the translated disc's expansion terms,
-the disc's norm and its K kernel, the circle-profile route to the circle
+the disc's norm and its K and L kernels, the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time, the d = 1 quadratic expansion
@@ -24,6 +24,7 @@ from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
 from felab.functional import (
     _circle_rule_order,
+    _half_circle,
     _phase_rates,
     _radial_factor,
     _radius_bound,
@@ -215,9 +216,20 @@ def disc_kernel_k(q: float, r, rho_max: float) -> np.ndarray:
     """K_q(r) in d = 2 cut at rho_max: 2 pi int_0^rho_max rho b |b|^{q-2}
     J_0(2 pi r rho) drho, b = J_1(2 pi rho) / rho, by 40-point Gauss-Legendre
     between the zeros of J_1, the kinks of b |b|^{q-2}."""
+    return _disc_kernel("K", q, r, rho_max)
+
+
+def disc_kernel_l(q: float, r, rho_max: float) -> np.ndarray:
+    """L_q(r) in d = 2 cut at rho_max, the L twin of ``disc_kernel_k``:
+    2 pi int_0^rho_max rho |b|^{q-2} J_0(2 pi r rho) drho."""
+    return _disc_kernel("L", q, r, rho_max)
+
+
+def _disc_kernel(kind: str, q: float, r, rho_max: float) -> np.ndarray:
     rho, wts = _j1_gauss_nodes(0.0, rho_max)
     b = special.j1(2 * np.pi * rho) / rho
-    base = 2 * np.pi * wts * rho * b * np.abs(b) ** (q - 2.0)
+    g = b * np.abs(b) ** (q - 2.0) if kind == "K" else np.abs(b) ** (q - 2.0)
+    base = 2 * np.pi * wts * rho * g
     r = np.asarray(r, dtype=float)
     return np.array([special.j0(2 * np.pi * x * rho) @ base for x in r])
 
@@ -413,9 +425,8 @@ def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
     radial factors per panel, averaged over theta, with no split of the
     closed form and no near-pair rule.
     """
-    n_phi = int(max(32, 8 * e.n_modes + 16)) // 2
-    phi = np.linspace(0.0, np.pi, n_phi, endpoint=False)
-    uphi = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    uphi = _half_circle(e)
+    n_phi = len(uphi)
     n_panels = int(radial_cut / 0.25) + 1
     half = 0.5 * radial_cut / n_panels
     mid = (2 * np.arange(n_panels) + 1) * half

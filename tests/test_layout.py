@@ -1,5 +1,6 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
-head-plus-tail integral, one kernel mesh sum, one planar norm integrand, no
+head-plus-tail integral, one kernel mesh sum, one d = 2 harmonic tail bound and
+no adaptive loop in the kernels, one planar norm integrand, no
 per-mode loop over the Funk-Hecke eigenvalues, expansion terms without the
 spectrum, a quadrature config only where a tolerance runs, no test-only
 routine inside the package, no global statement, and only the pinned module
@@ -86,6 +87,27 @@ def test_oscillatory_tail_called_from_one_place():
     callers = {(name, fn) for name, text in MODULES.items()
                for fn in _callers(text, "integrate_oscillatory_tail")}
     assert callers == {("radial_kernels.py", "_kernel_values_2d_L")}
+
+
+def test_one_d2_harmonic_tail_bound():
+    # the second-mean-value bound on the table's harmonics past the mesh is one
+    # routine, which both d = 2 kernels call; only it reads the J_0 amplitude
+    text = MODULES["radial_kernels.py"]
+    defined = {name for name, t in MODULES.items() for node in ast.parse(t).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_harmonic_tail_bound"}
+    assert defined == {"radial_kernels.py"}
+    assert _callers(text, "_harmonic_tail_bound") == {"_kernel_values_2d_K", "_kernel_values_2d_L"}
+    readers = {getattr(top, "name", "<module>") for top in ast.parse(text).body
+               for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr == "y0"}
+    assert readers == {"_harmonic_tail_bound"}
+
+
+def test_radial_kernels_run_no_adaptive_loop():
+    # every kernel integral runs on fixed panels, the head-plus-tail integral
+    # or the segment tail, so no tolerance-driven loop runs once per radius
+    imported = {alias.name for node in ast.walk(ast.parse(MODULES["radial_kernels.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"integrate_adaptive", "QuadratureConfig"}
 
 
 def test_power_tail_called_from_two_places():

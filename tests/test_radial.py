@@ -33,6 +33,7 @@ from oracles import (
     derivative_at,
     disc_k4,
     disc_kernel_k,
+    disc_kernel_l,
     disc_norm_band,
     empirical_holder_exponent,
     gamma_asymptotic_fit,
@@ -414,6 +415,31 @@ class TestKernel2D:
         ref = disc_kernel_k(q, r, 800.0)
         spread = np.abs(ref - disc_kernel_k(q, r, 400.0))
         vals, errs = kernel_values("K", 2, q, r)
+        miss = np.abs(vals - ref)
+        assert np.all(miss <= errs + spread)
+        assert np.max(errs) <= 1e3 * np.max(miss)
+
+    def test_l4_within_its_error(self):
+        # every radius lies within its estimate of the lens area, and the
+        # estimates are not pessimistic: 200 radii of (0, 4], radii near 0 and
+        # near the beat at r = 2, and a fine grid across that beat
+        r = np.r_[np.linspace(0.0, 4.0, 201)[1:], 0.001, 0.01, 0.05, 1.99, 2.01,
+                  np.linspace(1.3, 2.7, 561)]
+        vals, errs = kernel_values("L", 2, 4.0, r)
+        miss = np.abs(vals - lens_area(r))
+        assert np.all(miss <= errs)
+        assert np.max(errs) <= 1e3 * np.max(miss)
+
+    @pytest.mark.parametrize("q", [3.5, 3.8, 4.2, 4.6])
+    def test_l_non_even_q_within_its_error(self, q):
+        # against Gauss-Legendre between the zeros of J_1 to rho = 1600, whose
+        # own cut error is taken as its move from 800; on radii k / 20 and near
+        # the beats at r = 1, 2 and 4.  Below r = 0.05 that reference has not
+        # converged
+        r = np.r_[np.linspace(0.05, 4.2, 84), 1.0 + 1e-4, 2.0 - 1e-3, 2.0 + 1e-3, 4.0 - 1e-3]
+        ref = disc_kernel_l(q, r, 1600.0)
+        spread = np.abs(ref - disc_kernel_l(q, r, 800.0))
+        vals, errs = kernel_values("L", 2, q, r)
         miss = np.abs(vals - ref)
         assert np.all(miss <= errs + spread)
         assert np.max(errs) <= 1e3 * np.max(miss)
@@ -858,10 +884,10 @@ class TestPinnedKernels:
          [3.5624204921246046e-11, 3.170635916314845e-11, 2.1819917509236053e-11]),
         # references: 3.40205474564131 (see TestCalibration), and 2.54914183817,
         # 0.93241807853 from Gauss-Legendre on the panels between the zeros of
-        # J_1 out to rho = 1e4; the errors, 2.0e-12, 4.7e-9 and 4.7e-9, are
+        # J_1 out to rho = 1e4; the errors, 2.0e-12, 1.5e-9 and 2.8e-9, are
         # inside the estimates
-        ("L", 2, 4.2, [3.402054745643273, 2.549141842827555, 0.9324180832174773],
-         [8.235069751150931e-11, 2.582471580535035e-08, 1.601326798176741e-08]),
+        ("L", 2, 4.2, [3.402054745643273, 2.5491418366543366, 0.9324180813143333],
+         [8.235069751150931e-11, 1.3527202433478796e-08, 1.3519838508934334e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
