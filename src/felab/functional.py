@@ -39,9 +39,11 @@ Routes
   (Herz 1962) gives the rest: |1_E^(rho u)|^q is rho^{-3q/2} times a
   periodic function of rho, whose Fourier harmonics each integrate by
   ``quadrature._power_tail``; its error is the first omitted order, and the
-  cut is the first from 15 to 45 where that meets the tolerance.  Elsewhere
-  the mesh runs to a cut chosen from a bound |1_E^| <= C |xi|^{-3/2}, C
-  estimated on a probe ring, and that bound's tail is the error term.
+  cut is the first from 3 (or the higher cut where the boundary is curved
+  enough for the model) to 45 where that meets the tolerance.  Elsewhere,
+  and where the model needs a cut past 15, the mesh runs to a cut in
+  [15, 45] chosen from a bound |1_E^| <= C |xi|^{-3/2}, C estimated on a
+  probe ring, and that bound's tail is the error term.
   ``PhiResult.method`` names the route.
 * even q: the Fourier transform can be eliminated;
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
@@ -183,8 +185,11 @@ _EVEN_CUT = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of that table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
 # d = 2: the polar mesh stops at a cut in _SP_CUT and the stationary-phase tail
-# takes the rest
-_SP_CUT = (15.0, 45.0)
+# takes the rest; from 3 its error still covers its miss (calibrated on the disc,
+# seeded star:4 sets and sheared images).  Sets whose model needs a cut past 15
+# take the ring route, at a cut in _RING_CUT
+_SP_CUT = (3.0, 45.0)
+_RING_CUT = (15.0, 45.0)
 _SP_TABLE = 2048  # boundary points of the curvature table
 _SP_SAMPLES = 256  # samples of the periodic factor f per direction
 _SP_HARMONICS = 64  # coefficients of f kept at non-even q
@@ -368,7 +373,7 @@ def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cu
     if cut is None:
         tol = max(cfg.abs_tol, 1e-7)
         cut = (2 * np.pi * max(c_est, 1e-6) ** q / (expo * tol)) ** (1.0 / expo)
-        cut = float(np.clip(cut, 15.0, 45.0))
+        cut = float(np.clip(cut, *_RING_CUT))
     return cut, 0.0, 2 * np.pi * c_est**q * cut ** (-expo) / expo, "polar_quadrature_2d"
 
 
@@ -400,7 +405,8 @@ def _stationary_phase_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: Quadratu
                            cut: float | None):
     """(cut, tail, error, route) past the cut from the leading stationary-phase
     term, or None where it does not hold: a curvature not positive, or a first
-    omitted order above _SP_FLAT of the leading one at the cut.
+    omitted order above _SP_FLAT of the leading one at the cut (at
+    _RING_CUT[0] where the cut is chosen here).
 
     Frequency rho u meets the base body as rho lam v, lam v = u M.  With
     R+- = R(+-v), w = h(v) + h(-v) and t = 2 pi rho lam w - 3 pi / 2, the
@@ -419,8 +425,9 @@ def _stationary_phase_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: Quadratu
     it is q |S|^{q-2} a b (k+ + k-) sin t / (2 pi rho lam), of mean zero in t,
     so past X it is at most its harmonics' 2/c bound (Cauchy-Schwarz on
     them); the next order is taken as q^2 |S|^{q-2} (a g+ + b g-)^2
-    / (2 pi rho lam)^2.  The cut is the first multiple of 0.25 from 15 to 45
-    where the error meets cfg.abs_tol."""
+    / (2 pi rho lam)^2.  The cut is the first multiple of 0.25 from 3, or
+    from the lowest cut where the first omitted order is at most _SP_FLAT, to
+    45 where the error meets cfg.abs_tol."""
     table = _curvature_table(e)
     if table is None:
         return None
@@ -431,8 +438,8 @@ def _stationary_phase_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: Quadratu
                              period=2 * np.pi).reshape(2, -1) for col in table[1:])
     a, b = np.sqrt(big_r)
     amp = (a * g[0] + b * g[1]) / (2 * np.pi * lam)  # |first omitted order| rho
-    lo = _SP_CUT[0] if cut is None else cut
-    if np.max(amp / (a + b)) / lo > _SP_FLAT:
+    flat = np.max(amp / (a + b)) / _SP_FLAT  # the lowest cut where the model holds
+    if flat > (_RING_CUT[0] if cut is None else cut):
         return None
     s, p = 1.5 * q - 1.0, 0.5 * q
     t = np.arange(_SP_SAMPLES) * (2 * np.pi / _SP_SAMPLES)
@@ -457,7 +464,7 @@ def _stationary_phase_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: Quadratu
     norm = 2 * np.pi * e.affine.det**q * (2 * np.pi) ** -q * lam ** (-1.5 * q)
     err = np.mean(norm * err, axis=1)[::-1]  # np.polyval order, in 1/X
     if cut is None:
-        grid = np.arange(_SP_CUT[0], _SP_CUT[1] + 0.125, 0.25)
+        grid = np.arange(max(_SP_CUT[0], math.ceil(4.0 * flat) / 4.0), _SP_CUT[1] + 0.125, 0.25)
         ok = grid ** (1.0 - s) * np.polyval(err, 1.0 / grid) <= cfg.abs_tol
         cut = float(grid[np.argmax(ok)] if ok.any() else grid[-1])
     c = k * (beat[:, None] * cut)

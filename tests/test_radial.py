@@ -656,20 +656,23 @@ class TestCalibration:
 
     @pytest.mark.parametrize("q", [3.0, 3.5, 4.0, 5.0])
     def test_planar_tail_disc(self, q):
-        # the stationary-phase tail of the disc on [15, 45] against radial J_1 integrals
+        # the stationary-phase tail of the disc on [3, 45] and [15, 45] against
+        # radial J_1 integrals
         e = StarSet.unit_disc()
         uphi = functional._half_circle(e)
-        (_, t15, e15, route), (_, t45, e45, _) = (
-            functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, cut) for cut in (15.0, 45.0))
-        assert route == "polar_stationary_phase_2d"
-        self.check(t15 - t45, e15 + e45, disc_norm_band(q, 15.0, 45.0))
+        _, t45, e45, _ = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, 45.0)
+        for cut in (3.0, 15.0):
+            _, tail, err, route = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, cut)
+            assert route == "polar_stationary_phase_2d"
+            self.check(tail - t45, err + e45, disc_norm_band(q, cut, 45.0))
 
-    @pytest.mark.parametrize("q", [4.0, 6.0])
+    @pytest.mark.parametrize("q", [3.5, 4.0, 6.0])
     def test_planar_tail_stars(self, q):
         # against the cut-45 polar mesh, summed panel by panel past each of its
-        # panel edges X in [15, 16), about two periods of the tail's beat: each
-        # estimate covers its miss, and none passes 10^3 times the largest miss
-        # (a single X can sit at a zero of the miss)
+        # panel edges X in [3, 4), [6, 7) and [15, 16), each about two periods
+        # of the tail's beat: each estimate covers its miss, and in each band
+        # none passes 10^3 times the largest miss (a single X can sit at a zero
+        # of the miss)
         for e in [seeded_star4(seed) for seed in range(8)] + [shifted_set()]:
             uphi = functional._half_circle(e)
             edges, masses = [], []
@@ -679,15 +682,16 @@ class TestCalibration:
                 masses.append(kron)
             edges, past = np.concatenate(edges), np.cumsum(np.concatenate(masses)[::-1])[::-1]
             _, t45, e45, _ = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, 45.0)
-            misses, estimates = [], []
-            for x, mass in zip(edges, past):
-                if 15.0 <= x < 16.0:
-                    _, tail, err, route = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, x)
-                    assert route == "polar_stationary_phase_2d"
-                    misses.append(abs(tail - t45 - mass))
-                    estimates.append(err + e45)
-            assert np.all(np.array(misses) <= estimates)
-            assert max(estimates) <= 1e3 * max(max(misses), 1e-15 * past[0])
+            for band in (3.0, 6.0, 15.0):
+                misses, estimates = [], []
+                for x, mass in zip(edges, past):
+                    if band <= x < band + 1.0:
+                        _, tail, err, route = functional._planar_tail(e, uphi, q, DEFAULT_CONFIG, x)
+                        assert route == "polar_stationary_phase_2d"
+                        misses.append(abs(tail - t45 - mass))
+                        estimates.append(err + e45)
+                assert np.all(np.array(misses) <= estimates)
+                assert max(estimates) <= 1e3 * max(max(misses), 1e-15 * past[0])
 
     @pytest.mark.parametrize("d, q", [(1, 4.0), (2, 4.0), (1, 4.234), (2, 5.013), (3, 3.8)])
     def test_gamma_tail_periods(self, d, q, monkeypatch):
