@@ -5,9 +5,10 @@ Routes
 * d = 1: the transform of an interval union is an exact finite sum,
   1_E^(xi) = P(xi)/(2 pi i xi) with P(xi) = sum_e s_e e^{-2 pi i xi e} over
   the endpoints (s = +1 left, -1 right).  ||1_E^||_q^q is integrated on
-  uniform GK15 panels out to a cutoff chosen from the rigorous envelope
-  |1_E^(xi)| <= m/(pi xi) (m = number of intervals), with the cutoff tail
-  added to the error estimate.  The panels are grouped in blocks of 64, and
+  uniform GK15 panels out to a cutoff, and a tail past it is added or
+  bounded.  The rigorous envelope |1_E^(xi)| <= m/(pi xi) (m = number of
+  intervals) sets the longest cutoff and bounds its tail, which then joins
+  the error estimate.  The panels are grouped in blocks of 64, and
   a node is xi = base_b + loc_ik (block start plus offset in the block), so
   P is one small matrix product per chunk of blocks: U[b, e] =
   e^{-2 pi i base_b e} times W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.  That
@@ -17,8 +18,14 @@ Routes
   even q = 2n, |P|^q = |P^n|^2 is a finite exponential sum, so where the
   cutoff passes _EVEN_CUT the mesh stops there and the rest is exact: a sum
   over pairs of n-multisets of the endpoints of the power tails
-  int_1^inf t^{-q} e^{ict} dt (``quadrature._power_tail``).  The mesh's
-  error is floored at a rounding bound of its sum.
+  int_1^inf t^{-q} e^{ict} dt (``quadrature._power_tail``).  Between the
+  even integers, 2k < q < 2k + 2, the tail T_q past x lies between
+  Lyapunov's lower bound from T_{2k+2} and T_{2k+4} (log-convexity in q)
+  and Hoelder's upper bound from T_{2k} and T_{2k+2}, all three exact; the
+  mesh stops at the first x where the bracket is as narrow as the
+  envelope's tail, its midpoint is added and its half-width is the error.
+  ``PhiResult.method`` names the route.  The mesh's error is floored at a
+  rounding bound of its sum.
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
   star-shaped set is a circle sum of the closed-form radial factor
   R^2 F(rho A), F(a) = (e^{-ia}(1 + ia) - 1)/a^2, by a trapezoid rule whose
@@ -178,11 +185,14 @@ _MESH_BLOCK = 64   # panels per block: one row of the phase product
 # blocks per chunk: ~15k nodes, whose ~0.25 MB arrays glibc reuses from its
 # heap (0 minor faults a call; 1,300-3,200 at 128 blocks, ~2 MB arrays)
 _MESH_CHUNK = 16
-_MESH_NODES = 2e8  # ~3 s; diam/measure <= 167 at the 2e4 cut, 4x any criterion's union
-# even q: the mesh stops here and the exponential-sum tail takes the rest.  Above
-# 245, the PROBE_QUAD cut of six intervals at q = 4, so search evaluations keep it
+# ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 8,333 at
+# _EVEN_CUT; a bracket tail's cut lies between
+_MESH_NODES = 2e8
+# the exponential-sum tails run only where the envelope's cut passes this, and at
+# even q the mesh stops here.  Above 245, the PROBE_QUAD cut of six intervals at
+# q = 4, so search evaluations keep the envelope
 _EVEN_CUT = 400.0
-_EVEN_PAIRS = 1 << 16  # entries of that table at most: ~12 MB of working arrays
+_EVEN_PAIRS = 1 << 16  # entries of a tail table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
 # d = 2: the polar mesh stops at a cut in _SP_CUT and the stationary-phase tail
 # takes the rest; from 3 its error still covers its miss (calibrated on the disc,
@@ -224,43 +234,80 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     return half, chunks()
 
 
-def _even_tail(ends: np.ndarray, signs: np.ndarray, q: float, x: float):
-    """||1_E'^||_q^q over |xi| > x at even q = 2n, and its error.
-
-    P^n = sum_a w_a e^{-2 pi i xi sigma_a} over the n-multisets a of the
-    endpoints (sigma_a their sum, w_a the multinomial times the sign
-    product), so |P|^q = |P^n|^2 is a finite exponential sum and the tail is
-    2 (2 pi)^{-q} x^{1-q} Re sum_{a<=b} w_ab E(c_ab), w_ab = w_a w_b doubled
-    off the diagonal, c_ab = -2 pi x (sigma_a - sigma_b) and
-    E(c) = int_1^inf t^{-q} e^{ict} dt = e^{ic} _power_tail(q, c).  The error
-    is _power_tail's tested accuracy, 1e-12 relative, on every term; it
-    exceeds the rounding of the sum."""
-    n = int(q) // 2
+def _exp_sum_table(ends: np.ndarray, signs: np.ndarray, n: int):
+    """P^n = sum_a w_a e^{-2 pi i xi sigma_a} over the n-multisets a of the
+    endpoints, sigma_a their sum and w_a the multinomial times the sign
+    product.  Returns ``(sigma, a, b, w_ab)`` over the pairs a <= b,
+    w_ab = w_a w_b doubled off the diagonal: |P|^{2n} = |P^n|^2 =
+    Re sum w_ab e^{-2 pi i xi (sigma_a - sigma_b)}."""
     sets = list(combinations_with_replacement(range(len(ends)), n))
     idx = np.array(sets)
-    sigma = ends[idx].sum(axis=1)
     w = np.prod(signs[idx], axis=1) * [
         math.factorial(n) / math.prod(map(math.factorial, Counter(a).values())) for a in sets]
     a, b = np.triu_indices(len(sets))
+    return ends[idx].sum(axis=1), a, b, np.where(a == b, 1.0, 2.0) * w[a] * w[b]
+
+
+def _exp_sum_tail(table, p: float, x: float):
+    """T_p(x) = ||1_E'^||_p^p over |xi| > x at even p = 2n, from the
+    n-multiset ``_exp_sum_table``, and its error.
+
+    T_p(x) = 2 (2 pi)^{-p} x^{1-p} Re sum_{a<=b} w_ab E(c_ab),
+    c_ab = -2 pi x (sigma_a - sigma_b) and E(c) = int_1^inf t^{-p} e^{ict} dt
+    = e^{ic} _power_tail(p, c).  The error is _power_tail's tested accuracy,
+    1e-12 relative, on every term; it exceeds the rounding of the sum."""
+    sigma, a, b, w = table
     z = np.exp(-2j * np.pi * x * sigma)  # e^{ic_ab} = z_a conj(z_b)
-    terms = (np.where(a == b, 1.0, 2.0) * w[a] * w[b] * z[a] * z[b].conj()
-             * _power_tail(q, -2 * np.pi * x * (sigma[a] - sigma[b])))
-    scale = 2.0 * (2 * np.pi) ** -q * x ** (1.0 - q)
+    terms = w * z[a] * z[b].conj() * _power_tail(p, -2 * np.pi * x * (sigma[a] - sigma[b]))
+    scale = 2.0 * (2 * np.pi) ** -p * x ** (1.0 - p)
     return scale * float(np.sum(terms.real)), scale * 1e-12 * float(np.sum(np.abs(terms)))
 
 
-def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
-    """||1_E'^||_q^q and its error for E' = (E - c) / s of measure 2, s = |E| / 2.
+def _bracket(tails, q: float):
+    """(lo, hi) around T_q from the (value, error) of T_p at p = 2k, 2k + 2 and
+    2k + 4, 2k < q <= 2k + 2.  hi is Hoelder's bound
+    T_{2k}^theta T_{2k+2}^{1-theta}, theta = (2k + 2 - q)/2; lo is Lyapunov's
+    (the log-convexity of p -> T_p, Hardy-Littlewood-Polya), solved for T_q:
+    T_{2k+2} <= T_q^lam T_{2k+4}^{1-lam}, lam = 2/(2k + 4 - q).  At q = 2k + 2
+    both are T_q, widened by its error."""
+    (t0, e0), (t1, e1), (t2, e2) = tails
+    k = math.ceil(0.5 * q) - 1
+    theta, lam = 0.5 * (2 * k + 2 - q), 2.0 / (2 * k + 4 - q)
+    hi = (t0 + e0) ** theta * (t1 + e1) ** (1.0 - theta)
+    lo = (max(t1 - e1, 0.0) / (t2 + e2) ** (1.0 - lam)) ** (1.0 / lam)
+    return lo, hi
 
-    ||1_E^||_q^q = s^{q-1} ||1_E'^||_q^q.  The node count grows with
+
+def _tail_bracket(tables, q: float, x: float):
+    """``_bracket`` at x from the exact tails of the 2k-, 2k+2- and 2k+4-tables."""
+    k = math.ceil(0.5 * q) - 1
+    return _bracket([_exp_sum_tail(t, 2.0 * (k + i), x) for i, t in enumerate(tables)], q)
+
+
+def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
+    """||1_E'^||_q^q, its error and the route for E' = (E - c) / s of measure 2,
+    s = |E| / 2: ||1_E^||_q^q = s^{q-1} ||1_E'^||_q^q.
+
+    The envelope |P| <= 2m gives a cut for the tolerance, clipped to
+    [50, 2e4], and bounds the tail past it.  Where that cut passes
+    _EVEN_CUT and the exponential-sum tables have at most _EVEN_PAIRS
+    entries, the mesh stops sooner and an exponential-sum tail adds the rest:
+    at even q the exact ``_exp_sum_tail`` past _EVEN_CUT; else, with
+    2k < q < 2k + 2, the midpoint of ``_tail_bracket`` past the first x >= 50
+    where its half-width, the error, meets the envelope's tail, and where the
+    tables cost less than the panels they can save.  The first x comes from
+    the Bohr means M_p of |P|^p (T_p(x) ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1),
+    so the half-width scales as x^{1-q}); x steps up while the exact bracket
+    misses, and ends a panel of the envelope's mesh, whose head the mesh then
+    is.  So no error exceeds the envelope route's.  The node count grows with
     diam/measure, and a set that needs more than _MESH_NODES is refused.
-    At even q the mesh stops at _EVEN_CUT and ``_even_tail`` adds the rest,
-    where its table has at most _EVEN_PAIRS entries.
     """
     m = len(e.intervals)
     tol = max(cfg.abs_tol, 1e-12)
     cut = ((m / np.pi) ** q / ((q - 1.0) * tol)) ** (1.0 / (q - 1.0))
     cut = float(np.clip(cut, 50.0, 2.0e4))
+    tail, tail_err = 0.0, 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
+    route = "mesh_envelope_1d"
     # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints
     ends = e.endpoints()
     ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
@@ -268,22 +315,45 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     # panels per unit xi, keyed to the fastest beat frequency (the diameter):
     # width 0.5 / diam, at most 0.05
     rate = max(20.0, 2.0 * (ends[-1] - ends[0]))
-    n_sets = math.comb(2 * m + int(q) // 2 - 1, 2 * m - 1)  # (q/2)-multisets of the endpoints
-    pairs = n_sets * (n_sets + 1) // 2
-    even = q % 2 == 0 and cut > _EVEN_CUT and pairs <= _EVEN_PAIRS
-    if even:
-        cut = _EVEN_CUT
+    h = 1.0 / rate
+    even = q % 2 == 0
+    orders = [int(q) // 2] if even else [math.ceil(0.5 * q) - 1 + i for i in range(3)]
+    sizes = [math.comb(2 * m + n - 1, n) for n in orders]  # n-multisets of the endpoints
+    entries = [s * (s + 1) // 2 for s in sizes]
+    # at non-even q the tables must cost less than the panels past 50 they could
+    # save: a _power_tail entry, its table built, costs about four panels
+    if entries[-1] <= _EVEN_PAIRS and cut > _EVEN_CUT and (
+            even or 4 * sum(entries) < (cut - 50.0) * rate):
+        tables = [_exp_sum_table(ends, signs, n) for n in orders]
+        if even:
+            cut, route = _EVEN_CUT, "mesh_even_tail_1d"
+            tail, tail_err = _exp_sum_tail(tables[0], q, cut)
+        else:
+            # the first x from the bracket of T_p ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1)
+            # at x = 1, M_p the Bohr mean of |P|^p: its pairs whose frequencies agree
+            bohr = [(2.0 * (2 * np.pi) ** -(2.0 * n) / (2.0 * n - 1.0)
+                     * float(np.sum(w[np.abs(sigma[a] - sigma[b]) <= 1e-9])), 0.0)
+                    for (sigma, a, b, w), n in zip(tables, orders)]
+            lo, hi = _bracket(bohr, q)
+            x = max(50.0, (max(hi - lo, 0.0) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
+            width = cut / (int(cut / h) + 1)  # x ends a panel of the envelope's mesh
+            while (x := width * math.ceil(x / width)) < cut:
+                lo, hi = _tail_bracket(tables, q, x)
+                if hi - lo <= 2.0 * tail_err:
+                    cut, tail, tail_err, route = x, 0.5 * (lo + hi), 0.5 * (hi - lo), \
+                        "mesh_bracket_tail_1d"
+                    break
+                x *= max(1.1, ((hi - lo) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
     if not 15.0 * cut * rate <= _MESH_NODES:
         raise DomainError(f"Phi_q needs ~{15.0 * cut * rate:.3g} > {_MESH_NODES:.0e} mesh nodes "
                           f"here: diam/measure is {0.5 * (ends[-1] - ends[0]):.3g}")
-    half, chunks = _signed_exp_mesh(ends, signs, cut, 1.0 / rate)
+    half, chunks = _signed_exp_mesh(ends, signs, cut, h)
     value = rule_err = 0.0
     n_chunks = 0
-    k = 2 if q % 2 == 0 else 1  # at even q, |P|^q = (|P|^2)^{q/2}: no sqrt, an integral power
     for xi, p in chunks:
-        vals = p.real**2 + p.imag**2 if k == 2 else np.abs(p)
-        vals /= (2 * np.pi * xi) ** k
-        vals **= q / k
+        vals = p.real**2 + p.imag**2
+        vals /= (2 * np.pi * xi) ** 2
+        vals **= 0.5 * q
         kron, err = gk15_sums(vals, 1.0)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))
@@ -293,10 +363,7 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     rounding = (15.0 + math.log2(15.0 * cut * rate) + n_chunks) * _EPS
     value *= 2.0 * half
     rule_err = max(2.0 * half * rule_err, rounding * value)
-    if even:
-        tail, tail_err = _even_tail(ends, signs, q, cut)
-        return value + tail, rule_err + tail_err
-    return value, rule_err + 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
+    return value + tail, rule_err + tail_err, route
 
 
 def _half_circle(e: StarSet) -> np.ndarray:
@@ -510,7 +577,7 @@ def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if e.dimension == 1:
         if radial_cut is not None:
             raise DomainError("radial_cut applies to planar sets only")
-        return _phi_result(*_norm_q_1d(e, q, cfg), "closed_form_1d", measure, q, 1, cfg)
+        return _phi_result(*_norm_q_1d(e, q, cfg), measure, q, 1, cfg)
     return _phi_result(*_norm_q_2d(e, q, cfg, radial_cut), measure, q, 2, cfg)
 
 

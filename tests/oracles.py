@@ -287,6 +287,38 @@ def quadratic_terms_freq_1d(e: IntervalSet, q: float, refine: int = 1, cut: floa
     return {"LL": 2.0 * half * ll, "Lrefl": 2.0 * half * lr}
 
 
+def centred_endpoints(e: IntervalSet):
+    """The endpoints and signs of E' = E centred and dilated to measure 2, as
+    ``phi_q`` takes it."""
+    ends = e.endpoints()
+    ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
+    return ends, np.resize([1.0, -1.0], len(ends))
+
+
+def interval_norm_bands(e: IntervalSet, qs, xs, cut: float = 2.0e4) -> np.ndarray:
+    """int_{x < |xi| < cut} |1_E'^|^q for each q in ``qs`` and x in ``xs``
+    (``centred_endpoints``), on the uniform GK15 mesh of
+    ``functional._signed_exp_mesh`` with panels of width 1/R, R >= 2 diam an
+    integer, so that integer x end a panel."""
+    ends, signs = centred_endpoints(e)
+    rate = math.ceil(max(20.0, 2.0 * (ends[-1] - ends[0])))
+    n_panels = round(cut * rate)
+    half, chunks = _signed_exp_mesh(ends, signs, cut, cut / (n_panels - 0.5))
+    first = np.array([round(x * rate) for x in xs])
+    bands = np.zeros((len(qs), len(xs)))
+    start = 0
+    for xi, p in chunks:
+        mod2 = (p.real**2 + p.imag**2) / (2 * np.pi * xi) ** 2
+        # per x, the panels of this chunk past it
+        past = np.clip(first - start, 0, len(xi))
+        for j, q in enumerate(qs):
+            kron = gk15_sums(mod2 ** (0.5 * q), 1.0)[0]
+            tails = np.concatenate([np.cumsum(kron[::-1])[::-1], [0.0]])
+            bands[j] += tails[past]
+        start += len(xi)
+    return 2.0 * half * bands
+
+
 @dataclass(frozen=True)
 class SplineKernel:
     """A sampled kernel profile read between its radii by a cubic spline,

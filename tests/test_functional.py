@@ -16,8 +16,8 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import (indicator_hat, norm_q_2d_per_panel, q_continuity_probe, seeded_star4,
-                     shifted_set, translate)
+from oracles import (centred_endpoints, indicator_hat, interval_norm_bands, norm_q_2d_per_panel,
+                     q_continuity_probe, seeded_star4, shifted_set, translate)
 
 
 def random_union(rng, max_pieces=3):
@@ -347,6 +347,10 @@ PIECES_1D = {
 }
 
 
+# the tail tables of seven pieces at 2 < q < 4 exceed _EVEN_PAIRS
+SEVEN_PIECES = [(0.5 * i, 0.5 * i + 0.3) for i in range(7)]
+
+
 class TestPinned1D:
     """d = 1 values of the per-node evaluation (two complex exps per node and
     endpoint on the whole mesh), pinned to 1e-12 relative."""
@@ -360,14 +364,14 @@ class TestPinned1D:
 
     @pytest.mark.parametrize("name, q, pinned", [
         ("one", 3.0, {
-            "default": (0.9162955470136529, 3.0772779101739376),
+            "default": (0.9162955470227188, 3.077277910265277),
             "probe": (0.916295521767744, 3.0772776558171113),
-            "tight": (0.9162955470186812, 3.0772779102245997),
+            "tight": (0.9162955470223362, 3.0772779102614227),
         }),
         ("one", 3.5, {
-            "default": (0.9072579306308582, 4.023765802936376),
+            "default": (0.9072579306394012, 4.023765803068987),
             "probe": (0.9072579152733671, 4.02376556454517),
-            "tight": (0.9072579306359275, 4.023765803015066),
+            "tight": (0.9072579306360131, 4.023765803016395),
         }),
         ("one", 4.0, {
             "default": (0.9036020036066651, 5.33333333325826),
@@ -380,14 +384,14 @@ class TestPinned1D:
             "tight": (0.9051636706146792, 17.599999999999582),
         }),
         ("two", 3.0, {
-            "default": (0.8768196467131626, 2.6964402949761004),
-            "probe": (0.8768196365092625, 2.6964402008374466),
-            "tight": (0.8768196467131626, 2.6964402949761004),
+            "default": (0.8768196467226871, 2.6964402950639705),
+            "probe": (0.8768196449462791, 2.6964402786752704),
+            "tight": (0.8768196467226871, 2.6964402950639705),
         }),
         ("two", 3.5, {
-            "default": (0.8667586330794422, 3.4294036454931955),
+            "default": (0.8667586330835527, 3.4294036455501167),
             "probe": (0.8667586274812593, 3.4294035679693065),
-            "tight": (0.8667586330812881, 3.4294036455187573),
+            "tight": (0.8667586330813479, 3.4294036455195855),
         }),
         ("two", 4.0, {
             "default": (0.8648361809181833, 4.475333333333334),
@@ -400,14 +404,14 @@ class TestPinned1D:
             "tight": (0.8765178495515392, 14.511575499999875),
         }),
         ("three", 3.0, {
-            "default": (0.8532404860390087, 2.484702257715981),
-            "probe": (0.8532404793074612, 2.4847021989076215),
-            "tight": (0.8532404860390087, 2.484702257715981),
+            "default": (0.8532404860672506, 2.4847022579627085),
+            "probe": (0.853240487201541, 2.4847022678721333),
+            "tight": (0.8532404860672506, 2.4847022579627085),
         }),
         ("three", 3.5, {
-            "default": (0.8382785038869986, 3.050943343634709),
+            "default": (0.8382785038919983, 3.0509433436983966),
             "probe": (0.8382785001493716, 3.0509432960234317),
-            "tight": (0.8382785038881778, 3.050943343649728),
+            "tight": (0.8382785038884789, 3.050943343653564),
         }),
         ("three", 4.0, {
             "default": (0.8337636665492106, 3.8659999999999988),
@@ -431,7 +435,7 @@ class TestPinned1D:
     def test_wide_set(self):
         # diameter 12.2: the panel width drops to 0.5 / diam
         e = IntervalSet([(0.0, 0.8), (11.0, 12.2)])
-        for q, phi, norm in ((3.5, 0.8429731190063073, 3.1111648958467786),
+        for q, phi, norm in ((3.5, 0.8429731190108645, 3.111164895905647),
                              (4.0, 0.8346608246104321, 3.882666666666657)):
             res = phi_q(e, q)
             assert res.phi == pytest.approx(phi, rel=1e-12)
@@ -487,8 +491,8 @@ class TestPinned1D:
 
     def test_translated_set(self):
         e = translate(IntervalSet(PIECES_1D["three"]), 1e3)
-        for q, phi, norm in ((3.0, 0.8532404860390121, 2.484702257716011),
-                             (3.5, 0.8382785038869937, 3.050943343634644)):
+        for q, phi, norm in ((3.0, 0.8532404860672539, 2.4847022579627374),
+                             (3.5, 0.8382785038920021, 3.0509433436984446)):
             res = phi_q(e, q)
             assert res.phi == pytest.approx(phi, rel=1e-12)
             assert res.norm_q_pow_q == pytest.approx(norm, rel=1e-12)
@@ -509,10 +513,11 @@ class TestPinned1D:
         assert terms["Lrefl"] == pytest.approx(lrefl, rel=1e-12)
 
     def test_mesh_memory_bounded(self):
-        # three pieces at q = 3 and the default tolerance cut the mesh at
-        # 2e4 with panels of 0.05: 6e6 nodes, whose node array alone took 48 MB
+        # seven pieces at q = 3 and the default tolerance, whose tail tables
+        # exceed _EVEN_PAIRS, cut the mesh at 2e4 with panels of 0.05: 6e6
+        # nodes, whose node array alone took 48 MB
         import tracemalloc
-        e = IntervalSet(PIECES_1D["three"])
+        e = IntervalSet(SEVEN_PIECES)
         tracemalloc.start()
         try:
             phi_q(e, 3.0)
@@ -521,6 +526,75 @@ class TestPinned1D:
             tracemalloc.stop()
         n_nodes = (int(2.0e4 / 0.05) + 1) * 15
         assert peak < 0.25 * n_nodes * 8
+
+
+def mesh_cuts(monkeypatch):
+    """The cuts ``phi_q`` passes to ``functional._signed_exp_mesh``."""
+    from felab import functional
+    cuts, mesh = [], functional._signed_exp_mesh
+    monkeypatch.setattr(functional, "_signed_exp_mesh",
+                        lambda ends, signs, cut, h: cuts.append(cut) or mesh(ends, signs, cut, h))
+    return cuts
+
+
+class TestBracketTail:
+    """The non-even d = 1 tail: Hoelder's and Lyapunov's bounds from the exact
+    tails at the even exponents around q."""
+
+    QS = (2.5, 3.0, 3.2, 3.5, 3.8, 4.5, 5.5)
+    XS = (50.0, 400.0, 3000.0)
+
+    @staticmethod
+    def tables(e, q):
+        from felab.functional import _exp_sum_table
+        k = math.ceil(0.5 * q) - 1
+        return [_exp_sum_table(*centred_endpoints(e), k + i) for i in range(3)]
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3, 4])
+    def test_bracket_holds_the_meshed_tail(self, pieces):
+        # lo <= the tail meshed from x to 2e4, and that band plus Hoelder's
+        # bound past 2e4 is at most Hoelder's bound past x (the weighted
+        # geometric mean is superadditive; the envelope past 2e4 is up to
+        # 0.74 of the band at x = 3000, too loose to test against)
+        from felab.functional import _tail_bracket
+        rng = np.random.default_rng(pieces)
+        pts = np.sort(rng.uniform(-2, 2, 2 * pieces))
+        e = IntervalSet([(pts[2 * i], max(pts[2 * i + 1], pts[2 * i] + 0.05))
+                         for i in range(pieces)])
+        bands = interval_norm_bands(e, self.QS, self.XS)
+        for q, row in zip(self.QS, bands):
+            tables = self.tables(e, q)
+            past = _tail_bracket(tables, q, 2.0e4)[1]
+            for x, band in zip(self.XS, row):
+                lo, hi = _tail_bracket(tables, q, x)
+                assert lo <= band and band + past <= hi, (q, x, lo / band, (band + past) / hi)
+
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_collapses_at_even_q(self, q):
+        # at q = 2k + 2 both bounds are T_q, widened by its error
+        from felab.functional import _exp_sum_tail, _tail_bracket
+        e = IntervalSet(PIECES_1D["three"])
+        tables = self.tables(e, q)
+        for x in self.XS:
+            tail, err = _exp_sum_tail(tables[1], q, x)
+            assert _tail_bracket(tables, q, x) == (tail - err, tail + err)
+
+    def test_envelope_past_the_table_budget(self, monkeypatch):
+        # seven pieces at q = 3.5: the q = 6 table has 157,080 entries, so the
+        # envelope route runs as before, to the same cut and value
+        cuts = mesh_cuts(monkeypatch)
+        res = phi_q(IntervalSet(SEVEN_PIECES), 3.5)
+        assert res.method == "mesh_envelope_1d" and cuts == [2.0e4]
+        assert (res.phi, res.norm_q_pow_q) == (0.8262628792157615, 3.2768916666633)
+
+    def test_cut(self, monkeypatch):
+        # at the default tolerance the envelope's cuts are 6,498 and 2e4
+        cuts = mesh_cuts(monkeypatch)
+        res = phi_q(IntervalSet(PIECES_1D["three"]), 3.5)
+        assert res.method == "mesh_bracket_tail_1d" and cuts[-1] <= 1500.0
+        res = phi_q(IntervalSet(PIECES_1D["two"]), 3.0)
+        assert res.method == "mesh_bracket_tail_1d" and cuts[-1] < 1.0e4 and res.converged
+        assert phi_q(IntervalSet(PIECES_1D["three"]), 4.0).method == "mesh_even_tail_1d"
 
 
 class TestContinuityProbe:
