@@ -15,15 +15,15 @@ Routes
   is 2m exps per block and per offset instead of 2m per node, and each
   phase is a product of two exps, so no error accumulates.  The endpoints
   are centered first: a translation only rotates the phase of 1_E^.  At
-  even q = 2n, |P|^q = |P^n|^2 is a finite exponential sum, so where the
-  cutoff passes _EVEN_CUT the mesh stops there and the rest is exact: a sum
-  over pairs of n-multisets of the endpoints of the power tails
-  int_1^inf t^{-q} e^{ict} dt (``quadrature._power_tail``).  Between the
-  even integers, 2k < q < 2k + 2, the tail T_q past x lies between
-  Lyapunov's lower bound from T_{2k+2} and T_{2k+4} (log-convexity in q)
-  and Hoelder's upper bound from T_{2k} and T_{2k+2}, all three exact; the
-  mesh stops at the first x where the bracket is as narrow as the
-  envelope's tail, its midpoint is added and its half-width is the error.
+  even q = 2n, |P|^q = |P^n|^2 is a finite exponential sum, so its tail T_q
+  past x is exact: a sum over pairs of n-multisets of the endpoints of the
+  power tails int_1^inf t^{-q} e^{ict} dt (``quadrature._power_tail``).
+  Between the even integers, 2k < q < 2k + 2, T_q lies between Lyapunov's
+  lower bound from T_{2k+2} and T_{2k+4} (log-convexity in q) and Hoelder's
+  upper bound from T_{2k} and T_{2k+2}; at even q the bracket is T_q widened
+  by its error.  Where the cutoff passes _EXP_SUM_GATE, the mesh stops at the
+  first x where the bracket is as narrow as the envelope's tail, its
+  midpoint is added and its half-width is the error.
   ``PhiResult.method`` names the route.  The mesh's error is floored at a
   rounding bound of its sum.
 * d = 2: polar frequency coordinates.  Per angle, the transform of a
@@ -185,13 +185,15 @@ _MESH_BLOCK = 64   # panels per block: one row of the phase product
 # blocks per chunk: ~15k nodes, whose ~0.25 MB arrays glibc reuses from its
 # heap (0 minor faults a call; 1,300-3,200 at 128 blocks, ~2 MB arrays)
 _MESH_CHUNK = 16
-# ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 8,333 at
-# _EVEN_CUT; a bracket tail's cut lies between
+# ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 66,667 at
+# 50, the shortest cut of an exponential-sum tail
 _MESH_NODES = 2e8
-# the exponential-sum tails run only where the envelope's cut passes this, and at
-# even q the mesh stops here.  Above 245, the PROBE_QUAD cut of six intervals at
-# q = 4, so search evaluations keep the envelope
-_EVEN_CUT = 400.0
+# the exponential-sum tails run only where the envelope's cut passes this: above
+# 245, the PROBE_QUAD cut of six intervals at q = 4, so search evaluations keep
+# the envelope.  The cost rule alone would take the tail there (three intervals
+# cut at about 97 at q = 4): without this gate, 12 seeded intervals:3 searches at
+# q = 4 (restarts 50, budget 200) took 0.48-0.88 s against 0.37-0.67 s (2 vCPUs)
+_EXP_SUM_GATE = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of a tail table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
 # d = 2: the polar mesh stops at a cut in _SP_CUT and the stationary-phase tail
@@ -265,12 +267,12 @@ def _exp_sum_tail(table, p: float, x: float):
 
 def _bracket(tails, q: float):
     """(lo, hi) around T_q from the (value, error) of T_p at p = 2k, 2k + 2 and
-    2k + 4, 2k < q <= 2k + 2.  hi is Hoelder's bound
-    T_{2k}^theta T_{2k+2}^{1-theta}, theta = (2k + 2 - q)/2; lo is Lyapunov's
-    (the log-convexity of p -> T_p, Hardy-Littlewood-Polya), solved for T_q:
-    T_{2k+2} <= T_q^lam T_{2k+4}^{1-lam}, lam = 2/(2k + 4 - q).  At q = 2k + 2
-    both are T_q, widened by its error."""
-    (t0, e0), (t1, e1), (t2, e2) = tails
+    2k + 4, 2k < q <= 2k + 2, or of T_q alone at even q, standing for all three.
+    hi is Hoelder's bound T_{2k}^theta T_{2k+2}^{1-theta}, theta = (2k + 2 - q)/2;
+    lo is Lyapunov's (the log-convexity of p -> T_p, Hardy-Littlewood-Polya),
+    solved for T_q: T_{2k+2} <= T_q^lam T_{2k+4}^{1-lam}, lam = 2/(2k + 4 - q).
+    At q = 2k + 2 both are T_q, widened by its error."""
+    (t0, e0), (t1, e1), (t2, e2) = tails * (3 // len(tails))
     k = math.ceil(0.5 * q) - 1
     theta, lam = 0.5 * (2 * k + 2 - q), 2.0 / (2 * k + 4 - q)
     hi = (t0 + e0) ** theta * (t1 + e1) ** (1.0 - theta)
@@ -279,9 +281,10 @@ def _bracket(tails, q: float):
 
 
 def _tail_bracket(tables, q: float, x: float):
-    """``_bracket`` at x from the exact tails of the 2k-, 2k+2- and 2k+4-tables."""
-    k = math.ceil(0.5 * q) - 1
-    return _bracket([_exp_sum_tail(t, 2.0 * (k + i), x) for i, t in enumerate(tables)], q)
+    """``_bracket`` at x from the exact tails of the 2k-, 2k+2- and 2k+4-tables,
+    or of the one T_q table at even q = 2k + 2."""
+    n = math.ceil(0.5 * q) - len(tables) // 2  # the first table's order
+    return _bracket([_exp_sum_tail(t, 2.0 * (n + i), x) for i, t in enumerate(tables)], q)
 
 
 def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
@@ -290,14 +293,14 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
 
     The envelope |P| <= 2m gives a cut for the tolerance, clipped to
     [50, 2e4], and bounds the tail past it.  Where that cut passes
-    _EVEN_CUT and the exponential-sum tables have at most _EVEN_PAIRS
-    entries, the mesh stops sooner and an exponential-sum tail adds the rest:
-    at even q the exact ``_exp_sum_tail`` past _EVEN_CUT; else, with
-    2k < q < 2k + 2, the midpoint of ``_tail_bracket`` past the first x >= 50
-    where its half-width, the error, meets the envelope's tail, and where the
-    tables cost less than the panels they can save.  The first x comes from
-    the Bohr means M_p of |P|^p (T_p(x) ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1),
-    so the half-width scales as x^{1-q}); x steps up while the exact bracket
+    _EXP_SUM_GATE, the exponential-sum tables have at most _EVEN_PAIRS
+    entries and they cost less than the panels they can save, the mesh stops
+    sooner: the tail is the midpoint of ``_tail_bracket`` (from the one T_q
+    table at even q, else from the 2k-, 2k+2- and 2k+4-tables, 2k < q < 2k + 2)
+    past the first x >= 50 where its half-width, the error, meets the
+    envelope's tail.  The first x comes from the Bohr means M_p of |P|^p
+    (T_p(x) ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1), so the half-width scales as
+    x^{1-q}, and is 0 at even q: x = 50); x steps up while the exact bracket
     misses, and ends a panel of the envelope's mesh, whose head the mesh then
     is.  So no error exceeds the envelope route's.  The node count grows with
     diam/measure, and a set that needs more than _MESH_NODES is refused.
@@ -320,30 +323,26 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     orders = [int(q) // 2] if even else [math.ceil(0.5 * q) - 1 + i for i in range(3)]
     sizes = [math.comb(2 * m + n - 1, n) for n in orders]  # n-multisets of the endpoints
     entries = [s * (s + 1) // 2 for s in sizes]
-    # at non-even q the tables must cost less than the panels past 50 they could
-    # save: a _power_tail entry, its table built, costs about four panels
-    if entries[-1] <= _EVEN_PAIRS and cut > _EVEN_CUT and (
-            even or 4 * sum(entries) < (cut - 50.0) * rate):
+    # the tables must cost less than the panels past 50 they could save: a
+    # _power_tail entry, its table built, costs about four panels
+    if (entries[-1] <= _EVEN_PAIRS and cut > _EXP_SUM_GATE
+            and 4 * sum(entries) < (cut - 50.0) * rate):
         tables = [_exp_sum_table(ends, signs, n) for n in orders]
-        if even:
-            cut, route = _EVEN_CUT, "mesh_even_tail_1d"
-            tail, tail_err = _exp_sum_tail(tables[0], q, cut)
-        else:
-            # the first x from the bracket of T_p ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1)
-            # at x = 1, M_p the Bohr mean of |P|^p: its pairs whose frequencies agree
-            bohr = [(2.0 * (2 * np.pi) ** -(2.0 * n) / (2.0 * n - 1.0)
-                     * float(np.sum(w[np.abs(sigma[a] - sigma[b]) <= 1e-9])), 0.0)
-                    for (sigma, a, b, w), n in zip(tables, orders)]
-            lo, hi = _bracket(bohr, q)
-            x = max(50.0, (max(hi - lo, 0.0) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
-            width = cut / (int(cut / h) + 1)  # x ends a panel of the envelope's mesh
-            while (x := width * math.ceil(x / width)) < cut:
-                lo, hi = _tail_bracket(tables, q, x)
-                if hi - lo <= 2.0 * tail_err:
-                    cut, tail, tail_err, route = x, 0.5 * (lo + hi), 0.5 * (hi - lo), \
-                        "mesh_bracket_tail_1d"
-                    break
-                x *= max(1.1, ((hi - lo) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
+        # the first x from the bracket of T_p ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1)
+        # at x = 1, M_p the Bohr mean of |P|^p: its pairs whose frequencies agree
+        bohr = [(2.0 * (2 * np.pi) ** -(2.0 * n) / (2.0 * n - 1.0)
+                 * float(np.sum(w[np.abs(sigma[a] - sigma[b]) <= 1e-9])), 0.0)
+                for (sigma, a, b, w), n in zip(tables, orders)]
+        lo, hi = _bracket(bohr, q)
+        x = max(50.0, (max(hi - lo, 0.0) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
+        width = cut / (int(cut / h) + 1)  # x ends a panel of the envelope's mesh
+        while (x := width * math.ceil(x / width)) < cut:
+            lo, hi = _tail_bracket(tables, q, x)
+            if hi - lo <= 2.0 * tail_err:
+                cut, tail, tail_err = x, 0.5 * (lo + hi), 0.5 * (hi - lo)
+                route = "mesh_even_tail_1d" if even else "mesh_bracket_tail_1d"
+                break
+            x *= max(1.1, ((hi - lo) / (2.0 * tail_err)) ** (1.0 / (q - 1.0)))
     if not 15.0 * cut * rate <= _MESH_NODES:
         raise DomainError(f"Phi_q needs ~{15.0 * cut * rate:.3g} > {_MESH_NODES:.0e} mesh nodes "
                           f"here: diam/measure is {0.5 * (ends[-1] - ends[0]):.3g}")

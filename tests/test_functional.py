@@ -594,7 +594,24 @@ class TestBracketTail:
         assert res.method == "mesh_bracket_tail_1d" and cuts[-1] <= 1500.0
         res = phi_q(IntervalSet(PIECES_1D["two"]), 3.0)
         assert res.method == "mesh_bracket_tail_1d" and cuts[-1] < 1.0e4 and res.converged
-        assert phi_q(IntervalSet(PIECES_1D["three"]), 4.0).method == "mesh_even_tail_1d"
+        # at even q the bracket is T_q -+ its error, so the same search stops at
+        # the first edge past 50 of the envelope's panels, 0.05 wide here
+        from felab.perturbation import _TIGHT
+        from felab.quadrature import DEFAULT_CONFIG
+        for cfg in (DEFAULT_CONFIG, _TIGHT):
+            res = phi_q(IntervalSet(PIECES_1D["three"]), 4.0, cfg)
+            assert res.method == "mesh_even_tail_1d" and 50.0 <= cuts[-1] < 50.05, cfg
+
+    def test_gate_keeps_search_evaluations(self, monkeypatch):
+        # three pieces at PROBE_QUAD and q = 4: the envelope cuts at about 97,
+        # where the cost rule alone (four panels an entry, 20 panels a unit of
+        # xi) would take the 231-entry table; under _EXP_SUM_GATE the envelope
+        # route runs as before, to the same value
+        from felab.search import PROBE_QUAD
+        cuts = mesh_cuts(monkeypatch)
+        res = phi_q(IntervalSet(PIECES_1D["three"]), 4.0, PROBE_QUAD)
+        assert res.method == "mesh_envelope_1d" and 4 * 231 < (cuts[0] - 50.0) * 20
+        assert (res.phi, res.norm_q_pow_q) == (0.833763664376491, 3.865999959702082)
 
 
 class TestContinuityProbe:

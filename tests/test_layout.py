@@ -1,10 +1,10 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
 head-plus-tail integral, one kernel mesh sum, one d = 2 harmonic tail bound and
-no adaptive loop in the kernels, one planar norm integrand, no
-per-mode loop over the Funk-Hecke eigenvalues, expansion terms without the
-spectrum, a quadrature config only where a tolerance runs, no test-only
-routine inside the package, no global statement, and only the pinned module
-caches."""
+no adaptive loop in the kernels, one reader of the d = 1 exponential-sum tails,
+one planar norm integrand, no per-mode loop over the Funk-Hecke eigenvalues,
+expansion terms without the spectrum, a quadrature config only where a
+tolerance runs, no test-only routine inside the package, no global statement,
+and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -108,6 +108,14 @@ def test_radial_kernels_run_no_adaptive_loop():
     imported = {alias.name for node in ast.walk(ast.parse(MODULES["radial_kernels.py"]))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"integrate_adaptive", "QuadratureConfig"}
+
+
+def test_exp_sum_tail_called_from_one_place():
+    # every d = 1 exponential-sum tail, even q's included, is read through the
+    # bracket, so one stop rule serves every q
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "_exp_sum_tail")}
+    assert callers == {("functional.py", "_tail_bracket")}
 
 
 def test_power_tail_called_from_two_places():
