@@ -39,18 +39,19 @@ Routes
   a block's circle sums are one batched matmul, rows P_j R^2/A^2 and
   P_j R^2/A against columns O_k over theta, less one sum of R^2/A^2.  The
   split cancels where |rho A| is small: a panel's pairs (phi, theta) with
-  |A| rho_min < 0.1 leave the matmul and go node by node (closed form or
-  Taylor series).  The translation and the star center only rotate the
-  phase of 1_E^ and drop out of |1_E^|.  Past the cut, where the boundary's
-  curvature is positive (and not near 0), the leading stationary-phase term
-  (Herz 1962) gives the rest: |1_E^(rho u)|^q is rho^{-3q/2} times a
-  periodic function of rho, whose Fourier harmonics each integrate by
-  ``quadrature._power_tail``; its error is the first omitted order, and the
-  cut is the first from 3 (or the higher cut where the boundary is curved
-  enough for the model) to 45 where that meets the tolerance.  Elsewhere,
-  and where the model needs a cut past 15, the mesh runs to a cut in
-  [15, 45] chosen from a bound |1_E^| <= C |xi|^{-3/2}, C estimated on a
-  probe ring, and that bound's tail is the error term.
+  |A| rho_min < 0.1 leave the matmul for the factored Taylor series: a
+  table of R^2 (-iA)^k per pair, summed over theta and taken to the nodes by
+  a second matmul against rho^k / (k! (k + 2)).  The translation and the
+  star center only rotate the phase of 1_E^ and drop out of |1_E^|.  Past
+  the cut, where the boundary's curvature is positive (and not near 0), the
+  leading stationary-phase term (Herz 1962) gives the rest: |1_E^(rho u)|^q is
+  rho^{-3q/2} times a periodic function of rho, whose Fourier harmonics each
+  integrate by ``quadrature._power_tail``; its error is the first omitted
+  order, and the cut is the first from 3 (or the higher cut where the
+  boundary is curved enough for the model) to 45 where that meets the
+  tolerance.  Elsewhere, and where the model needs a cut past 15, the mesh
+  runs to a cut in [15, 45] chosen from a bound |1_E^| <= C |xi|^{-3/2}, C
+  estimated on a probe ring, and that bound's tail is the error term.
   ``PhiResult.method`` names the route.
 * even q: the Fourier transform can be eliminated;
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
@@ -68,7 +69,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 import numpy as np
 
@@ -136,7 +137,9 @@ def _phase_rates(dirs: np.ndarray, theta: np.ndarray, r: np.ndarray) -> np.ndarr
 
 
 def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
-    """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia}.
+    """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia},
+    node by node, for ``_star_hat_points`` (the planar norm sums its near pairs'
+    series in ``_near_sums``).
 
     ``rr`` = R^2 broadcasts against ``a``.  The closed
     form loses ~eps/a^2 to cancellation, so below |a| = 0.1 the Taylor series
@@ -376,6 +379,32 @@ def _half_circle(e: StarSet) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 
+def _near_sums(rate: np.ndarray, rr: np.ndarray, rho: np.ndarray, near: np.ndarray):
+    """Circle sums of R^2 F(rho A) over the ``near`` pairs (phi, theta) of each
+    panel, shaped like ``_polar_blocks``' s, for A = ``rate``, ``rr`` = R^2 and
+    the nodes ``rho``.  The series sum_k R^2 (-iA)^k rho^k / (k! (k + 2)) factors,
+    so each (phi, panel) run sums its rows of R^2 (-iA)^k and one batched matmul
+    takes the sums to the nodes.  K terms are kept, the first dropped one below
+    1e-17 at the largest |rho A|: <= 0.2 past the first panel (K <= 12), 1.6 on
+    a star:4 set's first (K = 22), 10 on criterion 8's e2 stretched by
+    diag(6, 1/6) (K ~ 50), where the series cancels to ~1e-13 of the circle sum
+    of moduli, at nodes where |1_E^| is small."""
+    p, j, t = np.nonzero(near)
+    a = rate[p, t]
+    x = float(np.max(np.abs(a) * rho[j, -1], initial=0.0))
+    n_terms = next(k for k in count(1) if x**k / (math.factorial(k) * (k + 2)) < 1e-17)
+    powers = np.empty((len(p), n_terms), complex)  # R^2 (-iA)^k
+    powers[:, 0] = rr[t]
+    powers[:, 1:] = -1j * a[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    first = np.flatnonzero(np.diff(p * len(rho) + j, prepend=-1))  # (phi, j) runs
+    sums = np.zeros((len(rho), len(rate), n_terms), complex)
+    sums[j[first], p[first]] = np.add.reduceat(powers, first, axis=0)
+    k = np.arange(n_terms)
+    coef = rho[:, None, :] ** k[:, None] / (np.cumprod(np.maximum(k, 1.0)) * (k + 2))[:, None]
+    return (sums @ coef).transpose(1, 0, 2)
+
+
 def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
     """Yields ``(rho, half, norm, s)`` for each block of the polar GK15 mesh of
     [0, radial_cut]: nodes (panels, 15), half-width, and circle sums s (angles,
@@ -418,19 +447,22 @@ def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
         w = np.stack([w2, w1], axis=1)[:, :, None, :]
         m = ((panel_ph * far)[:, None] * w).reshape(n_phi, 2 * nb, n_theta) @ offset_ph
         s = (m[:, :nb] - far @ w2[:, :, None]) / rho**2 + 1j * m[:, nb:] / rho
-        # near pairs, node by node through the closed form or its series
-        p, j, t = np.nonzero(~far)
-        g = _radial_factor(panel_ph[p, j, t][:, None] * offset_ph[p, t],
-                           rate[p, t][:, None] * rho[j], r[t, None] ** 2)
-        first = np.flatnonzero(np.diff(p * nb + j, prepend=-1))  # (phi, j) runs
-        s[p[first], j[first]] += np.add.reduceat(g, first, axis=0)
+        # near pairs, from one power table whatever the panel: the first
+        # panel's, and pairs whose rate is ~0 (theta perpendicular to u_phi M)
+        s += _near_sums(rate, r * r, rho, ~far)
         yield rho, half, scale / n_theta, s
 
 
 def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cut: float | None):
     """(cut, tail, error, route) of the ring route: ``cut`` or one chosen for
     ``cfg``; no tail is added, and the error is the bound on ||1_E^||_q^q past
-    the cut from |1_E^| <= C rho^{-3/2}, C measured on a probe ring."""
+    the cut from |1_E^| <= C rho^{-3/2}, C measured on a probe ring.
+
+    The model fails near the normals at inflection points, where |1_E^|
+    decays only as rho^{-4/3} (cubic contact; Stein, ch. VIII).  The factor
+    1.5 on the C measured at rho = 6, 9 and 13 absorbs that gap only up to
+    rho ~ 13 * 1.5^6 ~ 148, past every cut (<= 45): the bound rests on that
+    margin, not on a proof."""
     expo = 1.5 * q - 2.0
     probe_rho = np.array([6.0, 9.0, 13.0])
     pts = (probe_rho[:, None, None] * uphi[None, :, :]).reshape(-1, 2)

@@ -280,7 +280,7 @@ class TestPinned2D:
 
     @pytest.mark.parametrize("a4, q, phi", [
         (0.04, 4.0, 0.8229142821293527), (0.04, 6.0, 0.8244281753827651),
-        (0.05, 4.0, 0.8226527616578806), (0.05, 6.0, 0.824212595244343)])
+        (0.05, 4.0, 0.8226527616578807), (0.05, 6.0, 0.8242125952443428)])
     def test_flat_convex_ring_route(self, a4, q, phi):
         # convex, but the stationary-phase model needs a cut past 15 (23 at
         # a4 = 0.04, past 45 at 0.05): the probe-ring route as before, bit for bit
@@ -326,6 +326,14 @@ class TestPerPanelOracle:
         yield star_mode_family(0.015, 4), 45.0
         # the stretched circle band, far out
         yield shifted_set(), 45.0
+        # criterion 8's e2 stretched: the first panel's |rho A| reaches 10, the
+        # near-pair table's longest series.  At its own cuts its 720 directions
+        # keep the loop busy for minutes, so it stops at a probe cut
+        e2 = StarSet(1.0, a_coeffs=[0.0, 0.05, 0.03]).with_measure(np.pi)
+        yield e2.apply(AffineMap(np.diag([6.0, 1.0 / 6.0]), np.zeros(2))), 4.0
+        # non-convex: the ring route
+        yield StarSet(1.0, a_coeffs=[0.0, 0.0, 0.0, 0.15]), None
+        yield StarSet(1.0), None
 
     @pytest.mark.parametrize("q", [3.5, 4.0, 6.0])
     def test_matches_per_panel_loop(self, q):
@@ -338,6 +346,36 @@ class TestPerPanelOracle:
                 used, tail, _, _ = _planar_tail(e, _half_circle(e), q, cfg, cut)
                 head = norm_q_2d_per_panel(e, q, used)
                 assert value == pytest.approx(head + tail, rel=1e-12), (e, cfg)
+
+
+class TestNearPairTable:
+    """The planar norm's near pairs, (phi, theta) with |A| rho_min < 0.1 on a
+    panel, from one power table (``functional._near_sums``) against
+    ``_radial_factor``'s node-by-node circle sums."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    def test_matches_radial_factor(self, monkeypatch):
+        # phi = 0 meets theta = 0 at a phase rate of exactly zero.  The reference
+        # runs in extended precision: in doubles the closed form loses ~eps/a^2,
+        # 2.7e-15 of |s| near |rho A| = 0.1.  The near and far parts of s cancel
+        # near the zeros of 1_E^, so the scale is the circle sum of the moduli
+        from felab import functional
+        from felab.functional import _radial_factor
+        from felab.search import PROBE_QUAD
+        near_sums = functional._near_sums
+        blocks = []
+        monkeypatch.setattr(functional, "_near_sums",
+                            lambda *args: blocks.append(args) or near_sums(*args))
+        quarter_turn = AffineMap(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2))
+        phi_q(seeded_star4(3).apply(quarter_turn), 4.0, PROBE_QUAD)
+        assert len(blocks) == 2
+        for rate, rr, rho, near in blocks:
+            assert np.any(rate[np.any(near, axis=1)] == 0.0)
+            a = rate.astype(np.longdouble)[:, None, None, :] * rho.astype(np.longdouble)[:, :, None]
+            g = _radial_factor(np.exp(-1j * a), a, rr.astype(np.longdouble))
+            ref = np.where(near[:, :, None, :], g, 0.0).sum(axis=3)
+            err = np.abs(near_sums(rate, rr, rho, near) - ref)
+            assert np.all(err <= 1e-15 * np.abs(g).sum(axis=3))
 
 
 PIECES_1D = {

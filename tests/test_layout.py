@@ -1,10 +1,10 @@
 """Source layout: one GK15 panel rule, one adaptive loop, one radial
 head-plus-tail integral, one kernel mesh sum, one d = 2 harmonic tail bound and
 no adaptive loop in the kernels, one reader of the d = 1 exponential-sum tails,
-one planar norm integrand, no per-mode loop over the Funk-Hecke eigenvalues,
-expansion terms without the spectrum, a quadrature config only where a
-tolerance runs, no test-only routine inside the package, no global statement,
-and only the pinned module caches."""
+one planar norm integrand, one caller of the node-by-node radial factor, no
+per-mode loop over the Funk-Hecke eigenvalues, expansion terms without the
+spectrum, a quadrature config only where a tolerance runs, no test-only routine
+inside the package, no global statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -116,6 +116,14 @@ def test_exp_sum_tail_called_from_one_place():
     callers = {(name, fn) for name, text in MODULES.items()
                for fn in _callers(text, "_exp_sum_tail")}
     assert callers == {("functional.py", "_tail_bracket")}
+
+
+def test_radial_factor_serves_the_point_transform():
+    # the planar norm takes its near pairs from one power table, so the
+    # node-by-node closed form and series serve only the transform at points
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "_radial_factor")}
+    assert callers == {("functional.py", "_star_hat_points")}
 
 
 def test_power_tail_called_from_two_places():
