@@ -17,10 +17,11 @@ Ltheta(t) = L_q(x), |x| = sqrt(2 - 2 cos t).
 One pass.  Every mode shares g, whose kinks at the zeros of B^ set the
 adaptive mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n as
 one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
-J_nu(x) of every order from the forward recurrence (DLMF 10.6.1, stable
-for x > nu) where x > nu_max + 20, from scipy's jv below that.  The head
-is cut at the zeros of B^ up to max(25, 0.3 nu_max + 10): the periodic
-tail then starts on a kink of g, and runs wholly on the recurrence.
+J_nu(x) of every order from the three-term recurrence (DLMF 10.6.1): run
+forward, stable for x > nu, where x > nu_max + 20, and backward below that
+(Miller's algorithm, scaled by a sum rule).  The head is cut at the
+zeros of B^ up to max(25, 0.3 nu_max + 10): the periodic tail then starts
+on a kink of g, and runs wholly on the forward recurrence.
 ``funk_hecke_eigenvalue`` runs the same pass on one mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
@@ -44,6 +45,7 @@ at d = 2, q = 4 it equals 8/(5 pi).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +73,59 @@ __all__ = [
 
 def _bessel_rows(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_{k+(d-2)/2}(x) for the consecutive modes ks, shape (len(ks),) + x.shape:
-    by the forward recurrence where x > nu_max + 20, by jv below that."""
+    by the forward recurrence where x > nu_max + 20, by Miller's backward
+    recurrence (DLMF 3.6(vi)) below that, and exactly at x = 0.
+
+    Miller: from f_{N+1} = 0 and f_N = 1e-100 (not 1e-300: the d = 3 squares
+    would underflow) at an even N >= nu_max + max(x) + 40,
+    f_{n-1} = (2 (nu0 + n) / x) f_n - f_{n+1} runs down to nu0 = (d-2)/2 and
+    gives J_{nu0+n}(x) up to one factor per x.  The factor comes from
+    J_0 + 2 sum J_2k = 1 (d = 2), or from sum (2n+1) J_{n+1/2}^2 = 2x/pi with
+    the sign of the larger closed form J_{1/2}, J_{3/2} (d = 3).  Below x ~ 1
+    the f grow like N! (2/x)^N, so an element past 1e100 is scaled down with
+    its stored rows."""
     flat = x.ravel()
-    out = np.empty((len(ks), flat.size))
-    far = flat > (d - 2.0) / 2.0 + ks[-1] + 20.0
-    out[:, ~far] = special.jv((d - 2.0) / 2.0 + ks[:, None], flat[~far])
+    nu0 = (d - 2.0) / 2.0
+    out = np.zeros((len(ks), flat.size))
+    out[:, flat == 0] = (nu0 + ks == 0)[:, None]
+    far = flat > nu0 + ks[-1] + 20.0
     if far.any():
         out[:, far] = _bessel_recurrence(d, ks, flat[far])
+    near = (flat > 0) & ~far
+    if near.any():
+        xs = flat[near]
+        two_over_x = 2.0 / xs
+        rows = np.zeros((len(ks), xs.size))
+        hi, lo = np.zeros_like(xs), np.full_like(xs, 1e-100)  # f_{n+1}, f_n
+        total = np.zeros_like(xs)  # the normalisation sum over the f seen so far
+        first, last = int(ks[0]), int(ks[-1])
+        top = 2 * math.ceil((last + xs.max() + 40.0) / 2.0)
+        for n in range(top, -1, -1):
+            big = np.abs(lo) > 1e100
+            if big.any():
+                big = np.flatnonzero(big)
+                lo[big] *= 1e-100
+                hi[big] *= 1e-100
+                total[big] *= 1e-100 if d == 2 else 1e-200
+                rows[max(n + 1 - first, 0):, big] *= 1e-100  # the rows stored so far
+            if first <= n <= last:
+                rows[n - first] = lo
+            if d == 3:
+                total += (2 * n + 1) * lo * lo
+            elif n % 2 == 0:
+                total += lo if n == 0 else 2.0 * lo
+            if n:
+                hi, lo = lo, (nu0 + n) * two_over_x * lo - hi
+        if d == 2:
+            rows /= total
+        else:  # lo = f(1/2), hi = f(3/2)
+            amp = np.sqrt(2.0 / (np.pi * xs))
+            half = amp * np.sin(xs)
+            three_half = half / xs - amp * np.cos(xs)
+            sign = np.where(np.abs(half) >= np.abs(three_half),
+                            np.sign(half * lo), np.sign(three_half * hi))
+            rows *= sign * np.sqrt(2.0 * xs / (np.pi * total))
+        out[:, near] = rows
     return out.reshape((len(ks),) + x.shape)
 
 
@@ -133,18 +181,21 @@ def _eigenvalues(d: int, q: float, ks: np.ndarray) -> np.ndarray:
     return _lambda_radial(d, q, ks).value
 
 
+def _degree(n, name: str) -> int:
+    """A harmonic degree as an int: 2.0 passes, 2.5 and -1 do not."""
+    if not float(n).is_integer() or n < 0:
+        raise DomainError(f"{name} must be an integer >= 0; got {n}")
+    return int(n)
+
+
 def funk_hecke_eigenvalue(d: int, q: float, k: int) -> float:
     """Eigenvalue of F -> integral of L_q(. - beta) F(beta) on degree-k harmonics."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    return float(_eigenvalues(d, q, np.array([k]))[0])
+    return float(_eigenvalues(d, q, np.array([_degree(k, "k")]))[0])
 
 
 def funk_hecke_eigenvalues(d: int, q: float, n_max: int) -> np.ndarray:
     """The eigenvalues of degrees 0..n_max in one radial pass."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    return _eigenvalues(d, q, np.arange(n_max + 1))
+    return _eigenvalues(d, q, np.arange(_degree(n_max, "n_max") + 1))
 
 
 @dataclass(frozen=True)
@@ -181,6 +232,7 @@ def mode_margins(d: int, q: float, n_max: int) -> ModeSpectrum:
     if d < 2:
         raise DomainError("S^0 carries only modes 0 and 1, and the measure constraint "
                           "and translation neutralise both; the spectrum needs d >= 2")
+    n_max = _degree(n_max, "n_max")
     if n_max < 3:
         raise DomainError("n_max must be >= 3 to see the non-affine modes")
     gamma = gamma_qd(d, q)

@@ -2,9 +2,10 @@
 head-plus-tail integral, one kernel mesh sum, one d = 2 harmonic tail bound and
 no adaptive loop in the kernels, one reader of the d = 1 exponential-sum tails,
 one planar norm integrand, one caller of the node-by-node radial factor, no
-per-mode loop over the Funk-Hecke eigenvalues, expansion terms without the
-spectrum, a quadrature config only where a tolerance runs, no test-only routine
-inside the package, no global statement, and only the pinned module caches."""
+per-mode loop over the Funk-Hecke eigenvalues, no jv call in the spectrum,
+expansion terms without the spectrum, a quadrature config only where a
+tolerance runs, no test-only routine inside the package, no global statement,
+and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -61,6 +62,13 @@ def test_no_per_mode_eigenvalue_loop():
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                     assert callee != "funk_hecke_eigenvalue", (name, node.lineno)
+
+
+def test_spectrum_makes_no_jv_call():
+    # the Funk-Hecke Bessel rows come from two recurrences, not one jv call an order
+    calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(ast.parse(MODULES["spectral.py"])) if isinstance(node, ast.Call)}
+    assert "jv" not in calls
 
 
 def _callers(text: str, callee: str) -> set:

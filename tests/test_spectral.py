@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import special
 
+from felab import spectral
 from felab.errors import DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive, radial_head_tail
 from felab.radial_kernels import ball_hat, gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
 from felab.spectral import (
+    _bessel_rows,
     funk_hecke_eigenvalue,
     funk_hecke_eigenvalues,
     mode_margins,
@@ -101,6 +103,27 @@ def _lambda_integrand(d, q, orders):
     return f
 
 
+class TestBesselRows:
+    """The Funk-Hecke Bessel rows against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ks", [np.arange(13), np.arange(161), np.array([40]),
+                                    np.array([160])], ids=["0-12", "0-160", "40", "160"])
+    def test_against_mpmath(self, d, ks):
+        mpmath = pytest.importorskip("mpmath")
+        split = (d - 2) / 2 + ks[-1] + 20.0  # the forward recurrence runs past it
+        # x = 0 exactly; at 1e-8 and 1e-3 Miller's values pass the rescale
+        # threshold; points across (0, split]; then either side of the split
+        x = np.concatenate([[0.0, 1e-8, 1e-3], np.linspace(0.0, split, 10)[1:],
+                            [split * (1 - 1e-12), split * (1 + 1e-12), split + 2.0]])
+        with mpmath.workdps(30):
+            ref = [[float(mpmath.besselj(mpmath.mpf(d - 2) / 2 + k, mpmath.mpf(t)))
+                    for t in x.tolist()] for k in ks.tolist()]
+        rows = _bessel_rows(d, ks, x.reshape(3, -1))
+        assert rows.shape == (len(ks), 3, x.size // 3)
+        assert np.max(np.abs(rows.reshape(len(ks), -1) - ref)) <= 2e-15
+
+
 class TestBatch:
     @pytest.mark.parametrize("d, q, n", [(2, 4.0, 28), (2, 5.7, 12), (3, 4.2, 10)])
     def test_matches_single_mode(self, d, q, n):
@@ -162,6 +185,19 @@ class TestBatch:
         assert peak < 40e6
         assert spec.worst_mode == 4 and len(spec.modes) == 161
 
+    def test_memory_of_one_high_mode(self):
+        # one stored row: all ~860 Miller rows on the ~2,000 head nodes of one
+        # integrand call would take 14 MB
+        tracemalloc.start()
+        try:
+            lam = funk_hecke_eigenvalue(2, 4.0, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        # 2 pi Lhat(400) = 4/(400^2 - 1); the head-plus-tail integral reports 2.4e-9
+        assert lam == pytest.approx(4 / (400**2 - 1), abs=2.4e-9)
+
     def test_d1_alternates(self):
         lams = funk_hecke_eigenvalues(1, 4.0, 3)
         assert lams[0] == lams[2] == funk_hecke_eigenvalue(1, 4.0, 0)
@@ -174,6 +210,23 @@ class TestBatch:
             funk_hecke_eigenvalues(2, 3.2, 4)
         with pytest.raises(DomainError, match="float range"):
             funk_hecke_eigenvalues(2, 700.0, 4)
+
+    def test_integral_float_degrees(self):
+        assert funk_hecke_eigenvalue(2, 4.0, 2.0) == funk_hecke_eigenvalue(2, 4.0, 2)
+        assert np.array_equal(funk_hecke_eigenvalues(2, 4.0, 3.0), funk_hecke_eigenvalues(2, 4.0, 3))
+        assert mode_margins(2, 4.0, 4.0).to_csv() == mode_margins(2, 4.0, 4).to_csv()
+
+    def test_non_integral_degrees_refused_before_integrating(self, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a non-integral degree")
+        for name in ("radial_head_tail", "gamma_qd", "kernel_values"):
+            monkeypatch.setattr(spectral, name, integrate)
+        calls = (lambda: funk_hecke_eigenvalue(2, 4.0, 2.5), lambda: funk_hecke_eigenvalue(1, 4.0, 2.5),
+                 lambda: funk_hecke_eigenvalues(2, 4.0, 3.5), lambda: mode_margins(2, 4.0, 4.5),
+                 lambda: funk_hecke_eigenvalue(2, 4.0, float("nan")))
+        for call in calls:
+            with pytest.raises(DomainError, match="integer"):
+                call()
 
 
 class TestModeMargins:
