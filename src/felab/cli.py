@@ -196,7 +196,6 @@ class _Run:
                 "quadrature": None if self.quad is None else {
                     "abs_tol": self.quad.abs_tol,
                     "rel_tol": self.quad.rel_tol,
-                    "max_subdivisions": self.quad.max_subdivisions,
                 },
                 "wall_time_s": time.perf_counter() - self.t0,
                 "outputs": self.outputs,

@@ -6,11 +6,12 @@ runs on this module:
 * ``gk15_panels`` / ``gk15_sums`` -- the Gauss-Kronrod 15(7) panel rule
   (QUADPACK's qk15): the nodes and Kronrod weights of a batch of panels,
   and the Kronrod sums with the |K - G| rule error of values sampled on
-  them.  Every GK15 mesh in the package, adaptive or fixed, is built here.
-* ``integrate_adaptive``    -- deterministic adaptive bisection with the
-  panel rule from panels cut at known kinks, a round of splits per call.
-  Identical inputs and config give bit-identical results: worst error
-  first, insertion order as the tie-break, sums in a fixed order.
+  them, under every GK15 mesh in the package; ``zero_segment_edges``
+  gives every radial mesh its edges, cut and graded at the zeros of B^.
+* ``integrate_adaptive``    -- adaptive bisection (QUADPACK's QAGP) from
+  panels cut at known kinks, a round of splits per call: the reference of
+  the fixed meshes, which no module calls.  Identical inputs give
+  bit-identical results: worst error first, creation order breaks ties.
 * ``integrate_oscillatory_tail`` -- sums inter-zero segment integrals of a
   slowly decaying oscillatory integrand and accelerates the alternating
   segment series with iterated Aitken (plain truncation, reported
@@ -22,17 +23,15 @@ runs on this module:
   abscissa removes the algebraic remainder, and a rule error measured on
   the first periods is removed and kept in the estimate.
 * ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
-  ball norms, Funk-Hecke eigenvalues): an adaptive head cut at the zeros of
-  B^ its callers pass, then a tail of period 1/2 from the last of them.  It
-  takes no config: its head and tail tolerances follow from the one ``tol``
-  its caller fixes.
+  ball norms, moments, Funk-Hecke eigenvalues): a fixed head cut at the
+  zeros of B^, then a tail of period 1/2 from the last.  Its mesh and
+  tolerances follow from the ``tol`` and kink exponent its caller fixes.
 * ``_power_tail``           -- E(c) = int_1^inf xi^{-s} e^{ic xi} dxi, a
   generalized exponential integral (DLMF 8.19), for an array of c at once:
   the algebraic tails of the d = 1 kernels and of the d = 1 norm at even q.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
-integrable singularities) are treated as zero and left to the adaptive
-refinement.
+integrable singularities) are treated as zero.
 
 Vector integrands.  ``integrate_adaptive``, ``tail_power_periodic`` and
 ``radial_head_tail`` also take an integrand with values of shape
@@ -70,18 +69,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and the subdivision budget of the integration engines."""
+    """Tolerances of the integration engines."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 4000
 
     def __post_init__(self):
         # written so that a NaN tolerance fails the check
         if not (self.abs_tol >= 0 and self.rel_tol >= 0 and self.abs_tol + self.rel_tol > 0):
             raise DomainError("require abs_tol, rel_tol >= 0 and abs_tol + rel_tol > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
     def tolerance(self, scale: float = 1.0) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))
@@ -213,17 +209,34 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
     return gk15_sums(_eval_clean(f, x), half)
 
 
+def zero_segment_edges(cuts: np.ndarray, m, end=0.0, halvings: int = 0) -> np.ndarray:
+    """Panel edges on [cuts[0], cuts[-1]] cut at the increasing ``cuts`` (the zeros of
+    B^, kinks of the radial integrands): in each segment an end panel ``end`` of it wide
+    at either end (none at end = 0), ``m`` equal panels between (both may vary by segment)
+    and, toward each cut but 0, ``halvings`` more edges end / 2^j of it from the cut."""
+    lens = np.diff(cuts)
+    m, end = np.broadcast_to(m, lens.shape).astype(int), np.broadcast_to(end, lens.shape)
+    # k / m of the span between the end panels, k = 0..m - 1, and m where an end panel follows
+    n = m + (end > 0.0)
+    seg = np.repeat(np.arange(lens.size), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    inner = cuts[seg] + lens[seg] * (end[seg] + (1.0 - 2.0 * end[seg]) * k / m[seg])
+    h = np.outer(lens * end, 0.5 ** np.arange(1, halvings + 1))
+    graded = [(cuts[:-1, None] + h)[cuts[:-1] != 0.0].ravel(), (cuts[1:, None] - h).ravel()]
+    return np.unique(np.concatenate([cuts, inner, *graded]))
+
+
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                       points=()) -> IntegralResult:
+                       points=(), max_subdivisions: int = 4000) -> IntegralResult:
     """Adaptive bisection with the GK15 rule on [a, b] cut at ``points`` (QAGP).
 
     Each round takes the worst panels (by error estimate, the largest
     component's for a vector integrand; ties broken by creation order)
     until the error left meets half the tolerance and bisects them in one
     integrand call, until every component's summed error meets its
-    tolerance or the subdivision budget is exhausted."""
-    if not (a < b):
-        raise DomainError(f"require a < b, got [{a}, {b}]")
+    tolerance or ``max_subdivisions`` splits are spent."""
+    if not (a < b and max_subdivisions >= 1):
+        raise DomainError(f"require a < b and max_subdivisions >= 1, got [{a}, {b}], {max_subdivisions}")
     edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
     kron, err = _gk15_batch(f, np.array(edges[:-1]), np.array(edges[1:]))
     # a panel's values: Python floats for a scalar integrand (no numpy call
@@ -240,11 +253,11 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CO
     heap = sorted((-worst(e), i, lo, hi, v, e)  # a sorted list is a heap
                   for i, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], vals, errs)))
     counter, n_splits = len(heap), 0
-    while n_splits < cfg.max_subdivisions and not every(_within(total_err, total_val, cfg)):
+    while n_splits < max_subdivisions and not every(_within(total_err, total_val, cfg)):
         # pop worst first until the error left on the heap meets half the tolerance
         left, popped = total_err, []
         half_tol = 0.5 * np.maximum(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        while heap and n_splits + len(popped) < cfg.max_subdivisions and not every(left <= half_tol):
+        while heap and n_splits + len(popped) < max_subdivisions and not every(left <= half_tol):
             neg_err, _, ia, ib, _, ierr = heap[0]
             if neg_err == 0.0 or ib - ia < 1e-14 * max(1.0, abs(ia), abs(ib)):
                 break
@@ -348,8 +361,8 @@ def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG)
     return _result(partial[-1], abs(kron[-1]) + quad_err, False)
 
 
-# component values per integrand call of the periodic tail's sweep: a vector
-# integrand's new periods are evaluated in chunks of at most this many
+# component values per integrand call of the head's and the periodic tail's
+# sweeps: a vector integrand's panels are evaluated in chunks of at most this many
 _SWEEP_VALUES = 1 << 19
 
 
@@ -406,20 +419,32 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float, n_pe
     return _result(out_val, out_err, converged)
 
 
-def radial_head_tail(f, zeros, p_tail: float, tol: float) -> IntegralResult:
-    """Integrate f over [0, infinity): adaptive head on [0, zeros[-1]], periodic tail.
+def radial_head_tail(f, zeros, p_tail: float, tol: float, kink: float | None) -> IntegralResult:
+    """Integrate f over [0, infinity): a fixed head on [0, zeros[-1]], then a periodic tail.
 
-    ``zeros`` are increasing kinks of f (the zeros of B^ here): the head's
-    first panels run between them, the tail from the last.  The tail must be
-    an envelope decaying like x^-p_tail times an oscillation of period 1/2
-    (every radial Bessel- or sine-power integrand here).  The head runs at
-    (abs, rel) = (tol, 10 tol), the tail at ten times that, from 64
-    periods.  ``f`` may be a vector integrand (see the module docstring).
-    """
-    head = integrate_adaptive(f, 0.0, zeros[-1], QuadratureConfig(tol, 10 * tol), points=zeros)
+    ``zeros`` are increasing kinks of f, |t|^kink at each (the zeros of B^, half a
+    unit apart), ``kink`` None where f is smooth there (even q).  The head has six
+    GK15 panels a segment, max(6, 2 sqrt(p_tail)) on the first (|B^|^q peaks at 0
+    with width ~ 1 / (pi sqrt(q))), and H = ceil(log2(1/tol) / (kink + 1)) - 4 halvings
+    toward each zero, so the last panel, ~2^-(H+4) wide, holds a |t|^kink mass near
+    tol.  Its error, sum |K - G| over one chunked sweep plus eps log2(panels) sum |K|
+    (Higham's bound of a pairwise sum's rounding), is held to (abs, rel) = (tol, 10 tol);
+    the tail, ~ x^-p_tail times an oscillation of period 1/2, to ten times that, from 64
+    periods.  ``f`` may be a vector integrand."""
+    m = np.r_[max(6, math.ceil(2.0 * math.sqrt(p_tail))), np.full(len(zeros) - 1, 6)]
+    halvings = 0 if kink is None else max(0, math.ceil(math.log2(1.0 / tol) / (kink + 1.0)) - 4)
+    edges = zero_segment_edges(np.r_[0.0, zeros], m - 2, 1.0 / m, halvings)
+    a, b = edges[:-1], edges[1:]
+    # the first panel alone gives the component count, which sizes the sweep's calls
+    sweep = [_gk15_batch(f, a[:1], b[:1])]
+    step = max(1, _SWEEP_VALUES // (15 * sweep[0][0][..., 0].size))
+    sweep += [_gk15_batch(f, a[lo:lo + step], b[lo:lo + step]) for lo in range(1, a.size, step)]
+    kron, rule = (np.concatenate(part, axis=-1) for part in zip(*sweep))
+    value, error = np.sum(kron, axis=-1), np.sum(rule, axis=-1)
+    error += np.finfo(float).eps * math.log2(a.size) * np.sum(np.abs(kron), axis=-1)
     tail = tail_power_periodic(f, zeros[-1], 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
-    return _result(head.value + tail.value, head.error_estimate + tail.error_estimate,
-                   np.logical_and(head.converged, tail.converged))
+    converged = np.logical_and(_within(error, value, QuadratureConfig(tol, 10 * tol)), tail.converged)
+    return _result(value + tail.value, error + tail.error_estimate, converged)
 
 
 # ---------------------------------------------------------------------------

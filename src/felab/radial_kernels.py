@@ -26,7 +26,7 @@ integrand
 
 a power envelope times an oscillation of period 1/2; the first form cannot
 overflow (|B^| <= omega_d) and runs on ball_hat's closed forms for d <= 3.
-Like the ball norms', its adaptive head is cut at the zeros of B^ and its
+Like the ball norms', its fixed head is cut at the zeros of B^ and its
 periodic tail starts at the last, so the kinks of |B^|^q fall on panel and
 period edges.  For d = 1 this is 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
 
@@ -80,6 +80,7 @@ from .quadrature import (
     gk15_panels,
     integrate_oscillatory_tail,
     radial_head_tail,
+    zero_segment_edges,
 )
 
 __all__ = [
@@ -159,14 +160,10 @@ def ball_hat(d: int, r):
         out[small] = np.pi * (1.0 - xs**2 / 8.0 + xs**4 / 192.0)
         xl = x[~small]
         out[~small] = 2.0 * np.pi * special.j1(xl) / xl
-    else:
+    else:  # the spherical j_1(x) / x, unlike (sin x - x cos x) / x^3, keeps its digits at small x
         x = 2.0 * np.pi * r
-        small = x < 1e-3
-        out = np.empty_like(r)
-        xs = x[small]
-        out[small] = (4.0 * np.pi / 3.0) * (1.0 - xs**2 / 10.0 + xs**4 / 280.0)
-        xl = x[~small]
-        out[~small] = (np.sin(xl) - xl * np.cos(xl)) * 4.0 * np.pi / xl**3
+        out = np.full_like(r, 4.0 * np.pi / 3.0)
+        out[x > 0] = 4.0 * np.pi * special.spherical_jn(1, x[x > 0]) / x[x > 0]
     return float(out[0]) if scalar else out
 
 
@@ -228,13 +225,6 @@ def _series(kind: str, q: float) -> tuple:
     return freqs, coeffs, trunc
 
 
-def _graded_edges(a: float, b: float, singular: tuple, base: float) -> np.ndarray:
-    """Panel edges on [a, b], refined toward each singular point over 42 halvings."""
-    h = base * 0.5 ** np.arange(1, 43)
-    near = np.array([(s - h, s + h) for s in singular if a <= s <= b]).ravel()
-    return np.unique(np.r_[np.arange(a, b, base), b, near[(a < near) & (near < b)]])
-
-
 def _gk15_mesh(edges: np.ndarray):
     """Flat GK15 nodes and weights on the panels between consecutive edges."""
     nodes, weights = gk15_panels(0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]))
@@ -249,21 +239,12 @@ def _check_resolved(kind: str, d: int, radii: np.ndarray, width: float) -> None:
                           f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
 
 
-def _zero_edges(kind: str, d: int, end: float, radii: np.ndarray, width: float) -> np.ndarray:
-    """Panel edges on [0, end] cut at the zeros of B^, the kinks of g at non-even q:
-    a panel 1/24 of a zero segment wide at either end of it (a |t|^{q-2} kink's rule
-    error stays near 1e-10 down to q near q_d) and m >= 2 equal panels between, as
-    many as hold at most two periods of w_d at the largest radius each (GK15 errs by
-    ~4e-14 there).  Radii past the four-node bound of ``width``-wide panels are refused."""
+def _panel_counts(kind: str, d: int, cuts: np.ndarray, radii: np.ndarray, width: float):
+    """Equal panels m >= 2 a zero segment between 1/24 end panels (a |t|^{q-2} kink errs
+    ~1e-10 there to q near q_d), at most two periods of w_d at the largest radius each (GK15
+    errs ~4e-14 there); radii that ``width``-wide panels do not resolve are refused."""
     _check_resolved(kind, d, radii, width)
-    cuts = np.unique(np.r_[0.0, _ball_hat_zeros(d, end), end])
-    lens = np.diff(cuts)
-    # segment i holds m_i + 2 edges: its start, then (1 + 22 k / m_i) / 24 of it, k <= m_i
-    m = np.maximum(2, np.ceil(22.0 / 24.0 * lens * radii.max(initial=0.0) / 2.0)).astype(int)
-    seg = np.repeat(np.arange(len(lens)), m + 2)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(m + 2) - (m + 2), m + 2)
-    rel = np.where(k == 0, 0.0, (1.0 + 22.0 * (k - 1) / m[seg]) / 24.0)
-    return np.r_[cuts[seg] + lens[seg] * rel, end]
+    return np.maximum(2, np.ceil(22.0 / 24.0 * np.diff(cuts) * radii.max(initial=0.0) / 2.0))
 
 
 # (radius, node) or (frequency, radius) pairs per block of the kernel meshes
@@ -271,13 +252,13 @@ def _zero_edges(kind: str, d: int, end: float, radii: np.ndarray, width: float) 
 # number of radii and nodes
 _PAIR_CHUNK = 1 << 16
 
-# |S^{d-1}| (exact: omega(1) is 2 less an ulp), the radial wave w_d of the
-# inverse transform of a radial profile and, on the line, the waves of its
-# antiderivatives (1 - cos y as 2 sin^2(y/2), exact at small y); the d = 1 head
+# |S^{d-1}| (exact: omega(1) is 2 less an ulp), the radial wave w_d of a radial
+# profile's inverse transform and, on the line, the waves of its antiderivatives
+# (1 - cos y as 2 sin^2(y/2), exact at small y); the d = 1 head, graded or plain
 _SPHERE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _WAVE = {(1, 0): np.cos, (2, 0): special.j0, (3, 0): lambda y: np.sin(y) / y,
          (1, 1): np.sin, (1, 2): lambda y: 2.0 * np.sin(0.5 * y) ** 2}
-_HEAD_EDGES_1D = _graded_edges(0.0, 1.0, (0.5, 1.0), base=1.0 / 48)
+_HEAD_EDGES_1D = tuple(zero_segment_edges(np.r_[0.0, 0.5, 1.0], 22, 1.0 / 24, h) for h in (42, 0))
 
 
 def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarray,
@@ -321,7 +302,7 @@ def _kernel_values_1d(q: float, *parts):
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
-        edges = _HEAD_EDGES_1D if q % 2 else np.linspace(0.0, 1.0, 49)
+        edges = _HEAD_EDGES_1D[q % 2 == 0]
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -361,9 +342,10 @@ def _moment(kind: str, d: int, q: float):
     (K) or 0 (L): p > 1 exactly above q_threshold.  The tail starts at a
     zero of B^; a K tail alternates by half period, but the ladder reads
     only even period counts.  The tolerance sits below the 1e-11 slack."""
-    p = (d + 1.0) * (q - 1.0 if kind == "K" else q - 2.0) / 2.0 - (d - 1.0)
+    a = q - 1.0 if kind == "K" else q - 2.0
+    p = (d + 1.0) * a / 2.0 - (d - 1.0)
     res = radial_head_tail(lambda rho: rho ** (d - 1) * _g_radial(kind, d, q, rho),
-                           _ball_hat_zeros(d, 20.0), p, 1e-12)
+                           _ball_hat_zeros(d, 20.0), p, 1e-12, a if q % 2 else None)
     value = _SPHERE[d] * res.value
     return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
 
@@ -397,34 +379,27 @@ def _harmonic_tail_bound(kind: str, q: float, x: np.ndarray, z: float) -> np.nda
 
 def _kernel_values_2d_K(q: float, x: np.ndarray):
     """K-kind: one mesh cut at the zeros of B^ up to Z, the last zero below
-    rho = 120: ``_zero_edges`` panels up to the last zero below 40, then
+    rho = 120: ``_panel_counts`` panels up to the last zero below 40, then
     ceil(length x max r) equal panels a zero segment (a |t|^{q-1} kink is
     milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the rest.
-    The 1e-11 slack is added.
-    """
-    zeros = _ball_hat_zeros(2, 120.0)
-    z40 = zeros[zeros <= 40.0][-1]
-    head = _zero_edges("K", 2, z40, x, 1.0 / 24)  # refuses unresolved radii first
-    cuts = zeros[zeros >= z40]
-    lens = np.diff(cuts)
-    n = np.ceil(lens * x.max()).astype(int)
-    # segment i holds n_i equal panels: its start, then k / n_i of it, k < n_i
-    seg = np.repeat(np.arange(len(lens)), n)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
-    z = cuts[-1]
-    values = _radial_sum("K", 2, q, x, np.r_[head[:-1], cuts[seg] + lens[seg] * k / n[seg], z])
-    return values, _harmonic_tail_bound("K", q, x, z) + 1e-11 * (1.0 + np.abs(values))
+    The 1e-11 slack is added."""
+    cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
+    near = cuts[1:] <= 40.0
+    m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
+    values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
+    return values, _harmonic_tail_bound("K", q, x, cuts[-1]) + 1e-11 * (1.0 + np.abs(values))
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
-    """L-kind: ``_zero_edges`` panels up to Z, the last zero of B^ below 160.
+    """L-kind: ``_panel_counts`` panels a zero segment up to Z, the last below 160.
     Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), the a_0 part
     a_0 env(rho) J_0(2 pi r rho) alternates between the zeros of J_0: per radius,
     from Z to the first leading-order zero (k - 1/4) / 2r past it and 127 more
     segments, Aitken-accelerated; ``_harmonic_tail_bound`` covers the other
     harmonics.  The 1e-11 slack is added."""
-    z = _ball_hat_zeros(2, 160.0)[-1]
-    values = _radial_sum("L", 2, q, x, _zero_edges("L", 2, z, x, 1.0 / 12))
+    cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
+    z, m = cuts[-1], _panel_counts("L", 2, cuts, x, 1.0 / 12)
+    values = _radial_sum("L", 2, q, x, zero_segment_edges(cuts, m, 1.0 / 24))
     a0 = _series("L", q)[1][0]
     errors = _harmonic_tail_bound("L", q, x, z)
     for i, r in enumerate(x):
@@ -444,7 +419,8 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
-    edges = _zero_edges(kind, 3, r_cut, x, 1.0 / 24)
+    cuts = np.unique(np.r_[0.0, _ball_hat_zeros(3, r_cut), r_cut])
+    edges = zero_segment_edges(cuts, _panel_counts(kind, 3, cuts, x, 1.0 / 24), 1.0 / 24)
     out = _radial_sum(kind, 3, q, x, edges)
     last = _gk15_mesh(edges[edges >= r_cut - 1.0])[0]  # the last unit: two zero segments
     tail_bound = 4.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]
@@ -537,9 +513,9 @@ def gamma_qd_detailed(d: int, q: float) -> IntegralResult:
         bh = ball_hat(d, rho) if d <= 3 else special.jv(d / 2.0, 2 * np.pi * rho) / rho ** (d / 2.0)
         return rho ** (1.0 + d) * np.abs(bh) ** q
 
-    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - d - 1.0, 1e-14)
-    value = 4.0 * np.pi**2 * res.value
-    err = 4.0 * np.pi**2 * res.error_estimate
+    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - d - 1.0, 1e-14,
+                           q if q % 2 else None)
+    value, err = 4.0 * np.pi**2 * res.value, 4.0 * np.pi**2 * res.error_estimate
     return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
 
 
@@ -555,7 +531,8 @@ def gamma_1d_closed_form(q: float) -> float:
     def f(xi):
         return np.where(xi > 0, xi ** (2.0 - q), 0.0) * np.abs(np.sin(2 * np.pi * xi)) ** q
 
-    return 4.0 * np.pi ** (2.0 - q) * radial_head_tail(f, _ball_hat_zeros(1, 10.0), q - 2.0, 1e-14).value
+    res = radial_head_tail(f, _ball_hat_zeros(1, 10.0), q - 2.0, 1e-14, q if q % 2 else None)
+    return 4.0 * np.pi ** (2.0 - q) * res.value
 
 
 def rho_d(d: int) -> float:
@@ -574,10 +551,9 @@ def ball_norm_q(d: int, q: float) -> IntegralResult:
     def f(rho):
         return np.where(rho > 0, rho, 0.0) ** (d - 1) * np.abs(ball_hat(d, rho)) ** q
 
-    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15)
-    scale = d * omega(d)
-    value = scale * res.value
-    err = scale * res.error_estimate
+    res = radial_head_tail(f, _ball_hat_zeros(d, 20.0), q * (d + 1.0) / 2.0 - (d - 1.0), 1e-15,
+                           q if q % 2 else None)
+    value, err = d * omega(d) * res.value, d * omega(d) * res.error_estimate
     return IntegralResult(value, err, converged=bool(err <= DEFAULT_CONFIG.tolerance(value)))
 
 

@@ -14,14 +14,14 @@ engine handles the rho^{-(d+1)(q-2)/2} envelope).  For d = 2 this equals
 2 pi Lhat(k), the Fourier coefficient of the circle profile
 Ltheta(t) = L_q(x), |x| = sqrt(2 - 2 cos t).
 
-One pass.  Every mode shares g, whose kinks at the zeros of B^ set the
-adaptive mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n as
-one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
+One pass.  Every mode shares g, whose |t|^{q-2} kinks at the zeros of B^ set
+the fixed head mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n
+as one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
 J_nu(x) of every order from the three-term recurrence (DLMF 10.6.1): run
 forward, stable for x > nu, where x > nu_max + 20, and backward below that
-(Miller's algorithm, scaled by a sum rule).  The head is cut at the
-zeros of B^ up to max(25, 0.3 nu_max + 10): the periodic tail then starts
-on a kink of g, and runs wholly on the forward recurrence.
+(Miller's algorithm, scaled by a sum rule).  The head is cut at the zeros of
+B^ up to max(25, 0.3 nu_max + 10): the periodic tail then starts on a kink of
+g, and runs wholly on the forward recurrence.
 ``funk_hecke_eigenvalue`` runs the same pass on one mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
@@ -167,7 +167,7 @@ def _lambda_radial(d: int, q: float, ks: np.ndarray) -> IntegralResult:
     # head panels between the zeros of B^ (the kinks of g), tail from the last;
     # 2 pi zeros[-1] >= 1.88 nu_max + 59 keeps the tail on the recurrence
     zeros = _ball_hat_zeros(d, max(25.0, 0.3 * ((d - 2.0) / 2.0 + ks[-1]) + 10.0))
-    out = radial_head_tail(f, zeros, (d + 1.0) * (q - 2.0) / 2.0, 1e-15)
+    out = radial_head_tail(f, zeros, (d + 1.0) * (q - 2.0) / 2.0, 1e-15, q - 2 if q % 2 else None)
     return IntegralResult(4 * np.pi**2 * out.value, 4 * np.pi**2 * out.error_estimate, out.converged)
 
 

@@ -340,16 +340,14 @@ class SplineKernel:
         return np.where(r > self.r_max, 0.0, out)
 
 
-def circle_coeff_from_profile(kernel: RadialKernel, n: int,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def circle_coeff_from_profile(kernel: RadialKernel, n: int) -> float:
     """Oracle route: (2 pi)^{-1} int Ltheta(t) cos(nt) dt against a sampled profile."""
     profile = CircleProfile(kernel)
 
     def f(theta):
         return profile(theta) * np.cos(n * theta)
 
-    res = integrate_adaptive(f, 0.0, 2 * np.pi, QuadratureConfig(1e-12, 1e-11,
-                                                                 cfg.max_subdivisions))
+    res = integrate_adaptive(f, 0.0, 2 * np.pi, QuadratureConfig(1e-12, 1e-11))
     return res.value / (2 * np.pi)
 
 

@@ -1,11 +1,11 @@
-"""Source layout: one GK15 panel rule, one adaptive loop, one radial
-head-plus-tail integral, one kernel mesh sum, one d = 2 harmonic tail bound and
-no adaptive loop in the kernels, one reader of the d = 1 exponential-sum tails,
-one planar norm integrand, one caller of the node-by-node radial factor, no
-per-mode loop over the Funk-Hecke eigenvalues, no jv call in the spectrum,
-expansion terms without the spectrum, a quadrature config only where a
-tolerance runs, no test-only routine inside the package, no global statement,
-and only the pinned module caches."""
+"""Source layout: one GK15 panel rule, one adaptive loop that no module calls,
+one radial head-plus-tail integral, one builder of every radial mesh's edges,
+one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
+exponential-sum tails, one planar norm integrand, one caller of the
+node-by-node radial factor, no per-mode loop over the Funk-Hecke eigenvalues,
+no jv call in the spectrum, expansion terms without the spectrum, a quadrature
+config only where a tolerance runs, no test-only routine inside the package,
+no global statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -111,11 +111,34 @@ def test_one_d2_harmonic_tail_bound():
 
 
 def test_radial_kernels_run_no_adaptive_loop():
-    # every kernel integral runs on fixed panels, the head-plus-tail integral
-    # or the segment tail, so no tolerance-driven loop runs once per radius
+    # every radial integral (kernels, gamma, ball norms, moments and the
+    # Funk-Hecke eigenvalues) runs on fixed panels, the periodic tail or the
+    # segment tail: no module calls or imports the adaptive loop, which the
+    # tests keep as their reference, and the kernels take no config
+    for name, text in MODULES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert callee != "integrate_adaptive", (name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert "integrate_adaptive" not in {alias.name for alias in node.names}, name
     imported = {alias.name for node in ast.walk(ast.parse(MODULES["radial_kernels.py"]))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"integrate_adaptive", "QuadratureConfig"}
+    assert "QuadratureConfig" not in imported
+
+
+def test_one_radial_edge_builder():
+    # the head of radial_head_tail, the d = 1 kernel head and the d = 2, 3
+    # kernel meshes take their edges from zero_segment_edges
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "zero_segment_edges")}
+    assert callers == {("quadrature.py", "radial_head_tail"), ("radial_kernels.py", "<module>"),
+                       ("radial_kernels.py", "_kernel_values_2d_K"),
+                       ("radial_kernels.py", "_kernel_values_2d_L"),
+                       ("radial_kernels.py", "_kernel_values_3d")}
+    defined = {node.name for text in MODULES.values() for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_graded_edges", "_zero_edges"}
 
 
 def test_exp_sum_tail_called_from_one_place():
@@ -219,8 +242,7 @@ def test_quadrature_config_only_where_a_tolerance_runs():
 
 
 def test_quadrature_config_fields():
-    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
-        "abs_tol", "rel_tol", "max_subdivisions"]
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol", "rel_tol"]
 
 
 def test_no_global_statements():

@@ -125,8 +125,8 @@ class TestAdaptive:
         assert res.converged
 
     def test_endpoint_singularity(self):
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=20000)
-        res = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+        res = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg, max_subdivisions=20000)
         assert res.value == pytest.approx(2.0, abs=1e-8)
 
     def test_sinc_against_series(self):
@@ -169,8 +169,9 @@ class TestAdaptive:
         assert res.value[1] == pytest.approx(1e-6 * np.sqrt(np.pi) / 2, rel=1e-12)
 
     def test_budget_exhaustion_flag(self):
-        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
-        res = integrate_adaptive(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300), 0.0, 1.0, cfg)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+        res = integrate_adaptive(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300), 0.0, 1.0, cfg,
+                                 max_subdivisions=3)
         assert not res.converged
 
     def test_points_at_kinks(self):
@@ -268,7 +269,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0, rel_tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(max_subdivisions=0)
+            integrate_adaptive(np.exp, 0.0, 1.0, max_subdivisions=0)
         with pytest.raises(DomainError):
             IntegralResult(1.0, -1.0, True)
 

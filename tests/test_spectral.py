@@ -9,7 +9,7 @@ from scipy import special
 from felab import spectral
 from felab.errors import DomainError, ThresholdError
 from felab.quadrature import QuadratureConfig, integrate_adaptive, radial_head_tail
-from felab.radial_kernels import ball_hat, gamma_qd, kernel_profile, kernel_values
+from felab.radial_kernels import _ball_hat_zeros, ball_hat, gamma_qd, kernel_profile, kernel_values
 from felab.set_model import IntervalSet, StarSet, boundary_profile
 from felab.spectral import (
     _bessel_rows,
@@ -158,22 +158,25 @@ class TestBatch:
         f = _lambda_integrand(2, q, np.arange(n + 1))
         zeros = special.jn_zeros(1, 80) / (2 * np.pi)
         edges = np.concatenate([[0.0], zeros[zeros < 25.0]])
-        head = sum(integrate_adaptive(f, a, b, QuadratureConfig(1e-17, 1e-15, 20000)).value
+        head = sum(integrate_adaptive(f, a, b, QuadratureConfig(1e-17, 1e-15),
+                                      max_subdivisions=20000).value
                    for a, b in zip(edges[:-1], edges[1:]))
         reference = 4 * np.pi**2 * (head + np.array(self.TAIL_3_6))
         assert np.max(np.abs(funk_hecke_eigenvalues(2, q, n) - reference)) <= 5e-10
 
     def test_identical_columns_reproduce_scalar_bits(self):
-        # 40 columns: the periodic tail sweeps its last doublings in chunks
+        # 40 columns: the periodic tail sweeps its last doublings in chunks, and
+        # on the graded mesh cut at the zeros of B^ (~1,800 panels) so does the head
         q = 3.7
         scalar = _lambda_integrand(2, q, 3.0)
-        res = radial_head_tail(lambda rho: scalar(rho)[0], [25.0], 1.5 * (q - 2.0), 1e-15)
-        batch = radial_head_tail(lambda rho: np.repeat(scalar(rho), 40, axis=0),
-                                 [25.0], 1.5 * (q - 2.0), 1e-15)
-        assert isinstance(res.value, float) and batch.value.shape == (40,)
-        assert np.all(batch.value == res.value)
-        assert np.all(batch.error_estimate == res.error_estimate)
-        assert np.all(batch.converged == res.converged)
+        for zeros, kink in ([25.0], None), (_ball_hat_zeros(2, 25.0), q - 2.0):
+            res = radial_head_tail(lambda rho: scalar(rho)[0], zeros, 1.5 * (q - 2.0), 1e-15, kink)
+            batch = radial_head_tail(lambda rho: np.repeat(scalar(rho), 40, axis=0),
+                                     zeros, 1.5 * (q - 2.0), 1e-15, kink)
+            assert isinstance(res.value, float) and batch.value.shape == (40,)
+            assert np.all(batch.value == res.value)
+            assert np.all(batch.error_estimate == res.error_estimate)
+            assert np.all(batch.converged == res.converged)
 
     def test_memory_flat_in_mode_count(self):
         tracemalloc.start()
