@@ -31,7 +31,8 @@ Routes
   R^2 F(rho A), F(a) = (e^{-ia}(1 + ia) - 1)/a^2, by a trapezoid rule whose
   order grows with the frequency the base body meets, |rho u M| for the
   affine matrix M (spectral accuracy for the band-limited boundaries used
-  here).  The norm integrates over uniform GK15 panels in
+  here); ``_circle`` sizes it and gives R and A for the norm and for the
+  transform at points.  The norm integrates over uniform GK15 panels in
   the radius, 16 to a block sharing one circle rule.  In a block A(phi,
   theta) is fixed and a node is rho = mid_j + half x_k, so e^{-i rho A} =
   P_j O_k, a product of panel and offset exp tables; no error accumulates.
@@ -41,8 +42,10 @@ Routes
   split cancels where |rho A| is small: a panel's pairs (phi, theta) with
   |A| rho_min < 0.1 leave the matmul for the factored Taylor series: a
   table of R^2 (-iA)^k per pair, summed over theta and taken to the nodes by
-  a second matmul against rho^k / (k! (k + 2)).  The translation and the
-  star center only rotate the phase of 1_E^ and drop out of |1_E^|.  Past
+  a second matmul against rho^k / (k! (k + 2)); the transform at points
+  takes its pairs with |A| < 0.1 from the same series at rho = 1.  The
+  translation and the star center only rotate the phase of 1_E^ and drop
+  out of |1_E^|.  Past
   the cut, where the boundary's curvature is positive (and not near 0), the
   leading stationary-phase term (Herz 1962) gives the rest: |1_E^(rho u)|^q is
   rho^{-3q/2} times a periodic function of rho, whose Fourier harmonics each
@@ -119,64 +122,38 @@ def babenko_bound(q: float, d: int) -> float:
 # indicator transforms
 # ---------------------------------------------------------------------------
 
-def _circle_rule_order(band: float) -> int:
-    """Trapezoid order for e^{i z cos}-type integrands: Nyquist + Airy margin."""
-    return int(max(48, band + 3.0 * band ** (1.0 / 3.0) + 12))
-
-
-def _radius_bound(e: StarSet) -> float:
-    """c0 + sum |a_n| + |b_n| >= max r(theta): scales the circle-rule band."""
-    return abs(e.c0) + float(np.sum(np.abs(e.a_coeffs)) + np.sum(np.abs(e.b_coeffs)))
-
-
-def _phase_rates(dirs: np.ndarray, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a_{jm} = 2 pi r(theta_m) (dirs_j . u(theta_m)): the radial phase rate."""
+def _circle(e: StarSet, dirs: np.ndarray, rho_max: float):
+    """The circle rule for the frequencies rho eta, eta a row of ``dirs`` and
+    0 <= rho <= rho_max: (R, A), the radii R = r(theta) at its nodes and the
+    phase rates A = 2 pi R (eta . u(theta)) per row.  Its order covers the band
+    2 pi rho_max (c0 + sum |a_n| + |b_n|) max|eta|, c0 + sum >= max r, with
+    Nyquist's count plus an Airy margin, for e^{i z cos}-type integrands."""
+    r_bound = abs(e.c0) + float(np.sum(np.abs(e.a_coeffs)) + np.sum(np.abs(e.b_coeffs)))
+    band = 2 * np.pi * rho_max * (r_bound * float(np.max(np.hypot(dirs[:, 0], dirs[:, 1]))))
+    n_theta = int(max(48, band + 3.0 * band ** (1.0 / 3.0) + 12))
+    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    r = e.radius(theta)
     a = 2 * np.pi * (np.outer(dirs[:, 0], np.cos(theta)) + np.outer(dirs[:, 1], np.sin(theta)))
     a *= r
-    return a
-
-
-def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
-    """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia},
-    node by node, for ``_star_hat_points`` (the planar norm sums its near pairs'
-    series in ``_near_sums``).
-
-    ``rr`` = R^2 broadcasts against ``a``.  The closed
-    form loses ~eps/a^2 to cancellation, so below |a| = 0.1 the Taylor series
-    R^2 sum_k (-ia)^k / (k! (k + 2)) replaces it (ten terms: < 1e-17).
-    """
-    small = np.abs(a) < 0.1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = ph * (1.0 + 1j * a)
-        g -= 1.0
-        g *= rr / (a * a)
-    if np.any(small):
-        z = -1j * a[small]
-        term = np.ones_like(z)
-        series = 0.5 * term
-        for k in range(1, 10):
-            term *= z / k
-            series += term / (k + 2)
-        g[small] = np.broadcast_to(rr, g.shape)[small] * series
-    return g
+    return r, a
 
 
 def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
-    """Transform of a star set at an (n, 2) array of frequency points."""
+    """Transform of a star set at an (n, 2) array of frequency points: per
+    point, the circle sum of R^2 F(A), by the closed form where |A| >= 0.1
+    and by ``_near_sums`` at rho = 1 below."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     # affine reduction: (T E + v)^ (xi) = det T e^{-2 pi i v.xi} E^(T^t xi)
-    det = e.affine.det
     eta = pts @ e.affine.matrix
-    rho_max = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
-    n_theta = _circle_rule_order(2 * np.pi * rho_max * _radius_bound(e))
-    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    r = e.radius(theta)
-    a = _phase_rates(eta, theta, r)
-    vals = _radial_factor(np.exp(-1j * a), a, r * r).mean(axis=1) * 2 * np.pi
+    r, a = _circle(e, eta, 1.0)
+    near = np.abs(a) < 0.1
+    w = np.divide(r * r, a * a, out=np.zeros_like(a), where=~near)
+    vals = ((np.exp(-1j * a) * (1.0 + 1j * a) - 1.0) * w).sum(axis=1)
+    vals += _near_sums(a, r * r, np.ones((1, 1)), near[:, None])[:, 0, 0]
     shift = pts @ e.affine.translation + eta @ e.center
     if np.any(shift):
         vals = vals * np.exp(-2j * np.pi * shift)
-    return det * vals
+    return e.affine.det * 2 * np.pi / len(r) * vals
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +398,14 @@ def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
     # translation and the center only rotate the phase of 1_E^
     dirs = uphi @ e.affine.matrix
     scale = 2 * np.pi * e.affine.det
-    # the phase rate is 2 pi rho r (u_phi M).u(theta): |u_phi M| stretches the band
-    r_bound = _radius_bound(e) * float(np.max(np.hypot(dirs[:, 0], dirs[:, 1])))
     block = 16  # panels per circle rule
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
         nb = hi - lo
-        n_theta = _circle_rule_order(2 * np.pi * (2 * half * hi) * r_bound)
-        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        r = e.radius(theta)
+        r, rate = _circle(e, dirs, 2 * half * hi)
+        n_theta = len(r)
         # e^{-i rho A} = P_j O_k, P_j = e^{-i mid_j A} built as e^{-i mid_4a A}
         # e^{-2i half b A} (j = 4a + b), O_k = e^{-i half x_k A} = conj O_{14-k}
-        rate = _phase_rates(dirs, theta, r)
         base = np.exp(-1j * mid[lo:hi:4, None] * rate[:, None, :])
         step = np.exp(-2j * half * np.arange(4)[:, None] * rate[:, None, :])
         panel_ph = (base[:, :, None] * step[:, None]).reshape(n_phi, -1, n_theta)[:, :nb]

@@ -37,7 +37,7 @@ from .errors import DomainError, ThresholdError
 from .functional import (_EPS, _block_norm_q, _half_circle, _phi_result, _planar_tail,
                          _polar_blocks, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
-from .radial_kernels import _kernel_values_1d, ball_hat, q_threshold
+from .radial_kernels import _KERNEL_SLACK, _kernel_values_1d, ball_hat, q_threshold
 from .set_model import AffineMap, IntervalSet, StarSet, symdiff_measure
 
 __all__ = [
@@ -103,8 +103,8 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     sums need: <K, f> = sum s (Kbar(b) - Kbar(a)) over the signed pieces of f,
     <f*L, f> = sum s s' (Lam(b - c) - Lam(a - c) - Lam(b - d) + Lam(a - d))
     over pairs, the second piece reflected for <f*L, f~>.  A difference errs
-    by the series cut at its ends and the kernel's slack 1e-11 (1 + |K|), |K|
-    its mean, times the width (L's times the widths' product; below q = 3,
+    by the series cut at its ends and the kernel's slack _KERNEL_SLACK (1 + |K|),
+    |K| its mean, times the width (L's times the widths' product; below q = 3,
     where L has no values, the corners' own errors), plus rounding."""
     a, b, sgn = _signed_pieces_1d(e)
     n, ends = len(a), np.concatenate([a, b])
@@ -118,7 +118,8 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     kb = np.sign(ends) * kbar[at_x]  # Kbar is odd
     diff = kb[n:] - kb[:n]
     terms, errs = np.array([sgn @ diff, 0.0, 0.0]), np.zeros(3)
-    errs[0] = 2 * n * (k_cut + _EPS * np.sum(np.abs(kb))) + 1e-11 * np.sum(b - a + np.abs(diff))
+    errs[0] = (2 * n * (k_cut + _EPS * np.sum(np.abs(kb)))
+               + _KERNEL_SLACK * np.sum(b - a + np.abs(diff)))
     if quadratic:
         [(lam, l_cut)] = lam
         lam = np.r_[np.zeros(len(ts) - len(lam)), lam][at_t.reshape(corners.shape)]
@@ -126,7 +127,8 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
         terms[1:] = np.sum(sgn[:, None] * sgn * pair, axis=(1, 2))
         slack = (np.sum(np.outer(b - a, b - a) + np.abs(pair), axis=(1, 2)) if q > 3.0
                  else np.sum(1.0 + np.abs(lam), axis=(1, 2, 3)))
-        errs[1:] = 4 * n * n * (l_cut + _EPS * np.sum(np.abs(lam), axis=(1, 2, 3))) + 1e-11 * slack
+        errs[1:] = (4 * n * n * (l_cut + _EPS * np.sum(np.abs(lam), axis=(1, 2, 3)))
+                    + _KERNEL_SLACK * slack)
     return terms, errs
 
 

@@ -33,8 +33,11 @@ period edges.  For d = 1 this is 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
 Profile evaluation
 ------------------
 Every kernel mesh is one sum, |S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho)
-drho on fixed GK15 panels, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y, which
-refuses a radius whose period spans fewer than four node gaps.  d = 1: the
+drho on fixed GK15 panels, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y.  Each
+mesh refuses, once, a radius whose period spans fewer than four of its node
+gaps: the d = 1 head per part, the d = 2 and 3 meshes as their panels are
+counted.  ``kernel_values`` adds one fixed slack, _KERNEL_SLACK (1 + |v|),
+to every error.  d = 1: the
 mesh is a head on [0, 1], graded toward the kinks of g at 1/2 and 1 (48
 plain panels at even q, where g has none); past it g(xi) = pi^{-s} xi^{-s}
 P(2 pi xi), s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or
@@ -66,7 +69,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -152,18 +154,13 @@ def ball_hat(d: int, r):
         raise DomainError("radius must be >= 0")
     if d == 1:
         out = 2.0 * np.sinc(2.0 * r)
-    elif d == 2:
+    else:  # c J_1(x) / x, or c j_1(x) / x in d = 3, with c = 2 pi (d - 1) and x = 2 pi r,
+        # keep their digits at small x, unlike (sin x - x cos x) / x^3; at x = 0 they are c / d
         x = 2.0 * np.pi * r
-        small = x < 1e-4
-        out = np.empty_like(r)
-        xs = x[small]
-        out[small] = np.pi * (1.0 - xs**2 / 8.0 + xs**4 / 192.0)
-        xl = x[~small]
-        out[~small] = 2.0 * np.pi * special.j1(xl) / xl
-    else:  # the spherical j_1(x) / x, unlike (sin x - x cos x) / x^3, keeps its digits at small x
-        x = 2.0 * np.pi * r
-        out = np.full_like(r, 4.0 * np.pi / 3.0)
-        out[x > 0] = 4.0 * np.pi * special.spherical_jn(1, x[x > 0]) / x[x > 0]
+        pos = x > 0
+        c = 2.0 * np.pi * (d - 1)
+        out = np.full_like(r, c / d)
+        out[pos] = c * (special.j1(x[pos]) if d == 2 else special.spherical_jn(1, x[pos])) / x[pos]
     return float(out[0]) if scalar else out
 
 
@@ -190,7 +187,6 @@ def _g_radial(kind: str, d: int, q: float, rho: np.ndarray) -> np.ndarray:
     return bh * mag if kind == "K" else mag
 
 
-@lru_cache(maxsize=64)
 def _series(kind: str, q: float) -> tuple:
     """(frequencies, coefficients, truncation bound) of the periodic factor.
 
@@ -221,7 +217,6 @@ def _series(kind: str, q: float) -> tuple:
         rest = 400.0 / max(s, 0.5)
     coeffs = math.exp(lead) * np.cumprod(np.concatenate([[1.0], steps]))
     trunc = float(np.abs(coeffs[-1])) * rest
-    freqs.flags.writeable = coeffs.flags.writeable = False  # shared by every caller
     return freqs, coeffs, trunc
 
 
@@ -247,6 +242,10 @@ def _panel_counts(kind: str, d: int, cuts: np.ndarray, radii: np.ndarray, width:
     return np.maximum(2, np.ceil(22.0 / 24.0 * np.diff(cuts) * radii.max(initial=0.0) / 2.0))
 
 
+# every kernel value's error adds _KERNEL_SLACK (1 + |value|), which the d = 1
+# expansion terms carry too
+_KERNEL_SLACK = 1e-11
+
 # (radius, node) or (frequency, radius) pairs per block of the kernel meshes
 # and of the d = 1 tail product: their working arrays stay near 0.5 MB at any
 # number of radii and nodes
@@ -268,13 +267,9 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarra
     d = 1 its ``order``-th antiderivative in r, w(y) / (2 pi rho)^order.
 
     The mesh is swept in blocks of at most _PAIR_CHUNK pairs: runs of
-    _PAIR_CHUNK nodes, each against as many radii as fit.  A radius whose
-    period 1/r spans fewer than four of the widest node gaps is refused.  On
-    the d = 1 head (bound 115.5) the error stays below 3e-13 up to the bound;
-    at r = 144, 6 pi of phase a panel, it reaches 1e-9 against the 1e-11
-    reported.
+    _PAIR_CHUNK nodes, each against as many radii as fit.  Its callers refuse
+    the radii it does not resolve.
     """
-    _check_resolved(kind, d, radii, np.max(np.diff(edges)))
     out = np.zeros_like(radii)
     step = _PAIR_CHUNK // 15  # panels per run
     for lo in range(0, len(edges) - 1, step):
@@ -291,18 +286,22 @@ def _kernel_values_1d(q: float, *parts):
     """Per part (kind, order, x), the d = 1 kernel or its first or second
     antiderivative in r at radii x >= 0, 2 int_0^inf g(xi) W dxi with W = cos y,
     sin y / (2 pi xi) or 2 sin^2(y/2) / (2 pi xi)^2, y = 2 pi x xi, and the
-    bound on the series terms cut (``kernel_values`` adds the 1e-11 (1 + |v|)
-    slack): a graded head on [0, 1] (48 plain panels at even q, where g has
-    no kinks), then each series term against the power tails at 2 pi (f +- x)
-    at the exponent s + order, q for K at order 1 and L at order 2, for every
-    q > 2.  At order 1 the phase turns by -i; at order 2 the tail is
-    T(0) - T(x), T the order-0 sum.  The parts share that exponent (K at
-    order 1 with L at order 2, or one part), and one call when they fit."""
+    bound on the series terms cut (``kernel_values`` adds the slack): a graded
+    head on [0, 1] (48 plain panels at even q, where g has no kinks), then
+    each series term against the power tails at 2 pi (f +- x) at the exponent
+    s + order, q for K at order 1 and L at order 2, for every q > 2.  At
+    order 1 the phase turns by -i; at order 2 the tail is T(0) - T(x), T the
+    order-0 sum.  The parts share that exponent (K at order 1 with L at order
+    2, or one part), and one call when they fit.  Each part refuses radii past
+    115.5, where a period spans fewer than four of the head's widest node
+    gaps: up to there the head errs below 3e-13; at r = 144, 6 pi of phase a
+    panel, by 1e-9."""
     blocks, out = [], []
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
         edges = _HEAD_EDGES_1D[q % 2 == 0]
+        _check_resolved(kind, 1, x, np.max(np.diff(edges)))
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -341,13 +340,13 @@ def _moment(kind: str, d: int, q: float):
     The envelope decays like rho^{-p}, p = (d+1)(q-2+s)/2 - (d-1) with s = 1
     (K) or 0 (L): p > 1 exactly above q_threshold.  The tail starts at a
     zero of B^; a K tail alternates by half period, but the ladder reads
-    only even period counts.  The tolerance sits below the 1e-11 slack."""
+    only even period counts.  The tolerance sits below the kernel slack."""
     a = q - 1.0 if kind == "K" else q - 2.0
     p = (d + 1.0) * a / 2.0 - (d - 1.0)
     res = radial_head_tail(lambda rho: rho ** (d - 1) * _g_radial(kind, d, q, rho),
                            _ball_hat_zeros(d, 20.0), p, 1e-12, a if q % 2 else None)
     value = _SPHERE[d] * res.value
-    return value, _SPHERE[d] * res.error_estimate + 1e-11 * (1.0 + abs(value))
+    return value, _SPHERE[d] * res.error_estimate
 
 
 def _envelope(p: float, rho):
@@ -381,13 +380,12 @@ def _kernel_values_2d_K(q: float, x: np.ndarray):
     """K-kind: one mesh cut at the zeros of B^ up to Z, the last zero below
     rho = 120: ``_panel_counts`` panels up to the last zero below 40, then
     ceil(length x max r) equal panels a zero segment (a |t|^{q-1} kink is
-    milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the rest.
-    The 1e-11 slack is added."""
+    milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the rest."""
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
     near = cuts[1:] <= 40.0
     m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
     values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
-    return values, _harmonic_tail_bound("K", q, x, cuts[-1]) + 1e-11 * (1.0 + np.abs(values))
+    return values, _harmonic_tail_bound("K", q, x, cuts[-1])
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
@@ -396,7 +394,7 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
     a_0 env(rho) J_0(2 pi r rho) alternates between the zeros of J_0: per radius,
     from Z to the first leading-order zero (k - 1/4) / 2r past it and 127 more
     segments, Aitken-accelerated; ``_harmonic_tail_bound`` covers the other
-    harmonics.  The 1e-11 slack is added."""
+    harmonics."""
     cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
     z, m = cuts[-1], _panel_counts("L", 2, cuts, x, 1.0 / 12)
     values = _radial_sum("L", 2, q, x, zero_segment_edges(cuts, m, 1.0 / 24))
@@ -411,7 +409,7 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
         res = integrate_oscillatory_tail(f, np.r_[z, zeros])
         values[i] += res.value
         errors[i] += res.error_estimate
-    return values, errors + 1e-11 * (1.0 + np.abs(values))
+    return values, errors
 
 
 def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
@@ -424,7 +422,7 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     out = _radial_sum(kind, 3, q, x, edges)
     last = _gk15_mesh(edges[edges >= r_cut - 1.0])[0]  # the last unit: two zero segments
     tail_bound = 4.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]
-    return out, tail_bound + 1e-11 * (1.0 + np.abs(out))
+    return out, tail_bound
 
 
 def kernel_values(kind: str, d: int, q: float, radii):
@@ -434,23 +432,22 @@ def kernel_values(kind: str, d: int, q: float, radii):
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
         raise DomainError("radii must be finite and >= 0")
     if d == 1:
-        [(values, cut)] = _kernel_values_1d(q, (kind, 0, radii))
-        return values, cut + 1e-11 * (1.0 + np.abs(values))
-    if d not in (2, 3):
+        [(values, errors)] = _kernel_values_1d(q, (kind, 0, radii))
+    elif d not in (2, 3):
         raise CapabilityError(f"kernel profiles support d in {{1,2,3}}, got {d}")
-    # r = 0 takes the moment; no mesh sum or per-radius tail runs there
-    values, errors = np.empty_like(radii), np.empty_like(radii)
-    pos = radii > 0
-    if np.any(pos):
-        if d == 3:
-            values[pos], errors[pos] = _kernel_values_3d(kind, q, radii[pos])
-        elif kind == "K":
-            values[pos], errors[pos] = _kernel_values_2d_K(q, radii[pos])
-        else:
-            values[pos], errors[pos] = _kernel_values_2d_L(q, radii[pos])
-    if not np.all(pos):
-        values[~pos], errors[~pos] = _moment(kind, d, q)
-    return values, errors
+    else:  # r = 0 takes the moment; no mesh sum or per-radius tail runs there
+        values, errors = np.empty_like(radii), np.empty_like(radii)
+        pos = radii > 0
+        if np.any(pos):
+            if d == 3:
+                values[pos], errors[pos] = _kernel_values_3d(kind, q, radii[pos])
+            elif kind == "K":
+                values[pos], errors[pos] = _kernel_values_2d_K(q, radii[pos])
+            else:
+                values[pos], errors[pos] = _kernel_values_2d_L(q, radii[pos])
+        if not np.all(pos):
+            values[~pos], errors[~pos] = _moment(kind, d, q)
+    return values, errors + _KERNEL_SLACK * (1.0 + np.abs(values))
 
 
 @dataclass(frozen=True)

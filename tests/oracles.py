@@ -6,8 +6,8 @@ radial J_0 and J_1 integrals for the translated disc's expansion terms,
 the disc's norm and its K and L kernels, the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
-planar norm one radial panel at a time, the d = 1 quadratic expansion
-terms on the frequency side), the planar sets several test
+planar norm one radial panel at a time from the radial factor node by node,
+the d = 1 quadratic expansion terms on the frequency side), the planar sets several test
 modules share, report-only fits and probes, a local ascent from a given
 start, and views of package objects that only the tests read.  None of them is called by the
 package, its command line or its acceptance criteria.
@@ -23,11 +23,8 @@ from scipy.interpolate import CubicSpline
 from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
 from felab.errors import ArityError, DomainError
 from felab.functional import (
-    _circle_rule_order,
+    _circle,
     _half_circle,
-    _phase_rates,
-    _radial_factor,
-    _radius_bound,
     _signed_exp_mesh,
     _star_hat_points,
     phi_ball,
@@ -447,6 +444,28 @@ def shifted_set():
 # the planar norm, one radial panel at a time
 # ---------------------------------------------------------------------------
 
+def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
+    """int_0^R e^{-i a s/R} s ds = R^2 (e^{-ia}(1 + ia) - 1)/a^2, given ph = e^{-ia},
+    node by node; ``rr`` = R^2 broadcasts against ``a``.  The closed form loses
+    ~eps/a^2 to cancellation, so below |a| = 0.1 the Taylor series
+    R^2 sum_k (-ia)^k / (k! (k + 2)) replaces it (ten terms: < 1e-17).  It runs
+    in the dtype it is given, extended precision included."""
+    small = np.abs(a) < 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = ph * (1.0 + 1j * a)
+        g -= 1.0
+        g *= rr / (a * a)
+    if np.any(small):
+        z = -1j * a[small]
+        term = np.ones_like(z)
+        series = 0.5 * term
+        for k in range(1, 10):
+            term *= z / k
+            series += term / (k + 2)
+        g[small] = np.broadcast_to(rr, g.shape)[small] * series
+    return g
+
+
 def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
     """||1_E^||_q^q on [0, radial_cut], on the same mesh as
     ``functional._polar_blocks``.
@@ -463,16 +482,11 @@ def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
     offsets = gk15_panels(0.0, half)[0]
     dirs = uphi @ e.affine.matrix
     scale = 2 * np.pi * e.affine.det
-    # the phase rate 2 pi rho r (u_phi M).u(theta) reaches |u_phi M| times r
-    r_bound = _radius_bound(e) * float(np.max(np.hypot(dirs[:, 0], dirs[:, 1])))
     value = 0.0
     block = 16
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
-        n_theta = _circle_rule_order(2 * np.pi * (2 * half * hi) * r_bound)
-        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        r = e.radius(theta)
-        rate = _phase_rates(dirs, theta, r)
+        r, rate = _circle(e, dirs, 2 * half * hi)
         panel_ph = np.exp(-1j * mid[lo:hi, None, None] * rate)
         offset_ph = np.exp(-1j * offsets[:, None, None] * rate)
         rho = mid[lo:hi, None] + offsets[None, :]

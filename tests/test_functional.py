@@ -16,8 +16,8 @@ from felab.functional import (
 from felab.quadrature import QuadratureConfig
 from felab.radial_kernels import ball_hat
 from felab.set_model import AffineMap, IntervalSet, StarSet
-from oracles import (centred_endpoints, indicator_hat, interval_norm_bands, norm_q_2d_per_panel,
-                     q_continuity_probe, seeded_star4, shifted_set, translate)
+from oracles import (_radial_factor, centred_endpoints, indicator_hat, interval_norm_bands,
+                     norm_q_2d_per_panel, q_continuity_probe, seeded_star4, shifted_set, translate)
 
 
 def random_union(rng, max_pieces=3):
@@ -360,7 +360,6 @@ class TestNearPairTable:
         # 2.7e-15 of |s| near |rho A| = 0.1.  The near and far parts of s cancel
         # near the zeros of 1_E^, so the scale is the circle sum of the moduli
         from felab import functional
-        from felab.functional import _radial_factor
         from felab.search import PROBE_QUAD
         near_sums = functional._near_sums
         blocks = []

@@ -1,11 +1,12 @@
 """Source layout: one GK15 panel rule, one adaptive loop that no module calls,
 one radial head-plus-tail integral, one builder of every radial mesh's edges,
 one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
-exponential-sum tails, one planar norm integrand, one caller of the
-node-by-node radial factor, no per-mode loop over the Funk-Hecke eigenvalues,
-no jv call in the spectrum, expansion terms without the spectrum, a quadrature
-config only where a tolerance runs, no test-only routine inside the package,
-no global statement, and only the pinned module caches."""
+exponential-sum tails, one planar norm integrand, one circle rule and one
+near-pair series for the planar transforms, one kernel slack, no per-mode
+loop over the Funk-Hecke eigenvalues, no jv call in the spectrum, expansion
+terms without the spectrum, a quadrature config only where a tolerance runs,
+no test-only routine inside the package, no global statement, and only the
+pinned module caches."""
 
 import ast
 import dataclasses
@@ -24,7 +25,7 @@ TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
              "gamma_asymptotic_fit",
              "empirical_holder_exponent", "q_continuity_probe",
              "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel",
-             "circle_coeff", "indicator_hat", "_interval_hat"}
+             "circle_coeff", "indicator_hat", "_interval_hat", "_radial_factor"}
 # methods that only the tests used; free functions in tests/oracles.py now
 TEST_ONLY_METHODS = {"integral_a2_b2", "integral_f", "derivative_at", "cumulative",
                      "deviation_from_identity", "translate"}
@@ -149,12 +150,36 @@ def test_exp_sum_tail_called_from_one_place():
     assert callers == {("functional.py", "_tail_bracket")}
 
 
-def test_radial_factor_serves_the_point_transform():
-    # the planar norm takes its near pairs from one power table, so the
-    # node-by-node closed form and series serve only the transform at points
+def test_one_near_pair_series():
+    # the planar norm and the transform at points take their near pairs from
+    # one power table; the node-by-node series is the tests' reference
     callers = {(name, fn) for name, text in MODULES.items()
-               for fn in _callers(text, "_radial_factor")}
-    assert callers == {("functional.py", "_star_hat_points")}
+               for fn in _callers(text, "_near_sums")}
+    assert callers == {("functional.py", "_polar_blocks"), ("functional.py", "_star_hat_points")}
+
+
+def test_one_circle_rule():
+    # the planar norm and the transform at points size their circle rule,
+    # radii and phase rates in one helper
+    callers = {(name, fn) for name, text in MODULES.items() for fn in _callers(text, "_circle")}
+    assert callers == {("functional.py", "_polar_blocks"), ("functional.py", "_star_hat_points")}
+    defined = {node.name for text in MODULES.values() for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_circle_rule_order", "_radius_bound", "_phase_rates"}
+
+
+def test_one_kernel_slack():
+    # every kernel value's error takes the fixed slack once, in kernel_values;
+    # the d = 1 expansion terms read the same constant
+    text = MODULES["radial_kernels.py"]
+    readers = {getattr(top, "name", "<module>") for top in ast.parse(text).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Name) and node.id == "_KERNEL_SLACK"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {"kernel_values"}
+    literals = [node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Constant) and node.value == 1e-11]
+    assert len(literals) == 1
 
 
 def test_power_tail_called_from_two_places():
@@ -251,9 +276,8 @@ def test_no_global_statements():
 
 
 # the module-level caches, each global state that must earn its place: the
-# periodic factor's Fourier series (the d = 1 kernels and the d = 2 L kernel)
-# and the ball's Phi_q that every expansion report at one (d, q, cfg) shares
-CACHED = {"_series", "_ball_phi"}
+# ball's Phi_q that every expansion report at one (d, q, cfg) shares
+CACHED = {"_ball_phi"}
 
 
 def test_module_caches_are_pinned():

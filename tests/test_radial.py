@@ -74,15 +74,18 @@ class TestBallHat:
             slope = np.polyfit(np.log(r), np.log(resid), 1)[0]
             assert slope > 3.9
 
-    def test_d3_small_r_to_rounding(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_r_to_rounding(self, d):
         # (sin x - x cos x) / x^3 loses 1e-16 / x^2 relative to cancellation;
         # |B^|^q multiplies that by q, and |B^|^150 peaks near r = 0.03
         mpmath = pytest.importorskip("mpmath")
         r = np.logspace(-3.5, -0.5, 40)
         with mpmath.workdps(40):
-            exact = [float(4 * mpmath.pi * (mpmath.sin(x) - x * mpmath.cos(x)) / x**3)
-                     for x in (2 * mpmath.pi * mpmath.mpf(float(s)) for s in r)]
-        assert np.max(np.abs(ball_hat(3, r) / exact - 1.0)) <= 4e-15
+            xs = [2 * mpmath.pi * mpmath.mpf(float(s)) for s in r]
+            exact = [float(2 * mpmath.pi * mpmath.besselj(1, x) / x if d == 2
+                           else 4 * mpmath.pi * (mpmath.sin(x) - x * mpmath.cos(x)) / x**3)
+                     for x in xs]
+        assert np.max(np.abs(ball_hat(d, r) / exact - 1.0)) <= 4e-15
 
 
 class TestBallHatZeros:
@@ -250,7 +253,7 @@ class TestKernel1D:
 
         monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
         r = np.linspace(0.0, 6.0, 2048)
-        kernel_values("K", 1, 4.0, r[:4])  # build the cached tables first
+        kernel_values("K", 1, 4.0, r[:4])  # warm up first
         tracemalloc.start()
         try:
             vals, _ = kernel_values("K", 1, 4.0, r)
@@ -483,6 +486,16 @@ class TestKernelHeads:
         cuts = np.unique(np.r_[0.0, radial_kernels._ball_hat_zeros(d, end), end])
         fine = np.r_[(cuts[:-1, None] + np.diff(cuts)[:, None] * np.arange(32) / 32).ravel(), end]
         assert np.max(np.abs(head - inner(kind, d, q, radii, fine))) <= 1e-10
+
+
+class TestMeshRefusal:
+    @pytest.mark.parametrize("kind, d, bound", [
+        ("K", 2, "57.75"), ("L", 2, "28.88"), ("K", 3, "57.75"), ("L", 3, "57.75")])
+    def test_refused_past_the_end_panels(self, kind, d, bound):
+        # the d = 2 and 3 meshes keep four GK15 nodes a period of w_d up to
+        # the bound of their 1/24-wide end panels (1/12 for L in d = 2)
+        with pytest.raises(DomainError, match=f"resolve radii up to {bound}"):
+            kernel_values(kind, d, 4.5, np.array([0.5, 70.0]))
 
 
 class TestKernel3D:
