@@ -251,7 +251,7 @@ def _cmd_phi(run: _Run, args):
 def _cmd_expand(run: _Run, args):
     from .perturbation import _TIGHT, expansion_report
     run.quad = _TIGHT
-    rep = expansion_report(_load_set(args.set_file), args.q, run.quad)
+    rep = expansion_report(_load_set(args.set_file), args.q)
     run.emit(_jdump(rep.as_dict()), "expand.json")
 
 
@@ -275,7 +275,7 @@ def _cmd_expand_sweep(run: _Run, args):
     lines = ["eps,direct,base,term_K,term_LL,term_Lrefl,residual"]
     for t in eps:
         run.log(f"expanding eps = {t}")
-        rep = expansion_report(fam(t), args.q, run.quad)
+        rep = expansion_report(fam(t), args.q)
         lines.append(",".join(f"{v:.17g}" for v in (
             t, rep.direct, rep.base, rep.term_K, rep.term_LL, rep.term_Lrefl, rep.residual)))
     run.emit("\n".join(lines), "expand_sweep.csv")

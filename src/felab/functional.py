@@ -630,9 +630,7 @@ def phi_even_oracle(e, q: float, grid_resolution: int = 2048) -> PhiResult:
 
 
 def _grid_fft_norm(e: StarSet, q: int, n: int):
-    theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    boundary = e.affine(e.center + e.radius(theta)[:, None] * u)
+    boundary = e.boundary()
     center = boundary.mean(axis=0)
     diam = float(np.max(np.linalg.norm(boundary - center, axis=1)))
     box = 4.0 * diam

@@ -33,12 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ThresholdError
+from .errors import DomainError
 from .functional import (_EPS, _block_norm_q, _half_circle, _phi_result, _planar_tail,
                          _polar_blocks, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
-from .radial_kernels import _KERNEL_SLACK, _kernel_values_1d, ball_hat, q_threshold
-from .set_model import AffineMap, IntervalSet, StarSet, symdiff_measure
+from .radial_kernels import (_KERNEL_SLACK, _check_exponent, _check_peak, _kernel_values_1d,
+                             ball_hat)
+from .set_model import AffineMap, IntervalSet, StarSet, _signed_pieces, symdiff_measure
 
 __all__ = [
     "ExpansionReport",
@@ -51,6 +52,8 @@ __all__ = [
     "star_mode_family",
 ]
 
+# the one tolerance of every expansion report, for its direct value, the
+# ball's Phi_q and the d = 2 tail; the CLI records it in the run manifest
 _TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)
 _D2_CUT = 45.0
 
@@ -88,15 +91,6 @@ class ExpansionReport:
 # d = 1 terms from the signed pieces of f = 1_E - 1_B
 # ---------------------------------------------------------------------------
 
-def _signed_pieces_1d(e: IntervalSet):
-    """(left, right, sign) arrays of the pieces of E \\ B (+1) and B \\ E (-1);
-    a midpoint lies in E where an odd count of E's sorted endpoints is <= it."""
-    pts = np.unique(np.concatenate([e.endpoints(), [-1.0, 1.0]]))
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    sign = np.searchsorted(e.endpoints(), mid, side="right") % 2 - ((-1.0 <= mid) & (mid < 1.0))
-    return pts[:-1][sign != 0], pts[1:][sign != 0], sign[sign != 0].astype(float)
-
-
 def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     """(<K, f>, <f*L, f>, <f*L, f~>) and their errors from the antiderivatives
     Kbar(x) = int_0^x K and Lam(t) = int_0^t int_0^u L at the unique |x| the
@@ -106,7 +100,7 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     by the series cut at its ends and the kernel's slack _KERNEL_SLACK (1 + |K|),
     |K| its mean, times the width (L's times the widths' product; below q = 3,
     where L has no values, the corners' own errors), plus rounding."""
-    a, b, sgn = _signed_pieces_1d(e)
+    a, b, sgn = _signed_pieces(e.endpoints(), [-1.0, 1.0])  # E \ B (+1), B \ E (-1)
     n, ends = len(a), np.concatenate([a, b])
     xs, at_x = np.unique(np.abs(ends), return_inverse=True)
     # corners b - c, a - c, b - d, a - d of each pair of pieces, the second (c, d)
@@ -134,13 +128,14 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
 
 def inner_K(e, q: float) -> float:
     """<K_q, f> = int_{E\\B} K_q - int_{B\\E} K_q."""
-    return float((_planar_pass(e, q, _TIGHT)[1] if e.dimension == 2
+    _check_peak(e.dimension, q)
+    return float((_planar_pass(e, q)[1] if e.dimension == 2
                   else _terms_1d(e, q, quadratic=False)[0])[0])
 
 
-def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
+def _planar_pass(e: StarSet, q: float):
     """One sweep of E's polar mesh at the report's cut.  Returns ||1_E^||_q^q,
-    its error and its route as ``phi_q(e, q, cfg, radial_cut=_D2_CUT)`` forms
+    its error and its route as ``phi_q(e, q, _TIGHT, radial_cut=_D2_CUT)`` forms
     them (the mesh plus ``_planar_tail``); the terms (<K, f>, <f*L, f>,
     <f*L, f~>) and their GK15 rule terms; and a bound on the report's
     remainder past the cut.
@@ -150,7 +145,7 @@ def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
     |b|^{q-2} Re h^2 are even in xi, so the half circle carries them.
     """
     uphi = _half_circle(e)
-    _, tail, tail_err, route = _planar_tail(e, uphi, q, cfg, _D2_CUT)
+    _, tail, tail_err, route = _planar_tail(e, uphi, q, _TIGHT, _D2_CUT)
     shift = uphi @ e.affine.translation + (uphi @ e.affine.matrix) @ e.center
     norm_q, terms, rule = np.zeros(2), np.zeros(3), np.zeros(3)
     for rho, half, norm, s in _polar_blocks(e, uphi, _D2_CUT):
@@ -178,29 +173,24 @@ def _planar_pass(e: StarSet, q: float, cfg: QuadratureConfig):
 
 def quadratic_terms(e, q: float) -> dict:
     """<f*L_q, f> and <f*L_q, f~>."""
-    if e.dimension == 2:
-        _check_planar_exponent(q)
-    _, ll, lr = (_planar_pass(e, q, _TIGHT)[1] if e.dimension == 2 else _terms_1d(e, q)[0]).tolist()
+    if e.dimension == 2:  # the d = 2 terms need L_q continuous
+        _check_exponent("L", 2, q)
+    else:
+        _check_peak(1, q)
+    _, ll, lr = (_planar_pass(e, q)[1] if e.dimension == 2 else _terms_1d(e, q)[0]).tolist()
     return {"LL": ll, "Lrefl": lr}
 
 
-def _check_planar_exponent(q: float) -> None:
-    """The d = 2 quadratic terms need L_q continuous: q > q_2 = 10/3."""
-    thr = q_threshold("L", 2)
-    if not q > thr:
-        raise ThresholdError(f"the d = 2 quadratic terms need q > {thr:.6g}; got q = {q}", thr)
-
-
 @lru_cache(maxsize=16)
-def _ball_phi(d: int, q: float, cfg: QuadratureConfig):
+def _ball_phi(d: int, q: float):
     """Phi_q of the unit ball through the pipeline of the direct value; it
-    depends on (d, q, cfg) alone, so the reports of a family share it."""
+    depends on (d, q) alone, so the reports of a family share it."""
     if d == 1:
-        return phi_q(IntervalSet([(-1.0, 1.0)]), q, cfg)
-    return phi_q(StarSet.unit_disc(), q, cfg, radial_cut=_D2_CUT)
+        return phi_q(IntervalSet([(-1.0, 1.0)]), q, _TIGHT)
+    return phi_q(StarSet.unit_disc(), q, _TIGHT, radial_cut=_D2_CUT)
 
 
-def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionReport:
+def expansion_report(e, q: float) -> ExpansionReport:
     """All expansion terms, the direct value, and the residual."""
     d = e.dimension
     ball = IntervalSet([(-1.0, 1.0)]) if d == 1 else StarSet.unit_disc()
@@ -218,16 +208,17 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
     # below q = 3 the quadratic terms drop out of the first-order form
     weights = np.array([q, q * q / 4.0, q * (q - 2.0) / 4.0]) * [1.0, q >= 3.0, q >= 3.0]
     if d == 2:
-        _check_planar_exponent(q)
-        norm, terms, rule, tail = _planar_pass(e, q, cfg)
+        _check_exponent("L", 2, q)
+        norm, terms, rule, tail = _planar_pass(e, q)
         # phi_q's result, and its Babenko guard, from the pass's norm
-        direct = _phi_result(*norm, e.measure, q, 2, cfg)
+        direct = _phi_result(*norm, e.measure, q, 2, _TIGHT)
         err = float(weights @ rule) + tail
     else:
+        _check_peak(1, q)
         terms, rule = _terms_1d(e, q, quadratic=q >= 3.0)
-        direct, err = phi_q(e, q, cfg), float(weights @ rule)
+        direct, err = phi_q(e, q, _TIGHT), float(weights @ rule)
     t_k, t_ll, t_lr = (weights * terms).tolist()
-    base = _ball_phi(d, q, cfg)
+    base = _ball_phi(d, q)
     # the errors of the norms ||1_E^||_q^q = Phi^q |E|^{q-1}, not of Phi
     err += sum(q * r.error_estimate * r.norm_q_pow_q / r.phi for r in (direct, base))
     residual = direct.norm_q_pow_q - base.norm_q_pow_q - t_k - t_ll - t_lr
@@ -235,8 +226,7 @@ def expansion_report(e, q: float, cfg: QuadratureConfig = _TIGHT) -> ExpansionRe
                            residual, delta, order, err)
 
 
-def remainder_slope(family, q: float, eps_list,
-                    cfg: QuadratureConfig = _TIGHT) -> dict:
+def remainder_slope(family, q: float, eps_list) -> dict:
     """Least-squares slope of log |residual| against log |E triangle B|."""
     eps = sorted(float(t) for t in eps_list)
     if len(eps) < 4 or eps[0] <= 0:
@@ -246,7 +236,7 @@ def remainder_slope(family, q: float, eps_list,
     rows = []
     noise = 0.0
     for t in eps:
-        rep = expansion_report(family(t), q, cfg)
+        rep = expansion_report(family(t), q)
         rows.append((rep.symdiff, rep.residual))
         noise = max(noise, rep.error_estimate)
     resid = np.array([abs(r) for _, r in rows])

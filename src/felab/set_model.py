@@ -20,9 +20,12 @@ so that int a = |E\\B|, int b = |B\\E| and int F = |B| - |E|.  A set of ball
 measure is *balanced* when F is orthogonal to every polynomial of degree
 <= 2 restricted to the sphere; an affine change of variables can always
 achieve this for sets close to the ball, and ``balance`` realizes the
-construction as a damped Newton iteration on the degree-<=2 moments (the
-antisymmetric part of the linear update is neutral, so the iteration runs
-over symmetric traceless matrices plus translations).
+construction as a damped Newton iteration on the degree-1 and degree-2
+moments, which it reads off the Fourier coefficients of ``boundary_profile``
+(the antisymmetric part of the linear update is neutral, so the iteration
+runs over symmetric traceless matrices plus translations).  In d = 1 the
+symmetric difference sums the signed pieces of ``_signed_pieces``, which the
+d = 1 expansion terms read too.
 """
 
 from __future__ import annotations
@@ -168,16 +171,15 @@ class IntervalSet:
         return f"IntervalSet({list(self.intervals)!r})"
 
 
-def _interval_symdiff(e1: IntervalSet, e2: IntervalSet) -> float:
-    pts = np.unique(np.concatenate([e1.endpoints(), e2.endpoints()]))
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        in1 = any(l <= mid < r for l, r in e1.intervals)
-        in2 = any(l <= mid < r for l, r in e2.intervals)
-        if in1 != in2:
-            total += hi - lo
-    return total
+def _signed_pieces(ends1, ends2):
+    """(left, right, sign) arrays of the pieces of E1 \\ E2 (+1) and E2 \\ E1
+    (-1) for interval unions given by their sorted endpoints: a midpoint lies
+    in a union where an odd count of its endpoints is <= it."""
+    pts = np.unique(np.concatenate([ends1, ends2]))
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    sign = (np.searchsorted(ends1, mid, side="right") % 2
+            - np.searchsorted(ends2, mid, side="right") % 2)
+    return pts[:-1][sign != 0], pts[1:][sign != 0], sign[sign != 0].astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,12 @@ class StarSet:
         first_moment = (r[:, None] ** 3 / 3.0 * u).mean(axis=0) * 2 * np.pi
         base_centroid = self.center + first_moment / base_area
         return self.affine(base_centroid)
+
+    def boundary(self) -> np.ndarray:
+        """256 boundary points, at evenly spaced angles about the base center."""
+        theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return self.affine(self.center + self.radius(theta)[:, None] * u)
 
     def contains(self, points) -> np.ndarray:
         """Vectorized membership test for an (n, 2) array of points."""
@@ -361,7 +369,8 @@ def symdiff_measure(e1, e2, n_theta: int = 8192, grid_resolution: int = 1024) ->
     if e1.dimension != e2.dimension:
         raise DomainError("sets must share a dimension")
     if e1.dimension == 1:
-        return _interval_symdiff(e1, e2)
+        left, right, _ = _signed_pieces(e1.endpoints(), e2.endpoints())
+        return float(sum(right - left))
     o1, o2 = e1.star_origin(), e2.star_origin()
     try:
         # common-origin radial formula about the first set's star center
@@ -376,7 +385,8 @@ def symdiff_measure(e1, e2, n_theta: int = 8192, grid_resolution: int = 1024) ->
 
 
 def _grid_symdiff(e1: StarSet, e2: StarSet, resolution: int) -> float:
-    lo, hi = _common_box(e1, e2)
+    pts = np.concatenate([e1.boundary(), e2.boundary()])
+    lo, hi = pts.min(axis=0) - 0.05, pts.max(axis=0) + 0.05
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
@@ -384,19 +394,6 @@ def _grid_symdiff(e1: StarSet, e2: StarSet, resolution: int) -> float:
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     diff = e1.contains(pts) != e2.contains(pts)
     return float(np.count_nonzero(diff) * cell)
-
-
-def _common_box(e1: StarSet, e2: StarSet):
-    theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    pts = []
-    for e in (e1, e2):
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        boundary = e.affine(e.center + e.radius(theta)[:, None] * u)
-        pts.append(boundary)
-    allpts = np.concatenate(pts)
-    lo = allpts.min(axis=0) - 0.05
-    hi = allpts.max(axis=0) + 0.05
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -590,22 +587,6 @@ class BalanceResult:
     converged: bool
 
 
-def _moment_residual(e: StarSet, n_grid: int = 1024) -> np.ndarray:
-    """Degree-1 and degree-2 moments of F in the orthonormalized basis.
-
-    The circle restrictions of {x, y, x^2 - y^2, xy} normalize to
-    cos/sin(theta)/sqrt(pi) and cos/sin(2 theta)/(sqrt(pi)); mode 0 is fixed
-    by the measure constraint and is not part of the residual.
-    """
-    theta = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
-    rr = e.radius_about_origin(theta)
-    f = 0.5 * (1.0 - rr**2)
-    out = []
-    for w in (np.cos(theta), np.sin(theta), np.cos(2 * theta), np.sin(2 * theta)):
-        out.append(np.mean(f * w) * 2 * np.pi / math.sqrt(np.pi))
-    return np.array(out)
-
-
 def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
     """Measure-preserving affine map making the boundary profile balanced."""
     if e.dimension == 1:
@@ -622,7 +603,14 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
     pre = AffineMap(scale * np.eye(2), np.zeros(2))
     current = e.apply(pre)
     total = pre
-    z = np.zeros(4)
+
+    def moments(body):
+        """The degree-1 and degree-2 moments of F on the orthonormal circle
+        restrictions cos/sin(n theta)/sqrt(pi), n = 1, 2, of {x, y, x^2 - y^2,
+        xy}: 2 sqrt(pi) (Re F_hat[n], -Im F_hat[n]).  Mode 0 is fixed by the
+        measure constraint and is not part of the residual."""
+        f_hat = boundary_profile(body, n_grid=1024, n_modes=2).f_hat[1:]
+        return 2 * math.sqrt(np.pi) * np.column_stack([f_hat.real, -f_hat.imag]).ravel()
 
     def step_map(z):
         s = np.array([[z[0], z[1]], [z[1], -z[0]]])
@@ -632,7 +620,7 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
         lin = (np.eye(2) + s) / math.sqrt(det)
         return AffineMap(lin, np.array([z[2], z[3]]))
 
-    res = _moment_residual(current)
+    res = moments(current)
     it = 0
     for it in range(1, max_iter + 1):
         if np.max(np.abs(res)) <= tol:
@@ -642,8 +630,8 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
         for k in range(4):
             dz = np.zeros(4)
             dz[k] = h
-            r_plus = _moment_residual(current.apply(step_map(dz)))
-            r_minus = _moment_residual(current.apply(step_map(-dz)))
+            r_plus = moments(current.apply(step_map(dz)))
+            r_minus = moments(current.apply(step_map(-dz)))
             jac[:, k] = (r_plus - r_minus) / (2 * h)
         try:
             delta = np.linalg.solve(jac, -res)
@@ -654,7 +642,7 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
         for _ in range(8):
             trial_map = step_map(lam * delta)
             trial = current.apply(trial_map)
-            trial_res = _moment_residual(trial)
+            trial_res = moments(trial)
             if np.max(np.abs(trial_res)) < np.max(np.abs(res)):
                 current = trial
                 total = trial_map.compose(total)

@@ -19,9 +19,10 @@ the fixed head mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n
 as one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
 J_nu(x) of every order from the three-term recurrence (DLMF 10.6.1): run
 forward, stable for x > nu, where x > nu_max + 20, and backward below that
-(Miller's algorithm, scaled by a sum rule).  The head is cut at the zeros of
-B^ up to max(25, 0.3 nu_max + 10): the periodic tail then starts on a kink of
-g, and runs wholly on the forward recurrence.
+(Miller's algorithm, scaled to the two lowest orders, which seed the forward
+run).  The head is cut at the zeros of B^ up to max(25, 0.3 nu_max + 10): the
+periodic tail then starts on a kink of g, and runs wholly on the forward
+recurrence.
 ``funk_hecke_eigenvalue`` runs the same pass on one mode.
 
 Margins.  The sphere-reduced second variation bounds the change of
@@ -51,16 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, ThresholdError
+from .errors import DomainError
 from .quadrature import IntegralResult, radial_head_tail
 from .radial_kernels import (
     _ball_hat_zeros,
-    _check_peak,
+    _check_exponent,
     ball_hat,
     gamma_qd,
     kernel_values,
     omega,
-    q_threshold,
 )
 
 __all__ = [
@@ -76,14 +76,14 @@ def _bessel_rows(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     by the forward recurrence where x > nu_max + 20, by Miller's backward
     recurrence (DLMF 3.6(vi)) below that, and exactly at x = 0.
 
-    Miller: from f_{N+1} = 0 and f_N = 1e-100 (not 1e-300: the d = 3 squares
-    would underflow) at an even N >= nu_max + max(x) + 40,
-    f_{n-1} = (2 (nu0 + n) / x) f_n - f_{n+1} runs down to nu0 = (d-2)/2 and
-    gives J_{nu0+n}(x) up to one factor per x.  The factor comes from
-    J_0 + 2 sum J_2k = 1 (d = 2), or from sum (2n+1) J_{n+1/2}^2 = 2x/pi with
-    the sign of the larger closed form J_{1/2}, J_{3/2} (d = 3).  Below x ~ 1
-    the f grow like N! (2/x)^N, so an element past 1e100 is scaled down with
-    its stored rows."""
+    Miller: from f_{N+1} = 0 and f_N = 1e-100 at an even N >= nu_max + max(x)
+    + 40, f_{n-1} = (2 (nu0 + n) / x) f_n - f_{n+1} runs down to nu0 = (d-2)/2
+    and gives J_{nu0+n}(x) = f_n / c with one factor c per x.  The two lowest
+    orders, which seed the forward recurrence, fix it by least squares:
+    c = (f_0 J_{nu0} + f_1 J_{nu0+1}) / (J_{nu0}^2 + J_{nu0+1}^2), whose
+    denominator never vanishes, as J_nu and J_{nu+1} share no zero.  Below x ~ 1 the f grow
+    like N! (2/x)^N, so an element past 1e100 is scaled down with its stored
+    rows."""
     flat = x.ravel()
     nu0 = (d - 2.0) / 2.0
     out = np.zeros((len(ks), flat.size))
@@ -97,7 +97,6 @@ def _bessel_rows(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         two_over_x = 2.0 / xs
         rows = np.zeros((len(ks), xs.size))
         hi, lo = np.zeros_like(xs), np.full_like(xs, 1e-100)  # f_{n+1}, f_n
-        total = np.zeros_like(xs)  # the normalisation sum over the f seen so far
         first, last = int(ks[0]), int(ks[-1])
         top = 2 * math.ceil((last + xs.max() + 40.0) / 2.0)
         for n in range(top, -1, -1):
@@ -106,39 +105,30 @@ def _bessel_rows(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
                 big = np.flatnonzero(big)
                 lo[big] *= 1e-100
                 hi[big] *= 1e-100
-                total[big] *= 1e-100 if d == 2 else 1e-200
                 rows[max(n + 1 - first, 0):, big] *= 1e-100  # the rows stored so far
             if first <= n <= last:
                 rows[n - first] = lo
-            if d == 3:
-                total += (2 * n + 1) * lo * lo
-            elif n % 2 == 0:
-                total += lo if n == 0 else 2.0 * lo
             if n:
                 hi, lo = lo, (nu0 + n) * two_over_x * lo - hi
-        if d == 2:
-            rows /= total
-        else:  # lo = f(1/2), hi = f(3/2)
-            amp = np.sqrt(2.0 / (np.pi * xs))
-            half = amp * np.sin(xs)
-            three_half = half / xs - amp * np.cos(xs)
-            sign = np.where(np.abs(half) >= np.abs(three_half),
-                            np.sign(half * lo), np.sign(three_half * hi))
-            rows *= sign * np.sqrt(2.0 * xs / (np.pi * total))
-        out[:, near] = rows
+        j0, j1 = _bessel_seeds(d, xs)  # lo = f_0, hi = f_1
+        out[:, near] = rows / ((lo * j0 + hi * j1) / (j0 * j0 + j1 * j1))
     return out.reshape((len(ks),) + x.shape)
 
 
-def _bessel_recurrence(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_{nu+1} = (2 nu / x) J_nu - J_{nu-1} from nu0 = (d-2)/2, seeded by j0,
-    j1 (d = 2) or the closed forms of J_{1/2}, J_{3/2} (d = 3); stable for
-    x > nu (Gautschi 1967)."""
-    nu0 = (d - 2.0) / 2.0
+def _bessel_seeds(d: int, x: np.ndarray):
+    """J_nu0(x) and J_{nu0+1}(x), nu0 = (d-2)/2: j0 and j1 (d = 2) or the
+    closed forms of J_{1/2} and J_{3/2} (d = 3)."""
     if d == 2:
-        lo, hi = special.j0(x), special.j1(x)
-    else:
-        lo = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
-        hi = lo / x - np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
+        return special.j0(x), special.j1(x)
+    half = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+    return half, half / x - np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
+
+
+def _bessel_recurrence(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{nu+1} = (2 nu / x) J_nu - J_{nu-1} from nu0 = (d-2)/2, seeded by
+    ``_bessel_seeds``; stable for x > nu (Gautschi 1967)."""
+    nu0 = (d - 2.0) / 2.0
+    lo, hi = _bessel_seeds(d, x)
     two_over_x = 2.0 / x
     rows = np.empty((len(ks), x.size))
     for k in range(ks[-1] + 1):  # lo = J_{nu0+k}, hi = J_{nu0+k+1}
@@ -151,11 +141,7 @@ def _bessel_recurrence(d: int, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _lambda_radial(d: int, q: float, ks: np.ndarray) -> IntegralResult:
     """4 pi^2 int g(rho) rho J_{k+(d-2)/2}(2 pi rho)^2 drho, g = |B^_d|^{q-2},
     for the consecutive modes ks in one pass: g rho is evaluated once per node."""
-    thr = q_threshold("L", d)
-    if not (q > thr):
-        raise ThresholdError(
-            f"the sphere spectrum needs q > q_d = {thr:.6g} in d={d}; got q = {q}", thr)
-    _check_peak(d, q)
+    _check_exponent("L", d, q)
 
     def f(rho):
         g = np.abs(ball_hat(d, rho)) ** (q - 2.0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from felab.cli import dispatch
-from felab.set_model import IntervalSet, StarSet, set_to_json
+from felab.set_model import AffineMap, IntervalSet, StarSet, set_to_json
 
 
 @pytest.fixture
@@ -308,6 +308,19 @@ class TestMalformedInput:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("e, q", [
+        (IntervalSet([(-1.0, 0.95), (1.0, 1.05)]), "1100"),
+        (StarSet(1.0, affine=AffineMap(np.eye(2), np.array([0.05, 0.0]))), "700")])
+    def test_expand_past_the_float_range_exit_1(self, capsys, tmp_path, e, q):
+        # the report's norms would overflow to inf: refused before they run
+        path = tmp_path / "set.json"
+        path.write_text(set_to_json(e))
+        code = dispatch(["expand", "--set", str(path), "--q", q])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_tol_accepted_where_used(self, capsys, ball_file):
         code = dispatch(["--quiet", "--tol", "1e-9", "phi", "--set", ball_file, "--q", "4"])

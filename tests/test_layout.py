@@ -2,11 +2,13 @@
 one radial head-plus-tail integral, one builder of every radial mesh's edges,
 one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
 exponential-sum tails, one planar norm integrand, one circle rule and one
-near-pair series for the planar transforms, one kernel slack, no per-mode
-loop over the Funk-Hecke eigenvalues, no jv call in the spectrum, expansion
-terms without the spectrum, a quadrature config only where a tolerance runs,
-no test-only routine inside the package, no global statement, and only the
-pinned module caches."""
+near-pair series for the planar transforms, one kernel slack, one parity
+rule for the pieces of interval unions, one pair of Bessel seeds for the
+spectrum's two recurrences, one star boundary, one L-threshold check, no
+per-mode loop over the Funk-Hecke eigenvalues, no jv call in the spectrum,
+expansion terms without the spectrum, a quadrature config only where a
+tolerance runs, no test-only routine inside the package, no global
+statement, and only the pinned module caches."""
 
 import ast
 import dataclasses
@@ -31,8 +33,8 @@ TEST_ONLY_METHODS = {"integral_a2_b2", "integral_f", "derivative_at", "cumulativ
                      "deviation_from_identity", "translate"}
 
 # the public functions whose results depend on the tolerances they are given
-CONFIGURABLE = {"phi_q", "expansion_report", "remainder_slope", "integrate_adaptive",
-                "integrate_oscillatory_tail", "tail_power_periodic"}
+CONFIGURABLE = {"phi_q", "integrate_adaptive", "integrate_oscillatory_tail",
+                "tail_power_periodic"}
 
 
 def test_gk15_tables_stay_in_quadrature():
@@ -182,6 +184,47 @@ def test_one_kernel_slack():
     assert len(literals) == 1
 
 
+def test_one_interval_parity():
+    # the d = 1 symmetric difference and the d = 1 expansion terms take the
+    # signed pieces of two interval unions from one parity rule
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "_signed_pieces")}
+    assert callers == {("set_model.py", "symdiff_measure"), ("perturbation.py", "_terms_1d")}
+
+
+def test_one_pair_of_bessel_seeds():
+    # the two lowest orders seed the forward recurrence and scale Miller's rows
+    callers = {(name, fn) for name, text in MODULES.items()
+               for fn in _callers(text, "_bessel_seeds")}
+    assert callers == {("spectral.py", "_bessel_rows"), ("spectral.py", "_bessel_recurrence")}
+
+
+def test_one_star_boundary():
+    # the grid symmetric difference and the grid-FFT oracle size their boxes
+    # from one boundary sample
+    callers = {(name, getattr(top, "name", "<module>")) for name, text in MODULES.items()
+               for top in ast.parse(text).body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "boundary"}
+    assert callers == {("set_model.py", "_grid_symdiff"), ("functional.py", "_grid_fft_norm")}
+
+
+def test_one_l_threshold_check():
+    # the spectrum and the d = 2 quadratic terms refuse q through the kernels' check
+    for name in ("spectral.py", "perturbation.py"):
+        assert "ThresholdError" not in MODULES[name], name
+    assert _callers(MODULES["spectral.py"], "_check_exponent") == {"_lambda_radial"}
+    assert _callers(MODULES["perturbation.py"], "_check_exponent") == {"quadratic_terms",
+                                                                      "expansion_report"}
+
+
+def test_duplicate_computations_gone():
+    defined = {node.name for text in MODULES.values() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_moment_residual", "_interval_symdiff", "_common_box",
+                          "_signed_pieces_1d", "_check_planar_exponent"}
+
+
 def test_power_tail_called_from_two_places():
     # E(c) = int_1^inf t^{-s} e^{ict} dt lives in the quadrature layer; the
     # d = 1 kernels and the even-q d = 1 norm call it
@@ -276,7 +319,7 @@ def test_no_global_statements():
 
 
 # the module-level caches, each global state that must earn its place: the
-# ball's Phi_q that every expansion report at one (d, q, cfg) shares
+# ball's Phi_q that every expansion report at one (d, q) shares
 CACHED = {"_ball_phi"}
 
 

@@ -7,7 +7,6 @@ from felab.errors import DomainError, ThresholdError
 from felab.functional import phi_q
 from felab.perturbation import (
     _TIGHT,
-    _signed_pieces_1d,
     expansion_report,
     inner_K,
     quadratic_terms,
@@ -17,7 +16,7 @@ from felab.perturbation import (
     translated_ball,
 )
 from felab.radial_kernels import exact_kernel_1d, gamma_qd
-from felab.set_model import IntervalSet, StarSet
+from felab.set_model import IntervalSet, StarSet, _signed_pieces
 from oracles import cumulative, quadratic_terms_freq_1d, translated_disc_terms
 
 
@@ -110,13 +109,25 @@ class TestQuadraticTerms:
             expansion_report(translated_ball(0.02, 2), 3.0)
 
 
+@pytest.mark.parametrize("call, e, q", [
+    (inner_K, sliver_family_1d(0.05), 1100.0), (quadratic_terms, sliver_family_1d(0.05), 1100.0),
+    (expansion_report, sliver_family_1d(0.05), 1100.0),
+    (inner_K, translated_ball(0.05, 2), 700.0),
+    (quadratic_terms, translated_ball(0.05, 2), 700.0),
+    (expansion_report, translated_ball(0.05, 2), 700.0)])
+def test_refused_past_the_float_range(call, e, q):
+    # the peak omega_d^(q-1) of the kernels overflows: refused, not NaN
+    with pytest.raises(DomainError, match="float range"):
+        call(e, q)
+
+
 def lam4_pair_sums(e):
     """<f*L_4, f> and <f*L_4, f~> from Lam_4(t) = int_0^t int_0^u (2 - |v|)_+,
     t^2 - |t|^3/6 on [0, 2] and linear past it, in exact piecewise cubics."""
     def lam(t):
         t = abs(t)
         return t * t - t**3 / 6.0 if t <= 2.0 else 8.0 / 3.0 + 2.0 * (t - 2.0)
-    pieces = list(zip(*_signed_pieces_1d(e)))
+    pieces = list(zip(*_signed_pieces(e.endpoints(), [-1.0, 1.0])))
     ll = lr = 0.0
     for a, b, s in pieces:
         for c, d, s2 in pieces:
@@ -232,7 +243,7 @@ class TestExpansionReport:
     def test_d2_sweeps_the_set_once(self, monkeypatch):
         import felab.functional as functional
         import felab.perturbation as pert
-        pert._ball_phi(2, 4.0, _TIGHT)
+        pert._ball_phi(2, 4.0)
         sweeps = []
         polar_blocks = functional._polar_blocks
 

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felab.errors import DomainError, InvalidSetError
 from felab.set_model import (
     AffineMap,
     IntervalSet,
     StarSet,
+    _signed_pieces,
     balance,
     boundary_profile,
     dist_to_ellipsoids,
@@ -35,6 +38,11 @@ class TestIntervalSet:
     def test_median(self):
         e = IntervalSet([(0, 1), (2, 3)])
         assert e.median() == pytest.approx(1.0, abs=1e-15)
+
+
+# unions of up to eight intervals, overlapping ones merged
+UNIONS = st.lists(st.tuples(st.floats(-10, 10), st.floats(1e-3, 5)), min_size=1,
+                  max_size=8).map(lambda ivs: IntervalSet([(l, l + w) for l, w in ivs]))
 
 
 class TestSymdiff:
@@ -67,6 +75,17 @@ class TestSymdiff:
             dba = symdiff_measure(b, a)
             assert dab == pytest.approx(dba, abs=1e-14)
             assert dab + symdiff_measure(b, c) >= symdiff_measure(a, c) - 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(e1=UNIONS, e2=UNIONS)
+    def test_signed_pieces_measure(self, e1, e2):
+        # the pieces of E1 \ E2 (+1) and E2 \ E1 (-1) against the measures
+        left, right, sign = _signed_pieces(e1.endpoints(), e2.endpoints())
+        meet = sum(e1.intersect_measure(l, r) for l, r in e2.intervals)
+        assert np.all(right > left) and set(sign) <= {-1.0, 1.0}
+        assert np.sum(right - left) == pytest.approx(e1.measure + e2.measure - 2 * meet,
+                                                     abs=1e-12)
+        assert sign @ (right - left) == pytest.approx(e1.measure - e2.measure, abs=1e-12)
 
     def test_grid_fallback(self):
         # a set whose star origin is outside the other forces the grid path
@@ -248,6 +267,21 @@ class TestBalance:
             ratios.append(deviation_from_identity(res.map) / delta)
         print(f"balance map/symdiff ratios: {[f'{r:.2f}' for r in ratios]}")
         assert max(ratios) < 5.0
+
+    def test_residual_reads_the_boundary_profile(self):
+        # the 20 seeded sets of criterion 13: the residual is the largest
+        # degree-1 or degree-2 moment 2 sqrt(pi) |Re, Im F_hat[n]|, n = 1, 2,
+        # of the balanced set's profile
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            eps = rng.uniform(0.01, 0.05)
+            decay = 1.0 / (1.0 + np.arange(1, 7)) ** 2
+            a = rng.normal(0.0, eps, 6) * decay
+            b = rng.normal(0.0, eps, 6) * decay
+            res = balance(StarSet(1.0, a, b).with_measure(np.pi), max_iter=8, tol=1e-9)
+            f_hat = boundary_profile(res.balanced_set, n_grid=1024, n_modes=2).f_hat[1:]
+            moments = 2 * math.sqrt(np.pi) * np.abs(np.concatenate([f_hat.real, f_hat.imag]))
+            assert res.residual == np.max(moments)
 
     def test_low_modes_below_tol_after_balance(self):
         e = StarSet(1.0, a_coeffs=[0.02, 0.03, 0.01], b_coeffs=[0.01, 0.0, 0.02])
