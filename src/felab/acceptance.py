@@ -180,7 +180,7 @@ def crit_8() -> tuple:
         return False, f"d=1 phi dev {worst_phi:.2e}, dist dev {worst_dist:.2e} (tol 1e-8)"
     e2 = StarSet(1.0, a_coeffs=[0.0, 0.05, 0.03]).with_measure(np.pi)
     base2 = phi_q(e2, 4.0).phi
-    based2 = dist_to_ellipsoids(e2, n_theta=512).distance
+    based2 = dist_to_ellipsoids(e2).distance
     worst_phi2 = worst_dist2 = 0.0
     for _ in range(50):
         ang = rng.uniform(0, 2 * np.pi)
@@ -191,7 +191,7 @@ def crit_8() -> tuple:
         tm = AffineMap(lin, rng.uniform(-0.3, 0.3, 2)).normalized_measure_preserving()
         img = e2.apply(tm)
         worst_phi2 = max(worst_phi2, abs(phi_q(img, 4.0).phi - base2))
-        worst_dist2 = max(worst_dist2, abs(dist_to_ellipsoids(img, n_theta=512).distance - based2))
+        worst_dist2 = max(worst_dist2, abs(dist_to_ellipsoids(img).distance - based2))
     ok = worst_phi2 <= 1e-3 and worst_dist2 <= 1e-3
     return ok, (f"d=1 dev (phi {worst_phi:.1e}, dist {worst_dist:.1e}, tol 1e-8); "
                 f"d=2 dev (phi {worst_phi2:.1e}, dist {worst_dist2:.1e}, tol 1e-3)")

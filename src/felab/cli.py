@@ -304,9 +304,14 @@ def _cmd_balance(run: _Run, args):
 def _cmd_dist(run: _Run, args):
     from .set_model import dist_to_ellipsoids
     fit = dist_to_ellipsoids(_load_set(args.set_file))
-    run.emit(_jdump({"distance": fit.distance, "converged": fit.converged,
+    run.emit(_jdump({"distance": fit.distance, "error": fit.error, "converged": fit.converged,
                      "best": {"matrix": fit.best.matrix.tolist(),
                               "translation": fit.best.translation.tolist()}}), "dist.json")
+    if not fit.converged:
+        # the value stays printed, flagged "converged": false
+        print(f"non-convergence: the ellipse fit's gradient stays above its rounding "
+              f"bound at distance {fit.distance:.17g}", file=sys.stderr)
+        return 2
 
 
 def _cmd_search(run: _Run, args):

@@ -70,6 +70,7 @@ bound (p^{1/2p} q^{-1/2q})^d, which no indicator function can attain.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count
@@ -79,7 +80,7 @@ import numpy as np
 from ._pwpoly import nfold_indicator_convolution
 from .errors import DomainError, InvalidSetError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _power_tail, gk15_panels, gk15_sums
-from .set_model import IntervalSet, StarSet
+from .set_model import IntervalSet, StarSet, _positive_on_circle
 
 __all__ = [
     "PhiResult",
@@ -162,9 +163,14 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
 
 # the d = 1 mesh is swept in chunks of blocks of panels
 _MESH_BLOCK = 64   # panels per block: one row of the phase product
-# blocks per chunk: ~15k nodes, whose ~0.25 MB arrays glibc reuses from its
-# heap (0 minor faults a call; 1,300-3,200 at 128 blocks, ~2 MB arrays)
-_MESH_CHUNK = 16
+_MESH_CHUNK = 16   # blocks per chunk: ~15k nodes
+# Each thread keeps its chunk arrays (~0.37 MB) across calls.  Chunk arrays
+# and temporaries allocated at each call (~1 MB) go back to the OS at its end
+# whenever glibc's trim threshold lies below that, which depends on the
+# process's earlier frees; each call then faults them in again (230 minor
+# faults a search evaluation, and an intervals:3 search at q = 4 takes
+# 140-150 ms against 80-90 ms).
+_mesh_work = threading.local()
 # ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 66,667 at
 # 50, the shortest cut of an exponential-sum tail
 _MESH_NODES = 2e8
@@ -197,21 +203,29 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     base_b = 2 half B b, so node (i, k) of the block is xi = base_b + loc_ik
     with loc_ik = (2i + 1 + x_k) half, and P = U @ W with
     U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.
-    Each phase is a product of two exps, so no error accumulates.
+    Each phase is a product of two exps, so no error accumulates.  The arrays
+    are the thread's ``_mesh_work`` buffers: the caller may overwrite them,
+    and the next chunk, of this mesh or of the thread's next one, does.
     """
     n_panels = int(cut / h) + 1
     half = 0.5 * cut / n_panels
     loc = gk15_panels(2 * np.arange(_MESH_BLOCK) + 1.0, 1.0)[0] * half
-    w = signs[:, None] * np.exp(-2j * np.pi * np.outer(ends, loc))
+    w = np.multiply(-2j * np.pi, np.outer(ends, loc), out=np.empty((len(ends), loc.size), complex))
+    np.exp(w, out=w)
+    w *= signs[:, None]
     n_blocks = -(-n_panels // _MESH_BLOCK)
+    if not hasattr(_mesh_work, "xi"):
+        _mesh_work.xi = np.empty((_MESH_CHUNK, _MESH_BLOCK, 15))
+        _mesh_work.p = np.empty((_MESH_CHUNK, _MESH_BLOCK * 15), complex)
 
     def chunks():
         for b0 in range(0, n_blocks, _MESH_CHUNK):
             base = 2 * half * _MESH_BLOCK * np.arange(b0, min(b0 + _MESH_CHUNK, n_blocks))
             n = min(len(base) * _MESH_BLOCK, n_panels - b0 * _MESH_BLOCK)
-            p = (np.exp(-2j * np.pi * np.outer(base, ends)) @ w).reshape(-1, 15)
-            xi = (base[:, None, None] + loc).reshape(-1, 15)
-            yield xi[:n], p[:n]
+            p = np.matmul(np.exp(-2j * np.pi * np.outer(base, ends)), w,
+                          out=_mesh_work.p[:len(base)])
+            xi = np.add(base[:, None, None], loc, out=_mesh_work.xi[:len(base)])
+            yield xi.reshape(-1, 15)[:n], p.reshape(-1, 15)[:n]
 
     return half, chunks()
 
@@ -329,11 +343,14 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     half, chunks = _signed_exp_mesh(ends, signs, cut, h)
     value = rule_err = 0.0
     n_chunks = 0
-    for xi, p in chunks:
-        vals = p.real**2 + p.imag**2
-        vals /= (2 * np.pi * xi) ** 2
-        vals **= 0.5 * q
-        kron, err = gk15_sums(vals, 1.0)
+    for xi, p in chunks:  # in place: |P|^2 in P's real part, then the values in xi
+        re, im = p.real, p.imag
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        xi *= 2 * np.pi
+        np.divide(re, np.square(xi, out=xi), out=xi)
+        xi **= 0.5 * q
+        kron, err = gk15_sums(xi, 1.0)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))
         n_chunks += 1
@@ -452,14 +469,21 @@ def _curvature_table(e: StarSet):
     """At _SP_TABLE boundary points of the base star (about its center): the
     outer-normal angle alpha, the radius of curvature R, the support value h
     and g = |3 - R''/R + (4/3)(R'/R)^2| / (8R), R' = dR/dalpha; or None where
-    the curvature is not positive.  At frequency rho along the normal, the
-    boundary point's stationary-phase term has a first omitted order of
-    g / (2 pi rho) relative to it."""
+    the curvature is not certified positive (``_positive_on_circle``).  At
+    frequency rho along the normal, the boundary point's stationary-phase
+    term has a first omitted order of g / (2 pi rho) relative to it."""
     theta = np.linspace(0.0, 2 * np.pi, _SP_TABLE, endpoint=False)
     r, r1, r2 = e.radius_derivatives(theta)
     s2 = r * r + r1 * r1
     den = s2 + r1 * r1 - r * r2  # curvature times |x'|^3
-    if not np.min(den) > 0:
+
+    def den_at(t):
+        r, r1, r2 = e.radius_derivatives(t)
+        return r * r + 2.0 * r1 * r1 - r * r2
+
+    # |den'| = |2 r r' + 3 r' r'' - r r'''| <= 2 S0 S1 + 3 S1 S2 + S0 S3
+    b0, b1, b2, b3 = (e.derivative_bound(k) for k in range(4))
+    if not _positive_on_circle(den_at, 2 * b0 * b1 + 3 * b1 * b2 + b0 * b3, den):
         return None
     rate = den / s2  # dalpha/dtheta
 

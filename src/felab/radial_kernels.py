@@ -155,12 +155,17 @@ def ball_hat(d: int, r):
     if d == 1:
         out = 2.0 * np.sinc(2.0 * r)
     else:  # c J_1(x) / x, or c j_1(x) / x in d = 3, with c = 2 pi (d - 1) and x = 2 pi r,
-        # keep their digits at small x, unlike (sin x - x cos x) / x^3; at x = 0 they are c / d
+        # keep their digits at small x, unlike (sin x - x cos x) / x^3; at x = 0 they are c / d.
+        # Below x = 1e-3 scipy's j_1 misses by ~24 ulp, and j_1(x) / x = (1 - x^2/10
+        # (1 - x^2/28)) / 3 holds rounding (the next term is x^6 / 15120)
         x = 2.0 * np.pi * r
         pos = x > 0
         c = 2.0 * np.pi * (d - 1)
         out = np.full_like(r, c / d)
         out[pos] = c * (special.j1(x[pos]) if d == 2 else special.spherical_jn(1, x[pos])) / x[pos]
+        if d == 3:
+            small = x < 1e-3
+            out[small] = c / 3.0 * (1.0 - x[small] ** 2 / 10.0 * (1.0 - x[small] ** 2 / 28.0))
     return float(out[0]) if scalar else out
 
 

@@ -21,11 +21,15 @@ measure is *balanced* when F is orthogonal to every polynomial of degree
 <= 2 restricted to the sphere; an affine change of variables can always
 achieve this for sets close to the ball, and ``balance`` realizes the
 construction as a damped Newton iteration on the degree-1 and degree-2
-moments, which it reads off the Fourier coefficients of ``boundary_profile``
-(the antisymmetric part of the linear update is neutral, so the iteration
-runs over symmetric traceless matrices plus translations).  In d = 1 the
-symmetric difference sums the signed pieces of ``_signed_pieces``, which the
-d = 1 expansion terms read too.
+moments, which it reads off the profile's Fourier coefficients as a sum over
+the set's own boundary, ``_profile_modes`` (the antisymmetric part of the
+linear update is neutral, so the iteration runs over symmetric traceless
+matrices plus translations).  In d = 1 the symmetric difference sums the
+signed pieces of ``_signed_pieces``, which the d = 1 expansion terms read
+too.  In d = 2 the symmetric difference and the ellipse fit take areas by
+Green's theorem on the arcs of each boundary inside the other set: one
+crossing search (``_crossings``) ends the arcs and one Gauss-Legendre arc
+rule (``_arcs``) integrates them.
 """
 
 from __future__ import annotations
@@ -213,8 +217,8 @@ class StarSet:
             raise InvalidSetError("star-set parameters must be finite")
         if self.affine.det <= 0:
             raise InvalidSetError("star-set affine part must have positive determinant")
-        theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        if np.min(self.radius(theta)) <= 0:
+        if _positive_on_circle(self.radius, self.derivative_bound(1),
+                               self.radius(np.arange(720) * (2 * np.pi / 720))) is False:
             raise InvalidSetError("radius function must be positive")
         try:
             measure = self.measure
@@ -237,6 +241,13 @@ class StarSet:
     @property
     def n_modes(self) -> int:
         return max(len(self.a_coeffs), len(self.b_coeffs))
+
+    def derivative_bound(self, k: int) -> float:
+        """S_k = sum n^k (|a_n| + |b_n|), with |c0| added at k = 0: a bound
+        on |r^(k)| over the circle."""
+        return float(abs(self.c0) * (k == 0)
+                     + np.arange(1, len(self.a_coeffs) + 1) ** k @ np.abs(self.a_coeffs)
+                     + np.arange(1, len(self.b_coeffs) + 1) ** k @ np.abs(self.b_coeffs))
 
     @property
     def measure(self) -> float:
@@ -268,87 +279,83 @@ class StarSet:
         base_centroid = self.center + first_moment / base_area
         return self.affine(base_centroid)
 
+    def curve(self, theta):
+        """Boundary points P(theta) = A(c + r u) + v and their tangents
+        P'(theta) = A(r' u + r u_perp), at the base angles theta."""
+        theta = np.asarray(theta, dtype=float)
+        r, dr, _ = self.radius_derivatives(theta)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        return (self.affine(self.center + r[:, None] * u),
+                (dr[:, None] * u + r[:, None] * perp) @ self.affine.matrix.T)
+
     def boundary(self) -> np.ndarray:
         """256 boundary points, at evenly spaced angles about the base center."""
-        theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return self.affine(self.center + self.radius(theta)[:, None] * u)
+        return self.curve(np.linspace(0, 2 * np.pi, 256, endpoint=False))[0]
+
+    def gap(self, x, dx=None):
+        """The gap |y| - r(angle y), y = A^{-1}(x - v) - c, at the (n, 2)
+        points x: negative inside the set, zero on its boundary.  With the
+        tangents dx, also its derivative along them, (y.p)/|y| - r'(angle y)
+        (y x p)/|y|^2 with p = A^{-1} dx (not finite at y = 0)."""
+        inv = self.affine.inverse()
+        y = inv(x) - self.center
+        rho = np.hypot(y[:, 0], y[:, 1])
+        angle = np.arctan2(y[:, 1], y[:, 0])
+        if dx is None:  # membership tests may sample a whole grid: r alone
+            return rho - self.radius(angle)
+        r, dr, _ = self.radius_derivatives(angle)
+        p = dx @ inv.matrix.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return rho - r, ((y * p).sum(axis=1) - dr * (y[:, 0] * p[:, 1] - y[:, 1] * p[:, 0])
+                             / rho) / rho
 
     def contains(self, points) -> np.ndarray:
         """Vectorized membership test for an (n, 2) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inv = self.affine.inverse()
-        y = inv(pts) - self.center
-        rho = np.hypot(y[:, 0], y[:, 1])
-        ang = np.arctan2(y[:, 1], y[:, 0])
-        return rho <= self.radius(ang)
+        return self.gap(np.atleast_2d(np.asarray(points, dtype=float))) <= 0
 
     def radius_derivatives(self, theta: np.ndarray):
         """r(theta), r'(theta) and r''(theta) from the Fourier coefficients."""
-        r = np.full_like(theta, self.c0)
-        dr = np.zeros_like(theta)
-        ddr = np.zeros_like(theta)
-        a = np.pad(self.a_coeffs, (0, self.n_modes - len(self.a_coeffs)))
-        b = np.pad(self.b_coeffs, (0, self.n_modes - len(self.b_coeffs)))
-        for n, (an, bn) in enumerate(zip(a, b), start=1):
-            if an or bn:
-                c, s = np.cos(n * theta), np.sin(n * theta)
-                mode = an * c + bn * s
-                r += mode
-                dr += n * (bn * c - an * s)
-                ddr -= n * n * mode
-        return r, dr, ddr
+        n = np.arange(1, self.n_modes + 1)
+        a, b = np.zeros(len(n)), np.zeros(len(n))
+        a[:len(self.a_coeffs)], b[:len(self.b_coeffs)] = self.a_coeffs, self.b_coeffs
+        nt = np.multiply.outer(theta, n)
+        c, s = np.cos(nt), np.sin(nt)
+        return (self.c0 + c @ a + s @ b, c @ (n * b) - s @ (n * a),
+                -(c @ (n * n * a) + s @ (n * n * b)))
 
     def radius_about_origin(self, theta) -> np.ndarray:
         """Radial function about the origin (requires the origin in the kernel).
 
-        The boundary radius t along u(theta) is the zero of the gap
-        g(t) = |y| - r(angle y), y = A^{-1}(t u - v) - c, which has a single
-        sign change on [0, t_hi] for sets star-shaped about the origin.
-        Safeguarded Newton: g'(t) = (y.p)/|y| - r'(angle y) (y x p)/|y|^2
-        with p = A^{-1} u, and a bisection step of the bracket wherever a
-        Newton step would leave it; a ray is done when its step is at most
-        four ulp of t (two to five steps from the star-center estimate).
+        The boundary radius t along u(theta) is the zero of the gap at t u,
+        which has a single sign change on [0, t_hi] for sets star-shaped about
+        the origin; ``_bracketed_newton`` finds it from the star-center
+        estimate in two to five steps.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         inv = self.affine.inverse()
         p = u @ inv.matrix.T
-        # y(t) = inv(t u) - center = t p + (inv.translation - center)
-        off = inv.translation - self.center
 
-        def newton(t, pp):
+        def newton(t, idx):
             """The gap at t and the Newton iterate from t (not finite where g' = 0)."""
-            y = t[:, None] * pp + off
-            rho = np.hypot(y[:, 0], y[:, 1])
-            r, dr, _ = self.radius_derivatives(np.arctan2(y[:, 1], y[:, 0]))
-            g = rho - r
+            g, dg = self.gap(t[:, None] * u[idx], u[idx])
             with np.errstate(divide="ignore", invalid="ignore"):
-                cross = (y[:, 0] * pp[:, 1] - y[:, 1] * pp[:, 0]) / rho
-                return g, t - g * rho / ((y * pp).sum(axis=1) - dr * cross)
+                return g, t - g / dg
 
         norm_p = np.linalg.norm(p, axis=1)
+        off = inv.translation - self.center
         r_hi = (np.max(np.abs(self.radius(np.linspace(0, 2 * np.pi, 256)))) + np.linalg.norm(off))
         hi = np.full(len(theta), 2.0 * r_hi / np.min(norm_p) + 1.0)
         lo = np.zeros(len(theta))
-        if np.any(newton(lo, p)[0] >= 0):
+        every = np.arange(len(theta))
+        if np.any(newton(lo, every)[0] >= 0):
             raise InvalidSetError("origin is not interior to the set")
-        if np.any(newton(hi, p)[0] <= 0):
+        if np.any(newton(hi, every)[0] <= 0):
             raise InvalidSetError("failed to bracket the boundary radius")
         # the root when the origin is the star center: r(angle p) / |p|
         t = np.clip(self.radius(np.arctan2(p[:, 1], p[:, 0])) / norm_p, lo, hi)
-        active = np.arange(len(theta))
-        for _ in range(64):
-            ta = t[active]
-            g, step = newton(ta, p[active])
-            la = np.where(g < 0, ta, lo[active])
-            ha = np.where(g < 0, hi[active], ta)
-            step = np.where((step >= la) & (step <= ha), step, 0.5 * (la + ha))
-            t[active], lo[active], hi[active] = step, la, ha
-            active = active[np.abs(step - ta) > 4 * np.spacing(ta)]
-            if not active.size:
-                break
-        return t
+        return _bracketed_newton(newton, t, lo, hi, np.ones(len(theta), dtype=bool))
 
     @staticmethod
     def unit_disc() -> "StarSet":
@@ -360,56 +367,174 @@ class StarSet:
 
 
 # ---------------------------------------------------------------------------
+# crossings and arcs on planar boundaries
+# ---------------------------------------------------------------------------
+
+# the arc rule: Gauss-Legendre at 24 nodes, and at 12 for its error; one
+# column of weights per order over the 36 nodes of both
+_GL24, _GL12 = np.polynomial.legendre.leggauss(24), np.polynomial.legendre.leggauss(12)
+_ARC_NODES = np.concatenate([_GL24[0], _GL12[0]])
+_ARC_WEIGHTS = np.zeros((36, 2))
+_ARC_WEIGHTS[:24, 0], _ARC_WEIGHTS[24:, 1] = _GL24[1], _GL12[1]
+
+
+def _positive_on_circle(f, slope: float, values: np.ndarray):
+    """Whether the periodic f, with |f'| <= slope, is positive on the circle.
+
+    ``values`` are f at len(values) even angles from 0.  A sample certifies
+    its arc of half-width h where f > slope h there; the arcs it leaves open
+    are halved and sampled again at their midpoints.  A sample f <= 0 refutes
+    (False).  None where more than four arcs per first sample, or forty
+    halvings, stay open: then the samples are all that is known.
+    """
+    n = len(values)
+    theta, half = np.arange(n) * (2 * np.pi / n), np.pi / n
+    for _ in range(40):
+        if not np.min(values) > 0:
+            return False
+        theta = theta[values <= slope * half]
+        if not theta.size:
+            return True
+        if theta.size > 4 * n:
+            return None
+        half *= 0.5
+        theta = (theta[:, None] + [-half, half]).ravel()
+        values = f(theta)
+    return None
+
+
+def _bracketed_newton(newton, t, lo, hi, lo_below, scale: float = 0.0,
+                      gtol: float = 0.0) -> np.ndarray:
+    """Roots in the brackets [lo, hi] from the starts t, where the function
+    is below zero at lo exactly where ``lo_below``.
+
+    newton(t, idx) gives the function at t and the Newton iterate from t for
+    the entries idx.  An iterate outside the closed bracket becomes the
+    bracket's midpoint.  An entry is done when its step is at most four ulp
+    of max(|t|, scale), or when the function there is at most ``gtol``, its
+    rounding, where the steps would only follow that rounding.
+    """
+    active = np.arange(len(t))
+    for _ in range(64):
+        ta = t[active]
+        g, step = newton(ta, active)
+        up = (g < 0) == lo_below[active]  # the root lies above ta
+        la = np.where(up, ta, lo[active])
+        ha = np.where(up, hi[active], ta)
+        step = np.where((step >= la) & (step <= ha), step, 0.5 * (la + ha))
+        t[active], lo[active], hi[active] = step, la, ha
+        active = active[(np.abs(step - ta) > 4 * np.spacing(np.maximum(np.abs(ta), scale)))
+                        & (np.abs(g) > gtol)]
+        if not active.size:
+            break
+    return t
+
+
+def _crossings(gap, n_modes: int) -> np.ndarray:
+    """The sorted angles in [0, 2 pi) where the periodic gap(theta) -> (g,
+    dg/dtheta), of order one, changes sign.
+
+    A grid of 128 angles per 16 Fourier modes of the curves brackets each
+    sign change.  Where g' changes sign between two samples and g does not,
+    the gap is sampled again at the zero of g's secant: a dip across zero
+    there holds two crossings closer than the grid.  ``_bracketed_newton``
+    refines each bracket from its secant to eight ulp of the gap.
+    """
+    n = 128 * (1 + n_modes // 16)
+    grid = np.arange(n + 1) * (2 * np.pi / n)
+    g, dg = (np.append(v, v[0]) for v in gap(grid[:-1])[:2])
+    k = np.flatnonzero((dg[:-1] * dg[1:] < 0) & ((g[:-1] < 0) == (g[1:] < 0)))
+    dip = grid[k] - dg[k] * (grid[k + 1] - grid[k]) / (dg[k + 1] - dg[k])
+    g_dip = gap(dip)[0]
+    split = (g_dip < 0) != (g[k] < 0)
+    order = np.argsort(np.concatenate([grid[:-1], dip[split]]))
+    grid = np.append(np.concatenate([grid[:-1], dip[split]])[order], 2 * np.pi)
+    g = np.concatenate([g[:-1], g_dip[split]])[order]
+    below = g < 0
+    k = np.flatnonzero(below != np.roll(below, -1))
+    lo, hi, g_lo, g_hi = grid[k], grid[k + 1], g[k], g[(k + 1) % len(g)]
+
+    def newton(t, idx):
+        g, dg = gap(t)[:2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g, t - g / dg
+
+    roots = _bracketed_newton(newton, lo + (hi - lo) * g_lo / (g_lo - g_hi), lo, hi, below[k],
+                              np.pi, 8 * np.finfo(float).eps)
+    return np.sort(roots % (2 * np.pi))
+
+
+def _arcs(cuts: np.ndarray, n_modes: int):
+    """The arcs of the circle between the sorted angles ``cuts``, cut again at
+    the multiples of 2 pi / 16 (per 16 Fourier modes of the integrand) so that
+    none is longer: their midpoints, half-widths and arc-rule nodes."""
+    k = 16 * (1 + n_modes // 16)
+    edges = np.unique(np.concatenate([cuts, np.arange(k) * (2 * np.pi / k)]))
+    edges = np.append(edges, 2 * np.pi)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return mid, half, mid[:, None] + half[:, None] * _ARC_NODES
+
+
+def _arc_area(e: StarSet, cuts: np.ndarray, inside) -> np.ndarray:
+    """1/2 int P x P' dtheta over the arcs of E's boundary between ``cuts``
+    whose midpoints ``inside`` accepts, at both orders of the arc rule: that
+    boundary's share of an area by Green's theorem."""
+    mid, half, theta = _arcs(cuts, e.n_modes)
+    keep = inside(mid)
+    p, dp = e.curve(theta[keep].ravel())
+    form = (p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]).reshape(-1, len(_ARC_NODES))
+    return 0.5 * (half[keep] @ form) @ _ARC_WEIGHTS
+
+
+# ---------------------------------------------------------------------------
 # symmetric difference and ellipsoid distance
 # ---------------------------------------------------------------------------
 
-def symdiff_measure(e1, e2, n_theta: int = 8192, grid_resolution: int = 1024) -> float:
-    """|E1 triangle E2|; exact for interval sets, angular quadrature for
-    star-compatible planar sets, grid counting otherwise."""
+def symdiff_measure(e1, e2) -> float:
+    """|E1 triangle E2|: exact for interval sets; for star sets |E1| + |E2| -
+    2 |E1 cap E2|, with the intersection from ``_intersection``."""
     if e1.dimension != e2.dimension:
         raise DomainError("sets must share a dimension")
     if e1.dimension == 1:
         left, right, _ = _signed_pieces(e1.endpoints(), e2.endpoints())
         return float(sum(right - left))
-    o1, o2 = e1.star_origin(), e2.star_origin()
-    try:
-        # common-origin radial formula about the first set's star center
-        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        shift = AffineMap(np.eye(2), -o1)
-        s1, s2 = e1.apply(shift), e2.apply(shift)
-        r1 = s1.radius_about_origin(theta)
-        r2 = s2.radius_about_origin(theta)
-        return float(0.5 * np.mean(np.abs(r1**2 - r2**2)) * 2 * np.pi)
-    except InvalidSetError:
-        return _grid_symdiff(e1, e2, grid_resolution)
+    return max(0.0, e1.measure + e2.measure - 2.0 * float(_intersection(e1, e2)[0]))
 
 
-def _grid_symdiff(e1: StarSet, e2: StarSet, resolution: int) -> float:
-    pts = np.concatenate([e1.boundary(), e2.boundary()])
-    lo, hi = pts.min(axis=0) - 0.05, pts.max(axis=0) + 0.05
-    xs = np.linspace(lo[0], hi[0], resolution)
-    ys = np.linspace(lo[1], hi[1], resolution)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    xx, yy = np.meshgrid(xs, ys)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    diff = e1.contains(pts) != e2.contains(pts)
-    return float(np.count_nonzero(diff) * cell)
+def _intersection(e1: StarSet, e2: StarSet) -> np.ndarray:
+    """|E1 cap E2| at both orders of the arc rule, by Green's theorem: the
+    arcs of each boundary inside the other set, which end where the boundary
+    crosses the other set's gap.  An arc that lies on both boundaries, to
+    1e-12 of the other set's base radius, counts once, with E1's."""
+    total = np.zeros(2)
+    for a, b, shared in ((e1, e2, 1e-12), (e2, e1, -1e-12)):
+        def gap(theta):  # b's gap along a's boundary, in b's mean radius
+            return tuple(v / b.c0 for v in b.gap(*a.curve(theta)))
+
+        cuts = _crossings(gap, a.n_modes + b.n_modes)
+        total += _arc_area(a, cuts, lambda theta: gap(theta)[0] < shared)
+    return total
 
 
 @dataclass(frozen=True)
 class EllipsoidFit:
+    """The distance, the fitted ellipsoid as the image of the unit ball,
+    whether the fit met its stopping rule, and the distance's error."""
+
     distance: float
     best: AffineMap
     converged: bool
+    error: float
 
 
-def dist_to_ellipsoids(e, n_theta: int = 1024) -> EllipsoidFit:
-    """Normalized distance inf |E triangle Ell| / |E| over equal-measure ellipsoids."""
+def dist_to_ellipsoids(e) -> EllipsoidFit:
+    """Normalized distance inf |E triangle Ell| / |E| over equal-measure
+    ellipsoids, with the error of the distance at the fitted one."""
     if e.measure <= 0:
         raise InvalidSetError("set must have positive measure")
     if e.dimension == 1:
         return _dist_intervals(e)
-    return _dist_star(e, n_theta)
+    return _dist_star(e)
 
 
 def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
@@ -425,100 +550,119 @@ def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
             best_t = t
     dist = 2.0 * (length - best_overlap) / length
     window = AffineMap(np.array([[length / 2.0]]), np.array([best_t + length / 2.0]))
-    return EllipsoidFit(float(dist), window, True)
+    # exact but for the rounding of the endpoint sums
+    error = 4.0 * len(ends) * np.spacing(np.max(np.abs(ends))) / length
+    return EllipsoidFit(float(dist), window, True, float(error))
 
 
-def _ellipse_ray_overlap(r_set, cos_t, sin_t, params, area):
-    """|E cap ellipse| for an area-``area`` ellipse given by (cx, cy, psi, phi).
+def _ellipse_overlap(body: StarSet, params):
+    """|B cap Ell| at both orders of the arc rule, its gradient in
+    ``params`` and that gradient's rounding bound, for B = ``body``
+    (star-shaped about the origin) and the area-pi ellipse m + M w(s),
+    w = (cos s, sin s), M = R(phi) diag(alpha, beta), alpha = e^{psi/2} =
+    1/beta, params = (m, psi, phi).
 
-    The rays leave the origin in the directions (cos_t, sin_t) and leave E at
-    ``r_set``.  The ellipse has semi-axes sqrt(area/pi) e^{+-psi/2}, the first
-    at angle phi, so in its frame a ray has the direction (cos, sin)(theta -
-    phi) and meets the boundary where aa t^2 + 2 bb t + cc = 0.
+    By Green's theorem about the origin, B's arcs inside the ellipse add
+    1/2 int r^2 dtheta (the arc rule) and the ellipse's arcs inside B add
+    1/2 int (m + M w) x M w' ds = 1/2 (m x M dw + ds) in closed form.  The
+    arcs end at the crossings, which the search finds on B's boundary in the
+    ellipse's gap Q - 1 = |M^{-1}(P - m)|^2 - 1.  By Hadamard's formula the
+    gradient is int (dx/dp) x x' ds over the ellipse's arcs inside B alone:
+    (M dw)_y and -(M dw)_x for m, (1/4) d sin 2s for psi and -(alpha^2 -
+    beta^2)/4 d cos 2s for phi.  A crossing found to 8 ulp of the gap moves
+    by 8 eps / |dQ/dtheta|, which bounds the gradient's rounding with the
+    largest integrand, max(alpha, beta)^2.
     """
-    cx, cy, psi, phi = params
-    qa = math.exp(-psi) * np.pi / area  # 1 / semi-axis^2
-    qb = math.exp(psi) * np.pi / area
+    m, psi, phi = np.asarray(params[:2]), params[2], params[3]
     c, s = math.cos(phi), math.sin(phi)
-    w0, w1 = -(c * cx + s * cy), s * cx - c * cy  # ray origin in the ellipse frame
-    cc = qa * w0 * w0 + qb * w1 * w1 - 1.0
-    uc = cos_t * c + sin_t * s  # cos(theta - phi)
-    us = sin_t * c - cos_t * s  # sin(theta - phi)
-    aa = qa + (qb - qa) * (us * us)
-    bb = (qa * w0) * uc + (qb * w1) * us
-    # a ray that misses the ellipse gets disc = 0, hence t_lo = t_hi and no
-    # overlap: the root needs no mask
-    sq = np.sqrt(np.maximum(bb * bb - aa * cc, 0.0))
-    lower = np.maximum((-bb - sq) / aa, 0.0)
-    upper = np.maximum(np.minimum((sq - bb) / aa, r_set), lower)
-    return float(np.pi * np.mean(upper * upper - lower * lower))
+    ab = np.array([math.exp(0.5 * psi), math.exp(-0.5 * psi)])
+    mat = np.array([[c, -s], [s, c]]) * ab
+    inv = np.array([[c, s], [-s, c]]) / ab[:, None]
+
+    def gap(theta):
+        p, dp = body.curve(theta)
+        z, dz = (p - m) @ inv.T, dp @ inv.T
+        return (z * z).sum(axis=1) - 1.0, 2.0 * (z * dz).sum(axis=1), z
+
+    cuts = _crossings(gap, body.n_modes)
+    inner = _arc_area(body, cuts, lambda th: gap(th)[0] < 1e-12)
+    _, slope, z = gap(cuts)
+    ends = np.sort(np.arctan2(z[:, 1], z[:, 0]) % (2 * np.pi))
+    ends = np.append(ends, ends[0] + 2 * np.pi) if ends.size else np.array([0.0, 2 * np.pi])
+    mid = 0.5 * (ends[:-1] + ends[1:])
+    keep = body.gap(m + np.stack([np.cos(mid), np.sin(mid)], axis=1) @ mat.T) < -1e-12
+    s1, s2 = ends[:-1][keep], ends[1:][keep]
+    dw = mat @ [np.sum(np.cos(s2) - np.cos(s1)), np.sum(np.sin(s2) - np.sin(s1))]
+    outer = 0.5 * (m[0] * dw[1] - m[1] * dw[0] + np.sum(s2 - s1))
+    grad = np.array([dw[1], -dw[0], 0.25 * np.sum(np.sin(2 * s2) - np.sin(2 * s1)),
+                     -0.25 * (ab[0] ** 2 - ab[1] ** 2) * np.sum(np.cos(2 * s2) - np.cos(2 * s1))])
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore"):
+        bound = 8 * eps * (len(cuts) + np.sum(1.0 / np.abs(slope))) * np.max(ab) ** 2
+    return inner + outer, grad, bound
 
 
-def _moment_ellipse(r_set, cos_t, sin_t) -> np.ndarray:
-    """(cx, cy, psi, phi) of the ellipse with E's centroid and second moments.
-
-    int_E f = int dtheta int_0^r f(t u) t dt; an ellipse's covariance has
-    eigenvalues alpha^2/4 >= beta^2/4, so psi = log(alpha/beta) = log(l1/l2)/2.
-    """
-    r2 = r_set * r_set
-    m0 = 0.5 * r2.mean()
-    r3 = r2 * r_set / (3.0 * m0)
-    cx, cy = (r3 * cos_t).mean(), (r3 * sin_t).mean()
-    r4 = r2 * r2 / (4.0 * m0)
-    sxx = (r4 * cos_t * cos_t).mean() - cx * cx
-    syy = (r4 * sin_t * sin_t).mean() - cy * cy
-    sxy = (r4 * cos_t * sin_t).mean() - cx * cy
-    mean, dev = 0.5 * (sxx + syy), math.hypot(0.5 * (sxx - syy), sxy)
-    return np.array([cx, cy, 0.5 * math.log((mean + dev) / (mean - dev)),
+def _moment_ellipse(body: StarSet) -> np.ndarray:
+    """(cx, cy, psi, phi) of the area-pi ellipse with B's centroid and the
+    shape of its second moments, int_B f = int dtheta int_0^r f(t u) t dt by
+    the arc rule.  An ellipse's covariance has eigenvalues alpha^2/4 >=
+    beta^2/4, so psi = log(alpha/beta) = log(l1/l2)/2."""
+    _, half, theta = _arcs(np.empty(0), 2 * body.n_modes)
+    theta, w = theta.ravel(), np.outer(half, _ARC_WEIGHTS[:, 0]).ravel()
+    r = body.radius(theta)
+    u = np.stack([np.cos(theta), np.sin(theta)])
+    m0 = 0.5 * (w @ r**2)
+    mean = u @ (w * r**3) / (3.0 * m0)
+    (sxx, sxy), (_, syy) = (u * (w * r**4)) @ u.T / (4.0 * m0) - np.outer(mean, mean)
+    mid, dev = 0.5 * (sxx + syy), math.hypot(0.5 * (sxx - syy), sxy)
+    return np.array([mean[0], mean[1], 0.5 * math.log((mid + dev) / (mid - dev)),
                      0.5 * math.atan2(2.0 * sxy, sxx - syy)])
 
 
-# Nelder-Mead passes of the ellipse fit: a pass stalls on the kinks the
-# tangent rays put into the overlap, and a fresh simplex at its result moves on
-_FIT_NM = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
-_FIT_MAX_PASSES = 20
+def _dist_star(e: StarSet) -> EllipsoidFit:
+    """Equal-area ellipse fit on E's base body, from its moment ellipse.
 
-
-def _dist_star(e: StarSet, n_theta: int) -> EllipsoidFit:
-    """Equal-area ellipse fit by ray overlap, from the moment ellipse.
-
-    The overlap |E cap ellipse| is a mean over ``n_theta`` rays from E's
-    star origin, where E ends at ``radius_about_origin``.  Nelder-Mead
-    starts at the moment ellipse (E's centroid and second-moment matrix,
-    scaled to E's area) and is restarted from its own result until a pass
-    gains no more than its ``fatol``.  ``converged`` says that the kept pass
-    met its tolerances and the restarts stalled within _FIT_MAX_PASSES.
+    |E cap Ell| / |E| is affine-invariant, so the fit runs on the base body B
+    scaled to area pi about its star center, where ``_ellipse_overlap`` gives
+    the exact overlap and its gradient.  BFGS maximizes the overlap.  It
+    stops where the overlap's rounding hides a decrease; Newton steps on the
+    gradient alone, with a central-difference Hessian of it, then take the
+    gradient down while it falls.  ``converged`` says that it fell within
+    its rounding bound; the error is the arc rule's, from its two orders,
+    and the sum's rounding.
     """
     from scipy.optimize import minimize
 
-    area = e.measure
-    origin = e.star_origin()
-    centered = e.apply(AffineMap(np.eye(2), -origin))
-    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    r_set = centered.radius_about_origin(theta)
+    scale = math.sqrt(e.measure / e.affine.det / np.pi)
+    body = StarSet(e.c0 / scale, e.a_coeffs / scale, e.b_coeffs / scale)
 
     def objective(params):
-        return 2.0 * (area - _ellipse_ray_overlap(r_set, cos_t, sin_t, params, area))
+        overlap, grad, _ = _ellipse_overlap(body, params)
+        return 1.0 - overlap[0] / np.pi, -grad / np.pi
 
-    best = minimize(objective, _moment_ellipse(r_set, cos_t, sin_t),
-                    method="Nelder-Mead", options=_FIT_NM)
-    stalled = False
-    for _ in range(_FIT_MAX_PASSES - 1):
-        res = minimize(objective, best.x, method="Nelder-Mead", options=_FIT_NM)
-        stalled = res.fun >= best.fun - _FIT_NM["fatol"]
-        if res.fun < best.fun:
-            best = res
-        if stalled:
+    res = minimize(objective, _moment_ellipse(body), jac=True, method="BFGS",
+                   options={"gtol": 1e-6, "maxiter": 200})
+    x, (overlap, grad, bound) = res.x, _ellipse_overlap(body, res.x)
+    hess = None
+    for _ in range(4):
+        if np.max(np.abs(grad)) <= bound:
             break
-    cx, cy, psi, phi = best.x
-    ab = math.sqrt(area / np.pi)
-    alpha, beta = ab * math.exp(psi / 2.0), ab * math.exp(-psi / 2.0)
+        if hess is None:  # central differences of the exact gradient
+            hess = np.array([_ellipse_overlap(body, x + 1e-6 * d)[1]
+                             - _ellipse_overlap(body, x - 1e-6 * d)[1] for d in np.eye(4)]) / 2e-6
+        trial = x - np.linalg.lstsq(hess, grad, rcond=None)[0]
+        t_overlap, t_grad, t_bound = _ellipse_overlap(body, trial)
+        if not np.max(np.abs(t_grad)) < np.max(np.abs(grad)):
+            break
+        x, overlap, grad, bound = trial, t_overlap, t_grad, t_bound
+    cx, cy, psi, phi = x
     c, s = math.cos(phi), math.sin(phi)
-    ell = AffineMap(np.array([[c, -s], [s, c]]) @ np.diag([alpha, beta]),
-                    np.array([cx, cy]) + origin)
-    dist = max(0.0, best.fun) / area
-    return EllipsoidFit(float(dist), ell, bool(best.success and stalled))
+    mat = np.array([[c, -s], [s, c]]) * [math.exp(0.5 * psi), math.exp(-0.5 * psi)]
+    ell = AffineMap(scale * e.affine.matrix @ mat,
+                    e.affine(e.center + scale * np.array([cx, cy])))
+    dist = max(0.0, 2.0 * (1.0 - overlap[0] / np.pi))
+    error = 2.0 * (abs(overlap[0] - overlap[1]) + 16 * np.finfo(float).eps * np.pi) / np.pi
+    return EllipsoidFit(float(dist), ell, bool(np.max(np.abs(grad)) <= bound), float(error))
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +712,24 @@ def boundary_profile(e, n_grid: int = 2048, n_modes: int = 32) -> SphereProfile:
     rr = e.radius_about_origin(theta)
     a = np.where(rr > 1.0, 0.5 * (rr**2 - 1.0), 0.0)
     b = np.where(rr < 1.0, 0.5 * (1.0 - rr**2), 0.0)
-    f = b - a
-    coeffs = np.fft.rfft(f) / n_grid
-    f_hat = coeffs[: n_modes + 1].copy()
-    return SphereProfile(2, a, b, f, theta, f_hat)
+    return SphereProfile(2, a, b, b - a, theta, _profile_modes(e, n_modes))
+
+
+def _profile_modes(e: StarSet, n_modes: int) -> np.ndarray:
+    """F_hat[0..n_modes] of a planar profile from E's own boundary, with no
+    ray solve.  F = (1 - r^2)/2 along rays from the origin, so for n >= 1
+    F_hat[n] = -(2 pi)^{-1} int_E e^{-i n arg x} dx, and e^{-i n arg x} is
+    0-homogeneous: div(x h / 2) = h, so by Green that integral is
+    1/2 oint e^{-i n arg P} (P x P') dtheta.  The trapezoidal sum takes 256
+    points per 32 modes of the set and the profile; F_hat[0] = (pi - |E|)/(2 pi)
+    from the same sum."""
+    k = 256 * (1 + (e.n_modes + n_modes) // 32)
+    p, dp = e.curve(np.arange(k) * (2 * np.pi / k))
+    z = p[:, 0] - 1j * p[:, 1]
+    form = (p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]) * (np.pi / k)
+    f_hat = -(form @ np.vander(z / np.abs(z), n_modes + 1, increasing=True)) / (2 * np.pi)
+    f_hat[0] += 0.5
+    return f_hat
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +767,7 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
         restrictions cos/sin(n theta)/sqrt(pi), n = 1, 2, of {x, y, x^2 - y^2,
         xy}: 2 sqrt(pi) (Re F_hat[n], -Im F_hat[n]).  Mode 0 is fixed by the
         measure constraint and is not part of the residual."""
-        f_hat = boundary_profile(body, n_grid=1024, n_modes=2).f_hat[1:]
+        f_hat = _profile_modes(body, 2)[1:]
         return 2 * math.sqrt(np.pi) * np.column_stack([f_hat.real, -f_hat.imag]).ravel()
 
     def step_map(z):

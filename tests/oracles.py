@@ -585,6 +585,29 @@ def radius_about_origin_bisection(e: StarSet, theta) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+
+def ellipse_ray_overlap(body: StarSet, params, n_rays: int) -> float:
+    """|B cap Ell| as a mean over ``n_rays`` rays from the origin, for the
+    base body B (star-shaped about the origin) and the area-pi ellipse
+    (cx, cy, psi, phi) of ``set_model._ellipse_overlap``.  A ray meets the
+    ellipse on [t_lo, t_hi], the roots of aa t^2 + 2 bb t + cc = 0 in the
+    ellipse's frame; the mean errs by O(h^2) at the rays' kinks, h = 2 pi /
+    n_rays."""
+    cx, cy, psi, phi = params
+    theta = np.arange(n_rays) * (2 * np.pi / n_rays)
+    qa, qb = math.exp(-psi), math.exp(psi)  # 1 / semi-axis^2
+    c, s = math.cos(phi), math.sin(phi)
+    w0, w1 = -(c * cx + s * cy), s * cx - c * cy  # the origin in the ellipse frame
+    cc = qa * w0 * w0 + qb * w1 * w1 - 1.0
+    uc, us = np.cos(theta - phi), np.sin(theta - phi)
+    aa = qa + (qb - qa) * us * us
+    bb = qa * w0 * uc + qb * w1 * us
+    sq = np.sqrt(np.maximum(bb * bb - aa * cc, 0.0))
+    r = body.radius(theta)
+    lower = np.minimum(np.maximum((-bb - sq) / aa, 0.0), r)
+    upper = np.minimum(np.maximum((sq - bb) / aa, 0.0), r)
+    return float(np.pi * np.mean(upper * upper - lower * lower))
+
 # ---------------------------------------------------------------------------
 # views of package objects that only the tests read
 # ---------------------------------------------------------------------------

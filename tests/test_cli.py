@@ -183,6 +183,40 @@ class TestBalanceDistRoundtrip:
         assert code == 0
         assert doc["distance"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_dist_error_printed(self, capsys, tmp_path):
+        path = tmp_path / "star.json"
+        path.write_text(set_to_json(StarSet(1.0, a_coeffs=[0.0, 0.0, 0.05])))
+        code = dispatch(["--quiet", "dist", "--set", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["converged"]
+        assert 0.0 < doc["distance"] and doc["error"] <= 1e-13
+
+    def test_dist_unconverged_exit_2(self, capsys, tmp_path, monkeypatch):
+        from felab import set_model
+        path = tmp_path / "star.json"
+        path.write_text(set_to_json(StarSet(1.0, a_coeffs=[0.0, 0.0, 0.05])))
+        monkeypatch.setattr(set_model, "dist_to_ellipsoids", lambda e: set_model.EllipsoidFit(
+            0.1, set_model.AffineMap.identity(2), False, 1e-15))
+        code = dispatch(["dist", "--set", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["converged"] is False
+        assert captured.err.startswith("non-convergence: ") and "Traceback" not in captured.err
+
+    # r = 1 + a cos(n theta) with minima between the 720 samples the validity
+    # check once took: not a valid set, exit 1
+    @pytest.mark.parametrize("command", [["dist"], ["phi", "--q", "4"]])
+    @pytest.mark.parametrize("amp, n", [(1.00122, 16), (1.00122, 32), (1.0112, 48)])
+    def test_radius_negative_between_samples(self, capsys, tmp_path, command, amp, n):
+        path = tmp_path / "star.json"
+        doc = {"dimension": 2, "kind": "star", "center": [0.0, 0.0],
+               "fourier": {"c0": 1.0, "a": [0.0] * (n - 1) + [amp], "b": []}}
+        path.write_text(json.dumps(doc))
+        code = dispatch(["--quiet", command[0], "--set", str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and "radius function must be positive" in captured.err
+
 
 class TestVerifySubset:
     def test_single_fast_criterion(self, capsys):

@@ -564,6 +564,22 @@ class TestPinned1D:
         n_nodes = (int(2.0e4 / 0.05) + 1) * 15
         assert peak < 0.25 * n_nodes * 8
 
+    def test_mesh_chunks_reuse_the_thread_buffers(self):
+        # a search evaluation (three pieces, q = 4, probe tolerance) allocated
+        # ~0.8 MB of chunk arrays at every call, which glibc could return to
+        # the OS at its end, so that the next call faulted them in again
+        import tracemalloc
+        from felab.search import PROBE_QUAD
+        e = IntervalSet([(-1.3, -0.6), (-0.2, 0.5), (0.9, 1.4)])
+        phi_q(e, 4.0, PROBE_QUAD)
+        tracemalloc.start()
+        try:
+            phi_q(e, 4.0, PROBE_QUAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4e6
+
 
 def mesh_cuts(monkeypatch):
     """The cuts ``phi_q`` passes to ``functional._signed_exp_mesh``."""

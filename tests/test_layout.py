@@ -4,8 +4,9 @@ one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
 exponential-sum tails, one planar norm integrand, one circle rule and one
 near-pair series for the planar transforms, one kernel slack, one parity
 rule for the pieces of interval unions, one pair of Bessel seeds for the
-spectrum's two recurrences, one star boundary, one L-threshold check, no
-per-mode loop over the Funk-Hecke eigenvalues, no jv call in the spectrum,
+spectrum's two recurrences, one star boundary, one crossing search for the
+planar fits, one L-threshold check, no per-mode loop over the Funk-Hecke
+eigenvalues, no jv call in the spectrum,
 expansion terms without the spectrum, a quadrature config only where a
 tolerance runs, no test-only routine inside the package, no global
 statement, and only the pinned module caches."""
@@ -27,7 +28,8 @@ TEST_ONLY = {"bessel_j", "bessel_zeros", "gegenbauer", "integrate_composite",
              "gamma_asymptotic_fit",
              "empirical_holder_exponent", "q_continuity_probe",
              "sphere_reduced_prediction", "local_ascent", "norm_q_2d_per_panel",
-             "circle_coeff", "indicator_hat", "_interval_hat", "_radial_factor"}
+             "circle_coeff", "indicator_hat", "_interval_hat", "_radial_factor",
+             "ellipse_ray_overlap"}
 # methods that only the tests used; free functions in tests/oracles.py now
 TEST_ONLY_METHODS = {"integral_a2_b2", "integral_f", "derivative_at", "cumulative",
                      "deviation_from_identity", "translate"}
@@ -200,13 +202,33 @@ def test_one_pair_of_bessel_seeds():
 
 
 def test_one_star_boundary():
-    # the grid symmetric difference and the grid-FFT oracle size their boxes
-    # from one boundary sample
+    # the grid-FFT oracle sizes its box from one boundary sample
     callers = {(name, getattr(top, "name", "<module>")) for name, text in MODULES.items()
                for top in ast.parse(text).body for node in ast.walk(top)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "boundary"}
-    assert callers == {("set_model.py", "_grid_symdiff"), ("functional.py", "_grid_fft_norm")}
+    assert callers == {("functional.py", "_grid_fft_norm")}
+
+
+def test_planar_fits_on_the_base_curve():
+    # the ellipse fit and the symmetric difference run no Nelder-Mead and take
+    # no ray-grid count; one crossing search bounds the arcs of both, on the
+    # bracketed Newton of the ray radius
+    text = MODULES["set_model.py"]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            assert "Nelder-Mead" not in {getattr(k.value, "value", None)
+                                         for k in node.keywords}, node.lineno
+        if isinstance(node, ast.FunctionDef):
+            names = {a.arg for a in node.args.args + node.args.kwonlyargs}
+            assert not names & {"n_theta", "grid_resolution"}, node.name
+    assert _callers(text, "_crossings") == {"_ellipse_overlap", "_intersection"}
+    assert _callers(text, "_bracketed_newton") == {"StarSet", "_crossings"}
+    defined = {getattr(node, "name", None) or getattr(node, "id", None)
+               for module in MODULES.values() for node in ast.walk(ast.parse(module))
+               if isinstance(node, ast.FunctionDef)
+               or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))}
+    assert not defined & {"_ellipse_ray_overlap", "_FIT_NM", "_FIT_MAX_PASSES", "_grid_symdiff"}
 
 
 def test_one_l_threshold_check():

@@ -13,6 +13,9 @@ from felab.set_model import (
     AffineMap,
     IntervalSet,
     StarSet,
+    _ellipse_overlap,
+    _moment_ellipse,
+    _positive_on_circle,
     _signed_pieces,
     balance,
     boundary_profile,
@@ -22,7 +25,12 @@ from felab.set_model import (
     symdiff_measure,
     vanishing_check,
 )
-from oracles import deviation_from_identity, integral_f, radius_about_origin_bisection
+from oracles import (
+    deviation_from_identity,
+    ellipse_ray_overlap,
+    integral_f,
+    radius_about_origin_bisection,
+)
 
 
 class TestIntervalSet:
@@ -88,10 +96,36 @@ class TestSymdiff:
         assert sign @ (right - left) == pytest.approx(e1.measure - e2.measure, abs=1e-12)
 
     def test_grid_fallback(self):
-        # a set whose star origin is outside the other forces the grid path
+        # disjoint sets, each star origin outside the other set: no arc of
+        # either boundary lies in the other, and the measure is exact
         far = StarSet(0.5, affine=AffineMap(np.eye(2), np.array([3.0, 0.0])))
-        d = symdiff_measure(StarSet.unit_disc(), far, grid_resolution=512)
-        assert d == pytest.approx(np.pi + np.pi * 0.25, rel=2e-2)
+        assert symdiff_measure(StarSet.unit_disc(), far) == np.pi + np.pi * 0.25
+
+    def test_disc_lens(self):
+        # two unit discs s apart: 2 pi minus twice the closed-form lens
+        for s in np.linspace(0.05, 1.95, 39):
+            lens = 2 * math.acos(s / 2) - s / 2 * math.sqrt(4 - s * s)
+            moved = StarSet(1.0, affine=AffineMap(np.eye(2), np.array([s, 0.0])))
+            exact = 2 * np.pi - 2 * lens
+            assert abs(symdiff_measure(StarSet.unit_disc(), moved) - exact) <= 1e-14
+
+    def test_shared_boundary(self):
+        # a set against itself, and the disc against a rotated copy: the
+        # boundaries coincide, and each arc counts once
+        e = next(star_candidates(5, 1))
+        rot = AffineMap(np.array([[0.6, -0.8], [0.8, 0.6]]), np.zeros(2))
+        assert symdiff_measure(e, e) <= 1e-14
+        assert symdiff_measure(StarSet.unit_disc(), StarSet.unit_disc().apply(rot)) <= 1e-14
+
+    def test_star_pair_against_fine_rays(self):
+        # dilated base bodies, star-shaped about the origin: |r1^2 - r2^2| / 2
+        # over 65,536 rays, whose kinks at the crossings leave an O(h^2) bias
+        theta = np.arange(65536) * (2 * np.pi / 65536)
+        sets = list(star_candidates(6, 8))
+        for e1, e2 in zip(sets[::2], sets[1::2]):
+            r1, r2 = (math.sqrt(e.affine.det) * e.radius(theta) for e in (e1, e2))
+            rays = np.pi * np.mean(np.abs(r1**2 - r2**2))
+            assert symdiff_measure(e1, e2) == pytest.approx(rays, abs=(2 * np.pi / 65536) ** 2)
 
 
 class TestDistance:
@@ -113,6 +147,17 @@ class TestDistance:
             t = rng.uniform(-2, 2)
             img = e.apply(AffineMap(np.array([[a]]), np.array([t])))
             assert dist_to_ellipsoids(img).distance == pytest.approx(base, abs=1e-6)
+
+    def test_affine_invariance_d2(self):
+        # the fit runs on the base body, which every affine image shares
+        e = next(star_candidates(9, 1))
+        base = dist_to_ellipsoids(e).distance
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            lin = rng.normal(0.0, 0.6, (2, 2)) + np.eye(2)
+            lin[:, 0] *= np.sign(np.linalg.det(lin))  # a positive determinant
+            img = e.apply(AffineMap(lin, rng.uniform(-2, 2, 2)))
+            assert abs(dist_to_ellipsoids(img).distance - base) <= 1e-12
 
     def test_affine_disc_is_zero(self):
         tm = AffineMap(np.array([[1.2, 0.3], [0.0, 1 / 1.2]]),
@@ -136,41 +181,97 @@ def star_candidates(seed: int, count: int):
         yield StarSet(1.0, a, b).with_measure(np.pi)
 
 
-class TestEllipseFit:
-    """The moment-ellipse fit is no worse than the six-start Nelder-Mead
-    search it replaced; these are that search's distances."""
+def fit_params(e, fit):
+    """(cx, cy, psi, phi) of ``fit.best`` on E's base body scaled to area pi."""
+    scale = math.sqrt(e.measure / e.affine.det / np.pi)
+    lin = np.linalg.solve(e.affine.matrix, fit.best.matrix) / scale
+    m = (np.linalg.solve(e.affine.matrix, fit.best.translation - e.affine.translation)
+         - e.center) / scale
+    return np.array([m[0], m[1], 2 * math.log(math.hypot(lin[0, 0], lin[1, 0])),
+                     math.atan2(lin[1, 0], lin[0, 0])])
 
-    SIX_START = [
-        0.01593526766308897, 0.008175118377294184, 0.017689105157582062, 0.005102017872171579,
-        0.017150322327249407, 0.03361560873372891, 0.018422435668412646, 0.011060099028909968,
-        0.013916263895937014, 0.009775164541409379, 0.007118884488441707, 0.01692138932988052,
-        0.028736454719279665, 0.03150966313546142, 0.0031168154140654553, 0.023476073281680724,
-        0.011261270715229664, 0.02387877781848049, 0.017976450674267463, 0.008961846818672927,
-        0.019628010284425308, 0.014500722075210743, 0.026016713316010708, 0.023375297632801585,
-        0.015053319165163942, 0.0073126488799154, 0.028394672371980022, 0.015794762639263184,
-        0.01126434514683182, 0.014974458134056805, 0.016675801949261902, 0.015402808424555468,
-        0.013713013754672293, 0.0023068317237783997, 0.04345075696009294, 0.019413723449249697,
-        0.00834461347949685, 0.016096444048777317, 0.008120288946962305, 0.008661052377521461,
+
+def base_body(e):
+    scale = math.sqrt(e.measure / e.affine.det / np.pi)
+    return StarSet(e.c0 / scale, e.a_coeffs / scale, e.b_coeffs / scale)
+
+
+class TestEllipseFit:
+    """The exact fit is no worse than the Nelder-Mead ray fit it replaced:
+    these are the exact distances at that fit's ellipses."""
+
+    NELDER_MEAD = [
+        0.015935485803188876, 0.008175276436770159, 0.017689524779408477, 0.005102150305625591,
+        0.017150523530582388, 0.03361619347539564, 0.01842267511031061, 0.011060217790934013,
+        0.01391654523898566, 0.009775377929903364, 0.007118958753184343, 0.016921720914203842,
+        0.028736986242751988, 0.03150984057535558, 0.003116853000601464, 0.02347655511809243,
+        0.011261471892128136, 0.023878999186571992, 0.01797667576433141, 0.008962040499977121,
+        0.01962815922097465, 0.014501062034254006, 0.026017134642398437, 0.023375472740733975,
+        0.01505347251465968, 0.007312821344933224, 0.028394772214871477, 0.015795067032577558,
+        0.01126450781276677, 0.014974610518375765, 0.016676058117277386, 0.015403396435380634,
+        0.013713456973956392, 0.0023068392922266025, 0.0434511814154264, 0.019413977441284314,
+        0.00834474866782406, 0.016096703140539036, 0.008120448125810892, 0.008661234693240443,
     ]
 
     def test_star_candidates_no_worse(self):
-        for e, pinned in zip(star_candidates(2024, 40), self.SIX_START):
+        for e, pinned in zip(star_candidates(2024, 40), self.NELDER_MEAD):
             fit = dist_to_ellipsoids(e)
             assert fit.converged
-            assert fit.distance <= pinned + 1e-9
+            assert fit.distance <= pinned + 1e-12
 
     def test_criterion_8_base_set_no_worse(self):
         e2 = StarSet(1.0, a_coeffs=[0.0, 0.05, 0.03]).with_measure(np.pi)
-        fit = dist_to_ellipsoids(e2, n_theta=512)
+        fit = dist_to_ellipsoids(e2)
         assert fit.converged
-        assert fit.distance <= 0.03790978523946587 + 1e-9
+        assert fit.distance <= 0.037913904995849755 + 1e-12
 
     def test_best_map_is_the_fitted_ellipse(self):
         e = next(star_candidates(7, 1))
         fit = dist_to_ellipsoids(e)
         ell = StarSet.unit_disc().apply(fit.best)
         assert ell.measure == pytest.approx(e.measure, rel=1e-12)
-        assert symdiff_measure(e, ell) / e.measure == pytest.approx(fit.distance, abs=1e-6)
+        assert symdiff_measure(e, ell) / e.measure == pytest.approx(fit.distance, abs=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        # Hadamard's gradient against the overlap's central differences, a
+        # step off the moment ellipse (the optimum's gradient is zero)
+        h = 1e-6
+        for e in star_candidates(12, 40):
+            body = base_body(e)
+            x = _moment_ellipse(body) + [0.01, -0.02, 0.05, 0.1]
+            grad = _ellipse_overlap(body, x)[1]
+            diff = [(_ellipse_overlap(body, x + h * step)[0][0]
+                     - _ellipse_overlap(body, x - h * step)[0][0]) / (2 * h) for step in np.eye(4)]
+            assert np.max(np.abs(grad - diff)) <= 1e-6 * np.max(np.abs(grad))
+
+    def test_overlap_matches_fine_rays(self):
+        # at the optimum, the exact overlap against a 65,536-ray mean and its
+        # O(h^2) kink bias; the distance is that overlap's
+        h = 2 * np.pi / 65536
+        for e in star_candidates(41, 8):
+            fit = dist_to_ellipsoids(e)
+            body, x = base_body(e), fit_params(e, fit)
+            exact = _ellipse_overlap(body, x)[0][0]
+            assert 2 * (1 - exact / np.pi) == pytest.approx(fit.distance, abs=1e-14)
+            assert abs(exact - ellipse_ray_overlap(body, x, 65536)) <= h * h
+            assert fit.error <= 1e-13
+
+
+class TestStarValidity:
+    # r = 1 + a cos(n theta) with minima between the 720 samples, -0.0012
+    # and -0.011: the slope bound refines the samples until one is negative
+    @pytest.mark.parametrize("amp, n", [(1.00122, 16), (1.00122, 32), (1.0112, 48)])
+    def test_negative_between_samples(self, amp, n):
+        with pytest.raises(InvalidSetError, match="positive"):
+            StarSet(1.0, a_coeffs=[0.0] * (n - 1) + [amp])
+
+    def test_ordinary_sets_certify_on_their_samples(self):
+        def refine(theta):
+            raise AssertionError("refined")
+
+        theta = np.arange(720) * (2 * np.pi / 720)
+        for e in star_candidates(3, 20):
+            assert _positive_on_circle(refine, e.derivative_bound(1), e.radius(theta)) is True
 
 
 class TestRadiusAboutOrigin:
