@@ -164,7 +164,7 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
 # the d = 1 mesh is swept in chunks of blocks of panels
 _MESH_BLOCK = 64   # panels per block: one row of the phase product
 _MESH_CHUNK = 16   # blocks per chunk: ~15k nodes
-# Each thread keeps its chunk arrays (~0.37 MB) across calls.  Chunk arrays
+# Each thread keeps its chunk arrays (~0.37 MB) and W across calls.  Chunk arrays
 # and temporaries allocated at each call (~1 MB) go back to the OS at its end
 # whenever glibc's trim threshold lies below that, which depends on the
 # process's earlier frees; each call then faults them in again (230 minor
@@ -203,20 +203,29 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     base_b = 2 half B b, so node (i, k) of the block is xi = base_b + loc_ik
     with loc_ik = (2i + 1 + x_k) half, and P = U @ W with
     U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.
-    Each phase is a product of two exps, so no error accumulates.  The arrays
-    are the thread's ``_mesh_work`` buffers: the caller may overwrite them,
-    and the next chunk, of this mesh or of the thread's next one, does.
+    Each phase is a product of two exps, so no error accumulates.  W and the
+    arrays are the thread's ``_mesh_work`` buffers (W's grown to the most
+    endpoints seen): the caller may overwrite the arrays, and the next chunk,
+    of this mesh or of the thread's next one, does; the thread's next mesh
+    rewrites W.
     """
     n_panels = int(cut / h) + 1
     half = 0.5 * cut / n_panels
     loc = gk15_panels(2 * np.arange(_MESH_BLOCK) + 1.0, 1.0)[0] * half
-    w = np.multiply(-2j * np.pi, np.outer(ends, loc), out=np.empty((len(ends), loc.size), complex))
-    np.exp(w, out=w)
-    w *= signs[:, None]
-    n_blocks = -(-n_panels // _MESH_BLOCK)
     if not hasattr(_mesh_work, "xi"):
         _mesh_work.xi = np.empty((_MESH_CHUNK, _MESH_BLOCK, 15))
         _mesh_work.p = np.empty((_MESH_CHUNK, _MESH_BLOCK * 15), complex)
+    if getattr(_mesh_work, "w", np.empty(0)).shape[0] < len(ends):
+        _mesh_work.w = np.empty((len(ends), _MESH_BLOCK * 15), complex)
+    # W in place, with no temporaries: the phases in its real parts, cos and sin over
+    # them, then the signs on both parts through a float view
+    w = _mesh_work.w[:len(ends)]
+    np.multiply.outer(ends, loc.ravel(), out=w.real)
+    w.real *= -2 * np.pi
+    np.sin(w.real, out=w.imag)
+    np.cos(w.real, out=w.real)
+    w.view(float).reshape(len(ends), -1)[...] *= signs[:, None]
+    n_blocks = -(-n_panels // _MESH_BLOCK)
 
     def chunks():
         for b0 in range(0, n_blocks, _MESH_CHUNK):

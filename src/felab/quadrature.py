@@ -15,7 +15,8 @@ runs on this module:
 * ``integrate_oscillatory_tail`` -- sums inter-zero segment integrals of a
   slowly decaying oscillatory integrand and accelerates the alternating
   segment series with iterated Aitken (plain truncation, reported
-  unconverged, as the fallback).
+  unconverged, as the fallback): the reference of the d = 2 L kernel's
+  closed-form a_0 tail, which no module calls.
 * ``tail_power_periodic``   -- tail integrator for integrands of the form
   (algebraic envelope) x (fixed-period oscillation), the shape every
   Bessel-power tail in this package reduces to.  Integrating over exact
@@ -28,7 +29,8 @@ runs on this module:
   tolerances follow from the ``tol`` and kink exponent its caller fixes.
 * ``_power_tail``           -- E(c) = int_1^inf xi^{-s} e^{ic xi} dxi, a
   generalized exponential integral (DLMF 8.19), for an array of c at once:
-  the algebraic tails of the d = 1 kernels and of the d = 1 norm at even q.
+  the algebraic tails of the d = 1 kernels and of the d = 1 norm at even q,
+  and the terms of the d = 2 L kernel's a_0 tail.
 
 Integrands must accept numpy arrays.  Non-finite integrand values (isolated
 integrable singularities) are treated as zero.

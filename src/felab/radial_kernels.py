@@ -53,12 +53,14 @@ matches mpmath to ~1e-13 relative.  The same engine gives the d = 1
 expansion terms' antiderivatives int_0^x K and int_0^t int_0^u L.
 d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
 the largest radius grows.  In d = 2 K runs on them to rho = 40, then on
-plain panels between the zeros to 120; L runs on them to 160, then sums
-the a_0 part of the L table per radius between the zeros of J_0.  Past the
-last zero of B^ each bounds the harmonics of its table beating against J_0
-in one routine.  In d = 3 they run to a cut where g has decayed, plus a
-tail bound.  At r = 0, d = 2 and 3 take the moment |S^{d-1}| int rho^{d-1} g
-from the head-plus-periodic-tail integral.
+plain panels between the zeros to 120, or to an earlier zero where its
+tail bound has fallen to a tenth of the slack; L runs on them to 160, then
+sums the a_0 part of the L table in closed form, Hankel's expansion of J_0
+times M_1's to the power q - 2 on the power-tail engine, every radius at
+once.  Past the last zero of B^ each bounds the harmonics of its table
+beating against J_0 in one routine.  In d = 3 they run to a cut where g has
+decayed, plus a tail bound.  At r = 0, d = 2 and 3 take the moment
+|S^{d-1}| int rho^{d-1} g from the head-plus-periodic-tail integral.
 
 Convention: omega_0 = 1, so the d = 1 instances of the slicing formulas
 match the closed forms.
@@ -80,7 +82,7 @@ from .quadrature import (
     IntegralResult,
     _power_tail,
     gk15_panels,
-    integrate_oscillatory_tail,
+    gk15_sums,
     radial_head_tail,
     zero_segment_edges,
 )
@@ -382,39 +384,120 @@ def _harmonic_tail_bound(kind: str, q: float, x: np.ndarray, z: float) -> np.nda
 
 
 def _kernel_values_2d_K(q: float, x: np.ndarray):
-    """K-kind: one mesh cut at the zeros of B^ up to Z, the last zero below
-    rho = 120: ``_panel_counts`` panels up to the last zero below 40, then
-    ceil(length x max r) equal panels a zero segment (a |t|^{q-1} kink is
-    milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the rest."""
+    """K-kind: one mesh cut at the zeros of B^ up to Z: ``_panel_counts`` panels up to
+    the last zero below rho = 40, then ceil(length x max r) equal panels a zero segment
+    (a |t|^{q-1} kink is milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the
+    rest.  Z is the last zero below 120, or an earlier one past 40 where the bound is at
+    most _KERNEL_SLACK / 10.  The bound times Z^s, s = 3q/2 - 2, rises with Z (each
+    harmonic's share does, and env M_0 Z^s up to ~1e-5), so the bound at 120 predicts
+    that zero from above, and one more bound there confirms it."""
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
     near = cuts[1:] <= 40.0
     m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
+    bound = _harmonic_tail_bound("K", q, x, cuts[-1])
+    end = cuts[-1] * (np.max(bound) / (0.1 * _KERNEL_SLACK)) ** (1.0 / (1.5 * q - 2.0))
+    k = int(np.searchsorted(cuts, max(end, 40.0)))
+    if k < len(cuts) - 1:
+        early = _harmonic_tail_bound("K", q, x, cuts[k])
+        if np.max(early) <= 0.1 * _KERNEL_SLACK:
+            cuts, m, near, bound = cuts[:k + 1], m[:k], near[:k], early
     values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
-    return values, _harmonic_tail_bound("K", q, x, cuts[-1])
+    return values, bound
+
+
+# L's a_0 part past Z takes Hankel's expansion of J_0(y) in _HANKEL_TERMS terms from
+# y = _HANKEL_FROM on, where its first two omitted terms are ~3e-18
+_HANKEL_FROM = 30.0
+_HANKEL_TERMS = 16
+
+
+def _a0_tail(q: float, x: np.ndarray, z: float):
+    """a_0 int_z^inf env(rho) J_0(2 pi r rho) drho, the a_0 part of L past z (a zero of
+    B^ near 160), at radii x > 0, and its error.
+
+    With p = q - 2, env = 2 pi^{1-p} rho^{1-3p/2} sum_m e_m (2 pi rho)^{-2m}: M_1^2's
+    expansion (DLMF 10.18.17) to the power p/2, three terms, the fourth (~(2 pi z)^-6
+    relative) the error term.  J_0(y) = Re sqrt(2/(pi y)) e^{i(y - pi/4)} sum_k i^k a_k
+    y^{-k} (DLMF 10.17.3), whose first two omitted terms bound the remainder (10.17(iii)).
+    Each product term is C rho^{-sigma} e^{i c rho}, c = 2 pi r, whose integral past rho0
+    is rho0^{1-sigma} e^{i c rho0} _power_tail(sigma, c rho0): one call a sigma, every
+    radius at once.  The series starts at rho0 = max(z, _HANKEL_FROM / c).  Below it,
+    [z, rho0] runs on GK15 panels in log rho, uniform in s log rho + c rho, s = max(1,
+    3p/2 - 2): none spans more than 2 of phase or e^{2/s} of rho.  rho0 stops where
+    the envelope's mass past it is eps of its mass past z (or at e^700), which bounds
+    what is dropped there.
+    The error adds _power_tail's 1e-12 relative and the rounding of the phase c rho0 on
+    every term, the omitted terms, and the head's |K - G| and rounding: eps (16 + log2
+    nodes) of its envelope's mass, each node's J_0 good to 2 sqrt(2y / pi) + 1 < 10 ulp
+    (its phase y <= 30 to 3 ulp), plus the sum's rounding."""
+    p, eps = q - 2.0, np.finfo(float).eps
+    dec = 1.5 * p - 2.0  # env falls like rho^-(1 + dec), dec > 0 above q_d
+    t = np.cumprod([1.0] + [(2 * k - 1) / (2 * k) * (1 - (2 * k - 1) ** 2 / 4) for k in (1, 2, 3)])
+    e = [1.0]  # (sum_k t_k w^k)^{p/2} by J. C. P. Miller's recurrence
+    for n in (1, 2, 3):
+        e.append(sum(((0.5 * p + 1.0) * k - n) * t[k] * e[n - k] for k in range(1, n + 1)) / n)
+    lead = _series("L", q)[1][0] * 2.0 * np.pi ** (1.0 - p)
+    # a_0 int_z^inf env, with |e_m| in place of e_m: it bounds every part of the tail
+    mass = lead * sum(abs(em) * (2 * np.pi * z) ** (-2.0 * m) for m, em in enumerate(e))
+    mass *= z ** -dec / dec
+
+    def env(rho):
+        w = (2 * np.pi * rho) ** -2.0
+        return lead * rho ** -(1.0 + dec) * (e[0] + w * (e[1] + w * e[2]))
+
+    c = 2 * np.pi * x
+    log_z = math.log(z)
+    log_end = min(log_z - math.log(eps) / dec, 700.0)
+    log_rho0 = np.clip(math.log(_HANKEL_FROM) - np.log(c), log_z, log_end)
+    values = np.zeros_like(x)
+    errors = np.full_like(x, mass * abs(e[3]) * (2 * np.pi * z) ** -6.0)
+    h = np.nonzero(log_rho0 > log_z)[0]
+    if h.size:
+        s, ch = max(1.0, dec), c[h, None]
+        t0, t1 = s * log_z + ch * z, s * log_rho0[h, None] + ch * np.exp(log_rho0[h, None])
+        n = math.ceil(np.max(t1 - t0) / 2.0)
+        tt = t0 + (t1 - t0) * np.arange(n + 1) / n
+        # s log rho + c rho = t at rho = (s/c) W((c/s) e^{t/s}), rho = e^{t/s - W}
+        edges = np.exp(tt / s - special.lambertw(np.exp(np.log(ch) - math.log(s) + tt / s)).real)
+        edges[:, 0], edges[:, -1] = z, np.exp(log_rho0[h])
+        half = 0.5 * np.log(edges[:, 1:] / edges[:, :-1])
+        rho = edges[:, :-1, None] * np.exp(gk15_panels(half, half)[0])
+        g = env(rho) * rho
+        kron, rule = gk15_sums(g * special.j0(ch[..., None] * rho), half)
+        values[h] = np.sum(kron, axis=1)
+        rounding = eps * (16.0 + math.log2(rho[0].size)) * np.sum(gk15_sums(g, half)[0], axis=1)
+        errors[h] += np.sum(rule, axis=1) + rounding
+    capped = log_rho0 >= log_end
+    errors[capped] += mass * np.exp(-dec * (log_end - log_z))
+    k = np.nonzero(~capped)[0]
+    if k.size:
+        rho0, y0 = np.exp(log_rho0[k]), c[k] * np.exp(log_rho0[k])
+        a = np.cumprod(np.r_[1.0, -(2 * np.arange(1, _HANKEL_TERMS + 2) - 1.0) ** 2
+                             / (8 * np.arange(1, _HANKEL_TERMS + 2))])
+        ks = np.arange(_HANKEL_TERMS)[:, None]
+        hankel = 1j ** ks * a[:_HANKEL_TERMS, None] * y0 ** -ks.astype(float)
+        table = np.array([_power_tail(1.5 * p - 0.5 + n, y0) for n in range(_HANKEL_TERMS + 4)])
+        terms = np.concatenate([e[m] * (2 * np.pi * rho0) ** (-2.0 * m) * hankel
+                                * table[2 * m:2 * m + _HANKEL_TERMS] for m in range(3)])
+        scale = lead / (np.pi * np.sqrt(x[k])) * rho0 ** -(dec + 0.5)
+        values[k] += scale * np.real(np.exp(1j * (y0 - 0.25 * np.pi)) * np.sum(terms, axis=0))
+        rest = sum(abs(a[j]) * y0 ** (-0.5 - j) / (1.5 * p - 1.5 + j)
+                   for j in (_HANKEL_TERMS, _HANKEL_TERMS + 1))
+        errors[k] += ((1e-12 + 2 * eps * y0) * scale * np.sum(np.abs(terms), axis=0)
+                      + mass * dec * math.sqrt(2.0 / np.pi) * (rho0 / z) ** -dec * rest)
+    return values, errors
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
     """L-kind: ``_panel_counts`` panels a zero segment up to Z, the last below 160.
-    Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), the a_0 part
-    a_0 env(rho) J_0(2 pi r rho) alternates between the zeros of J_0: per radius,
-    from Z to the first leading-order zero (k - 1/4) / 2r past it and 127 more
-    segments, Aitken-accelerated; ``_harmonic_tail_bound`` covers the other
-    harmonics."""
+    Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), ``_a0_tail`` sums the a_0
+    part a_0 env(rho) J_0(2 pi r rho) in closed form, and ``_harmonic_tail_bound``
+    covers the other harmonics."""
     cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
     z, m = cuts[-1], _panel_counts("L", 2, cuts, x, 1.0 / 12)
     values = _radial_sum("L", 2, q, x, zero_segment_edges(cuts, m, 1.0 / 24))
-    a0 = _series("L", q)[1][0]
-    errors = _harmonic_tail_bound("L", q, x, z)
-    for i, r in enumerate(x):
-        def f(rho, r=r):
-            return a0 * _envelope(q - 2.0, rho) * special.j0(2 * np.pi * rho * r)
-
-        first = math.floor(2.0 * r * z + 0.25) + 1
-        zeros = (np.arange(first, first + 128) - 0.25) / (2.0 * r)  # of J_0, to leading order
-        res = integrate_oscillatory_tail(f, np.r_[z, zeros])
-        values[i] += res.value
-        errors[i] += res.error_estimate
-    return values, errors
+    tail, errors = _a0_tail(q, x, z)
+    return values + tail, errors + _harmonic_tail_bound("L", q, x, z)
 
 
 def _kernel_values_3d(kind: str, q: float, x: np.ndarray):

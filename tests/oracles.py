@@ -3,7 +3,9 @@
 Independent routes the tests check felab against (Bessel and Gegenbauer
 evaluators, a brute-force composite GK15 sum, the indicator transforms,
 radial J_0 and J_1 integrals for the translated disc's expansion terms,
-the disc's norm and its K and L kernels, the circle-profile route to the circle
+the disc's norm and its K and L kernels, the d = 2 L kernel's a_0 tail
+past the mesh by Aitken's segment sum and by mpmath, the d = 2 K kernel on
+its full mesh to rho = 120, the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time from the radial factor node by node,
@@ -37,8 +39,22 @@ from felab.quadrature import (
     gk15_panels,
     gk15_sums,
     integrate_adaptive,
+    integrate_oscillatory_tail,
+    zero_segment_edges,
 )
-from felab.radial_kernels import RadialKernel, ball_hat, gamma_qd, kernel_values, omega
+from felab.radial_kernels import (
+    RadialKernel,
+    _ball_hat_zeros,
+    _envelope,
+    _harmonic_tail_bound,
+    _panel_counts,
+    _radial_sum,
+    _series,
+    ball_hat,
+    gamma_qd,
+    kernel_values,
+    omega,
+)
 from felab.search import SearchConfig, SearchResult, _ascend, _params_to_set, _set_to_params
 from felab.set_model import AffineMap, IntervalSet, SphereProfile, StarSet, dist_to_ellipsoids
 from felab.spectral import funk_hecke_eigenvalue, funk_hecke_eigenvalues
@@ -229,6 +245,76 @@ def _disc_kernel(kind: str, q: float, r, rho_max: float) -> np.ndarray:
     base = 2 * np.pi * wts * rho * g
     r = np.asarray(r, dtype=float)
     return np.array([special.j0(2 * np.pi * x * rho) @ base for x in r])
+
+
+def a0_tail_aitken(q: float, x, z: float):
+    """The d = 2 L kernel's a_0 part past z, a_0 int_z^inf env(rho) J_0(2 pi r rho)
+    drho, per radius: from z to the first leading-order zero (k - 1/4) / 2r of J_0
+    past it and 127 more segments, Aitken-accelerated.  Returns values and errors."""
+    a0 = _series("L", q)[1][0]
+    values, errors = np.zeros(len(x)), np.zeros(len(x))
+    for i, r in enumerate(x):
+        def f(rho, r=r):
+            return a0 * _envelope(q - 2.0, rho) * special.j0(2 * np.pi * rho * r)
+
+        first = math.floor(2.0 * r * z + 0.25) + 1
+        zeros = (np.arange(first, first + 128) - 0.25) / (2.0 * r)
+        res = integrate_oscillatory_tail(f, np.r_[z, zeros])
+        values[i], errors[i] = res.value, res.error_estimate
+    return values, errors
+
+
+def m1_squared(x):
+    """pi x M_1(x)^2 / 2, M_1^2 = J_1^2 + Y_1^2, by its expansion (DLMF 10.18.17) to 12
+    terms, for mpmath x >= 1000: the remainder is below the first omitted term, ~1e-60."""
+    import mpmath
+    total, term = mpmath.mpf(1), mpmath.mpf(1)
+    for k in range(1, 12):
+        term *= mpmath.mpf(2 * k - 1) / (2 * k) * (4 - (2 * k - 1) ** 2) / (4 * x * x)
+        total += term
+    return total
+
+
+def a0_tail_mpmath(q: float, r: float, z: float, dps: int = 25):
+    """``a0_tail_aitken``'s integral for one radius in mpmath at ``dps`` digits: to the
+    first zero of J_0(2 pi r rho) past z, then between its zeros, summed by nsum."""
+    import mpmath
+    with mpmath.workdps(dps):
+        p, two_pi = mpmath.mpf(q) - 2, 2 * mpmath.pi
+        a0 = mpmath.gamma(p + 1) / (2 ** p * mpmath.gamma(p / 2 + 1) ** 2)
+        r, z = mpmath.mpf(r), mpmath.mpf(z)
+
+        def f(rho):
+            x = two_pi * rho
+            return (two_pi * rho ** (1 - p) * (2 * m1_squared(x) / (mpmath.pi * x)) ** (p / 2)
+                    * mpmath.besselj(0, r * x))
+
+        n0 = int(2 * r * z + 0.25)  # zeros of J_0 below 2 pi r z, to leading order
+        while mpmath.besseljzero(0, n0 + 1) <= two_pi * r * z:
+            n0 += 1
+        while n0 > 0 and mpmath.besseljzero(0, n0) > two_pi * r * z:
+            n0 -= 1
+
+        def zero(n):
+            return mpmath.besseljzero(0, n0 + n) / (two_pi * r)
+
+        first = zero(1)
+        head = mpmath.quad(f, [z * (first / z) ** (mpmath.mpf(k) / 8) for k in range(9)],
+                           method="gauss-legendre")
+        tail = mpmath.nsum(lambda k: mpmath.quad(f, [zero(int(k)), zero(int(k) + 1)],
+                                                 method="gauss-legendre"), [1, mpmath.inf])
+        return a0 * (head + tail)
+
+
+def k2_to_120(q: float, x):
+    """The d = 2 K kernel at radii x > 0 on its full mesh, cut at the zeros of B^ up to
+    the last below rho = 120, and the harmonic tail bound there: values and errors
+    before ``kernel_values`` adds its slack."""
+    cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
+    near = cuts[1:] <= 40.0
+    m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
+    values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
+    return values, _harmonic_tail_bound("K", q, x, cuts[-1])
 
 
 def disc_norm_band(q: float, lo: float, hi: float) -> float:

@@ -567,7 +567,8 @@ class TestPinned1D:
     def test_mesh_chunks_reuse_the_thread_buffers(self):
         # a search evaluation (three pieces, q = 4, probe tolerance) allocated
         # ~0.8 MB of chunk arrays at every call, which glibc could return to
-        # the OS at its end, so that the next call faulted them in again
+        # the OS at its end, so that the next call faulted them in again; W's
+        # temporaries then took 0.24 MB more, and now W is a thread buffer too
         import tracemalloc
         from felab.search import PROBE_QUAD
         e = IntervalSet([(-1.3, -0.6), (-0.2, 0.5), (0.9, 1.4)])
@@ -578,7 +579,7 @@ class TestPinned1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.4e6
+        assert peak < 0.2e6
 
 
 def mesh_cuts(monkeypatch):

@@ -94,12 +94,13 @@ def test_periodic_tail_called_from_two_places():
     assert {fn for name, fn in callers if name == "radial_kernels.py"} == set()
 
 
-def test_oscillatory_tail_called_from_one_place():
-    # the Aitken segment tail serves only the a_0 part of the d = 2 L tail;
-    # the d = 2 K kernel bounds its tail instead
+def test_oscillatory_tail_has_no_caller():
+    # the Aitken segment tail serves no module: the a_0 part of the d = 2 L
+    # tail is summed in closed form, and the tests keep the segment tail as
+    # its reference
     callers = {(name, fn) for name, text in MODULES.items()
                for fn in _callers(text, "integrate_oscillatory_tail")}
-    assert callers == {("radial_kernels.py", "_kernel_values_2d_L")}
+    assert callers == set()
 
 
 def test_one_d2_harmonic_tail_bound():
@@ -174,13 +175,14 @@ def test_one_circle_rule():
 
 def test_one_kernel_slack():
     # every kernel value's error takes the fixed slack once, in kernel_values;
-    # the d = 1 expansion terms read the same constant
+    # the d = 1 expansion terms read the same constant, and the d = 2 K mesh
+    # ends where its tail bound is a tenth of it
     text = MODULES["radial_kernels.py"]
     readers = {getattr(top, "name", "<module>") for top in ast.parse(text).body
                for node in ast.walk(top)
                if isinstance(node, ast.Name) and node.id == "_KERNEL_SLACK"
                and isinstance(node.ctx, ast.Load)}
-    assert readers == {"kernel_values"}
+    assert readers == {"kernel_values", "_kernel_values_2d_K"}
     literals = [node for node in ast.walk(ast.parse(text))
                 if isinstance(node, ast.Constant) and node.value == 1e-11]
     assert len(literals) == 1

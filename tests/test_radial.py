@@ -30,6 +30,8 @@ from felab.set_model import StarSet
 from felab.spectral import funk_hecke_eigenvalue
 from oracles import (
     SplineKernel,
+    a0_tail_aitken,
+    a0_tail_mpmath,
     derivative_at,
     disc_k4,
     disc_kernel_k,
@@ -38,7 +40,9 @@ from oracles import (
     empirical_holder_exponent,
     gamma_asymptotic_fit,
     integrate_composite,
+    k2_to_120,
     lens_area,
+    m1_squared,
     seeded_star4,
     shifted_set,
 )
@@ -496,6 +500,123 @@ class TestMeshRefusal:
         # the bound of their 1/24-wide end panels (1/12 for L in d = 2)
         with pytest.raises(DomainError, match=f"resolve radii up to {bound}"):
             kernel_values(kind, d, 4.5, np.array([0.5, 70.0]))
+
+
+class TestA0Tail:
+    """The a_0 part of the d = 2 L kernel past the mesh, in closed form: Hankel's
+    expansion of J_0 times M_1's to the power q - 2, one power tail a term, and a
+    head graded in log rho where 2 pi r rho < 30."""
+
+    Z = radial_kernels._ball_hat_zeros(2, 160.0)[-1]
+    # oracles.a0_tail_mpmath at 25 digits
+    MPMATH = {
+        (3.5, 1e-5): "0.4889992797001054811487", (3.5, 1e-3): "0.04324475202423290144579",
+        (3.5, 0.0165): "-0.0001147689059444748637758", (3.5, 0.5): "0.00001157562438253162751906",
+        (3.5, 2.0): "-0.000001107408642601861867184",
+        (4.2, 1e-5): "0.0002558763167270345297808", (4.2, 1e-3): "0.00007860536225062610041329",
+        (4.2, 0.0165): "-4.457954081856916247814e-7", (4.2, 0.5): "2.184180571349540823524e-8",
+        (4.2, 2.0): "-2.090312957975035747834e-9",
+    }
+
+    @pytest.mark.parametrize("q, r", sorted(MPMATH))
+    def test_against_mpmath(self, q, r):
+        # miss <= estimate <= 10^3 max(miss, 1e-15 |tail|), ROADMAP item 2's rule
+        mpmath = pytest.importorskip("mpmath")
+        value, error = radial_kernels._a0_tail(q, np.array([r]), self.Z)
+        ref = mpmath.mpf(self.MPMATH[q, r])
+        miss = abs(float(mpmath.mpf(float(value[0])) - ref))
+        assert miss <= error[0] <= 1e3 * max(miss, 1e-15 * abs(float(ref)))
+
+    def test_mpmath_reference(self):
+        # the pinned references come from oracles.a0_tail_mpmath, whose M_1^2
+        # expansion matches mpmath's J_1^2 + Y_1^2 from 2 pi Z on
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for x in (2 * mpmath.pi * self.Z, mpmath.mpf(5000), mpmath.mpf(1e5)):
+                exact = mpmath.pi * x * (mpmath.besselj(1, x) ** 2 + mpmath.bessely(1, x) ** 2) / 2
+                assert abs(m1_squared(x) - exact) <= mpmath.mpf(1e-27)
+        ref = a0_tail_mpmath(4.2, 0.0165, self.Z)
+        assert abs(ref / mpmath.mpf(self.MPMATH[4.2, 0.0165]) - 1) <= 1e-20
+
+    @pytest.mark.parametrize("q", [3.5, 4.0, 4.21, 6.6])
+    def test_within_the_aitken_estimate(self, q):
+        # where 2 pi r Z >= 30 the closed form lies within the per-radius Aitken
+        # tail's estimate of its value, on the benchmark's radius grid
+        r = np.linspace(0.0, max(q, 4.0), 256)[1:]
+        r = r[2 * np.pi * r * self.Z >= 30.0]
+        value, _ = radial_kernels._a0_tail(q, r, self.Z)
+        ref, ref_err = a0_tail_aitken(q, r, self.Z)
+        assert np.all(np.abs(value - ref) <= ref_err)
+
+    @pytest.mark.parametrize("q", [3.5, 4.0])
+    def test_small_r_error_is_the_harmonic_bound(self, q):
+        # the Aitken tail's estimate was up to 10^3 x the harmonic bound here
+        # (0.18 against 7.7e-4 at q = 3.5, r = 1e-6); the closed form's error and
+        # the mesh's are now within 1e-12 (1 + |v|) of the bound and the slack
+        r = np.array([1e-6, 1e-5, 1e-4])
+        vals, errs = kernel_values("L", 2, q, r)
+        bound = radial_kernels._harmonic_tail_bound("L", q, r, self.Z)
+        assert np.all(errs <= bound + (radial_kernels._KERNEL_SLACK + 1e-12) * (1.0 + np.abs(vals)))
+
+    def test_small_r_head_leaves_the_mesh_sum_alone(self, monkeypatch):
+        # the graded head of radii with 2 pi r Z < 30 is its own GK15 sum: the L
+        # kernel makes one _radial_sum call, as TestKernelHeads reads it
+        calls = []
+        inner = radial_kernels._radial_sum
+        monkeypatch.setattr(radial_kernels, "_radial_sum", lambda *a: calls.append(a) or inner(*a))
+        vals, errs = kernel_values("L", 2, 4.2, np.array([1e-300, 1e-5, 0.01, 0.5]))
+        assert len(calls) == 1
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))
+
+    @pytest.mark.parametrize("q", [3.34, 4.2, 12.0])
+    def test_tiny_radii_stay_finite(self, q):
+        # the head stops where the envelope's mass past it is eps of its mass
+        # past Z (or at rho = e^700), and what it drops is in the error
+        value, error = radial_kernels._a0_tail(q, np.array([5e-324, 1e-300]), self.Z)
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(error)) and np.all(error >= 0)
+
+
+class TestKMeshEnd:
+    """The d = 2 K mesh ends at the first zero of B^ past 40 that the tail bound
+    at 120 predicts to clear a tenth of the slack, if its own bound confirms it."""
+
+    @staticmethod
+    def radii(q):
+        return np.r_[np.linspace(0.0, max(q, 4.0), 512)[1:], 1.0 + 1e-4, 3.0 - 1e-3, 1e-5]
+
+    @pytest.mark.parametrize("q", [5.4, 6.0])
+    def test_ends_below_120_within_its_error(self, q, monkeypatch):
+        ends = []
+        inner = radial_kernels._radial_sum
+        monkeypatch.setattr(radial_kernels, "_radial_sum",
+                            lambda *a: ends.append(a[4][-1]) or inner(*a))
+        r = self.radii(q)
+        vals, errs = kernel_values("K", 2, q, r)
+        assert 40.0 < ends[0] < 120.0
+        assert np.max(radial_kernels._harmonic_tail_bound("K", q, r, ends[0])) <= 1e-12
+        full, _ = k2_to_120(q, r)
+        assert np.all(np.abs(vals - full) <= errs)
+
+    def test_short_mesh_within_its_error_of_the_disc_kernel(self):
+        # TestKernel2D::test_non_even_q_within_its_error's check at q = 5.4, where
+        # the mesh ends short of rho = 120.  Its second clause, errors <= 10^3 x the
+        # largest miss, fails here before and after the short mesh: the fixed
+        # slack 1e-11 (1 + |K|) is 2.2e-10 at K(0) = 20.6, the misses <= 1.7e-13
+        q = 5.4
+        r = np.r_[np.linspace(0.0, 4.0, 129)[1:], np.linspace(0.0, 4.0, 200)[1:],
+                  1.0 + 1e-4, 3.0 - 1e-3, 1e-5]
+        ref = disc_kernel_k(q, r, 800.0)
+        spread = np.abs(ref - disc_kernel_k(q, r, 400.0))
+        vals, errs = kernel_values("K", 2, q, r)
+        assert np.all(np.abs(vals - ref) <= errs + spread)
+
+    @pytest.mark.parametrize("q", [3.5, 4.0, 4.6])
+    def test_unchanged_where_the_bound_stays_above(self, q):
+        r = self.radii(q)
+        vals, errs = kernel_values("K", 2, q, r)
+        full, bound = k2_to_120(q, r)
+        assert np.array_equal(vals, full)
+        assert np.array_equal(errs, bound + radial_kernels._KERNEL_SLACK * (1.0 + np.abs(full)))
 
 
 class TestKernel3D:
@@ -968,9 +1089,10 @@ class TestPinnedKernels:
         # references: 3.40205474564131 (see TestCalibration), and 2.54914183817,
         # 0.93241807853 from Gauss-Legendre on the panels between the zeros of
         # J_1 out to rho = 1e4; the errors, 2.0e-12, 1.5e-9 and 2.8e-9, are
-        # inside the estimates
+        # inside the estimates.  Past the mesh the a_0 part's closed form errs
+        # ~1e-20 here, where the Aitken tail it replaced reported 2.5e-18 and 8.7e-19
         ("L", 2, 4.2, [3.402054745643273, 2.5491418366543366, 0.9324180813143333],
-         [5.332017947460318e-11, 1.3527202433478796e-08, 1.3519838508934334e-08]),
+         [5.332017947460318e-11, 1.3527202431027845e-08, 1.3519838508062507e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
