@@ -32,18 +32,18 @@ Routes
   order grows with the frequency the base body meets, |rho u M| for the
   affine matrix M (spectral accuracy for the band-limited boundaries used
   here); ``_circle`` sizes it and gives R and A for the norm and for the
-  transform at points.  The norm integrates over uniform GK15 panels in
-  the radius, 16 to a block sharing one circle rule.  In a block A(phi,
-  theta) is fixed and a node is rho = mid_j + half x_k, so e^{-i rho A} =
-  P_j O_k, a product of panel and offset exp tables; no error accumulates.
-  As F(rho A) = e^{-i rho A} (rho^-2 A^-2 + i rho^-1 A^-1) - rho^-2 A^-2,
-  a block's circle sums are one batched matmul, rows P_j R^2/A^2 and
-  P_j R^2/A against columns O_k over theta, less one sum of R^2/A^2.  The
-  split cancels where |rho A| is small: a panel's pairs (phi, theta) with
-  |A| rho_min < 0.1 leave the matmul for the factored Taylor series: a
-  table of R^2 (-iA)^k per pair, summed over theta and taken to the nodes by
-  a second matmul against rho^k / (k! (k + 2)); the transform at points
-  takes its pairs with |A| < 0.1 from the same series at rho = 1.  The
+  transform at points.  The norm integrates over uniform GK15 panels in the
+  radius, in blocks of 16: block 0 takes the rule at its top radius and
+  every later block the rule at the cut, whose tables are built once.  At
+  rho = mid_j + half x_k, e^{-i rho A} = P_j O_k, products of phases from cos
+  and sin; no error accumulates.  As F(rho A) = e^{-i rho A} (rho^-2 A^-2 +
+  i rho^-1 A^-1) - rho^-2 A^-2, a block's circle sums are one batched matmul,
+  rows P_j against columns R^2/A^2 O_k and i R^2/A O_k, less one sum of
+  R^2/A^2.  The split cancels where |rho A| is small: pairs (phi, theta) with
+  |A| rho_min < 0.1 on a group's first panel (panel 0, the rest of block 0,
+  the later blocks) take the factored Taylor series: a table of R^2 (-iA)^k
+  per pair, summed over theta, meets rho^k / (k! (k + 2)) in a second matmul;
+  the transform at points takes its pairs with |A| < 0.1 from it at rho = 1.  The
   translation and the star center only rotate the phase of 1_E^ and drop
   out of |1_E^|.  Past
   the cut, where the boundary's curvature is positive (and not near 0), the
@@ -150,7 +150,7 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
     near = np.abs(a) < 0.1
     w = np.divide(r * r, a * a, out=np.zeros_like(a), where=~near)
     vals = ((np.exp(-1j * a) * (1.0 + 1j * a) - 1.0) * w).sum(axis=1)
-    vals += _near_sums(a, r * r, np.ones((1, 1)), near[:, None])[:, 0, 0]
+    vals += _near_sums(a, r * r, near, np.ones(1))[:, 0]
     shift = pts @ e.affine.translation + eta @ e.center
     if np.any(shift):
         vals = vals * np.exp(-2j * np.pi * shift)
@@ -164,13 +164,10 @@ def _star_hat_points(e: StarSet, pts: np.ndarray) -> np.ndarray:
 # the d = 1 mesh is swept in chunks of blocks of panels
 _MESH_BLOCK = 64   # panels per block: one row of the phase product
 _MESH_CHUNK = 16   # blocks per chunk: ~15k nodes
-# Each thread keeps its chunk arrays (~0.37 MB) and W across calls.  Chunk arrays
-# and temporaries allocated at each call (~1 MB) go back to the OS at its end
-# whenever glibc's trim threshold lies below that, which depends on the
-# process's earlier frees; each call then faults them in again (230 minor
-# faults a search evaluation, and an intervals:3 search at q = 4 takes
-# 140-150 ms against 80-90 ms).
-_mesh_work = threading.local()
+# The thread's working arrays (``_buffer``): arrays allocated at each call go back to
+# the OS whenever glibc's trim threshold, which earlier frees move, lies below them,
+# and each call faults them in again (230 minor faults a d = 1 search evaluation).
+_work = threading.local()
 # ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 66,667 at
 # 50, the shortest cut of an exponential-sum tail
 _MESH_NODES = 2e8
@@ -182,6 +179,8 @@ _MESH_NODES = 2e8
 _EXP_SUM_GATE = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of a tail table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
+_POLAR_PAIRS = 1024  # pairs (phi, theta) per chunk of the planar sweep: ~1 MB of tables
+_STEPS = np.array([0, 1, 2, 3, 0, 4, 8, 12.0])[:, None]  # panel steps d and 4c, in panels
 # d = 2: the polar mesh stops at a cut in _SP_CUT and the stationary-phase tail
 # takes the rest; from 3 its error still covers its miss (calibrated on the disc,
 # seeded star:4 sets and sheared images).  Sets whose model needs a cut past 15
@@ -194,6 +193,22 @@ _SP_HARMONICS = 64  # coefficients of f kept at non-even q
 _SP_FLAT = 0.1  # the largest first omitted order, relative, at the cut
 
 
+def _buffer(name: str, shape, dtype=float) -> np.ndarray:
+    """The thread's work array ``name`` (one dtype a name) as a view of ``shape``, grown
+    to the largest size asked for and kept across calls; the next request overwrites it."""
+    size = math.prod(shape)
+    if getattr(_work, name, np.empty(0)).size < size:
+        setattr(_work, name, np.empty(size, dtype))
+    return getattr(_work, name)[:size].reshape(shape)
+
+
+def _expi(angle: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i angle} into the complex ``out`` by cos and sin; ``angle`` may be ``out.real``."""
+    np.sin(angle, out=out.imag)
+    np.cos(angle, out=out.real)
+    return out
+
+
 def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     """P(xi) = sum_e s_e e^{-2 pi i xi e} on the uniform GK15 mesh of [0, cut].
 
@@ -204,26 +219,19 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     with loc_ik = (2i + 1 + x_k) half, and P = U @ W with
     U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.
     Each phase is a product of two exps, so no error accumulates.  W and the
-    arrays are the thread's ``_mesh_work`` buffers (W's grown to the most
-    endpoints seen): the caller may overwrite the arrays, and the next chunk,
-    of this mesh or of the thread's next one, does; the thread's next mesh
-    rewrites W.
+    arrays are the thread's ``_buffer``s: the caller may overwrite the arrays,
+    and the next chunk, of this mesh or of the thread's next one, does; the
+    thread's next mesh rewrites W.
     """
     n_panels = int(cut / h) + 1
     half = 0.5 * cut / n_panels
     loc = gk15_panels(2 * np.arange(_MESH_BLOCK) + 1.0, 1.0)[0] * half
-    if not hasattr(_mesh_work, "xi"):
-        _mesh_work.xi = np.empty((_MESH_CHUNK, _MESH_BLOCK, 15))
-        _mesh_work.p = np.empty((_MESH_CHUNK, _MESH_BLOCK * 15), complex)
-    if getattr(_mesh_work, "w", np.empty(0)).shape[0] < len(ends):
-        _mesh_work.w = np.empty((len(ends), _MESH_BLOCK * 15), complex)
     # W in place, with no temporaries: the phases in its real parts, cos and sin over
     # them, then the signs on both parts through a float view
-    w = _mesh_work.w[:len(ends)]
+    w = _buffer("mesh_w", (len(ends), _MESH_BLOCK * 15), complex)
     np.multiply.outer(ends, loc.ravel(), out=w.real)
     w.real *= -2 * np.pi
-    np.sin(w.real, out=w.imag)
-    np.cos(w.real, out=w.real)
+    _expi(w.real, w)
     w.view(float).reshape(len(ends), -1)[...] *= signs[:, None]
     n_blocks = -(-n_panels // _MESH_BLOCK)
 
@@ -232,8 +240,8 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
             base = 2 * half * _MESH_BLOCK * np.arange(b0, min(b0 + _MESH_CHUNK, n_blocks))
             n = min(len(base) * _MESH_BLOCK, n_panels - b0 * _MESH_BLOCK)
             p = np.matmul(np.exp(-2j * np.pi * np.outer(base, ends)), w,
-                          out=_mesh_work.p[:len(base)])
-            xi = np.add(base[:, None, None], loc, out=_mesh_work.xi[:len(base)])
+                          out=_buffer("mesh_p", (len(base), _MESH_BLOCK * 15), complex))
+            xi = np.add(base[:, None, None], loc, out=_buffer("mesh_xi", (len(base), _MESH_BLOCK, 15)))
             yield xi.reshape(-1, 15)[:n], p.reshape(-1, 15)[:n]
 
     return half, chunks()
@@ -382,74 +390,94 @@ def _half_circle(e: StarSet) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 
-def _near_sums(rate: np.ndarray, rr: np.ndarray, rho: np.ndarray, near: np.ndarray):
-    """Circle sums of R^2 F(rho A) over the ``near`` pairs (phi, theta) of each
-    panel, shaped like ``_polar_blocks``' s, for A = ``rate``, ``rr`` = R^2 and
-    the nodes ``rho``.  The series sum_k R^2 (-iA)^k rho^k / (k! (k + 2)) factors,
-    so each (phi, panel) run sums its rows of R^2 (-iA)^k and one batched matmul
-    takes the sums to the nodes.  K terms are kept, the first dropped one below
-    1e-17 at the largest |rho A|: <= 0.2 past the first panel (K <= 12), 1.6 on
-    a star:4 set's first (K = 22), 10 on criterion 8's e2 stretched by
-    diag(6, 1/6) (K ~ 50), where the series cancels to ~1e-13 of the circle sum
-    of moduli, at nodes where |1_E^| is small."""
-    p, j, t = np.nonzero(near)
+def _near_sums(rate: np.ndarray, rr: np.ndarray, near: np.ndarray, rho: np.ndarray):
+    """Circle sums of R^2 F(rho A), A = ``rate`` and ``rr`` = R^2, over the ``near``
+    pairs (row, theta) at the nodes ``rho``: (rows, *rho.shape), a ``_buffer``.
+    The series sum_k R^2 (-iA)^k rho^k / (k! (k + 2)) factors: each row sums its
+    pairs' R^2 (-iA)^k once, and one batched matmul takes the sums to the nodes.
+    K terms are kept, the first dropped one below 1e-17 at the largest |rho A|:
+    <= 1.6 past the first panel and on a star:4 set's first (K <= 22), 10 on
+    criterion 8's e2 stretched by diag(6, 1/6) (K ~ 50), where the series
+    cancels to ~1e-13 of the circle sum of moduli, where |1_E^| is small."""
+    p, t = np.nonzero(near)
     a = rate[p, t]
-    x = float(np.max(np.abs(a) * rho[j, -1], initial=0.0))
+    x = float(np.max(np.abs(a), initial=0.0) * np.max(rho, initial=0.0))
     n_terms = next(k for k in count(1) if x**k / (math.factorial(k) * (k + 2)) < 1e-17)
-    powers = np.empty((len(p), n_terms), complex)  # R^2 (-iA)^k
+    powers = _buffer("near_powers", (len(p), n_terms), complex)  # R^2 (-iA)^k
     powers[:, 0] = rr[t]
     powers[:, 1:] = -1j * a[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    first = np.flatnonzero(np.diff(p * len(rho) + j, prepend=-1))  # (phi, j) runs
-    sums = np.zeros((len(rho), len(rate), n_terms), complex)
-    sums[j[first], p[first]] = np.add.reduceat(powers, first, axis=0)
+    sums = np.zeros((len(rate), n_terms), complex)
+    first = np.flatnonzero(np.diff(p, prepend=-1))  # each row's run of pairs
+    sums[p[first]] = np.add.reduceat(powers, first, axis=0)
     k = np.arange(n_terms)
-    coef = rho[:, None, :] ** k[:, None] / (np.cumprod(np.maximum(k, 1.0)) * (k + 2))[:, None]
-    return (sums @ coef).transpose(1, 0, 2)
+    coef = np.power(rho.reshape(-1, 1), k, out=_buffer("near_coef", (rho.size, n_terms)))
+    coef /= np.cumprod(np.maximum(k, 1.0)) * (k + 2)
+    out = np.matmul(coef, sums.view(float).reshape(len(rate), n_terms, 2),  # re and im parts
+                    out=_buffer("near_out", (len(rate), rho.size, 2)))
+    return out.view(complex).reshape(len(rate), *rho.shape)
 
 
 def _polar_blocks(e: StarSet, uphi: np.ndarray, radial_cut: float):
-    """Yields ``(rho, half, norm, s)`` for each block of the polar GK15 mesh of
-    [0, radial_cut]: nodes (panels, 15), half-width, and circle sums s (angles,
-    panels, 15), 1_E^(rho u_phi) = norm s e^{-2 pi i rho u_phi.(t + M c)} for
-    the translation t, the matrix M and the star center c."""
-    n_phi = len(uphi)
+    """Yields ``(rho, half, norm, s)`` for each block of 16 panels of the polar
+    GK15 mesh of [0, radial_cut]: nodes (panels, 15), half-width, and circle
+    sums s (angles, panels, 15), 1_E^(rho u_phi) = norm s e^{-2 pi i rho
+    u_phi.(t + M c)} for the translation t, the matrix M and the star center c.
+    Per rule, group and chunk of _POLAR_PAIRS pairs (phi, theta), the steps, the
+    offset phases O and the table [R^2/A^2 O | i R^2/A O] are built once; a block
+    forms its anchor e^{-i mid A}, times the steps, and runs the matmul.  All
+    arrays are the thread's ``_buffer``s: the next rule overwrites s."""
     # uniform panels of width <= 0.25: node rho = mid_j + half x_k, the
     # offsets half x_k being the nodes of a panel centred at 0
     n_panels = int(radial_cut / 0.25) + 1
     half = 0.5 * radial_cut / n_panels
     mid = (2 * np.arange(n_panels) + 1) * half
     offsets = gk15_panels(0.0, half)[0]
+    rho = mid[:, None] + offsets
     # frequency rho u_phi meets the base body as eta = rho u_phi M; the
     # translation and the center only rotate the phase of 1_E^
     dirs = uphi @ e.affine.matrix
     scale = 2 * np.pi * e.affine.det
-    block = 16  # panels per circle rule
-    for lo in range(0, n_panels, block):
-        hi = min(lo + block, n_panels)
-        nb = hi - lo
+    for lo, hi in ((0, min(16, n_panels)), (16, n_panels)):
+        if lo >= hi:
+            break
         r, rate = _circle(e, dirs, 2 * half * hi)
-        n_theta = len(r)
-        # e^{-i rho A} = P_j O_k, P_j = e^{-i mid_j A} built as e^{-i mid_4a A}
-        # e^{-2i half b A} (j = 4a + b), O_k = e^{-i half x_k A} = conj O_{14-k}
-        base = np.exp(-1j * mid[lo:hi:4, None] * rate[:, None, :])
-        step = np.exp(-2j * half * np.arange(4)[:, None] * rate[:, None, :])
-        panel_ph = (base[:, :, None] * step[:, None]).reshape(n_phi, -1, n_theta)[:, :nb]
-        offset_ph = np.exp(-1j * rate[:, :, None] * offsets[7:])
-        offset_ph = np.concatenate([offset_ph[..., :0:-1].conj(), offset_ph], axis=2)
-        rho = mid[lo:hi, None] + offsets
-        # far pairs, |rho A| >= 0.1 all over panel j: one matmul for all (j, k).
-        # Divide only on the last panel's far pairs, which hold every panel's
-        far = np.abs(rate)[:, None, :] >= 0.1 / rho[:, :1]
-        w1 = np.divide(r * r, rate, out=np.zeros_like(rate), where=far[:, -1])
-        w2 = np.divide(w1, rate, out=np.zeros_like(rate), where=far[:, -1])
-        w = np.stack([w2, w1], axis=1)[:, :, None, :]
-        m = ((panel_ph * far)[:, None] * w).reshape(n_phi, 2 * nb, n_theta) @ offset_ph
-        s = (m[:, :nb] - far @ w2[:, :, None]) / rho**2 + 1j * m[:, nb:] / rho
-        # near pairs, from one power table whatever the panel: the first
-        # panel's, and pairs whose rate is ~0 (theta perpendicular to u_phi M)
-        s += _near_sums(rate, r * r, rho, ~far)
-        yield rho, half, scale / n_theta, s
+        chunk = max(1, _POLAR_PAIRS // len(r))
+        s = _buffer("polar_s", (len(uphi), hi - lo, 15), complex)
+        # groups of panels with one set of near pairs: panel 0, the rest of block 0
+        for g0, g1 in ((0, 1), (1, hi))[:hi] if lo == 0 else ((lo, hi),):
+            far = np.abs(rate) >= 0.1 / rho[g0, 0]
+            s[:, g0 - lo:g1 - lo] = _near_sums(rate, r * r, ~far, rho[g0:g1])
+            if not far.any():  # panel 0, as a rule
+                continue
+            w1 = np.divide(r * r, rate, out=np.zeros_like(rate), where=far)
+            w2 = np.divide(w1, rate, out=np.zeros_like(rate), where=far)
+            for cs in (slice(c0, c0 + chunk) for c0 in range(0, len(uphi), chunk)):
+                a = rate[cs]
+                # O_k = e^{-i half x_k A}: eight by cos and sin, O_{14-k} = conj O_k
+                table = _buffer("polar_table", (len(a), len(r), 30), complex)
+                o = table[..., 15:]
+                _expi(np.multiply(a[..., None], -offsets[7:], out=o[..., 7:].real), o[..., 7:])
+                np.conjugate(o[..., 14:7:-1], out=o[..., :7])
+                np.multiply(o, w2[cs, :, None], out=table[..., :15])
+                o *= 1j * w1[cs, :, None]
+                # steps e^{-2i half b A} = e^{-8i half c A} e^{-2i half d A}, b = 4c + d
+                st = _buffer("polar_st", (len(a), 8, len(r)), complex)
+                _expi(np.multiply(a[:, None], -2 * half * _STEPS, out=st.real), st)
+                steps = np.multiply(st[:, 4:, None], st[:, None, :4], out=_buffer(
+                    "polar_steps", (len(a), 4, 4, len(r)), complex)).reshape(len(a), 16, -1)
+                for j0 in range(g0, g1, 16):
+                    nb, x = min(16, g1 - j0), rho[j0:j0 + 16]
+                    anchor = _buffer("polar_anchor", a.shape, complex)
+                    _expi(np.multiply(a, -mid[j0], out=anchor.real), anchor)
+                    ph = np.multiply(anchor[:, None], steps[:, :nb],
+                                     out=_buffer("polar_ph", (len(a), nb, len(r)), complex))
+                    m = np.matmul(ph, table, out=_buffer("polar_m", (len(a), nb, 30), complex))
+                    # F(rho A) = P O (rho^-2 A^-2 + i rho^-1 A^-1) - rho^-2 A^-2
+                    s[cs, j0 - lo:j0 - lo + nb] += ((m[..., :15] - w2[cs].sum(1)[:, None, None])
+                                                    / x[:nb] ** 2 + m[..., 15:] / x[:nb])
+        for b in range(lo, hi, 16):
+            yield rho[b:b + 16], half, scale / len(r), s[:, b - lo:b - lo + 16]
 
 
 def _ring_tail(e: StarSet, uphi: np.ndarray, q: float, cfg: QuadratureConfig, cut: float | None):

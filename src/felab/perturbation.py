@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .functional import (_EPS, _block_norm_q, _half_circle, _phi_result, _planar_tail,
+from .functional import (_EPS, _block_norm_q, _expi, _half_circle, _phi_result, _planar_tail,
                          _polar_blocks, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
 from .radial_kernels import (_KERNEL_SLACK, _check_exponent, _check_peak, _kernel_values_1d,
@@ -150,14 +150,15 @@ def _planar_pass(e: StarSet, q: float):
     norm_q, terms, rule = np.zeros(2), np.zeros(3), np.zeros(3)
     for rho, half, norm, s in _polar_blocks(e, uphi, _D2_CUT):
         norm_q += _block_norm_q(rho, half, norm, s, q)
-        b = ball_hat(2, rho)
         hat = norm * s
         if np.any(shift):
-            hat = hat * np.exp(-2j * np.pi * rho * shift[:, None, None])
+            hat *= _expi(np.multiply.outer(shift, -2 * np.pi * rho), np.empty_like(hat))
+        b = ball_hat(2, rho)
         h = hat - b
-        w = np.abs(b) ** (q - 2.0)
-        parts = np.stack([b * w * h.real, w * (h.real**2 + h.imag**2), w * (h * h).real], axis=1)
-        kron, err = gk15_sums(parts.mean(axis=0) * 2 * np.pi * rho, half)
+        # b and |b|^{q-2} depend on rho alone: the means over phi come first
+        re2, im2 = (np.mean(v * v, axis=0) for v in (h.real, h.imag))
+        parts = np.stack([b * np.mean(h.real, axis=0), re2 + im2, re2 - im2])
+        kron, err = gk15_sums(parts * (np.abs(b) ** (q - 2.0) * 2 * np.pi * rho), half)
         terms += kron.sum(axis=-1)
         rule += err.sum(axis=-1)
     # past the cut |1_E^| <= c_e rho^{-3/2} and |b| <= c_b rho^{-3/2}, the

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -430,19 +431,25 @@ def _bracketed_newton(newton, t, lo, hi, lo_below, scale: float = 0.0,
     return t
 
 
-def _crossings(gap, n_modes: int) -> np.ndarray:
+def _sign_grid(n_modes: int) -> np.ndarray:
+    """``_crossings``' grid, 2 pi included."""
+    n = 128 * (1 + n_modes // 16)
+    return np.arange(n + 1) * (2 * np.pi / n)
+
+
+def _crossings(gap, n_modes: int, on_grid=None) -> np.ndarray:
     """The sorted angles in [0, 2 pi) where the periodic gap(theta) -> (g,
     dg/dtheta), of order one, changes sign.
 
-    A grid of 128 angles per 16 Fourier modes of the curves brackets each
+    A grid of 128 angles per 16 Fourier modes of the curves (``_sign_grid``;
+    ``on_grid`` gives (g, dg) there, where the caller has them) brackets each
     sign change.  Where g' changes sign between two samples and g does not,
     the gap is sampled again at the zero of g's secant: a dip across zero
     there holds two crossings closer than the grid.  ``_bracketed_newton``
     refines each bracket from its secant to eight ulp of the gap.
     """
-    n = 128 * (1 + n_modes // 16)
-    grid = np.arange(n + 1) * (2 * np.pi / n)
-    g, dg = (np.append(v, v[0]) for v in gap(grid[:-1])[:2])
+    grid = _sign_grid(n_modes)
+    g, dg = (np.append(v, v[0]) for v in (gap(grid[:-1]) if on_grid is None else on_grid)[:2])
     k = np.flatnonzero((dg[:-1] * dg[1:] < 0) & ((g[:-1] < 0) == (g[1:] < 0)))
     dip = grid[k] - dg[k] * (grid[k + 1] - grid[k]) / (dg[k + 1] - dg[k])
     g_dip = gap(dip)[0]
@@ -475,15 +482,17 @@ def _arcs(cuts: np.ndarray, n_modes: int):
     return mid, half, mid[:, None] + half[:, None] * _ARC_NODES
 
 
-def _arc_area(e: StarSet, cuts: np.ndarray, inside) -> np.ndarray:
+def _arc_area(e: StarSet, cuts: np.ndarray, inside, at=np.empty(0)):
     """1/2 int P x P' dtheta over the arcs of E's boundary between ``cuts``
-    whose midpoints ``inside`` accepts, at both orders of the arc rule: that
-    boundary's share of an area by Green's theorem."""
+    whose midpoints ``inside`` accepts (from the points and tangents there), at
+    both orders of the arc rule: that boundary's share of an area by Green's
+    theorem; and the points and tangents at ``at``, from the same ``curve`` call."""
     mid, half, theta = _arcs(cuts, e.n_modes)
-    keep = inside(mid)
-    p, dp = e.curve(theta[keep].ravel())
-    form = (p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]).reshape(-1, len(_ARC_NODES))
-    return 0.5 * (half[keep] @ form) @ _ARC_WEIGHTS
+    p, dp = e.curve(np.concatenate([theta.ravel(), mid, at]))
+    n, k = theta.size, theta.size + len(mid)
+    keep = inside(p[n:k], dp[n:k])
+    form = (p[:n, 0] * dp[:n, 1] - p[:n, 1] * dp[:n, 0]).reshape(theta.shape)
+    return 0.5 * (half[keep] @ form[keep]) @ _ARC_WEIGHTS, (p[k:], dp[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +521,7 @@ def _intersection(e1: StarSet, e2: StarSet) -> np.ndarray:
             return tuple(v / b.c0 for v in b.gap(*a.curve(theta)))
 
         cuts = _crossings(gap, a.n_modes + b.n_modes)
-        total += _arc_area(a, cuts, lambda theta: gap(theta)[0] < shared)
+        total += _arc_area(a, cuts, lambda p, dp: b.gap(p, dp)[0] / b.c0 < shared)[0]
     return total
 
 
@@ -555,7 +564,7 @@ def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
     return EllipsoidFit(float(dist), window, True, float(error))
 
 
-def _ellipse_overlap(body: StarSet, params):
+def _ellipse_overlap(body: StarSet, params, grid=None):
     """|B cap Ell| at both orders of the arc rule, its gradient in
     ``params`` and that gradient's rounding bound, for B = ``body``
     (star-shaped about the origin) and the area-pi ellipse m + M w(s),
@@ -571,7 +580,8 @@ def _ellipse_overlap(body: StarSet, params):
     (M dw)_y and -(M dw)_x for m, (1/4) d sin 2s for psi and -(alpha^2 -
     beta^2)/4 d cos 2s for phi.  A crossing found to 8 ulp of the gap moves
     by 8 eps / |dQ/dtheta|, which bounds the gradient's rounding with the
-    largest integrand, max(alpha, beta)^2.
+    largest integrand, max(alpha, beta)^2.  ``grid`` is B's ``curve`` on
+    ``_sign_grid``, which a fit builds once.
     """
     m, psi, phi = np.asarray(params[:2]), params[2], params[3]
     c, s = math.cos(phi), math.sin(phi)
@@ -579,14 +589,14 @@ def _ellipse_overlap(body: StarSet, params):
     mat = np.array([[c, -s], [s, c]]) * ab
     inv = np.array([[c, s], [-s, c]]) / ab[:, None]
 
-    def gap(theta):
-        p, dp = body.curve(theta)
+    def gap(p, dp):
         z, dz = (p - m) @ inv.T, dp @ inv.T
         return (z * z).sum(axis=1) - 1.0, 2.0 * (z * dz).sum(axis=1), z
 
-    cuts = _crossings(gap, body.n_modes)
-    inner = _arc_area(body, cuts, lambda th: gap(th)[0] < 1e-12)
-    _, slope, z = gap(cuts)
+    cuts = _crossings(lambda theta: gap(*body.curve(theta)), body.n_modes,
+                      None if grid is None else gap(*grid))
+    inner, at_cuts = _arc_area(body, cuts, lambda p, dp: gap(p, dp)[0] < 1e-12, cuts)
+    _, slope, z = gap(*at_cuts)
     ends = np.sort(np.arctan2(z[:, 1], z[:, 0]) % (2 * np.pi))
     ends = np.append(ends, ends[0] + 2 * np.pi) if ends.size else np.array([0.0, 2 * np.pi])
     mid = 0.5 * (ends[:-1] + ends[1:])
@@ -635,23 +645,24 @@ def _dist_star(e: StarSet) -> EllipsoidFit:
 
     scale = math.sqrt(e.measure / e.affine.det / np.pi)
     body = StarSet(e.c0 / scale, e.a_coeffs / scale, e.b_coeffs / scale)
+    overlap_at = partial(_ellipse_overlap, body, grid=body.curve(_sign_grid(body.n_modes)[:-1]))
 
     def objective(params):
-        overlap, grad, _ = _ellipse_overlap(body, params)
+        overlap, grad, _ = overlap_at(params)
         return 1.0 - overlap[0] / np.pi, -grad / np.pi
 
     res = minimize(objective, _moment_ellipse(body), jac=True, method="BFGS",
                    options={"gtol": 1e-6, "maxiter": 200})
-    x, (overlap, grad, bound) = res.x, _ellipse_overlap(body, res.x)
+    x, (overlap, grad, bound) = res.x, overlap_at(res.x)
     hess = None
     for _ in range(4):
         if np.max(np.abs(grad)) <= bound:
             break
         if hess is None:  # central differences of the exact gradient
-            hess = np.array([_ellipse_overlap(body, x + 1e-6 * d)[1]
-                             - _ellipse_overlap(body, x - 1e-6 * d)[1] for d in np.eye(4)]) / 2e-6
+            hess = np.array([overlap_at(x + 1e-6 * d)[1]
+                             - overlap_at(x - 1e-6 * d)[1] for d in np.eye(4)]) / 2e-6
         trial = x - np.linalg.lstsq(hess, grad, rcond=None)[0]
-        t_overlap, t_grad, t_bound = _ellipse_overlap(body, trial)
+        t_overlap, t_grad, t_bound = overlap_at(trial)
         if not np.max(np.abs(t_grad)) < np.max(np.abs(grad)):
             break
         x, overlap, grad, bound = trial, t_overlap, t_grad, t_bound

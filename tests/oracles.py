@@ -553,8 +553,9 @@ def _radial_factor(ph: np.ndarray, a: np.ndarray, rr: np.ndarray) -> np.ndarray:
 
 
 def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
-    """||1_E^||_q^q on [0, radial_cut], on the same mesh as
-    ``functional._polar_blocks``.
+    """||1_E^||_q^q on [0, radial_cut], on the same mesh and circle rules as
+    ``functional._polar_blocks``: block 0's rule at its top radius, every
+    later block's at the cut.
 
     The circle sum is taken panel by panel: a (15, n_phi, n_theta) array of
     radial factors per panel, averaged over theta, with no split of the
@@ -572,7 +573,7 @@ def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
     block = 16
     for lo in range(0, n_panels, block):
         hi = min(lo + block, n_panels)
-        r, rate = _circle(e, dirs, 2 * half * hi)
+        r, rate = _circle(e, dirs, 2 * half * (hi if lo == 0 else n_panels))
         panel_ph = np.exp(-1j * mid[lo:hi, None, None] * rate)
         offset_ph = np.exp(-1j * offsets[:, None, None] * rate)
         rho = mid[lo:hi, None] + offsets[None, :]
@@ -583,6 +584,20 @@ def norm_q_2d_per_panel(e: StarSet, q: float, radial_cut: float):
         integ = ((scale * hat) ** q).mean(axis=2) * 2 * np.pi * rho
         value += float(np.sum(gk15_sums(integ, half)[0]))
     return value
+
+
+def panel_circle_means(e: StarSet, uphi: np.ndarray, rho: np.ndarray, n_theta: int):
+    """1_E^(rho u_phi) up to the phase that the translation and the star center
+    add, (2 pi det / n) sum_theta R^2 F(rho A), node by node on a circle rule of
+    ``n_theta`` nodes: shape (angles, len(rho)).  ``_polar_blocks``' norm s
+    stands for the same value."""
+    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    r = e.radius(theta)
+    dirs = uphi @ e.affine.matrix
+    rate = 2 * np.pi * r * (np.outer(dirs[:, 0], np.cos(theta)) + np.outer(dirs[:, 1], np.sin(theta)))
+    a = rho[:, None, None] * rate
+    g = _radial_factor(np.exp(-1j * a), a, r * r)
+    return (2 * np.pi * e.affine.det / n_theta) * g.sum(axis=2).T
 
 
 def local_ascent(start, cfg: SearchConfig) -> SearchResult:

@@ -173,6 +173,15 @@ def test_one_circle_rule():
     assert not defined & {"_circle_rule_order", "_radius_bound", "_phase_rates"}
 
 
+def test_one_thread_workspace():
+    # the d = 1 mesh, the planar sweep and its near-pair series keep their
+    # working arrays in one per-thread helper
+    assert sum(text.count("threading.local(") for text in MODULES.values()) == 1
+    callers = {(name, fn) for name, text in MODULES.items() for fn in _callers(text, "_buffer")}
+    assert callers == {("functional.py", "_signed_exp_mesh"), ("functional.py", "_near_sums"),
+                       ("functional.py", "_polar_blocks")}
+
+
 def test_one_kernel_slack():
     # every kernel value's error takes the fixed slack once, in kernel_values;
     # the d = 1 expansion terms read the same constant, and the d = 2 K mesh
