@@ -8,12 +8,16 @@ Routes
   uniform GK15 panels out to a cutoff, and a tail past it is added or
   bounded.  The rigorous envelope |1_E^(xi)| <= m/(pi xi) (m = number of
   intervals) sets the longest cutoff and bounds its tail, which then joins
-  the error estimate.  The panels are grouped in blocks of 64, and
-  a node is xi = base_b + loc_ik (block start plus offset in the block), so
-  P is one small matrix product per chunk of blocks: U[b, e] =
-  e^{-2 pi i base_b e} times W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.  That
-  is 2m exps per block and per offset instead of 2m per node, and each
-  phase is a product of two exps, so no error accumulates.  The endpoints
+  the error estimate.  At even q = 2n, |P|^q = |P^n|^2 has top frequency
+  n diam, and a panel spans at most one of its periods, fewer at tighter
+  tolerances; elsewhere the panels are 0.5 / diam wide, at most 0.05.  The
+  panels are grouped in blocks of 64, and a node is xi = base_b + mid_i +
+  off_k (block start, panel centre in the block, GK15 offset), so P is one
+  small matrix product per chunk of blocks: U[b, e] = e^{-2 pi i base_b e}
+  times W[e, (i, k)] = s_e e^{-2 pi i mid_i e} e^{-2 pi i off_k e}, W the
+  product of a panel and an offset phase table.  That is 2m exps per block,
+  per panel centre and per offset instead of 2m per node, and each phase is
+  a product of directly computed exps, so no error accumulates.  The endpoints
   are centered first: a translation only rotates the phase of 1_E^.  At
   even q = 2n, |P|^q = |P^n|^2 is a finite exponential sum, so its tail T_q
   past x is exact: a sum over pairs of n-multisets of the endpoints of the
@@ -168,14 +172,16 @@ _MESH_CHUNK = 16   # blocks per chunk: ~15k nodes
 # the OS whenever glibc's trim threshold, which earlier frees move, lies below them,
 # and each call faults them in again (230 minor faults a d = 1 search evaluation).
 _work = threading.local()
-# ~3 s; diam/measure <= 167 at the 2e4 cut (4x any criterion's union), 66,667 at
-# 50, the shortest cut of an exponential-sum tail
+# ~3 s; at non-even q diam/measure <= 167 at the 2e4 cut (4x any criterion's
+# union), 66,667 at 50, the shortest cut of an exponential-sum tail; even q
+# meshes q diam / (2k) panels a unit of xi (``_norm_q_1d``)
 _MESH_NODES = 2e8
 # the exponential-sum tails run only where the envelope's cut passes this: above
 # 245, the PROBE_QUAD cut of six intervals at q = 4, so search evaluations keep
-# the envelope.  The cost rule alone would take the tail there (three intervals
-# cut at about 97 at q = 4): without this gate, 12 seeded intervals:3 searches at
-# q = 4 (restarts 50, budget 200) took 0.48-0.88 s against 0.37-0.67 s (2 vCPUs)
+# the envelope.  On panels one beat period wide the cost rule alone keeps most of
+# them too (three intervals cut at about 97 at q = 4): in 12 seeded intervals:3
+# searches at q = 4 (restarts 50, budget 200) it would take the tail on 12 of
+# 2,400 evaluations, those of normalised diameter past ~10, and at q = 6 on none
 _EXP_SUM_GATE = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of a tail table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
@@ -215,24 +221,28 @@ def _signed_exp_mesh(ends: np.ndarray, signs: np.ndarray, cut: float, h: float):
     The panels have width <= h.  Returns ``(half, chunks)``: the panel
     half-width, and an iterator over ``(xi, P)`` arrays of shape (panels, 15)
     that walks the panels in order.  Block b of B panels starts at
-    base_b = 2 half B b, so node (i, k) of the block is xi = base_b + loc_ik
-    with loc_ik = (2i + 1 + x_k) half, and P = U @ W with
-    U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i loc_ik e}.
-    Each phase is a product of two exps, so no error accumulates.  W and the
-    arrays are the thread's ``_buffer``s: the caller may overwrite the arrays,
-    and the next chunk, of this mesh or of the thread's next one, does; the
-    thread's next mesh rewrites W.
+    base_b = 2 half B b, so node (i, k) of the block is xi = base_b + mid_i + off_k
+    with mid_i = (2i + 1) half and off_k = x_k half, and P = U @ W with
+    U[b, e] = e^{-2 pi i base_b e} and W[e, (i, k)] = s_e e^{-2 pi i mid_i e}
+    e^{-2 pi i off_k e}, the product of a (2m, B) and a (2m, 15) phase table.
+    Each phase is a product of directly computed exps, so no error accumulates.
+    W and the arrays are the thread's ``_buffer``s: the caller may overwrite the
+    arrays, and the next chunk, of this mesh or of the thread's next one, does;
+    the thread's next mesh rewrites W.
     """
     n_panels = int(cut / h) + 1
     half = 0.5 * cut / n_panels
-    loc = gk15_panels(2 * np.arange(_MESH_BLOCK) + 1.0, 1.0)[0] * half
-    # W in place, with no temporaries: the phases in its real parts, cos and sin over
-    # them, then the signs on both parts through a float view
-    w = _buffer("mesh_w", (len(ends), _MESH_BLOCK * 15), complex)
-    np.multiply.outer(ends, loc.ravel(), out=w.real)
-    w.real *= -2 * np.pi
-    _expi(w.real, w)
-    w.view(float).reshape(len(ends), -1)[...] *= signs[:, None]
+    mid = (2 * np.arange(_MESH_BLOCK) + 1.0) * half
+    off = gk15_panels(0.0, half)[0]
+    loc = mid[:, None] + off
+    # the two tables by cos and sin, the signs on the first through a float view
+    mids = _buffer("mesh_mids", (len(ends), _MESH_BLOCK), complex)
+    _expi(np.multiply.outer(ends, -2 * np.pi * mid, out=mids.real), mids)
+    mids.view(float).reshape(len(ends), -1)[...] *= signs[:, None]
+    offs = _buffer("mesh_offs", (len(ends), 15), complex)
+    _expi(np.multiply.outer(ends, -2 * np.pi * off, out=offs.real), offs)
+    w = np.multiply(mids[:, :, None], offs[:, None], out=_buffer(
+        "mesh_w", (len(ends), _MESH_BLOCK, 15), complex)).reshape(len(ends), -1)
     n_blocks = -(-n_panels // _MESH_BLOCK)
 
     def chunks():
@@ -326,16 +336,26 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     ends = e.endpoints()
     ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
     signs = np.resize([1.0, -1.0], 2 * m)
-    # panels per unit xi, keyed to the fastest beat frequency (the diameter):
-    # width 0.5 / diam, at most 0.05
-    rate = max(20.0, 2.0 * (ends[-1] - ends[0]))
-    h = 1.0 / rate
     even = q % 2 == 0
+    # panels per unit xi, keyed to the fastest beat frequency.  At even q = 2n,
+    # |P|^q = |P^n|^2 is a trigonometric polynomial, and |P / xi|^q a
+    # band-limited function, of top frequency n diam: a panel spans k <= 1 of
+    # its periods, k^14 ~ the tolerance / 1e-7 (Gauss-7's error grows like
+    # k^14): 1 at PROBE_QUAD, ~0.85 at the default, ~0.52 at _TIGHT.  Elsewhere
+    # |P|^q has kinks at the zeros of P: width 0.5 / diam, at most 0.05
+    diam = ends[-1] - ends[0]
+    if even:
+        k = min(1.0, (max(cfg.abs_tol, cfg.rel_tol) / 1e-7) ** (1.0 / 14.0))
+        rate = 0.5 * q * diam / k
+    else:
+        rate = max(20.0, 2.0 * diam)
+    h = 1.0 / rate
     orders = [int(q) // 2] if even else [math.ceil(0.5 * q) - 1 + i for i in range(3)]
     sizes = [math.comb(2 * m + n - 1, n) for n in orders]  # n-multisets of the endpoints
     entries = [s * (s + 1) // 2 for s in sizes]
     # the tables must cost less than the panels past 50 they could save: a
-    # _power_tail entry, its table built, costs about four panels
+    # _power_tail entry, its table built, costs about four panels of any width
+    # (2.4-7.5 for three intervals' 1,596- and 231-entry tables at q = 6 and 4)
     if (entries[-1] <= _EVEN_PAIRS and cut > _EXP_SUM_GATE
             and 4 * sum(entries) < (cut - 50.0) * rate):
         tables = [_exp_sum_table(ends, signs, n) for n in orders]
@@ -357,26 +377,40 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     if not 15.0 * cut * rate <= _MESH_NODES:
         raise DomainError(f"Phi_q needs ~{15.0 * cut * rate:.3g} > {_MESH_NODES:.0e} mesh nodes "
                           f"here: diam/measure is {0.5 * (ends[-1] - ends[0]):.3g}")
+    value, rule_err = _mesh_head(ends, signs, q, cut, h)
+    return value + tail, rule_err + tail_err, route
+
+
+def _mesh_head(ends: np.ndarray, signs: np.ndarray, q: float, cut: float, h: float):
+    """int_0^cut |P / (2 pi xi)|^q on the ``_signed_exp_mesh`` of panels at most h
+    wide, and its error: the GK15 rule's sum |K - G|, floored at a rounding
+    bound of the sum."""
     half, chunks = _signed_exp_mesh(ends, signs, cut, h)
     value = rule_err = 0.0
     n_chunks = 0
-    for xi, p in chunks:  # in place: |P|^2 in P's real part, then the values in xi
+    for xi, p in chunks:  # in place: |P / (2 pi xi)|^2 in P's real part, then the values in xi
         re, im = p.real, p.imag
         np.square(re, out=re)
         re += np.square(im, out=im)
         xi *= 2 * np.pi
-        np.divide(re, np.square(xi, out=xi), out=xi)
-        xi **= 0.5 * q
+        np.square(xi, out=xi)
+        if q % 2:
+            np.divide(re, xi, out=xi)
+            xi **= 0.5 * q
+        else:  # the n-th power by n - 1 products
+            np.divide(re, xi, out=re)
+            np.square(re, out=xi)
+            for _ in range(int(q) // 2 - 2):
+                xi *= re
         kron, err = gk15_sums(xi, 1.0)
         value += float(np.sum(kron))
         rule_err += float(np.sum(err))
         n_chunks += 1
     # every term is >= 0, so the sums round by at most (a 15-node dot per
     # panel, numpy's pairwise sum in a chunk, the chunk sums in turn) ulps of it
-    rounding = (15.0 + math.log2(15.0 * cut * rate) + n_chunks) * _EPS
+    rounding = (15.0 + math.log2(15.0 * cut / h) + n_chunks) * _EPS
     value *= 2.0 * half
-    rule_err = max(2.0 * half * rule_err, rounding * value)
-    return value + tail, rule_err + tail_err, route
+    return value, max(2.0 * half * rule_err, rounding * value)
 
 
 def _half_circle(e: StarSet) -> np.ndarray:
@@ -671,7 +705,11 @@ def _babenko_guard(res: PhiResult, q: float, d: int) -> None:
 
 
 def phi_even_oracle(e, q: float, grid_resolution: int = 2048) -> PhiResult:
-    """||1_E^||_q^q via the convolution identity (q/2 factors), even q >= 4."""
+    """||1_E^||_q^q via the convolution identity (q/2 factors), even q >= 4.  In
+    d = 1 the float piecewise-polynomial arithmetic misses the exact rational
+    value by at most 1.3e-14 relative on 150 seeded intervals:3 search
+    candidates and on (0, 0.8) U (11, 12.2) at q = 4 and 6; 1e-12 relative is
+    reported."""
     if q % 2 or q < 4:
         raise DomainError(f"the convolution identity needs an even integer q >= 4; got q = {q}")
     q = int(q)
@@ -679,7 +717,7 @@ def phi_even_oracle(e, q: float, grid_resolution: int = 2048) -> PhiResult:
     if e.dimension == 1:
         h = nfold_indicator_convolution(e.intervals, q // 2)
         value = float(h.integrate_square())
-        err = 1e-12 * max(1.0, abs(value))
+        err = 1e-12 * value
         method = "convolution_oracle"
     else:
         value, err = _grid_fft_norm(e, q, grid_resolution)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
-from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval
+from felab._pwpoly import PiecewisePoly, _poly_add, _poly_antideriv, _poly_eval, _poly_shift
 from felab.errors import ArityError, DomainError
 from felab.functional import (
     _circle,
@@ -719,20 +719,20 @@ def derivative_at(f: PiecewisePoly, x: float):
     for e, p in f.events:
         if x >= e and len(p) > 1:
             dp = [c * i for i, c in enumerate(p)][1:]
-            acc += _poly_eval(dp, x)
+            acc += _poly_eval(dp, x - e)
     return acc
 
 
 def cumulative(f: PiecewisePoly):
-    """Antiderivative F(x) = int_-inf^x f, as (breaks, polys) pieces plus final constant."""
+    """Antiderivative F(x) = int_-inf^x f, as (lo, hi, poly) pieces, poly in x,
+    plus the final constant."""
     breaks, polys = f.to_breaks()
     pieces = []
     acc = 0
     for i in range(len(breaks) - 1):
-        anti = _poly_antideriv(polys[i])
-        offset = acc - _poly_eval(anti, breaks[i])
-        pieces.append((breaks[i], breaks[i + 1], _poly_add(anti, [offset])))
-        acc = offset + _poly_eval(anti, breaks[i + 1])
+        anti = _poly_add(_poly_antideriv(polys[i]), [acc])  # in x - breaks[i]
+        pieces.append((breaks[i], breaks[i + 1], _poly_shift(anti, -breaks[i])))
+        acc = _poly_eval(anti, breaks[i + 1] - breaks[i])
     return pieces, acc
 
 

@@ -122,6 +122,24 @@ class TestPhi1D:
                 b = phi_even_oracle(e, q).phi
                 assert abs(a - b) / b < 1e-6
 
+    def test_oracle_within_its_error(self):
+        # the float convolution oracle against rational arithmetic on 150 seeded
+        # intervals:3 search candidates and the wide set, where global monomial
+        # coefficients missed the q = 6 norm by up to 2.6e-9 relative
+        from fractions import Fraction
+        from felab._pwpoly import nfold_indicator_convolution
+        from felab.search import SearchConfig, _params_to_set, _random_params
+        cfg = SearchConfig(4.0, 1, "intervals:3")
+        rng = np.random.default_rng(0)
+        sets = [_params_to_set(_random_params(rng, cfg), cfg) for _ in range(150)]
+        sets.append(IntervalSet(WIDE_SET))
+        for q in (4, 6):
+            for e in sets:
+                exact = nfold_indicator_convolution(e.intervals, q // 2, exact=True).integrate_square()
+                phi = float(exact / Fraction(e.measure) ** (q - 1)) ** (1.0 / q)
+                res = phi_even_oracle(e, q)
+                assert abs(res.phi - phi) <= res.error_estimate <= 1e-12 * phi, (q, e.intervals)
+
     def test_oracle_rejects_odd(self):
         with pytest.raises(DomainError):
             phi_even_oracle(IntervalSet([(-1, 1)]), 3)
@@ -473,11 +491,15 @@ PIECES_1D = {
 
 # the tail tables of seven pieces at 2 < q < 4 exceed _EVEN_PAIRS
 SEVEN_PIECES = [(0.5 * i, 0.5 * i + 0.3) for i in range(7)]
+# normalised diameter 12.2
+WIDE_SET = [(0.0, 0.8), (11.0, 12.2)]
 
 
 class TestPinned1D:
-    """d = 1 values of the per-node evaluation (two complex exps per node and
-    endpoint on the whole mesh), pinned to 1e-12 relative."""
+    """d = 1 values pinned to 1e-12 relative.  They were taken from a per-node
+    evaluation (two complex exps per node and endpoint on the whole mesh, on
+    panels 0.5 / diam wide, at most 0.05); the mesh now takes P from phase
+    tables and, at even q, panels sized by the beat period and the tolerance."""
 
     @staticmethod
     def configs():
@@ -669,13 +691,80 @@ class TestPinned1D:
         assert peak < 0.2e6
 
 
-def mesh_cuts(monkeypatch):
-    """The cuts ``phi_q`` passes to ``functional._signed_exp_mesh``."""
+class TestEvenMesh:
+    """The d = 1 mesh: W as a product of two phase tables, and the even-q panels
+    one beat period of |P^n|^2 wide at most."""
+
+    @pytest.mark.parametrize("pieces, diam", [(1, 2.0), (3, 7.0), (6, 40.0)])
+    def test_w_from_two_tables(self, pieces, diam):
+        # W[e, (i, k)] = s_e e^{-2 pi i mid_i e} e^{-2 pi i off_k e} against the
+        # phase of each node's loc = mid_i + off_k taken whole; either rounds its
+        # angle, so the two meet to a few ulps of (1 + |angle|)
+        from felab import functional
+        from felab.quadrature import gk15_panels
+        rng = np.random.default_rng(pieces)
+        ends = np.sort(rng.uniform(-0.5 * diam, 0.5 * diam, 2 * pieces))
+        ends[[0, -1]] = -0.5 * diam, 0.5 * diam
+        signs = np.resize([1.0, -1.0], 2 * pieces)
+        for h in (0.05, 1.0 / diam, 0.5 / diam):
+            half, _ = functional._signed_exp_mesh(ends, signs, 60.0, h)
+            w = functional._buffer("mesh_w", (2 * pieces, functional._MESH_BLOCK * 15), complex)
+            mid = (2 * np.arange(functional._MESH_BLOCK) + 1.0) * half
+            loc = (mid[:, None] + gk15_panels(0.0, half)[0]).ravel()
+            angle = -2 * np.pi * np.multiply.outer(ends, loc)
+            ref = signs[:, None] * np.exp(1j * angle)
+            assert np.all(np.abs(w - ref) <= 4 * np.finfo(float).eps * (1 + np.abs(angle))), h
+
+    def test_heads_within_their_rule_error(self, monkeypatch):
+        # every even-q head lies within its sum |K - G| of the same head on
+        # panels half as wide, on 160 seeded unions at three tolerances
+        from felab import functional
+        from felab.perturbation import _TIGHT
+        from felab.quadrature import DEFAULT_CONFIG
+        from felab.search import PROBE_QUAD
+        calls = mesh_calls(monkeypatch)
+        for seed in range(160):
+            e = random_union(np.random.default_rng(seed), max_pieces=4)
+            ends, signs = centred_endpoints(e)
+            for q in (4.0, 6.0):
+                for cfg in (DEFAULT_CONFIG, PROBE_QUAD, _TIGHT):
+                    phi_q(e, q, cfg)
+                    cut, h = calls[-1]
+                    value, err = functional._mesh_head(ends, signs, q, cut, h)
+                    finer, _ = functional._mesh_head(ends, signs, q, cut, 0.5 * h)
+                    assert abs(value - finer) <= err, (seed, q, cfg)
+
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_wide_set_calibration(self, q):
+        # (0, 0.8) U (11, 12.2) against its rational value.  Its 0.5 / diam panels
+        # spanned one beat period at q = 4 and 1.5 at q = 6: at _TIGHT, q = 4
+        # reported 1.13e-10 against a miss of 3.6e-16, and converged=False.  At
+        # the default tolerance and q = 4 the estimate is sum |K - G| on 0.85-
+        # period panels, the Gauss-7 rule's error, 1.4e4 times the miss: that case
+        # is held to actual <= estimate only (the QUADPACK rescale of the rule
+        # error, ROADMAP item 2(b), is what would bring it within 10^3)
+        from fractions import Fraction
+        from felab._pwpoly import nfold_indicator_convolution
+        from felab.perturbation import _TIGHT
+        from felab.quadrature import DEFAULT_CONFIG
+        e = IntervalSet(WIDE_SET)
+        exact = nfold_indicator_convolution(e.intervals, q // 2, exact=True).integrate_square()
+        phi = float(exact / Fraction(e.measure) ** (q - 1)) ** (1.0 / q)
+        for name, cfg in (("default", DEFAULT_CONFIG), ("tight", _TIGHT)):
+            res = phi_q(e, float(q), cfg)
+            actual = abs(res.phi - phi)
+            assert res.converged and actual <= res.error_estimate, (name, res)
+            if (q, name) != (4, "default"):
+                assert res.error_estimate <= 1e3 * max(actual, 1e-15 * phi), (name, res)
+
+
+def mesh_calls(monkeypatch):
+    """The (cut, panel width) pairs ``phi_q`` passes to ``functional._signed_exp_mesh``."""
     from felab import functional
-    cuts, mesh = [], functional._signed_exp_mesh
+    calls, mesh = [], functional._signed_exp_mesh
     monkeypatch.setattr(functional, "_signed_exp_mesh",
-                        lambda ends, signs, cut, h: cuts.append(cut) or mesh(ends, signs, cut, h))
-    return cuts
+                        lambda ends, signs, cut, h: calls.append((cut, h)) or mesh(ends, signs, cut, h))
+    return calls
 
 
 class TestBracketTail:
@@ -723,36 +812,42 @@ class TestBracketTail:
     def test_envelope_past_the_table_budget(self, monkeypatch):
         # seven pieces at q = 3.5: the q = 6 table has 157,080 entries, so the
         # envelope route runs as before, to the same cut and value
-        cuts = mesh_cuts(monkeypatch)
+        calls = mesh_calls(monkeypatch)
         res = phi_q(IntervalSet(SEVEN_PIECES), 3.5)
-        assert res.method == "mesh_envelope_1d" and cuts == [2.0e4]
-        assert (res.phi, res.norm_q_pow_q) == (0.8262628792157615, 3.2768916666633)
+        assert res.method == "mesh_envelope_1d" and [c for c, _ in calls] == [2.0e4]
+        assert (res.phi, res.norm_q_pow_q) == (0.8262628792157611, 3.2768916666632966)
 
     def test_cut(self, monkeypatch):
         # at the default tolerance the envelope's cuts are 6,498 and 2e4
-        cuts = mesh_cuts(monkeypatch)
+        calls = mesh_calls(monkeypatch)
         res = phi_q(IntervalSet(PIECES_1D["three"]), 3.5)
-        assert res.method == "mesh_bracket_tail_1d" and cuts[-1] <= 1500.0
+        assert res.method == "mesh_bracket_tail_1d" and calls[-1][0] <= 1500.0
         res = phi_q(IntervalSet(PIECES_1D["two"]), 3.0)
-        assert res.method == "mesh_bracket_tail_1d" and cuts[-1] < 1.0e4 and res.converged
+        assert res.method == "mesh_bracket_tail_1d" and calls[-1][0] < 1.0e4 and res.converged
         # at even q the bracket is T_q -+ its error, so the same search stops at
-        # the first edge past 50 of the envelope's panels, 0.05 wide here
+        # the first edge past 50 of the envelope's panels
         from felab.perturbation import _TIGHT
         from felab.quadrature import DEFAULT_CONFIG
         for cfg in (DEFAULT_CONFIG, _TIGHT):
             res = phi_q(IntervalSet(PIECES_1D["three"]), 4.0, cfg)
-            assert res.method == "mesh_even_tail_1d" and 50.0 <= cuts[-1] < 50.05, cfg
+            cut, h = calls[-1]
+            assert res.method == "mesh_even_tail_1d" and 50.0 <= cut < 50.0 + h, cfg
 
     def test_gate_keeps_search_evaluations(self, monkeypatch):
-        # three pieces at PROBE_QUAD and q = 4: the envelope cuts at about 97,
-        # where the cost rule alone (four panels an entry, 20 panels a unit of
-        # xi) would take the 231-entry table; under _EXP_SUM_GATE the envelope
-        # route runs as before, to the same value
+        # three pieces at PROBE_QUAD and q = 4: the envelope cuts at about 97.
+        # At a normalised diameter of 12 the mesh takes 24 panels a unit of xi,
+        # so the cost rule alone (four panels an entry) would take the 231-entry
+        # table; under _EXP_SUM_GATE the envelope route runs as before.  On
+        # PIECES_1D["three"] (5.6 panels a unit) the cost rule keeps it too
         from felab.search import PROBE_QUAD
-        cuts = mesh_cuts(monkeypatch)
+        calls = mesh_calls(monkeypatch)
+        res = phi_q(IntervalSet([(-6.0, -5.6), (-0.5, 0.5), (5.4, 6.0)]), 4.0, PROBE_QUAD)
+        (cut, h), = calls
+        assert res.method == "mesh_envelope_1d" and 4 * 231 < (cut - 50.0) / h
+        assert (res.phi, res.norm_q_pow_q) == (0.8211514760421302, 3.6373332990256944)
         res = phi_q(IntervalSet(PIECES_1D["three"]), 4.0, PROBE_QUAD)
-        assert res.method == "mesh_envelope_1d" and 4 * 231 < (cuts[0] - 50.0) * 20
-        assert (res.phi, res.norm_q_pow_q) == (0.833763664376491, 3.865999959702082)
+        assert res.method == "mesh_envelope_1d"
+        assert (res.phi, res.norm_q_pow_q) == (0.8337636643764911, 3.8659999597020867)
 
 
 class TestContinuityProbe:
