@@ -7,7 +7,13 @@ runs on this module:
   (QUADPACK's qk15): the nodes and Kronrod weights of a batch of panels,
   and the Kronrod sums with the |K - G| rule error of values sampled on
   them, under every GK15 mesh in the package; ``zero_segment_edges``
-  gives every radial mesh its edges, cut and graded at the zeros of B^.
+  gives ``radial_head_tail``'s head its edges, cut and graded at the zeros
+  of B^.
+* ``kink_rules`` / ``kink_mesh`` -- the kernel meshes' 16-point panels:
+  Gauss-Legendre where the integrand is smooth, and at a |t|^a kink on a
+  panel end the Gauss-Jacobi rule of (1 +- x)^a or (1 - x^2)^a (Golub and
+  Welsch, Math. Comp. 23, 1969; DLMF 3.5(v)), weights divided by the
+  weight function, so that a panel ending at a kink needs no grading.
 * ``integrate_adaptive``    -- adaptive bisection (QUADPACK's QAGP) from
   panels cut at known kinks, a round of splits per call: the reference of
   the fixed meshes, which no module calls.  Identical inputs give
@@ -55,6 +61,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
@@ -226,6 +233,79 @@ def zero_segment_edges(cuts: np.ndarray, m, end=0.0, halvings: int = 0) -> np.nd
     h = np.outer(lens * end, 0.5 ** np.arange(1, halvings + 1))
     graded = [(cuts[:-1, None] + h)[cuts[:-1] != 0.0].ravel(), (cuts[1:, None] - h).ravel()]
     return np.unique(np.concatenate([cuts, inner, *graded]))
+
+
+# ---------------------------------------------------------------------------
+# 16-point panel rules of the kernel meshes: Gauss-Legendre, Gauss-Jacobi at kinks
+# ---------------------------------------------------------------------------
+
+_LEGENDRE_16 = np.polynomial.legendre.leggauss(16)
+_PLAIN_RULES = np.broadcast_to(np.array(_LEGENDRE_16), (4, 2, 16))
+
+
+def _jacobi_16(alpha: np.ndarray, beta: np.ndarray):
+    """16-point Gauss rules of the weights (1 - x)^alpha (1 + x)^beta on [-1, 1], one
+    row each for the (rules, 1) arrays alpha and beta: the eigenvalues of the Jacobi
+    matrix of the orthonormal recurrence (Golub-Welsch; DLMF 18.9.2), one Newton
+    step on p_16, and the Christoffel weights 1 / sum_{j<16} p_j^2, a sum of squares
+    that keeps the small weights' digits, moved with the nodes to first order.  Of
+    the moments x^k (1 + x)^0.2, k < 32, scipy's roots_jacobi misses some by 3.1e-14
+    of their scale, and the eigenvectors' weights miss those of (1 - x^2)^4.6 by
+    1.0e-14; these rules stay within 1e-14."""
+    k, ab = np.arange(17.0), alpha + beta
+    s = 2.0 * k + ab
+    diag = np.c_[(beta - alpha) / (ab + 2.0),
+                 (beta * beta - alpha * alpha) / (s[:, 1:] * (s[:, 1:] + 2.0))]
+    k, s = k[1:], s[:, 1:]
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0)))
+    log_mass = ((ab + 1.0) * math.log(2.0) + special.gammaln(alpha + 1.0)
+                + special.gammaln(beta + 1.0) - special.gammaln(ab + 2.0))
+
+    jacobi = np.zeros((len(diag), 16, 16))
+    jacobi[:, range(16), range(16)], jacobi[:, range(1, 16), range(15)] = diag[:, :16], off[:, :15]
+    x = np.linalg.eigvalsh(jacobi)  # from the lower triangle
+    steps = [(diag[:, j, None], 1.0 / off[:, j, None], off[:, j - 1, None]) for j in range(16)]
+    # p_16 and sum_{j<16} p_j^2 with their x-derivatives (p_-1 = 0 drops off[:, -1]),
+    # for a Newton step on the nodes and the weights' first-order move with it
+    p0, p1, d0, d1 = 0.0, np.exp(-0.5 * log_mass) + 0.0 * x, 0.0, 0.0
+    total, slope = 0.0, 0.0
+    for a, inv_b, b0 in steps:
+        total, slope = total + p1 * p1, slope + 2.0 * p1 * d1
+        t = x - a
+        p0, p1, d0, d1 = p1, (t * p1 - b0 * p0) * inv_b, d1, (p1 + t * d1 - b0 * d0) * inv_b
+    step = p1 / d1
+    return x - step, 1.0 / (total - slope * step)
+
+
+def kink_rules(a: float | None) -> np.ndarray:
+    """The four 16-point rules of a kernel mesh's panels on [-1, 1], shape (4, 2, 16)
+    as (rule, nodes | weights): Gauss-Legendre, then the Gauss-Jacobi rules of the
+    weights (1 + x)^a, (1 - x)^a and (1 - x^2)^a with their weights divided by the
+    weight at the nodes.  Each sums plain values f(x_i) and is exact where f is its
+    weight times a polynomial of degree 31: rule 1, 2 or 3 integrates a |t|^a kink at
+    -1, +1 or both as Gauss-Legendre integrates a smooth f.  At a = 0 or None (no
+    kink) all four are Gauss-Legendre, built once."""
+    if not a:
+        return _PLAIN_RULES
+    (x, xx), (w, ww) = _jacobi_16(np.array([[0.0], [a]]), np.array([[a], [a]]))
+    w /= (1.0 + x) ** a  # 1 + x is exact where (1 + x)^a is small
+    return np.array([_LEGENDRE_16, (x, w), (-x[::-1], w[::-1]), (xx, ww / (1.0 - xx * xx) ** a)])
+
+
+def kink_mesh(cuts: np.ndarray, kinked: np.ndarray, m, rules: np.ndarray):
+    """Flat nodes and weights of m[i] equal panels on segment i between the increasing
+    ``cuts``: a panel that starts at a ``kinked`` cut takes rule 1 of ``rules``
+    (``kink_rules``), one that ends at one rule 2, one that does both rule 3, and
+    every other panel rule 0."""
+    m = np.asarray(m, dtype=int)
+    seg = np.repeat(np.arange(m.size), m)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(m) - m, m)  # the panel's place in its segment
+    lo, length = cuts[seg], np.diff(cuts)[seg]
+    left, right = lo + length * (k / m[seg]), lo + length * ((k + 1) / m[seg])
+    which = (kinked[seg] & (k == 0)) + 2 * (kinked[seg + 1] & (k == m[seg] - 1))
+    half = 0.5 * (right - left)[:, None]
+    nodes = left[:, None] + half * (1.0 + rules[which, 0])
+    return nodes.ravel(), (half * rules[which, 1]).ravel()
 
 
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,

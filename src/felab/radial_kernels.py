@@ -33,13 +33,18 @@ period edges.  For d = 1 this is 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
 Profile evaluation
 ------------------
 Every kernel mesh is one sum, |S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho)
-drho on fixed GK15 panels, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y.  Each
-mesh refuses, once, a radius whose period spans fewer than four of its node
-gaps: the d = 1 head per part, the d = 2 and 3 meshes as their panels are
-counted.  ``kernel_values`` adds one fixed slack, _KERNEL_SLACK (1 + |v|),
-to every error.  d = 1: the
-mesh is a head on [0, 1], graded toward the kinks of g at 1/2 and 1 (48
-plain panels at even q, where g has none); past it g(xi) = pi^{-s} xi^{-s}
+drho, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y, cut at the zeros of B^ (the
+|t|^a kinks of g, a = q - 1 for K and q - 2 for L): each zero segment holds
+m equal 16-point panels, m set by the largest radius so that none spans more
+than 2.2 periods of w_d.  At non-even q a panel that ends at a zero takes the
+Gauss-Jacobi rule of (1 +- x)^a, or of (1 - x^2)^a where m = 1, and
+integrates the kink as Gauss-Legendre, which every other panel takes (all
+of them at even q), integrates a smooth g.  Each mesh refuses, once, a
+radius past a fixed bound, where a period would span fewer than four node
+gaps of a GK15 panel 1/48 (d = 1), 1/24 (d = 2 K, d = 3) or 1/12 (d = 2 L)
+wide: 115.5, 57.75 and 28.88.  ``kernel_values`` adds one fixed slack,
+_KERNEL_SLACK (1 + |v|), to every error.  d = 1: the mesh is a head on
+[0, 1], two zero segments; past it g(xi) = pi^{-s} xi^{-s}
 P(2 pi xi), s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or
 |sin u|^{q-2}, and one table of P's Fourier series (finite for q = 4, 6, 8)
 meets the power tails int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients
@@ -51,9 +56,8 @@ xi up to |c| xi = 2, then E_s's continued fraction (DLMF 8.19) by modified
 Lentz on the pairs sorted by |c|, shedding each converged leading run; it
 matches mpmath to ~1e-13 relative.  The same engine gives the d = 1
 expansion terms' antiderivatives int_0^x K and int_0^t int_0^u L.
-d = 2 and 3: a few panels a zero segment of B^ (the kinks of g), more as
-the largest radius grows.  In d = 2 K runs on them to rho = 40, then on
-plain panels between the zeros to 120, or to an earlier zero where its
+d = 2 and 3: the same panels on every zero segment of B^.  In d = 2 K runs
+on them to the last zero below 120, or to an earlier zero past 40 where its
 tail bound has fallen to a tenth of the slack; L runs on them to 160, then
 sums the a_0 part of the L table in closed form, Hankel's expansion of J_0
 times M_1's to the power q - 2 on the power-tail engine, every radius at
@@ -83,8 +87,9 @@ from .quadrature import (
     _power_tail,
     gk15_panels,
     gk15_sums,
+    kink_mesh,
+    kink_rules,
     radial_head_tail,
-    zero_segment_edges,
 )
 
 __all__ = [
@@ -227,26 +232,13 @@ def _series(kind: str, q: float) -> tuple:
     return freqs, coeffs, trunc
 
 
-def _gk15_mesh(edges: np.ndarray):
-    """Flat GK15 nodes and weights on the panels between consecutive edges."""
-    nodes, weights = gk15_panels(0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1]))
-    return nodes.ravel(), weights.ravel()
-
-
 def _check_resolved(kind: str, d: int, radii: np.ndarray, width: float) -> None:
-    """Refuse radii whose period spans fewer than four node gaps of ``width``-wide panels."""
+    """Refuse radii whose period spans fewer than four node gaps of a ``width``-wide
+    GK15 panel: each kernel mesh's fixed bound on the radii it serves."""
     bound = 0.25 / np.max(np.diff(gk15_panels(0.0, 0.5 * width)[0]))
     if np.any(radii > bound):
         raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {bound:.4g}, "
                           f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
-
-
-def _panel_counts(kind: str, d: int, cuts: np.ndarray, radii: np.ndarray, width: float):
-    """Equal panels m >= 2 a zero segment between 1/24 end panels (a |t|^{q-2} kink errs
-    ~1e-10 there to q near q_d), at most two periods of w_d at the largest radius each (GK15
-    errs ~4e-14 there); radii that ``width``-wide panels do not resolve are refused."""
-    _check_resolved(kind, d, radii, width)
-    return np.maximum(2, np.ceil(22.0 / 24.0 * np.diff(cuts) * radii.max(initial=0.0) / 2.0))
 
 
 # every kernel value's error adds _KERNEL_SLACK (1 + |value|), which the d = 1
@@ -264,23 +256,32 @@ _PAIR_CHUNK = 1 << 16
 _SPHERE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _WAVE = {(1, 0): np.cos, (2, 0): special.j0, (3, 0): lambda y: np.sin(y) / y,
          (1, 1): np.sin, (1, 2): lambda y: 2.0 * np.sin(0.5 * y) ** 2}
-_HEAD_EDGES_1D = tuple(zero_segment_edges(np.r_[0.0, 0.5, 1.0], 22, 1.0 / 24, h) for h in (42, 0))
+_HEAD_CUTS, _HEAD_KINKS = np.array([0.0, 0.5, 1.0]), np.array([False, True, True])
+# a kernel mesh's panels span at most _PERIODS periods of w_d at the largest radius
+_PERIODS = 2.2
 
 
-def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, edges: np.ndarray,
-                order: int = 0) -> np.ndarray:
-    """|S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho) drho on the GK15 panels
-    between ``edges``, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0), or in
-    d = 1 its ``order``-th antiderivative in r, w(y) / (2 pi rho)^order.
+def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray,
+                kinked: np.ndarray, order: int = 0) -> np.ndarray:
+    """|S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho) drho over [cuts[0], cuts[-1]],
+    w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0), or in d = 1 its ``order``-th
+    antiderivative in r, w(y) / (2 pi rho)^order.
 
-    The mesh is swept in blocks of at most _PAIR_CHUNK pairs: runs of
-    _PAIR_CHUNK nodes, each against as many radii as fit.  Its callers refuse
-    the radii it does not resolve.
+    Each segment between ``cuts`` holds m = ceil(length x max r / _PERIODS) equal
+    16-point panels (``quadrature.kink_mesh``).  At non-even q a panel that ends at
+    a ``kinked`` cut, a zero of B^ where g has a |t|^a kink (a = q - 1 for K, q - 2
+    for L), takes the Gauss-Jacobi rule of that kink, and every other panel
+    Gauss-Legendre, as all do at even q.  The mesh is swept in blocks of at most
+    _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK nodes, each against
+    as many radii as fit.  Its callers refuse the radii it does not resolve.
     """
+    rules = kink_rules((q - 1.0 if kind == "K" else q - 2.0) if q % 2 else None)
+    m = np.maximum(1, np.ceil(np.diff(cuts) * radii.max(initial=0.0) / _PERIODS)).astype(int)
     out = np.zeros_like(radii)
-    step = _PAIR_CHUNK // 15  # panels per run
-    for lo in range(0, len(edges) - 1, step):
-        nodes, weights = _gk15_mesh(edges[lo:lo + step + 1])
+    step = max(1, _PAIR_CHUNK // (16 * int(m.max())))  # segments per run
+    for lo in range(0, len(m), step):
+        nodes, weights = kink_mesh(cuts[lo:lo + step + 1], kinked[lo:lo + step + 1],
+                                   m[lo:lo + step], rules)
         w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
         w /= (2 * np.pi * nodes) ** order
         rows = max(1, _PAIR_CHUNK // len(nodes))
@@ -293,22 +294,20 @@ def _kernel_values_1d(q: float, *parts):
     """Per part (kind, order, x), the d = 1 kernel or its first or second
     antiderivative in r at radii x >= 0, 2 int_0^inf g(xi) W dxi with W = cos y,
     sin y / (2 pi xi) or 2 sin^2(y/2) / (2 pi xi)^2, y = 2 pi x xi, and the
-    bound on the series terms cut (``kernel_values`` adds the slack): a graded
-    head on [0, 1] (48 plain panels at even q, where g has no kinks), then
-    each series term against the power tails at 2 pi (f +- x) at the exponent
+    bound on the series terms cut (``kernel_values`` adds the slack): a head on
+    [0, 1] (``_radial_sum``, with the kinks of g at 1/2 and 1), then each series
+    term against the power tails at 2 pi (f +- x) at the exponent
     s + order, q for K at order 1 and L at order 2, for every q > 2.  At
     order 1 the phase turns by -i; at order 2 the tail is T(0) - T(x), T the
     order-0 sum.  The parts share that exponent (K at order 1 with L at order
     2, or one part), and one call when they fit.  Each part refuses radii past
-    115.5, where a period spans fewer than four of the head's widest node
-    gaps: up to there the head errs below 3e-13; at r = 144, 6 pi of phase a
-    panel, by 1e-9."""
+    115.5 (``_check_resolved`` at width 1/48); up to there the head errs by
+    <= 3e-15 (1 + max |v|) against a graded GK15 mesh 8 times as fine."""
     blocks, out = [], []
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
-        edges = _HEAD_EDGES_1D[q % 2 == 0]
-        _check_resolved(kind, 1, x, np.max(np.diff(edges)))
+        _check_resolved(kind, 1, x, 1.0 / 48)
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -319,7 +318,7 @@ def _kernel_values_1d(q: float, *parts):
         dropped = pref * np.cumsum((np.append(np.abs(coeffs), trunc) * w)[::-1])[::-1]
         n = np.count_nonzero(dropped[:-1] > 1e-13)
         xt = np.append(x, 0.0) if order == 2 else x
-        head = _radial_sum(kind, 1, q, x, edges, order)
+        head = _radial_sum(kind, 1, q, x, _HEAD_CUTS, _HEAD_KINKS, order)
         out.append((head, pref, np.empty_like(xt), float(dropped[n])))
         step = max(1, _PAIR_CHUNK // max(2 * n, 1))
         for lo in range(0, len(xt), step):
@@ -384,25 +383,21 @@ def _harmonic_tail_bound(kind: str, q: float, x: np.ndarray, z: float) -> np.nda
 
 
 def _kernel_values_2d_K(q: float, x: np.ndarray):
-    """K-kind: one mesh cut at the zeros of B^ up to Z: ``_panel_counts`` panels up to
-    the last zero below rho = 40, then ceil(length x max r) equal panels a zero segment
-    (a |t|^{q-1} kink is milder than L's |t|^{q-2}), and ``_harmonic_tail_bound`` on the
-    rest.  Z is the last zero below 120, or an earlier one past 40 where the bound is at
-    most _KERNEL_SLACK / 10.  The bound times Z^s, s = 3q/2 - 2, rises with Z (each
+    """K-kind: ``_radial_sum`` on the zeros of B^ up to Z, and ``_harmonic_tail_bound`` on
+    the rest.  Z is the last zero below 120, or an earlier one past 40 where the bound is
+    at most _KERNEL_SLACK / 10.  The bound times Z^s, s = 3q/2 - 2, rises with Z (each
     harmonic's share does, and env M_0 Z^s up to ~1e-5), so the bound at 120 predicts
     that zero from above, and one more bound there confirms it."""
+    _check_resolved("K", 2, x, 1.0 / 24)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
-    near = cuts[1:] <= 40.0
-    m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
     bound = _harmonic_tail_bound("K", q, x, cuts[-1])
     end = cuts[-1] * (np.max(bound) / (0.1 * _KERNEL_SLACK)) ** (1.0 / (1.5 * q - 2.0))
     k = int(np.searchsorted(cuts, max(end, 40.0)))
     if k < len(cuts) - 1:
         early = _harmonic_tail_bound("K", q, x, cuts[k])
         if np.max(early) <= 0.1 * _KERNEL_SLACK:
-            cuts, m, near, bound = cuts[:k + 1], m[:k], near[:k], early
-    values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
-    return values, bound
+            cuts, bound = cuts[:k + 1], early
+    return _radial_sum("K", 2, q, x, cuts, cuts > 0.0), bound
 
 
 # L's a_0 part past Z takes Hankel's expansion of J_0(y) in _HANKEL_TERMS terms from
@@ -489,13 +484,13 @@ def _a0_tail(q: float, x: np.ndarray, z: float):
 
 
 def _kernel_values_2d_L(q: float, x: np.ndarray):
-    """L-kind: ``_panel_counts`` panels a zero segment up to Z, the last below 160.
+    """L-kind: ``_radial_sum`` on the zeros of B^ up to Z, the last below 160.
     Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), ``_a0_tail`` sums the a_0
     part a_0 env(rho) J_0(2 pi r rho) in closed form, and ``_harmonic_tail_bound``
     covers the other harmonics."""
+    _check_resolved("L", 2, x, 1.0 / 12)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
-    z, m = cuts[-1], _panel_counts("L", 2, cuts, x, 1.0 / 12)
-    values = _radial_sum("L", 2, q, x, zero_segment_edges(cuts, m, 1.0 / 24))
+    z, values = cuts[-1], _radial_sum("L", 2, q, x, cuts, cuts > 0.0)
     tail, errors = _a0_tail(q, x, z)
     return values + tail, errors + _harmonic_tail_bound("L", q, x, z)
 
@@ -505,11 +500,12 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
-    cuts = np.unique(np.r_[0.0, _ball_hat_zeros(3, r_cut), r_cut])
-    edges = zero_segment_edges(cuts, _panel_counts(kind, 3, cuts, x, 1.0 / 24), 1.0 / 24)
-    out = _radial_sum(kind, 3, q, x, edges)
-    last = _gk15_mesh(edges[edges >= r_cut - 1.0])[0]  # the last unit: two zero segments
-    tail_bound = 4.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * last[-1]
+    _check_resolved(kind, 3, x, 1.0 / 24)
+    zeros = _ball_hat_zeros(3, r_cut)
+    cuts = np.unique(np.r_[0.0, zeros, r_cut])
+    out = _radial_sum(kind, 3, q, x, cuts, np.isin(cuts, zeros))
+    last = np.linspace(r_cut - 1.0, r_cut, 257)  # the last unit: two zero segments
+    tail_bound = 4.0 * np.pi * np.max(np.abs(_g_radial(kind, 3, q, last))) * r_cut
     return out, tail_bound
 
 

@@ -5,7 +5,8 @@ evaluators, a brute-force composite GK15 sum, the indicator transforms,
 radial J_0 and J_1 integrals for the translated disc's expansion terms,
 the disc's norm and its K and L kernels, the d = 2 L kernel's a_0 tail
 past the mesh by Aitken's segment sum and by mpmath, the d = 2 K kernel on
-its full mesh to rho = 120, the circle-profile route to the circle
+its full mesh to rho = 120, the kernel mesh sum on GK15 panels (between given
+edges, or on a fine mesh graded toward the zeros of B^), the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time from the radial factor node by node,
@@ -47,7 +48,9 @@ from felab.radial_kernels import (
     _ball_hat_zeros,
     _envelope,
     _harmonic_tail_bound,
-    _panel_counts,
+    _SPHERE,
+    _WAVE,
+    _g_radial,
     _radial_sum,
     _series,
     ball_hat,
@@ -311,10 +314,34 @@ def k2_to_120(q: float, x):
     the last below rho = 120, and the harmonic tail bound there: values and errors
     before ``kernel_values`` adds its slack."""
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
-    near = cuts[1:] <= 40.0
-    m = np.where(near, _panel_counts("K", 2, cuts, x, 1.0 / 24), np.ceil(np.diff(cuts) * x.max()))
-    values = _radial_sum("K", 2, q, x, zero_segment_edges(cuts, m, np.where(near, 1.0 / 24, 0.0)))
+    values = _radial_sum("K", 2, q, x, cuts, cuts > 0.0)
     return values, _harmonic_tail_bound("K", q, x, cuts[-1])
+
+
+def gk15_kernel_sum(kind: str, d: int, q: float, radii, edges, order: int = 0) -> np.ndarray:
+    """|S^{d-1}| int rho^{d-1} g(rho) w(2 pi r rho) drho on GK15 panels between ``edges``,
+    w the kernel meshes' wave (``order`` its antiderivative in d = 1), in runs of
+    panels against every radius."""
+    radii, out = np.asarray(radii, dtype=float), 0.0
+    for lo in range(0, len(edges) - 1, 4096):
+        e = edges[lo:lo + 4097]
+        nodes, weights = gk15_panels(0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e))
+        nodes, weights = nodes.ravel(), weights.ravel()
+        w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
+        w /= (2 * np.pi * nodes) ** order
+        out = out + np.array([_WAVE[d, order](2 * np.pi * r * nodes) @ w for r in radii])
+    return out
+
+
+def graded_kernel_sum(kind: str, d: int, q: float, radii, cuts, order: int = 0) -> np.ndarray:
+    """The kernel mesh sum over [cuts[0], cuts[-1]] on a fine GK15 mesh graded toward
+    every cut but 0: 8 max(2, ceil(length max r / 2)) equal panels a segment between end
+    panels 1/64 of it wide, and ceil(56 / (a + 1)) halvings toward each cut (a = q - 1
+    for K, q - 2 for L), so the last panel holds ~2^-56 of its segment's |t|^a mass."""
+    a = q - 1.0 if kind == "K" else q - 2.0
+    n = 8 * np.maximum(2, np.ceil(np.diff(cuts) * np.max(radii) / 2.0))
+    edges = zero_segment_edges(cuts, n, 1.0 / 64, math.ceil(56.0 / (a + 1.0)))
+    return gk15_kernel_sum(kind, d, q, radii, edges, order)
 
 
 def disc_norm_band(q: float, lo: float, hi: float) -> float:

@@ -134,17 +134,17 @@ def test_radial_kernels_run_no_adaptive_loop():
 
 
 def test_one_radial_edge_builder():
-    # the head of radial_head_tail, the d = 1 kernel head and the d = 2, 3
-    # kernel meshes take their edges from zero_segment_edges
-    callers = {(name, fn) for name, text in MODULES.items()
-               for fn in _callers(text, "zero_segment_edges")}
-    assert callers == {("quadrature.py", "radial_head_tail"), ("radial_kernels.py", "<module>"),
-                       ("radial_kernels.py", "_kernel_values_2d_K"),
-                       ("radial_kernels.py", "_kernel_values_2d_L"),
-                       ("radial_kernels.py", "_kernel_values_3d")}
+    # the head of radial_head_tail takes its edges from zero_segment_edges;
+    # the d = 1 kernel head and the d = 2, 3 kernel meshes take their panels
+    # and rules from kink_mesh and kink_rules, in _radial_sum alone
+    for builder, owner in (("zero_segment_edges", ("quadrature.py", "radial_head_tail")),
+                           ("kink_mesh", ("radial_kernels.py", "_radial_sum")),
+                           ("kink_rules", ("radial_kernels.py", "_radial_sum"))):
+        callers = {(name, fn) for name, text in MODULES.items() for fn in _callers(text, builder)}
+        assert callers == {owner}, builder
     defined = {node.name for text in MODULES.values() for node in ast.parse(text).body
                if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_graded_edges", "_zero_edges"}
+    assert not defined & {"_graded_edges", "_zero_edges", "_gk15_mesh", "_panel_counts"}
 
 
 def test_exp_sum_tail_called_from_one_place():
@@ -301,10 +301,10 @@ def test_no_interpolated_profiles_in_package():
 
 
 def test_one_kernel_mesh_sum():
-    # every kernel mesh is swept by _radial_sum; the d = 3 tail bound reads
-    # the nodes of the last panels
-    assert _callers(MODULES["radial_kernels.py"], "_gk15_mesh") == {"_radial_sum",
-                                                                    "_kernel_values_3d"}
+    # every kernel mesh is swept by _radial_sum: the d = 1 head per part and
+    # the d = 2 and 3 meshes, each called with its cuts and their kink flags
+    assert _callers(MODULES["radial_kernels.py"], "_radial_sum") == {
+        "_kernel_values_1d", "_kernel_values_2d_K", "_kernel_values_2d_L", "_kernel_values_3d"}
 
 
 def test_one_planar_norm_integrand():

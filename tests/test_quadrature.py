@@ -13,6 +13,8 @@ from felab.quadrature import (
     gk15_sums,
     integrate_adaptive,
     integrate_oscillatory_tail,
+    kink_mesh,
+    kink_rules,
     tail_power_periodic,
 )
 from oracles import bessel_j, bessel_zeros, gegenbauer, integrate_composite
@@ -109,6 +111,65 @@ class TestPanelRule:
         assert nodes.shape == weights.shape == (15,)
         assert np.array_equal(nodes, -nodes[::-1])
         assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestKinkRules:
+    """The 16-point rules of the kernel meshes: Gauss-Legendre, and Gauss-Jacobi
+    for (1 + x)^a, (1 - x)^a and (1 - x^2)^a with the weight divided out, each
+    exact for its weight times a polynomial of degree 31."""
+
+    @staticmethod
+    def moments(a: float, k: int):
+        """Closed forms of int_-1^1 w x^k for the weights (1 + x)^a, (1 - x)^a and
+        (1 - x^2)^a, and of int w |x|^k, the scale of a sum's rounding: with
+        x = 2u - 1 the first is sum_j C(k, j) (-1)^(k-j) 2^(a+j+1) B(a+j+1, 1), the
+        second (-1)^k times it, the third B((k+1)/2, a+1) at even k and 0 at odd k."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            left = mpmath.fsum(mpmath.binomial(k, j) * (-1) ** (k - j) * 2 ** (am + j + 1)
+                               * mpmath.beta(am + j + 1, 1) for j in range(k + 1))
+            both = 0 if k % 2 else mpmath.beta(mpmath.mpf(k + 1) / 2, am + 1)
+            exact = [float(left), float((-1) ** k * left), float(both)]
+            scale = [float(mpmath.quad(lambda x: (1 + x) ** am * abs(x) ** k, [-1, 0, 1]))] * 2
+            scale.append(float(mpmath.beta(mpmath.mpf(k + 1) / 2, am + 1)))
+        return exact, scale
+
+    @pytest.mark.parametrize("a", [0.2, 1.4, 2.2, 4.6])
+    def test_exact_to_degree_31(self, a):
+        rules = kink_rules(a)
+        for k in range(32):
+            exact, scale = self.moments(a, k)
+            for (x, w), weight, want, size in zip(
+                    rules[1:], ((1 + rules[1, 0]) ** a, (1 - rules[2, 0]) ** a,
+                                (1 - rules[3, 0] ** 2) ** a), exact, scale):
+                assert abs(w * weight @ x ** k - want) <= 1e-14 * size, (a, k)
+
+    @pytest.mark.parametrize("a", [0, 0.0, None])
+    def test_no_kink_is_gauss_legendre(self, a):
+        x, w = np.polynomial.legendre.leggauss(16)
+        for rule in kink_rules(a):
+            assert np.array_equal(rule[0], x) and np.array_equal(rule[1], w)
+
+    def test_mesh_takes_each_rule_where_its_kink_is(self):
+        # segments [0, 0.5] (kink at its end), [0.5, 1.1] (both ends, m = 1) and
+        # [1.1, 2.3] (m = 3: a left kink, a plain panel, a right kink)
+        cuts, kinked = np.array([0.0, 0.5, 1.1, 2.3]), np.array([False, True, True, True])
+        rules = kink_rules(1.7)
+        nodes, weights = kink_mesh(cuts, kinked, [1, 1, 3], rules)
+        panels = [(0.0, 0.5, 2), (0.5, 1.1, 3), (1.1, 1.5, 1), (1.5, 1.9, 0), (1.9, 2.3, 2)]
+        assert nodes.shape == weights.shape == (16 * len(panels),)
+        for i, (lo, hi, r) in enumerate(panels):
+            half = 0.5 * (hi - lo)
+            got = slice(16 * i, 16 * i + 16)
+            assert np.allclose(nodes[got], lo + half * (1 + rules[r, 0]), rtol=0, atol=4e-16)
+            assert np.allclose(weights[got], half * rules[r, 1], rtol=1e-15, atol=0)
+        # a kink at a panel's left end is integrated exactly: (t - 1.1)^1.7 t^3 on [1.1, 1.5]
+        mpmath = pytest.importorskip("mpmath")
+        exact = float(mpmath.quad(lambda t: (t - mpmath.mpf("1.1")) ** mpmath.mpf("1.7") * t ** 3,
+                                  [mpmath.mpf("1.1"), mpmath.mpf("1.5")]))
+        got = slice(32, 48)
+        assert abs(weights[got] @ ((nodes[got] - 1.1) ** 1.7 * nodes[got] ** 3) - exact) <= 1e-14
 
 
 class TestAdaptive:

@@ -39,6 +39,8 @@ from oracles import (
     disc_norm_band,
     empirical_holder_exponent,
     gamma_asymptotic_fit,
+    gk15_kernel_sum,
+    graded_kernel_sum,
     integrate_composite,
     k2_to_120,
     lens_area,
@@ -244,19 +246,20 @@ class TestKernel1D:
 
     def test_head_memory_bounded(self, monkeypatch):
         # the head's cos(2 pi outer(radii, nodes)) in one piece would take
-        # 2048 x 720 doubles (12 MB) on the 48 even-q panels; swept in row
-        # blocks it stays small
+        # 2048 x 704 doubles (11.5 MB) on its 22 16-point panels a zero segment
+        # at r <= 96; swept in row blocks it stays small
         import tracemalloc
 
         swept = []
-        inner = radial_kernels._radial_sum
+        inner = radial_kernels.kink_mesh
 
-        def spy(kind, d, q, radii, edges, order=0):
-            swept.append(len(edges) - 1)
-            return inner(kind, d, q, radii, edges, order)
+        def spy(*args):
+            nodes, weights = inner(*args)
+            swept.append(len(nodes))
+            return nodes, weights
 
-        monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
-        r = np.linspace(0.0, 6.0, 2048)
+        monkeypatch.setattr(radial_kernels, "kink_mesh", spy)
+        r = np.linspace(0.0, 96.0, 2048)
         kernel_values("K", 1, 4.0, r[:4])  # warm up first
         tracemalloc.start()
         try:
@@ -264,8 +267,8 @@ class TestKernel1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert swept == [48, 48]
-        assert peak < 0.25 * len(r) * 15 * swept[-1] * 8
+        assert swept == [32, 704]
+        assert peak < 0.25 * len(r) * swept[-1] * 8
         assert np.max(np.abs(vals - exact_kernel_1d("K", 4)(r))) < 1e-13
         # a radius's value does not depend on the block it falls in
         sub, _ = kernel_values("K", 1, 4.0, r[::97])
@@ -470,7 +473,7 @@ class TestKernel2D:
 class TestKernelHeads:
     """The d = 2 and d = 3 kernel meshes are cut at the zeros of B^, the
     |t|^{q-2} kinks of g: at non-even q each head matches a mesh of 32 equal
-    panels a zero segment on the same [0, end]."""
+    GK15 panels a zero segment on the same [0, end]."""
 
     @pytest.mark.parametrize("kind, d, q", [
         ("K", 2, 3.5), ("K", 2, 3.7), ("L", 2, 4.2), ("K", 3, 3.7), ("L", 3, 6.6)])
@@ -485,11 +488,55 @@ class TestKernelHeads:
 
         monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
         kernel_values(kind, d, q, np.linspace(0.3, 4.0, 38))
-        [((_, _, _, radii, edges), head)] = heads
-        end = edges[-1]
-        cuts = np.unique(np.r_[0.0, radial_kernels._ball_hat_zeros(d, end), end])
+        [((_, _, _, radii, cuts, _), head)] = heads
+        end = cuts[-1]
+        zeros = radial_kernels._ball_hat_zeros(d, end)
+        assert np.array_equal(cuts, np.unique(np.r_[0.0, zeros, end]))
         fine = np.r_[(cuts[:-1, None] + np.diff(cuts)[:, None] * np.arange(32) / 32).ravel(), end]
-        assert np.max(np.abs(head - inner(kind, d, q, radii, fine))) <= 1e-10
+        assert np.max(np.abs(head - gk15_kernel_sum(kind, d, q, radii, fine))) <= 1e-10
+
+
+class TestKernelMeshAccuracy:
+    """Every kernel mesh sum against a GK15 mesh 8 times as fine on the same cuts,
+    graded toward each zero of B^ until the last panel holds ~2^-56 of its
+    segment's kink mass (``oracles.graded_kernel_sum``): within 1e-12 (1 + max |v|).
+    GK15 end panels 1/24 of a zero segment wide, ungraded, missed it at L(2, 3.4)
+    by 6e-11 (1 + max |v|)."""
+
+    @staticmethod
+    def sums(monkeypatch, run):
+        got = []
+        inner = radial_kernels._radial_sum
+
+        def spy(*args):
+            out = inner(*args)
+            got.append((args, out.copy()))
+            return out
+
+        monkeypatch.setattr(radial_kernels, "_radial_sum", spy)
+        run()
+        return got
+
+    @pytest.mark.parametrize("kind, d, q, n", [
+        ("L", 2, 3.4, 33), ("K", 2, 5.4, 33), ("L", 2, 6.0, 33), ("K", 3, 3.7, 33),
+        ("L", 3, 3.6, 5), ("K", 1, 3.81, 33), ("L", 1, 4.5, 33), ("K", 2, 3.5, 33)])
+    def test_kernels(self, kind, d, q, n, monkeypatch):
+        r = np.linspace(0.0, max(q, 4.0), n)[1:]
+        [((_, _, _, radii, cuts, *_), head)] = self.sums(
+            monkeypatch, lambda: kernel_values(kind, d, q, r))
+        ref = graded_kernel_sum(kind, d, q, radii, cuts)
+        assert np.max(np.abs(head - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("q", [3.5, 4.37])
+    def test_d1_antiderivatives(self, q, monkeypatch):
+        # the expansion terms' first and second antiderivatives in r share the head
+        x, t = np.linspace(0.0, 2.2, 23), np.linspace(0.01, 4.4, 23)
+        got = self.sums(monkeypatch, lambda: radial_kernels._kernel_values_1d(
+            q, ("K", 1, x), ("L", 2, t)))
+        assert [args[6] for args, _ in got] == [1, 2]
+        for (kind, d, _, radii, cuts, _, order), head in got:
+            ref = graded_kernel_sum(kind, d, q, radii, cuts, order)
+            assert np.max(np.abs(head - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestMeshRefusal:
@@ -622,14 +669,15 @@ class TestKMeshEnd:
 class TestKernel3D:
     def test_l_kernel_memory_bounded(self):
         # L-kind at q = 3.6 cuts the radial integral at 1e8^(1/2.2) ~ 4.3e3:
-        # four panels on each of ~8,700 zero segments, ~5.2e5 mesh nodes, so a
-        # one-piece sine matrix would take 16 x 5.2e5 doubles (~66 MB)
+        # one 16-point panel on each of ~8,700 zero segments at r <= 3, ~1.4e5
+        # mesh nodes, so a one-piece sine matrix for 46 radii would take 46 x
+        # 1.4e5 doubles (~51 MB)
         import tracemalloc
 
-        from felab.quadrature import zero_segment_edges
-        from felab.radial_kernels import _ball_hat_zeros, _g_radial, _gk15_mesh, _panel_counts
+        from felab.quadrature import kink_mesh, kink_rules
+        from felab.radial_kernels import _PERIODS, _ball_hat_zeros, _g_radial
         q = 3.6
-        r = np.linspace(0.05, 3.0, 16)
+        r = np.linspace(0.05, 3.0, 46)
         tracemalloc.start()
         try:
             vals, _ = kernel_values("L", 3, q, r)
@@ -638,13 +686,13 @@ class TestKernel3D:
             tracemalloc.stop()
         r_cut = 1e8 ** (1.0 / (2.0 * (q - 2.0) - 1.0))
         cuts = np.r_[0.0, _ball_hat_zeros(3, r_cut), r_cut]
-        m = _panel_counts("L", 3, cuts, r, 1.0 / 24)
-        nodes, weights = _gk15_mesh(zero_segment_edges(cuts, m, 1.0 / 24))
+        m = np.ceil(np.diff(cuts) * r.max() / _PERIODS)
+        nodes, weights = kink_mesh(cuts, (cuts > 0) & (cuts < r_cut), m, kink_rules(q - 2.0))
         assert peak < 0.25 * len(r) * len(nodes) * 8
-        # direct reference on the kernel's own edges, one radius at a time
+        # direct reference on the kernel's own nodes, one radius at a time
         base_w = weights * _g_radial("L", 3, q, nodes) * nodes
-        ref = np.array([(2.0 / x) * (np.sin(2 * np.pi * (x * nodes)) @ base_w) for x in r])
-        assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-12
+        ref = np.array([(2.0 / x) * (np.sin(2 * np.pi * (x * nodes)) @ base_w) for x in r[::3]])
+        assert np.max(np.abs(vals[::3] - ref) / np.abs(ref)) < 1e-12
 
     @pytest.mark.parametrize("r", [0.3, 0.9, 1.5, 1.9])
     def test_l4_matches_lens_volume(self, r):
