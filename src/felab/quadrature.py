@@ -11,9 +11,9 @@ runs on this module:
   of B^.
 * ``kink_rules`` / ``kink_mesh`` -- the kernel meshes' 16-point panels:
   Gauss-Legendre where the integrand is smooth, and at a |t|^a kink on a
-  panel end the Gauss-Jacobi rule of (1 +- x)^a or (1 - x^2)^a (Golub and
-  Welsch, Math. Comp. 23, 1969; DLMF 3.5(v)), weights divided by the
-  weight function, so that a panel ending at a kink needs no grading.
+  panel end the Gauss-Jacobi rule of (1 +- x)^a or (1 - x^2)^a (scipy's
+  ``roots_jacobi``; DLMF 3.5(v)), weights divided by the weight function,
+  so that a panel ending at a kink needs no grading.
 * ``integrate_adaptive``    -- adaptive bisection (QUADPACK's QAGP) from
   panels cut at known kinks, a round of splits per call: the reference of
   the fixed meshes, which no module calls.  Identical inputs give
@@ -243,40 +243,6 @@ _LEGENDRE_16 = np.polynomial.legendre.leggauss(16)
 _PLAIN_RULES = np.broadcast_to(np.array(_LEGENDRE_16), (4, 2, 16))
 
 
-def _jacobi_16(alpha: np.ndarray, beta: np.ndarray):
-    """16-point Gauss rules of the weights (1 - x)^alpha (1 + x)^beta on [-1, 1], one
-    row each for the (rules, 1) arrays alpha and beta: the eigenvalues of the Jacobi
-    matrix of the orthonormal recurrence (Golub-Welsch; DLMF 18.9.2), one Newton
-    step on p_16, and the Christoffel weights 1 / sum_{j<16} p_j^2, a sum of squares
-    that keeps the small weights' digits, moved with the nodes to first order.  Of
-    the moments x^k (1 + x)^0.2, k < 32, scipy's roots_jacobi misses some by 3.1e-14
-    of their scale, and the eigenvectors' weights miss those of (1 - x^2)^4.6 by
-    1.0e-14; these rules stay within 1e-14."""
-    k, ab = np.arange(17.0), alpha + beta
-    s = 2.0 * k + ab
-    diag = np.c_[(beta - alpha) / (ab + 2.0),
-                 (beta * beta - alpha * alpha) / (s[:, 1:] * (s[:, 1:] + 2.0))]
-    k, s = k[1:], s[:, 1:]
-    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0)))
-    log_mass = ((ab + 1.0) * math.log(2.0) + special.gammaln(alpha + 1.0)
-                + special.gammaln(beta + 1.0) - special.gammaln(ab + 2.0))
-
-    jacobi = np.zeros((len(diag), 16, 16))
-    jacobi[:, range(16), range(16)], jacobi[:, range(1, 16), range(15)] = diag[:, :16], off[:, :15]
-    x = np.linalg.eigvalsh(jacobi)  # from the lower triangle
-    steps = [(diag[:, j, None], 1.0 / off[:, j, None], off[:, j - 1, None]) for j in range(16)]
-    # p_16 and sum_{j<16} p_j^2 with their x-derivatives (p_-1 = 0 drops off[:, -1]),
-    # for a Newton step on the nodes and the weights' first-order move with it
-    p0, p1, d0, d1 = 0.0, np.exp(-0.5 * log_mass) + 0.0 * x, 0.0, 0.0
-    total, slope = 0.0, 0.0
-    for a, inv_b, b0 in steps:
-        total, slope = total + p1 * p1, slope + 2.0 * p1 * d1
-        t = x - a
-        p0, p1, d0, d1 = p1, (t * p1 - b0 * p0) * inv_b, d1, (p1 + t * d1 - b0 * d0) * inv_b
-    step = p1 / d1
-    return x - step, 1.0 / (total - slope * step)
-
-
 def kink_rules(a: float | None) -> np.ndarray:
     """The four 16-point rules of a kernel mesh's panels on [-1, 1], shape (4, 2, 16)
     as (rule, nodes | weights): Gauss-Legendre, then the Gauss-Jacobi rules of the
@@ -287,7 +253,8 @@ def kink_rules(a: float | None) -> np.ndarray:
     kink) all four are Gauss-Legendre, built once."""
     if not a:
         return _PLAIN_RULES
-    (x, xx), (w, ww) = _jacobi_16(np.array([[0.0], [a]]), np.array([[a], [a]]))
+    x, w = special.roots_jacobi(16, 0.0, a)  # the weight (1 + x)^a
+    xx, ww = special.roots_jacobi(16, a, a)
     w /= (1.0 + x) ** a  # 1 + x is exact where (1 + x)^a is small
     return np.array([_LEGENDRE_16, (x, w), (-x[::-1], w[::-1]), (xx, ww / (1.0 - xx * xx) ** a)])
 

@@ -35,16 +35,17 @@ Profile evaluation
 Every kernel mesh is one sum, |S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho)
 drho, w_1 = cos, w_2 = J_0, w_3(y) = sin y / y, cut at the zeros of B^ (the
 |t|^a kinks of g, a = q - 1 for K and q - 2 for L): each zero segment holds
-m equal 16-point panels, m set by the largest radius so that none spans more
-than 2.2 periods of w_d.  At non-even q a panel that ends at a zero takes the
+m equal 16-point panels, m set by the largest radius and by a so that none
+spans more than 2.2 periods of w_d or 1 / (1.2 sqrt(a)) in rho, where the
+peaks of g narrow.  At non-even q a panel that ends at a zero takes the
 Gauss-Jacobi rule of (1 +- x)^a, or of (1 - x^2)^a where m = 1, and
 integrates the kink as Gauss-Legendre, which every other panel takes (all
 of them at even q), integrates a smooth g.  Each mesh refuses, once, a
-radius past a fixed bound, where a period would span fewer than four node
-gaps of a GK15 panel 1/48 (d = 1), 1/24 (d = 2 K, d = 3) or 1/12 (d = 2 L)
-wide: 115.5, 57.75 and 28.88.  ``kernel_values`` adds one fixed slack,
-_KERNEL_SLACK (1 + |v|), to every error.  d = 1: the mesh is a head on
-[0, 1], two zero segments; past it g(xi) = pi^{-s} xi^{-s}
+radius past a fixed bound, 115.5 (d = 1), 57.75 (d = 2 K, d = 3) or 28.88
+(d = 2 L), the reach of the GK15 meshes these panels replaced.
+``kernel_values`` adds one fixed slack, _KERNEL_SLACK (1 + |v|), to every
+error.  d = 1: the mesh is a head on [0, 1], two zero segments; past it
+g(xi) = pi^{-s} xi^{-s}
 P(2 pi xi), s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or
 |sin u|^{q-2}, and one table of P's Fourier series (finite for q = 4, 6, 8)
 meets the power tails int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients
@@ -232,13 +233,20 @@ def _series(kind: str, q: float) -> tuple:
     return freqs, coeffs, trunc
 
 
-def _check_resolved(kind: str, d: int, radii: np.ndarray, width: float) -> None:
-    """Refuse radii whose period spans fewer than four node gaps of a ``width``-wide
-    GK15 panel: each kernel mesh's fixed bound on the radii it serves."""
-    bound = 0.25 / np.max(np.diff(gk15_panels(0.0, 0.5 * width)[0]))
+# the largest radius each kernel mesh serves, by (d, kind): fixed bounds, a period
+# of w_d per four node gaps of the GK15 panels 1/48 (d = 1), 1/24 (d = 2 K, d = 3)
+# and 1/12 (d = 2 L) wide that meshed the kernels before the 16-point panels, which
+# keep >= 7 nodes a period up to them
+_MAX_RADIUS = {(1, "K"): 115.5, (1, "L"): 115.5, (2, "K"): 57.75, (2, "L"): 28.875,
+               (3, "K"): 57.75, (3, "L"): 57.75}
+
+
+def _check_resolved(kind: str, d: int, radii: np.ndarray) -> None:
+    """Refuse radii past the kernel mesh's bound, _MAX_RADIUS[d, kind]."""
+    bound = _MAX_RADIUS[d, kind]
     if np.any(radii > bound):
         raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {bound:.4g}, "
-                          f"where their mesh keeps four nodes a period; got r = {np.max(radii):.6g}")
+                          f"the fixed bound of their mesh; got r = {np.max(radii):.6g}")
 
 
 # every kernel value's error adds _KERNEL_SLACK (1 + |value|), which the d = 1
@@ -252,13 +260,15 @@ _PAIR_CHUNK = 1 << 16
 
 # |S^{d-1}| (exact: omega(1) is 2 less an ulp), the radial wave w_d of a radial
 # profile's inverse transform and, on the line, the waves of its antiderivatives
-# (1 - cos y as 2 sin^2(y/2), exact at small y); the d = 1 head, graded or plain
+# (1 - cos y as 2 sin^2(y/2), exact at small y); the d = 1 head's cuts and kink flags
 _SPHERE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _WAVE = {(1, 0): np.cos, (2, 0): special.j0, (3, 0): lambda y: np.sin(y) / y,
          (1, 1): np.sin, (1, 2): lambda y: 2.0 * np.sin(0.5 * y) ** 2}
 _HEAD_CUTS, _HEAD_KINKS = np.array([0.0, 0.5, 1.0]), np.array([False, True, True])
-# a kernel mesh's panels span at most _PERIODS periods of w_d at the largest radius
-_PERIODS = 2.2
+# a kernel mesh's panels span at most _PERIODS periods of w_d at the largest radius,
+# and at most 1 / (_PEAK sqrt(a)) in rho, as the peaks of g ~ |B^|^a narrow like
+# 1 / sqrt(a): within 6e-14 (1 + max |v|) of a fine graded mesh up to the float range
+_PERIODS, _PEAK = 2.2, 1.2
 
 
 def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray,
@@ -267,16 +277,18 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray
     w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0), or in d = 1 its ``order``-th
     antiderivative in r, w(y) / (2 pi rho)^order.
 
-    Each segment between ``cuts`` holds m = ceil(length x max r / _PERIODS) equal
-    16-point panels (``quadrature.kink_mesh``).  At non-even q a panel that ends at
-    a ``kinked`` cut, a zero of B^ where g has a |t|^a kink (a = q - 1 for K, q - 2
-    for L), takes the Gauss-Jacobi rule of that kink, and every other panel
-    Gauss-Legendre, as all do at even q.  The mesh is swept in blocks of at most
-    _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK nodes, each against
-    as many radii as fit.  Its callers refuse the radii it does not resolve.
+    Each segment between ``cuts`` holds m = ceil(length x max(max r / _PERIODS,
+    _PEAK sqrt(a))) equal 16-point panels (``quadrature.kink_mesh``), a = q - 1
+    for K and q - 2 for L.  At non-even q a panel that ends at a ``kinked`` cut, a
+    zero of B^ where g has a |t|^a kink, takes the Gauss-Jacobi rule of that kink,
+    and every other panel Gauss-Legendre, as all do at even q.  The mesh is swept
+    in blocks of at most _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK
+    nodes, each against as many radii as fit.  Its callers refuse the radii it does not resolve.
     """
-    rules = kink_rules((q - 1.0 if kind == "K" else q - 2.0) if q % 2 else None)
-    m = np.maximum(1, np.ceil(np.diff(cuts) * radii.max(initial=0.0) / _PERIODS)).astype(int)
+    a = q - 1.0 if kind == "K" else q - 2.0
+    rules = kink_rules(a if q % 2 else None)
+    per_length = max(radii.max(initial=0.0) / _PERIODS, _PEAK * math.sqrt(a))
+    m = np.ceil(np.diff(cuts) * per_length).astype(int)
     out = np.zeros_like(radii)
     step = max(1, _PAIR_CHUNK // (16 * int(m.max())))  # segments per run
     for lo in range(0, len(m), step):
@@ -301,13 +313,13 @@ def _kernel_values_1d(q: float, *parts):
     order 1 the phase turns by -i; at order 2 the tail is T(0) - T(x), T the
     order-0 sum.  The parts share that exponent (K at order 1 with L at order
     2, or one part), and one call when they fit.  Each part refuses radii past
-    115.5 (``_check_resolved`` at width 1/48); up to there the head errs by
-    <= 3e-15 (1 + max |v|) against a graded GK15 mesh 8 times as fine."""
+    115.5 (``_check_resolved``); up to there the head errs by <= 3e-15
+    (1 + max |v|) against a graded GK15 mesh 8 times as fine at q <= 6."""
     blocks, out = [], []
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
-        _check_resolved(kind, 1, x, 1.0 / 48)
+        _check_resolved(kind, 1, x)
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -388,7 +400,7 @@ def _kernel_values_2d_K(q: float, x: np.ndarray):
     at most _KERNEL_SLACK / 10.  The bound times Z^s, s = 3q/2 - 2, rises with Z (each
     harmonic's share does, and env M_0 Z^s up to ~1e-5), so the bound at 120 predicts
     that zero from above, and one more bound there confirms it."""
-    _check_resolved("K", 2, x, 1.0 / 24)
+    _check_resolved("K", 2, x)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
     bound = _harmonic_tail_bound("K", q, x, cuts[-1])
     end = cuts[-1] * (np.max(bound) / (0.1 * _KERNEL_SLACK)) ** (1.0 / (1.5 * q - 2.0))
@@ -488,7 +500,7 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
     Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), ``_a0_tail`` sums the a_0
     part a_0 env(rho) J_0(2 pi r rho) in closed form, and ``_harmonic_tail_bound``
     covers the other harmonics."""
-    _check_resolved("L", 2, x, 1.0 / 12)
+    _check_resolved("L", 2, x)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
     z, values = cuts[-1], _radial_sum("L", 2, q, x, cuts, cuts > 0.0)
     tail, errors = _a0_tail(q, x, z)
@@ -500,7 +512,7 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
-    _check_resolved(kind, 3, x, 1.0 / 24)
+    _check_resolved(kind, 3, x)
     zeros = _ball_hat_zeros(3, r_cut)
     cuts = np.unique(np.r_[0.0, zeros, r_cut])
     out = _radial_sum(kind, 3, q, x, cuts, np.isin(cuts, zeros))

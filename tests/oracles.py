@@ -335,11 +335,12 @@ def gk15_kernel_sum(kind: str, d: int, q: float, radii, edges, order: int = 0) -
 
 def graded_kernel_sum(kind: str, d: int, q: float, radii, cuts, order: int = 0) -> np.ndarray:
     """The kernel mesh sum over [cuts[0], cuts[-1]] on a fine GK15 mesh graded toward
-    every cut but 0: 8 max(2, ceil(length max r / 2)) equal panels a segment between end
-    panels 1/64 of it wide, and ceil(56 / (a + 1)) halvings toward each cut (a = q - 1
-    for K, q - 2 for L), so the last panel holds ~2^-56 of its segment's |t|^a mass."""
+    every cut but 0: 8 max(2, ceil(length max(max r / 2, sqrt(q)))) equal panels a
+    segment (g's peaks narrow like 1 / sqrt(q)) between end panels 1/64 of it wide, and
+    ceil(56 / (a + 1)) halvings toward each cut (a = q - 1 for K, q - 2 for L), so the
+    last panel holds ~2^-56 of its segment's |t|^a mass."""
     a = q - 1.0 if kind == "K" else q - 2.0
-    n = 8 * np.maximum(2, np.ceil(np.diff(cuts) * np.max(radii) / 2.0))
+    n = 8 * np.maximum(2, np.ceil(np.diff(cuts) * max(np.max(radii) / 2.0, math.sqrt(q))))
     edges = zero_segment_edges(cuts, n, 1.0 / 64, math.ceil(56.0 / (a + 1.0)))
     return gk15_kernel_sum(kind, d, q, radii, edges, order)
 

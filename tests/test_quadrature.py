@@ -116,7 +116,9 @@ class TestPanelRule:
 class TestKinkRules:
     """The 16-point rules of the kernel meshes: Gauss-Legendre, and Gauss-Jacobi
     for (1 + x)^a, (1 - x)^a and (1 - x^2)^a with the weight divided out, each
-    exact for its weight times a polynomial of degree 31."""
+    exact for its weight times a polynomial of degree 31: to 1e-13 of int w |x|^k,
+    where scipy's roots_jacobi misses by up to 3.1e-14, a tenth of the kernel
+    meshes' 1e-12 (1 + max |v|)."""
 
     @staticmethod
     def moments(a: float, k: int):
@@ -143,7 +145,7 @@ class TestKinkRules:
             for (x, w), weight, want, size in zip(
                     rules[1:], ((1 + rules[1, 0]) ** a, (1 - rules[2, 0]) ** a,
                                 (1 - rules[3, 0] ** 2) ** a), exact, scale):
-                assert abs(w * weight @ x ** k - want) <= 1e-14 * size, (a, k)
+                assert abs(w * weight @ x ** k - want) <= 1e-13 * size, (a, k)
 
     @pytest.mark.parametrize("a", [0, 0.0, None])
     def test_no_kink_is_gauss_legendre(self, a):

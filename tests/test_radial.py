@@ -247,7 +247,8 @@ class TestKernel1D:
     def test_head_memory_bounded(self, monkeypatch):
         # the head's cos(2 pi outer(radii, nodes)) in one piece would take
         # 2048 x 704 doubles (11.5 MB) on its 22 16-point panels a zero segment
-        # at r <= 96; swept in row blocks it stays small
+        # at r <= 96 (two a segment at the warm-up's r <= 0.15, where g's peak sets
+        # them); swept in row blocks it stays small
         import tracemalloc
 
         swept = []
@@ -267,7 +268,7 @@ class TestKernel1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert swept == [32, 704]
+        assert swept == [64, 704]
         assert peak < 0.25 * len(r) * swept[-1] * 8
         assert np.max(np.abs(vals - exact_kernel_1d("K", 4)(r))) < 1e-13
         # a radius's value does not depend on the block it falls in
@@ -522,6 +523,20 @@ class TestKernelMeshAccuracy:
         ("L", 3, 3.6, 5), ("K", 1, 3.81, 33), ("L", 1, 4.5, 33), ("K", 2, 3.5, 33)])
     def test_kernels(self, kind, d, q, n, monkeypatch):
         r = np.linspace(0.0, max(q, 4.0), n)[1:]
+        [((_, _, _, radii, cuts, *_), head)] = self.sums(
+            monkeypatch, lambda: kernel_values(kind, d, q, r))
+        ref = graded_kernel_sum(kind, d, q, radii, cuts)
+        assert np.max(np.abs(head - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("kind, d, q, r_max", [
+        ("K", 1, 20.0, 4.0), ("L", 2, 20.0, 1.0), ("K", 3, 40.5, 4.0),
+        ("L", 1, None, 4.0), ("K", 2, None, 4.0), ("L", 3, None, 4.0)])
+    def test_narrow_peaks(self, kind, d, q, r_max, monkeypatch):
+        # the peaks of g ~ |B^|^a narrow like 1 / sqrt(a) at any radius; None is
+        # q just below the float-range bound (q ~ 1025, 621, 497)
+        if q is None:
+            q = (1.0 + math.log(sys.float_info.max) / math.log(omega(d))) * (1.0 - 1e-12)
+        r = np.linspace(0.0, r_max, 17)[1:]
         [((_, _, _, radii, cuts, *_), head)] = self.sums(
             monkeypatch, lambda: kernel_values(kind, d, q, r))
         ref = graded_kernel_sum(kind, d, q, radii, cuts)
