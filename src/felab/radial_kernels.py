@@ -283,7 +283,8 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray
     zero of B^ where g has a |t|^a kink, takes the Gauss-Jacobi rule of that kink,
     and every other panel Gauss-Legendre, as all do at even q.  The mesh is swept
     in blocks of at most _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK
-    nodes, each against as many radii as fit.  Its callers refuse the radii it does not resolve.
+    nodes, each against as many radii as fit.  Its callers refuse the radii it does
+    not resolve.
     """
     a = q - 1.0 if kind == "K" else q - 2.0
     rules = kink_rules(a if q % 2 else None)
