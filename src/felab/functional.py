@@ -69,6 +69,16 @@ Routes
 
 Every Phi value is checked against the sharp Hausdorff-Young (Babenko)
 bound (p^{1/2p} q^{-1/2q})^d, which no indicator function can attain.
+
+State
+-----
+The module keeps one piece of mutable state, each thread's work arrays
+(``_buffer``), the one exception to felab's rule of no global mutable state.
+Arrays allocated at each call go back to the OS whenever glibc's trim
+threshold lies below them, and each call faults them in again: 230 minor
+faults a d = 1 search evaluation, about a third of a search's time.  Every
+caller fills the arrays it asks for before it reads them, and no two threads
+share one, so no result depends on an earlier call.
 """
 
 from __future__ import annotations

@@ -22,14 +22,15 @@ measure is *balanced* when F is orthogonal to every polynomial of degree
 achieve this for sets close to the ball, and ``balance`` realizes the
 construction as a damped Newton iteration on the degree-1 and degree-2
 moments, which it reads off the profile's Fourier coefficients as a sum over
-the set's own boundary, ``_profile_modes`` (the antisymmetric part of the
-linear update is neutral, so the iteration runs over symmetric traceless
-matrices plus translations).  In d = 1 the symmetric difference sums the
-signed pieces of ``_signed_pieces``, which the d = 1 expansion terms read
-too.  In d = 2 the symmetric difference and the ellipse fit take areas by
-Green's theorem on the arcs of each boundary inside the other set: one
-crossing search (``_crossings``) ends the arcs and one Gauss-Legendre arc
-rule (``_arcs``) integrates them.
+the set's own boundary, ``_profile_modes``, with their Jacobian as that
+sum's boundary flux (the antisymmetric part of the linear update is neutral,
+so the iteration runs over symmetric traceless matrices plus translations).
+In d = 1 the symmetric difference sums the signed pieces of
+``_signed_pieces``, which the d = 1 expansion terms read too.  In d = 2 the
+symmetric difference and the ellipse fit take areas by Green's theorem on
+the arcs of each boundary inside the other set: one crossing search
+(``_crossings``) ends the arcs and one Gauss-Legendre arc rule (``_arcs``)
+integrates them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -266,10 +266,6 @@ class StarSet:
 
     def with_measure(self, target: float) -> "StarSet":
         return self.dilate(math.sqrt(target / self.measure))
-
-    def star_origin(self) -> np.ndarray:
-        """Image of the base center: the set is star-shaped about this point."""
-        return self.affine(self.center)
 
     def centroid(self) -> np.ndarray:
         theta = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
@@ -565,8 +561,8 @@ def _dist_intervals(e: IntervalSet) -> EllipsoidFit:
 
 
 def _ellipse_overlap(body: StarSet, params, grid=None):
-    """|B cap Ell| at both orders of the arc rule, its gradient in
-    ``params`` and that gradient's rounding bound, for B = ``body``
+    """|B cap Ell| at both orders of the arc rule, its gradient and Hessian
+    in ``params`` and the gradient's rounding bound, for B = ``body``
     (star-shaped about the origin) and the area-pi ellipse m + M w(s),
     w = (cos s, sin s), M = R(phi) diag(alpha, beta), alpha = e^{psi/2} =
     1/beta, params = (m, psi, phi).
@@ -575,41 +571,62 @@ def _ellipse_overlap(body: StarSet, params, grid=None):
     1/2 int r^2 dtheta (the arc rule) and the ellipse's arcs inside B add
     1/2 int (m + M w) x M w' ds = 1/2 (m x M dw + ds) in closed form.  The
     arcs end at the crossings, which the search finds on B's boundary in the
-    ellipse's gap Q - 1 = |M^{-1}(P - m)|^2 - 1.  By Hadamard's formula the
-    gradient is int (dx/dp) x x' ds over the ellipse's arcs inside B alone:
-    (M dw)_y and -(M dw)_x for m, (1/4) d sin 2s for psi and -(alpha^2 -
-    beta^2)/4 d cos 2s for phi.  A crossing found to 8 ulp of the gap moves
-    by 8 eps / |dQ/dtheta|, which bounds the gradient's rounding with the
-    largest integrand, max(alpha, beta)^2.  ``grid`` is B's ``curve`` on
-    ``_sign_grid``, which a fit builds once.
+    ellipse's gap Q - 1 = |z|^2 - 1, z = M^{-1}(P - m).  By Hadamard's
+    formula the gradient is int (dx/dp) x x' ds over the ellipse's arcs
+    inside B alone, sum +-G(s) over the arcs' ends with G(s) = ((M w)_y,
+    -(M w)_x, sin 2s / 4, -(alpha^2 - beta^2) cos 2s / 4).  Its derivative,
+    the Hessian, is sum +-(dG/dp + G'(s) ds/dp): a crossing at B's angle
+    theta moves by dtheta/dp = -(dQ/dp)/(dQ/dtheta), so its ellipse angle
+    s = arg z by ds/dp = z x (dz/dp + z_theta dtheta/dp).  A crossing found
+    to 8 ulp of the gap moves by 8 eps / |dQ/dtheta|, which bounds the
+    gradient's rounding with the largest integrand, max(alpha, beta)^2.
+    ``grid`` is B's ``curve`` on ``_sign_grid``, which a fit builds once.
     """
     m, psi, phi = np.asarray(params[:2]), params[2], params[3]
     c, s = math.cos(phi), math.sin(phi)
     ab = np.array([math.exp(0.5 * psi), math.exp(-0.5 * psi)])
-    mat = np.array([[c, -s], [s, c]]) * ab
-    inv = np.array([[c, s], [-s, c]]) / ab[:, None]
+    a2, b2 = ab**2
+    rot = np.array([[c, -s], [s, c]])
+    mat, inv = rot * ab, rot.T / ab[:, None]
 
     def gap(p, dp):
         z, dz = (p - m) @ inv.T, dp @ inv.T
-        return (z * z).sum(axis=1) - 1.0, 2.0 * (z * dz).sum(axis=1), z
+        return (z * z).sum(axis=1) - 1.0, 2.0 * (z * dz).sum(axis=1), z, dz
 
-    cuts = _crossings(lambda theta: gap(*body.curve(theta)), body.n_modes,
-                      None if grid is None else gap(*grid))
+    cuts = _crossings(lambda theta: gap(*body.curve(theta))[:2], body.n_modes,
+                      None if grid is None else gap(*grid)[:2])
     inner, at_cuts = _arc_area(body, cuts, lambda p, dp: gap(p, dp)[0] < 1e-12, cuts)
-    _, slope, z = gap(*at_cuts)
-    ends = np.sort(np.arctan2(z[:, 1], z[:, 0]) % (2 * np.pi))
-    ends = np.append(ends, ends[0] + 2 * np.pi) if ends.size else np.array([0.0, 2 * np.pi])
+    _, slope, z, dz = gap(*at_cuts)
+    s_end = np.arctan2(z[:, 1], z[:, 0]) % (2 * np.pi)
+    order = np.argsort(s_end)
+    s_end, slope, z, dz = s_end[order], slope[order], z[order], dz[order]
+    ends = np.append(s_end, s_end[0] + 2 * np.pi) if s_end.size else np.array([0.0, 2 * np.pi])
     mid = 0.5 * (ends[:-1] + ends[1:])
     keep = body.gap(m + np.stack([np.cos(mid), np.sin(mid)], axis=1) @ mat.T) < -1e-12
-    s1, s2 = ends[:-1][keep], ends[1:][keep]
-    dw = mat @ [np.sum(np.cos(s2) - np.cos(s1)), np.sum(np.sin(s2) - np.sin(s1))]
-    outer = 0.5 * (m[0] * dw[1] - m[1] * dw[0] + np.sum(s2 - s1))
-    grad = np.array([dw[1], -dw[0], 0.25 * np.sum(np.sin(2 * s2) - np.sin(2 * s1)),
-                     -0.25 * (ab[0] ** 2 - ab[1] ** 2) * np.sum(np.cos(2 * s2) - np.cos(2 * s1))])
+    sign = (np.roll(keep, 1) * 1.0 - keep)[:len(s_end)]  # +1 where a kept arc ends
+    w = np.stack([np.cos(s_end), np.sin(s_end)], axis=1)
+    cos2, sin2 = w[:, 0] ** 2 - w[:, 1] ** 2, 2 * w[:, 0] * w[:, 1]
+    dw, dw_psi = (sign @ w) * [ab, 0.5 * ab * [1, -1]] @ rot.T  # sum +-M w, +-dM/dpsi w
+    outer = 0.5 * (m[0] * dw[1] - m[1] * dw[0] + np.sum(ends[1:][keep] - ends[:-1][keep]))
+    grad = np.array([dw[1], -dw[0], 0.25 * (sign @ sin2), -0.25 * (a2 - b2) * (sign @ cos2)])
+    # the Hessian: dG/dp at fixed s (dM/dphi = J M), then G'(s) ds/dp with
+    # z . dz/dp and z x dz/dp at fixed theta
+    hess = np.zeros((4, 4))
+    hess[:2, 2], hess[:2, 3] = [dw_psi[1], -dw_psi[0]], dw
+    hess[3, 2] = -0.25 * (a2 + b2) * (sign @ cos2)
+    mdw = np.stack([-w[:, 1], w[:, 0]], axis=1) * ab @ rot.T
+    g_s = np.stack([mdw[:, 1], -mdw[:, 0], 0.5 * cos2, 0.5 * (a2 - b2) * sin2], axis=1)
+    zx = np.stack([-z[:, 1], z[:, 0]], axis=1)  # z x v = zx . v
+    z_dot = np.column_stack([-(z @ inv), 0.5 * (z[:, 1] ** 2 - z[:, 0] ** 2),
+                             (b2 - a2) * z[:, 0] * z[:, 1]])
+    z_cross = np.column_stack([-(zx @ inv), z[:, 0] * z[:, 1],
+                               -(a2 * z[:, 0] ** 2 + b2 * z[:, 1] ** 2)])
     eps = np.finfo(float).eps
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a tangent crossing: no bound
+        ds = z_cross - 2.0 * ((zx * dz).sum(axis=1) / slope)[:, None] * z_dot
+        hess += g_s.T @ (sign[:, None] * ds)
         bound = 8 * eps * (len(cuts) + np.sum(1.0 / np.abs(slope))) * np.max(ab) ** 2
-    return inner + outer, grad, bound
+    return inner + outer, grad, hess, bound
 
 
 def _moment_ellipse(body: StarSet) -> np.ndarray:
@@ -634,45 +651,46 @@ def _dist_star(e: StarSet) -> EllipsoidFit:
 
     |E cap Ell| / |E| is affine-invariant, so the fit runs on the base body B
     scaled to area pi about its star center, where ``_ellipse_overlap`` gives
-    the exact overlap and its gradient.  BFGS maximizes the overlap.  It
-    stops where the overlap's rounding hides a decrease; Newton steps on the
-    gradient alone, with a central-difference Hessian of it, then take the
-    gradient down while it falls.  ``converged`` says that it fell within
-    its rounding bound; the error is the arc rule's, from its two orders,
-    and the sum's rounding.
+    the exact overlap with its gradient and Hessian.  Newton steps maximize
+    the overlap.  The Hessian's eigenvalues are made negative, no flatter
+    than 1e-6 of the largest, so that each step climbs; a step is at most
+    0.2 long, and it shrinks to the peak of the overlap's quadratic along it
+    (by 0.1 to 0.5) until the overlap rises, or, where the rise is within the
+    overlap's rounding, until the gradient halves; twelve shrinks end the
+    fit.  ``converged`` says that the gradient fell within its rounding
+    bound; the error is the arc rule's, from its two orders, and the sum's
+    rounding.
     """
-    from scipy.optimize import minimize
-
     scale = math.sqrt(e.measure / e.affine.det / np.pi)
     body = StarSet(e.c0 / scale, e.a_coeffs / scale, e.b_coeffs / scale)
-    overlap_at = partial(_ellipse_overlap, body, grid=body.curve(_sign_grid(body.n_modes)[:-1]))
-
-    def objective(params):
-        overlap, grad, _ = overlap_at(params)
-        return 1.0 - overlap[0] / np.pi, -grad / np.pi
-
-    res = minimize(objective, _moment_ellipse(body), jac=True, method="BFGS",
-                   options={"gtol": 1e-6, "maxiter": 200})
-    x, (overlap, grad, bound) = res.x, overlap_at(res.x)
-    hess = None
-    for _ in range(4):
+    grid = body.curve(_sign_grid(body.n_modes)[:-1])
+    x = _moment_ellipse(body)
+    overlap, grad, hess, bound = _ellipse_overlap(body, x, grid)
+    noise = 16 * np.finfo(float).eps * np.pi
+    for _ in range(40):
         if np.max(np.abs(grad)) <= bound:
             break
-        if hess is None:  # central differences of the exact gradient
-            hess = np.array([overlap_at(x + 1e-6 * d)[1]
-                             - overlap_at(x - 1e-6 * d)[1] for d in np.eye(4)]) / 2e-6
-        trial = x - np.linalg.lstsq(hess, grad, rcond=None)[0]
-        t_overlap, t_grad, t_bound = overlap_at(trial)
-        if not np.max(np.abs(t_grad)) < np.max(np.abs(grad)):
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.maximum(np.abs(lam), 1e-6 * np.max(np.abs(lam)) + np.finfo(float).tiny)
+        step = vec @ ((vec.T @ grad) / lam)
+        step *= min(1.0, 0.2 / np.linalg.norm(step))
+        for _ in range(12):
+            trial = _ellipse_overlap(body, x + step, grid)
+            rise, slope = trial[0][0] - overlap[0], grad @ step
+            if rise > 1e-4 * slope + noise or (
+                    abs(rise) <= noise and np.max(np.abs(trial[1])) < 0.5 * np.max(np.abs(grad))):
+                break
+            step *= min(max(slope / (2 * (slope - rise)) if slope > rise else 0.5, 0.1), 0.5)
+        else:
             break
-        x, overlap, grad, bound = trial, t_overlap, t_grad, t_bound
+        x, (overlap, grad, hess, bound) = x + step, trial
     cx, cy, psi, phi = x
     c, s = math.cos(phi), math.sin(phi)
     mat = np.array([[c, -s], [s, c]]) * [math.exp(0.5 * psi), math.exp(-0.5 * psi)]
     ell = AffineMap(scale * e.affine.matrix @ mat,
                     e.affine(e.center + scale * np.array([cx, cy])))
     dist = max(0.0, 2.0 * (1.0 - overlap[0] / np.pi))
-    error = 2.0 * (abs(overlap[0] - overlap[1]) + 16 * np.finfo(float).eps * np.pi) / np.pi
+    error = 2.0 * (abs(overlap[0] - overlap[1]) + noise) / np.pi
     return EllipsoidFit(float(dist), ell, bool(np.max(np.abs(grad)) <= bound), float(error))
 
 
@@ -726,21 +744,30 @@ def boundary_profile(e, n_grid: int = 2048, n_modes: int = 32) -> SphereProfile:
     return SphereProfile(2, a, b, b - a, theta, _profile_modes(e, n_modes))
 
 
-def _profile_modes(e: StarSet, n_modes: int) -> np.ndarray:
+def _profile_modes(e: StarSet, n_modes: int, flux: bool = False):
     """F_hat[0..n_modes] of a planar profile from E's own boundary, with no
     ray solve.  F = (1 - r^2)/2 along rays from the origin, so for n >= 1
     F_hat[n] = -(2 pi)^{-1} int_E e^{-i n arg x} dx, and e^{-i n arg x} is
     0-homogeneous: div(x h / 2) = h, so by Green that integral is
     1/2 oint e^{-i n arg P} (P x P') dtheta.  The trapezoidal sum takes 256
     points per 32 modes of the set and the profile; F_hat[0] = (pi - |E|)/(2 pi)
-    from the same sum."""
+    from the same sum.
+
+    With ``flux``, also d F_hat / dz, one row per generator of ``balance``'s
+    step (x, -y), (y, x), (1, 0), (0, 1): a field V moves int_E h by the
+    boundary flux oint h(P) (V x P') dtheta, on the same sum."""
     k = 256 * (1 + (e.n_modes + n_modes) // 32)
     p, dp = e.curve(np.arange(k) * (2 * np.pi / k))
     z = p[:, 0] - 1j * p[:, 1]
     form = (p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]) * (np.pi / k)
-    f_hat = -(form @ np.vander(z / np.abs(z), n_modes + 1, increasing=True)) / (2 * np.pi)
+    waves = np.vander(z / np.abs(z), n_modes + 1, increasing=True)
+    f_hat = -(form @ waves) / (2 * np.pi)
     f_hat[0] += 0.5
-    return f_hat
+    if not flux:
+        return f_hat
+    fields = np.stack([p[:, 0] * dp[:, 1] + p[:, 1] * dp[:, 0],
+                       p[:, 1] * dp[:, 1] - p[:, 0] * dp[:, 0], dp[:, 1], -dp[:, 0]])
+    return f_hat, -(fields @ waves) / k
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +783,37 @@ class BalanceResult:
     converged: bool
 
 
+def _balance_moments(body: StarSet):
+    """The degree-1 and degree-2 moments of F on the orthonormal circle
+    restrictions cos/sin(n theta)/sqrt(pi), n = 1, 2, of {x, y, x^2 - y^2,
+    xy}: 2 sqrt(pi) (Re F_hat[n], -Im F_hat[n]), and their Jacobian in the
+    step z of ``_balance_step`` at z = 0.  Mode 0 is fixed by the measure
+    constraint and is not part of the residual."""
+    f_hat, d_hat = _profile_modes(body, 2, flux=True)
+    res = np.column_stack([f_hat[1:].real, -f_hat[1:].imag]).ravel()
+    jac = np.stack([d_hat[:, 1:].real, -d_hat[:, 1:].imag], axis=2).reshape(4, 4).T
+    return 2 * math.sqrt(np.pi) * res, 2 * math.sqrt(np.pi) * jac
+
+
+def _balance_step(z) -> AffineMap:
+    """x -> (I + S) x / sqrt(det(I + S)) + (z2, z3), S = [[z0, z1], [z1, -z0]]
+    with det(I + S) = 1 - z0^2 - z1^2 > 0: measure-preserving, with
+    velocities (x, -y), (y, x), (1, 0), (0, 1) at 0."""
+    s = np.array([[z[0], z[1]], [z[1], -z[0]]])
+    return AffineMap((np.eye(2) + s) / math.sqrt(1.0 - z[0] ** 2 - z[1] ** 2),
+                     np.array([z[2], z[3]]))
+
+
 def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
-    """Measure-preserving affine map making the boundary profile balanced."""
+    """Measure-preserving affine map making the boundary profile balanced.
+
+    In d = 2 the set is dilated to ball measure; then Newton steps over
+    symmetric traceless linear parts plus translations (antisymmetric parts
+    act trivially on the degree-<=2 moments) drive the moments to zero.  The
+    moments and their Jacobian are one boundary sum on the current set
+    (``_balance_moments``); a step is halved until it keeps det(I + S) above
+    0.1 and the largest moment falls.
+    """
     if e.dimension == 1:
         t = e.median()
         phi = AffineMap(np.eye(1), np.array([-t]))
@@ -765,59 +821,30 @@ def balance(e, max_iter: int = 12, tol: float = 1e-10) -> BalanceResult:
         prof = boundary_profile(moved)
         residual = float(np.max(np.abs(prof.f_vals)))
         return BalanceResult(phi, moved, residual, 1, residual <= max(tol, 1e-12))
-    # d = 2: re-dilate to ball measure, then Newton over symmetric traceless
-    # linear parts + translations (antisymmetric parts act trivially on the
-    # degree-<=2 moment map)
     scale = math.sqrt(np.pi / e.measure)
-    pre = AffineMap(scale * np.eye(2), np.zeros(2))
-    current = e.apply(pre)
-    total = pre
-
-    def moments(body):
-        """The degree-1 and degree-2 moments of F on the orthonormal circle
-        restrictions cos/sin(n theta)/sqrt(pi), n = 1, 2, of {x, y, x^2 - y^2,
-        xy}: 2 sqrt(pi) (Re F_hat[n], -Im F_hat[n]).  Mode 0 is fixed by the
-        measure constraint and is not part of the residual."""
-        f_hat = _profile_modes(body, 2)[1:]
-        return 2 * math.sqrt(np.pi) * np.column_stack([f_hat.real, -f_hat.imag]).ravel()
-
-    def step_map(z):
-        s = np.array([[z[0], z[1]], [z[1], -z[0]]])
-        det = 1.0 - z[0] ** 2 - z[1] ** 2
-        if det <= 0.1:
-            raise NonConvergenceError("balance step left the invertible regime", float("nan"))
-        lin = (np.eye(2) + s) / math.sqrt(det)
-        return AffineMap(lin, np.array([z[2], z[3]]))
-
-    res = moments(current)
+    total = AffineMap(scale * np.eye(2), np.zeros(2))
+    current = e.apply(total)
+    res, jac = _balance_moments(current)
     it = 0
     for it in range(1, max_iter + 1):
         if np.max(np.abs(res)) <= tol:
             break
-        jac = np.zeros((4, 4))
-        h = 1e-6
-        for k in range(4):
-            dz = np.zeros(4)
-            dz[k] = h
-            r_plus = moments(current.apply(step_map(dz)))
-            r_minus = moments(current.apply(step_map(-dz)))
-            jac[:, k] = (r_plus - r_minus) / (2 * h)
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             raise NonConvergenceError("singular balance Jacobian", float(np.max(np.abs(res))))
-        # damped update with step halving
         lam = 1.0
         for _ in range(8):
-            trial_map = step_map(lam * delta)
+            z, lam = lam * delta, 0.5 * lam
+            if z[0] ** 2 + z[1] ** 2 >= 0.9:
+                continue
+            trial_map = _balance_step(z)
             trial = current.apply(trial_map)
-            trial_res = moments(trial)
+            trial_res, trial_jac = _balance_moments(trial)
             if np.max(np.abs(trial_res)) < np.max(np.abs(res)):
-                current = trial
+                current, res, jac = trial, trial_res, trial_jac
                 total = trial_map.compose(total)
-                res = trial_res
                 break
-            lam *= 0.5
         else:
             raise NonConvergenceError("balance step failed to reduce the residual",
                                       float(np.max(np.abs(res))))

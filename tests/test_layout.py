@@ -234,6 +234,15 @@ def test_planar_fits_on_the_base_curve():
             names = {a.arg for a in node.args.args + node.args.kwonlyargs}
             assert not names & {"n_theta", "grid_resolution"}, node.name
     assert _callers(text, "_crossings") == {"_ellipse_overlap", "_intersection"}
+    # the fit is Newton on the overlap's closed-form Hessian: no scipy.optimize
+    assert _callers(text, "_ellipse_overlap") == {"_dist_star"}
+    imported = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any(name.startswith("scipy.optimize") for name in imported)
     assert _callers(text, "_bracketed_newton") == {"StarSet", "_crossings"}
     defined = {getattr(node, "name", None) or getattr(node, "id", None)
                for module in MODULES.values() for node in ast.walk(ast.parse(module))

@@ -216,13 +216,14 @@ class TestExpansionReport:
         assert rep.residual == 0.0
 
     def test_ball_norm_computed_once_per_exponent(self, monkeypatch):
-        # the reports of a family share the ball's Phi_q: one set each, one ball
+        # the reports of a family share the ball's Phi_q: one set each, one ball;
+        # called through the module, whose names the patch reaches after a re-import
         import felab.perturbation as pert
         from felab.functional import phi_q
         calls = []
         monkeypatch.setattr(pert, "phi_q", lambda e, *a, **k: calls.append(e) or phi_q(e, *a, **k))
         pert._ball_phi.cache_clear()
-        reps = [expansion_report(sliver_family_1d(eps), 3.7) for eps in (0.02, 0.05)]
+        reps = [pert.expansion_report(pert.sliver_family_1d(eps), 3.7) for eps in (0.02, 0.05)]
         assert len(calls) == 3
         ball = phi_q(IntervalSet([(-1.0, 1.0)]), 3.7, pert._TIGHT).norm_q_pow_q
         assert reps[0].base == reps[1].base == ball
@@ -241,6 +242,7 @@ class TestExpansionReport:
         assert rep.direct == rep.base
 
     def test_d2_sweeps_the_set_once(self, monkeypatch):
+        # called through the module, as above
         import felab.functional as functional
         import felab.perturbation as pert
         pert._ball_phi(2, 4.0)
@@ -253,8 +255,8 @@ class TestExpansionReport:
 
         monkeypatch.setattr(pert, "_polar_blocks", counted)
         monkeypatch.setattr(functional, "_polar_blocks", counted)
-        e = star_mode_family(0.015, 4)
-        expansion_report(e, 4.0)
+        e = pert.star_mode_family(0.015, 4)
+        pert.expansion_report(e, 4.0)
         assert len(sweeps) == 1 and sweeps[0] is e
 
     @pytest.mark.parametrize("e", [star_mode_family(0.02, 4), sliver_family_1d(0.02)])

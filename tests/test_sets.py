@@ -13,6 +13,8 @@ from felab.set_model import (
     AffineMap,
     IntervalSet,
     StarSet,
+    _balance_moments,
+    _balance_step,
     _ellipse_overlap,
     _moment_ellipse,
     _positive_on_circle,
@@ -30,6 +32,7 @@ from oracles import (
     ellipse_ray_overlap,
     integral_f,
     radius_about_origin_bisection,
+    seeded_star4,
 )
 
 
@@ -244,6 +247,36 @@ class TestEllipseFit:
                      - _ellipse_overlap(body, x - h * step)[0][0]) / (2 * h) for step in np.eye(4)]
             assert np.max(np.abs(grad - diff)) <= 1e-6 * np.max(np.abs(grad))
 
+    def test_hessian_matches_central_differences(self):
+        # the closed-form Hessian against central differences of the exact
+        # gradient, a step off the moment ellipse
+        h = 1e-6
+        for seed in range(40):
+            body = base_body(seeded_star4(seed))
+            x = _moment_ellipse(body) + [0.01, -0.02, 0.05, 0.1]
+            hess = _ellipse_overlap(body, x)[2]
+            diff = np.array([_ellipse_overlap(body, x + h * step)[1]
+                             - _ellipse_overlap(body, x - h * step)[1] for step in np.eye(4)]).T
+            assert np.max(np.abs(hess - diff / (2 * h))) <= 1e-6 * np.max(np.abs(hess)), seed
+
+    def test_seeded_fits_converge(self):
+        for seed in range(40):
+            assert dist_to_ellipsoids(seeded_star4(seed)).converged, seed
+
+    def test_newton_takes_few_overlaps(self, monkeypatch):
+        # Newton on the exact Hessian: at most eight overlaps a fit, in the median
+        import felab.set_model as set_model
+        calls = []
+        overlap = set_model._ellipse_overlap
+        monkeypatch.setattr(set_model, "_ellipse_overlap",
+                            lambda *a, **k: calls.append(1) or overlap(*a, **k))
+        counts = []
+        for seed in range(40):
+            calls.clear()
+            set_model.dist_to_ellipsoids(seeded_star4(seed))
+            counts.append(len(calls))
+        assert np.median(counts) <= 8
+
     def test_overlap_matches_fine_rays(self):
         # at the optimum, the exact overlap against a 65,536-ray mean and its
         # O(h^2) kink bias; the distance is that overlap's
@@ -358,6 +391,15 @@ class TestBalance:
         prof = boundary_profile(res.balanced_set, n_grid=512, n_modes=8)
         assert np.max(np.abs(prof.f_vals)) < 1e-6
 
+    def test_disc_near_the_origin(self):
+        # the origin 0.1 inside the boundary: the first Newton step would leave
+        # the invertible regime, so it is halved; the map is the translation
+        e = StarSet(1.0, affine=AffineMap(np.eye(2), np.array([0.9, 0.0])))
+        res = balance(e)
+        assert res.converged
+        assert np.max(np.abs(res.map.translation - [-0.9, 0.0])) < 1e-9
+        assert deviation_from_identity(AffineMap(res.map.matrix, np.zeros(2))) < 1e-9
+
     def test_map_size_tracks_symdiff(self):
         # ||phi - I|| <= C |E triangle B|, empirical C reported
         ratios = []
@@ -383,6 +425,18 @@ class TestBalance:
             f_hat = boundary_profile(res.balanced_set, n_grid=1024, n_modes=2).f_hat[1:]
             moments = 2 * math.sqrt(np.pi) * np.abs(np.concatenate([f_hat.real, f_hat.imag]))
             assert res.residual == np.max(moments)
+
+    def test_jacobian_matches_central_differences(self):
+        # the boundary-flux Jacobian against central differences of the
+        # moments under the balance step
+        h = 1e-5
+        for seed in range(40):
+            e = seeded_star4(seed)
+            jac = _balance_moments(e)[1]
+            diff = np.array([_balance_moments(e.apply(_balance_step(h * step)))[0]
+                             - _balance_moments(e.apply(_balance_step(-h * step)))[0]
+                             for step in np.eye(4)]).T
+            assert np.max(np.abs(jac - diff / (2 * h))) <= 1e-8 * np.max(np.abs(jac)), seed
 
     def test_low_modes_below_tol_after_balance(self):
         e = StarSet(1.0, a_coeffs=[0.02, 0.03, 0.01], b_coeffs=[0.01, 0.0, 0.02])
