@@ -6,10 +6,9 @@ runs on this module:
 * ``gk15_panels`` / ``gk15_sums`` -- the Gauss-Kronrod 15(7) panel rule
   (QUADPACK's qk15): the nodes and Kronrod weights of a batch of panels,
   and the Kronrod sums with the |K - G| rule error of values sampled on
-  them, under every GK15 mesh in the package; ``zero_segment_edges``
-  gives ``radial_head_tail``'s head its edges, cut and graded at the zeros
-  of B^.
-* ``kink_rules`` / ``kink_mesh`` -- the kernel meshes' 16-point panels:
+  them, under every GK15 mesh in the package.
+* ``kink_rules`` / ``kink_mesh`` -- the one mesh of every radial head, kernels
+  included: equal 16-point panels between the zeros of B^, swept in runs.
   Gauss-Legendre where the integrand is smooth, and at a |t|^a kink on a
   panel end the Gauss-Jacobi rule of (1 +- x)^a or (1 - x^2)^a (scipy's
   ``roots_jacobi``; DLMF 3.5(v)), weights divided by the weight function,
@@ -30,9 +29,10 @@ runs on this module:
   abscissa removes the algebraic remainder, and a rule error measured on
   the first periods is removed and kept in the estimate.
 * ``radial_head_tail``      -- the radial integrals over [0, inf) (gamma,
-  ball norms, moments, Funk-Hecke eigenvalues): a fixed head cut at the
-  zeros of B^, then a tail of period 1/2 from the last.  Its mesh and
-  tolerances follow from the ``tol`` and kink exponent its caller fixes.
+  ball norms, moments, Funk-Hecke eigenvalues): a head on the kink mesh cut
+  at the zeros of B^, checked against the same sum at half the density,
+  then a tail of period 1/2 from the last zero.  Its mesh and tolerances
+  follow from the ``tol``, tail power and kink exponent its caller fixes.
 * ``_power_tail``           -- E(c) = int_1^inf xi^{-s} e^{ic xi} dxi, a
   generalized exponential integral (DLMF 8.19), for an array of c at once:
   the algebraic tails of the d = 1 kernels and of the d = 1 norm at even q,
@@ -48,8 +48,8 @@ modes, which share the kinks of |B^|^{q-2}), each held to its own
 max(abs_tol, rel_tol |value_k|), and a result of arrays of length K.  The
 adaptive loop bisects by the largest component error; the periodic tail
 doubles until every component has stopped, and a component keeps the
-result of its first stopping doubling.  K identical components reproduce
-the scalar result bit for bit.
+result of its first stopping doubling; the head sums each panel alone.  K
+identical components reproduce the scalar result bit for bit.
 
 All functions here are pure; there is no shared mutable state.
 """
@@ -218,25 +218,8 @@ def _gk15_batch(f, a: np.ndarray, b: np.ndarray):
     return gk15_sums(_eval_clean(f, x), half)
 
 
-def zero_segment_edges(cuts: np.ndarray, m, end=0.0, halvings: int = 0) -> np.ndarray:
-    """Panel edges on [cuts[0], cuts[-1]] cut at the increasing ``cuts`` (the zeros of
-    B^, kinks of the radial integrands): in each segment an end panel ``end`` of it wide
-    at either end (none at end = 0), ``m`` equal panels between (both may vary by segment)
-    and, toward each cut but 0, ``halvings`` more edges end / 2^j of it from the cut."""
-    lens = np.diff(cuts)
-    m, end = np.broadcast_to(m, lens.shape).astype(int), np.broadcast_to(end, lens.shape)
-    # k / m of the span between the end panels, k = 0..m - 1, and m where an end panel follows
-    n = m + (end > 0.0)
-    seg = np.repeat(np.arange(lens.size), n)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
-    inner = cuts[seg] + lens[seg] * (end[seg] + (1.0 - 2.0 * end[seg]) * k / m[seg])
-    h = np.outer(lens * end, 0.5 ** np.arange(1, halvings + 1))
-    graded = [(cuts[:-1, None] + h)[cuts[:-1] != 0.0].ravel(), (cuts[1:, None] - h).ravel()]
-    return np.unique(np.concatenate([cuts, inner, *graded]))
-
-
 # ---------------------------------------------------------------------------
-# 16-point panel rules of the kernel meshes: Gauss-Legendre, Gauss-Jacobi at kinks
+# 16-point panel rules of the radial meshes: Gauss-Legendre, Gauss-Jacobi at kinks
 # ---------------------------------------------------------------------------
 
 _LEGENDRE_16 = np.polynomial.legendre.leggauss(16)
@@ -244,7 +227,7 @@ _PLAIN_RULES = np.broadcast_to(np.array(_LEGENDRE_16), (4, 2, 16))
 
 
 def kink_rules(a: float | None) -> np.ndarray:
-    """The four 16-point rules of a kernel mesh's panels on [-1, 1], shape (4, 2, 16)
+    """The four 16-point rules of a radial mesh's panels on [-1, 1], shape (4, 2, 16)
     as (rule, nodes | weights): Gauss-Legendre, then the Gauss-Jacobi rules of the
     weights (1 + x)^a, (1 - x)^a and (1 - x^2)^a with their weights divided by the
     weight at the nodes.  Each sums plain values f(x_i) and is exact where f is its
@@ -259,20 +242,24 @@ def kink_rules(a: float | None) -> np.ndarray:
     return np.array([_LEGENDRE_16, (x, w), (-x[::-1], w[::-1]), (xx, ww / (1.0 - xx * xx) ** a)])
 
 
-def kink_mesh(cuts: np.ndarray, kinked: np.ndarray, m, rules: np.ndarray):
-    """Flat nodes and weights of m[i] equal panels on segment i between the increasing
-    ``cuts``: a panel that starts at a ``kinked`` cut takes rule 1 of ``rules``
-    (``kink_rules``), one that ends at one rule 2, one that does both rule 3, and
-    every other panel rule 0."""
-    m = np.asarray(m, dtype=int)
-    seg = np.repeat(np.arange(m.size), m)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(m) - m, m)  # the panel's place in its segment
-    lo, length = cuts[seg], np.diff(cuts)[seg]
-    left, right = lo + length * (k / m[seg]), lo + length * ((k + 1) / m[seg])
-    which = (kinked[seg] & (k == 0)) + 2 * (kinked[seg + 1] & (k == m[seg] - 1))
-    half = 0.5 * (right - left)[:, None]
-    nodes = left[:, None] + half * (1.0 + rules[which, 0])
-    return nodes.ravel(), (half * rules[which, 1]).ravel()
+def kink_mesh(cuts: np.ndarray, kinked: np.ndarray, per_length: float, rules: np.ndarray,
+              run_nodes: int):
+    """Runs (nodes, weights) of a 16-point panel mesh on [cuts[0], cuts[-1]]: segment i
+    between the increasing ``cuts`` holds ceil(length_i per_length) equal panels.  Of
+    ``rules`` (``kink_rules``), a panel that starts at a ``kinked`` cut takes rule 1, one
+    that ends at one rule 2, one that does both rule 3, and every other panel rule 0.  A
+    run holds whole segments, as many as keep it within ``run_nodes`` nodes (one at least)."""
+    m = np.ceil(np.diff(cuts) * per_length).astype(int)
+    step = max(1, run_nodes // (16 * int(m.max())))  # segments a run
+    for i in range(0, m.size, step):
+        c, n, flag = cuts[i:i + step + 1], m[i:i + step], kinked[i:i + step + 1]
+        seg = np.repeat(np.arange(n.size), n)
+        k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)  # the panel's place in its segment
+        lo, length = c[seg], np.diff(c)[seg]
+        left, right = lo + length * (k / n[seg]), lo + length * ((k + 1) / n[seg])
+        which = (flag[seg] & (k == 0)) + 2 * (flag[seg + 1] & (k == n[seg] - 1))
+        half = 0.5 * (right - left)[:, None]
+        yield (left[:, None] + half * (1.0 + rules[which, 0])).ravel(), (half * rules[which, 1]).ravel()
 
 
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -411,7 +398,7 @@ def integrate_oscillatory_tail(f, zeros, cfg: QuadratureConfig = DEFAULT_CONFIG)
 
 
 # component values per integrand call of the head's and the periodic tail's
-# sweeps: a vector integrand's panels are evaluated in chunks of at most this many
+# sweeps: a vector integrand's mesh is evaluated in runs of at most this many
 _SWEEP_VALUES = 1 << 19
 
 
@@ -469,29 +456,29 @@ def tail_power_periodic(f, start: float, period: float, decay_power: float, n_pe
 
 
 def radial_head_tail(f, zeros, p_tail: float, tol: float, kink: float | None) -> IntegralResult:
-    """Integrate f over [0, infinity): a fixed head on [0, zeros[-1]], then a periodic tail.
+    """Integrate f over [0, infinity): a head on [0, zeros[-1]], then a periodic tail.
 
     ``zeros`` are increasing kinks of f, |t|^kink at each (the zeros of B^, half a
-    unit apart), ``kink`` None where f is smooth there (even q).  The head has six
-    GK15 panels a segment, max(6, 2 sqrt(p_tail)) on the first (|B^|^q peaks at 0
-    with width ~ 1 / (pi sqrt(q))), and H = ceil(log2(1/tol) / (kink + 1)) - 4 halvings
-    toward each zero, so the last panel, ~2^-(H+4) wide, holds a |t|^kink mass near
-    tol.  Its error, sum |K - G| over one chunked sweep plus eps log2(panels) sum |K|
-    (Higham's bound of a pairwise sum's rounding), is held to (abs, rel) = (tol, 10 tol);
-    the tail, ~ x^-p_tail times an oscillation of period 1/2, to ten times that, from 64
-    periods.  ``f`` may be a vector integrand."""
-    m = np.r_[max(6, math.ceil(2.0 * math.sqrt(p_tail))), np.full(len(zeros) - 1, 6)]
-    halvings = 0 if kink is None else max(0, math.ceil(math.log2(1.0 / tol) / (kink + 1.0)) - 4)
-    edges = zero_segment_edges(np.r_[0.0, zeros], m - 2, 1.0 / m, halvings)
-    a, b = edges[:-1], edges[1:]
-    # the first panel alone gives the component count, which sizes the sweep's calls
-    sweep = [_gk15_batch(f, a[:1], b[:1])]
-    step = max(1, _SWEEP_VALUES // (15 * sweep[0][0][..., 0].size))
-    sweep += [_gk15_batch(f, a[lo:lo + step], b[lo:lo + step]) for lo in range(1, a.size, step)]
-    kron, rule = (np.concatenate(part, axis=-1) for part in zip(*sweep))
-    value, error = np.sum(kron, axis=-1), np.sum(rule, axis=-1)
-    error += np.finfo(float).eps * math.log2(a.size) * np.sum(np.abs(kron), axis=-1)
+    unit apart), ``kink`` None where f is smooth there (even q).  The head is the sum
+    on ``kink_mesh`` cut at them at 2c panels a unit, c = 1.2 sqrt(max(p_tail, 1))
+    (|B^|^q peaks at 0 with width ~ 1 / (pi sqrt(q))); its error, the move from the
+    sum at c plus eps log2(nodes) sum |f w| (Higham's bound of a pairwise sum's
+    rounding), is held to (abs, rel) = (tol, 10 tol).  The tail, ~ x^-p_tail times an
+    oscillation of period 1/2, is held to ten times that, from 64 periods.  ``f`` may
+    be a vector integrand: the tail runs first, and its component count sizes the
+    head's runs to at most _SWEEP_VALUES values."""
     tail = tail_power_periodic(f, zeros[-1], 0.5, p_tail, 64, QuadratureConfig(10 * tol, 100 * tol))
+    cuts, run = np.r_[0.0, zeros], max(1, _SWEEP_VALUES // np.size(tail.value))
+    sums, rules = [], kink_rules(kink)  # built once for both meshes (two roots_jacobi calls)
+    for density in (1.2, 2.4):
+        panels = []  # each panel's sums of f w and |f w|, which no run length changes
+        for x, w in kink_mesh(cuts, cuts > 0.0, density * math.sqrt(max(p_tail, 1.0)), rules, run):
+            fw = _eval_clean(f, x.reshape(-1, 16)) * w.reshape(-1, 16)
+            panels.append(np.stack([np.sum(fw, axis=-1), np.sum(np.abs(fw), axis=-1)]))
+        panels = np.concatenate(panels, axis=-1)
+        sums.append((*np.sum(panels, axis=-1), 16 * panels.shape[-1]))
+    (coarse, _, _), (value, mass, nodes) = sums
+    error = np.abs(value - coarse) + np.finfo(float).eps * math.log2(nodes) * mass
     converged = np.logical_and(_within(error, value, QuadratureConfig(tol, 10 * tol)), tail.converged)
     return _result(value + tail.value, error + tail.error_estimate, converged)
 

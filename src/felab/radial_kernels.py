@@ -26,9 +26,10 @@ integrand
 
 a power envelope times an oscillation of period 1/2; the first form cannot
 overflow (|B^| <= omega_d) and runs on ball_hat's closed forms for d <= 3.
-Like the ball norms', its fixed head is cut at the zeros of B^ and its
-periodic tail starts at the last, so the kinks of |B^|^q fall on panel and
-period edges.  For d = 1 this is 2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
+Like the ball norms', its head runs on the kernels' kink mesh cut at the
+zeros of B^ and its periodic tail starts at the last, so the kinks of |B^|^q
+fall on panel and period edges.  For d = 1 this is
+2 pi^{2-q} int |xi|^{2-q} |sin(2 pi xi)|^q.
 
 Profile evaluation
 ------------------
@@ -40,9 +41,8 @@ spans more than 2.2 periods of w_d or 1 / (1.2 sqrt(a)) in rho, where the
 peaks of g narrow.  At non-even q a panel that ends at a zero takes the
 Gauss-Jacobi rule of (1 +- x)^a, or of (1 - x^2)^a where m = 1, and
 integrates the kink as Gauss-Legendre, which every other panel takes (all
-of them at even q), integrates a smooth g.  Each mesh refuses, once, a
-radius past a fixed bound, 115.5 (d = 1), 57.75 (d = 2 K, d = 3) or 28.88
-(d = 2 L), the reach of the GK15 meshes these panels replaced.
+of them at even q), integrates a smooth g.  Each mesh takes at most
+_MESH_NODES nodes and refuses, once, the radii that would need more.
 ``kernel_values`` adds one fixed slack, _KERNEL_SLACK (1 + |v|), to every
 error.  d = 1: the mesh is a head on [0, 1], two zero segments; past it
 g(xi) = pi^{-s} xi^{-s}
@@ -233,22 +233,6 @@ def _series(kind: str, q: float) -> tuple:
     return freqs, coeffs, trunc
 
 
-# the largest radius each kernel mesh serves, by (d, kind): fixed bounds, a period
-# of w_d per four node gaps of the GK15 panels 1/48 (d = 1), 1/24 (d = 2 K, d = 3)
-# and 1/12 (d = 2 L) wide that meshed the kernels before the 16-point panels, which
-# keep >= 7 nodes a period up to them
-_MAX_RADIUS = {(1, "K"): 115.5, (1, "L"): 115.5, (2, "K"): 57.75, (2, "L"): 28.875,
-               (3, "K"): 57.75, (3, "L"): 57.75}
-
-
-def _check_resolved(kind: str, d: int, radii: np.ndarray) -> None:
-    """Refuse radii past the kernel mesh's bound, _MAX_RADIUS[d, kind]."""
-    bound = _MAX_RADIUS[d, kind]
-    if np.any(radii > bound):
-        raise DomainError(f"the {kind}-kind kernels in d = {d} resolve radii up to {bound:.4g}, "
-                          f"the fixed bound of their mesh; got r = {np.max(radii):.6g}")
-
-
 # every kernel value's error adds _KERNEL_SLACK (1 + |value|), which the d = 1
 # expansion terms carry too
 _KERNEL_SLACK = 1e-11
@@ -269,6 +253,9 @@ _HEAD_CUTS, _HEAD_KINKS = np.array([0.0, 0.5, 1.0]), np.array([False, True, True
 # and at most 1 / (_PEAK sqrt(a)) in rho, as the peaks of g ~ |B^|^a narrow like
 # 1 / sqrt(a): within 6e-14 (1 + max |v|) of a fine graded mesh up to the float range
 _PERIODS, _PEAK = 2.2, 1.2
+# a kernel mesh's nodes at most: 1.9 times the largest mesh of the former fixed radius
+# bounds (d = 3 K near its threshold, cut at rho ~ 1e4, at r = 57.75)
+_MESH_NODES = 1 << 23
 
 
 def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray,
@@ -283,18 +270,18 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray
     zero of B^ where g has a |t|^a kink, takes the Gauss-Jacobi rule of that kink,
     and every other panel Gauss-Legendre, as all do at even q.  The mesh is swept
     in blocks of at most _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK
-    nodes, each against as many radii as fit.  Its callers refuse the radii it does
-    not resolve.
+    nodes, each against as many radii as fit.  Radii whose panels could pass
+    _MESH_NODES nodes (m <= length max r / _PERIODS + 1) are refused.
     """
     a = q - 1.0 if kind == "K" else q - 2.0
-    rules = kink_rules(a if q % 2 else None)
+    reach = _PERIODS * (_MESH_NODES / 16 - (cuts.size - 1)) / (cuts[-1] - cuts[0])
+    if not radii.max(initial=0.0) <= reach:
+        raise DomainError(f"the {kind}-kind kernel mesh in d = {d} resolves radii up to {reach:.4g} "
+                          f"on at most {_MESH_NODES} nodes; got r = {np.max(radii):.6g}")
     per_length = max(radii.max(initial=0.0) / _PERIODS, _PEAK * math.sqrt(a))
-    m = np.ceil(np.diff(cuts) * per_length).astype(int)
     out = np.zeros_like(radii)
-    step = max(1, _PAIR_CHUNK // (16 * int(m.max())))  # segments per run
-    for lo in range(0, len(m), step):
-        nodes, weights = kink_mesh(cuts[lo:lo + step + 1], kinked[lo:lo + step + 1],
-                                   m[lo:lo + step], rules)
+    for nodes, weights in kink_mesh(cuts, kinked, per_length, kink_rules(a if q % 2 else None),
+                                    _PAIR_CHUNK):
         w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
         w /= (2 * np.pi * nodes) ** order
         rows = max(1, _PAIR_CHUNK // len(nodes))
@@ -313,14 +300,12 @@ def _kernel_values_1d(q: float, *parts):
     s + order, q for K at order 1 and L at order 2, for every q > 2.  At
     order 1 the phase turns by -i; at order 2 the tail is T(0) - T(x), T the
     order-0 sum.  The parts share that exponent (K at order 1 with L at order
-    2, or one part), and one call when they fit.  Each part refuses radii past
-    115.5 (``_check_resolved``); up to there the head errs by <= 3e-15
-    (1 + max |v|) against a graded GK15 mesh 8 times as fine at q <= 6."""
+    2, or one part), and one call when they fit.  Up to r = 115.5 the head errs by
+    <= 3e-15 (1 + max |v|) against a graded GK15 mesh 8 times as fine at q <= 6."""
     blocks, out = [], []
     for kind, order, x in parts:
         s = q - 1.0 if kind == "K" else q - 2.0
         p, pref = s + order, 2.0 * np.pi ** -s / (2 * np.pi) ** order
-        _check_resolved(kind, 1, x)
         freqs, coeffs, trunc = _series(kind, q)
         # term f is at most |b_f| (w(f) + w(f - max x)) / 2, w(t) = min(1/(pi t), 1/(p-1))
         # >= |E(2 pi t)|, plus |b_f| w(f) at order 2, and falls with f: keep the
@@ -401,7 +386,6 @@ def _kernel_values_2d_K(q: float, x: np.ndarray):
     at most _KERNEL_SLACK / 10.  The bound times Z^s, s = 3q/2 - 2, rises with Z (each
     harmonic's share does, and env M_0 Z^s up to ~1e-5), so the bound at 120 predicts
     that zero from above, and one more bound there confirms it."""
-    _check_resolved("K", 2, x)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 120.0)]
     bound = _harmonic_tail_bound("K", q, x, cuts[-1])
     end = cuts[-1] * (np.max(bound) / (0.1 * _KERNEL_SLACK)) ** (1.0 / (1.5 * q - 2.0))
@@ -501,7 +485,6 @@ def _kernel_values_2d_L(q: float, x: np.ndarray):
     Past Z, with |cos phi|^{q-2} = a_0 + sum a_m cos(2 m phi), ``_a0_tail`` sums the a_0
     part a_0 env(rho) J_0(2 pi r rho) in closed form, and ``_harmonic_tail_bound``
     covers the other harmonics."""
-    _check_resolved("L", 2, x)
     cuts = np.r_[0.0, _ball_hat_zeros(2, 160.0)]
     z, values = cuts[-1], _radial_sum("L", 2, q, x, cuts, cuts > 0.0)
     tail, errors = _a0_tail(q, x, z)
@@ -513,7 +496,6 @@ def _kernel_values_3d(kind: str, q: float, x: np.ndarray):
     # composite quadrature to a cut, plus a bound on the rest
     decay = 2.0 * (q - 1.0) - 1.0 if kind == "K" else 2.0 * (q - 2.0) - 1.0
     r_cut = max(60.0, (1e8) ** (1.0 / decay)) if decay < 8 else 60.0
-    _check_resolved(kind, 3, x)
     zeros = _ball_hat_zeros(3, r_cut)
     cuts = np.unique(np.r_[0.0, zeros, r_cut])
     out = _radial_sum(kind, 3, q, x, cuts, np.isin(cuts, zeros))

@@ -14,8 +14,8 @@ engine handles the rho^{-(d+1)(q-2)/2} envelope).  For d = 2 this equals
 2 pi Lhat(k), the Fourier coefficient of the circle profile
 Ltheta(t) = L_q(x), |x| = sqrt(2 - 2 cos t).
 
-One pass.  Every mode shares g, whose |t|^{q-2} kinks at the zeros of B^ set
-the fixed head mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n
+One pass.  Every mode shares g, whose |t|^{q-2} kinks at the zeros of B^ cut
+the head's kink mesh, so ``funk_hecke_eigenvalues`` integrates the modes 0..n
 as one vector integrand of ``radial_head_tail``: g(rho) rho once per node, and
 J_nu(x) of every order from the three-term recurrence (DLMF 10.6.1): run
 forward, stable for x > nu, where x > nu_max + 20, and backward below that

@@ -6,7 +6,8 @@ radial J_0 and J_1 integrals for the translated disc's expansion terms,
 the disc's norm and its K and L kernels, the d = 2 L kernel's a_0 tail
 past the mesh by Aitken's segment sum and by mpmath, the d = 2 K kernel on
 its full mesh to rho = 120, the kernel mesh sum on GK15 panels (between given
-edges, or on a fine mesh graded toward the zeros of B^), the circle-profile route to the circle
+edges, or on a fine mesh graded toward the zeros of B^) and the head of the radial
+head-plus-tail integral on such a mesh, the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time from the radial factor node by node,
@@ -41,7 +42,6 @@ from felab.quadrature import (
     gk15_sums,
     integrate_adaptive,
     integrate_oscillatory_tail,
-    zero_segment_edges,
 )
 from felab.radial_kernels import (
     RadialKernel,
@@ -333,16 +333,52 @@ def gk15_kernel_sum(kind: str, d: int, q: float, radii, edges, order: int = 0) -
     return out
 
 
+def zero_segment_edges(cuts: np.ndarray, m, end=0.0, halvings: int = 0) -> np.ndarray:
+    """Panel edges on [cuts[0], cuts[-1]] cut at the increasing ``cuts`` (the zeros of
+    B^, kinks of the radial integrands): in each segment an end panel ``end`` of it wide
+    at either end (none at end = 0), ``m`` equal panels between (both may vary by segment)
+    and, toward each cut but 0, ``halvings`` more edges end / 2^j of it from the cut."""
+    lens = np.diff(cuts)
+    m, end = np.broadcast_to(m, lens.shape).astype(int), np.broadcast_to(end, lens.shape)
+    # k / m of the span between the end panels, k = 0..m - 1, and m where an end panel follows
+    n = m + (end > 0.0)
+    seg = np.repeat(np.arange(lens.size), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    inner = cuts[seg] + lens[seg] * (end[seg] + (1.0 - 2.0 * end[seg]) * k / m[seg])
+    h = np.outer(lens * end, 0.5 ** np.arange(1, halvings + 1))
+    graded = [(cuts[:-1, None] + h)[cuts[:-1] != 0.0].ravel(), (cuts[1:, None] - h).ravel()]
+    return np.unique(np.concatenate([cuts, inner, *graded]))
+
+
 def graded_kernel_sum(kind: str, d: int, q: float, radii, cuts, order: int = 0) -> np.ndarray:
     """The kernel mesh sum over [cuts[0], cuts[-1]] on a fine GK15 mesh graded toward
     every cut but 0: 8 max(2, ceil(length max(max r / 2, sqrt(q)))) equal panels a
     segment (g's peaks narrow like 1 / sqrt(q)) between end panels 1/64 of it wide, and
     ceil(56 / (a + 1)) halvings toward each cut (a = q - 1 for K, q - 2 for L), so the
-    last panel holds ~2^-56 of its segment's |t|^a mass."""
+    last panel holds ~2^-56 of its segment's |t|^a mass.  The end panels span more than
+    two periods of the wave past r ~ 256, where this reference no longer holds."""
     a = q - 1.0 if kind == "K" else q - 2.0
     n = 8 * np.maximum(2, np.ceil(np.diff(cuts) * max(np.max(radii) / 2.0, math.sqrt(q))))
     edges = zero_segment_edges(cuts, n, 1.0 / 64, math.ceil(56.0 / (a + 1.0)))
     return gk15_kernel_sum(kind, d, q, radii, edges, order)
+
+
+def graded_head(f, zeros, p_tail: float, kink):
+    """int_0^zeros[-1] f, the head of ``radial_head_tail``, on GK15 panels cut at the
+    increasing ``zeros`` (|t|^kink kinks of f, ``kink`` None where f is smooth) and
+    graded toward each: 8 max(2, ceil(length sqrt(p_tail))) equal panels a segment
+    between end panels 1/64 of it wide, and ceil(56 / (kink + 1)) halvings toward each
+    zero.  Returns the Kronrod sum, a vector for a vector f, and a bound on its
+    rounding, eps (15 + log2 panels) sum |f w|."""
+    cuts = np.r_[0.0, zeros]
+    n = 8 * np.maximum(2, np.ceil(np.diff(cuts) * math.sqrt(max(p_tail, 1.0))))
+    edges = zero_segment_edges(cuts, n, 1.0 / 64, 0 if kink is None else math.ceil(56.0 / (kink + 1.0)))
+    half = 0.5 * np.diff(edges)
+    nodes, weights = gk15_panels(0.5 * (edges[1:] + edges[:-1]), half)
+    y = np.asarray(f(nodes), dtype=float)
+    mass = np.sum(np.abs(y) * weights, axis=(-2, -1))
+    eps = np.finfo(float).eps
+    return np.sum(gk15_sums(y, half)[0], axis=-1), eps * (15.0 + math.log2(half.size)) * mass
 
 
 def disc_norm_band(q: float, lo: float, hi: float) -> float:

@@ -32,6 +32,13 @@ class TestExitCodes:
         assert out.startswith("n,ell_hat,combined,margin")
         assert "gamma," in out.strip().split("\n")[-1]
 
+    def test_kernel_default_radii_at_large_q(self, capsys):
+        # the default r_max = q: the d = 2 L mesh's fixed bound of 28.88 refused it
+        code = dispatch(["--quiet", "kernel", "--kind", "L", "--d", "2", "--q", "30", "--samples", "64"])
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert code == 0
+        assert rows[0] == "radius,value,error" and float(rows[-1].split(",")[0]) == 30.0
+
     def test_threshold_exit_1(self, capsys):
         code = dispatch(["--quiet", "kernel", "--kind", "L", "--d", "2", "--q", "3.0"])
         err = capsys.readouterr().err
@@ -321,15 +328,15 @@ class TestMalformedInput:
         (["spectrum", "--d", "2", "--q", "700", "--modes", "4"], "float range"),
         (["spectrum", "--d", "3", "--q", "1e300", "--modes", "3"], "float range"),
         (["kernel", "--kind", "K", "--d", "1", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
-         "resolve radii up to 115.5"),
+         "d = 1 resolves radii up to 1.153e+06"),
         (["kernel", "--kind", "K", "--d", "2", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
-         "resolve radii up to 57.75"),
+         "d = 2 resolves radii up to 2.874e+04"),
         (["kernel", "--kind", "L", "--d", "2", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
-         "resolve radii up to 28.88"),
+         "d = 2 resolves radii up to 7222"),
         (["kernel", "--kind", "K", "--d", "3", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
-         "resolve radii up to 57.75"),
+         "d = 3 resolves radii up to 1.922e+04"),
         (["kernel", "--kind", "L", "--d", "3", "--q", "4.5", "--r-max", "1e300", "--samples", "8"],
-         "resolve radii up to 57.75"),
+         "d = 3 resolves radii up to 1.153e+04"),
     ])
     def test_domain_error_exit_1(self, capsys, tmp_path, argv, message):
         # the set is [0, 1] and [1e9, 1e9 + 1]: refused for its mesh size, not run

@@ -1,5 +1,5 @@
 """Source layout: one GK15 panel rule, one adaptive loop that no module calls,
-one radial head-plus-tail integral, one builder of every radial mesh's edges,
+one radial head-plus-tail integral, one builder of every radial mesh,
 one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
 exponential-sum tails, one planar norm integrand, one circle rule and one
 near-pair series for the planar transforms, one kernel slack, one parity
@@ -134,17 +134,19 @@ def test_radial_kernels_run_no_adaptive_loop():
 
 
 def test_one_radial_edge_builder():
-    # the head of radial_head_tail takes its edges from zero_segment_edges;
-    # the d = 1 kernel head and the d = 2, 3 kernel meshes take their panels
-    # and rules from kink_mesh and kink_rules, in _radial_sum alone
-    for builder, owner in (("zero_segment_edges", ("quadrature.py", "radial_head_tail")),
-                           ("kink_mesh", ("radial_kernels.py", "_radial_sum")),
-                           ("kink_rules", ("radial_kernels.py", "_radial_sum"))):
+    # every radial mesh, the head of radial_head_tail and the kernel meshes alike,
+    # is a kink_mesh on rules from kink_rules; the graded GK15 edges are the
+    # tests' reference (oracles.zero_segment_edges)
+    owners = {("quadrature.py", "radial_head_tail"), ("radial_kernels.py", "_radial_sum")}
+    for builder in ("kink_rules", "kink_mesh"):
         callers = {(name, fn) for name, text in MODULES.items() for fn in _callers(text, builder)}
-        assert callers == {owner}, builder
+        assert callers == owners, builder
     defined = {node.name for text in MODULES.values() for node in ast.parse(text).body
                if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_graded_edges", "_zero_edges", "_gk15_mesh", "_panel_counts"}
+    assert not defined & {"zero_segment_edges", "_graded_edges", "_zero_edges", "_gk15_mesh",
+                          "_panel_counts", "_check_resolved"}
+    # the kernels refuse radii by their node budget, not by a table of radii
+    assert not any("_MAX_RADIUS" in text for text in MODULES.values())
 
 
 def test_exp_sum_tail_called_from_one_place():

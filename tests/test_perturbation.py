@@ -175,11 +175,13 @@ class TestExactTerms1D:
         assert abs(quads["Lrefl"] - ref["Lrefl"]) <= 1e-9
 
     def test_far_pair_refused(self):
-        # pair differences past the kernels' 115.5 radius bound are not extrapolated
-        e = IntervalSet([(-1.0, 0.9), (120.0, 120.1)])
-        with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+        # pair differences past the reach of the d = 1 kernel mesh's node budget
+        # are not extrapolated; 120 apart, past the former fixed bound 115.5, they run
+        assert np.isfinite(inner_K(IntervalSet([(-1.0, 0.9), (120.0, 120.1)]), 4.0))
+        e = IntervalSet([(-1.0, 0.9), (1.2e6, 1.2e6 + 0.1)])
+        with pytest.raises(DomainError, match="resolves radii up to 1.153e"):
             inner_K(e, 4.0)
-        with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+        with pytest.raises(DomainError, match="resolves radii up to 1.153e"):
             expansion_report(e, 4.0)
 
 

@@ -154,22 +154,28 @@ class TestKinkRules:
             assert np.array_equal(rule[0], x) and np.array_equal(rule[1], w)
 
     def test_mesh_takes_each_rule_where_its_kink_is(self):
-        # segments [0, 0.5] (kink at its end), [0.5, 1.1] (both ends, m = 1) and
-        # [1.1, 2.3] (m = 3: a left kink, a plain panel, a right kink)
-        cuts, kinked = np.array([0.0, 0.5, 1.1, 2.3]), np.array([False, True, True, True])
+        # at 1.6 panels a unit, segments [0, 0.5] (kink at its end), [0.5, 1.1] (both
+        # ends, m = 1) and [1.1, 2.6] (m = 3: a left kink, a plain panel, a right kink)
+        cuts, kinked = np.array([0.0, 0.5, 1.1, 2.6]), np.array([False, True, True, True])
         rules = kink_rules(1.7)
-        nodes, weights = kink_mesh(cuts, kinked, [1, 1, 3], rules)
-        panels = [(0.0, 0.5, 2), (0.5, 1.1, 3), (1.1, 1.5, 1), (1.5, 1.9, 0), (1.9, 2.3, 2)]
+        runs = list(kink_mesh(cuts, kinked, 1.6, rules, 1 << 16))
+        [(nodes, weights)] = runs
+        panels = [(0.0, 0.5, 2), (0.5, 1.1, 3), (1.1, 1.6, 1), (1.6, 2.1, 0), (2.1, 2.6, 2)]
         assert nodes.shape == weights.shape == (16 * len(panels),)
         for i, (lo, hi, r) in enumerate(panels):
             half = 0.5 * (hi - lo)
             got = slice(16 * i, 16 * i + 16)
             assert np.allclose(nodes[got], lo + half * (1 + rules[r, 0]), rtol=0, atol=4e-16)
             assert np.allclose(weights[got], half * rules[r, 1], rtol=1e-15, atol=0)
-        # a kink at a panel's left end is integrated exactly: (t - 1.1)^1.7 t^3 on [1.1, 1.5]
+        # runs of whole segments, one a run where two would pass 32 nodes, sum alike
+        short = list(kink_mesh(cuts, kinked, 1.6, rules, 32))
+        assert [len(x) for x, _ in short] == [16, 16, 48]
+        assert np.array_equal(np.concatenate([x for x, _ in short]), nodes)
+        assert np.array_equal(np.concatenate([w for _, w in short]), weights)
+        # a kink at a panel's left end is integrated exactly: (t - 1.1)^1.7 t^3 on [1.1, 1.6]
         mpmath = pytest.importorskip("mpmath")
         exact = float(mpmath.quad(lambda t: (t - mpmath.mpf("1.1")) ** mpmath.mpf("1.7") * t ** 3,
-                                  [mpmath.mpf("1.1"), mpmath.mpf("1.5")]))
+                                  [mpmath.mpf("1.1"), mpmath.mpf("1.6")]))
         got = slice(32, 48)
         assert abs(weights[got] @ ((nodes[got] - 1.1) ** 1.7 * nodes[got] ** 3) - exact) <= 1e-14
 

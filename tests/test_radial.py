@@ -40,6 +40,7 @@ from oracles import (
     empirical_holder_exponent,
     gamma_asymptotic_fit,
     gk15_kernel_sum,
+    graded_head,
     graded_kernel_sum,
     integrate_composite,
     k2_to_120,
@@ -147,14 +148,15 @@ class TestKernel1D:
     @pytest.mark.parametrize("kind", ["K", "L"])
     @pytest.mark.parametrize("q", [4.0, 6.0])
     def test_every_accepted_radius_within_its_error(self, kind, q):
-        # the head keeps four GK15 nodes a period of cos(2 pi r xi) up to
-        # r = 96 / (4 x 0.2078) = 115.5, with the resonance at r = 96 inside
-        # (two periods a panel); past that it is refused
-        r = np.concatenate([np.linspace(0.0, 115.5, 2001), np.linspace(95.5, 96.5, 101)])
-        vals, errs = kernel_values(kind, 1, q, r)
-        assert np.all(np.abs(vals - exact_kernel_1d(kind, q)(r)) <= errs)
-        for far in (115.51, 144.0, 1e300):
-            with pytest.raises(DomainError, match="resolve radii up to 115.5"):
+        # twice the former fixed bound 115.5, with the resonance at r = 96 inside
+        # (two periods a panel), and far radii on meshes of up to ~0.7e6 nodes;
+        # past the node budget's reach, 2.2 (2^19 - 2) on [0, 1], r is refused
+        for r in (np.r_[np.linspace(0.0, 231.0, 2001), np.linspace(95.5, 96.5, 101)],
+                  np.array([1e3, 1e4 + 0.3, 1e5 + 0.7])):
+            vals, errs = kernel_values(kind, 1, q, r)
+            assert np.all(np.abs(vals - exact_kernel_1d(kind, q)(r)) <= errs)
+        for far in (1.16e6, 1e300):
+            with pytest.raises(DomainError, match="resolves radii up to 1.153e"):
                 kernel_values(kind, 1, q, np.array([0.0, far]))
 
     def test_exact_kernel_vanishes_past_its_support(self):
@@ -255,9 +257,9 @@ class TestKernel1D:
         inner = radial_kernels.kink_mesh
 
         def spy(*args):
-            nodes, weights = inner(*args)
-            swept.append(len(nodes))
-            return nodes, weights
+            for nodes, weights in inner(*args):
+                swept.append(len(nodes))
+                yield nodes, weights
 
         monkeypatch.setattr(radial_kernels, "kink_mesh", spy)
         r = np.linspace(0.0, 96.0, 2048)
@@ -555,13 +557,60 @@ class TestKernelMeshAccuracy:
 
 
 class TestMeshRefusal:
-    @pytest.mark.parametrize("kind, d, bound", [
-        ("K", 2, "57.75"), ("L", 2, "28.88"), ("K", 3, "57.75"), ("L", 3, "57.75")])
-    def test_refused_past_the_end_panels(self, kind, d, bound):
-        # the d = 2 and 3 meshes keep four GK15 nodes a period of w_d up to
-        # the bound of their 1/24-wide end panels (1/12 for L in d = 2)
-        with pytest.raises(DomainError, match=f"resolve radii up to {bound}"):
-            kernel_values(kind, d, 4.5, np.array([0.5, 70.0]))
+    """A kernel mesh takes at most _MESH_NODES 16-point nodes.  Its panels are sized
+    by the largest radius, so the radii past the reach of that budget on the mesh's
+    span are refused, before any node is evaluated; up to it they are resolved."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Lists that gather the (args, value) of each _radial_sum call and the node
+        count of each kink_mesh run."""
+        sums, nodes = [], []
+        inner, real = radial_kernels._radial_sum, radial_kernels.kink_mesh
+
+        def summing(*args):
+            sums.append((args, inner(*args)))
+            return sums[-1][1].copy()  # the d = 2 kernels add their tails in place
+
+        def counting(*args):
+            for x, w in real(*args):
+                nodes.append(x.size)
+                yield x, w
+
+        monkeypatch.setattr(radial_kernels, "_radial_sum", summing)
+        monkeypatch.setattr(radial_kernels, "kink_mesh", counting)
+        return sums, nodes
+
+    @pytest.mark.parametrize("kind, d", [("K", 1), ("L", 1), ("K", 2), ("L", 2), ("K", 3), ("L", 3)])
+    def test_refused_past_the_node_budget(self, kind, d, monkeypatch):
+        # at a budget of 2^14 nodes the reach lies where the test can run both sides
+        monkeypatch.setattr(radial_kernels, "_MESH_NODES", 1 << 14)
+        sums, nodes = self.spy(monkeypatch)
+        kernel_values(kind, d, 4.5, np.array([0.5, 1.0]))
+        cuts = sums[0][0][4]
+        reach = 2.2 * (2**10 - (cuts.size - 1)) / (cuts[-1] - cuts[0])
+        nodes.clear()
+        kernel_values(kind, d, 4.5, np.array([0.5, reach]))
+        assert 0 < sum(nodes) <= 1 << 14
+        nodes.clear()
+        for far in (1.001 * reach, 1e300):
+            with pytest.raises(DomainError, match=f"resolves radii up to {reach:.4g}"):
+                kernel_values(kind, d, 4.5, np.array([0.5, far]))
+        assert not nodes
+
+    @pytest.mark.parametrize("kind, d, q, bound", [
+        ("K", 1, 3.81, 115.5), ("L", 1, 4.5, 115.5), ("K", 2, 3.5, 57.75), ("L", 2, 4.2, 28.875),
+        ("K", 3, 3.7, 57.75), ("L", 3, 6.6, 57.75)])
+    def test_twice_the_former_bounds(self, kind, d, q, bound, monkeypatch):
+        # the fixed bounds the meshes had before the budget, from the reach of the GK15
+        # panels they replaced; at twice them the mesh still meets a graded GK15 mesh
+        # 8 times as fine (whose end panels hold a period up to r ~ 128)
+        r = 2.0 * bound - np.linspace(0.0, 1.0, 6)
+        sums, _ = self.spy(monkeypatch)
+        kernel_values(kind, d, q, r)
+        [((_, _, _, radii, cuts, *_), head)] = sums
+        ref = graded_kernel_sum(kind, d, q, radii, cuts)
+        assert np.max(np.abs(head - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
 class TestA0Tail:
@@ -690,7 +739,7 @@ class TestKernel3D:
         import tracemalloc
 
         from felab.quadrature import kink_mesh, kink_rules
-        from felab.radial_kernels import _PERIODS, _ball_hat_zeros, _g_radial
+        from felab.radial_kernels import _PEAK, _PERIODS, _ball_hat_zeros, _g_radial
         q = 3.6
         r = np.linspace(0.05, 3.0, 46)
         tracemalloc.start()
@@ -701,8 +750,9 @@ class TestKernel3D:
             tracemalloc.stop()
         r_cut = 1e8 ** (1.0 / (2.0 * (q - 2.0) - 1.0))
         cuts = np.r_[0.0, _ball_hat_zeros(3, r_cut), r_cut]
-        m = np.ceil(np.diff(cuts) * r.max() / _PERIODS)
-        nodes, weights = kink_mesh(cuts, (cuts > 0) & (cuts < r_cut), m, kink_rules(q - 2.0))
+        per_length = max(r.max() / _PERIODS, _PEAK * math.sqrt(q - 2.0))
+        nodes, weights = map(np.concatenate, zip(*kink_mesh(
+            cuts, (cuts > 0) & (cuts < r_cut), per_length, kink_rules(q - 2.0), 1 << 16)))
         assert peak < 0.25 * len(r) * len(nodes) * 8
         # direct reference on the kernel's own nodes, one radius at a time
         base_w = weights * _g_radial("L", 3, q, nodes) * nodes
@@ -923,9 +973,9 @@ class TestCalibration:
 
 
 class TestHeadCalls:
-    """Integrand calls of one radial integral, tail included: the head's
-    fixed mesh, cut at the zeros of B^, is swept in chunks after one panel
-    that gives the component count."""
+    """Integrand calls of one radial integral, tail included: the tail runs
+    first and gives the component count, which sizes the runs in which the
+    head's two kink meshes, cut at the zeros of B^, are swept."""
 
     @staticmethod
     def count(monkeypatch, module):
@@ -954,34 +1004,30 @@ class TestHeadCalls:
 
 
 class TestHeadMesh:
-    """The fixed head of every radial head-plus-tail integral against the same
-    integrand on its mesh with every panel quartered and twice the halvings
-    toward the zeros: it lies within its error estimate, which meets its
-    tolerance (abs, rel) = (tol, 10 tol)."""
+    """The head of every radial head-plus-tail integral against the same integrand
+    on a GK15 mesh graded toward the zeros (``oracles.graded_head``): it misses by at
+    most its error estimate plus the reference's rounding bound, and the estimate,
+    which meets its tolerance (abs, rel) = (tol, 10 tol), is at most 10^3 times
+    the miss or 1e-15 of the value.  Where both sit at rounding (gamma(3, 150)
+    misses by 8.5e-15 relative against an estimate of 4.3e-15) the reference's
+    rounding bound is needed."""
 
     @staticmethod
-    def head(monkeypatch, module, run, finer=False):
-        """The head's (value, error, converged) of the one radial_head_tail call of run()."""
+    def head(monkeypatch, module, run):
+        """The head's result and the arguments of the one radial_head_tail call of run()."""
         got = []
         inner = quadrature.radial_head_tail
-        build = quadrature.zero_segment_edges
 
         def spy(*args):
-            got.append(inner(*args))
-            return got[-1]
-
-        def quartered(cuts, m, end, halvings):
-            # the head's segments hold m + 2 = 1 / end equal panels
-            return build(cuts, 4 * (np.asarray(m) + 2) - 2, np.asarray(end) / 4, 2 * halvings)
+            got.append((args, inner(*args)))
+            return got[-1][1]
 
         monkeypatch.setattr(module, "radial_head_tail", spy)
         monkeypatch.setattr(quadrature, "tail_power_periodic",
                             lambda *args: quadrature.IntegralResult(0.0, 0.0, True))
-        if finer:
-            monkeypatch.setattr(quadrature, "zero_segment_edges", quartered)
         run()
-        [res] = got
-        return res
+        [(args, res)] = got
+        return args, res
 
     @pytest.mark.parametrize("module, run", [
         *[pytest.param(radial_kernels, lambda d=d, q=q: gamma_qd_detailed(d, q), id=f"gamma-{d}-{q}")
@@ -997,11 +1043,12 @@ class TestHeadMesh:
           for kind, d, q in (("L", 2, 3.4), ("L", 3, 3.6), ("K", 2, 3.5))],
     ])
     def test_within_its_estimate(self, module, run, monkeypatch):
-        res = self.head(monkeypatch, module, run)
-        fine = self.head(monkeypatch, module, run, finer=True)
+        (f, zeros, p_tail, _, kink), res = self.head(monkeypatch, module, run)
+        ref, rounding = graded_head(f, zeros, p_tail, kink)
         assert np.all(res.converged)
-        miss = np.abs(res.value - fine.value)
-        assert np.all(miss <= res.error_estimate)
+        miss = np.abs(res.value - ref)
+        assert np.all(miss <= res.error_estimate + rounding)
+        assert np.all(res.error_estimate <= 1e3 * np.maximum(miss, 1e-15 * np.abs(ref)))
 
 
 class TestFirstVariation:
@@ -1111,9 +1158,9 @@ class TestPinnedHeadTail:
     11.373471484316497."""
 
     @pytest.mark.parametrize("d, q, value, err, converged", [
-        pytest.param(1, 3.5, 2.230129194693799, 2.0787890095646434e-10, True, id="d1-q3.5"),
-        pytest.param(2, 5.3, 10.297762459787286, 8.148860917910196e-14, True, id="d2-q5.3"),
-        pytest.param(3, 4.4, 8.559328546150406, 7.641640021327162e-14, True, id="d3-q4.4"),
+        pytest.param(1, 3.5, 2.230129194693799, 2.078788987959578e-10, True, id="d1-q3.5"),
+        pytest.param(2, 5.3, 10.297762459787286, 6.607317064227949e-14, True, id="d2-q5.3"),
+        pytest.param(3, 4.4, 8.559328546150406, 4.9883613518320027e-14, True, id="d3-q4.4"),
     ])
     def test_gamma(self, d, q, value, err, converged):
         res = gamma_qd_detailed(d, q)
@@ -1125,8 +1172,8 @@ class TestPinnedHeadTail:
         assert gamma_1d_closed_form(3.5) == pytest.approx(2.2301291946973087, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("d, q, value, err", [
-        pytest.param(1, 3.0, 3.077277910258819, 8.663502801946625e-15, id="d1-q3.0"),
-        pytest.param(3, 3.3, 11.373471484316497, 6.190159382092578e-14, id="d3-q3.3"),
+        pytest.param(1, 3.0, 3.077277910258819, 9.545828418366191e-15, id="d1-q3.0"),
+        pytest.param(3, 3.3, 11.373471484316497, 7.019632676834923e-14, id="d3-q3.3"),
     ])
     def test_ball_norm(self, d, q, value, err):
         res = ball_norm_q(d, q)
@@ -1155,7 +1202,7 @@ class TestPinnedKernels:
         # inside the estimates.  Past the mesh the a_0 part's closed form errs
         # ~1e-20 here, where the Aitken tail it replaced reported 2.5e-18 and 8.7e-19
         ("L", 2, 4.2, [3.402054745643273, 2.5491418366543366, 0.9324180813143333],
-         [5.332017947460318e-11, 1.3527202431027845e-08, 1.3519838508062507e-08]),
+         [5.3320574175627335e-11, 1.3527202431027845e-08, 1.3519838508062507e-08]),
     ])
     def test_values(self, kind, d, q, values, errors):
         vals, errs = kernel_values(kind, d, q, np.array([0.0, 0.5, 1.3]))
