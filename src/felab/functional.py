@@ -4,9 +4,12 @@ Routes
 ------
 * d = 1: the transform of an interval union is an exact finite sum,
   1_E^(xi) = P(xi)/(2 pi i xi) with P(xi) = sum_e s_e e^{-2 pi i xi e} over
-  the endpoints (s = +1 left, -1 right).  ||1_E^||_q^q is integrated on
-  uniform GK15 panels out to a cutoff, and a tail past it is added or
-  bounded.  The rigorous envelope |1_E^(xi)| <= m/(pi xi) (m = number of
+  the endpoints (s = +1 left, -1 right).  At even q = 2n the norm is a finite
+  sum too, (-1)^n / (2 p!) sum_{a,b} w_a w_b |sigma_a - sigma_b|^p, p = 2n - 1,
+  over pairs of n-multisets of the endpoints (``_pair_sum``); it is the value
+  wherever its rounding bound meets the tolerance.  Otherwise ||1_E^||_q^q is
+  integrated on uniform GK15 panels out to a cutoff, and a tail past it is
+  added or bounded.  The rigorous envelope |1_E^(xi)| <= m/(pi xi) (m = number of
   intervals) sets the longest cutoff and bounds its tail, which then joins
   the error estimate.  At even q = 2n, |P|^q = |P^n|^2 has top frequency
   n diam, and a panel spans at most one of its periods, fewer at tighter
@@ -64,8 +67,8 @@ Routes
   ||1_E^||_q^q = ||1_E * ... * 1_E||_2^2 with q/2 convolution factors.
   For interval unions the convolution is exact piecewise-polynomial
   arithmetic; for planar sets a grid rasterization + FFT fallback is
-  provided.  This oracle is an independent code path used to cross-validate
-  the quadrature route.
+  provided.  This oracle is an independent code path: a space-side check of
+  the frequency side's pair sum in d = 1, and of the quadrature in d = 2.
 
 Every Phi value is checked against the sharp Hausdorff-Young (Babenko)
 bound (p^{1/2p} q^{-1/2q})^d, which no indicator function can attain.
@@ -75,19 +78,20 @@ State
 The module keeps one piece of mutable state, each thread's work arrays
 (``_buffer``), the one exception to felab's rule of no global mutable state.
 Arrays allocated at each call go back to the OS whenever glibc's trim
-threshold lies below them, and each call faults them in again: 230 minor
-faults a d = 1 search evaluation, about a third of a search's time.  Every
-caller fills the arrays it asks for before it reads them, and no two threads
-share one, so no result depends on an earlier call.
+threshold lies below them, and each call faults them in again: a d = 1 search
+evaluation on the mesh (intervals:3 at q = 3.5) faults 31 pages with fresh
+arrays and 2.4 with the thread's.  Even-q evaluations take the pair sum, which
+uses none, and fault 0.2-0.3 pages either way.  Every caller fills the arrays
+it asks for before it reads them, and no two threads share one, so no result
+depends on an earlier call.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, count
 
 import numpy as np
 
@@ -180,18 +184,19 @@ _MESH_BLOCK = 64   # panels per block: one row of the phase product
 _MESH_CHUNK = 16   # blocks per chunk: ~15k nodes
 # The thread's working arrays (``_buffer``): arrays allocated at each call go back to
 # the OS whenever glibc's trim threshold, which earlier frees move, lies below them,
-# and each call faults them in again (230 minor faults a d = 1 search evaluation).
+# and each call faults them in again (31 minor faults a d = 1 search evaluation on
+# the mesh, 2.4 with these).
 _work = threading.local()
 # ~3 s; at non-even q diam/measure <= 167 at the 2e4 cut (4x any criterion's
 # union), 66,667 at 50, the shortest cut of an exponential-sum tail; even q
 # meshes q diam / (2k) panels a unit of xi (``_norm_q_1d``)
 _MESH_NODES = 2e8
 # the exponential-sum tails run only where the envelope's cut passes this: above
-# 245, the PROBE_QUAD cut of six intervals at q = 4, so search evaluations keep
-# the envelope.  On panels one beat period wide the cost rule alone keeps most of
-# them too (three intervals cut at about 97 at q = 4): in 12 seeded intervals:3
-# searches at q = 4 (restarts 50, budget 200) it would take the tail on 12 of
-# 2,400 evaluations, those of normalised diameter past ~10, and at q = 6 on none
+# 245, the PROBE_QUAD cut of six intervals at q = 4, so the probe tolerance's
+# short cuts keep the envelope.  Even-q search evaluations take the pair sum (all
+# 200 of an intervals:3 search at q = 4, 197 at q = 6; restarts 50, budget 200);
+# the rest, the widest, mesh.  On panels one beat period wide the cost rule alone
+# would keep most of those (three intervals cut at about 97 at q = 4)
 _EXP_SUM_GATE = 400.0
 _EVEN_PAIRS = 1 << 16  # entries of a tail table at most: ~12 MB of working arrays
 _EPS = float(np.finfo(float).eps)
@@ -273,12 +278,47 @@ def _exp_sum_table(ends: np.ndarray, signs: np.ndarray, n: int):
     product.  Returns ``(sigma, a, b, w_ab)`` over the pairs a <= b,
     w_ab = w_a w_b doubled off the diagonal: |P|^{2n} = |P^n|^2 =
     Re sum w_ab e^{-2 pi i xi (sigma_a - sigma_b)}."""
-    sets = list(combinations_with_replacement(range(len(ends)), n))
-    idx = np.array(sets)
-    w = np.prod(signs[idx], axis=1) * [
-        math.factorial(n) / math.prod(map(math.factorial, Counter(a).values())) for a in sets]
-    a, b = np.triu_indices(len(sets))
-    return ends[idx].sum(axis=1), a, b, np.where(a == b, 1.0, 2.0) * w[a] * w[b]
+    idx = np.fromiter(chain.from_iterable(combinations_with_replacement(range(len(ends)), n)),
+                      np.intp).reshape(-1, n)
+    # a multiset's row is sorted, so prod_e (count_e)! is the product of each
+    # entry's place in its run of equal entries
+    run = np.ones(idx.shape)
+    for j in range(1, n):
+        run[:, j] = np.where(idx[:, j] == idx[:, j - 1], run[:, j - 1] + 1.0, 1.0)
+    w = np.prod(signs[idx], axis=1) * (math.factorial(n) / np.prod(run, axis=1))
+    # row a of the pairs holds b = a, ..., N - 1 and starts with the diagonal pair
+    k = np.arange(len(w))
+    lengths = len(w) - k
+    starts = np.cumsum(lengths) - lengths
+    a = np.repeat(k, lengths)
+    b = np.arange(a.size) - np.repeat(starts - k, lengths)
+    w_ab = 2.0 * w[a] * w[b]
+    w_ab[starts] = w * w
+    return ends[idx].sum(axis=1), a, b, w_ab
+
+
+def _pair_sum(table, n: int, reach: float):
+    """||1_E'^||_{2n}^{2n} from the n-multiset ``_exp_sum_table`` as a finite
+    sum, and a bound on its rounding.
+
+    |t|^p, p = 2n - 1, has the transform -2 p! (2 pi i xi)^{-2n} away from 0, and
+    the moments of P^n below order n vanish (P(0) = 0), so ||P^n / (2 pi i xi)^n||_2^2
+    = (-1)^n / (2 p!) sum_{a,b} w_a w_b |sigma_a - sigma_b|^p, over the a <= b pairs
+    with w_ab.  The bound (Higham, ch. 3-4) adds, in units u = eps / 2 of
+    |w_ab| |D|^p / (2 p!), D = sigma_a - sigma_b: p for D's rounding, 5 for the
+    power (an ulp), the two products and the scale, and 20 + log2 N for numpy's
+    pairwise sum of N terms (runs of at most 16 in leaves of 128); and p |D|^{p-1}
+    times 2n (n + 1) ``reach``, the most that the centring, the scaling and the
+    n - 1 additions of a sigma move D, endpoints at most ``reach`` from 0."""
+    sigma, a, b, w = table
+    p = 2 * n - 1
+    dist = np.abs(sigma[a] - sigma[b])
+    lower = dist ** (p - 1)
+    power = lower * dist
+    scale = (-1) ** n / (2.0 * math.factorial(p))
+    depth = p + 25 + math.log2(len(w))
+    bound = (depth * np.abs(w) @ power + 2 * n * (n + 1) * p * reach * np.abs(w) @ lower)
+    return scale * float(np.sum(w * power)), 0.5 * _EPS * abs(scale) * float(bound)
 
 
 def _exp_sum_tail(table, p: float, x: float):
@@ -322,13 +362,15 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     """||1_E'^||_q^q, its error and the route for E' = (E - c) / s of measure 2,
     s = |E| / 2: ||1_E^||_q^q = s^{q-1} ||1_E'^||_q^q.
 
-    The envelope |P| <= 2m gives a cut for the tolerance, clipped to
-    [50, 2e4], and bounds the tail past it.  Where that cut passes
-    _EXP_SUM_GATE, the exponential-sum tables have at most _EVEN_PAIRS
-    entries and they cost less than the panels they can save, the mesh stops
-    sooner: the tail is the midpoint of ``_tail_bracket`` (from the one T_q
-    table at even q, else from the 2k-, 2k+2- and 2k+4-tables, 2k < q < 2k + 2)
-    past the first x >= 50 where its half-width, the error, meets the
+    At even q = 2n whose n-multiset table has at most _EVEN_PAIRS entries, the
+    norm is ``_pair_sum``, wherever its rounding bound meets the tolerance.
+    Otherwise the mesh runs.  The envelope |P| <= 2m gives a cut for the
+    tolerance, clipped to [50, 2e4], and bounds the tail past it.  Where that
+    cut passes _EXP_SUM_GATE, the exponential-sum tables have at most
+    _EVEN_PAIRS entries and they cost less than the panels they can save, the
+    mesh stops sooner: the tail is the midpoint of ``_tail_bracket`` (from the
+    one T_q table at even q, else from the 2k-, 2k+2- and 2k+4-tables, 2k < q <
+    2k + 2) past the first x >= 50 where its half-width, the error, meets the
     envelope's tail.  The first x comes from the Bohr means M_p of |P|^p
     (T_p(x) ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1), so the half-width scales as
     x^{1-q}, and is 0 at even q: x = 50); x steps up while the exact bracket
@@ -337,16 +379,25 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     diam/measure, and a set that needs more than _MESH_NODES is refused.
     """
     m = len(e.intervals)
-    tol = max(cfg.abs_tol, 1e-12)
-    cut = ((m / np.pi) ** q / ((q - 1.0) * tol)) ** (1.0 / (q - 1.0))
-    cut = float(np.clip(cut, 50.0, 2.0e4))
-    tail, tail_err = 0.0, 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
-    route = "mesh_envelope_1d"
     # 1_E^ = P / (2 pi i xi) with signs +1 at left and -1 at right endpoints
     ends = e.endpoints()
     ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
     signs = np.resize([1.0, -1.0], 2 * m)
     even = q % 2 == 0
+    orders = [int(q) // 2] if even else [math.ceil(0.5 * q) - 1 + i for i in range(3)]
+    sizes = [math.comb(2 * m + n - 1, n) for n in orders]  # n-multisets of the endpoints
+    entries = [s * (s + 1) // 2 for s in sizes]
+    tables = None
+    if even and entries[0] <= _EVEN_PAIRS:
+        tables = [_exp_sum_table(ends, signs, orders[0])]
+        value, err = _pair_sum(tables[0], orders[0], float(max(-ends[0], ends[-1])))
+        if err <= cfg.tolerance(value):
+            return value, err, "pair_sum_1d"
+    tol = max(cfg.abs_tol, 1e-12)
+    cut = ((m / np.pi) ** q / ((q - 1.0) * tol)) ** (1.0 / (q - 1.0))
+    cut = float(np.clip(cut, 50.0, 2.0e4))
+    tail, tail_err = 0.0, 2.0 * (m / np.pi) ** q * cut ** (1.0 - q) / (q - 1.0)
+    route = "mesh_envelope_1d"
     # panels per unit xi, keyed to the fastest beat frequency.  At even q = 2n,
     # |P|^q = |P^n|^2 is a trigonometric polynomial, and |P / xi|^q a
     # band-limited function, of top frequency n diam: a panel spans k <= 1 of
@@ -360,15 +411,12 @@ def _norm_q_1d(e: IntervalSet, q: float, cfg: QuadratureConfig):
     else:
         rate = max(20.0, 2.0 * diam)
     h = 1.0 / rate
-    orders = [int(q) // 2] if even else [math.ceil(0.5 * q) - 1 + i for i in range(3)]
-    sizes = [math.comb(2 * m + n - 1, n) for n in orders]  # n-multisets of the endpoints
-    entries = [s * (s + 1) // 2 for s in sizes]
     # the tables must cost less than the panels past 50 they could save: a
     # _power_tail entry, its table built, costs about four panels of any width
     # (2.4-7.5 for three intervals' 1,596- and 231-entry tables at q = 6 and 4)
     if (entries[-1] <= _EVEN_PAIRS and cut > _EXP_SUM_GATE
             and 4 * sum(entries) < (cut - 50.0) * rate):
-        tables = [_exp_sum_table(ends, signs, n) for n in orders]
+        tables = tables or [_exp_sum_table(ends, signs, n) for n in orders]
         # the first x from the bracket of T_p ~ 2 (2 pi)^{-p} M_p x^{1-p} / (p - 1)
         # at x = 1, M_p the Bohr mean of |P|^p: its pairs whose frequencies agree
         bohr = [(2.0 * (2 * np.pi) ** -(2.0 * n) / (2.0 * n - 1.0)
@@ -677,7 +725,8 @@ def _norm_q_2d(e: StarSet, q: float, cfg: QuadratureConfig, radial_cut: float | 
 
 def phi_q(e, q: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
           radial_cut: float | None = None) -> PhiResult:
-    """Phi_q(E) by direct frequency-side quadrature."""
+    """Phi_q(E) on the frequency side: by quadrature, or in d = 1 at even q by
+    the pair sum where its rounding bound meets the tolerance."""
     if not (q > 2) or not math.isfinite(q):
         raise DomainError("q must be a finite exponent > 2")
     measure = e.measure
@@ -715,11 +764,12 @@ def _babenko_guard(res: PhiResult, q: float, d: int) -> None:
 
 
 def phi_even_oracle(e, q: float, grid_resolution: int = 2048) -> PhiResult:
-    """||1_E^||_q^q via the convolution identity (q/2 factors), even q >= 4.  In
-    d = 1 the float piecewise-polynomial arithmetic misses the exact rational
-    value by at most 1.3e-14 relative on 150 seeded intervals:3 search
-    candidates and on (0, 0.8) U (11, 12.2) at q = 4 and 6; 1e-12 relative is
-    reported."""
+    """||1_E^||_q^q via the convolution identity (q/2 factors), even q >= 4: the
+    space side's route, against which criterion 5 checks the frequency side's
+    pair sum in d = 1.  There the float piecewise-polynomial arithmetic misses
+    the exact rational value by at most 1.3e-14 relative on 150 seeded
+    intervals:3 search candidates and on (0, 0.8) U (11, 12.2) at q = 4 and 6;
+    1e-12 relative is reported."""
     if q % 2 or q < 4:
         raise DomainError(f"the convolution identity needs an even integer q >= 4; got q = {q}")
     q = int(q)

@@ -37,8 +37,7 @@ from .errors import DomainError
 from .functional import (_EPS, _block_norm_q, _expi, _half_circle, _phi_result, _planar_tail,
                          _polar_blocks, phi_q)
 from .quadrature import QuadratureConfig, gk15_sums
-from .radial_kernels import (_KERNEL_SLACK, _check_exponent, _check_peak, _kernel_values_1d,
-                             ball_hat)
+from .radial_kernels import _check_exponent, _check_peak, _kernel_values_1d, ball_hat
 from .set_model import AffineMap, IntervalSet, StarSet, _signed_pieces, symdiff_measure
 
 __all__ = [
@@ -96,10 +95,10 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     Kbar(x) = int_0^x K and Lam(t) = int_0^t int_0^u L at the unique |x| the
     sums need: <K, f> = sum s (Kbar(b) - Kbar(a)) over the signed pieces of f,
     <f*L, f> = sum s s' (Lam(b - c) - Lam(a - c) - Lam(b - d) + Lam(a - d))
-    over pairs, the second piece reflected for <f*L, f~>.  A difference errs
-    by the series cut at its ends and the kernel's slack _KERNEL_SLACK (1 + |K|),
-    |K| its mean, times the width (L's times the widths' product; below q = 3,
-    where L has no values, the corners' own errors), plus rounding."""
+    over pairs, the second piece reflected for <f*L, f~>.  Each term errs by
+    the checked errors of the values it sums (``_kernel_values_1d``: the series
+    cut, the power tails' accuracy, the head's rule term and rounding), plus the
+    rounding of its sums."""
     a, b, sgn = _signed_pieces(e.endpoints(), [-1.0, 1.0])  # E \ B (+1), B \ E (-1)
     n, ends = len(a), np.concatenate([a, b])
     xs, at_x = np.unique(np.abs(ends), return_inverse=True)
@@ -108,21 +107,19 @@ def _terms_1d(e: IntervalSet, q: float, quadratic: bool = True):
     near, far = np.stack([b, a, b, a], -1), np.stack([a, a, b, b], -1)
     corners = np.stack([near[:, None] - far, near[:, None] + far[..., ::-1]])
     ts, at_t = np.unique(np.abs(corners), return_inverse=True)
-    (kbar, k_cut), *lam = _kernel_values_1d(q, ("K", 1, xs), *[("L", 2, ts[ts > 0])] * quadratic)
+    (kbar, k_err), *lam = _kernel_values_1d(q, ("K", 1, xs), *[("L", 2, ts[ts > 0])] * quadratic,
+                                            checked=True)
     kb = np.sign(ends) * kbar[at_x]  # Kbar is odd
     diff = kb[n:] - kb[:n]
     terms, errs = np.array([sgn @ diff, 0.0, 0.0]), np.zeros(3)
-    errs[0] = (2 * n * (k_cut + _EPS * np.sum(np.abs(kb)))
-               + _KERNEL_SLACK * np.sum(b - a + np.abs(diff)))
+    errs[0] = np.sum(k_err[at_x]) + 2 * n * _EPS * np.sum(np.abs(kb))
     if quadratic:
-        [(lam, l_cut)] = lam
-        lam = np.r_[np.zeros(len(ts) - len(lam)), lam][at_t.reshape(corners.shape)]
+        # Lam(0) = 0 exactly
+        lam, l_err = (np.r_[np.zeros(len(ts) - len(v)), v][at_t.reshape(corners.shape)]
+                      for v in lam[0])
         pair = lam @ np.array([1.0, -1.0, -1.0, 1.0])
         terms[1:] = np.sum(sgn[:, None] * sgn * pair, axis=(1, 2))
-        slack = (np.sum(np.outer(b - a, b - a) + np.abs(pair), axis=(1, 2)) if q > 3.0
-                 else np.sum(1.0 + np.abs(lam), axis=(1, 2, 3)))
-        errs[1:] = (4 * n * n * (l_cut + _EPS * np.sum(np.abs(lam), axis=(1, 2, 3)))
-                    + _KERNEL_SLACK * slack)
+        errs[1:] = np.sum(l_err + 4 * n * n * _EPS * np.abs(lam), axis=(1, 2, 3))
     return terms, errs
 
 

@@ -44,8 +44,10 @@ integrates the kink as Gauss-Legendre, which every other panel takes (all
 of them at even q), integrates a smooth g.  Each mesh takes at most
 _MESH_NODES nodes and refuses, once, the radii that would need more.
 ``kernel_values`` adds one fixed slack, _KERNEL_SLACK (1 + |v|), to every
-error.  d = 1: the mesh is a head on [0, 1], two zero segments; past it
-g(xi) = pi^{-s} xi^{-s}
+error; the d = 1 expansion terms carry each value's checked error instead
+(the series cut, the power tails' accuracy, the head's move at twice the
+density and its rounding).  d = 1: the mesh is a head on [0, 1], two zero
+segments; past it g(xi) = pi^{-s} xi^{-s}
 P(2 pi xi), s = q-1 (K) or q-2 (L), P = sin(u)|sin u|^{q-2} or
 |sin u|^{q-2}, and one table of P's Fourier series (finite for q = 4, 6, 8)
 meets the power tails int_1^inf xi^{-s} e^{ic xi} dxi in one coefficients
@@ -233,8 +235,8 @@ def _series(kind: str, q: float) -> tuple:
     return freqs, coeffs, trunc
 
 
-# every kernel value's error adds _KERNEL_SLACK (1 + |value|), which the d = 1
-# expansion terms carry too
+# every kernel value's error adds _KERNEL_SLACK (1 + |value|); the d = 1 expansion
+# terms carry checked errors instead (``_kernel_values_1d``)
 _KERNEL_SLACK = 1e-11
 
 # (radius, node) or (frequency, radius) pairs per block of the kernel meshes
@@ -259,14 +261,19 @@ _MESH_NODES = 1 << 23
 
 
 def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray,
-                kinked: np.ndarray, order: int = 0) -> np.ndarray:
+                kinked: np.ndarray, order: int = 0, density: float = 1.0,
+                rounding: bool = False) -> np.ndarray:
     """|S^{d-1}| int rho^{d-1} g(rho) w_d(2 pi r rho) drho over [cuts[0], cuts[-1]],
     w_1 = cos, w_2 = J_0, w_3(y) = sin y / y (r > 0), or in d = 1 its ``order``-th
-    antiderivative in r, w(y) / (2 pi rho)^order.
+    antiderivative in r, w(y) / (2 pi rho)^order.  With ``rounding``, a bound on
+    the sum's rounding instead (Higham, ch. 3): a dot of n terms and its sum over
+    k runs round by at most (n + k) u of the sum of the terms' moduli, the terms'
+    own few roundings by n u more (u = eps / 2), and the wave by 2u |y| (its
+    argument y = 2 pi r rho rounds twice and |w'| <= 1).
 
-    Each segment between ``cuts`` holds m = ceil(length x max(max r / _PERIODS,
-    _PEAK sqrt(a))) equal 16-point panels (``quadrature.kink_mesh``), a = q - 1
-    for K and q - 2 for L.  At non-even q a panel that ends at a ``kinked`` cut, a
+    Each segment between ``cuts`` holds m = ceil(length x ``density`` x max(max r
+    / _PERIODS, _PEAK sqrt(a))) equal 16-point panels (``quadrature.kink_mesh``),
+    a = q - 1 for K and q - 2 for L.  At non-even q a panel that ends at a ``kinked`` cut, a
     zero of B^ where g has a |t|^a kink, takes the Gauss-Jacobi rule of that kink,
     and every other panel Gauss-Legendre, as all do at even q.  The mesh is swept
     in blocks of at most _PAIR_CHUNK pairs: runs of segments of at most _PAIR_CHUNK
@@ -278,24 +285,30 @@ def _radial_sum(kind: str, d: int, q: float, radii: np.ndarray, cuts: np.ndarray
     if not radii.max(initial=0.0) <= reach:
         raise DomainError(f"the {kind}-kind kernel mesh in d = {d} resolves radii up to {reach:.4g} "
                           f"on at most {_MESH_NODES} nodes; got r = {np.max(radii):.6g}")
-    per_length = max(radii.max(initial=0.0) / _PERIODS, _PEAK * math.sqrt(a))
-    out = np.zeros_like(radii)
+    per_length = density * max(radii.max(initial=0.0) / _PERIODS, _PEAK * math.sqrt(a))
+    out, terms, spread = np.zeros_like(radii), 0, 0.0
+    dot = (lambda wave, w: np.abs(wave) @ np.abs(w)) if rounding else np.matmul
     for nodes, weights in kink_mesh(cuts, kinked, per_length, kink_rules(a if q % 2 else None),
                                     _PAIR_CHUNK):
         w = _SPHERE[d] * weights * _g_radial(kind, d, q, nodes) * nodes ** (d - 1)
         w /= (2 * np.pi * nodes) ** order
-        rows = max(1, _PAIR_CHUNK // len(nodes))
+        rows, terms = max(1, _PAIR_CHUNK // len(nodes)), terms + len(nodes) + 1
         for r0 in range(0, len(radii), rows):
-            out[r0:r0 + rows] += _WAVE[d, order](2 * np.pi * np.outer(radii[r0:r0 + rows], nodes)) @ w
-    return out
+            out[r0:r0 + rows] += dot(_WAVE[d, order](2 * np.pi * np.outer(radii[r0:r0 + rows], nodes)), w)
+        if rounding:
+            spread += 2 * np.pi * float(np.abs(w) @ nodes)
+    return np.finfo(float).eps * (terms * out + spread * radii) if rounding else out
 
 
-def _kernel_values_1d(q: float, *parts):
+def _kernel_values_1d(q: float, *parts, checked: bool = False):
     """Per part (kind, order, x), the d = 1 kernel or its first or second
     antiderivative in r at radii x >= 0, 2 int_0^inf g(xi) W dxi with W = cos y,
     sin y / (2 pi xi) or 2 sin^2(y/2) / (2 pi xi)^2, y = 2 pi x xi, and the
-    bound on the series terms cut (``kernel_values`` adds the slack): a head on
-    [0, 1] (``_radial_sum``, with the kinks of g at 1/2 and 1), then each series
+    bound on the series terms cut (``kernel_values`` adds the slack).  If
+    ``checked``, each value's error instead: that cut, _power_tail's tested
+    accuracy, 1e-12 relative, and the rounding on the kept terms' moduli, the
+    head's move to the same sum at twice the density, and its rounding.  A head
+    on [0, 1] (``_radial_sum``, with the kinks of g at 1/2 and 1), then each series
     term against the power tails at 2 pi (f +- x) at the exponent
     s + order, q for K at order 1 and L at order 2, for every q > 2.  At
     order 1 the phase turns by -i; at order 2 the tail is T(0) - T(x), T the
@@ -316,8 +329,12 @@ def _kernel_values_1d(q: float, *parts):
         dropped = pref * np.cumsum((np.append(np.abs(coeffs), trunc) * w)[::-1])[::-1]
         n = np.count_nonzero(dropped[:-1] > 1e-13)
         xt = np.append(x, 0.0) if order == 2 else x
-        head = _radial_sum(kind, 1, q, x, _HEAD_CUTS, _HEAD_KINKS, order)
-        out.append((head, pref, np.empty_like(xt), float(dropped[n])))
+        mesh = (kind, 1, q, x, _HEAD_CUTS, _HEAD_KINKS, order)
+        head, err = _radial_sum(*mesh), float(dropped[n])
+        if checked:
+            err += ((1e-12 + n * np.finfo(float).eps) * float(dropped[0] - dropped[n])
+                    + np.abs(head - _radial_sum(*mesh, 2.0)) + _radial_sum(*mesh, rounding=True))
+        out.append((head, pref, np.empty_like(xt), err))
         step = max(1, _PAIR_CHUNK // max(2 * n, 1))
         for lo in range(0, len(xt), step):
             xc = xt[lo:lo + step]
@@ -334,8 +351,8 @@ def _kernel_values_1d(q: float, *parts):
         # e^{ic} at c = 2 pi (f + x), f an integer, turned by -i at order 1 (cos to sin)
         phase = np.exp(2j * np.pi * (xc - np.round(xc))) * (1, -1j, 1)[order]
         tail[:] = 0.5 * (np.imag if kind == "K" else np.real)(phase * plus + np.conj(phase) * minus)
-    return [(head + pref * (tail[-1] - tail[:-1] if order == 2 else tail), cut)
-            for (_, order, _), (head, pref, tail, cut) in zip(parts, out)]
+    return [(head + pref * (tail[-1] - tail[:-1] if order == 2 else tail), err)
+            for (_, order, _), (head, pref, tail, err) in zip(parts, out)]
 
 
 def _moment(kind: str, d: int, q: float):

@@ -11,14 +11,18 @@ head-plus-tail integral on such a mesh, the circle-profile route to the circle
 coefficients on a spline through a sampled profile, the
 sphere-reduced second variation, the boundary radius by bisection, the
 planar norm one radial panel at a time from the radial factor node by node,
-the d = 1 quadratic expansion terms on the frequency side), the planar sets several test
-modules share, report-only fits and probes, a local ascent from a given
-start, and views of package objects that only the tests read.  None of them is called by the
-package, its command line or its acceptance criteria.
+the d = 1 quadratic expansion terms on the frequency side, the even-q d = 1
+norm as an exact integer pair sum), the planar sets several test modules
+share, report-only fits and probes, a local ascent from a given start, and
+views of package objects that only the tests read.  None of them is called by
+the package, its command line or its acceptance criteria.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import integrate, special
@@ -440,6 +444,34 @@ def centred_endpoints(e: IntervalSet):
     ends = e.endpoints()
     ends = (ends - 0.5 * (ends[0] + ends[-1])) / (0.5 * e.measure)
     return ends, np.resize([1.0, -1.0], len(ends))
+
+
+def even_norm_exact(e: IntervalSet, q: int) -> Fraction:
+    """||1_E^||_q^q at even q = 2n as an exact rational, in integer arithmetic and
+    independent of ``_pwpoly``: (-1)^n / (2 p!) sum_{a,b} w_a w_b |sigma_a - sigma_b|^p,
+    p = 2n - 1, over ordered pairs of n-multisets of the endpoints, sigma their sum and
+    w the multinomial times the sign product.  Float endpoints are dyadic rationals,
+    so the largest denominator D is a multiple of every other one and D x is an
+    integer.  The weights are merged per sigma, and the sum over a < b runs in
+    increasing sigma as sum_b w_b sum_j C(p, j) sigma_b^{p-j} (-sigma_a)^j against
+    prefix sums of w_a sigma_a^j: N p big-integer products, not N^2."""
+    ends = [Fraction(float(x)) for x in e.endpoints()]
+    den = max(x.denominator for x in ends)
+    xs = [int(x * den) for x in ends]
+    n, p = q // 2, q - 1
+    merged = Counter()
+    for combo in combinations_with_replacement(range(len(xs)), n):
+        mult = math.factorial(n) // math.prod(map(math.factorial, Counter(combo).values()))
+        merged[sum(xs[i] for i in combo)] += (-1) ** sum(i % 2 for i in combo) * mult
+    binom = [math.comb(p, j) * (-1) ** j for j in range(p + 1)]
+    prefix, total = [0] * (p + 1), 0
+    for sigma in sorted(merged):
+        w = merged[sigma]
+        total += w * sum(c * sigma ** (p - j) * s
+                         for j, (c, s) in enumerate(zip(binom, prefix)))
+        for j in range(p + 1):
+            prefix[j] += w * sigma ** j
+    return Fraction((-1) ** n * total, math.factorial(p) * den ** p)
 
 
 def interval_norm_bands(e: IntervalSet, qs, xs, cut: float = 2.0e4) -> np.ndarray:

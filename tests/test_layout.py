@@ -1,7 +1,8 @@
 """Source layout: one GK15 panel rule, one adaptive loop that no module calls,
 one radial head-plus-tail integral, one builder of every radial mesh,
 one kernel mesh sum, one d = 2 harmonic tail bound, one reader of the d = 1
-exponential-sum tails, one planar norm integrand, one circle rule and one
+exponential-sum tails, one builder of the d = 1 multiset tables, one planar
+norm integrand, one circle rule and one
 near-pair series for the planar transforms, one kernel slack, one parity
 rule for the pieces of interval unions, one pair of Bessel seeds for the
 spectrum's two recurrences, one star boundary, one crossing search for the
@@ -157,6 +158,32 @@ def test_exp_sum_tail_called_from_one_place():
     assert callers == {("functional.py", "_tail_bracket")}
 
 
+def test_one_multiset_table():
+    # the even-q pair sum and the exponential-sum tails read the n-multiset
+    # tables of one builder: only _exp_sum_table enumerates multisets, only
+    # _norm_q_1d builds tables, and every table that _pair_sum or _tail_bracket
+    # reads is one of its ``tables``, which only _exp_sum_table fills
+    builders = {(name, fn) for name, text in MODULES.items()
+                for fn in _callers(text, "combinations_with_replacement")}
+    assert builders == {("functional.py", "_exp_sum_table")}
+    assert "Counter" not in MODULES["functional.py"]
+    tree = ast.parse(MODULES["functional.py"])
+    norm = next(node for node in tree.body if getattr(node, "name", None) == "_norm_q_1d")
+    for reader in ("_exp_sum_table", "_pair_sum", "_tail_bracket"):
+        callers = {(name, fn) for name, text in MODULES.items() for fn in _callers(text, reader)}
+        assert callers == {("functional.py", "_norm_q_1d")}, reader
+    for node in ast.walk(norm):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_pair_sum",
+                                                                             "_tail_bracket"):
+            assert "tables" in {n.id for n in ast.walk(node.args[0]) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "tables"
+                                                for t in node.targets):
+            calls = {getattr(n.func, "id", None) for n in ast.walk(node.value)
+                     if isinstance(n, ast.Call)}
+            assert calls == {"_exp_sum_table"} or (
+                isinstance(node.value, ast.Constant) and node.value.value is None)
+
+
 def test_one_near_pair_series():
     # the planar norm and the transform at points take their near pairs from
     # one power table; the node-by-node series is the tests' reference
@@ -186,8 +213,8 @@ def test_one_thread_workspace():
 
 def test_one_kernel_slack():
     # every kernel value's error takes the fixed slack once, in kernel_values;
-    # the d = 1 expansion terms read the same constant, and the d = 2 K mesh
-    # ends where its tail bound is a tenth of it
+    # the d = 2 K mesh ends where its tail bound is a tenth of it, and the d = 1
+    # expansion terms carry checked errors in its place
     text = MODULES["radial_kernels.py"]
     readers = {getattr(top, "name", "<module>") for top in ast.parse(text).body
                for node in ast.walk(top)

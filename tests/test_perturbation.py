@@ -7,6 +7,7 @@ from felab.errors import DomainError, ThresholdError
 from felab.functional import phi_q
 from felab.perturbation import (
     _TIGHT,
+    _terms_1d,
     expansion_report,
     inner_K,
     quadratic_terms,
@@ -121,12 +122,13 @@ def test_refused_past_the_float_range(call, e, q):
         call(e, q)
 
 
-def lam4_pair_sums(e):
+def lam4_pair_sums(e, num=float):
     """<f*L_4, f> and <f*L_4, f~> from Lam_4(t) = int_0^t int_0^u (2 - |v|)_+,
-    t^2 - |t|^3/6 on [0, 2] and linear past it, in exact piecewise cubics."""
+    t^2 - |t|^3/6 on [0, 2] and linear past it, in exact piecewise cubics, in
+    the number type ``num`` (Fraction for the exact rational sums)."""
     def lam(t):
-        t = abs(t)
-        return t * t - t**3 / 6.0 if t <= 2.0 else 8.0 / 3.0 + 2.0 * (t - 2.0)
+        t = abs(num(t))
+        return t * t - t**3 / 6 if t <= 2 else num(8) / 3 + 2 * (t - 2)
     pieces = list(zip(*_signed_pieces(e.endpoints(), [-1.0, 1.0])))
     ll = lr = 0.0
     for a, b, s in pieces:
@@ -148,6 +150,19 @@ class TestExactTerms1D:
         quads = quadratic_terms(e, 4.0)
         ll, lr = lam4_pair_sums(e)
         assert abs(quads["LL"] - ll) <= 1e-13 and abs(quads["Lrefl"] - lr) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.02, 0.005, 0.00125])
+    def test_q4_sliver_term_errors(self, eps):
+        # each term's checked error covers its miss against the exact rational
+        # sums of Lam_4 over the float pieces, and <K, f> against its closed form
+        # (the rounded endpoints 1 +- eps move it by ~1e-15)
+        from fractions import Fraction
+        e = sliver_family_1d(eps)
+        terms, errs = _terms_1d(e, 4.0)
+        k = Fraction(eps)
+        exact = [-2 * k**2 + k**3 / 2, *lam4_pair_sums(e, Fraction)]
+        misses = [abs(Fraction(t) - x) for t, x in zip(terms.tolist(), exact)]
+        assert all(miss <= err for miss, err in zip(misses, errs.tolist())), (misses, errs)
 
     @pytest.mark.parametrize("eps", [0.02, 0.005, 0.00125])
     def test_q4_sliver_residual_within_its_error(self, eps):
